@@ -12,6 +12,12 @@ the runner's hardware, but a speedup is a ratio of two timings taken on
 the same machine in the same run, so a >15% drop means the pipelining
 itself regressed, not the runner.  Exit status 1 on any regression.
 
+A speedup of N workers over one is a same-machine ratio only between
+machines with the same number of cores: when a fresh result and its
+baseline record different ``cpu_count``/``cpus``, its ratio metrics are
+reported as *unmeasured* — neither pass nor fail — the rule
+``benchmarks/waterfall/compare.py`` applies to whole runs.
+
 Run with ``--update`` locally to refresh the committed baselines from a
 results directory.
 """
@@ -22,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: Maximum tolerated relative drop in any gated metric (satellite: >15%
 #: regression in restore/ingest throughput fails CI).
@@ -55,7 +61,7 @@ GATED_METRICS = {
 #: rule inverts, so they get a generous hard ceiling; correctness counts
 #: (invariant violations) get a ceiling of zero — any violation fails.
 CEILING_METRICS = {
-    "cluster_failover": {"failover_write_seconds": 30.0},
+    "cluster_failover": {"failover_write_seconds": 10.0},
     "chaos": {"invariant_violations": 0.0, "ops_failed_untyped": 0.0},
 }
 
@@ -67,6 +73,14 @@ def _lookup(doc: Dict, dotted: str) -> float:
     for key in dotted.split("."):
         node = node[key]
     return float(node)
+
+
+def recorded_cpus(doc: Dict) -> Optional[int]:
+    """The core count a benchmark document was measured on, if it says."""
+    for key in ("cpu_count", "cpus"):
+        if doc.get(key) is not None:
+            return int(doc[key])
+    return None
 
 
 def iter_pairs(results_dir: str) -> Iterator[Tuple[str, Dict, Dict]]:
@@ -124,7 +138,15 @@ def check_ceilings(results_dir: str) -> Tuple[int, list]:
 def check(results_dir: str) -> int:
     failures = []
     checked = 0
+    unmeasured = 0
     for name, fresh, baseline in iter_pairs(results_dir):
+        cpus, base_cpus = recorded_cpus(fresh), recorded_cpus(baseline)
+        if cpus is not None and base_cpus is not None and cpus != base_cpus:
+            for metric in GATED_METRICS[name]:
+                unmeasured += 1
+                print(f"UNMEASURED  {name}.{metric}: measured on {cpus} CPUs, "
+                      f"baseline on {base_cpus}")
+            continue
         for metric in GATED_METRICS[name]:
             try:
                 base_value = _lookup(baseline, metric)
@@ -153,7 +175,7 @@ def check(results_dir: str) -> int:
     ceiling_checked, ceiling_failures = check_ceilings(results_dir)
     checked += ceiling_checked
     failures.extend(ceiling_failures)
-    if not checked:
+    if not checked and not unmeasured:
         print("error: no gated benchmark results found to compare", file=sys.stderr)
         return 1
     if failures:
@@ -162,7 +184,8 @@ def check(results_dir: str) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print(f"\nall {checked} gated metrics pass "
-          f"(ratios within {MAX_REGRESSION:.0%} of baseline, ceilings held)")
+          f"(ratios within {MAX_REGRESSION:.0%} of baseline, ceilings held)"
+          + (f"; {unmeasured} unmeasured (CPU counts differ)" if unmeasured else ""))
     return 0
 
 

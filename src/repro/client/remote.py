@@ -684,9 +684,10 @@ class RemoteRepository:
     def verify(self, deep: bool = False) -> Dict:
         """Server-side integrity verification of this tenant.
 
-        Returns the report document (``ok``, ``versions_checked``,
-        ``entries_checked``, ``issues``, ``summary``).  ``deep`` re-hashes
-        every stored chunk payload and container file on the server.
+        Returns the report document (``ok``, ``seconds``,
+        ``versions_checked``, ``entries_checked``, ``containers_checked``,
+        ``issues``, ``summary``).  ``deep`` re-hashes every stored chunk
+        payload on the server, on the one load each container gets.
         """
         return self._with_retries(
             lambda: self._simple_request(

@@ -17,103 +17,61 @@ reported, and the original file is left untouched.
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.verify import (
+    VerificationReport,
+    check_containers,
+    container_name,
+    rehash_payloads,
+    verify_system,
+)
 from ..errors import ReproError, StorageError
 from ..observability import MetricsRegistry, get_registry
-from ..storage.container_store import _COMPRESSED_MAGIC, unpack_container
+from ..storage.container_store import decode_container
+from ..storage.repo import RepoStorage
 from .state import same_identity, source_identity
 from .targets import ReplicationTarget, write_object
 
 _CONTAINER_RE = re.compile(r"^container-(\d{8})\.hdsc$")
 
 
-def container_name(cid: int) -> str:
-    """The on-disk file name of archival container ``cid``."""
-    return f"container-{cid:08d}.hdsc"
-
-
 def check_container_blob(blob: bytes, expected_id: int, deep: bool = True) -> Optional[str]:
     """Validate one serialised container; returns the defect or ``None``.
 
     Shallow: the blob must decompress/unpack as container ``expected_id``.
-    Deep: every chunk payload must re-hash to its fingerprint (the check
-    that catches bit-flips the container format itself cannot see — chunk
-    payloads carry no per-chunk checksum, their fingerprint *is* the
-    checksum).
+    Deep: every chunk payload must re-hash to its fingerprint
+    (:func:`repro.core.verify.rehash_payloads`).
     """
-    from ..chunking.fingerprint import Fingerprinter
-
     try:
-        raw = blob
-        if raw[:4] == _COMPRESSED_MAGIC:
-            raw = zlib.decompress(raw[4:])
-        container = unpack_container(raw, expected_id=expected_id)
-    except (ReproError, struct.error, zlib.error, IndexError) as exc:
+        container = decode_container(blob, expected_id)
+    except StorageError as exc:
         return f"unreadable: {exc}"
-    if deep:
-        fingerprinter = None
-        for fp, slot in container.items():
-            if slot.data is None:
-                continue
-            if fingerprinter is None or fingerprinter.width != len(fp):
-                fingerprinter = Fingerprinter(width=len(fp))
-            if fingerprinter.fingerprint(slot.data) != fp:
-                return f"payload of chunk {fp.hex()[:8]} does not re-hash to its fingerprint"
-    return None
+    return rehash_payloads(container)[1] if deep else None
 
 
-def referenced_container_ids(repo_root: str) -> Set[int]:
+def referenced_container_ids(storage: RepoStorage) -> Set[int]:
     """Archival container IDs the repository's metadata still points at.
 
     Union of positive cids across every retained recipe plus the §4.5
     deletion tags in the checkpoint (tagged containers must exist for the
     expiry path to reclaim them).  Chain markers (negative) and the
-    active-pool marker (0) reference no archival file.
+    active-pool marker (0) reference no archival file.  Read straight off
+    the stored objects, without opening the engine, so repair still works
+    when the checkpoint does not load.
     """
-    from ..storage.recipe import FileRecipeStore
-    from ..storage.repo import RepoStorage, is_repo_url
-
     referenced: Set[int] = set()
-    if is_repo_url(repo_root):
-        storage = RepoStorage(repo_root)
+    recipes = storage.recipe_store()
+    for version_id in recipes.version_ids():
+        referenced.update(e.cid for e in recipes.peek(version_id).entries if e.cid > 0)
+    if storage.has_checkpoint():
         try:
-            recipes = storage.recipe_store()
-            for version_id in recipes.version_ids():
-                for entry in recipes.peek(version_id).entries:
-                    if entry.cid > 0:
-                        referenced.add(entry.cid)
-            if storage.has_checkpoint():
-                try:
-                    document = storage.read_checkpoint_document()
-                    for cids in document.get("deletion_tags", {}).values():
-                        referenced.update(int(cid) for cid in cids)
-                except (ValueError, TypeError, ReproError):
-                    pass  # a damaged checkpoint is verify's problem
-        finally:
-            storage.close()
-        return referenced
-    recipes_dir = os.path.join(repo_root, "recipes")
-    if os.path.isdir(recipes_dir):
-        recipes = FileRecipeStore(recipes_dir)
-        for version_id in recipes.version_ids():
-            for entry in recipes.peek(version_id).entries:
-                if entry.cid > 0:
-                    referenced.add(entry.cid)
-    checkpoint = os.path.join(repo_root, "checkpoint.json")
-    if os.path.exists(checkpoint):
-        try:
-            with open(checkpoint, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            document = storage.read_checkpoint_document()
             for cids in document.get("deletion_tags", {}).values():
                 referenced.update(int(cid) for cid in cids)
-        except (ValueError, OSError, TypeError):
+        except (ValueError, TypeError, OSError, ReproError):
             pass  # a damaged checkpoint is verify's problem, not repair's
     return referenced
 
@@ -122,45 +80,16 @@ def scan_containers(repo_root: str, deep: bool = True) -> Tuple[int, Dict[str, s
     """Find damaged archival containers; returns ``(scanned, {name: defect})``.
 
     Three defect classes: present-but-unreadable, present-but-payload-
-    corrupt (``deep``), and referenced-but-missing.
+    corrupt (``deep``), and referenced-but-missing — the container-level
+    half of :func:`repro.core.verify.check_containers`, one load each.
     """
-    from ..storage.repo import RepoStorage, is_repo_url
-
-    bad: Dict[str, str] = {}
-    scanned = 0
-    present: Set[int] = set()
-    if is_repo_url(repo_root):
-        storage = RepoStorage(repo_root)
-        try:
-            for cid in storage.container_object_ids():
-                scanned += 1
-                present.add(cid)
-                blob = storage.read_object("container", container_name(cid))
-                defect = check_container_blob(blob, cid, deep=deep)
-                if defect is not None:
-                    bad[container_name(cid)] = defect
-        finally:
-            storage.close()
-        for cid in sorted(referenced_container_ids(repo_root) - present):
-            bad[container_name(cid)] = "missing"
-        return scanned, bad
-    containers_dir = os.path.join(repo_root, "containers")
-    if os.path.isdir(containers_dir):
-        for name in sorted(os.listdir(containers_dir)):
-            match = _CONTAINER_RE.match(name)
-            if not match:
-                continue
-            scanned += 1
-            cid = int(match.group(1))
-            present.add(cid)
-            with open(os.path.join(containers_dir, name), "rb") as handle:
-                blob = handle.read()
-            defect = check_container_blob(blob, cid, deep=deep)
-            if defect is not None:
-                bad[name] = defect
-    for cid in sorted(referenced_container_ids(repo_root) - present):
-        bad[container_name(cid)] = "missing"
-    return scanned, bad
+    storage = RepoStorage(repo_root)
+    try:
+        referenced = {cid: set() for cid in referenced_container_ids(storage)}
+        found = check_containers(storage.container_store(), referenced, deep)
+    finally:
+        storage.close()
+    return found.checked, {container_name(cid): d for cid, d in found.defects.items()}
 
 
 @dataclass
@@ -242,29 +171,24 @@ def repair_from_mirror(
     return report
 
 
-def verify_repository(repo_root: str, deep: bool = False) -> "VerificationReport":
-    """Full-repository verification over an on-disk repo directory.
+def verify_repository(repo_root: str, deep: bool = False) -> VerificationReport:
+    """Full-repository verification over a repository directory or URL.
 
-    Runs the engine-level walk (:func:`repro.core.verify.verify_system`)
-    and, with ``deep``, re-hashes every stored chunk payload *and*
-    re-checks every container file blob — the checks ``repair`` keys off.
+    Opens the engine on the stored state and runs
+    :func:`repro.core.verify.verify_system`: one walk of the recipes, one
+    load of each container; ``deep`` re-hashes every stored chunk payload
+    on that same load — the findings ``repair`` keys off.
     """
-    from ..core.verify import VerificationReport, verify_system
     from ..repository import open_repository
 
+    report = VerificationReport()
     try:
         system = open_repository(repo_root)
     except (ReproError, ValueError, KeyError, OSError) as exc:
-        report = VerificationReport()
         report.note(f"repository unreadable: {exc}")
         return report
     try:
-        report = verify_system(system)
-    except StorageError as exc:
-        report = VerificationReport()
+        return verify_system(system, deep)
+    except StorageError as exc:  # a recipe that does not parse: nothing to walk
         report.note(f"verification aborted: {exc}")
-    if deep:
-        _scanned, bad = scan_containers(repo_root, deep=True)
-        for name, defect in sorted(bad.items()):
-            report.note(f"container file {name}: {defect}")
-    return report
+        return report

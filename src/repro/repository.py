@@ -297,18 +297,29 @@ class LocalRepository:
     def verify(self, deep: bool = False) -> Dict:
         """Integrity-check the repository; returns the report document.
 
-        ``deep`` additionally re-hashes every stored chunk payload and
-        container file against its fingerprint — the check that catches
-        silent bit-flips.  Always verifies the on-disk state (fresh
-        engine), so damage inflicted after the engine was cached is seen.
+        One walk of the recipes, one load of each container
+        (:mod:`repro.core.verify`); ``deep`` additionally re-hashes every
+        stored chunk payload against its fingerprint on that load — the
+        check that catches silent bit-flips.  Always verifies the on-disk
+        state (fresh engine), so damage inflicted after the engine was
+        cached is seen.  The work is recorded as ``verify.*`` metrics.
         """
         from .replication.repair import verify_repository
 
+        started = time.perf_counter()
         report = verify_repository(self.root, deep=deep)
+        seconds = time.perf_counter() - started
+        self.metrics.observe("verify.seconds", seconds)
+        self.metrics.inc("verify.containers_checked", report.containers_checked)
+        self.metrics.inc("verify.entries_checked", report.entries_checked)
+        self.metrics.inc("verify.bytes_rehashed", report.bytes_rehashed)
+        self.metrics.inc("verify.issues", len(report.issues))
         return {
             "ok": report.ok,
+            "seconds": seconds,
             "versions_checked": report.versions_checked,
             "entries_checked": report.entries_checked,
+            "containers_checked": report.containers_checked,
             # Bounded for the wire; issues_total carries the true count.
             "issues": report.issues[:200],
             "issues_total": len(report.issues),

@@ -1207,7 +1207,8 @@ class BackupDaemon:
                 self.metrics.inc("cluster.resyncs")
                 self.events.log(
                     "cluster_resync", repo=name, source=acting.name,
-                    verified=bool(verify.get("ok")), **report
+                    verified=bool(verify.get("ok")),
+                    verify_seconds=verify.get("seconds"), **report
                 )
             except (ReproError, OSError) as exc:
                 clean = False
@@ -1443,6 +1444,7 @@ class BackupDaemon:
                 repo=name,
                 epoch=epoch,
                 entries=report.get("entries_checked"),
+                verify_seconds=report.get("seconds"),
             )
         else:
             self._fenced.add(key)
@@ -1452,6 +1454,7 @@ class BackupDaemon:
                 repo=name,
                 epoch=epoch,
                 error=report.get("summary", "verify failed"),
+                verify_seconds=report.get("seconds"),
             )
         return ok
 

@@ -28,7 +28,13 @@ import zlib
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional
 
-from ..errors import ObjectMissingError, StorageError, UnknownChunkError, UnknownContainerError
+from ..errors import (
+    ObjectMissingError,
+    ReproError,
+    StorageError,
+    UnknownChunkError,
+    UnknownContainerError,
+)
 from ..observability import MetricsRegistry, get_registry
 from ..units import CONTAINER_SIZE, FINGERPRINT_SIZE
 from .backend import FileBackend, StorageBackend, wrap_backend
@@ -205,6 +211,21 @@ def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Containe
 _COMPRESSED_MAGIC = b"HDSZ"
 
 
+def decode_container(blob: bytes, expected_id: int) -> Container:
+    """Parse a stored container object, plain or zlib-wrapped.
+
+    Every way a damaged blob can fail to parse — bad magic or ID, a short
+    entry table, a payload region cut short, a broken zlib stream — raises
+    :class:`StorageError`.
+    """
+    try:
+        if blob[:4] == _COMPRESSED_MAGIC:
+            blob = zlib.decompress(blob[4:])
+        return unpack_container(blob, expected_id=expected_id)
+    except (ReproError, struct.error, zlib.error, IndexError) as exc:
+        raise StorageError(str(exc) or type(exc).__name__) from exc
+
+
 #: Coalesce ranged chunk reads whose payload gap is below this many bytes:
 #: one slightly larger GET beats two round trips to an object store.
 _COALESCE_GAP = 64 * 1024
@@ -290,10 +311,8 @@ class BackendContainerStore(ContainerStore):
         except ObjectMissingError:
             raise UnknownContainerError(f"no container {container_id}") from None
         try:
-            if blob[:4] == _COMPRESSED_MAGIC:
-                blob = zlib.decompress(blob[4:])
-            container = unpack_container(blob, expected_id=container_id)
-        except (StorageError, struct.error, zlib.error) as exc:
+            container = decode_container(blob, container_id)
+        except StorageError as exc:
             raise StorageError(f"corrupt container object {name}: {exc}") from exc
         container.seal()
         return container

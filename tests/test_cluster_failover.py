@@ -29,7 +29,7 @@ from repro.cluster import (
     node_order,
 )
 from repro.errors import ClusterError, NotPrimaryError, RemoteError
-from repro.observability import MetricsRegistry
+from repro.observability import EventLogger, MetricsRegistry
 from repro.repository import read_tree
 
 #: Aggressive probe settings so failover lands in test time, not ops time.
@@ -126,8 +126,21 @@ def test_probe_targets_form_a_live_predecessor_cycle():
 # ----------------------------------------------------------------------
 # The tentpole: kill the primary, the write still lands
 # ----------------------------------------------------------------------
+class RecordedEvents(EventLogger):
+    """Keeps every event the daemons log (list.append is atomic)."""
+
+    def __init__(self):
+        self.events = []
+
+    def log(self, event, **fields):
+        self.events.append((event, fields))
+
+
 def test_write_failover_promotes_successor_without_forking(tmp_path):
-    harness = ClusterHarness(str(tmp_path), nodes=3, replicas=2, **PROBE)
+    recorded = RecordedEvents()
+    harness = ClusterHarness(
+        str(tmp_path), nodes=3, replicas=2, event_log=recorded, **PROBE
+    )
     cmap = harness.start()
     try:
         with ClusterClient(
@@ -167,6 +180,13 @@ def test_write_failover_promotes_successor_without_forking(tmp_path):
 
             counters = client.metrics.snapshot()["counters"]
             assert counters.get("cluster.write_retries", 0) >= 1
+
+            # The promotion gate says how long its deep verify took.
+            gates = [
+                fields for event, fields in recorded.events
+                if event == "cluster_promotion_verified" and fields["repo"] == tenant
+            ]
+            assert gates and all(gate["verify_seconds"] > 0 for gate in gates)
     finally:
         harness.stop()
 
@@ -195,6 +215,7 @@ def test_stale_epoch_rejoin_demotes_and_resyncs(tmp_path):
     harness = ClusterHarness(str(tmp_path), nodes=3, replicas=2, **PROBE)
     cmap = harness.start()
     rejoined = None
+    recorded = RecordedEvents()
     try:
         with ClusterClient(
             [n.address for n in cmap.nodes], write_retry_timeout=30.0
@@ -222,6 +243,7 @@ def test_stale_epoch_rejoin_demotes_and_resyncs(tmp_path):
                 cluster_map=cmap,
                 node_name=old_primary.name,
                 metrics=MetricsRegistry(),
+                event_log=recorded,
                 **PROBE,
             )
             rejoined.start()
@@ -239,6 +261,9 @@ def test_stale_epoch_rejoin_demotes_and_resyncs(tmp_path):
                     view.close()
 
             wait_until(rejoined_caught_up, timeout=30.0)
+            # The revive gate deep-verified the pulled copy and timed it.
+            resyncs = [f for event, f in recorded.events if event == "cluster_resync"]
+            assert resyncs and all(f["verified"] and f["verify_seconds"] > 0 for f in resyncs)
 
             # Demoted: the rejoined node refuses writes for the tenant...
             direct = RemoteRepository(old_primary.address, tenant)

@@ -16,7 +16,8 @@ from repro.index import ExactFullIndex
 from repro.pipeline.system import BackupSystem
 from repro.storage import FileContainerStore, FileRecipeStore
 from repro.units import KiB
-from tests.conftest import make_stream
+from tests.conftest import make_stream, random_payload_stream
+from tests.verify_oracle import CORRUPTIONS, NotApplicable, assert_matches_oracle
 
 
 class TestVerifyTraditional:
@@ -85,6 +86,62 @@ class TestVerifyHiDeStore:
         system.pool.peek(cid).remove(victim)
         report = verify_system(system)
         assert not report.ok
+
+
+def _hidestore_metadata_only(workload):
+    system = HiDeStore(container_size=64 * KiB)
+    for stream in workload.versions():
+        system.backup(stream)
+    system.delete_oldest()
+    return system
+
+
+def _traditional_metadata_only(workload):
+    system = BackupSystem(ExactFullIndex(), container_size=64 * KiB)
+    for stream in workload.versions():
+        system.backup(stream)
+    return system
+
+
+def _hidestore_with_payloads(_workload):
+    system = HiDeStore(container_size=32 * KiB)
+    for seed in range(4):
+        system.backup(random_payload_stream(seed, chunks=40))
+    system.delete_oldest()
+    return system
+
+
+class TestMatchesPerEntryOracle:
+    """The container-major pass against the per-entry walk it replaced."""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+    @pytest.mark.parametrize("damage", CORRUPTIONS, ids=lambda damage: damage.__name__)
+    @pytest.mark.parametrize(
+        "build",
+        [_hidestore_metadata_only, _traditional_metadata_only, _hidestore_with_payloads],
+        ids=lambda build: build.__name__.strip("_"),
+    )
+    def test_same_issue_set(self, small_workload, build, damage, deep):
+        system = build(small_workload)
+        try:
+            damage(system)
+        except NotApplicable as why:
+            pytest.skip(str(why))
+        assert_matches_oracle(system, damage, deep)
+
+    def test_issues_come_in_recipe_order(self, small_workload):
+        system = _hidestore_metadata_only(small_workload)
+        victim = sorted(
+            e.cid for v in system.recipes.version_ids()
+            for e in system.recipes.peek(v).entries if e.cid > 0
+        )[0]
+        system.containers.delete(victim)
+        system.pool.location[next(iter(system.pool.location))] = 999_999
+        issues = verify_system(system).issues
+        located = [i for i in issues if i.startswith("v")]
+        keys = [tuple(map(int, i[1 : i.index("]")].split("["))) for i in located]
+        assert len(keys) > 2 and keys == sorted(keys)
+        assert issues[: len(located)] == located  # entries first, then the rest
 
 
 class TestCheckpoint:
