@@ -1,6 +1,6 @@
 """Benchmark regression gate: compare fresh BENCH_*.json against baselines.
 
-CI runs the restore/ingest throughput benchmarks with
+CI runs the restore/server throughput benchmarks with
 ``BENCH_RESULTS_DIR`` set, then runs this script::
 
     python benchmarks/check_regression.py --results /tmp/smoke
@@ -31,7 +31,7 @@ import sys
 from typing import Dict, Iterator, Optional, Tuple
 
 #: Maximum tolerated relative drop in any gated metric (satellite: >15%
-#: regression in restore/ingest throughput fails CI).
+#: regression in restore throughput fails CI).
 MAX_REGRESSION = 0.15
 
 #: Gated metrics per benchmark document: dot-paths into the JSON.
@@ -40,7 +40,6 @@ GATED_METRICS = {
     "restore_throughput_local": ["speedup_p50"],
     "restore_throughput_daemon": ["speedup_p50"],
     "restore_throughput_s3": ["speedup_p50"],
-    "ingest_throughput": ["speedup_w4"],
     # O(delta) replication contract: incremental syncs must stay small
     # relative to the seed sync taken in the same run.
     "replication": ["seed_over_incremental_shipped"],

@@ -1,60 +1,63 @@
 #!/usr/bin/env python3
-"""A multi-client backup service: one shared store, per-user HiDeStore.
+"""A multi-client backup service: one daemon, one repository per tenant.
 
 Models the paper's motivating deployment — an archival service keeping
-"all versions of the software and the system snapshots for users". Three
-clients with different workload shapes (one macos-like needing
-``history_depth=2``) back up into one shared container store; each client's
-versions restore independently, each client's retention window expires
-GC-free without touching the others.
+"all versions of the software and the system snapshots for users".  Two
+tenants back up evolving byte streams into one in-process daemon through
+:class:`~repro.client.RemoteRepository`; both share the daemon's chunking
+pool, each tenant's versions restore independently, and one tenant's
+retention window expires GC-free without touching the other.
 
 Usage::
 
     python examples/backup_service.py
 """
 
-from repro.core import MultiClientHiDeStore
-from repro.units import KiB, format_bytes
-from repro.workloads import history_depth_for, load_preset
+import random
+import tempfile
 
-CLIENTS = {
-    "build-server": "kernel",
-    "ci-runner": "gcc",
-    "mac-laptop": "macos",
-}
+from repro.client import RemoteRepository
+from repro.server import DaemonThread
+from repro.units import format_bytes
+
+TENANTS = {"build-server": 1, "ci-runner": 2}  # tenant -> workload seed
+
+
+def versions(seed: int, count: int = 4, size: int = 600_000):
+    """``count`` generations of one byte stream, ~10 % rewritten each time."""
+    rng = random.Random(seed)
+    data = bytearray(rng.randbytes(size))
+    for _ in range(count):
+        yield bytes(data)
+        at = rng.randrange(size - size // 10)
+        data[at:at + size // 10] = rng.randbytes(size // 10)
 
 
 def main() -> None:
-    service = MultiClientHiDeStore(container_size=256 * KiB)
+    with tempfile.TemporaryDirectory() as root, \
+            DaemonThread(root, ingest_workers=2) as address:
+        repos = {name: RemoteRepository(address, name) for name in TENANTS}
+        originals = {}
+        for name, seed in TENANTS.items():
+            for n, data in enumerate(versions(seed), start=1):
+                repos[name].backup_blocks([data], [("disk.img", len(data))], tag=f"v{n}")
+                originals[name, n] = data
+        for name, repo in repos.items():
+            stats = repo.stats()
+            print(f"{name:<13s} {stats['versions']} versions, "
+                  f"{format_bytes(stats['logical_bytes'])} logical -> "
+                  f"{format_bytes(stats['stored_bytes'])} stored "
+                  f"({stats['dedup_ratio']:.1%} dedup)")
 
-    print("== 3 clients, 8 backup generations each, one shared store ==")
-    for client, preset in CLIENTS.items():
-        service.client(client, history_depth=history_depth_for(preset))
-        for stream in load_preset(preset, versions=8, chunks_per_version=1500).versions():
-            service.backup(client, stream)
-
-    print(f"\n{'client':<14s} {'versions':>8s} {'dedup':>8s} {'sf(newest)':>11s}")
-    for client, versions, ratio in service.per_client_report():
-        newest = service.client(client).version_ids()[-1]
-        sf = service.restore(client, newest).speed_factor
-        print(f"{client:<14s} {versions:>8d} {ratio:>7.2%} {sf:>11.3f}")
-
-    print(f"\nservice-wide: {format_bytes(service.logical_bytes())} logical -> "
-          f"{format_bytes(service.stored_bytes())} physical "
-          f"({service.dedup_ratio:.2%} dedup)")
-
-    print("\n== expiring build-server's two oldest generations (GC-free) ==")
-    for _ in range(2):
-        stats = service.delete_oldest("build-server")
-        print(f"  expired: {stats.containers_deleted} containers, "
-              f"{format_bytes(stats.bytes_reclaimed)} reclaimed in "
-              f"{stats.delete_seconds * 1000:.2f} ms")
-
-    print("\n== all other clients unaffected ==")
-    for client in ("ci-runner", "mac-laptop"):
-        result = service.restore(client, 1)
-        print(f"  {client}: v1 restores, {result.chunks} chunks, "
-              f"{format_bytes(result.logical_bytes)}")
+        expired = repos["build-server"].delete_oldest()
+        print(f"build-server expired v{expired['version_id']} GC-free: "
+              f"{expired['containers_deleted']} containers deleted")
+        for name, repo in repos.items():
+            for row in repo.versions():
+                _plan, blocks = repo.restore(row["version_id"])
+                assert b"".join(blocks) == originals[name, row["version_id"]]
+            repo.close()
+        print("every retained version of both tenants restores byte-identical")
 
 
 if __name__ == "__main__":

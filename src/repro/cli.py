@@ -53,6 +53,7 @@ back into files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -75,7 +76,6 @@ _LOCAL_ONLY_DEFAULTS = {
     "history_depth": 1,
     "compress": False,
     "workers": 1,
-    "pipeline": False,
 }
 
 
@@ -119,6 +119,8 @@ def _open_target(args: argparse.Namespace, **local_kwargs):
 
         _reject_local_flags("--remote", local_kwargs)
         return RemoteRepository(args.remote, args.repo)
+    # ``workers`` sizes cmd_backup's short-lived pool, not the repository.
+    local_kwargs.pop("workers", None)
     return LocalRepository(args.repo, **local_kwargs)
 
 
@@ -133,9 +135,15 @@ def cmd_backup(args: argparse.Namespace) -> int:
         history_depth=args.history_depth,
         compress=args.compress,
         workers=args.workers,
-        pipeline=args.pipeline,
     )
-    report = repo.backup_tree(entries, tag=args.tag or "")
+    with contextlib.ExitStack() as stack:
+        if isinstance(repo, LocalRepository) and args.workers > 1:
+            from .engine.shared_pool import SharedChunkPool
+
+            # The daemon's pool, short-lived: same segment contract, so any
+            # worker count stores what the serial path (and --remote) would.
+            repo.ingest_pool = stack.enter_context(SharedChunkPool(args.workers))
+        report = repo.backup_tree(entries, tag=args.tag or "")
     print(
         f"backed up version {report['version_id']}: "
         f"{report['total_chunks']} chunks, "
@@ -805,14 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compress", action="store_true",
                    help="zlib-compress container files on disk")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallel chunking/fingerprinting workers; with "
-                        "more than one, files are chunked independently "
-                        "(boundaries reset at file edges), so switching "
-                        "worker counts mid-repository re-stores edge chunks")
-    p.add_argument("--pipeline", action="store_true",
-                   help="overlap container writes and filter maintenance "
-                        "with ingest (the paper's §5.4 pipeline); implies "
-                        "per-file chunking like --workers > 1")
+                   help="chunking/fingerprinting worker processes; every "
+                        "count stores recipes and containers byte-identical "
+                        "to the serial path and to --remote (fixed-size "
+                        "segments are chunked independently)")
     _add_remote_flag(p)
     _add_cluster_flag(p)
     p.set_defaults(func=cmd_backup)

@@ -12,7 +12,6 @@ from .chunk_filter import ActiveContainerPool, FilterStats
 from .deletion import DeletionManager, DeletionStats
 from .double_cache import CacheEntry, DoubleHashCache
 from .hidestore import HiDeStore
-from .multi import MultiClientHiDeStore
 from .recipe_chain import ChainStats, RecipeChain
 from .verify import VerificationReport, verify_hidestore, verify_system, verify_traditional
 
@@ -25,7 +24,6 @@ __all__ = [
     "DoubleHashCache",
     "FilterStats",
     "HiDeStore",
-    "MultiClientHiDeStore",
     "load_checkpoint",
     "save_checkpoint",
     "RecipeChain",

@@ -1,18 +1,15 @@
-"""Pipelined, parallel backup ingest (the paper's §5.4 made concrete).
+"""The data-path engines: segment-contract ingest and prefetched restore.
 
-The serial systems model *what* HiDeStore stores; this package models
-*how fast* it can ingest: chunking + fingerprinting fan out over a worker
-pool (:class:`ParallelChunkPipeline`), filter maintenance runs on a
-background executor (:class:`MaintenanceExecutor`), and container writes
-detach onto a write-behind thread (:class:`WriteBehindContainerStore`).
-:class:`PipelinedIngestEngine` composes all three behind the ordinary
-:class:`~repro.pipeline.base.BackupEngine` surface.
+* :mod:`~repro.engine.shared_pool` — the one ingest contract.  A backup's
+  byte stream is re-framed into fixed-size segments (:func:`iter_segments`)
+  and each segment is chunked + fingerprinted independently
+  (:func:`chunk_segment`), inline or on a :class:`SharedChunkPool` of worker
+  processes; the chunk sequence is byte-identical either way.
+* :mod:`~repro.engine.restore` — :func:`restore_stream` executes a restore
+  plan with a prefetching container-reader pool and ordered reassembly.
 """
 
-from .ingest import PipelinedIngestEngine, build_engine
-from .maintenance import MaintenanceExecutor
-from .pipeline import LazyBackupStream, ParallelChunkPipeline
-from .restore import PipelinedRestoreEngine, execute_plan_prefetched, restore_stream
+from .restore import execute_plan_prefetched, restore_stream
 from .shared_pool import (
     SEGMENT_BYTES,
     IngestPoolError,
@@ -21,22 +18,13 @@ from .shared_pool import (
     iter_segments,
     sweep_orphaned_segments,
 )
-from .writer import WriteBehindContainerStore, install_write_behind
 
 __all__ = [
     "IngestPoolError",
-    "LazyBackupStream",
-    "MaintenanceExecutor",
-    "ParallelChunkPipeline",
-    "PipelinedIngestEngine",
-    "PipelinedRestoreEngine",
     "SEGMENT_BYTES",
     "SharedChunkPool",
-    "WriteBehindContainerStore",
-    "build_engine",
     "chunk_segment",
     "execute_plan_prefetched",
-    "install_write_behind",
     "iter_segments",
     "restore_stream",
     "sweep_orphaned_segments",

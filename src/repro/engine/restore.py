@@ -1,6 +1,5 @@
 """The pipelined restore engine: prefetched container reads, ordered output.
 
-The write twin of :class:`~repro.engine.ingest.PipelinedIngestEngine`.
 A restore plan (:mod:`repro.restore.scheduler`) names which containers to
 read and which recipe slots each read serves; this module executes such a
 plan with a **prefetching container reader pool** — N worker threads issue
@@ -35,7 +34,7 @@ from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
 from ..errors import RestoreError
 from ..observability import MetricsRegistry, get_registry
-from ..restore.base import ContainerReader, RestoreAlgorithm, RestoreResult
+from ..restore.base import ContainerReader, RestoreAlgorithm
 from ..restore.scheduler import ContainerRead, PlanSpan
 from ..storage.recipe import RecipeEntry
 
@@ -270,78 +269,3 @@ def restore_stream(
         workers=workers, readahead=readahead, verify=verify, metrics=registry,
         chunk_reader=chunk_reader,
     )
-
-
-class PipelinedRestoreEngine:
-    """A restore-side façade mirroring :class:`PipelinedIngestEngine`.
-
-    Wraps any :class:`~repro.pipeline.base.BackupEngine` and serves its
-    ``restore_chunks`` / ``restore_entry_range`` / ``restore`` surface
-    through the prefetching executor.  The wrapped engine's scheduler hook
-    decides the policy (FAA by default), so simulation accounting and the
-    parallel path can never drift apart.
-
-    Args:
-        system: the wrapped engine (must provide the RestoreMixin hooks).
-        workers: container-reader pool size.
-        readahead: in-flight read cap (default ``2 * workers``).
-        verify: re-hash every chunk during restores.
-        metrics: stage-timing registry (defaults to the process registry).
-    """
-
-    def __init__(
-        self,
-        system,
-        workers: int = 4,
-        readahead: Optional[int] = None,
-        verify: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if workers < 1:
-            raise RestoreError(f"restore workers must be >= 1, got {workers}")
-        self.system = system
-        self.workers = workers
-        self.readahead = readahead
-        self.verify = verify
-        self.metrics = metrics if metrics is not None else get_registry()
-
-    def restore_chunks(
-        self,
-        version_id: int,
-        restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
-    ) -> Iterator[Chunk]:
-        return restore_stream(
-            self.system, version_id, restorer=restorer, flatten=flatten,
-            workers=self.workers, readahead=self.readahead,
-            verify=self.verify, metrics=self.metrics,
-        )
-
-    def restore_entry_range(
-        self,
-        version_id: int,
-        start: int,
-        stop: int,
-        restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
-    ) -> Iterator[Chunk]:
-        return restore_stream(
-            self.system, version_id, restorer=restorer, flatten=flatten,
-            workers=self.workers, readahead=self.readahead,
-            verify=self.verify, start=start, stop=stop, metrics=self.metrics,
-        )
-
-    def restore(
-        self,
-        version_id: int,
-        restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
-    ) -> RestoreResult:
-        """Restore a version, returning container-read accounting."""
-        before = self.system.io.snapshot()
-        result = RestoreResult()
-        for chunk in self.restore_chunks(version_id, restorer, flatten):
-            result.chunks += 1
-            result.logical_bytes += chunk.size
-        result.container_reads = self.system.io.delta(before).container_reads
-        return result

@@ -1,10 +1,10 @@
-"""The daemon-lifetime multiprocess ingest plane: one shared chunking pool.
+"""The segment-contract ingest plane: one chunking kernel, one shared pool.
 
-The per-backup pools of :mod:`.pipeline` are the wrong shape for a
-multi-tenant daemon: every backup paid pool startup, and payloads crossed
-into workers as pickled copies.  This module provides the replacement —
-one :class:`SharedChunkPool` owned by the daemon for its whole lifetime
-and shared by every tenant/session:
+Every backup — local, daemon session, cluster route — chunks through
+:func:`iter_segments` → :func:`chunk_segment`, inline or on a
+:class:`SharedChunkPool`.  The daemon owns one pool for its whole lifetime
+and shares it across every tenant/session; a local ``backup --workers N``
+builds the same pool around one backup:
 
 * **Shared-memory handoff.**  Ingest payloads are packed into fixed-size
   segments and written into ``multiprocessing.shared_memory`` slabs; a

@@ -233,15 +233,14 @@ class LocalRepository:
         root: repository directory (created on first backup).
         history_depth: fingerprint-cache look-back for new repositories.
         compress: zlib-compress container files on disk.
-        workers / pipeline: parallel-ingest knobs for :meth:`backup_tree`
-            (forwarded to the §5.4 engine; the server keeps the defaults).
         metrics: registry for stage-timing histograms (chunking, dedup,
             restore); defaults to the process registry.
-        ingest_pool: a daemon-lifetime
-            :class:`~repro.engine.shared_pool.SharedChunkPool`; when set,
-            :meth:`backup_blocks` chunks its segments on the shared pool
-            instead of inline.  The chunk sequence is byte-identical
-            either way (see the determinism contract in that module).
+        ingest_pool: a :class:`~repro.engine.shared_pool.SharedChunkPool`
+            (daemon-lifetime on the server, short-lived around one local
+            ``backup --workers N``); when set, :meth:`backup_blocks` chunks
+            its segments on the pool instead of inline.  The chunk sequence
+            is byte-identical either way (see the determinism contract in
+            that module).
 
     Thread-safety: backups and deletions must be externally serialised (the
     daemon's per-repo writer lock does this); concurrent restores and stats
@@ -254,16 +253,12 @@ class LocalRepository:
         root: str,
         history_depth: int = 1,
         compress: bool = False,
-        workers: int = 1,
-        pipeline: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         ingest_pool=None,
     ) -> None:
         self.root = root
         self.history_depth = history_depth
         self.compress = compress
-        self.workers = workers
-        self.pipeline = pipeline
         self.ingest_pool = ingest_pool
         self.metrics = metrics if metrics is not None else get_registry()
         self.storage = RepoStorage(root, compress=compress, metrics=self.metrics)
@@ -351,8 +346,6 @@ class LocalRepository:
         plan: FilePlan = [
             (validate_rel_name(rel), os.path.getsize(path)) for rel, path in entries
         ]
-        if self.workers > 1 or self.pipeline:
-            return self._backup_pipelined(entries, plan, tag)
         return self.backup_blocks(stream_blocks(entries), plan, tag)
 
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
@@ -374,7 +367,7 @@ class LocalRepository:
         dedup stats.
         """
         from .chunking.fingerprint import Fingerprinter
-        from .engine.pipeline import LazyBackupStream
+        from .chunking.stream import LazyBackupStream
         from .engine.shared_pool import chunk_segment, iter_segments
 
         plan = [(validate_rel_name(rel), int(size)) for rel, size in plan]
@@ -413,46 +406,6 @@ class LocalRepository:
         self.metrics.observe("repo.chunking_seconds", timings["chunking"])
         self.metrics.observe("repo.dedup_seconds", max(0.0, total - timings["chunking"]))
         return report
-
-    def _backup_pipelined(self, entries, plan: FilePlan, tag: str) -> Dict:
-        from .engine import (
-            MaintenanceExecutor,
-            ParallelChunkPipeline,
-            install_write_behind,
-        )
-
-        store = self._open_for_backup()
-        write_behind = None
-        executor = None
-        if self.pipeline:
-            write_behind = install_write_behind(store)
-            executor = MaintenanceExecutor()
-            store.deferred_maintenance = True
-            store.attach_maintenance_executor(executor)
-
-        def items() -> Iterator[bytes]:
-            for _rel, path in entries:
-                with open(path, "rb") as handle:
-                    yield handle.read()
-
-        chunker = FastCDCChunker()
-        try:
-
-            def run():
-                with ParallelChunkPipeline(chunker=chunker, workers=self.workers) as pipe:
-                    return store.backup(pipe.stream(items(), tag=tag or ""))
-
-            # save_checkpoint (inside the guard) drains queued maintenance,
-            # so the background executor is idle by the time it is closed.
-            started = time.perf_counter()
-            report = self._guarded_backup(store, run, plan)
-            self.metrics.observe("repo.backup_seconds", time.perf_counter() - started)
-            return report
-        finally:
-            if executor is not None:
-                executor.close()
-            if write_behind is not None:
-                write_behind.close()
 
     def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan) -> Dict:
         """Run one backup attempt; on any failure, roll the repo back."""

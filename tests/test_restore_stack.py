@@ -27,7 +27,7 @@ import pytest
 from repro.chunking.fingerprint import Fingerprinter
 from repro.chunking.stream import BackupStream, Chunk
 from repro.client import RemoteRepository
-from repro.engine.restore import PipelinedRestoreEngine, restore_stream
+from repro.engine.restore import restore_stream
 from repro.errors import ReproError, RestoreError, VersionNotFoundError
 from repro.pipeline.schemes import build_baseline
 from repro.repository import LocalRepository, materialize, read_tree
@@ -184,15 +184,6 @@ class TestPrefetchedExecution:
             )
         )
         assert system.io.delta(before).container_reads == serial_reads
-
-    def test_engine_facade_restore_result(self, fragmented_system):
-        version = fragmented_system.version_ids()[-1]
-        serial = fragmented_system.restore(version)
-        engine = PipelinedRestoreEngine(fragmented_system, workers=4)
-        parallel = engine.restore(version)
-        assert parallel.chunks == serial.chunks
-        assert parallel.logical_bytes == serial.logical_bytes
-        assert parallel.container_reads == serial.container_reads
 
     def test_abandoned_stream_shuts_pool_down(self, fragmented_system):
         version = fragmented_system.version_ids()[-1]
