@@ -224,10 +224,10 @@ class FaultInjectingBackend:
                     f"while writing {name!r}"
                 )
             elif d.kind == "torn_write":
-                if blob is not None and op == "put":
+                if blob is not None and op in ("put", "put_meta"):
                     torn = blob[: max(1, len(blob) // 2)]
                     try:
-                        self.inner.put(name, torn)
+                        getattr(self.inner, op)(name, torn)
                     except StorageError:
                         pass  # already exists: the tear hit a replay
                 raise StorageError(

@@ -786,16 +786,21 @@ class RemoteRepository:
                     "staged": bool(staged),
                     "trace": trace,
                 }
-                conn.send(encode_json(FrameType.REPLICATE_PUT, header))
                 view = memoryview(blob)
-                for offset in range(0, len(blob), DATA_BLOCK):
+                frames = [
+                    frame_parts(FrameType.CHUNK_DATA, view[offset : offset + DATA_BLOCK])
+                    for offset in range(0, len(blob), DATA_BLOCK)
+                ]
+                # The announcement rides in the same wire write as the first
+                # data frame: sent on its own, a body smaller than one
+                # segment (a checkpoint head, a manifest) would sit behind
+                # it in Nagle's buffer until the mirror's delayed ACK, ~40 ms
+                # a put.
+                announce = encode_json(FrameType.REPLICATE_PUT, header)
+                conn.send_parts([announce, *(frames[0] if frames else ())])
+                for frame in frames[1:]:
                     try:
-                        conn.send_parts(
-                            frame_parts(
-                                FrameType.CHUNK_DATA,
-                                view[offset : offset + DATA_BLOCK],
-                            )
-                        )
+                        conn.send_parts(frame)
                     except OSError as exc:
                         error = conn.pending_error()
                         if error is not None:

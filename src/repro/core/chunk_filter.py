@@ -56,6 +56,12 @@ class ActiveContainerPool:
         self._open: Optional[Container] = None
         #: fp -> active container id, for resolving ACTIVE_CID recipe entries.
         self.location: Dict[bytes, int] = {}
+        #: Checkpoint tracking: cid -> head entry of the part that stores the
+        #: container.  Written once: a container grows only while it is
+        #: ``_open`` or a fresh compaction target, both over by the next
+        #: version boundary; after that demotion only shrinks its live set.
+        #: Maintained by :mod:`repro.core.checkpoint` alone.
+        self.persisted: Dict[int, Dict] = {}
         self.stats = FilterStats()
 
     # ------------------------------------------------------------------

@@ -5,18 +5,23 @@ containers, the chunks *exclusive* to version ``v`` are precisely the
 archival containers written when ``v``'s chunks fell cold (their "last
 version" tag is ``v``).  Expiring the oldest retained version is therefore:
 
-1. delete the archival containers tagged with it (no chunk detection —
-   no newer version references them, by the §3 observation made structural);
-2. delete its recipe (nothing points backwards in the chain).
+1. delete its recipe (nothing points backwards in the chain);
+2. delete the archival containers tagged with it (no chunk detection —
+   no newer version references them, by the §3 observation made structural).
 
 No garbage collection, no copying — the paper's "almost zero" deletion cost.
+
+The recipe goes first so that the order is crash-safe: the version stops
+being listed before any of its chunks can go missing, and a deletion tag
+whose recipe is gone is exactly an expiry that died half way
+(:meth:`DeletionManager.finish_interrupted` rolls it forward).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..errors import DeletionError
 from ..storage.container_store import ContainerStore
@@ -52,6 +57,21 @@ class DeletionManager:
     def containers_for(self, version: int) -> List[int]:
         return list(self._tagged.get(version, []))
 
+    def finish_interrupted(self, retained: Iterable[int]) -> int:
+        """Roll forward expiries that died after deleting their recipe.
+
+        ``retained`` is the version ids that still have one.  Every tag of
+        another version is dropped together with whichever of its
+        containers are still stored; returns how many tags that was.
+        """
+        retained = set(retained)
+        orphaned = [version for version in self._tagged if version not in retained]
+        for version in orphaned:
+            for cid in self._tagged.pop(version):
+                if cid in self.containers:
+                    self.containers.delete(cid)
+        return len(orphaned)
+
     # ------------------------------------------------------------------
     def delete_version(self, version: int, demotion_horizon: int) -> DeletionStats:
         """Expire ``version``; it must be the oldest retained one.
@@ -81,12 +101,12 @@ class DeletionManager:
                 "retire the system first"
             )
         call_stats = DeletionStats()
+        self.recipes.delete(version)
         for cid in self._tagged.pop(version, []):
             container = self.containers.peek(cid)
             call_stats.bytes_reclaimed += container.used
             self.containers.delete(cid)
             call_stats.containers_deleted += 1
-        self.recipes.delete(version)
         call_stats.versions_deleted = 1
         call_stats.delete_seconds = time.perf_counter() - started
 

@@ -61,6 +61,11 @@ class DoubleHashCache:
         self._current: Dict[bytes, CacheEntry] = {}
         self.lookups = 0
         self.hits = 0
+        #: Checkpoint tracking: the head entry of the stored tables part,
+        #: and whether the tables changed since it was written.  Every
+        #: mutator sets ``dirty``; only :mod:`repro.core.checkpoint` clears it.
+        self.persisted: Optional[Dict] = None
+        self.dirty = True
 
     # ------------------------------------------------------------------
     # Classification (Figure 5's three cases)
@@ -73,6 +78,7 @@ class DoubleHashCache:
         (the caller must store it and call :meth:`insert`).
         """
         self.lookups += 1
+        self.dirty = True
         entry = self._current.get(fingerprint)
         if entry is not None:  # Case three: already hot this version.
             self.hits += 1
@@ -105,6 +111,7 @@ class DoubleHashCache:
         results: List[object] = []
         current = self._current
         seen_unique = set()
+        self.dirty = True
         for fp in fingerprints:
             self.lookups += 1
             entry = current.get(fp)
@@ -137,6 +144,7 @@ class DoubleHashCache:
     def insert(self, fingerprint: bytes, size: int, cid: int) -> None:
         """Register a just-stored unique chunk in T2."""
         self._current[fingerprint] = CacheEntry(size, cid)
+        self.dirty = True
 
     # ------------------------------------------------------------------
     # Version lifecycle
@@ -149,6 +157,7 @@ class DoubleHashCache:
         current table becomes the newest previous table.
         """
         cold: Dict[bytes, CacheEntry] = {}
+        self.dirty = True
         self._previous.append(self._current)
         self._current = {}
         if len(self._previous) > self.history_depth:
@@ -161,6 +170,7 @@ class DoubleHashCache:
         for table in self._previous:
             drained.update(table)
         self._previous = []
+        self.dirty = True
         return drained
 
     # ------------------------------------------------------------------
@@ -169,6 +179,7 @@ class DoubleHashCache:
     def apply_relocations(self, relocations: Mapping[bytes, int]) -> int:
         """Update CIDs after active-container compaction moved chunks."""
         updated = 0
+        self.dirty = True
         for table in self._previous + [self._current]:
             for fp, new_cid in relocations.items():
                 entry = table.get(fp)
@@ -210,6 +221,7 @@ class DoubleHashCache:
                 f"{len(tables)} tables exceed history depth {self.history_depth}"
             )
         self._previous = [dict(table) for table in tables]
+        self.dirty = True
 
     # ------------------------------------------------------------------
     # Introspection

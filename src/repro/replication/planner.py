@@ -2,23 +2,26 @@
 
 Pure data-in/data-out — the planner never touches the filesystem or the
 network, so every diff decision is unit-testable.  The plan it emits is
-O(delta): sealed archival containers present on the target with the right
-size are skipped (they are immutable, §4.2), digest-bearing objects ship
-only when their content moved, and objects that vanished from the source
-(expired versions, §4.5) become deletions on the mirror.
+O(delta): write-once objects — sealed archival containers (§4.2) and
+checkpoint parts — present on the target with the right size are skipped,
+digest-bearing objects ship only when their content moved, and objects that
+vanished from the source (expired versions, §4.5) become deletions on the
+mirror.
 
 Ordering is the correctness story:
 
-* **ships** run containers → manifests → recipes → checkpoint.  Containers
-  and manifests are invisible until a recipe references them, so they go
-  straight into place; recipes and the checkpoint are *staged* (shipped as
+* **ships** run containers → manifests → checkpoint parts → recipes →
+  checkpoint head.  Containers and manifests are invisible until a recipe
+  references them, and a checkpoint part until the head names it, so they
+  go straight into place; recipes and the head are *staged* (shipped as
   ``*.staged`` files) because they define the mirror's visible state and
   must move together.
 * **renames** (the commit) apply staged recipes oldest-first with the
-  checkpoint last, shrinking the window in which a new head recipe could be
-  observed beside an old checkpoint to a couple of renames.
-* **deletes** run recipes → manifests → containers, so the mirror never
-  holds a recipe whose containers are already gone.
+  checkpoint head last, shrinking the window in which a new head recipe
+  could be observed beside an old checkpoint to a couple of renames.
+* **deletes** run recipes → manifests → containers → checkpoint parts the
+  source no longer has, so the mirror never holds a recipe whose containers
+  are already gone, and loses a part only after the head that named it.
 
 A sync interrupted mid-transfer needs no journal replay to resume: the next
 planner run diffs fresh states, sees the containers that already made it,
@@ -30,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .state import CHECKPOINT_NAME, RepoState
+from ..storage.repo import CHECKPOINT_NAME
+from .state import RepoState
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class ShipAction:
     kind: str
     name: str
     size: int
-    digest: str = ""  #: expected content digest ("" for containers)
+    digest: str = ""  #: expected content digest ("" for write-once objects)
     staged: bool = False  #: land as ``*.staged`` awaiting the commit
 
 
@@ -89,15 +93,13 @@ class SyncPlan:
         }
 
 
-def _want_ship(kind: str, name: str, info: Dict, target_section: Dict) -> bool:
+def _want_ship(name: str, info: Dict, target_section: Dict) -> bool:
     have = target_section.get(name)
     if have is None:
         return True
-    if kind == "container":
-        # Immutable once visible: same name + size means same content.  A
-        # size mismatch means a foreign/corrupt file squatting on the name —
-        # re-ship and overwrite it.
-        return have.get("size") != info["size"]
+    # Write-once objects carry no digest: same name + size means same
+    # content.  A size mismatch means a foreign/corrupt file squatting on
+    # the name — re-ship and overwrite it.
     return have.get("digest") != info.get("digest") or have.get("size") != info["size"]
 
 
@@ -109,55 +111,55 @@ class SyncPlanner:
 
         # Ships, in visibility-safe order.
         for name, info in source["containers"].items():
-            if _want_ship("container", name, info, target["containers"]):
+            if _want_ship(name, info, target["containers"]):
                 plan.ships.append(ShipAction("container", name, info["size"]))
             else:
                 plan.containers_skipped += 1
         for name, info in source["manifests"].items():
-            if _want_ship("manifest", name, info, target["manifests"]):
+            if _want_ship(name, info, target["manifests"]):
                 plan.ships.append(
                     ShipAction("manifest", name, info["size"], info["digest"])
                 )
         changed_recipes = [
             name
             for name, info in source["recipes"].items()
-            if _want_ship("recipe", name, info, target["recipes"])
+            if _want_ship(name, info, target["recipes"])
         ]
+        for name, info in source["checkpoint"].items():
+            if name != CHECKPOINT_NAME and _want_ship(name, info, target["checkpoint"]):
+                plan.ships.append(ShipAction("checkpoint", name, info["size"]))
         for name in changed_recipes:
             info = source["recipes"][name]
             plan.ships.append(
                 ShipAction("recipe", name, info["size"], info["digest"], staged=True)
             )
-        checkpoint = source["checkpoint"].get(CHECKPOINT_NAME)
-        ship_checkpoint = checkpoint is not None and _want_ship(
-            "checkpoint", CHECKPOINT_NAME, checkpoint, target["checkpoint"]
+        head = source["checkpoint"].get(CHECKPOINT_NAME)
+        ship_head = head is not None and _want_ship(
+            CHECKPOINT_NAME, head, target["checkpoint"]
         )
-        if ship_checkpoint:
+        if ship_head:
             plan.ships.append(
                 ShipAction(
-                    "checkpoint",
-                    CHECKPOINT_NAME,
-                    checkpoint["size"],
-                    checkpoint["digest"],
-                    staged=True,
+                    "checkpoint", CHECKPOINT_NAME, head["size"], head["digest"], staged=True
                 )
             )
 
-        # Commit renames: staged recipes oldest-first, checkpoint last.
+        # Commit renames: staged recipes oldest-first, checkpoint head last.
         for name in sorted(changed_recipes):
             plan.renames.append(ObjectRef("recipe", name))
-        if ship_checkpoint:
+        if ship_head:
             plan.renames.append(ObjectRef("checkpoint", CHECKPOINT_NAME))
 
         # Deletions (expired on source): recipes, then manifests, then the
         # §4.5-tagged containers those versions owned — the mirror never
-        # keeps a recipe whose containers are gone.
+        # keeps a recipe whose containers are gone — then checkpoint parts
+        # (applied after the renames, so after the head that unnamed them).
         for name in sorted(set(target["recipes"]) - set(source["recipes"])):
             plan.deletes.append(ObjectRef("recipe", name))
         for name in sorted(set(target["manifests"]) - set(source["manifests"])):
             plan.deletes.append(ObjectRef("manifest", name))
         for name in sorted(set(target["containers"]) - set(source["containers"])):
             plan.deletes.append(ObjectRef("container", name))
-        if CHECKPOINT_NAME in target["checkpoint"] and checkpoint is None:
-            plan.deletes.append(ObjectRef("checkpoint", CHECKPOINT_NAME))
+        for name in sorted(set(target["checkpoint"]) - set(source["checkpoint"])):
+            plan.deletes.append(ObjectRef("checkpoint", name))
         return plan

@@ -56,21 +56,25 @@ def referenced_container_ids(storage: RepoStorage) -> Set[int]:
     """Archival container IDs the repository's metadata still points at.
 
     Union of positive cids across every retained recipe plus the §4.5
-    deletion tags in the checkpoint (tagged containers must exist for the
-    expiry path to reclaim them).  Chain markers (negative) and the
-    active-pool marker (0) reference no archival file.  Read straight off
-    the stored objects, without opening the engine, so repair still works
-    when the checkpoint does not load.
+    deletion tags of those versions in the checkpoint head (tagged
+    containers must exist for the expiry path to reclaim them; the tag of a
+    version whose recipe is gone is an interrupted expiry the next open
+    finishes).  Chain markers (negative) and the active-pool marker (0)
+    reference no archival file.  Read straight off the recipes and the
+    head — never the checkpoint parts, never the engine — so repair still
+    works when the checkpoint does not load.
     """
     referenced: Set[int] = set()
     recipes = storage.recipe_store()
-    for version_id in recipes.version_ids():
+    retained = recipes.version_ids()
+    for version_id in retained:
         referenced.update(e.cid for e in recipes.peek(version_id).entries if e.cid > 0)
     if storage.has_checkpoint():
         try:
-            document = storage.read_checkpoint_document()
-            for cids in document.get("deletion_tags", {}).values():
-                referenced.update(int(cid) for cid in cids)
+            head = storage.read_checkpoint_document()
+            for version, cids in head.get("deletion_tags", {}).items():
+                if int(version) in retained:
+                    referenced.update(int(cid) for cid in cids)
         except (ValueError, TypeError, OSError, ReproError):
             pass  # a damaged checkpoint is verify's problem, not repair's
     return referenced

@@ -8,9 +8,10 @@ One :meth:`ReplicationSession.run` is one sync:
    the CLI owns the directory);
 3. diff against the target's state (:class:`SyncPlanner`) and journal the
    plan;
-4. ship the delta — containers and manifests straight into place (atomic
-   per object, invisible until a recipe references them), recipes and the
-   checkpoint as staged files;
+4. ship the delta — containers, manifests and checkpoint parts straight
+   into place (atomic per object, invisible until a recipe or the
+   checkpoint head names them), recipes and the checkpoint head as staged
+   files;
 5. commit: flip staged objects live and apply expirations.
 
 Crash safety: every landed object is ``*.tmp`` + rename, staged objects
@@ -189,9 +190,9 @@ class ReplicationSession:
                         "is a backup mutating the source repository? re-run "
                         "the sync under the repository lock"
                     )
-                if action.kind == "container" and len(blob) != action.size:
+                if not action.digest and len(blob) != action.size:
                     raise ReplicationError(
-                        f"container {action.name!r} changed size while syncing"
+                        f"{action.kind} {action.name!r} changed size while syncing"
                     )
                 self.target.put(action.kind, action.name, blob, staged=action.staged)
                 report.objects_shipped += 1

@@ -14,9 +14,18 @@ A HiDeStore repository directory is a set of four object kinds:
   content digest.
 * ``manifest`` — ``manifests/manifest-XXXXXXXX.txt``.  Immutable per
   version; diffed by digest anyway (they are tiny).
-* ``checkpoint`` — ``checkpoint.json``: the volatile engine state (T1
-  tables, active containers, deletion tags).  Rewritten after every backup;
-  re-shipped whenever its digest moved.
+* ``checkpoint`` — the volatile engine state (T1 tables, active containers,
+  deletion tags), as a head plus parts (:mod:`repro.core.checkpoint`).  The
+  head, ``checkpoint.json``, is a few KB, rewritten by every backup and
+  every expiry and diffed by digest.  The parts — one per active container,
+  one for the fingerprint tables — are written once under a name that ends
+  in their content hash, so like sealed containers they are diffed by
+  presence + size: a sync after an expiry ships the head alone, a sync
+  after an incremental backup the head, the tables and the containers that
+  backup allocated.
+
+The vocabulary itself (kinds, sections, name patterns, staging suffix) is
+defined once, in :mod:`repro.storage.repo`.
 
 :func:`capture_state` snapshots a repository into a plain dict the
 :class:`~repro.replication.planner.SyncPlanner` diffs; it is also what a
@@ -28,33 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from typing import Dict, Iterator, Tuple
 
 from ..errors import ReplicationError
-from ..repository import checkpoint_path, repo_paths
-from ..storage.repo import RepoStorage, is_repo_url
-
-#: Object kinds, in the order they must be shipped (containers are
-#: invisible until a recipe references them; the checkpoint commits last).
-KINDS = ("container", "manifest", "recipe", "checkpoint")
-
-#: Mirror-side file-name vocabulary per kind.  Anything else is rejected —
-#: these names arrive over the wire and are joined under the tenant root.
-_NAME_PATTERNS: Dict[str, "re.Pattern[str]"] = {
-    "container": re.compile(r"^container-\d{8}\.hdsc$"),
-    "recipe": re.compile(r"^recipe-\d{8}\.hdsr$"),
-    "manifest": re.compile(r"^manifest-\d{8}\.txt$"),
-    "checkpoint": re.compile(r"^checkpoint\.json$"),
-}
-
-#: Suffix of staged (shipped but not yet committed) mirror objects.  Not
-#: ``.tmp`` — :class:`FileContainerStore` sweeps ``*.tmp`` on open, and a
-#: staged object must survive a mirror restart mid-sync.
-STAGED_SUFFIX = ".staged"
-
-#: The checkpoint's one valid object name.
-CHECKPOINT_NAME = "checkpoint.json"
+from ..storage.repo import SECTIONS, RepoStorage, object_name
 
 #: A repository state snapshot: kind -> name -> {"size": int, "digest": str}.
 #: Containers carry size only (immutable once visible; presence + size is
@@ -64,97 +50,33 @@ RepoState = Dict[str, Dict[str, Dict]]
 
 def validate_object(kind: str, name: str) -> Tuple[str, str]:
     """Vet one (kind, name) pair from a plan or a wire frame; returns it."""
-    pattern = _NAME_PATTERNS.get(kind)
-    if pattern is None:
-        raise ReplicationError(f"unknown replication object kind {kind!r}")
-    if not isinstance(name, str) or not pattern.match(name):
-        raise ReplicationError(f"invalid {kind} object name {name!r}")
+    object_name(kind, name)
     return kind, name
 
 
 def object_path(root: str, kind: str, name: str) -> str:
-    """Absolute path of one replicable object inside a repository."""
-    validate_object(kind, name)
-    containers_dir, recipes_dir, manifests_dir = repo_paths(root)
-    base = {
-        "container": containers_dir,
-        "recipe": recipes_dir,
-        "manifest": manifests_dir,
-    }.get(kind)
-    if base is None:  # checkpoint
-        return checkpoint_path(root)
-    return os.path.join(base, name)
-
-
-def file_digest(path: str) -> Tuple[int, str]:
-    """(size, sha256 hex) of a file, streamed."""
-    digest = hashlib.sha256()
-    size = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 20)
-            if not block:
-                break
-            digest.update(block)
-            size += len(block)
-    return size, digest.hexdigest()
+    """Absolute path of one replicable object inside a repository directory."""
+    return os.path.join(root, *object_name(kind, name).split("/"))
 
 
 def blob_digest(blob: bytes) -> str:
-    """The hex sha256 of an in-memory object blob (matches ``file_digest``)."""
+    """The hex sha256 of an object blob (what ``StorageBackend.digest`` reports)."""
     return hashlib.sha256(blob).hexdigest()
 
 
-def _scan_dir(directory: str, kind: str) -> Dict[str, Dict]:
-    pattern = _NAME_PATTERNS[kind]
-    objects: Dict[str, Dict] = {}
-    if not os.path.isdir(directory):
-        return objects
-    for name in sorted(os.listdir(directory)):
-        if not pattern.match(name):
-            continue  # .tmp / .staged / foreign files are not repo state
-        path = os.path.join(directory, name)
-        if kind == "container":
-            # Immutable once visible: presence + size is the identity, and
-            # skipping the digest keeps state capture O(metadata).
-            objects[name] = {"size": os.path.getsize(path)}
-        else:
-            size, digest = file_digest(path)
-            objects[name] = {"size": size, "digest": digest}
-    return objects
-
-
 def capture_state(root: str) -> RepoState:
-    """Snapshot a repository directory's replicable objects.
+    """Snapshot a repository's replicable objects (directory or URL spec).
 
     Must run while no backup/deletion is mutating the repository (the
     caller holds the registry's reader lock, or owns the directory
     outright); a mutation between digesting and shipping is caught later by
     the session's read-time digest check.
-
-    ``root`` may be a plain directory (the historical fast path below) or
-    any backend repo spec — URL-addressed repositories snapshot through
-    :meth:`~repro.storage.repo.RepoStorage.state`, which produces the same
-    shape.
     """
-    if is_repo_url(root):
-        storage = RepoStorage(root)
-        try:
-            return storage.state()
-        finally:
-            storage.close()
-    containers_dir, recipes_dir, manifests_dir = repo_paths(root)
-    state: RepoState = {
-        "containers": _scan_dir(containers_dir, "container"),
-        "recipes": _scan_dir(recipes_dir, "recipe"),
-        "manifests": _scan_dir(manifests_dir, "manifest"),
-        "checkpoint": {},
-    }
-    checkpoint = checkpoint_path(root)
-    if os.path.exists(checkpoint):
-        size, digest = file_digest(checkpoint)
-        state["checkpoint"] = {CHECKPOINT_NAME: {"size": size, "digest": digest}}
-    return state
+    storage = RepoStorage(root)
+    try:
+        return storage.state()
+    finally:
+        storage.close()
 
 
 def normalize_state(obj: object) -> RepoState:
@@ -162,12 +84,7 @@ def normalize_state(obj: object) -> RepoState:
     if not isinstance(obj, dict):
         raise ReplicationError("replication state must be a JSON object")
     state: RepoState = {}
-    for section, kind in (
-        ("containers", "container"),
-        ("recipes", "recipe"),
-        ("manifests", "manifest"),
-        ("checkpoint", "checkpoint"),
-    ):
+    for kind, section in SECTIONS.items():
         raw = obj.get(section, {})
         if not isinstance(raw, dict):
             raise ReplicationError(f"replication state section {section!r} malformed")
@@ -194,17 +111,10 @@ def iter_blocks(blob: bytes, block_size: int = 1 << 18) -> Iterator[bytes]:
 
 
 def source_identity(root: str) -> Dict[str, str]:
-    """Where a repository physically lives, for self-sync detection.
-
-    URL-addressed repositories identify by canonical URL (see
-    :meth:`~repro.storage.repo.RepoStorage.identity`); a ``file://`` URL
-    and the bare path it names produce the same identity.
-    """
-    if is_repo_url(root):
-        return RepoStorage(root).identity()
-    import socket
-
-    return {"host": socket.gethostname(), "path": os.path.realpath(root)}
+    """Where a repository physically lives, for self-sync detection (see
+    :meth:`~repro.storage.repo.RepoStorage.identity`: a ``file://`` URL and
+    the bare path it names produce the same identity)."""
+    return RepoStorage(root).identity()
 
 
 def same_identity(a: Dict, b: Dict) -> bool:

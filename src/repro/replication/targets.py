@@ -24,10 +24,9 @@ import os
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from ..errors import ReplicationError
-from ..storage.repo import RepoStorage, is_repo_url
+from ..storage.repo import STAGED_SUFFIX, RepoStorage, is_repo_url
 from .planner import ObjectRef
 from .state import (
-    STAGED_SUFFIX,
     RepoState,
     blob_digest,
     capture_state,

@@ -31,26 +31,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .chunking import FastCDCChunker
 from .core.checkpoint import checkpoint_document, system_from_document
 from .core.hidestore import HiDeStore
-from .errors import ObjectMissingError, ReproError, RestoreError, VersionNotFoundError
+from .errors import DeletionError, ObjectMissingError, ReproError, RestoreError, VersionNotFoundError
 from .observability import MetricsRegistry, get_registry
 from .storage.repo import RepoStorage
 
 #: (relative name, byte size) rows describing the files of one snapshot.
 FilePlan = List[Tuple[str, int]]
-
-
-def repo_paths(repo: str) -> Tuple[str, str, str]:
-    """The ``containers/``, ``recipes/``, ``manifests/`` dirs of a repo."""
-    return (
-        os.path.join(repo, "containers"),
-        os.path.join(repo, "recipes"),
-        os.path.join(repo, "manifests"),
-    )
-
-
-def checkpoint_path(repo: str) -> str:
-    """Where a repository persists its volatile engine state."""
-    return os.path.join(repo, "checkpoint.json")
 
 
 def open_repository(
@@ -69,9 +55,10 @@ def open_repository(
 
     The sealed world lives in the container and recipe stores the spec
     names; the volatile state (T1 tables, active containers, deletion
-    tags) is reloaded from the ``checkpoint.json`` object — written after
-    every backup — so physical locality and the version counter survive
-    across invocations.
+    tags) is reloaded from the checkpoint — the ``checkpoint.json`` head,
+    written after every backup and every expiry, and the parts it names —
+    so physical locality and the version counter survive across
+    invocations.
     """
     if storage is None:
         storage = RepoStorage(repo, compress=compress, metrics=metrics)
@@ -80,9 +67,12 @@ def open_repository(
     recipe_store = storage.recipe_store()
     if storage.has_checkpoint():
         store = system_from_document(
-            storage.read_checkpoint_document(), container_store, recipe_store
+            storage.read_checkpoint_document(),
+            container_store,
+            recipe_store,
+            storage.read_checkpoint_part,
         )
-        _discard_uncommitted_tail(storage, store)
+        _recover_to_checkpoint(storage, store)
         return store
     store = HiDeStore(
         container_store=container_store,
@@ -98,31 +88,45 @@ def open_repository(
     return store
 
 
-def _discard_uncommitted_tail(storage: RepoStorage, store: HiDeStore) -> None:
-    """Crash recovery at open time: erase versions the checkpoint never saw.
+def _recover_to_checkpoint(storage: RepoStorage, store: HiDeStore) -> None:
+    """Crash recovery at open time: make the stored objects agree with the head.
 
-    The checkpoint is written after every successful backup, so it is the
-    commit record.  A recipe or manifest whose id is at or past the
-    checkpoint's ``next_version`` is debris from a backup that died between
-    its recipe/manifest writes and the checkpoint save (power loss, a
-    SIGKILL'd daemon): left in place it is listed by ``versions()`` but may
-    be unrestorable, and — worse — the stale version counter would hand the
-    same id to the next backup, silently overwriting one version with
-    another.  Containers past the checkpointed allocator are deliberately
-    kept: the §4.3 in-place rewrite of the previous recipe may already
-    reference migrated chunks inside them, so they are at worst orphaned
-    space, never safe to drop blindly.
+    The checkpoint head is written last by every backup and every expiry,
+    so it is the commit record, and whatever it does not account for is
+    what a dead process (power loss, a SIGKILL'd daemon) left half done:
+
+    * **An uncommitted tail.**  A recipe or manifest whose id is at or past
+      the head's ``next_version`` is debris from a backup that died between
+      its recipe/manifest writes and the head: left in place it is listed
+      by ``versions()`` but may be unrestorable, and — worse — the stale
+      version counter would hand the same id to the next backup, silently
+      overwriting one version with another.  Containers past the
+      checkpointed allocator are deliberately kept: the §4.3 in-place
+      rewrite of the previous recipe may already reference migrated chunks
+      inside them, so they are at worst orphaned space, never safe to drop
+      blindly.
+    * **An interrupted expiry.**  §4.5 deletion removes the recipe first,
+      so a deletion tag whose recipe is gone marks an expiry that died
+      before its head: it is rolled forward (the rest of the tagged
+      containers and the manifest go too).
+    * **Unnamed checkpoint parts.**  Parts of a save that died before its
+      head, stale parts of one that died after it, parts a sync landed
+      under a head it never renamed.
     """
     mark = store._next_version
     probe = storage.recipe_store()
-    tail = [vid for vid in probe.version_ids() if vid >= mark]
+    retained = set(probe.version_ids())
+    tail = [vid for vid in retained if vid >= mark]
     for vid in tail:
         probe.delete(vid)
-    stale_manifests = [vid for vid in storage.manifest_ids() if vid >= mark]
+        retained.discard(vid)
+    stale_manifests = [vid for vid in storage.manifest_ids() if vid not in retained]
     for vid in stale_manifests:
         storage.delete_manifest(vid)
     if tail or stale_manifests:
-        storage.sweep()
+        storage.sweep_tmp()
+    store.deletion.finish_interrupted(retained)
+    storage.sweep_checkpoint_parts()
 
 
 def validate_rel_name(rel: str) -> str:
@@ -331,10 +335,6 @@ class LocalRepository:
             store._retired = False
         return store
 
-    def _manifest_path(self, version_id: int) -> str:
-        """Manifest file path (plain-directory repositories only)."""
-        return os.path.join(repo_paths(self.root)[2], f"manifest-{version_id:08d}.txt")
-
     def _save_checkpoint(self, store: HiDeStore) -> None:
         self.storage.write_checkpoint_document(checkpoint_document(store))
 
@@ -455,7 +455,8 @@ class LocalRepository:
         the attempt, restores the previous recipe (in-place chain updates),
         removes container objects allocated during the attempt and drops
         the in-memory engine — the next operation reloads from the
-        checkpoint, which was last written at a good version boundary.
+        checkpoint, which was last written at a good version boundary —
+        and sweeps the checkpoint parts the attempt wrote before its head.
         Foreign container names (e.g. ``container-backup.hdsc``) are not
         ours to delete; only the 8-digit IDs from this attempt go.
         """
@@ -620,10 +621,18 @@ class LocalRepository:
         if not versions:
             raise VersionNotFoundError("repository is empty")
         oldest = versions[0]
-        stats = store.delete_oldest()
-        self.storage.delete_manifest(oldest)
-        if self.storage.has_checkpoint():
-            self._save_checkpoint(store)
+        try:
+            stats = store.delete_oldest()
+            self.storage.delete_manifest(oldest)
+            if self.storage.has_checkpoint():
+                self._save_checkpoint(store)  # nothing dirty: the head alone
+        except DeletionError:
+            raise  # refused before anything changed
+        except BaseException:
+            # Died between the recipe and the head: the next open rolls the
+            # expiry forward from the stored objects.
+            self.invalidate()
+            raise
         return {
             "version_id": oldest,
             "containers_deleted": stats.containers_deleted,

@@ -5,7 +5,7 @@ One daemon hosts many named repositories under a single root directory::
     <root>/<repo-name>/containers/…
     <root>/<repo-name>/recipes/…
     <root>/<repo-name>/manifests/…
-    <root>/<repo-name>/checkpoint.json
+    <root>/<repo-name>/checkpoint.json      (head; checkpoint-*.{bin,hdsc} parts)
 
 The root may equally be a backend URL (:mod:`repro.storage.backend`):
 ``sqlite://`` roots keep one ``<name>.db`` per tenant, object-store roots
@@ -220,7 +220,7 @@ class RepositoryRegistry:
                     return 0
                 shutil.rmtree(repo_root)
                 return 1
-            from ..storage.repo import RepoStorage
+            from ..storage.repo import SECTIONS, RepoStorage
 
             spec = self.location.child(name)
             removed = 0
@@ -228,17 +228,10 @@ class RepositoryRegistry:
             try:
                 if storage.exists():
                     state = storage.state()
-                    for kind, section in (
-                        ("container", "containers"),
-                        ("recipe", "recipes"),
-                        ("manifest", "manifests"),
-                    ):
+                    for kind, section in SECTIONS.items():
                         for short in state[section]:
                             storage.delete_object(kind, short)
                             removed += 1
-                    if state["checkpoint"]:
-                        storage.delete_object("checkpoint", "checkpoint.json")
-                        removed += 1
             finally:
                 storage.close()
             if self.location.scheme == "file":

@@ -276,11 +276,16 @@ class FileBackend:
 
     def list(self, prefix: str = "") -> List[str]:
         out: List[str] = []
-        base = self.root
-        if not os.path.isdir(base):
+        # Walk only what the prefix can reach: its directory part, and at
+        # that level only the sub-directories its last component matches.
+        head, _, tail = prefix.rpartition("/")
+        top = self._path(head) if head else self.root
+        if not os.path.isdir(top):
             return out
-        for dirpath, _dirs, files in os.walk(base):
-            rel_dir = os.path.relpath(dirpath, base)
+        for dirpath, dirs, files in os.walk(top):
+            if dirpath == top and tail:
+                dirs[:] = [d for d in dirs if d.startswith(tail)]
+            rel_dir = os.path.relpath(dirpath, self.root)
             for fname in files:
                 rel = fname if rel_dir == "." else f"{rel_dir}/{fname}".replace(os.sep, "/")
                 if rel.startswith(prefix):

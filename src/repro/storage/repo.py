@@ -1,8 +1,8 @@
 """Repository storage composition: one place that knows where bytes live.
 
 A repository is four object kinds — containers, recipes, manifests, the
-checkpoint — and :class:`RepoStorage` maps each kind onto the storage
-backends a repo spec names (see :class:`~repro.storage.backend.
+checkpoint (a head plus its parts) — and :class:`RepoStorage` maps each kind
+onto the storage backends a repo spec names (see :class:`~repro.storage.backend.
 RepoLocation`).  The default mapping puts everything on the primary
 backend; a spec with ``?archive=URL`` sends the **sealed containers** to
 the archive backend (the cold tier) while the mutable metadata stays on
@@ -17,7 +17,9 @@ a new one is byte-identical to what older versions wrote.
 Beyond the engine stores, this module exposes the *replicable-object*
 surface (read/write/commit/state by kind + name) that replication,
 repair, and backup rollback drive — one implementation for every
-backend instead of the file-only helpers they grew up with.
+backend instead of the file-only helpers they grew up with.  It is also
+the one place the object vocabulary lives: the kinds, their sections in a
+state snapshot, their name patterns and the staging suffix.
 """
 
 from __future__ import annotations
@@ -34,14 +36,32 @@ from .backend import RepoLocation, StorageBackend, parse_repo_spec
 from .container_store import BackendContainerStore, ContainerStore, FileContainerStore
 from .recipe import BackendRecipeStore, FileRecipeStore, RecipeStore
 
-__all__ = ["RepoStorage", "is_repo_url", "KINDS", "STAGED_SUFFIX"]
+__all__ = [
+    "RepoStorage",
+    "is_repo_url",
+    "object_name",
+    "SECTIONS",
+    "STAGED_SUFFIX",
+    "CHECKPOINT_NAME",
+]
 
-#: Replicable object kinds (ship order: containers are invisible until a
-#: recipe references them; the checkpoint commits last).
-KINDS = ("container", "manifest", "recipe", "checkpoint")
+#: Replicable object kinds -> their section in a state snapshot, in ship
+#: order (containers are invisible until a recipe references them; the
+#: checkpoint commits last).
+SECTIONS = {
+    "container": "containers",
+    "manifest": "manifests",
+    "recipe": "recipes",
+    "checkpoint": "checkpoint",
+}
 
-#: Suffix of staged (shipped but not yet committed) mirror objects.
+#: Suffix of staged (shipped but not yet committed) mirror objects.  Not
+#: ``.tmp`` — the stores sweep ``*.tmp`` on open, and a staged object must
+#: survive a mirror restart mid-sync.
 STAGED_SUFFIX = ".staged"
+
+#: The checkpoint head: the commit record that names the checkpoint parts.
+CHECKPOINT_NAME = "checkpoint.json"
 
 _PREFIXES = {
     "container": "containers/",
@@ -50,12 +70,30 @@ _PREFIXES = {
     "checkpoint": "",
 }
 
+#: The whole name vocabulary per kind.  Anything else is rejected — these
+#: names arrive over the wire and are joined under the tenant root.  Every
+#: name of a kind starts with the kind's own word, which is what listings
+#: use as their prefix.  Checkpoint parts (:mod:`repro.core.checkpoint`)
+#: end in the first 16 hex digits of their SHA-256.
 _PATTERNS = {
     "container": re.compile(r"^container-(\d{8})\.hdsc$"),
     "recipe": re.compile(r"^recipe-(\d{8})\.hdsr$"),
     "manifest": re.compile(r"^manifest-(\d{8})\.txt$"),
-    "checkpoint": re.compile(r"^checkpoint\.json$"),
+    "checkpoint": re.compile(
+        r"^checkpoint(?:\.json|-tables-[0-9a-f]{16}\.bin|-active-\d{8}-[0-9a-f]{16}\.hdsc)$"
+    ),
 }
+
+
+def object_name(kind: str, name: str) -> str:
+    """Vet one (kind, name) pair from a plan or a wire frame; returns the
+    object's backend name (its path relative to the repository root)."""
+    pattern = _PATTERNS.get(kind)
+    if pattern is None:
+        raise ReplicationError(f"unknown replication object kind {kind!r}")
+    if not isinstance(name, str) or not pattern.match(name):
+        raise ReplicationError(f"invalid {kind} object name {name!r}")
+    return _PREFIXES[kind] + name
 
 
 def is_repo_url(spec: str) -> bool:
@@ -112,13 +150,18 @@ class RepoStorage:
     def _backend_for(self, kind: str) -> StorageBackend:
         return self.container_backend() if kind == "container" else self.primary()
 
-    def _object_name(self, kind: str, name: str) -> str:
-        pattern = _PATTERNS.get(kind)
-        if pattern is None:
-            raise ReplicationError(f"unknown replication object kind {kind!r}")
-        if not isinstance(name, str) or not pattern.match(name):
-            raise ReplicationError(f"invalid {kind} object name {name!r}")
-        return _PREFIXES[kind] + name
+    def _names(self, kind: str) -> List[str]:
+        """Short names of the objects of ``kind`` present, off the backend."""
+        prefix = _PREFIXES[kind]
+        pattern = _PATTERNS[kind]
+        return [
+            name[len(prefix) :]
+            for name in self._backend_for(kind).list(prefix + kind)
+            if pattern.match(name[len(prefix) :])
+        ]
+
+    def _ids(self, kind: str) -> List[int]:
+        return sorted(int(_PATTERNS[kind].match(name).group(1)) for name in self._names(kind))
 
     def prepare(self) -> None:
         """Create the directory skeleton a fresh file repository expects."""
@@ -164,47 +207,67 @@ class RepoStorage:
         return f"manifest-{version_id:08d}.txt"
 
     def write_manifest(self, version_id: int, text: str) -> None:
-        name = self._object_name("manifest", self.manifest_name(version_id))
+        name = object_name("manifest", self.manifest_name(version_id))
         self.primary().put_meta(name, text.encode("utf-8"))
 
     def read_manifest(self, version_id: int) -> Optional[str]:
-        name = self._object_name("manifest", self.manifest_name(version_id))
+        name = object_name("manifest", self.manifest_name(version_id))
         try:
             return self.primary().get(name).decode("utf-8")
         except ObjectMissingError:
             return None
 
     def delete_manifest(self, version_id: int) -> None:
-        name = self._object_name("manifest", self.manifest_name(version_id))
+        name = object_name("manifest", self.manifest_name(version_id))
         try:
             self.primary().delete(name)
         except ObjectMissingError:
             pass
 
     def manifest_ids(self) -> List[int]:
-        ids = []
-        prefix = _PREFIXES["manifest"]
-        for name in self.primary().list(prefix):
-            match = _PATTERNS["manifest"].match(name[len(prefix) :])
-            if match:
-                ids.append(int(match.group(1)))
-        return sorted(ids)
+        return self._ids("manifest")
 
     # ------------------------------------------------------------------
     # Checkpoint
     # ------------------------------------------------------------------
     def has_checkpoint(self) -> bool:
-        return self.primary().exists("checkpoint.json")
+        return self.primary().exists(CHECKPOINT_NAME)
 
     def read_checkpoint_document(self) -> Dict:
+        """The checkpoint head (or a whole v1 document) — a few KB of JSON."""
         try:
-            blob = self.primary().get("checkpoint.json")
+            blob = self.primary().get(CHECKPOINT_NAME)
         except ObjectMissingError:
             raise ReproError(f"no checkpoint in {self.location.spec}") from None
         return json.loads(blob.decode("utf-8"))
 
-    def write_checkpoint_document(self, document: Dict) -> None:
-        self.primary().put_meta("checkpoint.json", json.dumps(document).encode("utf-8"))
+    def read_checkpoint_part(self, name: str) -> bytes:
+        return self.primary().get(object_name("checkpoint", name))
+
+    def write_checkpoint_document(self, document) -> None:
+        """Commit one :class:`~repro.core.checkpoint.CheckpointDocument`:
+        its unwritten parts, then the head, then the parts it unnamed."""
+        document.write(self.primary(), CHECKPOINT_NAME)
+
+    def sweep_checkpoint_parts(self) -> int:
+        """Delete checkpoint parts the head does not name; returns how many.
+
+        An unnamed part is debris: a save that died before its head, the
+        stale parts of one that died after it, or a sync that landed parts
+        and never renamed the head.  Without a head no part is named; with
+        an unreadable one nothing is judged.
+        """
+        named = {CHECKPOINT_NAME}
+        if self.has_checkpoint():
+            try:
+                head = self.read_checkpoint_document()
+                named.update(ref["name"] for ref in head.get("parts", ()))
+            except (ValueError, KeyError, TypeError):
+                return 0
+        debris = [name for name in self._names("checkpoint") if name not in named]
+        for name in debris:
+            self.delete_object("checkpoint", name)
+        return len(debris)
 
     # ------------------------------------------------------------------
     # Replicable-object surface (replication / repair / rollback)
@@ -212,38 +275,22 @@ class RepoStorage:
     def state(self) -> Dict[str, Dict[str, Dict]]:
         """Snapshot the repository's replicable objects (a ``RepoState``).
 
-        Containers carry size only (immutable once visible; presence +
-        size is the whole identity), digest-bearing kinds carry both —
-        the same shape :func:`repro.replication.state.capture_state`
-        produces for plain directories.
+        Write-once objects — containers, checkpoint parts — carry size only
+        (a name never changes its content, so presence + size is the whole
+        identity and capture stays O(metadata)); recipes, manifests and the
+        checkpoint head carry size and digest.
         """
-        state: Dict[str, Dict[str, Dict]] = {
-            "containers": {},
-            "recipes": {},
-            "manifests": {},
-            "checkpoint": {},
-        }
-        backend = self.container_backend()
-        prefix = _PREFIXES["container"]
-        for name in backend.list(prefix):
-            short = name[len(prefix) :]
-            if _PATTERNS["container"].match(short):
-                state["containers"][short] = {"size": backend.size(name)}
-        primary = self.primary()
-        for kind, section in (("recipe", "recipes"), ("manifest", "manifests")):
-            prefix = _PREFIXES[kind]
-            for name in primary.list(prefix):
-                short = name[len(prefix) :]
-                if _PATTERNS[kind].match(short):
-                    state[section][short] = {
-                        "size": primary.size(name),
-                        "digest": primary.digest(name),
-                    }
-        if primary.exists("checkpoint.json"):
-            state["checkpoint"]["checkpoint.json"] = {
-                "size": primary.size("checkpoint.json"),
-                "digest": primary.digest("checkpoint.json"),
-            }
+        if self.is_plain_file and not self.exists():  # looking creates no directory
+            return {section: {} for section in SECTIONS.values()}
+        state: Dict[str, Dict[str, Dict]] = {}
+        for kind, section in SECTIONS.items():
+            backend = self._backend_for(kind)
+            objects = state[section] = {}
+            for short in self._names(kind):
+                name = _PREFIXES[kind] + short
+                objects[short] = {"size": backend.size(name)}
+                if kind in ("recipe", "manifest") or short == CHECKPOINT_NAME:
+                    objects[short]["digest"] = backend.digest(name)
         return state
 
     def identity(self) -> Dict[str, str]:
@@ -263,10 +310,10 @@ class RepoStorage:
         return {"host": "", "path": self.location.canonical_url()}
 
     def read_object(self, kind: str, name: str) -> bytes:
-        return self._backend_for(kind).get(self._object_name(kind, name))
+        return self._backend_for(kind).get(object_name(kind, name))
 
     def object_exists(self, kind: str, name: str) -> bool:
-        return self._backend_for(kind).exists(self._object_name(kind, name))
+        return self._backend_for(kind).exists(object_name(kind, name))
 
     def write_object(self, kind: str, name: str, blob: bytes, staged: bool = False) -> None:
         """Atomically land one object (optionally as ``*.staged``).
@@ -276,14 +323,14 @@ class RepoStorage:
         immutability of live containers is enforced by the container
         store, not here.
         """
-        target = self._object_name(kind, name)
+        target = object_name(kind, name)
         if staged:
             target += STAGED_SUFFIX
         self._backend_for(kind).put_meta(target, blob)
 
     def delete_object(self, kind: str, name: str) -> None:
         try:
-            self._backend_for(kind).delete(self._object_name(kind, name))
+            self._backend_for(kind).delete(object_name(kind, name))
         except ObjectMissingError:
             pass
 
@@ -298,7 +345,7 @@ class RepoStorage:
         """
         applied = 0
         for kind, name in renames:
-            target = self._object_name(kind, name)
+            target = object_name(kind, name)
             backend = self._backend_for(kind)
             if backend.exists(target + STAGED_SUFFIX):
                 backend.rename(target + STAGED_SUFFIX, target)
@@ -308,7 +355,7 @@ class RepoStorage:
                     f"commit: no staged or final {kind} {name!r} on the mirror"
                 )
         for kind, name in deletes:
-            target = self._object_name(kind, name)
+            target = object_name(kind, name)
             try:
                 self._backend_for(kind).delete(target)
                 applied += 1
@@ -321,14 +368,7 @@ class RepoStorage:
     # ------------------------------------------------------------------
     def container_object_ids(self) -> List[int]:
         """IDs of container objects present, straight off the backend."""
-        backend = self.container_backend()
-        prefix = _PREFIXES["container"]
-        ids = []
-        for name in backend.list(prefix):
-            match = _PATTERNS["container"].match(name[len(prefix) :])
-            if match:
-                ids.append(int(match.group(1)))
-        return sorted(ids)
+        return self._ids("container")
 
     def delete_container_object(self, container_id: int) -> None:
         name = _PREFIXES["container"] + f"container-{container_id:08d}.hdsc"
@@ -337,8 +377,13 @@ class RepoStorage:
         except ObjectMissingError:
             pass
 
-    def sweep(self) -> None:
-        """Remove crash litter on every backend this repository uses."""
+    def sweep_tmp(self) -> None:
+        """Remove ``*.tmp`` litter on every backend this repository uses."""
         self.primary().sweep_tmp()
         if self.location.archive_url is not None:
             self.container_backend().sweep_tmp()
+
+    def sweep(self) -> None:
+        """Remove crash litter: ``*.tmp`` files and unnamed checkpoint parts."""
+        self.sweep_tmp()
+        self.sweep_checkpoint_parts()

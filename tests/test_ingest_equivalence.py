@@ -3,9 +3,10 @@
 The same two-version tree is backed up through the library serially,
 through ``hidestore backup --workers 3`` (a short-lived chunking pool),
 through a daemon with a shared pool, and through a one-node cluster route.
-Reports, every ``recipes/``, ``manifests/`` and ``containers/`` object and
-every restore must be identical across the four — chunk boundaries depend
-on the byte stream alone, never on who chunked it.
+Reports, every ``recipes/``, ``manifests/`` and ``containers/`` object, the
+checkpoint (head and parts) and every restore must be identical across the
+four — chunk boundaries depend on the byte stream alone, never on who
+chunked it.
 """
 
 import glob
@@ -67,6 +68,10 @@ def stored_objects(repo_dir):
         for name in sorted(os.listdir(os.path.join(repo_dir, kind))):
             with open(os.path.join(repo_dir, kind, name), "rb") as handle:
                 objects[f"{kind}/{name}"] = handle.read()
+    for name in sorted(os.listdir(repo_dir)):  # the checkpoint head and its parts
+        if name.startswith("checkpoint"):
+            with open(os.path.join(repo_dir, name), "rb") as handle:
+                objects[name] = handle.read()
     return objects
 
 
@@ -127,7 +132,8 @@ def test_serial_workers_daemon_and_cluster_store_identical_bytes(tmp_path, monke
     reports, objects, restores = outcome.pop("serial")
     assert restores == [b"".join(stream_blocks(entries)) for entries in trees]
     assert reports[1]["duplicate_chunks"] > 0  # the churn actually deduped
-    for kind in KINDS:  # nothing compared below is vacuously empty
+    # Nothing compared below is vacuously empty.
+    for kind in KINDS + ("checkpoint.json", "checkpoint-tables-", "checkpoint-active-"):
         assert any(name.startswith(kind) for name in objects), kind
     for mode, (mode_reports, mode_objects, mode_restores) in outcome.items():
         assert mode_reports == reports, mode

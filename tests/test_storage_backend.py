@@ -113,6 +113,15 @@ class TestBackendContract:
         listing = backend.list()
         assert {"p/one", "p/two", "q/other"} <= set(listing)
 
+    def test_list_prefix_is_a_string_prefix_at_any_depth(self, backend):
+        for name in ("check.json", "check-a.bin", "checks/deep/x", "chalk", "p/check", "p/q/r"):
+            backend.put(name, b"-")
+        assert backend.list("check") == ["check-a.bin", "check.json", "checks/deep/x"]
+        assert backend.list("p/") == ["p/check", "p/q/r"]
+        assert backend.list("p/q") == ["p/q/r"]
+        assert backend.list("p/c") == ["p/check"]
+        assert backend.list("nothing/here") == []
+
     def test_rename_replaces(self, backend):
         backend.put_meta("old", b"new-bytes")
         backend.put_meta("target", b"stale")
