@@ -787,20 +787,19 @@ class RemoteRepository:
                     "trace": trace,
                 }
                 view = memoryview(blob)
-                frames = [
-                    frame_parts(FrameType.CHUNK_DATA, view[offset : offset + DATA_BLOCK])
+                sends = [
+                    list(frame_parts(FrameType.CHUNK_DATA, view[offset : offset + DATA_BLOCK]))
                     for offset in range(0, len(blob), DATA_BLOCK)
-                ]
+                ] or [[]]
                 # The announcement rides in the same wire write as the first
                 # data frame: sent on its own, a body smaller than one
                 # segment (a checkpoint head, a manifest) would sit behind
                 # it in Nagle's buffer until the mirror's delayed ACK, ~40 ms
                 # a put.
-                announce = encode_json(FrameType.REPLICATE_PUT, header)
-                conn.send_parts([announce, *(frames[0] if frames else ())])
-                for frame in frames[1:]:
+                sends[0].insert(0, encode_json(FrameType.REPLICATE_PUT, header))
+                for parts in sends:
                     try:
-                        conn.send_parts(frame)
+                        conn.send_parts(parts)
                     except OSError as exc:
                         error = conn.pending_error()
                         if error is not None:

@@ -44,7 +44,9 @@ writes the head alone.
 
 Save order: new parts → head → delete the parts the new head no longer
 names.  A crash before the head leaves unnamed parts, after it stale ones;
-both are swept when the repository is next opened.
+both are swept when the repository is next opened *for writing* — a reader
+never judges a part debris, because a replication sync lands a mirror's
+parts ahead of the head that names them.
 
 ``hidestore-checkpoint-v1`` (one JSON document, base64 containers) is still
 read; the first save of a system loaded from it writes v2.
@@ -159,7 +161,7 @@ class CheckpointDocument:
                 pass
             except Exception:
                 # Committed already: a part left behind is debris the next
-                # open sweeps, never a reason to fail (and roll back) the save.
+                # writer sweeps, never a reason to fail (and roll back) the save.
                 break
 
 
@@ -181,8 +183,8 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
         stored.add(cache.persisted["name"])
     new_parts: Dict[str, bytes] = {}
 
-    if cache.dirty or cache.persisted is None:
-        tables = cache.export_tables()  # raises if mid-version
+    if cache.dirty or cache.persisted is None or cache.current_size:
+        tables = cache.export_tables()  # raises if mid-version (T2 not empty)
         _check_live_sets(system, tables)
         blob = pack_tables(tables)
         tables_ref = _part_ref("checkpoint-tables", ".bin", blob)

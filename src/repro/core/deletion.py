@@ -13,7 +13,7 @@ No garbage collection, no copying — the paper's "almost zero" deletion cost.
 
 The recipe goes first so that the order is crash-safe: the version stops
 being listed before any of its chunks can go missing, and a deletion tag
-whose recipe is gone is exactly an expiry that died half way
+older than every retained recipe is exactly an expiry that died half way
 (:meth:`DeletionManager.finish_interrupted` rolls it forward).
 """
 
@@ -26,6 +26,19 @@ from typing import Dict, Iterable, List
 from ..errors import DeletionError
 from ..storage.container_store import ContainerStore
 from ..storage.recipe import RecipeStore
+
+
+def interrupted_expiries(tagged: Iterable[int], retained: Iterable[int]) -> List[int]:
+    """The tagged versions whose expiry died after deleting the recipe.
+
+    Only the oldest version is ever expired, so those are the tags *older
+    than every retained recipe* (all of them when nothing is retained).  A
+    recipe-less tag in the middle of the chain is a lost recipe, not an
+    expiry: its containers hold chunks that older retained versions still
+    read (a tag is a *last*-version tag), so it is left for ``verify``.
+    """
+    floor = min(retained, default=None)
+    return sorted(v for v in tagged if floor is None or v < floor)
 
 
 @dataclass
@@ -60,12 +73,12 @@ class DeletionManager:
     def finish_interrupted(self, retained: Iterable[int]) -> int:
         """Roll forward expiries that died after deleting their recipe.
 
-        ``retained`` is the version ids that still have one.  Every tag of
-        another version is dropped together with whichever of its
-        containers are still stored; returns how many tags that was.
+        ``retained`` is the version ids that still have one.  Every tag
+        :func:`interrupted_expiries` picks is dropped together with
+        whichever of its containers are still stored; returns how many
+        tags that was.
         """
-        retained = set(retained)
-        orphaned = [version for version in self._tagged if version not in retained]
+        orphaned = interrupted_expiries(self._tagged, retained)
         for version in orphaned:
             for cid in self._tagged.pop(version):
                 if cid in self.containers:

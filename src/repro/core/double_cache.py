@@ -62,8 +62,12 @@ class DoubleHashCache:
         self.lookups = 0
         self.hits = 0
         #: Checkpoint tracking: the head entry of the stored tables part,
-        #: and whether the tables changed since it was written.  Every
-        #: mutator sets ``dirty``; only :mod:`repro.core.checkpoint` clears it.
+        #: and whether the tables changed since it was written.  The tables
+        #: export only with T2 empty, and T2 empties only in
+        #: :meth:`end_version`, so the per-chunk mutators need no mark: the
+        #: four that can change what a boundary exports set ``dirty``
+        #: (:meth:`end_version`, :meth:`drain`, :meth:`apply_relocations`,
+        #: :meth:`restore_tables`); only :mod:`repro.core.checkpoint` clears it.
         self.persisted: Optional[Dict] = None
         self.dirty = True
 
@@ -78,7 +82,6 @@ class DoubleHashCache:
         (the caller must store it and call :meth:`insert`).
         """
         self.lookups += 1
-        self.dirty = True
         entry = self._current.get(fingerprint)
         if entry is not None:  # Case three: already hot this version.
             self.hits += 1
@@ -111,7 +114,6 @@ class DoubleHashCache:
         results: List[object] = []
         current = self._current
         seen_unique = set()
-        self.dirty = True
         for fp in fingerprints:
             self.lookups += 1
             entry = current.get(fp)
@@ -144,7 +146,6 @@ class DoubleHashCache:
     def insert(self, fingerprint: bytes, size: int, cid: int) -> None:
         """Register a just-stored unique chunk in T2."""
         self._current[fingerprint] = CacheEntry(size, cid)
-        self.dirty = True
 
     # ------------------------------------------------------------------
     # Version lifecycle

@@ -13,7 +13,10 @@ Ordering is the correctness story:
 * **ships** run containers → manifests → checkpoint parts → recipes →
   checkpoint head.  Containers and manifests are invisible until a recipe
   references them, and a checkpoint part until the head names it, so they
-  go straight into place; recipes and the head are *staged* (shipped as
+  go straight into place (a reading open of the mirror deletes none of
+  them — only a writer sweeps debris, ``repository._sweep_debris`` — and
+  the commit checks the head's parts are there before it renames
+  anything); recipes and the head are *staged* (shipped as
   ``*.staged`` files) because they define the mirror's visible state and
   must move together.
 * **renames** (the commit) apply staged recipes oldest-first with the

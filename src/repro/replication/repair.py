@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.deletion import interrupted_expiries
 from ..core.verify import (
     VerificationReport,
     check_containers,
@@ -56,10 +57,10 @@ def referenced_container_ids(storage: RepoStorage) -> Set[int]:
     """Archival container IDs the repository's metadata still points at.
 
     Union of positive cids across every retained recipe plus the §4.5
-    deletion tags of those versions in the checkpoint head (tagged
-    containers must exist for the expiry path to reclaim them; the tag of a
-    version whose recipe is gone is an interrupted expiry the next open
-    finishes).  Chain markers (negative) and the active-pool marker (0)
+    deletion tags in the checkpoint head (tagged containers must exist for
+    the expiry path to reclaim them), less the tags older than every
+    retained recipe: those are interrupted expiries the next open
+    finishes.  Chain markers (negative) and the active-pool marker (0)
     reference no archival file.  Read straight off the recipes and the
     head — never the checkpoint parts, never the engine — so repair still
     works when the checkpoint does not load.
@@ -71,9 +72,10 @@ def referenced_container_ids(storage: RepoStorage) -> Set[int]:
         referenced.update(e.cid for e in recipes.peek(version_id).entries if e.cid > 0)
     if storage.has_checkpoint():
         try:
-            head = storage.read_checkpoint_document()
-            for version, cids in head.get("deletion_tags", {}).items():
-                if int(version) in retained:
+            tags = storage.read_checkpoint_document().get("deletion_tags", {})
+            dying = set(interrupted_expiries(map(int, tags), retained))
+            for version, cids in tags.items():
+                if int(version) not in dying:
                     referenced.update(int(cid) for cid in cids)
         except (ValueError, TypeError, OSError, ReproError):
             pass  # a damaged checkpoint is verify's problem, not repair's

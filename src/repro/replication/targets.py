@@ -94,45 +94,26 @@ def write_object(root: str, kind: str, name: str, blob: bytes, staged: bool) -> 
 
 
 def commit_objects(root: str, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
-    """Apply a sync's commit step to a mirror directory; returns ops applied.
+    """Apply a sync's commit step to a mirror (directory or backend URL);
+    returns ops applied.
 
     Idempotent by construction, so an interrupted commit can simply be
-    re-run: a rename whose staged file is gone but whose final file exists
-    already happened; a delete of a missing object already happened.
-
-    ``root`` may also be a backend repo spec (URL) — same semantics via
-    :meth:`~repro.storage.repo.RepoStorage.commit_objects`.
+    re-run: a rename whose staged object is gone but whose final object
+    exists already happened; a delete of a missing object already happened.
+    Refused before anything is renamed when the staged checkpoint head names
+    a part that is not in place (:meth:`~repro.storage.repo.RepoStorage.
+    commit_objects`).
     """
-    if is_repo_url(root):
-        for ref in list(renames) + list(deletes):
-            validate_object(ref.kind, ref.name)
-        storage = RepoStorage(root)
-        try:
-            return storage.commit_objects(
-                [(ref.kind, ref.name) for ref in renames],
-                [(ref.kind, ref.name) for ref in deletes],
-            )
-        finally:
-            storage.close()
-    applied = 0
-    for ref in renames:
-        path = object_path(root, ref.kind, ref.name)
-        staged = path + STAGED_SUFFIX
-        if os.path.exists(staged):
-            os.replace(staged, path)
-            applied += 1
-        elif not os.path.exists(path):
-            raise ReplicationError(
-                f"commit: no staged or final {ref.kind} {ref.name!r} on the mirror"
-            )
-    for ref in deletes:
-        path = object_path(root, ref.kind, ref.name)
-        try:
-            os.remove(path)
-            applied += 1
-        except FileNotFoundError:
-            pass
-    return applied
+    for ref in list(renames) + list(deletes):
+        validate_object(ref.kind, ref.name)
+    storage = RepoStorage(root)
+    try:
+        return storage.commit_objects(
+            [(ref.kind, ref.name) for ref in renames],
+            [(ref.kind, ref.name) for ref in deletes],
+        )
+    finally:
+        storage.close()
 
 
 def read_object(root: str, kind: str, name: str) -> bytes:

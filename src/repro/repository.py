@@ -95,23 +95,25 @@ def _recover_to_checkpoint(storage: RepoStorage, store: HiDeStore) -> None:
     so it is the commit record, and whatever it does not account for is
     what a dead process (power loss, a SIGKILL'd daemon) left half done:
 
-    * **An uncommitted tail.**  A recipe or manifest whose id is at or past
-      the head's ``next_version`` is debris from a backup that died between
-      its recipe/manifest writes and the head: left in place it is listed
-      by ``versions()`` but may be unrestorable, and — worse — the stale
-      version counter would hand the same id to the next backup, silently
-      overwriting one version with another.  Containers past the
-      checkpointed allocator are deliberately kept: the §4.3 in-place
-      rewrite of the previous recipe may already reference migrated chunks
-      inside them, so they are at worst orphaned space, never safe to drop
-      blindly.
+    * **An uncommitted tail.**  A recipe whose id is at or past the head's
+      ``next_version`` is debris from a backup that died between its recipe
+      write and the head: left in place it is listed by ``versions()`` but
+      may be unrestorable, and — worse — the stale version counter would
+      hand the same id to the next backup, silently overwriting one version
+      with another.  Containers past the checkpointed allocator are
+      deliberately kept: the §4.3 in-place rewrite of the previous recipe
+      may already reference migrated chunks inside them, so they are at
+      worst orphaned space, never safe to drop blindly.
     * **An interrupted expiry.**  §4.5 deletion removes the recipe first,
-      so a deletion tag whose recipe is gone marks an expiry that died
-      before its head: it is rolled forward (the rest of the tagged
-      containers and the manifest go too).
-    * **Unnamed checkpoint parts.**  Parts of a save that died before its
-      head, stale parts of one that died after it, parts a sync landed
-      under a head it never renamed.
+      so a deletion tag older than every retained recipe marks an expiry
+      that died before its head: it is rolled forward (the rest of the
+      tagged containers go too).
+
+    Every reader comes through here, so this deletes nothing a replication
+    sync lands in place ahead of its commit — on a mirror, containers,
+    manifests and checkpoint parts arrive under the tenant's *read* lock,
+    before the recipe and the head that account for them.  That debris is
+    the writer's to sweep (:func:`_sweep_debris`).
     """
     mark = store._next_version
     probe = storage.recipe_store()
@@ -120,12 +122,26 @@ def _recover_to_checkpoint(storage: RepoStorage, store: HiDeStore) -> None:
     for vid in tail:
         probe.delete(vid)
         retained.discard(vid)
-    stale_manifests = [vid for vid in storage.manifest_ids() if vid not in retained]
-    for vid in stale_manifests:
-        storage.delete_manifest(vid)
-    if tail or stale_manifests:
+    if tail:
         storage.sweep_tmp()
     store.deletion.finish_interrupted(retained)
+
+
+def _sweep_debris(storage: RepoStorage, store: HiDeStore) -> None:
+    """Delete what no recipe and no head accounts for; for writers only.
+
+    Manifests without a recipe (a backup that died before its head, an
+    expiry that died before its manifest delete) and checkpoint parts the
+    head does not name (a save that died before its head, stale parts of
+    one that died after it, parts a sync landed under a head it never
+    renamed).  Both are invisible to readers, and both are exactly what a
+    sync in flight looks like on a mirror — only the holder of the writer's
+    lock can tell the difference.
+    """
+    retained = set(store.recipes.version_ids())
+    for vid in storage.manifest_ids():
+        if vid not in retained:
+            storage.delete_manifest(vid)
     storage.sweep_checkpoint_parts()
 
 
@@ -267,6 +283,8 @@ class LocalRepository:
         self.metrics = metrics if metrics is not None else get_registry()
         self.storage = RepoStorage(root, compress=compress, metrics=self.metrics)
         self._store: Optional[HiDeStore] = None
+        #: The engine whose repository :meth:`_open_writer` already swept.
+        self._swept: Optional[HiDeStore] = None
         self._open_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -325,8 +343,17 @@ class LocalRepository:
             "summary": report.summary(),
         }
 
-    def _open_for_backup(self) -> HiDeStore:
+    def _open_writer(self) -> HiDeStore:
+        """The engine for a backup or an expiry: :func:`_sweep_debris` runs
+        first, once per loaded engine (and never for a reader)."""
         store = self._open()
+        if self._swept is not store:
+            _sweep_debris(self.storage, store)
+            self._swept = store
+        return store
+
+    def _open_for_backup(self) -> HiDeStore:
+        store = self._open_writer()
         # A retired store cannot take further backups until its cache is
         # rebuilt from the last recipe (§4.1's T1 prefetch, cross-session).
         if store._retired and store.recipes.latest_version() is not None:
@@ -616,7 +643,7 @@ class LocalRepository:
         }
 
     def delete_oldest(self) -> Dict:
-        store = self._open()
+        store = self._open_writer()
         versions = store.recipes.version_ids()
         if not versions:
             raise VersionNotFoundError("repository is empty")

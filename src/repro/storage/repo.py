@@ -255,7 +255,8 @@ class RepoStorage:
         An unnamed part is debris: a save that died before its head, the
         stale parts of one that died after it, or a sync that landed parts
         and never renamed the head.  Without a head no part is named; with
-        an unreadable one nothing is judged.
+        an unreadable one nothing is judged.  For writers only — a sync in
+        flight has landed parts the head does not name *yet*.
         """
         named = {CHECKPOINT_NAME}
         if self.has_checkpoint():
@@ -341,8 +342,13 @@ class RepoStorage:
 
         Idempotent: a rename whose staged object is gone but whose final
         object exists already happened; a delete of a missing object
-        already happened.
+        already happened.  Nothing is renamed unless every part the staged
+        checkpoint head names is in place: parts land unstaged, ahead of
+        the commit, and a head made live over a missing part is a
+        repository that does not open.
         """
+        if ("checkpoint", CHECKPOINT_NAME) in renames:
+            self._require_staged_head_parts()
         applied = 0
         for kind, name in renames:
             target = object_name(kind, name)
@@ -362,6 +368,23 @@ class RepoStorage:
             except ObjectMissingError:
                 pass
         return applied
+
+    def _require_staged_head_parts(self) -> None:
+        backend = self.primary()
+        try:
+            head = json.loads(backend.get(CHECKPOINT_NAME + STAGED_SUFFIX))
+            parts = [(ref["name"], ref["size"]) for ref in head.get("parts", ())]
+        except ObjectMissingError:
+            return  # renamed already: this commit is a replay
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ReplicationError(f"commit: the staged checkpoint head does not parse: {exc}")
+        for name, size in parts:
+            target = object_name("checkpoint", name)
+            if not backend.exists(target) or backend.size(target) != size:
+                raise ReplicationError(
+                    f"commit: the staged checkpoint head names part {name!r}, "
+                    "which is not on the mirror; sync again"
+                )
 
     # ------------------------------------------------------------------
     # Container-object helpers (rollback / repair scans)

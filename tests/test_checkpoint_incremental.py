@@ -17,6 +17,7 @@ Five groups, in the order the format is argued in ``core/checkpoint.py``:
 then the replication planner's view of head and parts.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ import shutil
 import pytest
 
 from repro.chaos.faults import FaultController
+from repro.client import RemoteRepository
 from repro.chunking.fingerprint import Fingerprinter
 from repro.chunking.stream import BackupStream
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint
@@ -33,10 +35,12 @@ from repro.core.checkpoint import checkpoint_document, pack_tables, unpack_table
 from repro.core.double_cache import CacheEntry
 from repro.errors import ReplicationError, ReproError
 from repro.observability import MetricsRegistry
+from repro.replication.repair import referenced_container_ids
 from repro.replication.session import ReplicationSession
 from repro.replication.state import capture_state, object_path
-from repro.replication.targets import LocalMirror
+from repro.replication.targets import LocalMirror, RemoteMirror
 from repro.repository import LocalRepository
+from repro.server import DaemonThread
 from repro.server.registry import RepositoryRegistry
 from repro.storage import FileContainerStore, FileRecipeStore
 from repro.storage.fake_s3 import FakeS3Server
@@ -222,6 +226,20 @@ def test_a_document_that_is_never_written_marks_nothing_stored(tmp_path):
     assert first.new_parts and not system.pool.persisted and system.cache.persisted is None
     second = checkpoint_document(system)  # the first was dropped: pack again
     assert sorted(second.new_parts) == sorted(first.new_parts)
+
+
+def test_a_mid_version_state_is_refused_though_no_boundary_marked_the_tables(tmp_path):
+    """``dirty`` is set where a version boundary changes the tables, not per
+    chunk; a half-classified version must be refused all the same."""
+    system = fresh_system(str(tmp_path), 1, False)
+    system.backup(token_stream(range(0, 60)))
+    save_checkpoint(system, str(tmp_path / "ckpt.json"))
+    assert not system.cache.dirty
+    hot = next(iter(system.cache.export_tables()[-1]))
+    assert system.cache.classify(hot) is not None  # T1 hit: promoted into T2
+    assert not system.cache.dirty
+    with pytest.raises(ReproError, match="mid-version"):
+        checkpoint_document(system)
 
 
 # ----------------------------------------------------------------------
@@ -487,18 +505,20 @@ def check_recovered(spec, digests, next_version_before):
         assert version in listed, f"tag of version {version} outlived its recipe"
         for cid in engine.deletion.containers_for(version):
             assert cid in engine.containers, f"tagged container {cid} is gone"
-    assert sorted(repo.storage.manifest_ids()) == listed
-    head = head_of(spec)
-    named = sorted(ref["name"] for ref in head.get("parts", ()))
-    assert part_names(spec) == named  # no unnamed part survives the open
+    assert set(repo.storage.manifest_ids()) >= set(listed)
+    debris = set(part_names(spec)) - {ref["name"] for ref in head_of(spec).get("parts", ())}
     report = repo.verify(deep=True)
     assert report["ok"], report["issues"]
-    # And it is not merely consistent but alive: the next backup commits.
+    # Reading judged no part: only a writer can know no sync is mid-flight.
+    assert debris <= set(part_names(spec))
+    # And it is not merely consistent but alive: the next backup commits,
+    # and no unnamed part survives that writer's open.
     data = random.Random(4242).randbytes(40 * 1024)
     new = repo.backup_blocks([data], [("data.bin", len(data))])["version_id"]
     assert new == engine._next_version - 1 and restored_sha(repo, new) == sha(data)
     assert head_of(spec)["format"] == "hidestore-checkpoint-v2"
     assert part_names(spec) == named_parts(spec)
+    assert sorted(repo.storage.manifest_ids()) == [*listed, new]
     assert open_repo(spec).verify(deep=True)["ok"]
     repo.storage.close()
 
@@ -550,6 +570,39 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     assert points >= len(recorded) + (1 if scenario != "delete_oldest" else 0)
 
 
+def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path):
+    """Only the oldest version is ever expired, so only a tag older than
+    every retained recipe is one: a recipe lost mid-chain must cost no
+    container, or one lost recipe becomes several unrestorable versions."""
+    root = str(tmp_path / "repo")
+    repo = open_repo(root)
+    for index in range(6):
+        backup(repo, index)
+    tags = head_of(root)["deletion_tags"]
+    assert tags["3"] and sorted(map(int, tags)) == [1, 2, 3, 4, 5]
+    lost = object_path(root, "recipe", "recipe-00000003.hdsr")
+    with open(lost, "rb") as handle:
+        blob = handle.read()
+    os.remove(lost)
+    stored = capture_state(root)["containers"]
+
+    damaged = open_repo(root)
+    assert [v["version_id"] for v in damaged.versions()] == [1, 2, 4, 5, 6]
+    report = damaged.verify(deep=True)  # a fresh open of its own
+    assert not report["ok"] and any("R_3" in issue for issue in report["issues"])
+    assert capture_state(root)["containers"] == stored
+    assert damaged._open().deletion.tagged_versions() == [1, 2, 3, 4, 5]
+    storage = RepoStorage(root)
+    assert referenced_container_ids(storage) >= {int(cid) for cid in tags["3"]}
+
+    with open(lost, "wb") as handle:  # repaired, from a mirror say: nothing else was lost
+        handle.write(blob)
+    repaired = open_repo(root)
+    for index in range(6):
+        assert restored_sha(repaired, index + 1) == sha(version_bytes(index))
+    assert repaired.verify(deep=True)["ok"]
+
+
 # ----------------------------------------------------------------------
 # (e) Replication sees head and parts
 # ----------------------------------------------------------------------
@@ -597,7 +650,15 @@ def test_sync_ships_the_head_alone_after_an_expiry_and_skips_unchanged_parts(tmp
     assert mirror.verify(deep=True)["ok"]
 
 
-def test_mirror_promoted_mid_sync_opens_on_its_old_head(tmp_path):
+def land_without_commit(source_root, mirror_target, plan):
+    """Ship everything a plan ships; the commit is the caller's to send."""
+    storage = RepoStorage(source_root)
+    for action in plan.ships:
+        blob = storage.read_object(action.kind, action.name)
+        mirror_target.put(action.kind, action.name, blob, staged=action.staged)
+
+
+def synced_pair(tmp_path):
     source_root, mirror_root = str(tmp_path / "source"), str(tmp_path / "mirror")
     source = open_repo(source_root)
     for index in range(3):
@@ -605,15 +666,18 @@ def test_mirror_promoted_mid_sync_opens_on_its_old_head(tmp_path):
     mirror_target = LocalMirror(mirror_root)
     session = ReplicationSession(source_root, mirror_target, journal="")
     session.run()
+    return source, mirror_root, mirror_target, session
+
+
+def test_mirror_promoted_mid_sync_opens_on_its_old_head(tmp_path):
+    source, mirror_root, mirror_target, session = synced_pair(tmp_path)
     old_head = head_of(mirror_root)
 
     backup(source, 3)
     source.delete_oldest()
-    plan = session.plan()
-    for action in plan.ships:  # everything lands; the commit never comes
-        blob = RepoStorage(source_root).read_object(action.kind, action.name)
-        mirror_target.put(action.kind, action.name, blob, staged=action.staged)
-    assert set(part_names(mirror_root)) > set(named_parts(mirror_root))
+    land_without_commit(source.root, mirror_target, session.plan())  # no commit comes
+    landed = part_names(mirror_root)
+    assert set(landed) > set(named_parts(mirror_root))
 
     promoted = open_repo(mirror_root)
     assert [v["version_id"] for v in promoted.versions()] == [1, 2, 3]
@@ -621,13 +685,95 @@ def test_mirror_promoted_mid_sync_opens_on_its_old_head(tmp_path):
         assert restored_sha(promoted, index + 1) == sha(version_bytes(index))
     assert promoted.verify(deep=True)["ok"]
     assert head_of(mirror_root) == old_head
-    assert part_names(mirror_root) == named_parts(mirror_root)  # debris swept
+    assert part_names(mirror_root) == landed  # reading sweeps nothing
 
-    session.run()  # the interrupted sync simply runs again
-    assert capture_state(mirror_root) == capture_state(source_root)
-    caught_up = open_repo(mirror_root)
-    assert [v["version_id"] for v in caught_up.versions()] == [2, 3, 4]
-    assert caught_up.verify(deep=True)["ok"]
+    # Its first write as a primary does: the landed parts are debris now.
+    data = random.Random(7).randbytes(30 * 1024)
+    assert promoted.backup_blocks([data], [("data.bin", len(data))])["version_id"] == 4
+    assert part_names(mirror_root) == named_parts(mirror_root)
+    assert promoted.verify(deep=True)["ok"]
+
+
+@contextlib.contextmanager
+def mirror_of_kind(kind, tmp_path):
+    """``(mirror root, replication target, open_reader)`` for one kind of mirror."""
+    if kind == "daemon":
+        with DaemonThread(str(tmp_path / "served")) as address:
+            target = RemoteMirror(address, "mirror")
+            try:
+                yield str(tmp_path / "served" / "mirror"), target, lambda: RemoteRepository(
+                    address, "mirror"
+                )
+            finally:
+                target.close()
+        return
+    root = str(tmp_path / "mirror") if kind == "directory" else f"sqlite://{tmp_path}/mirror.db"
+    yield root, LocalMirror(root), lambda: open_repo(root)
+
+
+@pytest.mark.parametrize("kind", ["directory", "sqlite", "daemon"])
+def test_reads_on_the_mirror_between_the_part_puts_and_the_commit_keep_the_parts(tmp_path, kind):
+    """The daemon lands ``REPLICATE_PUT`` objects under the tenant's read
+    lock, so restores, ``versions`` and ``verify`` (always a fresh engine)
+    run on the mirror while a sync's parts and manifest are in place and
+    its recipe and head are not: the commit must still find all of them."""
+    source_root = str(tmp_path / "source")
+    source = open_repo(source_root)
+    for index in range(3):
+        backup(source, index)
+    with mirror_of_kind(kind, tmp_path) as (mirror_root, mirror_target, open_reader):
+        session = ReplicationSession(source_root, mirror_target, journal="")
+        session.run()
+
+        backup(source, 3)
+        source.delete_oldest()
+        plan = session.plan()
+        land_without_commit(source_root, mirror_target, plan)
+        landed = capture_state(mirror_root)
+        assert set(landed["checkpoint"]) - {CHECKPOINT_NAME} > set(named_parts(mirror_root))
+        assert "manifest-00000004.txt" in landed["manifests"]
+
+        reader = open_reader()  # a cold open: every commit invalidates the engine
+        assert [v["version_id"] for v in reader.versions()] == [1, 2, 3]
+        assert restored_sha(reader, 3) == sha(version_bytes(2))
+        assert reader.stats()["versions"] == 3
+        assert reader.verify(deep=True)["ok"]
+        after_reads = capture_state(mirror_root)  # (a restore may flatten a recipe)
+        assert {k: set(v) for k, v in after_reads.items()} == {
+            k: set(v) for k, v in landed.items()
+        }, "reading deleted something"
+
+        mirror_target.commit(plan.renames, plan.deletes)
+        assert capture_state(mirror_root) == capture_state(source_root)
+        caught_up = open_reader()
+        assert [v["version_id"] for v in caught_up.versions()] == [2, 3, 4]
+        for index in range(1, 4):
+            assert restored_sha(caught_up, index + 1) == sha(version_bytes(index))
+        assert caught_up.verify(deep=True)["ok"]
+        if kind == "daemon":
+            reader.close()
+            caught_up.close()
+
+
+def test_commit_refuses_a_head_whose_part_is_not_on_the_mirror(tmp_path):
+    source, mirror_root, mirror_target, session = synced_pair(tmp_path)
+    backup(source, 3)
+    plan = session.plan()
+    land_without_commit(source.root, mirror_target, plan)
+    before = capture_state(mirror_root)
+    lost = next(iter(set(part_names(mirror_root)) - set(named_parts(mirror_root))))
+    os.remove(object_path(mirror_root, "checkpoint", lost))
+
+    with pytest.raises(ReplicationError, match=lost):
+        mirror_target.commit(plan.renames, plan.deletes)
+    del before["checkpoint"][lost]
+    assert capture_state(mirror_root) == before  # nothing was renamed
+    mirror = open_repo(mirror_root)
+    assert [v["version_id"] for v in mirror.versions()] == [1, 2, 3]  # the old head
+
+    session.run()  # the next sync ships the part again, by presence
+    assert capture_state(mirror_root) == capture_state(source.root)
+    assert open_repo(mirror_root).verify(deep=True)["ok"]
 
 
 def test_object_vocabulary_knows_head_and_parts(tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.deletion import interrupted_expiries
 from repro.core.hidestore import HiDeStore
 from repro.errors import DeletionError, VersionNotFoundError
 from repro.units import KiB
@@ -12,6 +13,44 @@ def build(workload, **kwargs):
     for stream in workload.versions():
         system.backup(stream)
     return system
+
+
+class TestInterruptedExpiry:
+    """Which recipe-less tags an open may roll forward (``finish_interrupted``)."""
+
+    def test_only_tags_older_than_every_retained_recipe(self):
+        assert interrupted_expiries([1, 2, 3, 5], retained=[3, 4, 6]) == [1, 2]
+        assert interrupted_expiries([3, 5], retained=[3, 4, 6]) == []  # 5: a lost recipe
+        assert interrupted_expiries([2, 1], retained=[]) == [1, 2]  # nothing left to read them
+
+    def test_a_lost_middle_recipe_costs_no_container(self, small_workload):
+        system = build(small_workload)
+        tagged = system.deletion.tagged_versions()
+        retained = system.version_ids()
+        middle = tagged[len(tagged) // 2]
+        assert retained[0] < middle < retained[-1]
+        stored = set(system.containers.container_ids())
+        expected = {v: list(system.restore_chunks(v)) for v in retained}
+        lost = system.recipes.peek(middle)
+        system.recipes.delete(middle)  # damage, not an expiry
+
+        assert system.deletion.finish_interrupted(system.version_ids()) == 0
+        assert system.deletion.tagged_versions() == tagged
+        assert set(system.containers.container_ids()) == stored
+        system.recipes.write(lost)  # repaired (from a mirror, say): nothing was lost
+        for version_id in retained:  # the older ones read the containers tagged ``middle``
+            assert list(system.restore_chunks(version_id)) == expected[version_id]
+
+    def test_an_expiry_that_lost_only_its_recipe_is_finished(self, small_workload):
+        system = build(small_workload)
+        oldest = system.version_ids()[0]
+        doomed = system.deletion.containers_for(oldest)
+        assert doomed
+        system.recipes.delete(oldest)  # died right after the recipe
+
+        assert system.deletion.finish_interrupted(system.version_ids()) == 1
+        assert oldest not in system.deletion.tagged_versions()
+        assert not [cid for cid in doomed if cid in system.containers]
 
 
 class TestDeleteOldest:

@@ -10,6 +10,7 @@ respect, and the CLI command surface.
 
 import asyncio
 import glob
+import json
 import os
 import threading
 
@@ -447,6 +448,49 @@ class TestRemoteSync:
 # ----------------------------------------------------------------------
 # Repair
 # ----------------------------------------------------------------------
+class _RejectedPutPool:
+    """A pool whose connection dies on its first wire write, the server's
+    ERROR frame already waiting — what a rejected ``REPLICATE_PUT`` looks
+    like from the sending side."""
+
+    def __init__(self, error):
+        self.error, self.sends, self.acquired = error, [], 0
+
+    def acquire(self):
+        self.acquired += 1
+        return self
+
+    def next_trace(self):
+        return "t-1"
+
+    def send_parts(self, parts):
+        self.sends.append([bytes(part) for part in parts])
+        raise BrokenPipeError("peer closed")
+
+    def pending_error(self):
+        return json.dumps({"error": type(self.error).__name__, "message": str(self.error)}).encode()
+
+    def close(self):
+        pass
+
+    release = staticmethod(lambda conn: None)
+
+
+@pytest.mark.parametrize("size", [0, 700, 3 * 256 * 1024], ids=["empty", "one frame", "several"])
+def test_a_rejected_put_surfaces_the_servers_error_whatever_its_size(size):
+    """A head, a manifest or a tables part is a single data frame, sent in
+    the same write as the announcement: a rejection that kills that write
+    must still arrive as the typed error, not as a retried ``OSError``."""
+    from repro.client import RemoteRepository
+
+    pool = _RejectedPutPool(ReplicationError("invalid checkpoint object name 'x'"))
+    remote = RemoteRepository(("127.0.0.1", 1), "mirror", pool=pool, retries=3, backoff=0.0)
+    with pytest.raises(ReplicationError, match="invalid checkpoint object name"):
+        remote.replicate_put("checkpoint", "checkpoint.json", b"h" * size, "", staged=True)
+    assert pool.acquired == 1 and len(pool.sends) == 1  # answered: not retried
+    assert len(pool.sends[0]) == (1 if size == 0 else 3)  # announcement [+ header + payload]
+
+
 def _first_container(repo_root):
     return sorted(glob.glob(os.path.join(str(repo_root), "containers", "*.hdsc")))[0]
 
