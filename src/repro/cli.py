@@ -207,6 +207,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
               f"{format_bytes(counters['bytes_ingested'])} ingested, "
               f"{format_bytes(counters['bytes_restored'])} restored")
     if args.metrics:
+        flat = stats.get("flat_through")
+        print("flat through:     " + (
+            f"version {flat}" if flat is not None
+            else "no mark (chain changed since its last flatten, or a fresh engine)"
+        ))
         if getattr(args, "remote", None) or getattr(args, "cluster", None):
             metrics = stats.get("metrics", {})
             if not metrics:

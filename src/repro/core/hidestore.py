@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from ..chunking.stream import BackupStream
 from ..errors import ReproError, RestoreError, VersionNotFoundError
-from ..pipeline.base import RestoreMixin
+from ..pipeline.base import RestoreMixin, pick_rows
 from ..reports import BackupReport, SystemReport
 from ..restore.base import RestoreAlgorithm
 from ..restore.faa import FAARestore
@@ -299,16 +299,51 @@ class HiDeStore(RestoreMixin):
     # Restore path (§4.4) — the shared RestoreMixin implementation over
     # three HiDeStore-specific hooks.
     # ------------------------------------------------------------------
-    def _prepare_restore(self, flatten: bool) -> None:
-        """Drain queued filter work, then (optionally) run Algorithm 1.
+    def _restore_rows(self, version_id, load, rows=None, metrics=None):
+        """Drain queued filter work, run Algorithm 1 if the chain may not be
+        flat, and resolve the rows of ``R_version`` that ``rows`` picks.
 
-        The paper performs flattening offline before restoring; pass
-        ``flatten=False`` only when the chain is known flat.
+        The paper flattens offline, before restores; the chain's
+        ``flat_through`` mark says when that is already done:
+
+        * this engine changed the chain since its last flatten (a backup,
+          drained maintenance) — flatten, whichever version is asked for;
+        * the mark is the newest version — nothing to do, no chain I/O;
+        * no mark (a freshly opened engine) — the recipe describes itself:
+          the newest is never chained (``write_fresh``) and Algorithm 1
+          never rewrites it, and an older row is what Algorithm 1 would
+          leave iff its CID is positive or ``-newest``.
+
+        A restore that skipped Algorithm 1 and finds a row still chained, or
+        a chunk missing from the active containers (a recipe replaced behind
+        the engine), runs it and retries once.
         """
         self.run_maintenance()
-        if flatten:
-            with self._lock:
+        with self._lock:
+            newest = self._next_version - 1
+            mark = self.chain.flat_through
+            ran = mark is not None and mark != newest
+            if ran:
                 self.chain.flatten()
+        try:
+            resolved = self._resolve_restore_entries(
+                pick_rows(load(version_id), rows), version_id,
+                flat_at=newest if mark is None else None,
+            )
+        except RestoreError:
+            if ran:
+                raise
+            with self._lock:
+                # Unless a concurrent restore flattened since ``mark`` was read.
+                if self.chain.flat_through == mark:
+                    self.chain.flatten()
+                    ran = True
+            resolved = self._resolve_restore_entries(
+                pick_rows(load(version_id), rows), version_id
+            )
+        if metrics is not None:
+            metrics.inc("restore.flatten_runs" if ran else "restore.flatten_skipped")
+        return resolved
 
     def _read_container(self, cid: int) -> Container:
         if cid in self.pool:
@@ -321,37 +356,37 @@ class HiDeStore(RestoreMixin):
         return super()._read_container_chunks(cid, fingerprints)
 
     def _resolve_restore_entries(
-        self, entries: List[RecipeEntry], version_id: int
+        self,
+        entries: List[RecipeEntry],
+        version_id: int,
+        flat_at: Optional[int] = None,
     ) -> List[RecipeEntry]:
         """Map every entry to a concrete (positive) container ID.
 
-        Requires a flattened chain: entries are positive, ``0`` (active) or
-        ``-newest`` (active).  Active chunks resolve through the pool's
-        location map.
+        Entries are positive, or ``0`` / negative for a chunk in the active
+        containers, which resolves through the pool's location map.  With
+        ``flat_at`` (the newest version), a negative entry is only trusted
+        to mean that if it points there — Algorithm 1's own mark — or past
+        it (a backup that died after rewriting ``R_newest``).
         """
-        newest = self.recipes.latest_version()
         resolved: List[RecipeEntry] = []
         for entry in entries:
             cid = entry.cid
             if cid <= 0:
-                location = self.pool.location.get(entry.fingerprint)
-                if location is None:
+                if cid < 0 and flat_at is not None and -cid < flat_at:
+                    raise RestoreError(
+                        f"chunk {entry.fingerprint.hex()[:8]} of version "
+                        f"{version_id} is still chained to R_{-cid}"
+                    )
+                cid = self.pool.location.get(entry.fingerprint)
+                if cid is None:
                     raise RestoreError(
                         f"chunk {entry.fingerprint.hex()[:8]} of version "
                         f"{version_id} resolves to the active containers "
-                        "but is not there (flatten the chain first?)"
+                        "but is not there"
                     )
-                if cid < 0 and -cid != newest:
-                    # A still-chained entry: legal only straight after flatten;
-                    # location map already gives the answer, so proceed.
-                    pass
-                cid = location
             resolved.append(RecipeEntry(entry.fingerprint, entry.size, cid))
         return resolved
-
-    def _resolve_entries(self, recipe: Recipe) -> List[RecipeEntry]:
-        """Back-compat wrapper over :meth:`_resolve_restore_entries`."""
-        return self._resolve_restore_entries(list(recipe.entries), recipe.version_id)
 
     # ------------------------------------------------------------------
     # Deletion (§4.5)

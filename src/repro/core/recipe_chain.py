@@ -13,7 +13,9 @@ Old recipes therefore form a forward-pointing chain.  Restoring an old
 version would walk several recipes, so Algorithm 1 (:meth:`RecipeChain.flatten`)
 is run offline before restores: it propagates concrete locations backwards
 so every entry becomes either a positive archival CID or ``-newest``
-("still in the active containers").
+("still in the active containers").  The chain remembers the version it was
+last flattened through (:attr:`RecipeChain.flat_through`), so the engine
+runs Algorithm 1 once per chain change, not once per restore.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from typing import Dict, Mapping, Optional
 
 from ..errors import RecipeError
 from ..storage.recipe import ACTIVE_CID, Recipe, RecipeStore
+
+#: :attr:`RecipeChain.flat_through` of a chain this process has changed since
+#: its last flatten (version IDs start at 1).
+NOT_FLAT = 0
 
 
 @dataclass
@@ -43,6 +49,15 @@ class RecipeChain:
     def __init__(self, recipes: RecipeStore) -> None:
         self.recipes = recipes
         self.stats = ChainStats()
+        #: Newest version of the last :meth:`flatten`, :data:`NOT_FLAT` once
+        #: :meth:`write_fresh` or :meth:`update_previous` has changed the
+        #: chain since, ``None`` while this process has done neither — then
+        #: only the stored recipes say whether they are flat.  Deleting the
+        #: oldest recipe rewrites no other, so expiry leaves the mark alone.
+        #: In memory only: a mark in the checkpoint head would have readers
+        #: writing the head, and could go stale behind a replication commit
+        #: or a repair.
+        self.flat_through: Optional[int] = None
 
     # ------------------------------------------------------------------
     def write_fresh(self, recipe: Recipe) -> None:
@@ -59,6 +74,7 @@ class RecipeChain:
                     f"fresh HiDeStore recipes cannot chain; found cid={entry.cid}"
                 )
         self.recipes.write(recipe)
+        self.flat_through = NOT_FLAT
 
     def update_previous(
         self, previous_version: int, moved: Mapping[bytes, int], next_version: int
@@ -88,6 +104,7 @@ class RecipeChain:
                 entry.cid = -next_version
             rewritten += 1
         self.recipes.write(recipe)
+        self.flat_through = NOT_FLAT
         self.stats.previous_updates += 1
         self.stats.entries_rewritten += rewritten
         self.stats.update_seconds += time.perf_counter() - started
@@ -131,49 +148,8 @@ class RecipeChain:
                     rewritten += 1
             if changed:
                 self.recipes.write(recipe)
+        self.flat_through = newest
         self.stats.flatten_runs += 1
         self.stats.entries_rewritten += rewritten
         self.stats.flatten_seconds += time.perf_counter() - started
         return rewritten
-
-    # ------------------------------------------------------------------
-    def resolve_entry_location(
-        self, fingerprint: bytes, cid: int, newest: int, max_hops: int = 64
-    ) -> int:
-        """Follow the chain for one entry without flattening.
-
-        Returns a positive archival CID, or ``ACTIVE_CID`` when the chunk is
-        in the active containers.  Used by tests and by restores that skip
-        the offline flatten.
-        """
-        hops = 0
-        current = cid
-        while True:
-            if current > 0:
-                return current
-            if current == ACTIVE_CID:
-                return ACTIVE_CID
-            target = -current
-            if target > newest:
-                return ACTIVE_CID
-            hops += 1
-            if hops > max_hops:
-                raise RecipeError(
-                    f"recipe chain for {fingerprint.hex()[:8]} exceeds {max_hops} hops"
-                )
-            recipe = self.recipes.read(target)
-            found = None
-            for entry in recipe.entries:
-                if entry.fingerprint == fingerprint:
-                    found = entry.cid
-                    break
-            if found is None:
-                raise RecipeError(
-                    f"chain for {fingerprint.hex()[:8]} points to R_{target}, "
-                    "which does not contain the chunk"
-                )
-            if target == newest and found == ACTIVE_CID:
-                return ACTIVE_CID
-            if found == current and target == newest:
-                return ACTIVE_CID
-            current = found

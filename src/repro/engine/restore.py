@@ -233,12 +233,10 @@ def restore_stream(
     version_id: int,
     *,
     restorer: Optional[RestoreAlgorithm] = None,
-    flatten: bool = True,
     workers: int = 1,
     readahead: Optional[int] = None,
     verify: bool = False,
-    start: Optional[int] = None,
-    stop: Optional[int] = None,
+    rows: Optional[Callable[[Sequence[RecipeEntry]], slice]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Iterator[Chunk]:
     """Restore a version (or an entry range) through the scheduler layer.
@@ -249,13 +247,15 @@ def restore_stream(
     restore_scheduler`, then executes serially (``workers=1``) or with the
     prefetching pool.  ``verify`` re-hashes every chunk against its recipe
     fingerprint (typed :class:`~repro.errors.RestoreError` on mismatch).
+    ``rows`` picks a partial restore's entry range from the version's
+    recipe entries, so locating it costs no second recipe read.
     """
     if workers < 1:
         raise RestoreError(f"restore workers must be >= 1, got {workers}")
     if readahead is not None and readahead < 1:
         raise RestoreError(f"readahead must be >= 1, got {readahead}")
     registry = metrics if metrics is not None else get_registry()
-    entries = system.resolved_restore_range(version_id, start, stop, flatten)
+    entries = system.resolved_restore_range(version_id, rows, registry)
     plan = system.restore_scheduler(restorer).plan(entries)
     reader = system._read_container
     chunk_reader = getattr(system, "_read_container_chunks", None)

@@ -13,16 +13,19 @@ module foregrounds the shared surface:
   :mod:`~repro.pipeline.schemes` are typed against it, so callers never
   need to know which concrete engine they received.
 * :class:`RestoreMixin` — the shared restore-path implementation, written
-  once over three small hooks (:meth:`RestoreMixin._prepare_restore`,
-  :meth:`RestoreMixin._resolve_restore_entries`,
-  :meth:`RestoreMixin._read_container`) that the engines override where
-  their semantics genuinely differ (HiDeStore drains queued maintenance
-  and flattens the recipe chain before resolving active-chunk locations).
+  once over three small hooks (:meth:`RestoreMixin._restore_rows`,
+  :meth:`RestoreMixin._read_container`,
+  :meth:`RestoreMixin._read_container_chunks`) that the engines override
+  where their semantics genuinely differ (HiDeStore drains queued
+  maintenance, flattens the recipe chain if it has changed, and resolves
+  active-chunk locations).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, List, Optional, Protocol, runtime_checkable,
+)
 
 from ..chunking.stream import BackupStream, Chunk
 from ..errors import VersionNotFoundError
@@ -31,9 +34,19 @@ from ..restore.base import RestoreAlgorithm, RestoreResult
 from ..restore.scheduler import scheduler_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..observability import MetricsRegistry
     from ..restore.scheduler import RestoreScheduler
     from ..storage.container import Container
-    from ..storage.recipe import RecipeEntry
+    from ..storage.recipe import Recipe, RecipeEntry
+
+    #: Maps a recipe's entries to the slice of them a partial restore wants.
+    RowPicker = Callable[[List[RecipeEntry]], slice]
+
+
+def pick_rows(recipe: "Recipe", rows: "Optional[RowPicker]") -> "List[RecipeEntry]":
+    """A copy of the recipe's entry list, narrowed to what ``rows`` picks."""
+    entries = recipe.entries
+    return entries[slice(None) if rows is None else rows(entries)]
 
 
 @runtime_checkable
@@ -53,14 +66,12 @@ class BackupEngine(Protocol):
         self,
         version_id: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> RestoreResult: ...
 
     def restore_chunks(
         self,
         version_id: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> Iterator[Chunk]: ...
 
     def restore_entry_range(
@@ -69,7 +80,6 @@ class BackupEngine(Protocol):
         start: int,
         stop: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> Iterator[Chunk]: ...
 
     def version_ids(self) -> List[int]: ...
@@ -88,26 +98,26 @@ class RestoreMixin:
     Concrete engines provide ``recipes``, ``containers``, ``io`` and
     ``restorer`` attributes and may override the hooks:
 
-    * :meth:`_prepare_restore` — run before reading the recipe (HiDeStore
-      drains queued maintenance and flattens the recipe chain here);
-    * :meth:`_resolve_restore_entries` — map recipe entries to concrete
-      container IDs (HiDeStore resolves active-chunk markers here);
+    * :meth:`_restore_rows` — load a version's recipe and map its rows to
+      concrete container IDs (HiDeStore drains queued maintenance, runs
+      Algorithm 1 when the chain has changed since it last did, and
+      resolves active-chunk markers here);
     * :meth:`_read_container` — fetch one container by ID (HiDeStore routes
       active containers through its pool here).
-
-    The ``flatten`` argument is HiDeStore's "run Algorithm 1 first" switch;
-    engines without a recipe chain accept and ignore it, so callers can use
-    one signature for every scheme.
     """
 
-    def _prepare_restore(self, flatten: bool) -> None:
-        """Hook: bring the store into a restorable state (default no-op)."""
-
-    def _resolve_restore_entries(
-        self, entries: "List[RecipeEntry]", version_id: int
+    def _restore_rows(
+        self,
+        version_id: int,
+        load: "Callable[[int], Recipe]",
+        rows: "Optional[RowPicker]" = None,
+        metrics: "Optional[MetricsRegistry]" = None,
     ) -> "List[RecipeEntry]":
-        """Hook: map entries to concrete container IDs (default identity)."""
-        return entries
+        """Hook: the rows of ``load(version_id)`` that ``rows`` picks (all
+        of them by default) with concrete container IDs, the store brought
+        into a restorable state first (default: the rows as recorded).
+        ``metrics`` receives what the hook counts."""
+        return pick_rows(load(version_id), rows)
 
     def _read_container(self, cid: int) -> "Container":
         """Hook: fetch one container (default: the archival store)."""
@@ -133,24 +143,22 @@ class RestoreMixin:
     def resolved_restore_range(
         self,
         version_id: int,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-        flatten: bool = True,
+        rows: "Optional[RowPicker]" = None,
+        metrics: "Optional[MetricsRegistry]" = None,
     ) -> "List[RecipeEntry]":
         """Prepare the store and resolve a version's entries for restoring.
 
         The one entry-resolution path every restore flavour shares: full
-        restores (``start is None``), partial entry-range restores, the
-        serial algorithm layer and the pipelined engine all come through
-        here, so maintenance draining / chain flattening / active-chunk
-        resolution happen identically everywhere.
+        restores (``rows is None``), partial restores (``rows`` maps the
+        recipe's entries to the slice wanted, so a caller that locates its
+        range by entry size costs no second recipe read), the serial
+        algorithm layer and the pipelined engine all come through here, so
+        maintenance draining / chain flattening / active-chunk resolution
+        happen identically everywhere.
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")
-        self._prepare_restore(flatten)
-        recipe = self.recipes.read(version_id)
-        rows = recipe.entries if start is None else recipe.entries[start:stop]
-        return self._resolve_restore_entries(list(rows), version_id)
+        return self._restore_rows(version_id, self.recipes.read, rows, metrics)
 
     def restore_scheduler(
         self, restorer: Optional[RestoreAlgorithm] = None
@@ -169,10 +177,9 @@ class RestoreMixin:
         self,
         version_id: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> Iterator[Chunk]:
         """Stream a stored version's chunks in original order."""
-        entries = self.resolved_restore_range(version_id, flatten=flatten)
+        entries = self.resolved_restore_range(version_id)
         algorithm = restorer if restorer is not None else self.restorer
         return algorithm.restore(entries, self._read_container)
 
@@ -182,14 +189,15 @@ class RestoreMixin:
         start: int,
         stop: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> Iterator[Chunk]:
         """Restore a contiguous slice of a version's recipe entries.
 
         Used for partial restores (e.g. one file out of a snapshot): only
         the containers covering entries ``[start, stop)`` are read.
         """
-        entries = self.resolved_restore_range(version_id, start, stop, flatten)
+        entries = self.resolved_restore_range(
+            version_id, lambda _entries: slice(start, stop)
+        )
         algorithm = restorer if restorer is not None else self.restorer
         return algorithm.restore(entries, self._read_container)
 
@@ -197,12 +205,11 @@ class RestoreMixin:
         self,
         version_id: int,
         restorer: Optional[RestoreAlgorithm] = None,
-        flatten: bool = True,
     ) -> RestoreResult:
         """Restore a version, returning container-read accounting."""
         before = self.io.snapshot()
         result = RestoreResult()
-        for chunk in self.restore_chunks(version_id, restorer, flatten):
+        for chunk in self.restore_chunks(version_id, restorer):
             result.chunks += 1
             result.logical_bytes += chunk.size
         result.container_reads = self.io.delta(before).container_reads
@@ -237,6 +244,4 @@ class RestoreMixin:
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")
-        self._prepare_restore(flatten=True)
-        recipe = self.recipes.peek(version_id)
-        return self._resolve_restore_entries(list(recipe.entries), version_id)
+        return self._restore_rows(version_id, self.recipes.peek)

@@ -246,6 +246,28 @@ def materialize(plan: FilePlan, data: Iterable[bytes], target: str) -> int:
     return restored
 
 
+def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, int]:
+    """Locate ``size`` bytes at ``offset`` of a version's chunk stream.
+
+    Returns the entry range ``[start, stop)`` covering the bytes and their
+    offset within the first entry (``head_skip``).  Offsets come from the
+    manifest (files concatenate in manifest order); ``sizes`` are the
+    recipe's entry sizes, which no chain rewrite changes.
+    """
+    start = stop = len(sizes)
+    position = 0
+    for i, entry_size in enumerate(sizes):
+        if position + entry_size > offset and start == len(sizes):
+            start = i
+        if position >= offset + size:
+            stop = i
+            break
+        position += entry_size
+    if size == 0:
+        start = stop = 0
+    return start, stop, offset - sum(sizes[:start])
+
+
 class LocalRepository:
     """An on-disk HiDeStore repository behind the shared front-end surface.
 
@@ -544,21 +566,36 @@ class LocalRepository:
 
         store = self._open()
         plan = self.restore_plan(version_id)
-        start = stop = None
-        head_skip = 0
+        offset = 0
         length: Optional[int] = None
         if file is not None:
-            plan, start, stop, head_skip, length = self._partial_spec(
-                store, version_id, plan, file
-            )
+            for name, size in plan:
+                if name == file:
+                    plan, length = [(file, size)], size
+                    break
+                offset += size
+            else:
+                raise VersionNotFoundError(
+                    f"no file {file!r} in version {version_id}"
+                )
 
         def data() -> Iterator[bytes]:
             started = time.perf_counter()
-            skip, remaining = head_skip, length
+            skip, remaining = 0, length
+
+            def rows(entries) -> slice:
+                # Located in the recipe the restore decodes anyway: one
+                # recipe read per restore, partial or whole.
+                nonlocal skip
+                start, stop, skip = _covering_rows(
+                    [entry.size for entry in entries], offset, length
+                )
+                return slice(start, stop)
+
             for chunk in restore_stream(
                 store, version_id,
                 workers=workers, readahead=readahead, verify=verify,
-                start=start, stop=stop, metrics=self.metrics,
+                rows=None if file is None else rows, metrics=self.metrics,
             ):
                 if chunk.data is None:
                     raise ReproError("repository chunk carries no payload")
@@ -578,44 +615,6 @@ class LocalRepository:
             self.metrics.observe("repo.restore_seconds", time.perf_counter() - started)
 
         return plan, data()
-
-    def _partial_spec(
-        self, store: HiDeStore, version_id: int, plan: FilePlan, rel: str
-    ) -> Tuple[FilePlan, int, int, int, int]:
-        """Locate one file inside a version's chunk stream.
-
-        Returns the single-file plan plus the entry range ``[start, stop)``
-        covering the file's bytes, the byte offset of the file within the
-        first entry (``head_skip``) and the file length.  Offsets come from
-        the manifest (files concatenate in manifest order); entry sizes are
-        chain-invariant, so the range computed from the un-flattened recipe
-        stays valid after Algorithm 1 runs.
-        """
-        offset = 0
-        size: Optional[int] = None
-        for name, file_size in plan:
-            if name == rel:
-                size = file_size
-                break
-            offset += file_size
-        if size is None:
-            raise VersionNotFoundError(
-                f"no file {rel!r} in version {version_id}"
-            )
-        sizes = [entry.size for entry in store.recipes.peek(version_id).entries]
-        start = stop = len(sizes)
-        position = 0
-        for i, entry_size in enumerate(sizes):
-            if position + entry_size > offset and start == len(sizes):
-                start = i
-            if position >= offset + size:
-                stop = i
-                break
-            position += entry_size
-        if size == 0:
-            start = stop = 0
-        head_skip = offset - sum(sizes[:start])
-        return [(rel, size)], start, stop, head_skip, size
 
     # ------------------------------------------------------------------
     # Introspection + deletion
@@ -640,6 +639,9 @@ class LocalRepository:
             "containers_read": store.io.container_reads,
             "containers_written": store.io.container_writes,
             "pending_maintenance": store.pending_maintenance,
+            # Newest version Algorithm 1 has flattened through, if this
+            # engine knows (see RecipeChain.flat_through).
+            "flat_through": store.chain.flat_through or None,
         }
 
     def delete_oldest(self) -> Dict:

@@ -11,8 +11,9 @@ Five groups, in the order the format is argued in ``core/checkpoint.py``:
   archival containers the parent commit wrote);
 * damage — a part that disagrees with the head is a typed error that names
   it, and ``verify`` reports it;
-* every crash point of the new write order, enumerated on ``sqlite://``
-  behind ``FaultInjectingBackend``;
+* every crash point of the new write order — and of one restore-triggered
+  chain flatten — enumerated on ``sqlite://`` behind
+  ``FaultInjectingBackend``;
 
 then the replication planner's view of head and parts.
 """
@@ -464,18 +465,20 @@ def copy_objects(source_spec, target_spec):
         target.close()
 
 
-def build_v2(db, version=version_bytes):
+def build_v2(db, version=version_bytes, count=4):
     repo = open_repo(f"sqlite://{db}")
-    for index in range(4):
+    for index in range(count):
         backup(repo, index, version)
     repo.storage.close()
-    return {i + 1: sha(version(i)) for i in range(4)}
+    return {i + 1: sha(version(i)) for i in range(count)}
 
 
 def build_v1(db):
     copy_objects(FIXTURE_V1, f"sqlite://{db}")
     return load_expected()
 
+
+FLATTEN = "restore-triggered flatten"
 
 SCENARIOS = {
     "incremental backup": (build_v2, lambda repo: backup(repo, 4), {5: sha(version_bytes(4))}),
@@ -487,6 +490,9 @@ SCENARIOS = {
     ),
     "delete_oldest": (build_v2, lambda repo: repo.delete_oldest(), {}),
     "v1 to v2 upgrade save": (build_v1, lambda repo: backup(repo, 3), {4: sha(version_bytes(3))}),
+    # A reader's only writes: six backups nobody restored leave R_1..R_4
+    # chained, and a fresh engine restoring version 1 runs Algorithm 1.
+    FLATTEN: (lambda db: build_v2(db, count=6), lambda repo: restored_sha(repo, 1), {}),
 }
 
 
@@ -501,6 +507,13 @@ def check_recovered(spec, digests, next_version_before):
     assert listed[-1] < engine._next_version
     for version_id in listed:
         assert restored_sha(repo, version_id) == digests[version_id], version_id
+    # Whatever a dead flatten left half done, those restores finished: no
+    # row chains to an older recipe (a dead backup's rewrite of the newest
+    # may point past it, which reads "active" like ``-newest`` does).
+    for version_id in listed:
+        for entry in engine.recipes.peek(version_id).entries:
+            assert entry.cid > 0 or -entry.cid >= listed[-1] or version_id == listed[-1]
+    flat = capture_state(spec)["recipes"]
     for version in engine.deletion.tagged_versions():
         assert version in listed, f"tag of version {version} outlived its recipe"
         for cid in engine.deletion.containers_for(version):
@@ -521,6 +534,7 @@ def check_recovered(spec, digests, next_version_before):
     assert sorted(repo.storage.manifest_ids()) == [*listed, new]
     assert open_repo(spec).verify(deep=True)["ok"]
     repo.storage.close()
+    return flat
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -549,12 +563,18 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
         return spec, seen.log
 
     _, recorded = attempt()
-    assert ("put_meta", CHECKPOINT_NAME) in recorded
+    if scenario == FLATTEN:  # recipes and nothing else: a reader never writes the head
+        assert len(recorded) == 4
+        assert all(op == "put_meta" and "/recipe-" in name for op, name in recorded), recorded
+    else:
+        assert ("put_meta", CHECKPOINT_NAME) in recorded
     points = 0
+    flattened = set()
     for done in range(len(recorded)):  # dies before mutation ``done`` (0-based)
         spec, log = attempt(crash_after=done)
         assert log == recorded[:done], "the run is not deterministic"
-        check_recovered(spec, digests, next_version_before)
+        flat = check_recovered(spec, digests, next_version_before)
+        flattened.add(json.dumps(flat, sort_keys=True))
         points += 1
     for done, (op, name) in enumerate(recorded):  # dies tearing a part write
         if op == "put_meta" and is_part(name):
@@ -564,10 +584,12 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
             check_recovered(spec, digests, next_version_before)
             points += 1
     spec, _ = attempt()  # and the run nothing killed
-    check_recovered(spec, digests, next_version_before)
+    flat = check_recovered(spec, digests, next_version_before)
+    if scenario == FLATTEN:  # wherever it died, the next restore wrote the same recipes
+        assert flattened == {json.dumps(flat, sort_keys=True)}
     record_property("crash_points", points)
     print(f"{scenario}: {points} crash points over {len(recorded)} mutations, all recovered")
-    assert points >= len(recorded) + (1 if scenario != "delete_oldest" else 0)
+    assert points >= len(recorded) + (1 if scenario not in ("delete_oldest", FLATTEN) else 0)
 
 
 def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path):

@@ -296,9 +296,10 @@ class TestReplicateWireCorruption:
 class TestKillMidBackup:
     def test_sigkill_mid_backup_leaves_no_partial_version(self, tmp_path):
         """Killing the daemon while a backup has a container in flight must
-        leave the repository either without the new version entirely or
-        with it complete — never torn — and a restarted daemon serves it."""
+        leave the repository without the new version — never torn — and a
+        restarted daemon serves it."""
         import threading
+        import time
 
         from repro.chaos.faults import FaultController
         from repro.client import RemoteRepository
@@ -313,25 +314,34 @@ class TestKillMidBackup:
             repo = RemoteRepository(f"127.0.0.1:{port}", "tenant-a")
             try:
                 repo.backup_tree(tree, tag="v1")
-                # Kill the daemon from another thread the moment the
-                # victim backup writes a container.
+                # The trigger runs in the victim put's own thread.  It keeps
+                # that put in flight until the daemon is going down, and then
+                # the put never lands — as under a real SIGKILL — so the
+                # backup cannot win the race, and kill() still returns on a
+                # rolled-back repository (it waits for the engine thread).
                 fired = threading.Event()
+
+                def die_in_flight(_url, name):
+                    fired.set()
+                    deadline = time.monotonic() + 30.0
+                    while not daemon.daemon.draining and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                    raise StorageError(f"daemon killed with {name!r} in flight")
+
                 controller.arm(
-                    "trigger",
-                    op="put",
-                    match_name="container",
-                    callback=lambda _url, _name: fired.set(),
+                    "trigger", op="put", match_name="container",
+                    callback=die_in_flight,
                 )
                 killer = threading.Thread(
-                    target=lambda: (fired.wait(10.0), daemon.kill())
+                    target=lambda: fired.wait(30.0) and daemon.kill()
                 )
                 killer.start()
                 churned = _daemon_tree(str(tmp_path / "tree"), files=4,
                                        size=60_000, seed=9)
                 with pytest.raises((ReproError, OSError)):
                     repo.backup_tree(churned, tag="v2")
-                killer.join(timeout=15.0)
-                assert fired.is_set()
+                killer.join(timeout=30.0)
+                assert fired.is_set() and not killer.is_alive()
             finally:
                 repo.close()
 
@@ -340,7 +350,7 @@ class TestKillMidBackup:
                 again = RemoteRepository(address, "tenant-a")
                 try:
                     ids = [row["version_id"] for row in again.versions()]
-                    assert ids in ([1], [1, 2])
+                    assert ids == [1]
                     assert again.verify(deep=True)["ok"]
                     # And the tenant accepts new work immediately.
                     report = again.backup_tree(churned, tag="after-restart")

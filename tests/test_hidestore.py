@@ -118,7 +118,7 @@ class TestRestore:
 
     def test_restore_without_flatten_of_newest_works(self, small_workload):
         system = run(small_workload)
-        restored = list(system.restore_chunks(8, flatten=False))
+        restored = list(system.restore_chunks(8))
         assert len(restored) == len(small_workload.version(8))
 
     def test_payload_round_trip(self):

@@ -124,28 +124,3 @@ class TestFlatten:
         chain.flatten()
         r1 = chain.recipes.peek(1).entries[0]
         assert r1.cid == 20
-
-
-class TestResolveEntryLocation:
-    def test_positive_passthrough(self, chain):
-        assert chain.resolve_entry_location(fp(1), 5, newest=3) == 5
-
-    def test_active_passthrough(self, chain):
-        assert chain.resolve_entry_location(fp(1), ACTIVE_CID, newest=3) == ACTIVE_CID
-
-    def test_follows_chain_to_archival(self, chain):
-        build_chained_history(chain)
-        # R_1's entry for chunk 2 chains to R_2, where it is archived in 12.
-        assert chain.resolve_entry_location(fp(2), -2, newest=3) == 12
-
-    def test_follows_chain_to_active(self, chain):
-        build_chained_history(chain)
-        assert chain.resolve_entry_location(fp(3), -2, newest=3) == ACTIVE_CID
-
-    def test_pointer_past_newest_means_active(self, chain):
-        assert chain.resolve_entry_location(fp(1), -9, newest=3) == ACTIVE_CID
-
-    def test_broken_chain_raises(self, chain):
-        chain.write_fresh(fresh_recipe(2, [7]))
-        with pytest.raises(RecipeError):
-            chain.resolve_entry_location(fp(1), -2, newest=3)
