@@ -926,8 +926,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="seconds in-flight sessions get to finish on shutdown")
     p.add_argument("--restore-workers", type=_positive_int, default=4,
-                   help="cap (and default) for the per-restore prefetching "
-                        "container-reader pool")
+                   help="cap on the prefetching container-reader pool a "
+                        "restore may ask for with --workers (a restore "
+                        "that asks for none is served serially)")
     p.add_argument("--log-json", metavar="PATH|-", default=None,
                    help="write structured JSON-lines events (sessions, "
                         "per-request begin/end with trace IDs) to a file, "

@@ -51,8 +51,14 @@ MAX_PAYLOAD = 32 * 1024 * 1024
 #: Default credit window: data frames in flight before an ack is required.
 DEFAULT_WINDOW = 64
 
-#: Preferred payload size for CHUNK_DATA frames (streaming granularity).
+#: Preferred payload size for CHUNK_DATA frames on ingest and replication
+#: (streaming granularity; the credit window counts these).
 DATA_BLOCK = 256 * 1024
+
+#: Smallest CHUNK_DATA payload a restore ships (the last frame of a stream
+#: excepted): the daemon joins chunk blobs up to at least this much, so an
+#: 8 MiB version is eight frames, not thirty-two.
+RESTORE_BLOCK = 1024 * 1024
 
 _HEADER = struct.Struct("<IB")
 HEADER_SIZE = _HEADER.size
@@ -132,9 +138,9 @@ def frame_parts(ftype: FrameType, payload=b"") -> Tuple[bytes, "bytes | memoryvi
 def encode_data_header(length: int) -> bytes:
     """Just the header of a CHUNK_DATA frame whose body follows separately.
 
-    Lets a sender scatter one logical data frame out of many buffers
-    (``writer.writelines([header, *blobs])``) or stream the body straight
-    off disk (``os.sendfile``) without assembling it in user space.
+    Lets a sender put the header into the join that builds the body anyway
+    (a restore frame) or stream the body straight off disk
+    (``os.sendfile``) without copying it behind a header first.
     """
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"frame payload of {length} B exceeds {MAX_PAYLOAD} B")
@@ -204,20 +210,23 @@ def raise_remote_error(payload: bytes) -> None:
 
 
 class FrameDecoder:
-    """Incremental zero-copy frame decoder over an untrusted byte stream.
+    """Incremental frame decoder over an untrusted, arbitrarily sliced stream.
 
-    Feed it arbitrarily sliced network reads; it yields complete
+    Feed it network reads of any size; it yields complete
     ``(FrameType, payload)`` pairs and raises :class:`ProtocolError` on
     garbage (unknown type, oversized payload).  Sans-I/O: usable from the
-    blocking client, the asyncio server, and tests alike.
+    blocking client and tests alike.
 
-    Received buffers are kept as a list of :class:`memoryview`\\ s over the
-    immutable ``bytes`` the socket handed us — ``CHUNK_DATA`` payloads
-    landing inside one read come back as a *slice of the receive buffer*,
-    never a copy (the dominant case: a restore's 256 KiB data frames vs
-    the default 256 KiB socket reads).  Only frames straddling a read
-    boundary pay one reassembly copy.  Control payloads are returned as
-    ``bytes`` — they are small, and JSON decoding copies regardless.
+    It is the reader for bytes that arrive *unasked*: the client's
+    non-blocking ``sweep`` / ``pending_error`` drains feed it whatever the
+    kernel holds, and :meth:`Connection.recv_frame
+    <repro.client.remote.Connection.recv_frame>` falls back to it while it
+    still buffers a partial frame.  The streaming path does not go through
+    it — ``recv_frame`` reads a header and then exactly one payload — because
+    a data frame's 5-byte header makes every payload straddle a
+    same-sized socket read, and a straddling payload costs a reassembly copy
+    here.  A payload that does land inside one fed buffer comes back as a
+    ``memoryview`` slice of it; control payloads are returned as ``bytes``.
     """
 
     def __init__(self) -> None:

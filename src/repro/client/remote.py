@@ -37,9 +37,11 @@ from ..observability import EventLogger, MetricsRegistry, get_registry, new_trac
 from ..repository import FilePlan, stream_blocks
 from .protocol import (
     DATA_BLOCK,
+    HEADER_SIZE,
     FrameDecoder,
     FrameType,
     check_hello,
+    decode_header,
     decode_json,
     encode_frame,
     encode_json,
@@ -165,23 +167,50 @@ class Connection:
             self.broken = True
             raise
 
+    def _recv_into(self, view: memoryview) -> int:
+        """One blocking read under the per-operation timeout (never 0 bytes)."""
+        try:
+            got = self._sock.recv_into(view)
+        except socket.timeout as exc:
+            self.broken = True
+            raise TimeoutExceededError(
+                f"no response within {self.timeout:.1f}s"
+            ) from exc
+        except OSError:
+            self.broken = True
+            raise
+        if not got:
+            self.broken = True
+            raise RemoteError("server closed the connection")
+        return got
+
+    def _recv_exactly(self, size: int) -> bytearray:
+        buffer = bytearray(size)
+        view = memoryview(buffer)
+        while len(view):
+            view = view[self._recv_into(view):]
+        return buffer
+
     def recv_frame(self) -> Tuple[FrameType, bytes]:
-        """Block for the next complete frame (per-operation timeout)."""
+        """Block for the next complete frame (per-operation timeout).
+
+        With nothing buffered — every frame of a healthy stream — the
+        header is read on its own and the payload straight into a buffer
+        of exactly its size: one copy out of the kernel, none after.  Bytes
+        a ``sweep`` or ``pending_error`` drain already fed the decoder are
+        finished through the decoder.
+        """
+        if not self._frames and not self._decoder.pending:
+            length, ftype = decode_header(self._recv_exactly(HEADER_SIZE))
+            if not length:
+                return ftype, b""
+            payload = self._recv_exactly(length)
+            if ftype == FrameType.CHUNK_DATA:
+                return ftype, memoryview(payload)
+            return ftype, bytes(payload)
         while not self._frames:
-            try:
-                data = self._sock.recv(_RECV_SIZE)
-            except socket.timeout as exc:
-                self.broken = True
-                raise TimeoutExceededError(
-                    f"no response within {self.timeout:.1f}s"
-                ) from exc
-            except OSError:
-                self.broken = True
-                raise
-            if not data:
-                self.broken = True
-                raise RemoteError("server closed the connection")
-            self._frames.extend(self._decoder.feed(data))
+            view = memoryview(bytearray(_RECV_SIZE))
+            self._frames.extend(self._decoder.feed(bytes(view[: self._recv_into(view)])))
         return self._frames.pop(0)
 
     def pending_error(self) -> Optional[bytes]:
@@ -572,7 +601,9 @@ class RemoteRepository:
         The keyword knobs mirror :meth:`LocalRepository.restore` and ride in
         the ``RESTORE_BEGIN`` payload: ``workers``/``readahead`` size the
         server's prefetching container-reader pool (the daemon clamps to its
-        own cap), ``verify`` re-hashes chunks server-side before they hit
+        own cap; with no ``workers`` it restores serially, which is fastest
+        unless container reads block on a slow backend), ``verify``
+        re-hashes chunks server-side before they hit
         the wire, ``file`` restores a single manifest-relative file.  Old
         servers ignore unknown payload keys, so every combination degrades
         to a plain serial full restore.

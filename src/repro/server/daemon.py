@@ -7,7 +7,10 @@ credit-bounded queue — the loop-side session enqueues ``CHUNK_DATA``
 payloads as frames arrive, the engine-side thread dequeues them as the
 chunker demands bytes, and consumption notifications flow back to the loop
 to grant the client more window.  At most *window* data frames are ever
-buffered per backup, however fast the client pushes.
+buffered per backup, however fast the client pushes.  A restore runs the
+other way through :class:`_RestorePump`: one engine thread per restore
+builds whole frames and the loop only writes them, at most four ahead of
+the socket.
 
 Failure semantics: a backup whose session dies (disconnect, cancellation
 during shutdown) aborts the engine thread, which rolls the repository back
@@ -35,6 +38,7 @@ from ..client.protocol import (
     MAGIC,
     MAX_PAYLOAD,
     PROTOCOL_VERSION,
+    RESTORE_BLOCK,
     FrameType,
     check_hello,
     decode_header,
@@ -67,11 +71,12 @@ from .registry import RepoHandle, RepositoryRegistry
 #: checkpoint grows with the fingerprint tables but stays far below this).
 _MAX_OBJECT = 1 << 30
 
-#: Sentinel closing a backup's block queue (client sent BACKUP_END).
+#: Sentinel closing a stream handed between the loop and an engine thread:
+#: a backup's block queue (client sent BACKUP_END), a restore pump's frames.
 _EOF = object()
 
-#: Chunk-data blobs pulled per thread hop on the restore path.
-_RESTORE_BATCH = 32
+#: Restore frames handed to the event loop but not yet written and drained.
+_RESTORE_WINDOW = 4
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
@@ -82,15 +87,93 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
     return ftype, payload
 
 
-def _pull_batch(iterator, limit: int) -> list:
-    """Drain up to ``limit`` items from a blocking iterator (thread-side)."""
-    batch = []
-    try:
-        for _ in range(limit):
-            batch.append(next(iterator))
-    except StopIteration:
-        pass
-    return batch
+class _RestorePump(threading.Thread):
+    """One restore's engine thread: plan, read, assemble, frame.
+
+    Runs the repository's whole restore iterator off the event loop and
+    hands the loop first the file plan, then ready-to-write ``CHUNK_DATA``
+    frames of at least ``RESTORE_BLOCK`` payload bytes.  ``_offer`` blocks
+    while ``_RESTORE_WINDOW`` items are handed over but not yet written, so
+    a restore holds at most that many frames plus the one being built, and
+    a slow socket stalls the engine instead of filling memory.  The thread's
+    last item is always terminal — ``_EOF`` or the exception that ended the
+    stream — and bypasses the window: whoever waits for it knows the thread
+    has left the repository.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, open_restore) -> None:
+        super().__init__(name="restore-pump", daemon=True)
+        self._loop = loop
+        self._open = open_restore
+        self._window = threading.Semaphore(_RESTORE_WINDOW)
+        self._stopped = False
+        self._holding = False
+        self.queue: asyncio.Queue = asyncio.Queue()
+        self.finished = False
+        self.chunks = 0
+
+    def _offer(self, item: object) -> None:
+        self._window.acquire()
+        if self._stopped:
+            raise RemoteError("restore session aborted")
+        self._loop.call_soon_threadsafe(self.queue.put_nowait, item)
+
+    def run(self) -> None:
+        last: object = _EOF
+        try:
+            plan, data = self._open()
+            self._offer(plan)
+            parts, size = [], 0
+            for blob in data:
+                self.chunks += 1
+                parts.append(blob)
+                size += len(blob)
+                if size >= RESTORE_BLOCK:
+                    # The join is the one copy a frame costs; the header
+                    # rides in it so the loop makes a single write.
+                    self._offer(b"".join([encode_data_header(size), *parts]))
+                    parts, size = [], 0
+            if size:
+                self._offer(b"".join([encode_data_header(size), *parts]))
+        except BaseException as exc:  # forwarded: take() re-raises it on the loop
+            last = exc
+        try:
+            self._loop.call_soon_threadsafe(self.queue.put_nowait, last)
+        except RuntimeError:
+            pass  # loop closed: the daemon was killed while we were in the engine
+
+    async def _next(self) -> object:
+        item = await self.queue.get()
+        self.finished = item is _EOF or isinstance(item, BaseException)
+        return item
+
+    async def take(self) -> object:
+        """Loop-side: the next item, ``None`` at the end of the stream.
+
+        Asking for the next item is what frees the previous one's window
+        slot — the caller has written and drained it by then.  Raises
+        whatever ended the engine's stream early.
+        """
+        if self._holding:
+            self._window.release()
+        item = await self._next()
+        self._holding = True
+        if not self.finished:
+            return item
+        if item is _EOF:
+            return None
+        raise item
+
+    def stop(self) -> None:
+        """Loop-side: make the thread's next (or current) ``_offer`` fail."""
+        self._stopped = True
+        self._window.release()
+
+    async def close(self) -> None:
+        """Loop-side: stop the thread and wait until it is out of the engine."""
+        self.stop()
+        while not self.finished:
+            await self._next()
 
 
 class _EndSession(Exception):
@@ -399,13 +482,17 @@ class _Session:
     def _restore_options(self, obj: dict) -> dict:
         """Vet the client's restore knobs against the daemon's limits.
 
-        Unknown keys are ignored (old clients), requested parallelism is
-        clamped to the operator's ``restore_workers`` cap, and the partial
-        ``file`` name gets the same traversal vetting as backup plans.
+        Unknown keys are ignored (old clients), a request that names no
+        ``workers`` is served serially (as ``LocalRepository.restore``
+        does), requested parallelism is clamped to the operator's
+        ``restore_workers`` cap, and the partial ``file`` name gets the
+        same traversal vetting as backup plans.
         """
-        cap = self.daemon.restore_workers
         requested = obj.get("workers")
-        workers = cap if requested is None else max(1, min(int(requested), cap))
+        workers = (
+            1 if requested is None
+            else max(1, min(int(requested), self.daemon.restore_workers))
+        )
         readahead = obj.get("readahead")
         if readahead is not None:
             readahead = max(1, min(int(readahead), 64))
@@ -440,69 +527,66 @@ class _Session:
                 )
         async with handle.lock.read_locked():
             handle.active_ops += 1
+            pump = _RestorePump(
+                asyncio.get_running_loop(),
+                lambda: handle.repository.restore(version, **options),
+            )
+            pump.start()
             try:
-                plan, data = await asyncio.to_thread(
-                    lambda: handle.repository.restore(version, **options)
-                )
-                self.writer.write(
-                    encode_json(
-                        FrameType.RESTORE_META,
-                        {"version": version, "files": [[rel, size] for rel, size in plan]},
-                    )
-                )
-                await self.writer.drain()
-                sent_chunks = 0
-                sent_bytes = 0
-                send_seconds = 0.0
-                # Coalesce chunk-sized blobs into ~DATA_BLOCK frames so the
-                # wire carries a few large DATA frames per window instead of
-                # one frame per 8 KiB chunk (frame headers + drain round
-                # trips were dominating small-chunk restores).  The blobs
-                # are *gathered*, never joined: one header plus the chunk
-                # list goes to ``writelines``, so the engine's buffers flow
-                # to the transport without a coalescing copy.
-                pending_out: list = []
-                pending_len = 0
-
-                async def flush() -> None:
-                    nonlocal send_seconds, sent_bytes, pending_len
-                    if not pending_out:
-                        return
-                    mark = time.perf_counter()
-                    self.writer.writelines(
-                        [encode_data_header(pending_len), *pending_out]
-                    )
-                    sent_bytes += pending_len
-                    pending_out.clear()
-                    pending_len = 0
-                    await self.writer.drain()  # TCP backpressure for the stream
-                    send_seconds += time.perf_counter() - mark
-
-                iterator = iter(data)
-                while True:
-                    batch = await asyncio.to_thread(_pull_batch, iterator, _RESTORE_BATCH)
-                    for blob in batch:
-                        sent_chunks += 1
-                        pending_out.append(blob)
-                        pending_len += len(blob)
-                        if pending_len >= DATA_BLOCK:
-                            await flush()
-                    if len(batch) < _RESTORE_BATCH:
-                        break
-                await flush()
-                self.writer.write(
-                    encode_json(
-                        FrameType.RESTORE_END,
-                        {"chunks": sent_chunks, "bytes": sent_bytes},
-                    )
-                )
-                await self.writer.drain()
-                metrics.observe("restore.send_seconds", send_seconds)
-                handle.note_restore(sent_bytes)
-                metrics.inc("server.restore_bytes", sent_bytes)
-                self.daemon.note_session("restore")
+                await self._send_restore(handle, version, pump)
+            except asyncio.CancelledError:
+                # The daemon is going down with no patience left: tell the
+                # thread to stop, do not wait out its current read.
+                pump.stop()
+                raise
+            except BaseException:
+                # The read lock must outlive the engine thread: it leaves
+                # the repository at once if parked on the window, else
+                # after the read it is in.
+                await pump.close()
+                raise
             finally:
                 handle.active_ops -= 1
+
+    async def _send_restore(self, handle: RepoHandle, version: int, pump: _RestorePump) -> None:
+        """Write one restore's frames as the pump produces them."""
+        metrics = self.daemon.metrics
+        # Open-time failures (unknown version or file) surface here, before
+        # any data, and leave as a typed ERROR frame.
+        plan = await pump.take()
+        self.writer.write(
+            encode_json(
+                FrameType.RESTORE_META,
+                {"version": version, "files": [[rel, size] for rel, size in plan]},
+            )
+        )
+        await self.writer.drain()
+        frames = sent_bytes = 0
+        send_seconds = wait_seconds = 0.0
+        while True:
+            mark = time.perf_counter()
+            frame = await pump.take()
+            taken = time.perf_counter()
+            wait_seconds += taken - mark
+            if frame is None:
+                break
+            self.writer.write(frame)
+            await self.writer.drain()  # TCP backpressure for the stream
+            send_seconds += time.perf_counter() - taken
+            frames += 1
+            sent_bytes += len(frame) - HEADER_SIZE
+        self.writer.write(
+            encode_json(
+                FrameType.RESTORE_END, {"chunks": pump.chunks, "bytes": sent_bytes}
+            )
+        )
+        await self.writer.drain()
+        metrics.observe("restore.send_seconds", send_seconds)
+        metrics.observe("restore.pump_wait_seconds", wait_seconds)
+        metrics.inc("restore.frames", frames)
+        handle.note_restore(sent_bytes)
+        metrics.inc("server.restore_bytes", sent_bytes)
+        self.daemon.note_session("restore")
 
     # ------------------------------------------------------------------
     # Control requests
@@ -781,9 +865,9 @@ class BackupDaemon:
         host / port: listen address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
         window: ingest credit window, in CHUNK_DATA frames per backup.
-        restore_workers: server-side cap (and default) for the restore
-            container-reader pool; clients may request fewer via
-            ``RESTORE_BEGIN`` but never more.
+        restore_workers: server-side cap on the restore container-reader
+            pool a client may ask for with ``RESTORE_BEGIN``'s ``workers``;
+            a request that names none is served serially.
         history_depth / compress: forwarded to newly created repositories.
         drain_timeout: seconds in-flight sessions get to finish on
             :meth:`shutdown` before being cancelled into rollback.

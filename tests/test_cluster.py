@@ -10,10 +10,12 @@ import io
 import json
 import os
 import random
+import threading
 
 import pytest
 
 from repro.client import RemoteRepository
+from repro.client.protocol import RESTORE_BLOCK
 from repro.cluster import (
     ClusterClient,
     ClusterHarness,
@@ -208,10 +210,32 @@ def test_router_kill_primary_mid_restore_is_byte_identical(tmp_path):
         versions_before = client.remote(replica.address, tenant).versions()
         assert len(versions_before) == 1
 
+        # Hold the primary's engine once its first frame is out, so the
+        # rest of the stream cannot reach the socket buffers before the
+        # kill: the iterator resumes only after kill_node() has returned.
+        handle = harness.threads[primary.name].daemon.registry.get(tenant)
+        serve, killed = handle.repository.restore, threading.Event()
+
+        def held_restore(version, **options):
+            served_plan, blocks = serve(version, **options)
+
+            def held():
+                produced = 0
+                for block in blocks:
+                    if produced >= RESTORE_BLOCK:
+                        assert killed.wait(60), "the primary was never killed"
+                    produced += len(block)
+                    yield block
+
+            return served_plan, held()
+
+        handle.repository.restore = held_restore
         plan, data = repo.restore(1)
         received = [next(data)]  # the stream is live on the primary
+        assert len(expected) // 2 <= len(received[0]) < len(expected)
 
         harness.kill_node(primary.name)  # mid-stream, zero drain patience
+        killed.set()
 
         received.extend(data)  # router must fail over and resume
         blob = b"".join(received)
