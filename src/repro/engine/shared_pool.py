@@ -47,12 +47,12 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..chunking.fastcdc import FastCDCChunker
 from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
-from ..chunking.vectorized import split_fast
+from ..chunking.vectorized import cut_lengths, split_fast
 from ..errors import ReproError
 from ..observability import MetricsRegistry, get_registry
 
@@ -116,34 +116,33 @@ def _attach_slab(name: str) -> shared_memory.SharedMemory:
     return slab
 
 
+def _chunk_bytes_worker(chunker, fingerprinter: Fingerprinter,
+                        segment) -> Tuple[List[int], List[bytes], float]:
+    """Cut lengths, fingerprints and stage seconds of one segment, in place.
+
+    ``segment`` is any byte buffer (the thread executor passes the segment
+    itself: it is shared memory already); its chunks are hashed as
+    ``memoryview`` slices and never copied.
+    """
+    started = time.perf_counter()
+    view = memoryview(segment)
+    cuts = cut_lengths(chunker, view)
+    fingerprints: List[bytes] = []
+    offset = 0
+    for cut in cuts:
+        fingerprints.append(fingerprinter.fingerprint(view[offset:offset + cut]))
+        offset += cut
+    return cuts, fingerprints, time.perf_counter() - started
+
+
 def _chunk_descriptor_worker(name: str, length: int) -> Tuple[List[int], List[bytes], float]:
     """Chunk the segment at ``(slab, length)``; return metadata only.
 
-    The payload never crosses the process boundary: the worker reads it
-    out of the shared slab, and ships back just cut lengths, fingerprints
-    and the stage timing.
+    The payload never crosses the process boundary, and is not copied out
+    of the slab either: the worker chunks and hashes it where it lies, and
+    ships back just cut lengths, fingerprints and the stage timing.
     """
-    slab = _attach_slab(name)
-    payload = bytes(slab.buf[:length])
-    started = time.perf_counter()
-    cuts: List[int] = []
-    fingerprints: List[bytes] = []
-    for piece in split_fast(_W_CHUNKER, payload):
-        cuts.append(len(piece))
-        fingerprints.append(_W_FINGERPRINTER.fingerprint(piece))
-    return cuts, fingerprints, time.perf_counter() - started
-
-
-def _chunk_bytes_worker(chunker, fingerprinter: Fingerprinter,
-                        segment: bytes) -> Tuple[List[int], List[bytes], float]:
-    """Thread-executor variant: no slab, the segment is shared memory already."""
-    started = time.perf_counter()
-    cuts: List[int] = []
-    fingerprints: List[bytes] = []
-    for piece in split_fast(chunker, segment):
-        cuts.append(len(piece))
-        fingerprints.append(fingerprinter.fingerprint(piece))
-    return cuts, fingerprints, time.perf_counter() - started
+    return _chunk_bytes_worker(_W_CHUNKER, _W_FINGERPRINTER, _attach_slab(name).buf[:length])
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +215,16 @@ class _Slab:
 
 
 class _Pending:
-    """An in-flight segment: its future plus what is needed to redo it."""
+    """An in-flight segment: what is needed to (re)do it, then its future
+    and the executor that future runs on."""
 
-    __slots__ = ("future", "slab", "segment")
+    __slots__ = ("slab", "segment", "future", "pool")
 
-    def __init__(self, future, slab: Optional[_Slab], segment: bytes) -> None:
-        self.future = future
+    def __init__(self, slab: Optional[_Slab], segment: bytes) -> None:
         self.slab = slab
         self.segment = segment
+        self.future = None
+        self.pool: Optional[Executor] = None
 
 
 class SharedChunkPool:
@@ -354,34 +355,38 @@ class SharedChunkPool:
     # ------------------------------------------------------------------
     # Submission plumbing
     # ------------------------------------------------------------------
-    def _submit(self, slab: Optional[_Slab], segment: bytes):
-        pool = self._ensure_pool()
-        if self.executor_kind == "process":
-            return pool.submit(_chunk_descriptor_worker, slab.shm.name, len(segment))
-        return pool.submit(_chunk_bytes_worker, self.chunker, self.fingerprinter, segment)
-
-    def _submit_with_respawn(self, slab: Optional[_Slab], segment: bytes, state: dict):
+    def _submit(self, record: _Pending, broken: Set[Executor]) -> None:
+        """(Re)submit ``record`` to the live pool, rebuilding a broken one."""
         while True:
+            pool = self._ensure_pool()
             try:
-                return self._submit(slab, segment)
+                if self.executor_kind == "process":
+                    record.future = pool.submit(
+                        _chunk_descriptor_worker, record.slab.shm.name, len(record.segment))
+                else:
+                    record.future = pool.submit(
+                        _chunk_bytes_worker, self.chunker, self.fingerprinter, record.segment)
+                record.pool = pool
+                return
             except BrokenProcessPool as exc:
-                self._note_break(state, exc)
+                self._note_break(broken, exc, pool)
 
-    def _note_break(self, state: dict, exc: Exception) -> None:
-        state["breaks"] += 1
-        with self._lock:
-            broken, self._pool = self._pool, None
-            if broken is not None:
-                self.metrics.inc("ingest.worker_respawns")
-        if broken is not None:
-            broken.shutdown(wait=False, cancel_futures=True)
-        if state["breaks"] > self.max_retries:
+    def _note_break(self, broken: Set[Executor], exc: Exception, pool: Executor) -> None:
+        """``pool`` died under this backup; ``broken`` is every pool that has.
+
+        One death shows up once at the next submit and once more for each
+        future still in flight on it, in either order, so the retry budget
+        counts dead pools, not sightings.
+        """
+        self._discard_broken_pool(pool)
+        broken.add(pool)
+        if len(broken) > self.max_retries:
             raise IngestPoolError(
-                f"ingest worker pool broke {state['breaks']} times "
+                f"ingest worker pool broke {len(broken)} times "
                 f"(retry budget {self.max_retries}); aborting backup"
             ) from exc
 
-    def _drain_one(self, pending: "deque[_Pending]", state: dict) -> List[Chunk]:
+    def _drain_one(self, pending: "deque[_Pending]", broken: Set[Executor]) -> List[Chunk]:
         record = pending.popleft()
         try:
             while True:
@@ -389,15 +394,14 @@ class SharedChunkPool:
                     cuts, fingerprints, seconds = record.future.result()
                     break
                 except BrokenProcessPool as exc:
-                    self._note_break(state, exc)
-                    # The slabs of every in-flight descriptor still hold
-                    # their payloads; resubmit them in order to the
-                    # rebuilt pool.
-                    record.future = self._submit_with_respawn(
-                        record.slab, record.segment, state)
-                    for other in pending:
-                        other.future = self._submit_with_respawn(
-                            other.slab, other.segment, state)
+                    dead = record.pool
+                    self._note_break(broken, exc, dead)
+                    # The slabs of every descriptor in flight on the dead
+                    # pool still hold their payloads; resubmit them in
+                    # order to the rebuilt one.
+                    for stale in (record, *pending):
+                        if stale.pool is dead:
+                            self._submit(stale, broken)
         except BaseException:
             self._release(record.slab)
             raise
@@ -434,7 +438,7 @@ class SharedChunkPool:
         another session to release one.
         """
         pending: "deque[_Pending]" = deque()
-        state = {"breaks": 0}
+        broken: Set[Executor] = set()
         try:
             for segment in segments:
                 if not segment:
@@ -442,22 +446,16 @@ class SharedChunkPool:
                 with self._lock:
                     if self._closed:
                         raise IngestPoolError("shared chunking pool is closed")
+                slab = None
                 if self.executor_kind == "process" and len(segment) <= self.segment_bytes:
-                    slab = None
                     while slab is None:
                         try:
                             slab = self._free.get_nowait()
                         except queue.Empty:
                             if pending:
-                                yield self._drain_one(pending, state)
+                                yield self._drain_one(pending, broken)
                             else:
                                 slab = self._free.get()
-                    mark = time.perf_counter()
-                    slab.shm.buf[:len(segment)] = segment
-                    self.metrics.observe("ingest.handoff_seconds",
-                                         time.perf_counter() - mark)
-                    future = self._submit_with_respawn(slab, segment, state)
-                    record = _Pending(future, slab, segment)
                 elif self.executor_kind == "process":
                     # Oversized segment (caller used a custom segmenter):
                     # chunk it inline rather than overrun a slab.
@@ -465,21 +463,29 @@ class SharedChunkPool:
                     continue
                 else:
                     while len(pending) >= self.queue_depth:
-                        yield self._drain_one(pending, state)
-                    future = self._submit_with_respawn(None, segment, state)
-                    record = _Pending(future, None, segment)
+                        yield self._drain_one(pending, broken)
+                # Pending from the moment it owns a slab, so the ``finally``
+                # below returns the slab even when the submit is what fails.
+                record = _Pending(slab, segment)
                 pending.append(record)
                 with self._lock:
                     self._inflight += 1
                     depth = self._inflight
                 self.metrics.inc("ingest.segments_total")
                 self.metrics.set_gauge("ingest.queue_depth", depth)
+                if slab is not None:
+                    mark = time.perf_counter()
+                    slab.shm.buf[:len(segment)] = segment
+                    self.metrics.observe("ingest.handoff_seconds",
+                                         time.perf_counter() - mark)
+                self._submit(record, broken)
             while pending:
-                yield self._drain_one(pending, state)
+                yield self._drain_one(pending, broken)
         finally:
             while pending:
                 record = pending.popleft()
-                record.future.cancel()
+                if record.future is not None:
+                    record.future.cancel()
                 self._release(record.slab)
 
     def chunk_blocks(self, blocks: Iterable[bytes]) -> Iterator[List[Chunk]]:

@@ -13,10 +13,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chunking import FastCDCChunker, Fingerprinter
 from repro.chunking.stream import LazyBackupStream
-from repro.chunking.vectorized import HAVE_NUMPY, split_fast, vector_cuts
+from repro.chunking.vectorized import (
+    _MIN_VECTOR_BYTES,
+    _TILE,
+    HAVE_NUMPY,
+    cut_lengths,
+    split_fast,
+)
 from repro.engine import (
     IngestPoolError,
     SharedChunkPool,
@@ -38,8 +45,54 @@ def _chunker():
 # ----------------------------------------------------------------------
 # Vectorized FastCDC kernel
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+def _kernel_cuts(chunker, data):
+    """``cut_lengths`` on a buffer the vector kernel takes (when numpy is
+    importable; without it this is the fallback, which must agree too)."""
+    assert type(chunker) is FastCDCChunker and len(data) >= _MIN_VECTOR_BYTES
+    return cut_lengths(chunker, data)
+
+
+def _scalar_cuts(chunker, data):
+    return [len(piece) for piece in chunker.split(data)]
+
+
+def _low_entropy(seed, size, period=None):
+    """A 4-symbol alphabet, optionally repeating with a short period."""
+    rng = random.Random(seed)
+    if period is None:
+        return bytes(rng.choices(b"acgt", k=size))
+    unit = bytes(rng.choices(b"acgt", k=period))
+    return (unit * (size // period + 1))[:size]
+
+
+@st.composite
+def _size_contracts(draw):
+    """``(min, avg, max)`` with the edges the batched warm-up must cover."""
+    avg = 1 << draw(st.integers(5, 12))
+    shape = draw(st.sampled_from(["plain", "warmup_spans_avg", "fixed", "max_in_warmup"]))
+    if shape == "fixed":
+        return avg, avg, avg
+    if shape == "warmup_spans_avg":  # min + 63 >= avg: both masks inside the warm-up
+        low = draw(st.integers(max(1, avg - 63), avg))
+        return low, avg, draw(st.integers(avg, 8 * avg))
+    if shape == "max_in_warmup":  # the forced cut truncates every warm-up
+        return avg, avg, avg + draw(st.integers(1, 62))
+    return draw(st.integers(1, avg)), avg, draw(st.integers(avg, 8 * avg))
+
+
 class TestVectorizedCuts:
+    """Oracle: the scalar ``chunker.split``.  Everything goes through the
+    public ``cut_lengths``, so the same tests run the ``HAVE_NUMPY = False``
+    fallback when numpy cannot be imported (CI has a step that does)."""
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    def test_cut_lengths_dispatches_to_the_one_kernel(self, monkeypatch):
+        from repro.chunking import vectorized
+
+        monkeypatch.setattr(vectorized, "vector_cuts", lambda chunker, data: ["kernel"])
+        assert cut_lengths(_chunker(), bytes(_MIN_VECTOR_BYTES)) == ["kernel"]
+        assert cut_lengths(_chunker(), bytes(_MIN_VECTOR_BYTES - 1)) != ["kernel"]
+
     @pytest.mark.parametrize(
         "min_size,avg_size,max_size",
         [(512, 2048, 8192), (64, 256, 1024), (2048, 8192, 65536), (1, 4096, 16384)],
@@ -48,13 +101,62 @@ class TestVectorizedCuts:
     def test_cuts_match_scalar(self, min_size, avg_size, max_size, seed):
         chunker = FastCDCChunker(min_size, avg_size, max_size)
         data = random.Random(seed).randbytes(200_000 + seed * 7919)
-        expected = [len(p) for p in chunker.split(data)]
-        assert vector_cuts(chunker, data) == expected
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
+
+    # hypothesis itself cannot run with sys.modules["numpy"] = None (it looks
+    # numpy up there), and without the kernel the property is a tautology.
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contract=_size_contracts(),
+        normalization=st.integers(0, 3),
+        size=st.integers(_MIN_VECTOR_BYTES, 40_000),
+        seed=st.integers(0, 2**32),
+        period=st.sampled_from([0, None, 3, 64, 1000]),
+    )
+    def test_any_size_contract_matches_scalar(self, contract, normalization, size, seed, period):
+        chunker = FastCDCChunker(*contract, normalization=normalization)
+        data = (random.Random(seed).randbytes(size) if period == 0
+                else _low_entropy(seed, size, period))
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
 
     def test_low_entropy_forces_max_cuts(self):
         chunker = _chunker()
         data = b"\x00" * 100_000  # no mask hit: every cut is max_size
-        assert vector_cuts(chunker, data) == [len(p) for p in chunker.split(data)]
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
+
+    @pytest.mark.parametrize("period", [None, 24])
+    def test_cuts_inside_the_warmup_restart_the_chain(self, period):
+        # Small average, few symbols: many chunks cut within 63 bytes of
+        # min_size, where only the batched warm-up check can find them and
+        # every cut it finds moves all later chunk starts.
+        chunker = FastCDCChunker(64, 256, 1024)
+        data = _low_entropy(5, 300_000, period)
+        expected = _scalar_cuts(chunker, data)
+        assert any(64 < cut <= 64 + 63 for cut in expected)
+        assert _kernel_cuts(chunker, data) == expected
+
+    @pytest.mark.parametrize("delta", [0, 1, -1, 63, -63, 64, -64])
+    def test_buffer_sizes_around_a_tile(self, delta):
+        chunker = _chunker()
+        data = random.Random(delta).randbytes(_TILE + delta)
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
+
+    def test_full_segment_matches_scalar(self):
+        from repro.engine import SEGMENT_BYTES
+
+        chunker = FastCDCChunker()
+        data = random.Random(4).randbytes(SEGMENT_BYTES)
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
+
+    @pytest.mark.parametrize("tail", [1, 511, 512, 513, 512 + 62, 512 + 63, 512 + 64])
+    def test_tail_shorter_than_a_warmup(self, tail):
+        # The last chunk starts ``tail`` bytes before the end: at or below
+        # min_size (no hashing), inside the warm-up (truncated row), just
+        # past it.  Zeros never hit a mask, so every earlier cut is max_size.
+        chunker = _chunker()
+        data = bytes(3 * chunker.max_size) + random.Random(tail).randbytes(tail)
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
 
     @pytest.mark.parametrize("size", [65_536, 65_537, 70_001, 131_071])
     def test_tail_sizes(self, size):
@@ -65,11 +167,18 @@ class TestVectorizedCuts:
     def test_degenerate_fixed_size_contract(self):
         chunker = FastCDCChunker(4096, 4096, 4096)
         data = random.Random(9).randbytes(100_000)
-        assert vector_cuts(chunker, data) == [len(p) for p in chunker.split(data)]
+        assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
+
+    @pytest.mark.parametrize("wrap", [memoryview, bytearray, lambda d: memoryview(bytearray(d))])
+    def test_any_buffer_type_cuts_like_bytes(self, wrap):
+        chunker = _chunker()
+        data = random.Random(3).randbytes(150_000)
+        assert cut_lengths(chunker, wrap(data)) == _kernel_cuts(chunker, data)
+        assert split_fast(chunker, wrap(data)) == chunker.split(data)
 
     def test_small_buffer_falls_back_to_scalar(self):
         chunker = _chunker()
-        data = random.Random(1).randbytes(10_000)
+        data = random.Random(1).randbytes(_MIN_VECTOR_BYTES - 1)
         assert split_fast(chunker, data) == chunker.split(data)
 
     def test_subclass_falls_back_to_scalar(self):
@@ -142,6 +251,30 @@ def _blocks(seed=11, count=12, size=37_000):
     return [rng.randbytes(size) for _ in range(count)]
 
 
+def _killing_workers(pool, blocks, after):
+    """Yield ``blocks``; before block ``after``, SIGKILL every pool worker
+    and go on only once each is dead.
+
+    The pool pulls blocks from inside ``chunk_segments``, so at the kill
+    the segments cut from the earlier blocks are submitted and undrained
+    and the rest of the stream is not submitted yet -- both kinds exist by
+    construction, whatever the kernel's speed.  ``WNOWAIT`` leaves the exit
+    status for the executor's own join.
+    """
+    for index, block in enumerate(blocks):
+        if index == after:
+            pids = pool.worker_pids()
+            assert pids
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                try:
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                except ChildProcessError:
+                    pass  # the executor reaped it first: dead either way
+        yield block
+
+
 class TestSharedChunkPool:
     def test_iter_segments_independent_of_block_framing(self):
         payload = random.Random(7).randbytes(5 * SEGMENT + 123)
@@ -186,28 +319,29 @@ class TestSharedChunkPool:
         blocks = _blocks(seed=23, count=20)
         with _pool(2, "process", metrics=metrics) as pool:
             pool.warm()
-            results = pool.chunk_blocks(blocks)
-            pooled = [c for c in next(results)]  # pool is live and mid-stream
-            for pid in pool.worker_pids():
-                os.kill(pid, signal.SIGKILL)
-            for batch in results:
-                pooled.extend(batch)
+            pooled = [
+                c
+                for batch in pool.chunk_blocks(_killing_workers(pool, blocks, after=8))
+                for c in batch
+            ]
         assert [(c.fingerprint, c.size, c.data) for c in pooled] == [
             (c.fingerprint, c.size, c.data) for c in _inline_chunks(blocks)
         ]
-        assert metrics.snapshot()["counters"]["ingest.worker_respawns"] >= 1
+        # One death is one respawn, whether the pool first met it at a
+        # submit or at a drain (it used to count both and overrun a budget
+        # of one in the submit-first order).
+        assert metrics.snapshot()["counters"]["ingest.worker_respawns"] == 1
 
     def test_retry_budget_exhaustion_raises_typed_error(self):
         blocks = _blocks(seed=31, count=20)
         with _pool(2, "process", max_retries=0) as pool:
             pool.warm()
-            results = pool.chunk_blocks(blocks)
-            next(results)
-            for pid in pool.worker_pids():
-                os.kill(pid, signal.SIGKILL)
             with pytest.raises(IngestPoolError):
-                for _ in results:
+                for _ in pool.chunk_blocks(_killing_workers(pool, blocks, after=8)):
                     pass
+            # The aborted backup gave every slab back, including the one it
+            # was holding if the break surfaced at a submit.
+            assert pool._free.qsize() == pool.queue_depth
 
     def test_closed_pool_rejects_work_and_unlinks_slabs(self):
         pool = _pool(1, "process")
