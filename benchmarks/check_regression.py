@@ -43,12 +43,6 @@ GATED_METRICS = {
     # O(delta) replication contract: incremental syncs must stay small
     # relative to the seed sync taken in the same run.
     "replication": ["seed_over_incremental_shipped"],
-    # Sharded-cluster aggregate scaling (3 daemons over 1) and the
-    # concurrent-tenant scaling of a single daemon.  Both are same-run
-    # timing ratios, so hardware drops out; note the cluster ratio is
-    # core-count-bound — baselines must come from a comparable runner.
-    "cluster": ["speedup_3x"],
-    "server_throughput": ["speedup_concurrent"],
     # cluster_failover's failover_write_seconds is deliberately NOT in
     # this table: it is an absolute, hardware-dependent wall-clock where
     # lower is better — the >15% drop rule would invert.  It is gated by

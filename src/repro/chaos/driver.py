@@ -38,7 +38,7 @@ from .deploy import Deployment
 from .faults import FaultController, WireCorruptingMirror, flip_container_byte
 from .scenario import FaultEvent, Schedule, ScheduledOp, TenantSpec
 
-__all__ = ["TenantModel", "OpResult", "Driver"]
+__all__ = ["TenantModel", "OpResult", "Driver", "execute_op"]
 
 
 @dataclass
@@ -140,6 +140,62 @@ def drain_digest(stream) -> str:
     for block in stream:
         sha.update(block)
     return sha.hexdigest()
+
+
+def execute_op(op: ScheduledOp, model: TenantModel, repo) -> str:
+    """Run one pure client op against ``repo``, keeping ``model`` in step.
+
+    Shared by the thread-mode :class:`Driver` and the subprocess worker.
+    Returns ``"ok"`` or ``"skipped"`` (precondition not met); a mismatch
+    between reality and the model raises a typed error.
+    """
+    if op.kind == "backup":
+        model.mutate_tree()
+        digest = model.tree_digest()
+        entries = read_tree(model.tree_dir)
+        model.pending = {"digest": digest}
+        report = repo.backup_tree(entries, tag=f"op-{op.index:05d}")
+        model.versions.append({"id": report["version_id"], "digest": digest})
+        model.pending = None
+        return "ok"
+    if op.kind == "restore":
+        if not model.versions:
+            return "skipped"
+        pick = op.params.get("pick", "latest")
+        if pick == "latest" or len(model.versions) == 1:
+            row = model.versions[-1]
+        else:
+            row = model.rng.choice(model.versions)
+        _plan, stream = repo.restore(row["id"], verify=True)
+        if drain_digest(stream) != row["digest"]:
+            raise RestoreError(
+                f"restored bytes of {op.tenant} v{row['id']} do not match "
+                f"the driver's recorded content digest"
+            )
+        return "ok"
+    if op.kind == "verify":
+        if not model.versions:
+            return "skipped"
+        report = repo.verify(deep=bool(op.params.get("deep", False)))
+        if not report.get("ok", False):
+            raise StorageError(
+                f"verify reported issues on {op.tenant}: "
+                f"{report.get('summary', 'no summary')}"
+            )
+        return "ok"
+    if op.kind == "delete":
+        if len(model.versions) < 2:
+            return "skipped"
+        # The server may commit the delete and then die before replying
+        # (a kill's blast radius covers every in-flight op, not just the
+        # victim tenant's); record the candidate so a failure reconciles.
+        model.pending_delete = model.versions[0]["id"]
+        repo.delete_oldest()
+        removed = model.versions.pop(0)
+        model.deleted.append(removed["id"])
+        model.pending_delete = None
+        return "ok"
+    raise StorageError(f"unknown scheduled op kind {op.kind!r}")
 
 
 class Driver:
@@ -254,63 +310,11 @@ class Driver:
     # Op executors
     # ------------------------------------------------------------------
     def _execute(self, op: ScheduledOp, model: TenantModel) -> str:
-        if op.kind == "backup":
-            return self._do_backup(op, model)
-        if op.kind == "restore":
-            return self._do_restore(op, model)
-        if op.kind == "verify":
-            return self._do_verify(op, model)
         if op.kind == "replicate":
             return self._do_replicate(op, model)
-        if op.kind == "delete":
-            return self._do_delete(op, model)
         if op.kind == "repair":
             return self._do_repair(op, model)
-        raise StorageError(f"unknown scheduled op kind {op.kind!r}")
-
-    def _do_backup(self, op: ScheduledOp, model: TenantModel) -> str:
-        model.mutate_tree()
-        digest = model.tree_digest()
-        entries = read_tree(model.tree_dir)
-        model.pending = {"digest": digest}
-        report = self.deployment.repo(op.tenant).backup_tree(
-            entries, tag=f"op-{op.index:05d}"
-        )
-        model.versions.append({"id": report["version_id"], "digest": digest})
-        model.pending = None
-        return "ok"
-
-    def _do_restore(self, op: ScheduledOp, model: TenantModel) -> str:
-        if not model.versions:
-            return "skipped"
-        pick = op.params.get("pick", "latest")
-        if pick == "latest" or len(model.versions) == 1:
-            row = model.versions[-1]
-        else:
-            row = model.rng.choice(model.versions)
-        _plan, stream = self.deployment.repo(op.tenant).restore(
-            row["id"], verify=True
-        )
-        digest = drain_digest(stream)
-        if digest != row["digest"]:
-            raise RestoreError(
-                f"restored bytes of {op.tenant} v{row['id']} do not match "
-                f"the driver's recorded content digest"
-            )
-        return "ok"
-
-    def _do_verify(self, op: ScheduledOp, model: TenantModel) -> str:
-        if not model.versions:
-            return "skipped"
-        report = self.deployment.repo(op.tenant).verify(
-            deep=bool(op.params.get("deep", False))
-        )
-        if not report.get("ok", False):
-            raise StorageError(
-                f"verify reported issues on {op.tenant}: "
-                f"{report.get('summary', 'no summary')}"
-            )
-        return "ok"
+        return execute_op(op, model, self.deployment.repo(op.tenant))
 
     def _do_replicate(self, op: ScheduledOp, model: TenantModel) -> str:
         if not model.versions:
@@ -337,19 +341,6 @@ class Driver:
             raise
         finally:
             target.close()
-        return "ok"
-
-    def _do_delete(self, op: ScheduledOp, model: TenantModel) -> str:
-        if len(model.versions) < 2:
-            return "skipped"
-        # The server may commit the delete and then die before replying
-        # (a kill's blast radius covers every in-flight op, not just the
-        # victim tenant's); record the candidate so a failure reconciles.
-        model.pending_delete = model.versions[0]["id"]
-        self.deployment.repo(op.tenant).delete_oldest()
-        removed = model.versions.pop(0)
-        model.deleted.append(removed["id"])
-        model.pending_delete = None
         return "ok"
 
     def _do_repair(self, op: ScheduledOp, model: TenantModel) -> str:

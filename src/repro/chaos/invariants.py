@@ -226,7 +226,7 @@ def _mirror_consistency(
 
 
 def _staged_litter(root: str) -> List[str]:
-    from ..replication.targets import STAGED_SUFFIX
+    from ..storage.repo import STAGED_SUFFIX
 
     litter = []
     for dirpath, _dirs, files in os.walk(root):

@@ -23,8 +23,8 @@ import time
 from typing import Dict, List
 
 from ..errors import ReproError
-from .driver import TenantModel, drain_digest
-from .scenario import TenantSpec
+from .driver import TenantModel, execute_op
+from .scenario import ScheduledOp, TenantSpec
 
 
 def _open_client(connect: Dict):
@@ -66,55 +66,6 @@ def _open_client(connect: Dict):
     return _Closer(), repo
 
 
-def _execute(op: Dict, model: TenantModel, repo) -> str:
-    from ..repository import read_tree
-
-    kind = op["kind"]
-    if kind == "backup":
-        model.mutate_tree()
-        digest = model.tree_digest()
-        report = repo.backup_tree(
-            read_tree(model.tree_dir), tag=f"op-{op['index']:05d}"
-        )
-        model.versions.append({"id": report["version_id"], "digest": digest})
-        return "ok"
-    if kind == "restore":
-        if not model.versions:
-            return "skipped"
-        pick = op.get("params", {}).get("pick", "latest")
-        if pick == "latest" or len(model.versions) == 1:
-            row = model.versions[-1]
-        else:
-            row = model.rng.choice(model.versions)
-        _plan, stream = repo.restore(row["id"], verify=True)
-        if drain_digest(stream) != row["digest"]:
-            from ..errors import RestoreError
-
-            raise RestoreError(
-                f"restored bytes of v{row['id']} diverge from backup-time digest"
-            )
-        return "ok"
-    if kind == "verify":
-        if not model.versions:
-            return "skipped"
-        report = repo.verify(deep=bool(op.get("params", {}).get("deep", False)))
-        if not report.get("ok", False):
-            from ..errors import StorageError
-
-            raise StorageError(f"verify reported issues: {report.get('summary')}")
-        return "ok"
-    if kind == "delete":
-        if len(model.versions) < 2:
-            return "skipped"
-        repo.delete_oldest()
-        removed = model.versions.pop(0)
-        model.deleted.append(removed["id"])
-        return "ok"
-    from ..errors import WorkloadError
-
-    raise WorkloadError(f"worker cannot execute op kind {kind!r}")
-
-
 def main() -> int:
     """Read one JSON job from stdin, run its ops, print results as JSON."""
     job = json.load(sys.stdin)
@@ -138,7 +89,7 @@ def main() -> int:
             started = time.perf_counter()
             status, error = "ok", None
             try:
-                status = _execute(op, model, repo_of(op["tenant"]))
+                status = execute_op(ScheduledOp(**op), model, repo_of(op["tenant"]))
             except ReproError as exc:
                 status, error = "failed_typed", f"{type(exc).__name__}: {exc}"
             except Exception as exc:

@@ -11,9 +11,10 @@ The scale-out layer above a single :class:`~repro.server.daemon.BackupDaemon`:
   a tenant to its primary daemon, pools connections per address, fails
   restores over to ring-successor replicas when the primary dies, and
   retries failed writes on the promoted primary a newer map names.
-- :mod:`.failover` — the demoted-node resync pull
-  (:func:`pull_tenant`); promotion itself lives in the daemon's health
-  prober, which marks dead nodes down in an epoch-bumped map.
+- :mod:`.controller` — :class:`FailoverController`, the failover policy
+  (probe, promote, verify, demote, resync, revive) as a pure tick-driven
+  state machine the daemon executes.
+- :mod:`.failover` — the demoted-node resync pull (:func:`pull_tenant`).
 - :mod:`.supervisor` — spawn and supervise N daemons from one spec file
   (``hidestore cluster serve``), plus an in-process harness for tests.
 - :mod:`.rebalance` — move only the tenants whose ring ownership changed,

@@ -1,9 +1,9 @@
 """Health-driven primary failover: the data-plane half.
 
-The daemon's health prober (:meth:`~repro.server.daemon.BackupDaemon`'s
-``_health_loop``) owns the control plane — probing, declaring a node
-dead, minting the promotion map.  This module holds the data movement a
-failover needs on the way back up:
+The control plane — probing, declaring a node dead, minting the promotion
+map — is :class:`~repro.cluster.controller.FailoverController`, executed by
+the daemon.  This module holds the data movement a failover needs on the
+way back up:
 
 * :func:`pull_tenant` — the demoted-node resync.  When a dead primary
   rejoins with a stale epoch it adopts the newer map, demotes itself to
@@ -33,8 +33,9 @@ from ..replication.state import blob_digest, capture_state, normalize_state
 from ..replication.targets import commit_objects, write_object
 
 
-def pull_tenant(remote: RemoteRepository, root: str) -> Dict:
-    """Pull one tenant's state from ``remote`` into the local ``root``.
+def pull_tenant(remote: RemoteRepository, repository) -> Dict:
+    """Pull one tenant's state from ``remote`` into the local ``repository``
+    and deep-verify the result.
 
     The mirror-sync diff with the arrow reversed: ``remote`` (the acting
     primary) is the source of truth, the local repository the target.
@@ -44,9 +45,13 @@ def pull_tenant(remote: RemoteRepository, root: str) -> Dict:
     no longer has — so a reader never observes a half-applied resync.
     Digest-carrying objects are validated in transit.
 
-    Callers must hold the tenant's write lock and invalidate the cached
-    engine afterwards; this function only moves bytes.
+    Callers must hold the tenant's write lock.  The cached engine is
+    dropped, and the pulled copy then has to pass the same
+    re-hash-every-chunk check promotion demands (``verified`` in the
+    returned event fields): the revive gate, before this node may reclaim
+    its natural primaryship.
     """
+    root = repository.root
     src_state = normalize_state(remote.replicate_state().get("state"))
     dst_state = capture_state(root)
     plan = SyncPlanner().plan(src_state, dst_state)
@@ -63,7 +68,11 @@ def pull_tenant(remote: RemoteRepository, root: str) -> Dict:
         pulled_bytes += len(blob)
     if plan.needs_commit:
         commit_objects(root, plan.renames, plan.deletes)
+    repository.invalidate()
+    verify = repository.verify(True)
     return {
+        "verified": bool(verify.get("ok")),
+        "verify_seconds": verify.get("seconds"),
         "objects_pulled": pulled,
         "bytes_pulled": pulled_bytes,
         "containers_skipped": plan.containers_skipped,

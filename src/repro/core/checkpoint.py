@@ -218,7 +218,6 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
         "container_size": system.container_size,
         "lookup_unit_bytes": system.lookup_unit_bytes,
         "deferred_maintenance": system.deferred_maintenance,
-        "flatten_every": system.flatten_every,
         "retired": system._retired,
         "next_container_id": system.containers.next_id,
         "deletion_tags": {
@@ -292,6 +291,9 @@ def system_from_document(
             to a fresh in-memory store (tests).
         recipe_store: likewise for recipes.
         read_part: ``name -> bytes`` for the parts a v2 head names.
+
+    Keys this version no longer knows (the periodic-flatten period that
+    heads and v1 documents carried until PR 23) are ignored.
     """
     fmt = document.get("format")
     if fmt not in (_FORMAT, _FORMAT_V1):
@@ -305,7 +307,6 @@ def system_from_document(
         container_size=document["container_size"],
         lookup_unit_bytes=document["lookup_unit_bytes"],
         deferred_maintenance=document.get("deferred_maintenance", False),
-        flatten_every=document.get("flatten_every", 0),
     )
     system._next_version = document["next_version"]
     system._retired = document["retired"]

@@ -70,10 +70,6 @@ class HiDeStore(RestoreMixin):
             offline due to the pipeline implementation").  Queued work runs
             on :meth:`run_maintenance`, and automatically before restores,
             deletions, retirement and checkpoints.
-        flatten_every: run Algorithm 1 automatically after every Nth backup
-            (0 disables).  The paper flattens "periodically ... before
-            restoring"; a nonzero period keeps old-version restore latency
-            bounded without waiting for a restore request.
     """
 
     def __init__(
@@ -86,7 +82,6 @@ class HiDeStore(RestoreMixin):
         container_size: int = CONTAINER_SIZE,
         lookup_unit_bytes: int = 4096,
         deferred_maintenance: bool = False,
-        flatten_every: int = 0,
     ) -> None:
         self.io = IOStats()
         self.containers = (
@@ -106,7 +101,6 @@ class HiDeStore(RestoreMixin):
         self.history_depth = history_depth
         self.lookup_unit_bytes = lookup_unit_bytes
         self.deferred_maintenance = deferred_maintenance
-        self.flatten_every = max(0, flatten_every)
         self._pending_maintenance: List = []  # (previous_version, cold residue)
         self._lock = threading.Lock()  # guards cache/pool/chain/deletion state
         self._next_version = 1
@@ -124,11 +118,11 @@ class HiDeStore(RestoreMixin):
         (inline or on a shared pool) with classification.
 
         ``report.containers_written`` counts the archival containers
-        written synchronously by *this* call (demotion/compaction inline,
-        or a ``flatten_every``-triggered drain) — the per-version delta,
-        matching :class:`~repro.pipeline.system.BackupSystem`.  Work still
-        queued behind ``deferred_maintenance`` is attributed to whichever
-        call later drains it.
+        written synchronously by *this* call (demotion/compaction inline) —
+        the per-version delta, matching
+        :class:`~repro.pipeline.system.BackupSystem`.  Work still queued
+        behind ``deferred_maintenance`` is attributed to whichever call
+        later drains it.
         """
         if self._retired:
             raise ReproError("this HiDeStore instance has been retired")
@@ -211,13 +205,6 @@ class HiDeStore(RestoreMixin):
                     self._apply_maintenance(previous, cold)
                     self._compact_and_relocate()
             report.containers_written = len(self.containers) - containers_before
-
-        if self.flatten_every and version_id % self.flatten_every == 0:
-            before_flatten = len(self.containers)
-            self.run_maintenance()
-            with self._lock:
-                self.chain.flatten()
-                report.containers_written += len(self.containers) - before_flatten
 
         report.disk_index_lookups = prefetch_lookups  # recipe prefetch only
         report.elapsed_seconds = time.perf_counter() - started

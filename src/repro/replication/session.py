@@ -39,7 +39,8 @@ from typing import Dict, Optional
 
 from ..errors import ReplicationError
 from ..observability import MetricsRegistry, get_registry
-from ..storage.repo import RepoStorage, is_repo_url
+from ..storage.backend import parse_repo_spec
+from ..storage.repo import RepoStorage
 from .planner import SyncPlan, SyncPlanner
 from .state import blob_digest, capture_state, same_identity, source_identity
 from .targets import ReplicationTarget, read_object
@@ -129,12 +130,7 @@ class ReplicationSession:
         journal: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if is_repo_url(source_root):
-            if not RepoStorage(source_root).exists():
-                raise ReplicationError(
-                    f"source repository {source_root!r} does not exist"
-                )
-        elif not os.path.isdir(source_root):
+        if not RepoStorage(source_root).exists():
             raise ReplicationError(f"source repository {source_root!r} does not exist")
         self.source_root = source_root
         self.target = target
@@ -167,12 +163,12 @@ class ReplicationSession:
         if self._journal_arg == "":
             journal = SyncJournal(None)
         elif self._journal_arg is None:
-            # URL-addressed sources have no local directory to journal
-            # under; pass an explicit path to journal those syncs.
-            if is_repo_url(self.source_root):
-                journal = SyncJournal(None)
-            else:
-                journal = SyncJournal(journal_path_for(self.source_root, target_id))
+            # Only a plain directory has somewhere to journal under; pass
+            # an explicit path to journal syncs of other sources.
+            local = parse_repo_spec(self.source_root)
+            journal = SyncJournal(
+                journal_path_for(local.path, target_id) if local.is_file else None
+            )
         else:
             journal = SyncJournal(self._journal_arg)
         self.journal_path = journal.path

@@ -20,17 +20,15 @@ timeouts and idempotent-op retry machinery.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-from ..errors import ReplicationError
-from ..storage.repo import STAGED_SUFFIX, RepoStorage, is_repo_url
+from ..errors import ObjectMissingError, ReplicationError
+from ..storage.repo import RepoStorage
 from .planner import ObjectRef
 from .state import (
     RepoState,
     blob_digest,
     capture_state,
-    object_path,
     source_identity,
     validate_object,
 )
@@ -54,43 +52,23 @@ class ReplicationTarget(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Shared filesystem mechanics (LocalMirror + the daemon's target handler)
+# Shared mechanics (LocalMirror + the daemon's target handlers)
 # ----------------------------------------------------------------------
-def write_object(root: str, kind: str, name: str, blob: bytes, staged: bool) -> str:
-    """Atomically land one object under ``root``; returns the final path.
+def write_object(root: str, kind: str, name: str, blob: bytes, staged: bool) -> None:
+    """Atomically land one object in the repository at ``root`` (a
+    directory or any backend spec).
 
-    Direct writes go ``<path>.tmp`` → ``<path>`` (a crash leaves only
-    ``*.tmp`` litter the stores already sweep); staged writes go
-    ``<path>.staged.tmp`` → ``<path>.staged`` and wait for
+    Direct writes replace the object in one step (``*.tmp`` + rename on
+    file backends: a crash leaves only litter the stores already sweep);
+    staged writes land as ``<name>.staged`` and wait for
     :func:`commit_objects`.
-
-    ``root`` may also be a backend repo spec (URL), in which case the
-    object lands through :class:`~repro.storage.repo.RepoStorage` with the
-    same staging semantics and the returned "path" is the object name.
     """
-    if is_repo_url(root):
-        validate_object(kind, name)
-        storage = RepoStorage(root)
-        try:
-            storage.write_object(kind, name, blob, staged=staged)
-        finally:
-            storage.close()
-        return name + STAGED_SUFFIX if staged else name
-    path = object_path(root, kind, name)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    final = path + STAGED_SUFFIX if staged else path
-    tmp = final + ".tmp"
+    validate_object(kind, name)
+    storage = RepoStorage(root)
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, final)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return final
+        storage.write_object(kind, name, blob, staged=staged)
+    finally:
+        storage.close()
 
 
 def commit_objects(root: str, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
@@ -118,23 +96,14 @@ def commit_objects(root: str, renames: List[ObjectRef], deletes: List[ObjectRef]
 
 def read_object(root: str, kind: str, name: str) -> bytes:
     """Read one replicable object's bytes from a repository (path or URL)."""
-    if is_repo_url(root):
-        from ..errors import ObjectMissingError
-
-        validate_object(kind, name)
-        storage = RepoStorage(root)
-        try:
-            return storage.read_object(kind, name)
-        except ObjectMissingError:
-            raise ReplicationError(f"no {kind} object {name!r} in {root}") from None
-        finally:
-            storage.close()
-    path = object_path(root, kind, name)
+    validate_object(kind, name)
+    storage = RepoStorage(root)
     try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except FileNotFoundError:
+        return storage.read_object(kind, name)
+    except ObjectMissingError:
         raise ReplicationError(f"no {kind} object {name!r} in {root}") from None
+    finally:
+        storage.close()
 
 
 class LocalMirror:
@@ -147,11 +116,10 @@ class LocalMirror:
         return capture_state(self.root)
 
     def put(self, kind: str, name: str, blob: bytes, staged: bool = False) -> None:
-        validate_object(kind, name)
         write_object(self.root, kind, name, blob, staged)
 
-    def commit(self, renames: List[ObjectRef], deletes: List[ObjectRef]) -> None:
-        commit_objects(self.root, renames, deletes)
+    def commit(self, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
+        return commit_objects(self.root, renames, deletes)
 
     def fetch(self, kind: str, name: str) -> bytes:
         return read_object(self.root, kind, name)

@@ -32,9 +32,9 @@ from typing import Dict, List
 
 from ..errors import RemoteError
 from ..observability import MetricsRegistry
+from ..replication.targets import LocalMirror
 from ..repository import LocalRepository
 from ..storage.backend import RepoLocation, parse_repo_spec
-from ..storage.repo import is_repo_url
 
 #: Tenant names: filesystem-safe, no traversal, no hidden dirs.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -81,20 +81,11 @@ class ReadWriteLock:
 class RepoHandle:
     """One hosted repository: engine front end, lock, service counters."""
 
-    def __init__(
-        self,
-        name: str,
-        root: str,
-        history_depth: int,
-        compress: bool,
-        metrics: "MetricsRegistry | None" = None,
-        ingest_pool=None,
-    ) -> None:
+    def __init__(self, name: str, repository: LocalRepository) -> None:
         self.name = name
-        self.repository = LocalRepository(
-            root, history_depth=history_depth, compress=compress, metrics=metrics,
-            ingest_pool=ingest_pool,
-        )
+        self.repository = repository
+        #: The same tenant as a replication target (``REPLICATE_*`` frames).
+        self.mirror = LocalMirror(repository.root)
         self.lock = ReadWriteLock()
         self.active_ops = 0
         self.counters: Dict[str, int] = {
@@ -109,6 +100,23 @@ class RepoHandle:
         }
 
     # ------------------------------------------------------------------
+    @asynccontextmanager
+    async def _counted(self, locked):
+        async with locked:
+            self.active_ops += 1
+            try:
+                yield
+            finally:
+                self.active_ops -= 1
+
+    def reading(self):
+        """The read lock, counted in the ``active_sessions`` gauge."""
+        return self._counted(self.lock.read_locked())
+
+    def writing(self):
+        """The write lock, counted in the ``active_sessions`` gauge."""
+        return self._counted(self.lock.write_locked())
+
     def note_backup(self, report: Dict) -> None:
         self.counters["backups"] += 1
         self.counters["bytes_ingested"] += int(report.get("logical_bytes", 0))
@@ -123,9 +131,6 @@ class RepoHandle:
 
     def note_delete(self) -> None:
         self.counters["deletes"] += 1
-
-    def note_error(self) -> None:
-        self.counters["errors"] += 1
 
     def stats(self) -> Dict:
         """The per-repo ``STATS`` document (repository + service counters)."""
@@ -155,14 +160,9 @@ class RepositoryRegistry:
         #: Daemon-lifetime shared chunking pool, handed to every tenant's
         #: repository (``None`` keeps the serial inline ingest path).
         self.ingest_pool = ingest_pool
-        #: Parsed location for backend-URL roots; ``None`` keeps the
-        #: historical directory-per-tenant fast path below.
-        self.location: "RepoLocation | None" = (
-            parse_repo_spec(root) if is_repo_url(root) else None
-        )
-        if self.location is None:
-            os.makedirs(root, exist_ok=True)
-        elif self.location.scheme in ("file", "sqlite"):
+        #: A bare directory is a ``file://`` location like any other.
+        self.location: RepoLocation = parse_repo_spec(root)
+        if self.location.scheme in ("file", "sqlite"):
             # Both schemes key tenants off a local directory (per-tenant
             # subdirectory / per-tenant .db file); object stores need no
             # local skeleton.
@@ -186,19 +186,16 @@ class RepositoryRegistry:
             handle = self._handles.get(name)
             if handle is not None:
                 return handle
-            if self.location is None:
-                repo_root = os.path.join(self.root, name)
-                if not create and not os.path.isdir(repo_root):
-                    raise RemoteError(f"unknown repository {name!r}")
-            else:
-                repo_root = self.location.child(name)
-                if not create and not parse_repo_spec(repo_root).exists():
-                    raise RemoteError(f"unknown repository {name!r}")
-            handle = RepoHandle(
-                name, repo_root, self.history_depth, self.compress, self.metrics,
-                ingest_pool=self.ingest_pool,
+            repo_root = self.location.child(name)
+            if not create and not parse_repo_spec(repo_root).exists():
+                raise RemoteError(f"unknown repository {name!r}")
+            handle = self._handles[name] = RepoHandle(
+                name,
+                LocalRepository(
+                    repo_root, history_depth=self.history_depth, compress=self.compress,
+                    metrics=self.metrics, ingest_pool=self.ingest_pool,
+                ),
             )
-            self._handles[name] = handle
             return handle
 
     def drop(self, name: str) -> int:
@@ -206,20 +203,14 @@ class RepositoryRegistry:
 
         Rebalance cleanup: the caller must hold the tenant's write lock
         (no in-flight operation survives the removal) and must only call
-        this after the tenant's new home deep-verified its copy.  Directory
-        tenants are removed recursively; backend-URL tenants have every
-        replicable object deleted plus their local skeleton (sqlite ``.db``
-        file / per-tenant directory).
+        this after the tenant's new home deep-verified its copy.  Every
+        replicable object is deleted on whichever tier holds it, then the
+        tenant's local skeleton (per-tenant directory / sqlite ``.db``
+        file).
         """
         name = self.validate_name(name)
         with self._lock:
             self._handles.pop(name, None)
-            if self.location is None:
-                repo_root = os.path.join(self.root, name)
-                if not os.path.isdir(repo_root):
-                    return 0
-                shutil.rmtree(repo_root)
-                return 1
             from ..storage.repo import SECTIONS, RepoStorage
 
             spec = self.location.child(name)
@@ -234,38 +225,19 @@ class RepositoryRegistry:
                             removed += 1
             finally:
                 storage.close()
-            if self.location.scheme == "file":
-                path = os.path.join(self.location.path, name)
-                if os.path.isdir(path):
-                    shutil.rmtree(path)
-                    removed = max(removed, 1)
-            elif self.location.scheme == "sqlite":
-                path = os.path.join(self.location.path, name + ".db")
-                if os.path.exists(path):
-                    os.remove(path)
-                    removed = max(removed, 1)
+            local = storage.location
+            if local.scheme == "file" and os.path.isdir(local.path):
+                shutil.rmtree(local.path)
+                removed = max(removed, 1)
+            elif local.scheme == "sqlite" and os.path.exists(local.path):
+                os.remove(local.path)
+                removed = max(removed, 1)
             return removed
 
     def repo_names(self) -> List[str]:
         """Every hosted repository: on the backend plus opened this session."""
         names = set(self._handles)
-        if self.location is not None:
-            names.update(
-                entry for entry in self.location.tenant_names()
-                if _NAME_RE.match(entry)
-            )
-        elif os.path.isdir(self.root):
-            for entry in os.listdir(self.root):
-                if _NAME_RE.match(entry) and os.path.isdir(os.path.join(self.root, entry)):
-                    names.add(entry)
+        names.update(
+            entry for entry in self.location.tenant_names() if _NAME_RE.match(entry)
+        )
         return sorted(names)
-
-    def stats(self, name: str) -> Dict:
-        """One repo's stats document.
-
-        There is deliberately no all-repos aggregate here: sampling a repo
-        while a backup or rollback mutates it violates the serialization
-        contract, so the daemon iterates :meth:`repo_names` itself and
-        takes each handle's read lock before calling ``handle.stats()``.
-        """
-        return self.get(name).stats()

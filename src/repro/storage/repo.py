@@ -38,7 +38,6 @@ from .recipe import BackendRecipeStore, FileRecipeStore, RecipeStore
 
 __all__ = [
     "RepoStorage",
-    "is_repo_url",
     "object_name",
     "SECTIONS",
     "STAGED_SUFFIX",
@@ -94,15 +93,6 @@ def object_name(kind: str, name: str) -> str:
     if not isinstance(name, str) or not pattern.match(name):
         raise ReplicationError(f"invalid {kind} object name {name!r}")
     return _PREFIXES[kind] + name
-
-
-def is_repo_url(spec: str) -> bool:
-    """Whether a repo spec needs backend routing (URL scheme or options).
-
-    Bare directory paths — the historical form — return ``False`` and keep
-    the direct-filesystem code paths everywhere.
-    """
-    return "://" in spec or "?archive=" in spec
 
 
 class RepoStorage:
@@ -312,6 +302,13 @@ class RepoStorage:
 
     def read_object(self, kind: str, name: str) -> bytes:
         return self._backend_for(kind).get(object_name(kind, name))
+
+    def local_path(self, kind: str, name: str) -> Optional[str]:
+        """The object's file when the repository is a plain local directory
+        (what ``os.sendfile`` can ship), else ``None``."""
+        if not self.is_plain_file:
+            return None
+        return os.path.join(self.location.path, *object_name(kind, name).split("/"))
 
     def object_exists(self, kind: str, name: str) -> bool:
         return self._backend_for(kind).exists(object_name(kind, name))

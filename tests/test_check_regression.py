@@ -31,19 +31,21 @@ def _write(directory, name, doc):
 class TestCpuCountRule:
     def test_differing_cpu_counts_are_unmeasured_not_failed(self, gate, tmp_path, capsys):
         # A 3x "drop" that is only a 1-core baseline against a 4-core run.
-        _write(tmp_path / "baselines", "cluster", {"speedup_3x": 3.0, "cpu_count": 4})
-        _write(tmp_path / "fresh", "cluster", {"speedup_3x": 1.0, "cpu_count": 1})
+        _write(tmp_path / "baselines", "restore_throughput_daemon",
+               {"speedup_p50": 3.0, "cpu_count": 4})
+        _write(tmp_path / "fresh", "restore_throughput_daemon",
+               {"speedup_p50": 1.0, "cpu_count": 1})
         assert gate.check(str(tmp_path / "fresh")) == 0
         out = capsys.readouterr().out
-        assert "UNMEASURED  cluster.speedup_3x" in out
+        assert "UNMEASURED  restore_throughput_daemon.speedup_p50" in out
         assert "REGRESSION" not in out and "1 unmeasured" in out
 
     def test_same_cpu_count_still_gates(self, gate, tmp_path, capsys):
         # ``cpus`` and ``cpu_count`` are the same fact under two names.
-        _write(tmp_path / "baselines", "server_throughput",
-               {"speedup_concurrent": 3.0, "cpus": 2})
-        _write(tmp_path / "fresh", "server_throughput",
-               {"speedup_concurrent": 1.0, "cpu_count": 2})
+        _write(tmp_path / "baselines", "restore_throughput_s3",
+               {"speedup_p50": 3.0, "cpus": 2})
+        _write(tmp_path / "fresh", "restore_throughput_s3",
+               {"speedup_p50": 1.0, "cpu_count": 2})
         assert gate.check(str(tmp_path / "fresh")) == 1
         assert "REGRESSION" in capsys.readouterr().out
 

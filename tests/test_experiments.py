@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import HiDeStore
 from repro.experiments import COLUMNS, read_csv, run_matrix, run_single, write_csv
-from repro.storage.recipe import ACTIVE_CID
 from repro.units import KiB
 from repro.workloads import SyntheticWorkload, WorkloadSpec, load_preset
 
@@ -94,36 +93,32 @@ class TestCSV:
 
 
 class TestAutoFlatten:
-    def _run(self, flatten_every):
-        system = HiDeStore(container_size=64 * KiB, flatten_every=flatten_every)
+    """Backups never flatten; Algorithm 1 runs when asked (or by a restore)."""
+
+    def _run(self, flatten=False):
+        system = HiDeStore(container_size=64 * KiB)
         for stream in load_preset("kernel", versions=6, chunks_per_version=300).versions():
             system.backup(stream)
+        if flatten:
+            system.chain.flatten()
         return system
 
-    def test_periodic_flatten_resolves_old_chains(self):
-        system = self._run(flatten_every=2)
-        newest = system.recipes.latest_version()
-        for version in system.version_ids()[:-2]:
-            recipe = system.recipes.peek(version)
-            for entry in recipe.entries:
-                # Resolved: archival, or a direct pointer to the newest
-                # flatten target — never an intermediate chain hop.
-                assert entry.cid > 0 or entry.cid in (-newest, -(newest - 1), ACTIVE_CID)
-
     def test_disabled_leaves_chains(self):
-        system = self._run(flatten_every=0)
+        system = self._run()
         recipe = system.recipes.peek(1)
         # Without flattening, R_1 points at R_2 (one hop).
         assert any(entry.cid == -2 for entry in recipe.entries)
+        assert system.chain.stats.flatten_runs == 0
 
     def test_restores_identical_either_way(self):
-        flattened = self._run(flatten_every=2)
-        lazy = self._run(flatten_every=0)
+        flattened = self._run(flatten=True)
+        lazy = self._run()
         for version in flattened.version_ids():
             a = [c.fingerprint for c in flattened.restore_chunks(version)]
             b = [c.fingerprint for c in lazy.restore_chunks(version)]
             assert a == b
 
     def test_flatten_stats_recorded(self):
-        system = self._run(flatten_every=2)
-        assert system.chain.stats.flatten_runs >= 2
+        system = self._run(flatten=True)
+        assert system.chain.stats.flatten_runs == 1
+        assert system.chain.stats.entries_rewritten > 0

@@ -120,19 +120,23 @@ def test_draining_deferred_maintenance_clears_the_mark():
     assert system.chain.flat_through == 4
 
 
-def test_flatten_every_leaves_the_mark_set():
-    system = HiDeStore(container_size=8 * KiB, flatten_every=2)
-    for version in range(1, 5):
+def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it():
+    from repro.core.checkpoint import checkpoint_document, system_from_document
+
+    system = HiDeStore(container_size=8 * KiB)
+    for version in range(1, 4):
         system.backup(stream(version))
-    assert system.chain.flat_through == 4
-    runs = system.chain.stats.flatten_runs
-    for version in (1, 4, 2):
-        system.restore(version)
-    assert system.chain.stats.flatten_runs == runs
-    system.backup(stream(5))  # not a multiple of two: no flatten in the backup
-    assert system.chain.flat_through == NOT_FLAT
-    system.restore(5)
-    assert system.chain.stats.flatten_runs == runs + 1
+    saved = checkpoint_document(system)
+    assert "flatten_every" not in saved.head
+    loaded = system_from_document(
+        dict(saved.head, flatten_every=2),  # what a PR 22 repository holds
+        container_store=system.containers,
+        recipe_store=system.recipes,
+        read_part=saved.new_parts.__getitem__,
+    )
+    loaded.backup(stream(4))  # the dropped knob would have flattened here
+    assert loaded.chain.flat_through == NOT_FLAT
+    assert "flatten_every" not in checkpoint_document(loaded).head
 
 
 def test_delete_oldest_and_retire_leave_the_mark_set():

@@ -46,7 +46,7 @@ from repro.errors import RemoteError, RestoreError, VersionNotFoundError
 from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository, read_tree, stream_blocks
 from repro.server import DaemonThread
-from repro.server import daemon as daemon_module
+from repro.server import session as session_module
 
 TENANT = "tenant"
 WAIT = 30.0  # upper bound on any single event wait; reaching it fails the test
@@ -377,7 +377,7 @@ class HeldRestore:
 def parked_when_full(monkeypatch):
     """An event set when a pump finds its window full and is about to block."""
     parked = threading.Event()
-    offer = daemon_module._RestorePump._offer
+    offer = session_module._RestorePump._offer
 
     def probing_offer(pump, item):
         if pump._window.acquire(blocking=False):
@@ -386,7 +386,7 @@ def parked_when_full(monkeypatch):
             parked.set()
         offer(pump, item)
 
-    monkeypatch.setattr(daemon_module._RestorePump, "_offer", probing_offer)
+    monkeypatch.setattr(session_module._RestorePump, "_offer", probing_offer)
     return parked
 
 
@@ -419,14 +419,14 @@ def park_the_pump(daemon_thread, held, parked):
     held.go.set()
     assert parked.wait(WAIT), "the pump never filled its window"
     # One frame reached the client; the window holds the rest, one is built.
-    assert held.pulled <= 1 + daemon_module._RESTORE_WINDOW + 1
+    assert held.pulled <= 1 + session_module._RESTORE_WINDOW + 1
     return resume
 
 
 def assert_pump_gone(held):
     held.pump.join(WAIT)
     assert not held.pump.is_alive()
-    assert held.most_queued <= daemon_module._RESTORE_WINDOW
+    assert held.most_queued <= session_module._RESTORE_WINDOW
     assert held.pulled < HeldRestore.FRAMES  # it was stopped, it did not finish
 
 
