@@ -9,7 +9,7 @@ substrate:
   dense active containers, cold residues demote to archival containers
   (§4.2);
 * :class:`~repro.core.recipe_chain.RecipeChain` — one previous-recipe update
-  per version, offline Algorithm-1 flattening before restores (§4.3);
+  per version, Algorithm 1's answers kept in memory for restores (§4.3);
 * :class:`~repro.core.deletion.DeletionManager` — GC-free expiry (§4.5).
 
 The public surface mirrors :class:`repro.pipeline.system.BackupSystem`
@@ -33,7 +33,7 @@ from ..storage.container import Container
 from ..storage.container_store import ContainerStore, MemoryContainerStore
 from ..storage.io_model import IOStats
 from ..storage.recipe import ACTIVE_CID, MemoryRecipeStore, Recipe, RecipeEntry, RecipeStore
-from ..units import CONTAINER_SIZE
+from ..units import CONTAINER_SIZE, RECIPE_ENTRY_SIZE
 from .chunk_filter import ActiveContainerPool
 from .deletion import DeletionManager, DeletionStats
 from .double_cache import BATCH_DUPLICATE, DoubleHashCache
@@ -137,7 +137,7 @@ class HiDeStore(RestoreMixin):
             # versions are stored.
             prefetch_lookups = 0
             if version_id > 1 and (version_id - 1) in self.recipes:
-                prefetch_bytes = self.recipes.peek(version_id - 1).byte_size
+                prefetch_bytes = self.recipes.entry_count(version_id - 1) * RECIPE_ENTRY_SIZE
                 prefetch_lookups = -(-prefetch_bytes // self.lookup_unit_bytes)  # ceil
                 self.io.note_index_lookup(prefetch_lookups)
 
@@ -287,50 +287,23 @@ class HiDeStore(RestoreMixin):
     # three HiDeStore-specific hooks.
     # ------------------------------------------------------------------
     def _restore_rows(self, version_id, load, rows=None, metrics=None):
-        """Drain queued filter work, run Algorithm 1 if the chain may not be
-        flat, and resolve the rows of ``R_version`` that ``rows`` picks.
-
-        The paper flattens offline, before restores; the chain's
-        ``flat_through`` mark says when that is already done:
-
-        * this engine changed the chain since its last flatten (a backup,
-          drained maintenance) — flatten, whichever version is asked for;
-        * the mark is the newest version — nothing to do, no chain I/O;
-        * no mark (a freshly opened engine) — the recipe describes itself:
-          the newest is never chained (``write_fresh``) and Algorithm 1
-          never rewrites it, and an older row is what Algorithm 1 would
-          leave iff its CID is positive or ``-newest``.
-
-        A restore that skipped Algorithm 1 and finds a row still chained, or
-        a chunk missing from the active containers (a recipe replaced behind
-        the engine), runs it and retries once.
-        """
+        """Drain queued filter work, decode ``R_version`` once and resolve the
+        rows ``rows`` picks, writing nothing.  A row nothing resolves (a
+        recipe replaced behind the engine) rebuilds the index once, then is a
+        :class:`RestoreError`; ``restore.index_builds`` counts every build."""
         self.run_maintenance()
+        entries = pick_rows(load(version_id), rows)
         with self._lock:
-            newest = self._next_version - 1
-            mark = self.chain.flat_through
-            ran = mark is not None and mark != newest
-            if ran:
-                self.chain.flatten()
-        try:
-            resolved = self._resolve_restore_entries(
-                pick_rows(load(version_id), rows), version_id,
-                flat_at=newest if mark is None else None,
-            )
-        except RestoreError:
-            if ran:
-                raise
-            with self._lock:
-                # Unless a concurrent restore flattened since ``mark`` was read.
-                if self.chain.flat_through == mark:
-                    self.chain.flatten()
-                    ran = True
-            resolved = self._resolve_restore_entries(
-                pick_rows(load(version_id), rows), version_id
-            )
-        if metrics is not None:
-            metrics.inc("restore.flatten_runs" if ran else "restore.flatten_skipped")
-        return resolved
+            builds = self.chain.stats.index_builds
+            try:
+                return self._resolve_restore_entries(entries, version_id, load)
+            except RestoreError:
+                self.chain.index = None
+                self.chain.archival_index(load)
+                return self._resolve_restore_entries(entries, version_id, load)
+            finally:
+                if metrics is not None and self.chain.stats.index_builds > builds:
+                    metrics.inc("restore.index_builds", self.chain.stats.index_builds - builds)
 
     def _read_container(self, cid: int) -> Container:
         if cid in self.pool:
@@ -343,35 +316,29 @@ class HiDeStore(RestoreMixin):
         return super()._read_container_chunks(cid, fingerprints)
 
     def _resolve_restore_entries(
-        self,
-        entries: List[RecipeEntry],
-        version_id: int,
-        flat_at: Optional[int] = None,
+        self, entries: List[RecipeEntry], version_id: int, load
     ) -> List[RecipeEntry]:
-        """Map every entry to a concrete (positive) container ID.
-
-        Entries are positive, or ``0`` / negative for a chunk in the active
-        containers, which resolves through the pool's location map.  With
-        ``flat_at`` (the newest version), a negative entry is only trusted
-        to mean that if it points there — Algorithm 1's own mark — or past
-        it (a backup that died after rewriting ``R_newest``).
-        """
+        """Map every entry to a concrete container ID as Algorithm 1 would
+        (caller holds the lock): a non-positive row (``0`` or ``-k``) takes
+        the CID of the newest recipe at or after ``version_id`` holding its
+        fingerprint as archival — the chain's index, built through ``load``
+        on first need; none after the newest — else ``pool.location``'s."""
+        location = self.pool.location
+        archival = {} if version_id >= self._next_version - 1 else None
         resolved: List[RecipeEntry] = []
         for entry in entries:
             cid = entry.cid
             if cid <= 0:
-                if cid < 0 and flat_at is not None and -cid < flat_at:
-                    raise RestoreError(
-                        f"chunk {entry.fingerprint.hex()[:8]} of version "
-                        f"{version_id} is still chained to R_{-cid}"
-                    )
-                cid = self.pool.location.get(entry.fingerprint)
-                if cid is None:
-                    raise RestoreError(
-                        f"chunk {entry.fingerprint.hex()[:8]} of version "
-                        f"{version_id} resolves to the active containers "
-                        "but is not there"
-                    )
+                if archival is None:
+                    archival = self.chain.archival_index(load)
+                holder, cid = archival.get(entry.fingerprint, (0, 0))
+                if holder < version_id:  # no recipe from version_id on has it archival
+                    cid = location.get(entry.fingerprint)
+                    if cid is None:
+                        raise RestoreError(
+                            f"chunk {entry.fingerprint.hex()[:8]} of version {version_id} "
+                            "is neither archival in a newer recipe nor active"
+                        )
             resolved.append(RecipeEntry(entry.fingerprint, entry.size, cid))
         return resolved
 
@@ -391,7 +358,10 @@ class HiDeStore(RestoreMixin):
         versions = self.recipes.version_ids()
         if not versions:
             raise VersionNotFoundError("no versions to delete")
-        return self.deletion.delete_version(versions[0], self.demotion_horizon)
+        stats = self.deletion.delete_version(versions[0], self.demotion_horizon)
+        with self._lock:
+            self.chain.expire(versions[0])
+        return stats
 
     # ------------------------------------------------------------------
     # Retirement: demote everything, freeze the system
@@ -410,17 +380,20 @@ class HiDeStore(RestoreMixin):
         moved, written = self.pool.demote(drained)
         if newest is not None:
             self.deletion.tag_containers(newest, written)
-            final = self.recipes.read(newest)
-            for entry in final.entries:
-                if entry.cid <= 0:
-                    archival = moved.get(entry.fingerprint)
-                    if archival is None:
-                        raise RestoreError(
-                            f"retire: chunk {entry.fingerprint.hex()[:8]} has "
-                            "no archival location"
-                        )
-                    entry.cid = archival
-            self.recipes.write(final)
+            # The recipes no previous-recipe update has reached yet: the
+            # newest, and with history_depth > 1 the ones still cached too.
+            for version in self.recipes.version_ids()[-self.history_depth :]:
+                recipe = self.recipes.read(version)
+                for entry in recipe.entries:
+                    if entry.cid <= 0:
+                        archival = moved.get(entry.fingerprint)
+                        if archival is None:
+                            raise RestoreError(
+                                f"retire: chunk {entry.fingerprint.hex()[:8]} has "
+                                "no archival location"
+                            )
+                        entry.cid = archival
+                self.recipes.write(recipe)
             self.chain.flatten()
         self._retired = True
 

@@ -9,27 +9,25 @@ recipe ``R_{n-depth}`` is rewritten:
 * everything else — still hot — gets ``-(n-depth+1)``: "follow the chain to
   the next recipe".
 
-Old recipes therefore form a forward-pointing chain.  Restoring an old
-version would walk several recipes, so Algorithm 1 (:meth:`RecipeChain.flatten`)
-is run offline before restores: it propagates concrete locations backwards
-so every entry becomes either a positive archival CID or ``-newest``
-("still in the active containers").  The chain remembers the version it was
-last flattened through (:attr:`RecipeChain.flat_through`), so the engine
-runs Algorithm 1 once per chain change, not once per restore.
+Old recipes therefore form a forward-pointing chain.  Algorithm 1
+(:meth:`RecipeChain.flatten`) resolves it offline: it propagates concrete
+locations backwards so every entry becomes either a positive archival CID or
+``-newest`` ("still in the active containers").  Restores never run it: every
+positive CID was written through this class, which keeps the answers in
+memory (:meth:`RecipeChain.archival_index`), so a restore only reads.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import RecipeError
 from ..storage.recipe import ACTIVE_CID, Recipe, RecipeStore
 
-#: :attr:`RecipeChain.flat_through` of a chain this process has changed since
-#: its last flatten (version IDs start at 1).
-NOT_FLAT = 0
+#: fingerprint -> (newest retained version holding it archival, that CID).
+ArchivalIndex = Dict[bytes, Tuple[int, int]]
 
 
 @dataclass
@@ -39,6 +37,7 @@ class ChainStats:
     previous_updates: int = 0
     flatten_runs: int = 0
     entries_rewritten: int = 0
+    index_builds: int = 0
     update_seconds: float = 0.0
     flatten_seconds: float = 0.0
 
@@ -49,15 +48,11 @@ class RecipeChain:
     def __init__(self, recipes: RecipeStore) -> None:
         self.recipes = recipes
         self.stats = ChainStats()
-        #: Newest version of the last :meth:`flatten`, :data:`NOT_FLAT` once
-        #: :meth:`write_fresh` or :meth:`update_previous` has changed the
-        #: chain since, ``None`` while this process has done neither — then
-        #: only the stored recipes say whether they are flat.  Deleting the
-        #: oldest recipe rewrites no other, so expiry leaves the mark alone.
-        #: In memory only: a mark in the checkpoint head would have readers
-        #: writing the head, and could go stale behind a replication commit
-        #: or a repair.
-        self.flat_through: Optional[int] = None
+        #: ``fp -> (version, cid)`` of the newest retained recipe holding
+        #: ``fp`` as archival: what Algorithm 1 would write into an older
+        #: non-positive row, kept instead of written.  ``None`` until a
+        #: restore needs it; in memory only (DESIGN §1.1).
+        self.index: Optional[ArchivalIndex] = None
 
     # ------------------------------------------------------------------
     def write_fresh(self, recipe: Recipe) -> None:
@@ -74,7 +69,10 @@ class RecipeChain:
                     f"fresh HiDeStore recipes cannot chain; found cid={entry.cid}"
                 )
         self.recipes.write(recipe)
-        self.flat_through = NOT_FLAT
+        if self.index is not None:
+            for entry in recipe.entries:
+                if entry.cid > 0:
+                    self.index[entry.fingerprint] = (recipe.version_id, entry.cid)
 
     def update_previous(
         self, previous_version: int, moved: Mapping[bytes, int], next_version: int
@@ -100,15 +98,36 @@ class RecipeChain:
             archival = moved.get(entry.fingerprint)
             if archival is not None:
                 entry.cid = archival
+                if self.index is not None:  # updates run oldest first: newest wins
+                    self.index[entry.fingerprint] = (previous_version, archival)
             else:
                 entry.cid = -next_version
             rewritten += 1
         self.recipes.write(recipe)
-        self.flat_through = NOT_FLAT
         self.stats.previous_updates += 1
         self.stats.entries_rewritten += rewritten
         self.stats.update_seconds += time.perf_counter() - started
         return rewritten
+
+    # ------------------------------------------------------------------
+    def archival_index(self, load: Callable[[int], Recipe]) -> ArchivalIndex:
+        """The index, built on first use by Algorithm 1's read pass without
+        its writes: newest→oldest through ``load``, first positive CID wins."""
+        if self.index is None:
+            index: ArchivalIndex = {}
+            for version in reversed(self.recipes.version_ids()):
+                for entry in load(version).entries:
+                    if entry.cid > 0:
+                        index.setdefault(entry.fingerprint, (version, entry.cid))
+            self.index = index
+            self.stats.index_builds += 1
+        return self.index
+
+    def expire(self, version: int) -> None:
+        """Forget what only ``version`` (the just-expired oldest) held."""
+        if self.index is not None:  # in place: half the cost of a rebuilt dict
+            for fp in [fp for fp, known in self.index.items() if known[0] <= version]:
+                del self.index[fp]
 
     # ------------------------------------------------------------------
     def flatten(self, newest: Optional[int] = None) -> int:
@@ -117,11 +136,12 @@ class RecipeChain:
         Walks recipes from the newest to the oldest, carrying a hash table of
         known archival locations; every chained entry is resolved to its
         archival CID, or to ``-newest`` when the chunk is still hot (active
-        containers).  Safe to re-run at any time (idempotent).
+        containers).  Idempotent; the index is rebuilt on its next use.
 
         Returns the number of entries rewritten.
         """
         started = time.perf_counter()
+        self.index = None
         versions = self.recipes.version_ids()
         if not versions:
             return 0
@@ -148,7 +168,6 @@ class RecipeChain:
                     rewritten += 1
             if changed:
                 self.recipes.write(recipe)
-        self.flat_through = newest
         self.stats.flatten_runs += 1
         self.stats.entries_rewritten += rewritten
         self.stats.flatten_seconds += time.perf_counter() - started

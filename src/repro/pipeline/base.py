@@ -17,8 +17,7 @@ module foregrounds the shared surface:
   :meth:`RestoreMixin._read_container`,
   :meth:`RestoreMixin._read_container_chunks`) that the engines override
   where their semantics genuinely differ (HiDeStore drains queued
-  maintenance, flattens the recipe chain if it has changed, and resolves
-  active-chunk locations).
+  maintenance and resolves chained and active rows from memory).
 """
 
 from __future__ import annotations
@@ -99,9 +98,8 @@ class RestoreMixin:
     ``restorer`` attributes and may override the hooks:
 
     * :meth:`_restore_rows` — load a version's recipe and map its rows to
-      concrete container IDs (HiDeStore drains queued maintenance, runs
-      Algorithm 1 when the chain has changed since it last did, and
-      resolves active-chunk markers here);
+      concrete container IDs (HiDeStore drains queued maintenance and
+      resolves chained and active-chunk rows here, writing nothing);
     * :meth:`_read_container` — fetch one container by ID (HiDeStore routes
       active containers through its pool here).
     """
@@ -153,8 +151,8 @@ class RestoreMixin:
         recipe's entries to the slice wanted, so a caller that locates its
         range by entry size costs no second recipe read), the serial
         algorithm layer and the pipelined engine all come through here, so
-        maintenance draining / chain flattening / active-chunk resolution
-        happen identically everywhere.
+        maintenance draining and chained/active-row resolution happen
+        identically everywhere.
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")

@@ -10,7 +10,7 @@ A HiDeStore repository directory is a set of four object kinds:
   §4.2 chunk filter buys us.
 * ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr``.  Mostly stable, but **not**
   immutable: §4.3 chain maintenance rewrites the previous version's recipe
-  in place, and Algorithm-1 flattening may rewrite any of them.  Diffed by
+  in place, and ``retire()``'s Algorithm 1 may rewrite any of them.  Diffed by
   content digest.
 * ``manifest`` — ``manifests/manifest-XXXXXXXX.txt``.  Immutable per
   version; diffed by digest anyway (they are tiny).

@@ -286,8 +286,8 @@ class LocalRepository:
 
     Thread-safety: backups and deletions must be externally serialised (the
     daemon's per-repo writer lock does this); concurrent restores and stats
-    are safe — the engine's internal lock guards the flatten/maintenance
-    steps they share.
+    are safe — restores write nothing, and the engine's internal lock guards
+    the maintenance drain and the chain index they share.
     """
 
     def __init__(
@@ -639,9 +639,6 @@ class LocalRepository:
             "containers_read": store.io.container_reads,
             "containers_written": store.io.container_writes,
             "pending_maintenance": store.pending_maintenance,
-            # Newest version Algorithm 1 has flattened through, if this
-            # engine knows (see RecipeChain.flat_through).
-            "flat_through": store.chain.flat_through or None,
         }
 
     def delete_oldest(self) -> Dict:

@@ -17,9 +17,9 @@ import os
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import RecipeError
+from ..errors import ObjectMissingError, RecipeError
 from ..units import FINGERPRINT_SIZE, RECIPE_ENTRY_SIZE
 from .io_model import IOStats
 
@@ -115,12 +115,21 @@ def pack_recipe(recipe: Recipe) -> bytes:
     return b"".join(parts)
 
 
-def unpack_recipe(blob: bytes) -> Recipe:
-    """Parse the binary form produced by :func:`pack_recipe`."""
+def unpack_header(blob: bytes) -> Tuple[int, int]:
+    """``(version_id, entry count)`` from the first ``_HEADER.size`` bytes."""
     try:
         magic, version_id, count = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC:
-            raise RecipeError("bad recipe magic")
+    except struct.error as exc:
+        raise RecipeError(f"corrupt recipe blob: {exc}") from exc
+    if magic != _MAGIC:
+        raise RecipeError("bad recipe magic")
+    return version_id, count
+
+
+def unpack_recipe(blob: bytes) -> Recipe:
+    """Parse the binary form produced by :func:`pack_recipe`."""
+    version_id, count = unpack_header(blob)
+    try:
         offset = _HEADER.size
         (tag_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
@@ -170,6 +179,10 @@ class RecipeStore(ABC):
     def peek(self, version_id: int) -> Recipe:
         """Load without billing (metrics/test use)."""
         raise NotImplementedError
+
+    def entry_count(self, version_id: int) -> int:
+        """Unbilled; serialised stores read the header, not the entries."""
+        return len(self.peek(version_id))
 
 
 class MemoryRecipeStore(RecipeStore):
@@ -233,22 +246,21 @@ class BackendRecipeStore(RecipeStore):
         self.stats.note_recipe_read(recipe.byte_size)
         return recipe
 
-    def peek(self, version_id: int) -> Recipe:
-        from ..errors import ObjectMissingError
-
+    def _on(self, op, version_id: int, *args):
+        """``op(name, *args)`` on ``R_version``'s object; missing is a RecipeError."""
         try:
-            blob = self.backend.get(self._name(version_id))
+            return op(self._name(version_id), *args)
         except ObjectMissingError:
             raise RecipeError(f"no recipe for version {version_id}") from None
-        return unpack_recipe(blob)
+
+    def peek(self, version_id: int) -> Recipe:
+        return unpack_recipe(self._on(self.backend.get, version_id))
+
+    def entry_count(self, version_id: int) -> int:
+        return unpack_header(self._on(self.backend.get_range, version_id, 0, _HEADER.size))[1]
 
     def delete(self, version_id: int) -> None:
-        from ..errors import ObjectMissingError
-
-        try:
-            self.backend.delete(self._name(version_id))
-        except ObjectMissingError:
-            raise RecipeError(f"no recipe for version {version_id}") from None
+        self._on(self.backend.delete, version_id)
 
     def __contains__(self, version_id: int) -> bool:
         return self.backend.exists(self._name(version_id))
@@ -289,12 +301,18 @@ class FileRecipeStore(RecipeStore):
         self.stats.note_recipe_read(recipe.byte_size)
         return recipe
 
+    def _read(self, version_id: int, size: int = -1) -> bytes:
+        try:
+            with open(self._path(version_id), "rb") as handle:
+                return handle.read(size)
+        except FileNotFoundError:
+            raise RecipeError(f"no recipe for version {version_id}") from None
+
     def peek(self, version_id: int) -> Recipe:
-        path = self._path(version_id)
-        if not os.path.exists(path):
-            raise RecipeError(f"no recipe for version {version_id}")
-        with open(path, "rb") as handle:
-            return unpack_recipe(handle.read())
+        return unpack_recipe(self._read(version_id))
+
+    def entry_count(self, version_id: int) -> int:
+        return unpack_header(self._read(version_id, _HEADER.size))[1]
 
     def delete(self, version_id: int) -> None:
         path = self._path(version_id)

@@ -26,6 +26,33 @@ def make_sized_stream(pairs: List[tuple], tag: str = "") -> BackupStream:
     )
 
 
+def algorithm_1_rows(twin) -> dict:
+    """Every retained version's rows as Algorithm 1 resolves them.
+
+    ``twin`` is a HiDeStore run through the same operations as the engine
+    under test; its chain is flattened here (the paper's offline pass) and
+    its recipes read as flattened recipes read: a positive CID is the
+    container, anything else is in the active containers.
+    """
+    twin.run_maintenance()
+    twin.chain.flatten()
+    return {
+        version: [
+            (e.fingerprint, e.size, e.cid if e.cid > 0 else twin.pool.location[e.fingerprint])
+            for e in twin.recipes.peek(version).entries
+        ]
+        for version in twin.version_ids()
+    }
+
+
+def resolved_rows(system) -> dict:
+    """Every retained version's rows as ``system`` resolves them to restore."""
+    return {
+        version: [(e.fingerprint, e.size, e.cid) for e in system.resolved_entries(version)]
+        for version in system.version_ids()
+    }
+
+
 def random_payload_stream(seed: int, chunks: int, mean: int = 2 * KiB) -> BackupStream:
     """A stream of payload-carrying chunks with random (seeded) contents."""
     from repro.chunking.fingerprint import Fingerprinter

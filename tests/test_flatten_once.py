@@ -1,26 +1,26 @@
-"""Algorithm 1 runs once per chain change, not once per restore.
+"""What is left of "Algorithm 1 runs once per chain change".
 
-Five groups, in the order ``HiDeStore._restore_rows`` argues them:
+Since PR 25 it runs on no restore at all: restores resolve chained rows from
+the chain's in-memory index (``tests/test_restore_resolution.py`` holds the
+oracle, the zero-write check, the rebuild net, the bound and the race).
+Algorithm 1 itself stays the offline pass ``retire()`` runs.  What this file
+keeps are the scenarios around it:
 
-* (a) the mark — which operations set it, clear it and leave it alone, and
-  that N restores after one backup cost exactly one flatten;
-* (b) parity — every recipe object is byte-identical to a twin repository
-  that flattens explicitly before each restore (the parent's behaviour);
-* (c) a fresh engine reads only the recipe it restores and writes nothing
-  when that recipe is already flat, a mirror tenant included;
-* (d) a recipe replaced behind the engine still restores byte-identical;
-* (e) two concurrent restores right after a backup flatten once;
-
-then what ``stats --metrics`` can say about it.
+* a head still naming the dropped ``flatten_every`` knob loads;
+* a partial offline flatten changes no restore;
+* a mirror tenant reads without writing, before and after a sync;
+* a recipe swapped for its pre-flatten bytes still restores, unchanged;
+* a chunk that is nowhere raises after exactly one index rebuild;
+* what ``stats --metrics`` says about who paid for the index.
 """
 
 import random
-import threading
 
 import pytest
 
 from repro.core.hidestore import HiDeStore
-from repro.core.recipe_chain import NOT_FLAT
+from repro.core.recipe_chain import RecipeChain
+from repro.errors import RestoreError
 from repro.observability import MetricsRegistry
 from repro.replication.session import ReplicationSession
 from repro.replication.state import capture_state
@@ -29,7 +29,7 @@ from repro.repository import LocalRepository
 from repro.storage.recipe import unpack_recipe
 from repro.storage.repo import RepoStorage
 from repro.units import KiB
-from tests.conftest import make_stream
+from tests.conftest import algorithm_1_rows, make_stream, resolved_rows
 
 
 def version_bytes(index):
@@ -57,10 +57,6 @@ def open_repo(spec):
     return LocalRepository(spec, metrics=MetricsRegistry())
 
 
-def recipes_of(spec):
-    return capture_state(spec)["recipes"]
-
-
 def spec_of(kind, tmp_path, name):
     return str(tmp_path / name) if kind == "directory" else f"sqlite://{tmp_path}/{name}.db"
 
@@ -70,56 +66,20 @@ def stream(version):
     return make_stream(list(range(version * 10, version * 10 + 40)))
 
 
+def build(spec, versions=4):
+    repo = open_repo(spec)
+    for index in range(versions):
+        backup(repo, index)
+    return repo
+
+
+def index_builds(repo):
+    return repo.metrics.snapshot()["counters"].get("restore.index_builds", 0)
+
+
 # ----------------------------------------------------------------------
-# (a) The mark
+# Algorithm 1 offline
 # ----------------------------------------------------------------------
-def test_many_restores_after_one_backup_flatten_once():
-    system = HiDeStore(container_size=8 * KiB)
-    for version in range(1, 7):
-        system.backup(stream(version))
-    assert system.chain.flat_through == NOT_FLAT
-    before = system.chain.stats.flatten_runs
-    reads = system.io.snapshot()
-    for version in (6, 1, 3, 6, 2, 5, 1, 4, 6):
-        assert system.restore(version).chunks == 40
-    assert system.chain.stats.flatten_runs == before + 1
-    assert system.chain.flat_through == 6
-    # One flatten walks the six recipes; after it a restore reads only its own.
-    assert system.io.delta(reads).recipe_reads == 6 + 9
-
-
-def test_a_backup_clears_the_mark_and_the_next_restore_sets_it():
-    system = HiDeStore(container_size=8 * KiB)
-    assert system.chain.flat_through is None
-    for version in range(1, 4):
-        system.backup(stream(version))
-    system.restore(3)  # the newest needs no chain, but the live engine flattens now
-    assert system.chain.flat_through == 3
-    system.backup(stream(4))
-    assert system.chain.flat_through == NOT_FLAT
-    runs = system.chain.stats.flatten_runs
-    system.restore(1)
-    system.restore(4)
-    assert system.chain.flat_through == 4
-    assert system.chain.stats.flatten_runs == runs + 1
-
-
-def test_draining_deferred_maintenance_clears_the_mark():
-    system = HiDeStore(container_size=8 * KiB, deferred_maintenance=True)
-    for version in range(1, 4):
-        system.backup(stream(version))
-    system.restore(2)
-    assert system.chain.flat_through == 3 and system.pending_maintenance == 0
-    system.backup(stream(4))
-    assert system.pending_maintenance == 1
-    system.chain.flatten()  # flat, but R_3's update is still queued
-    assert system.chain.flat_through == 4
-    runs = system.chain.stats.flatten_runs
-    assert system.restore(3).chunks == 40  # drains the queue first: not flat any more
-    assert system.chain.stats.flatten_runs == runs + 1
-    assert system.chain.flat_through == 4
-
-
 def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it():
     from repro.core.checkpoint import checkpoint_document, system_from_document
 
@@ -135,162 +95,59 @@ def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it():
         read_part=saved.new_parts.__getitem__,
     )
     loaded.backup(stream(4))  # the dropped knob would have flattened here
-    assert loaded.chain.flat_through == NOT_FLAT
+    assert loaded.chain.stats.flatten_runs == 0
     assert "flatten_every" not in checkpoint_document(loaded).head
 
 
-def test_delete_oldest_and_retire_leave_the_mark_set():
-    system = HiDeStore(container_size=8 * KiB)
-    for version in range(1, 6):
-        system.backup(stream(version))
-    system.restore(1)
-    runs = system.chain.stats.flatten_runs
-    system.delete_oldest()
-    assert system.chain.flat_through == 5
-    for version in (2, 5, 3):
-        system.restore(version)
-    assert system.chain.stats.flatten_runs == runs
-    system.retire()
-    assert system.chain.flat_through == 5
-    for version in (2, 5):
-        system.restore(version)
-    assert system.chain.stats.flatten_runs == runs + 1  # retire's own
-
-
 def test_a_partial_flatten_is_not_mistaken_for_a_whole_one():
-    system = HiDeStore(container_size=8 * KiB)
+    system, twin = HiDeStore(container_size=8 * KiB), HiDeStore(container_size=8 * KiB)
     for version in range(1, 5):
         system.backup(stream(version))
-    system.chain.flatten(newest=3)
-    assert system.chain.flat_through == 3
-    runs = system.chain.stats.flatten_runs
-    system.restore(1)
-    assert system.chain.stats.flatten_runs == runs + 1
-    assert system.chain.flat_through == 4
+        twin.backup(stream(version))
+    system.restore(1)  # the index is built and live
+    system.chain.flatten(newest=3)  # R_1, R_2 now say -3 where R_4 is meant
+    assert any(e.cid == -3 for e in system.recipes.peek(1).entries)
+    assert resolved_rows(system) == algorithm_1_rows(twin)
+    for version in range(1, 5):
+        assert system.restore(version).chunks == 40
 
 
 # ----------------------------------------------------------------------
-# (b) Parity with flattening before every restore
+# Readers write nothing
 # ----------------------------------------------------------------------
-#: ("backup", index) | ("restore", version, file or None) | ("delete",)
-SEQUENCE = [
-    ("backup", 0), ("backup", 1), ("backup", 2),
-    ("restore", 1, None), ("restore", 3, None), ("restore", 2, "b.bin"),
-    ("backup", 3),
-    ("restore", 4, None), ("restore", 1, "a.bin"),
-    ("delete",),
-    ("restore", 2, None), ("restore", 4, "b.bin"),
-    ("backup", 4), ("backup", 5),
-    ("delete",),
-    ("restore", 3, None), ("restore", 6, None), ("restore", 5, "a.bin"),
-]
-
-
-@pytest.mark.parametrize("kind", ["directory", "sqlite"])
-def test_recipes_are_byte_identical_to_flattening_before_every_restore(tmp_path, kind):
-    ours, twin = (open_repo(spec_of(kind, tmp_path, name)) for name in ("ours", "twin"))
-    for step in SEQUENCE:
-        if step[0] == "backup":
-            assert backup(ours, step[1]) == backup(twin, step[1])
-        elif step[0] == "delete":
-            assert ours.delete_oldest()["version_id"] == twin.delete_oldest()["version_id"]
-        else:
-            _, version, file = step
-            twin._open().chain.flatten()  # what every restore used to start with
-            data = restored(ours, version, file=file)
-            assert data == restored(twin, version, file=file)
-            whole = version_bytes(version - 1)
-            half = len(whole) // 2
-            assert data == {None: whole, "a.bin": whole[:half], "b.bin": whole[half:]}[file]
-            assert recipes_of(ours.root) == recipes_of(twin.root), step
-    assert ours._open().chain.stats.flatten_runs == 3  # one per burst of backups
-    assert capture_state(ours.root)["containers"] == capture_state(twin.root)["containers"]
-    for repo in (ours, twin):
-        repo.storage.close()
-
-
-# ----------------------------------------------------------------------
-# (c) A fresh engine on a flat chain reads one recipe and writes none
-# ----------------------------------------------------------------------
-def build(spec, versions=4):
-    repo = open_repo(spec)
-    for index in range(versions):
-        backup(repo, index)
-    return repo
-
-
-def fresh_restore_io(spec, version_id, **kwargs):
-    """Restore on an engine nothing else has touched; its recipe I/O."""
-    repo = open_repo(spec)
-    engine = repo._open()
-    before = engine.io.snapshot()
-    data = restored(repo, version_id, **kwargs)
-    delta = engine.io.delta(before)
-    repo.storage.close()
-    return data, delta.recipe_reads, delta.recipe_writes, engine
-
-
-@pytest.mark.parametrize("kind", ["directory", "sqlite"])
-def test_fresh_engine_on_a_flat_chain_reads_one_recipe_and_writes_none(tmp_path, kind):
-    spec = spec_of(kind, tmp_path, "repo")
-    build(spec).storage.close()  # four backups, never restored: chained
-    stored = recipes_of(spec)
-
-    # The newest is never chained: nothing to flatten, nothing written.
-    data, reads, writes, engine = fresh_restore_io(spec, 4)
-    assert data == version_bytes(3) and (reads, writes) == (1, 0)
-    assert engine.chain.stats.flatten_runs == 0 and engine.chain.flat_through is None
-    assert recipes_of(spec) == stored
-
-    # R_3 was written chained to R_4, the newest: already what Algorithm 1 leaves.
-    data, reads, writes, engine = fresh_restore_io(spec, 3)
-    assert data == version_bytes(2) and (reads, writes) == (1, 0)
-    assert engine.chain.stats.flatten_runs == 0
-
-    # R_1 is chained to R_2: one real flatten, then a re-read.
-    data, reads, writes, engine = fresh_restore_io(spec, 1)
-    assert data == version_bytes(0) and writes >= 1
-    assert engine.chain.stats.flatten_runs == 1 and engine.chain.flat_through == 4
-    flat = recipes_of(spec)
-    assert flat != stored
-
-    # Now every version is flat on disk: one read, no write, partial or whole.
-    for version in (1, 2, 3, 4):
-        data, reads, writes, engine = fresh_restore_io(spec, version)
-        assert data == version_bytes(version - 1) and (reads, writes) == (1, 0)
-        assert engine.chain.stats.flatten_runs == 0
-    data, reads, writes, _ = fresh_restore_io(spec, 1, file="b.bin")
-    assert data == version_bytes(0)[48 * 1024 :] and (reads, writes) == (1, 0)
-    assert recipes_of(spec) == flat
-
-
 def test_mirror_tenant_after_a_sync_restores_without_writing(tmp_path):
     source_root, mirror_root = str(tmp_path / "source"), str(tmp_path / "mirror")
     source = build(source_root)
-    assert restored(source, 1) == version_bytes(0)  # the primary flattens
+    assert restored(source, 1) == version_bytes(0)
     session = ReplicationSession(source_root, LocalMirror(mirror_root), journal="")
     assert session.run().committed
     shipped = capture_state(mirror_root)
-    for version in (4, 1, 2):
-        data, reads, writes, engine = fresh_restore_io(mirror_root, version)
-        assert data == version_bytes(version - 1) and (reads, writes) == (1, 0)
-        assert engine.chain.stats.flatten_runs == 0
+    for version, reads in ((4, 1), (1, 1 + 4), (2, 1 + 4)):
+        mirror = open_repo(mirror_root)
+        engine = mirror._open()
+        before = engine.io.snapshot()
+        assert restored(mirror, version) == version_bytes(version - 1)
+        delta = engine.io.delta(before)
+        # The newest reads its own recipe; an older one also builds the index.
+        assert (delta.recipe_reads, delta.recipe_writes) == (reads, 0)
+        mirror.storage.close()
     assert capture_state(mirror_root) == shipped
 
-    # A sync lands an un-flattened chain; a cached engine is invalidated.
+    # A sync lands new recipes behind a cached engine; it is invalidated.
     mirror = open_repo(mirror_root)
     assert restored(mirror, 2) == version_bytes(1)
     backup(source, 4)
     assert session.run().committed
     mirror.invalidate()
-    assert mirror.stats()["flat_through"] is None
     for version in (5, 4, 1):
         assert restored(mirror, version) == version_bytes(version - 1)
+    assert index_builds(mirror) == 2  # one per engine load
+    assert capture_state(mirror_root) == capture_state(source_root)
     assert mirror.verify(deep=True)["ok"]
 
 
 # ----------------------------------------------------------------------
-# (d) A recipe replaced behind the engine
+# Recipes behind the engine
 # ----------------------------------------------------------------------
 def swap_recipe(spec, name, blob):
     storage = RepoStorage(spec)
@@ -307,71 +164,38 @@ def test_a_recipe_swapped_for_its_pre_flatten_bytes_still_restores(tmp_path, kin
     name = "recipe-00000001.hdsr"
     chained = repo.storage.read_object("recipe", name)
     assert any(e.cid < 0 and e.cid != -5 for e in unpack_recipe(chained).entries)
-
     assert restored(repo, 1) == version_bytes(0)
-    engine = repo._open()
-    flat = repo.storage.read_object("recipe", name)
-    assert flat != chained and engine.chain.flat_through == 5
+    assert repo.storage.read_object("recipe", name) == chained  # a restore writes nothing
 
-    # Behind a live engine whose mark says flat: the chunks that went cold
-    # are not in the active containers, so the restore flattens and retries.
+    # Algorithm 1 run offline, behind the live engine, then undone for R_1.
+    storage = RepoStorage(spec)
+    RecipeChain(storage.recipe_store()).flatten()
+    storage.close()
+    assert repo.storage.read_object("recipe", name) != chained
     swap_recipe(spec, name, chained)
-    runs = engine.chain.stats.flatten_runs
-    assert restored(repo, 1) == version_bytes(0)
-    assert engine.chain.stats.flatten_runs == runs + 1
-    assert repo.storage.read_object("recipe", name) == flat
-    assert restored(repo, 1, file="b.bin") == version_bytes(0)[48 * 1024 :]
-    assert engine.chain.stats.flatten_runs == runs + 1
+    for file, want in ((None, version_bytes(0)), ("b.bin", version_bytes(0)[48 * 1024 :])):
+        assert restored(repo, 1, file=file) == want
+    assert index_builds(repo) == 1
 
-    # Behind a fresh engine: the recipe says of itself that it is chained.
-    swap_recipe(spec, name, chained)
+    # Behind a fresh engine: the same, off the recipes as they now are.
     repo.invalidate()
     assert restored(repo, 1, file="a.bin") == version_bytes(0)[: 48 * 1024]
-    assert repo._open().chain.stats.flatten_runs == 1
-    assert repo.storage.read_object("recipe", name) == flat
+    assert repo.storage.read_object("recipe", name) == chained
+    assert index_builds(repo) == 2
     assert repo.verify(deep=True)["ok"]
     repo.storage.close()
 
 
-def test_a_chunk_that_is_nowhere_still_raises_after_one_retry(tmp_path):
-    from repro.errors import RestoreError
-
+def test_a_chunk_that_is_nowhere_still_raises_after_one_retry():
     system = HiDeStore(container_size=8 * KiB)
     for version in range(1, 4):
         system.backup(stream(version))
     system.restore(1)
-    recipe = system.recipes.peek(3)
-    lost = recipe.entries[0].fingerprint
-    del system.pool.location[lost]
-    runs = system.chain.stats.flatten_runs
-    with pytest.raises(RestoreError, match="not there"):
+    builds = system.chain.stats.index_builds
+    del system.pool.location[system.recipes.peek(3).entries[0].fingerprint]
+    with pytest.raises(RestoreError, match="neither archival in a newer recipe"):
         system.restore(3)
-    assert system.chain.stats.flatten_runs == runs + 1  # it did try
-
-
-# ----------------------------------------------------------------------
-# (e) Concurrent restores
-# ----------------------------------------------------------------------
-def test_two_concurrent_restores_after_a_backup_flatten_once(tmp_path):
-    repo = build(str(tmp_path / "repo"))
-    engine = repo._open()
-    assert engine.chain.stats.flatten_runs == 0
-    barrier = threading.Barrier(2)
-    results = {}
-
-    def restore(version):
-        barrier.wait(10.0)
-        results[version] = restored(repo, version)
-
-    threads = [threading.Thread(target=restore, args=(v,)) for v in (1, 4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(60.0)
-    assert results == {1: version_bytes(0), 4: version_bytes(3)}
-    assert engine.chain.stats.flatten_runs == 1
-    counters = repo.metrics.snapshot()["counters"]
-    assert counters["restore.flatten_runs"] + counters.get("restore.flatten_skipped", 0) == 2
+    assert system.chain.stats.index_builds == builds + 1  # it did try
 
 
 # ----------------------------------------------------------------------
@@ -379,18 +203,14 @@ def test_two_concurrent_restores_after_a_backup_flatten_once(tmp_path):
 # ----------------------------------------------------------------------
 def test_stats_and_counters_say_whether_a_restore_paid_for_algorithm_1(tmp_path):
     repo = build(str(tmp_path / "repo"), versions=3)
-    assert repo.stats()["flat_through"] is None  # changed since, not flat
-    restored(repo, 1)
+    assert "flat_through" not in repo.stats()
+    restored(repo, 1)  # the first older version builds the index ...
     restored(repo, 3)
-    restored(repo, 2, file="a.bin")
-    assert repo.stats()["flat_through"] == 3
-    counters = repo.metrics.snapshot()["counters"]
-    assert counters["restore.flatten_runs"] == 1
-    assert counters["restore.flatten_skipped"] == 2
+    restored(repo, 2, file="a.bin")  # ... and nothing pays for it again
+    assert index_builds(repo) == 1
 
     fresh = open_repo(repo.root)
-    assert fresh.stats()["flat_through"] is None  # never told
-    restored(fresh, 3)
-    counters = fresh.metrics.snapshot()["counters"]
-    assert counters["restore.flatten_skipped"] == 1
-    assert "restore.flatten_runs" not in counters
+    restored(fresh, 3)  # the newest needs no index
+    assert index_builds(fresh) == 0
+    restored(fresh, 2)
+    assert index_builds(fresh) == 1

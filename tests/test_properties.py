@@ -8,7 +8,8 @@ The invariants checked here are the load-bearing ones:
   adjacent-similar histories (skip-free), and never exceeds it otherwise.
 * **Chunker safety**: arbitrary bytes split losslessly within size bounds.
 * **Container conservation**: bytes in == bytes held + bytes removed.
-* **Recipe chain**: flatten never changes what a recipe resolves to.
+* **Recipe chain**: flatten never changes what a recipe resolves to, and a
+  restore resolves every row as Algorithm 1 would without running it.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.index import ExactFullIndex
 from repro.metrics import exact_dedup_ratio
 from repro.pipeline.system import BackupSystem
 from repro.storage.container import Container
+from tests.conftest import algorithm_1_rows, resolved_rows
 
 KB = 1024
 
@@ -129,11 +131,23 @@ class TestBackupRestoreProperty:
             restored = list(system.restore_chunks(version_id))
             assert [c.fingerprint for c in restored] == stream.fingerprints()
 
-    @given(version_histories())
+    @given(version_histories(), st.sampled_from([1, 2]), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_restores_resolve_as_algorithm_1_would(self, history, depth, expire):
+        ours, twin = (HiDeStore(container_size=8 * KB, history_depth=depth) for _ in range(2))
+        for streams in zip(to_streams(history), to_streams(history)):
+            for system, stream in zip((ours, twin), streams):
+                system.backup(stream)
+                if expire and len(system.version_ids()) >= depth + 2:
+                    system.delete_oldest()
+            assert resolved_rows(ours) == algorithm_1_rows(twin)
+        assert ours.io.recipe_writes == ours.chain.stats.previous_updates + len(history)
+
+    @given(version_histories(), st.sampled_from([1, 2]))
     @settings(max_examples=20, deadline=None)
-    def test_retire_preserves_restores(self, history):
+    def test_retire_preserves_restores(self, history, depth):
         streams = to_streams(history)
-        system = HiDeStore(container_size=8 * KB)
+        system = HiDeStore(container_size=8 * KB, history_depth=depth)
         for stream in streams:
             system.backup(stream)
         system.retire()
