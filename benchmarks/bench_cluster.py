@@ -1,26 +1,13 @@
-"""Cluster aggregate throughput: 1 daemon vs 3 sharded daemons.
+"""Cluster failover write availability: SIGKILL a primary daemon, time
+the next landed write.
 
 Spawns real daemon *processes* (``ClusterSupervisor`` — the same shape
-``hidestore cluster serve`` deploys; in-process threads would share one
-GIL and measure nothing) and drives six tenants through the client-side
-router (:class:`~repro.cluster.ClusterClient`):
-
-* **1 daemon** — all six tenants hash to the only node;
-* **3 daemons** — tenants spread across the ring (the bench picks tenant
-  names that place two per node, so the comparison measures scaling,
-  not placement luck).
-
-Each tenant backs up VERSIONS churned versions concurrently with the
-others, then restores the newest one and checks the byte count.  The
-aggregate backup+restore throughput ratio is reported as ``speedup_3x``
-in ``BENCH_cluster.json``; sharding is CPU scaling, so the >=
-MIN_SPEEDUP assertion only arms on runners with >= 4 cores (a 1-core box
-can only timeslice three daemons, not run them).
+``hidestore cluster serve`` deploys) and drives the tenants through the
+client-side router (:class:`~repro.cluster.ClusterClient`).
 """
 
 import os
 import random
-import threading
 import time
 
 from common import emit, table, write_bench_json
@@ -28,21 +15,12 @@ from repro.cluster import ClusterClient, ClusterMap, ClusterSupervisor, NodeSpec
 from repro.observability import read_jsonl
 from repro.units import MiB
 
-#: Tenants driven concurrently (two per node in the 3-daemon scenario).
-TENANTS = 6
-
-#: Versions per tenant and logical bytes per version.
+#: Versions of the failover tenant and logical bytes per version.
 VERSIONS = 2
 VERSION_BYTES = 4 * MiB
 
 #: Fraction of each version's bytes rewritten from the previous one.
 CHURN = 0.25
-
-#: Required 3-daemon/1-daemon aggregate speedup — only asserted on
-#: machines with enough cores for three daemons to actually run in
-#: parallel (ISSUE acceptance: >= 1.8x).
-MIN_SPEEDUP = 1.8
-MIN_CORES_FOR_ASSERT = 4
 
 
 def _versions_for(seed):
@@ -55,143 +33,6 @@ def _versions_for(seed):
         span = int(VERSION_BYTES * CHURN)
         base[edit : edit + span] = rng.randbytes(span)
     return streams
-
-
-def _balanced_tenants(cmap):
-    """TENANTS names placed evenly (TENANTS/len(nodes) per node)."""
-    per_node = TENANTS // len(cmap.nodes)
-    picked, count = [], {node.name: 0 for node in cmap.nodes}
-    for i in range(10_000):
-        name = f"tenant-{i}"
-        home = cmap.primary(name).name
-        if count[home] < per_node:
-            count[home] += 1
-            picked.append(name)
-            if len(picked) == TENANTS:
-                return picked
-    raise AssertionError("could not balance tenants over the ring")
-
-
-def _drive_backup(client, tenant, streams):
-    repo = client.repo(tenant)
-    for i, payload in enumerate(streams):
-        plan = [(f"stream-{i}.bin", len(payload))]
-        repo.backup_blocks(iter([payload]), plan, tag=f"v{i + 1}")
-
-
-def _drive_restore(client, tenant, expected_bytes):
-    _plan, data = client.repo(tenant).restore(VERSIONS)
-    got = sum(len(block) for block in data)
-    assert got == expected_bytes, f"{tenant}: restored {got} != {expected_bytes}"
-
-
-def _concurrently(work):
-    """Run the (fn, args) list on one thread each; wall-clock seconds."""
-    threads = [threading.Thread(target=fn, args=args) for fn, args in work]
-    started = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - started
-
-
-def _run_scenario(root, nodes, tenants, datasets):
-    """Backup + restore all tenants against an N-daemon cluster."""
-    specs = [
-        NodeSpec(f"n{i + 1}", "127.0.0.1:0", os.path.join(root, f"n{i + 1}"))
-        for i in range(nodes)
-    ]
-    from repro.cluster import assign_ports
-
-    cmap = assign_ports(ClusterMap(specs, replicas=1))
-    map_path = os.path.join(root, "cluster.json")
-    cmap.save(map_path)
-    with ClusterSupervisor(cmap, map_path):
-        with ClusterClient(
-            [n.address for n in cmap.nodes], cluster_map=cmap, pool_size=TENANTS
-        ) as client:
-            backup_s = _concurrently(
-                [(_drive_backup, (client, t, d)) for t, d in zip(tenants, datasets)]
-            )
-            restore_s = _concurrently(
-                [
-                    (_drive_restore, (client, t, len(d[-1])))
-                    for t, d in zip(tenants, datasets)
-                ]
-            )
-    return backup_s, restore_s
-
-
-def test_cluster_aggregate_scaling(benchmark, tmp_path):
-    # Place tenants with the 3-node map (names are what the ring hashes,
-    # so the same names all land on the lone node of the 1-node map).
-    tri_map = ClusterMap(
-        [NodeSpec(f"n{i}", f"h:{i}") for i in (1, 2, 3)], replicas=1
-    )
-    tenants = _balanced_tenants(tri_map)
-    datasets = [_versions_for(seed) for seed in range(TENANTS)]
-    logical = sum(len(s) for d in datasets for s in d)
-    restored = sum(len(d[-1]) for d in datasets)
-    results = {}
-
-    def run_all():
-        results["one"] = _run_scenario(str(tmp_path / "one"), 1, tenants, datasets)
-        results["three"] = _run_scenario(str(tmp_path / "three"), 3, tenants, datasets)
-        return len(results)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    doc = {"tenants": TENANTS, "versions": VERSIONS,
-           "version_bytes": VERSION_BYTES, "cpu_count": os.cpu_count()}
-    rows = []
-    for key, label in (("one", "1 daemon"), ("three", "3 daemons")):
-        backup_s, restore_s = results[key]
-        doc[key] = {
-            "backup_seconds": backup_s,
-            "restore_seconds": restore_s,
-            "backup_mbps": logical / backup_s / MiB,
-            "restore_mbps": restored / restore_s / MiB,
-        }
-        rows.append(
-            [
-                label,
-                f"{logical / MiB:.0f} MB",
-                f"{doc[key]['backup_mbps']:.1f} MB/s",
-                f"{doc[key]['restore_mbps']:.1f} MB/s",
-            ]
-        )
-    table(
-        ["scenario", "logical backup", "aggregate ingest", "aggregate restore"],
-        rows,
-        title=(
-            f"Sharded cluster — {TENANTS} tenants x {VERSIONS} versions x "
-            f"{VERSION_BYTES / MiB:.0f} MB, {CHURN:.0%} churn"
-        ),
-    )
-
-    one = results["one"][0] + results["one"][1]
-    three = results["three"][0] + results["three"][1]
-    doc["speedup_backup"] = results["one"][0] / results["three"][0]
-    doc["speedup_restore"] = results["one"][1] / results["three"][1]
-    doc["speedup_3x"] = one / three
-    write_bench_json("cluster", doc)
-    emit(
-        f"3-daemon/1-daemon aggregate speedup: {doc['speedup_3x']:.2f}x "
-        f"(backup {doc['speedup_backup']:.2f}x, restore "
-        f"{doc['speedup_restore']:.2f}x, {os.cpu_count()} cores)"
-    )
-
-    if (os.cpu_count() or 1) >= MIN_CORES_FOR_ASSERT:
-        assert doc["speedup_3x"] >= MIN_SPEEDUP, (
-            f"3-daemon aggregate speedup {doc['speedup_3x']:.2f}x below "
-            f"{MIN_SPEEDUP}x"
-        )
-    else:
-        emit(
-            f"(speedup floor not asserted: {os.cpu_count()} core(s) < "
-            f"{MIN_CORES_FOR_ASSERT})"
-        )
 
 
 # ----------------------------------------------------------------------

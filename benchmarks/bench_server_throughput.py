@@ -1,23 +1,12 @@
-"""Networked ingest throughput: N concurrent clients vs one (daemon path).
+"""Observability overhead on the daemon ingest path.
 
 Runs a real :class:`~repro.server.BackupDaemon` on a loopback socket and
-streams identical synthetic workloads through
-:class:`~repro.client.RemoteRepository`:
-
-* ``1 client`` — one tenant, versions backed up sequentially;
-* ``N clients`` — N tenants driven from N threads concurrently (the
-  multi-tenant scaling case: per-repo writer locks never contend).
-
-Reported per scenario: aggregate ingest throughput (logical MB/s across
-all clients) and the p50/p95 per-backup request latency.  Concurrent
-tenants should scale aggregate throughput past a single client's — the
-daemon's event loop only shuttles frames; engine work runs on worker
-threads per backup.
+streams one tenant's synthetic versions through
+:class:`~repro.client.RemoteRepository`, with metrics and the JSON event
+log on and with both off.
 """
 
-import os
 import random
-import threading
 import time
 
 from common import emit, table, write_bench_json
@@ -26,13 +15,7 @@ from repro.observability import JsonEventLogger, MetricsRegistry
 from repro.server import DaemonThread
 from repro.units import MiB
 
-#: Concurrent-client count for the scaling scenario.
-CLIENTS = 4
-
-#: Shared multiprocess ingest plane size (``serve --ingest-workers``).
-INGEST_WORKERS = 4
-
-#: Versions per client and logical bytes per version.
+#: Versions per run and logical bytes per version.
 VERSIONS = 3
 VERSION_BYTES = 4 * MiB
 
@@ -51,128 +34,6 @@ def _versions_for(seed):
         span = int(VERSION_BYTES * CHURN)
         base[edit : edit + span] = rng.randbytes(span)
     return streams
-
-
-def _drive_client(address, tenant, streams, latencies):
-    with RemoteRepository(address, tenant) as repo:
-        for i, payload in enumerate(streams):
-            plan = [(f"stream-{i}.bin", len(payload))]
-            started = time.perf_counter()
-            repo.backup_blocks(iter([payload]), plan, tag=f"v{i + 1}")
-            latencies.append(time.perf_counter() - started)
-
-
-def _run_scenario(address, tenants, datasets):
-    """Back up each dataset to its tenant from its own thread; returns
-    (elapsed wall-clock seconds, per-client latency lists)."""
-    per_client = [[] for _ in tenants]
-    threads = [
-        threading.Thread(target=_drive_client, args=(address, t, d, lat))
-        for t, d, lat in zip(tenants, datasets, per_client)
-    ]
-    started = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - started, [sorted(lat) for lat in per_client]
-
-
-def _pct(sorted_values, q):
-    return sorted_values[min(len(sorted_values) - 1, int(q * len(sorted_values)))]
-
-
-def test_server_ingest_scaling(benchmark, tmp_path):
-    datasets = [_versions_for(seed) for seed in range(CLIENTS)]
-    per_client_bytes = sum(len(s) for s in datasets[0])
-    cpus = os.cpu_count() or 1
-    results = {}
-    registries = {"one": MetricsRegistry(), "many": MetricsRegistry()}
-
-    def run_all():
-        # Both scenarios run against the shared multiprocess ingest plane:
-        # one daemon-lifetime chunking pool shared by every tenant.
-        with DaemonThread(
-            str(tmp_path / "one"),
-            ingest_workers=INGEST_WORKERS,
-            metrics=registries["one"],
-        ) as address:
-            results["one"] = _run_scenario(address, ["solo"], datasets[:1])
-        with DaemonThread(
-            str(tmp_path / "many"),
-            ingest_workers=INGEST_WORKERS,
-            metrics=registries["many"],
-        ) as address:
-            results["many"] = _run_scenario(
-                address, [f"tenant{i}" for i in range(CLIENTS)], datasets
-            )
-        return len(results)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = []
-    mbps = {}
-    chunk_seconds = {}
-    doc = {
-        "clients": CLIENTS,
-        "versions": VERSIONS,
-        "version_bytes": VERSION_BYTES,
-        "cpus": cpus,
-        "ingest_workers": INGEST_WORKERS,
-    }
-    for key, label, nbytes in (
-        ("one", "1 client", per_client_bytes),
-        ("many", f"{CLIENTS} clients", per_client_bytes * CLIENTS),
-    ):
-        elapsed, per_client = results[key]
-        pooled = sorted(lat for client in per_client for lat in client)
-        mbps[key] = nbytes / elapsed / MiB
-        # Daemon-side chunking-stage wall time: how long the dedup engine
-        # spent blocked on the upstream chunk+hash stage across all backups.
-        chunk_seconds[key] = registries[key].histogram("repo.chunking_seconds").sum
-        doc[key] = {
-            "seconds": elapsed,
-            "aggregate_mbps": mbps[key],
-            "p50_seconds": _pct(pooled, 0.50),
-            "p95_seconds": _pct(pooled, 0.95),
-            "per_client_p95_seconds": [_pct(c, 0.95) for c in per_client],
-            "chunking_stage_seconds": chunk_seconds[key],
-        }
-        rows.append(
-            [
-                label,
-                f"{nbytes / MiB:.0f} MB",
-                f"{mbps[key]:.1f} MB/s",
-                f"{_pct(pooled, 0.50) * 1000:.0f} ms",
-                f"{_pct(pooled, 0.95) * 1000:.0f} ms",
-                f"{chunk_seconds[key]:.2f} s",
-            ]
-        )
-    table(
-        ["scenario", "logical", "aggregate", "p50 backup", "p95 backup", "chunk stage"],
-        rows,
-        title=(
-            f"Networked ingest — {VERSIONS} versions x {VERSION_BYTES / MiB:.0f} MB "
-            f"per client, {CHURN:.0%} churn, {INGEST_WORKERS} ingest workers, "
-            f"{cpus} CPUs"
-        ),
-    )
-    doc["speedup_concurrent"] = mbps["many"] / mbps["one"]
-    emit(
-        f"concurrent/solo aggregate throughput: {doc['speedup_concurrent']:.2f}x "
-        f"({cpus} CPUs)"
-    )
-    write_bench_json("server_throughput", doc)
-
-    # Concurrency must multiply throughput — but only where the hardware
-    # can express it.  With >= 4 cores the shared pool must deliver >= 2x
-    # aggregate scaling; on smaller runners ingest is CPU-bound end to end
-    # (one core runs client, daemon and workers), so the assertion degrades
-    # to a collapse guard: concurrency must not cost half the throughput.
-    if cpus >= 4:
-        assert doc["speedup_concurrent"] >= 2.0
-    else:
-        assert doc["speedup_concurrent"] >= 0.5
 
 
 # ----------------------------------------------------------------------

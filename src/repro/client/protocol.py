@@ -55,9 +55,9 @@ DEFAULT_WINDOW = 64
 #: (streaming granularity; the credit window counts these).
 DATA_BLOCK = 256 * 1024
 
-#: Smallest CHUNK_DATA payload a restore ships (the last frame of a stream
-#: excepted): the daemon joins chunk blobs up to at least this much, so an
-#: 8 MiB version is eight frames, not thirty-two.
+#: CHUNK_DATA payload of every restore frame but a stream's last: the daemon
+#: cuts its runs at exactly this much, so an 8 MiB version is eight frames,
+#: not thirty-two.
 RESTORE_BLOCK = 1024 * 1024
 
 _HEADER = struct.Struct("<IB")

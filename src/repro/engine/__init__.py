@@ -6,7 +6,7 @@
   (:func:`chunk_segment`), inline or on a :class:`SharedChunkPool` of worker
   processes; the chunk sequence is byte-identical either way.
 * :mod:`~repro.engine.restore` — :func:`restore_stream` executes a restore
-  plan with a prefetching container-reader pool and ordered reassembly.
+  plan with a prefetching container-reader pool, in order, as byte runs.
 """
 
 from .restore import execute_plan_prefetched, restore_stream

@@ -1,20 +1,26 @@
-"""The pipelined restore engine: prefetched container reads, ordered output.
+"""The pipelined restore engine: prefetched container reads, ordered runs.
 
 A restore plan (:mod:`repro.restore.scheduler`) names which containers to
 read and which recipe slots each read serves; this module executes such a
 plan with a **prefetching container reader pool** — N worker threads issue
 :class:`~repro.storage.container_store.FileContainerStore` reads up to a
 bounded *readahead* window ahead of consumption — and an order-preserving
-reassembly stage that emits chunks strictly in recipe order as their reads
+reassembly stage that emits the version strictly in recipe order as reads
 complete.  Container I/O, zlib decompression and (optional) SHA-1
 re-verification all release the GIL, so they genuinely overlap with the
 Python-side reassembly and with whatever the consumer does with the bytes
 (file writes, socket sends).
 
+The output is **runs** (:class:`Run`), not chunks: entries that lie back to
+back in one decoded container payload leave as one ``memoryview`` slice, so
+the physical locality of a container read (§4.4) reaches the consumer whole.
+Plans and billing are the scheduler's; :func:`~repro.restore.scheduler.
+execute_plan` is the per-chunk oracle.
+
 Memory stays capped: at most ``readahead`` container reads are in flight
-or awaiting collection at once, and only the chunks a read was scheduled
-to serve are retained (the plan's slot lifetimes bound the assembly
-buffer exactly as the policy's cache budget would).
+or awaiting collection at once, and only the slots a read was scheduled to
+serve are retained (the plan's slot lifetimes bound the assembly buffer as
+the policy's cache budget would; held slots pin at most twice their bytes).
 
 Per-stage timings land in the observability registry:
 
@@ -28,7 +34,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
@@ -42,30 +48,19 @@ from ..storage.recipe import RecipeEntry
 #: when the container can't be partially read (fall back to a full read).
 ChunkReader = Callable[[int, Sequence[bytes]], Optional[Dict[bytes, Chunk]]]
 
+Located = Tuple[object, int, int]  #: where one slot's bytes lie: (buffer, start, size)
+
+
+class Run(NamedTuple):
+    """Contiguous restored bytes: ``data`` holds ``entries`` recipe entries."""
+
+    data: object
+    entries: int
+
 
 def default_readahead(workers: int) -> int:
     """Default readahead window (in container reads) for a pool size."""
     return max(2, 2 * workers)
-
-
-def verify_chunk(chunk: Chunk, fingerprinter: Fingerprinter) -> Chunk:
-    """Re-hash one restored chunk against its recorded fingerprint.
-
-    The real-path port of :class:`~repro.restore.verified.VerifyingRestore`:
-    a bit-flip inside a container payload is caught here instead of passing
-    silently (containers index chunks by their *recorded* fingerprint).
-    """
-    if chunk.data is None:
-        raise RestoreError(
-            f"chunk {chunk.short_fp()} carries no payload to verify"
-        )
-    actual = fingerprinter.fingerprint(chunk.data)
-    if actual != chunk.fingerprint:
-        raise RestoreError(
-            f"integrity failure: chunk recorded as {chunk.short_fp()} "
-            f"hashes to {actual.hex()[:8]}"
-        )
-    return chunk
 
 
 def _fetch_slots(
@@ -74,12 +69,14 @@ def _fetch_slots(
     reader: ContainerReader,
     fingerprinter: Optional[Fingerprinter],
     metrics: MetricsRegistry,
+    located: List[Optional[Located]],
     chunk_reader: Optional[ChunkReader] = None,
-) -> Dict[int, Chunk]:
-    """Worker-side: one billed container read plus slot extraction.
+) -> None:
+    """Worker-side: one billed container read; fills ``located`` for its slots.
 
-    Extraction (and verification, when requested) happens on the worker so
-    the GIL-releasing portions — file read, decompression, hashing — run
+    Location (and verification, when requested: each entry's own bytes are
+    re-hashed, so a bit-flip names its chunk) happens on the worker so the
+    GIL-releasing portions — file read, decompression, hashing — run
     concurrently across the pool.
 
     When ``chunk_reader`` is given (a store with ranged reads), only the
@@ -87,30 +84,50 @@ def _fetch_slots(
     billing, which is whole-container either way — is the full read.
     """
     started = time.perf_counter()
-    if chunk_reader is not None:
-        chunks = chunk_reader(
-            read.cid, [entries[i].fingerprint for i in read.slots]
-        )
-        if chunks is not None:
-            metrics.observe(
-                "restore.container_read_seconds", time.perf_counter() - started
-            )
-            out: Dict[int, Chunk] = {}
-            for i in read.slots:
-                chunk = chunks[entries[i].fingerprint]
-                if fingerprinter is not None:
-                    verify_chunk(chunk, fingerprinter)
-                out[i] = chunk
-            return out
-    container = reader(read.cid)
+    fps = [entries[i].fingerprint for i in read.slots]
+    chunks = chunk_reader(read.cid, fps) if chunk_reader is not None else None
+    if chunks is None:
+        container = reader(read.cid)
+        slots, payload = [container.get(fp) for fp in fps], container.payload
+    else:
+        slots, payload = [chunks[fp] for fp in fps], None
     metrics.observe("restore.container_read_seconds", time.perf_counter() - started)
-    out = {}
-    for i in read.slots:
-        chunk = container.get_chunk(entries[i].fingerprint)
+    # A read serving under half its blob copies its slots out rather than
+    # pin the whole blob for as long as they are held.
+    copy = payload is not None and 2 * sum(slot.size for slot in slots) < len(payload)
+    payload = None if copy else payload
+    for i, fp, slot in zip(read.slots, fps, slots):
+        data = bytes(slot.data) if copy else slot.data
+        if data is None:
+            raise RestoreError(f"chunk {fp.hex()[:8]} carries no payload")
         if fingerprinter is not None:
-            verify_chunk(chunk, fingerprinter)
-        out[i] = chunk
-    return out
+            actual = fingerprinter.fingerprint(data)
+            if actual != fp:
+                raise RestoreError(
+                    f"integrity failure: chunk recorded as {fp.hex()[:8]} "
+                    f"hashes to {actual.hex()[:8]}"
+                )
+        located[i] = (data, 0, len(data)) if payload is None else (payload, slot.offset, len(data))
+
+
+def _runs(emit: Sequence[int], located: List[Optional[Located]]) -> Iterator[Run]:
+    """One plan step's emissions; back-to-back entries of a payload merge."""
+    base: object = None
+    first = end = count = 0
+    for i in emit:
+        where, located[i] = located[i], None
+        if where is None:
+            raise RestoreError(f"restore plan emitted slot {i} before any read served it")
+        buffer, start, size = where
+        if buffer is base and start == end:
+            end += size
+            count += 1
+            continue
+        if base is not None:
+            yield Run(base[first:end], count)
+        base, first, end, count = buffer, start, start + size, 1
+    if base is not None:
+        yield Run(base[first:end], count)
 
 
 def execute_plan_prefetched(
@@ -123,13 +140,15 @@ def execute_plan_prefetched(
     verify: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     chunk_reader: Optional[ChunkReader] = None,
-) -> Iterator[Chunk]:
+) -> Iterator[Run]:
     """Execute a restore plan with a prefetching reader pool.
 
     Reads are issued up to ``readahead`` ahead of the reassembly cursor;
-    chunks are emitted strictly in recipe order.  The billed read sequence
+    runs are emitted strictly in recipe order.  The billed read sequence
     is exactly the plan's — the same count and order a serial execution
-    would issue — only the wall-clock overlap differs.
+    would issue — only the wall-clock overlap differs.  Closing the stream
+    returns once the reads in flight (at most ``workers``) have finished,
+    so a caller may release the repository the moment it does.
     """
     if workers < 1:
         raise RestoreError(f"restore workers must be >= 1, got {workers}")
@@ -147,9 +166,9 @@ def execute_plan_prefetched(
                 yield "emit", span.emit
 
     stream = events()
-    #: ("read", Future[Dict[int, Chunk]]) and ("emit", indices), plan order.
+    #: ("read", Future[None]) and ("emit", indices), plan order.
     queue: deque = deque()
-    pending: Dict[int, Chunk] = {}
+    located: List[Optional[Located]] = [None] * len(entries)
     inflight = 0
     exhausted = False
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="restore")
@@ -167,7 +186,7 @@ def execute_plan_prefetched(
                     queue.append(
                         ("read", pool.submit(
                             _fetch_slots, entries, value, reader,
-                            fingerprinter, registry, chunk_reader,
+                            fingerprinter, registry, located, chunk_reader,
                         ))
                     )
                     inflight += 1
@@ -179,23 +198,16 @@ def execute_plan_prefetched(
             kind, value = queue.popleft()
             if kind == "read":
                 stalled = time.perf_counter()
-                pending.update(value.result())
+                value.result()
                 registry.observe(
                     "restore.assemble_seconds", time.perf_counter() - stalled
                 )
                 inflight -= 1
                 pump()
             else:
-                for i in value:
-                    try:
-                        yield pending.pop(i)
-                    except KeyError:
-                        raise RestoreError(
-                            f"restore plan emitted slot {i} before any read "
-                            "served it"
-                        ) from None
+                yield from _runs(value, located)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _execute_serial(
@@ -206,26 +218,18 @@ def _execute_serial(
     verify: bool,
     metrics: MetricsRegistry,
     chunk_reader: Optional[ChunkReader] = None,
-) -> Iterator[Chunk]:
+) -> Iterator[Run]:
     """Single-threaded plan execution with the same timings and checks."""
     fingerprinter = Fingerprinter() if verify else None
-    pending: Dict[int, Chunk] = {}
+    located: List[Optional[Located]] = [None] * len(entries)
     for span in plan:
         started = time.perf_counter()
         for read in span.reads:
-            pending.update(
-                _fetch_slots(
-                    entries, read, reader, fingerprinter, metrics, chunk_reader
-                )
+            _fetch_slots(
+                entries, read, reader, fingerprinter, metrics, located, chunk_reader
             )
         metrics.observe("restore.assemble_seconds", time.perf_counter() - started)
-        for i in span.emit:
-            try:
-                yield pending.pop(i)
-            except KeyError:
-                raise RestoreError(
-                    f"restore plan emitted slot {i} before any read served it"
-                ) from None
+        yield from _runs(span.emit, located)
 
 
 def restore_stream(
@@ -238,17 +242,18 @@ def restore_stream(
     verify: bool = False,
     rows: Optional[Callable[[Sequence[RecipeEntry]], slice]] = None,
     metrics: Optional[MetricsRegistry] = None,
-) -> Iterator[Chunk]:
+) -> Iterator[Run]:
     """Restore a version (or an entry range) through the scheduler layer.
 
     The one real-path restore implementation: resolves entries via the
     engine's :meth:`~repro.pipeline.base.RestoreMixin.resolved_restore_range`
     hook, plans through :meth:`~repro.pipeline.base.RestoreMixin.
     restore_scheduler`, then executes serially (``workers=1``) or with the
-    prefetching pool.  ``verify`` re-hashes every chunk against its recipe
-    fingerprint (typed :class:`~repro.errors.RestoreError` on mismatch).
-    ``rows`` picks a partial restore's entry range from the version's
-    recipe entries, so locating it costs no second recipe read.
+    prefetching pool, yielding :class:`Run` s in recipe order.  ``verify``
+    re-hashes every entry against its recipe fingerprint (typed
+    :class:`~repro.errors.RestoreError` on mismatch).  ``rows`` picks a
+    partial restore's entry range from the version's recipe entries, so
+    locating it costs no second recipe read.
     """
     if workers < 1:
         raise RestoreError(f"restore workers must be >= 1, got {workers}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .chunking import FastCDCChunker
 from .core.checkpoint import checkpoint_document, system_from_document
@@ -244,6 +244,22 @@ def materialize(plan: FilePlan, data: Iterable[bytes], target: str) -> int:
             raise
         restored += 1
     return restored
+
+
+class RestoreStream:
+    """:meth:`LocalRepository.restore`'s blocks (bytes or ``memoryview``, any
+    length); ``entries`` counts the recipe entries they came from so far."""
+
+    def __init__(self, blocks: Callable[["RestoreStream"], Iterator]) -> None:
+        self.entries = 0
+        self._blocks = blocks(self)
+        self.close = self._blocks.close  # returns once the engine's reads are done
+
+    def __iter__(self) -> Iterator:
+        return self._blocks
+
+    def __next__(self):
+        return next(self._blocks)
 
 
 def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, int]:
@@ -549,8 +565,9 @@ class LocalRepository:
         readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
-    ) -> Tuple[FilePlan, Iterator[bytes]]:
-        """A version's file plan plus its reassembled byte stream.
+    ) -> Tuple[FilePlan, RestoreStream]:
+        """A version's file plan plus its reassembled byte stream: the
+        engine's runs, trimmed to the file for a partial restore.
 
         Args:
             workers: container-reader pool size; ``1`` restores serially,
@@ -579,7 +596,7 @@ class LocalRepository:
                     f"no file {file!r} in version {version_id}"
                 )
 
-        def data() -> Iterator[bytes]:
+        def data(stream: RestoreStream) -> Iterator:
             started = time.perf_counter()
             skip, remaining = 0, length
 
@@ -592,14 +609,13 @@ class LocalRepository:
                 )
                 return slice(start, stop)
 
-            for chunk in restore_stream(
+            for run in restore_stream(
                 store, version_id,
                 workers=workers, readahead=readahead, verify=verify,
                 rows=None if file is None else rows, metrics=self.metrics,
             ):
-                if chunk.data is None:
-                    raise ReproError("repository chunk carries no payload")
-                block = chunk.data
+                stream.entries += run.entries
+                block = run.data
                 if skip:
                     take = min(skip, len(block))
                     block = block[take:]
@@ -614,7 +630,7 @@ class LocalRepository:
                 yield block
             self.metrics.observe("repo.restore_seconds", time.perf_counter() - started)
 
-        return plan, data()
+        return plan, RestoreStream(data)
 
     # ------------------------------------------------------------------
     # Introspection + deletion

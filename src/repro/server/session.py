@@ -8,9 +8,9 @@ payloads as frames arrive, the engine-side thread dequeues them as the
 chunker demands bytes, and consumption notifications flow back to the loop
 to grant the client more window.  At most *window* data frames are ever
 buffered per backup, however fast the client pushes.  A restore runs the
-other way through :class:`_RestorePump`: one engine thread per restore
-builds whole frames and the loop only writes them, at most four ahead of
-the socket.
+other way through :class:`_RestorePump`, the one exception to the loop's
+ownership: between ``RESTORE_META`` and its terminal item, one engine
+thread per restore owns the connection and writes its frames itself.
 
 Failure semantics: a backup whose session dies (disconnect, cancellation
 during shutdown) aborts the engine thread, which rolls the repository back
@@ -23,6 +23,8 @@ from __future__ import annotations
 import asyncio
 import os
 import queue
+import select
+import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -64,11 +66,11 @@ if TYPE_CHECKING:
 _MAX_OBJECT = 1 << 30
 
 #: Sentinel closing a stream handed between the loop and an engine thread:
-#: a backup's block queue (client sent BACKUP_END), a restore pump's frames.
+#: a backup's block queue (client sent BACKUP_END), a restore pump's items.
 _EOF = object()
 
-#: Restore frames handed to the event loop but not yet written and drained.
-_RESTORE_WINDOW = 4
+#: Most buffers one ``sendmsg`` takes (a frame is its header plus its runs).
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
@@ -80,59 +82,107 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
 
 
 class _RestorePump(threading.Thread):
-    """One restore's engine thread: plan, read, assemble, frame.
+    """One restore's engine thread: plan, read, assemble, frame, send.
 
-    Runs the repository's whole restore iterator off the event loop and
-    hands the loop first the file plan, then ready-to-write ``CHUNK_DATA``
-    frames of at least ``RESTORE_BLOCK`` payload bytes.  ``_offer`` blocks
-    while ``_RESTORE_WINDOW`` items are handed over but not yet written, so
-    a restore holds at most that many frames plus the one being built, and
-    a slow socket stalls the engine instead of filling memory.  The thread's
-    last item is always terminal — ``_EOF`` or the exception that ended the
-    stream — and bypasses the window: whoever waits for it knows the thread
-    has left the repository.
+    Runs the repository's restore iterator off the event loop and hands the
+    loop the file plan.  After ``RESTORE_META`` the loop hands it a dup of
+    the connection's socket (:meth:`attach`), which the thread owns until
+    its terminal item, writing every ``CHUNK_DATA`` frame itself: exactly
+    ``RESTORE_BLOCK`` payload bytes cut from the runs (the last frame
+    shorter), header and runs in one gather ``sendmsg``.  A restore holds
+    one frame's runs; a full socket stalls the engine.  The terminal item
+    (``_EOF`` or the exception that ended the stream) follows the close of
+    the engine's stream and the socket: the thread has left the repository.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, open_restore) -> None:
         super().__init__(name="restore-pump", daemon=True)
         self._loop = loop
         self._open = open_restore
-        self._window = threading.Semaphore(_RESTORE_WINDOW)
+        self._attached = threading.Event()
+        self._lock = threading.Lock()  # the socket's close against stop()'s shutdown
+        self._sock: Optional[socket.socket] = None
+        self._poller = select.poll()
         self._stopped = False
-        self._holding = False
         self.queue: asyncio.Queue = asyncio.Queue()
         self.finished = False
-        self.chunks = 0
-
-    def _offer(self, item: object) -> None:
-        self._window.acquire()
-        if self._stopped:
-            raise RemoteError("restore session aborted")
-        self._loop.call_soon_threadsafe(self.queue.put_nowait, item)
+        self.frames = self.sent = self.entries = 0
+        self.send_seconds = self.wait_seconds = 0.0  # on the socket; on the engine
 
     def run(self) -> None:
         last: object = _EOF
         try:
             plan, data = self._open()
-            self._offer(plan)
-            parts, size = [], 0
-            for blob in data:
-                self.chunks += 1
-                parts.append(blob)
-                size += len(blob)
-                if size >= RESTORE_BLOCK:
-                    # The join is the one copy a frame costs; the header
-                    # rides in it so the loop makes a single write.
-                    self._offer(b"".join([encode_data_header(size), *parts]))
-                    parts, size = [], 0
-            if size:
-                self._offer(b"".join([encode_data_header(size), *parts]))
+            try:
+                self._loop.call_soon_threadsafe(self.queue.put_nowait, plan)
+                self._attached.wait()
+                if self._stopped:  # after the hand-over, stop() shuts the socket
+                    raise ConnectionAbortedError("restore session aborted")
+                self._frames(data)
+                self.entries = data.entries
+            finally:
+                data.close()  # returns once the engine's reads in flight are done
         except BaseException as exc:  # forwarded: take() re-raises it on the loop
             last = exc
+        with self._lock:
+            if self._sock is not None:
+                self._sock.close()
+                self._sock = None
         try:
             self._loop.call_soon_threadsafe(self.queue.put_nowait, last)
         except RuntimeError:
             pass  # loop closed: the daemon was killed while we were in the engine
+
+    def _frames(self, data) -> None:
+        """Cut the runs into frames and send each as it fills."""
+        frame, size = [], 0
+        mark = time.perf_counter()
+        for block in data:
+            while size + len(block) >= RESTORE_BLOCK:
+                cut = RESTORE_BLOCK - size
+                block = memoryview(block)
+                frame.append(block[:cut])
+                mark = self._send(frame, RESTORE_BLOCK, mark)
+                frame, size, block = [], 0, block[cut:]
+            if block:
+                frame.append(block)
+                size += len(block)
+        if size:
+            self._send(frame, size, mark)
+
+    def _send(self, frame: list, size: int, mark: float) -> float:
+        """Write one frame whole; returns the time it left."""
+        ready = time.perf_counter()
+        self.wait_seconds += ready - mark
+        buffers = [encode_data_header(size), *frame]
+        first = 0
+        while first < len(buffers):
+            try:
+                sent = self._sock.sendmsg(buffers[first : first + _IOV_MAX])
+            except BlockingIOError:
+                self._poller.poll()  # writable, or shut down by stop(): then EPIPE
+                continue
+            except OSError as exc:  # half a frame may be out: never reuse it
+                raise ConnectionAbortedError(f"restore send failed: {exc}") from exc
+            while sent:  # resume a partial send from the exact byte
+                head = len(buffers[first])
+                if sent < head:
+                    buffers[first] = memoryview(buffers[first])[sent:]
+                    break
+                sent -= head
+                first += 1
+        done = time.perf_counter()
+        self.send_seconds += done - ready
+        self.frames += 1
+        self.sent += size
+        return done
+
+    def attach(self, sock: socket.socket) -> None:
+        """Loop-side: hand the thread the connection, the transport empty."""
+        sock.setblocking(False)
+        self._poller.register(sock, select.POLLOUT)
+        self._sock = sock
+        self._attached.set()
 
     async def _next(self) -> object:
         item = await self.queue.get()
@@ -140,26 +190,22 @@ class _RestorePump(threading.Thread):
         return item
 
     async def take(self) -> object:
-        """Loop-side: the next item, ``None`` at the end of the stream.
-
-        Asking for the next item is what frees the previous one's window
-        slot — the caller has written and drained it by then.  Raises
-        whatever ended the engine's stream early.
-        """
-        if self._holding:
-            self._window.release()
+        """Loop-side: the next item; raises whatever ended the stream early."""
         item = await self._next()
-        self._holding = True
-        if not self.finished:
-            return item
-        if item is _EOF:
-            return None
-        raise item
+        if isinstance(item, BaseException):
+            raise item
+        return item
 
     def stop(self) -> None:
-        """Loop-side: make the thread's next (or current) ``_offer`` fail."""
+        """Loop-side: shut the socket down; a parked or next send fails at once."""
         self._stopped = True
-        self._window.release()
+        self._attached.set()
+        with self._lock:
+            if self._sock is not None:
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already tore it down
 
     async def close(self) -> None:
         """Loop-side: stop the thread and wait until it is out of the engine."""
@@ -495,56 +541,41 @@ class _Session:
             try:
                 await self._send_restore(handle, version, pump)
             except asyncio.CancelledError:
-                # The daemon is going down with no patience left: tell the
-                # thread to stop, do not wait out its current read.
+                # The daemon is going down with no patience left: stop the
+                # thread (and the connection), do not wait out its read.
                 pump.stop()
                 raise
             except BaseException:
                 # The read lock must outlive the engine thread: it leaves
-                # the repository at once if parked on the window, else
+                # the repository at once if parked on a full socket, else
                 # after the read it is in.
                 await pump.close()
                 raise
 
     async def _send_restore(self, handle: RepoHandle, version: int, pump: _RestorePump) -> None:
-        """Write one restore's frames as the pump produces them."""
+        """Write ``RESTORE_META``, let the pump write the frames, then end."""
         metrics = self.daemon.metrics
         # Open-time failures (unknown version or file) surface here, before
         # any data, and leave as a typed ERROR frame.
         plan = await pump.take()
-        self.writer.write(
-            encode_json(
-                FrameType.RESTORE_META,
-                {"version": version, "files": [[rel, size] for rel, size in plan]},
-            )
-        )
+        files = [[rel, size] for rel, size in plan]
+        self.writer.write(encode_json(FrameType.RESTORE_META, {"version": version, "files": files}))
+        # drain() may return with up to the low-water mark still buffered in
+        # the transport; hand the socket over only once that buffer is empty.
+        transport = self.writer.transport
+        low, high = transport.get_write_buffer_limits()
+        transport.set_write_buffer_limits(high=0)
         await self.writer.drain()
-        frames = sent_bytes = 0
-        send_seconds = wait_seconds = 0.0
-        while True:
-            mark = time.perf_counter()
-            frame = await pump.take()
-            taken = time.perf_counter()
-            wait_seconds += taken - mark
-            if frame is None:
-                break
-            self.writer.write(frame)
-            await self.writer.drain()  # TCP backpressure for the stream
-            send_seconds += time.perf_counter() - taken
-            frames += 1
-            sent_bytes += len(frame) - HEADER_SIZE
-        self.writer.write(
-            encode_json(
-                FrameType.RESTORE_END, {"chunks": pump.chunks, "bytes": sent_bytes}
-            )
-        )
-        await self.writer.drain()
-        metrics.observe("restore.send_seconds", send_seconds)
-        metrics.observe("restore.pump_wait_seconds", wait_seconds)
-        metrics.inc("restore.frames", frames)
-        handle.note_restore(sent_bytes)
-        metrics.inc("server.restore_bytes", sent_bytes)
-        self.daemon.note_session("restore")
+        transport.set_write_buffer_limits(high, low)
+        pump.attach(self.writer.get_extra_info("socket").dup())
+        await pump.take()  # the pump's connection until now; errors follow whole frames
+        metrics.observe("restore.send_seconds", pump.send_seconds)
+        metrics.observe("restore.pump_wait_seconds", pump.wait_seconds)
+        metrics.inc("restore.frames", pump.frames)
+        metrics.inc("server.restore_bytes", pump.sent)
+        handle.note_restore(pump.sent)
+        end = {"chunks": pump.entries, "bytes": pump.sent}
+        await self._reply(FrameType.RESTORE_END, end, "restore")
 
     # ------------------------------------------------------------------
     # Control requests

@@ -40,7 +40,7 @@ class Container:
             paper; all compared schemes use the same size for fairness).
     """
 
-    __slots__ = ("container_id", "capacity", "_slots", "_used", "_cursor", "sealed")
+    __slots__ = ("container_id", "capacity", "_slots", "_used", "_cursor", "sealed", "payload")
 
     def __init__(self, container_id: int, capacity: int = CONTAINER_SIZE) -> None:
         if container_id <= 0:
@@ -56,6 +56,9 @@ class Container:
         self._used = 0  # live payload bytes
         self._cursor = 0  # append offset (never reused without compaction)
         self.sealed = False
+        #: A decoded blob's payload region while slot offsets index it (slot
+        #: ``data`` are views into it), else ``None``.
+        self.payload: Optional[memoryview] = None
 
     # ------------------------------------------------------------------
     # Write path
@@ -70,21 +73,26 @@ class Container:
 
     def add(self, chunk: Chunk) -> ChunkSlot:
         """Append a chunk; returns its slot.  Raises if sealed, full or duplicate."""
+        return self.put(chunk.fingerprint, chunk.size, chunk.data)
+
+    def put(self, fingerprint: bytes, size: int, data=None) -> ChunkSlot:
+        """:meth:`add` without building a :class:`Chunk` (the blob decoder's path)."""
         if self.sealed:
             raise StorageError(f"container {self.container_id} is sealed")
-        if chunk.fingerprint in self._slots:
+        if fingerprint in self._slots:
             raise StorageError(
-                f"container {self.container_id} already holds chunk {chunk.short_fp()}"
+                f"container {self.container_id} already holds chunk {fingerprint.hex()[:8]}"
             )
-        if not self.fits(chunk.size):
+        if not self.fits(size):
             raise ContainerFullError(
-                f"container {self.container_id}: chunk of {chunk.size} B does not "
+                f"container {self.container_id}: chunk of {size} B does not "
                 f"fit (cursor {self._cursor}/{self.capacity})"
             )
-        slot = ChunkSlot(self._cursor, chunk.size, chunk.data)
-        self._slots[chunk.fingerprint] = slot
-        self._cursor += chunk.size
-        self._used += chunk.size
+        slot = ChunkSlot(self._cursor, size, data)
+        self._slots[fingerprint] = slot
+        self._cursor += size
+        self._used += size
+        self.payload = None
         return slot
 
     def remove(self, fingerprint: bytes) -> ChunkSlot:
@@ -105,6 +113,7 @@ class Container:
     def compact(self) -> int:
         """Rewrite live chunks contiguously; returns bytes reclaimed."""
         reclaimed = self._cursor - self._used
+        self.payload = None
         offset = 0
         rebuilt: Dict[bytes, ChunkSlot] = {}
         for fp, slot in self._slots.items():

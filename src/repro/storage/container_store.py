@@ -183,28 +183,27 @@ def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Containe
     """Parse :func:`pack_container` output back into an (unsealed) container.
 
     Chunks are re-appended in offset order, so holes left by removals are
-    compacted away on load; the logical contents are identical.
+    compacted away on load; the logical contents are identical.  Slot data
+    are copies out of ``bytes`` (a long-lived container pins no blob) and
+    views into a ``memoryview``, kept whole as :attr:`Container.payload`.
     """
-    from ..chunking.stream import Chunk
-
     magic, cid, count, capacity = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC or (expected_id is not None and cid != expected_id):
         raise StorageError("corrupt container blob")
     container = Container(cid, capacity)
-    offset = _HEADER.size
-    metas = []
-    for _ in range(count):
-        fp, chunk_offset, size, has_data = _ENTRY.unpack_from(blob, offset)
-        metas.append((fp, chunk_offset, size, has_data))
-        offset += _ENTRY.size
-    payload_base = offset
+    base = _HEADER.size + count * _ENTRY.size
     cursor = 0
-    for fp, chunk_offset, size, has_data in sorted(metas, key=lambda m: m[1]):
+    table = _ENTRY.iter_unpack(blob[_HEADER.size : base])
+    for fp, _offset, size, has_data in sorted(table, key=lambda m: m[1]):
         data = None
         if has_data:
-            data = blob[payload_base + cursor : payload_base + cursor + size]
+            data = blob[base + cursor : base + cursor + size]
             cursor += size
-        container.add(Chunk(fp, size, data))
+        container.put(fp, size, data)
+    if base + cursor > len(blob):  # a short entry table lands here too
+        raise StorageError("corrupt container blob: cut short")
+    if isinstance(blob, memoryview) and cursor == container.written:
+        container.payload = blob[base : base + cursor]
     return container
 
 
@@ -221,7 +220,7 @@ def decode_container(blob: bytes, expected_id: int) -> Container:
     try:
         if blob[:4] == _COMPRESSED_MAGIC:
             blob = zlib.decompress(blob[4:])
-        return unpack_container(blob, expected_id=expected_id)
+        return unpack_container(memoryview(blob), expected_id=expected_id)
     except (ReproError, struct.error, zlib.error, IndexError) as exc:
         raise StorageError(str(exc) or type(exc).__name__) from exc
 

@@ -18,8 +18,10 @@ Covers the restore-side pipeline end to end:
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -27,7 +29,7 @@ import pytest
 from repro.chunking.fingerprint import Fingerprinter
 from repro.chunking.stream import BackupStream, Chunk
 from repro.client import RemoteRepository
-from repro.engine.restore import restore_stream
+from repro.engine.restore import execute_plan_prefetched, restore_stream
 from repro.errors import ReproError, RestoreError, VersionNotFoundError
 from repro.pipeline.schemes import build_baseline
 from repro.repository import LocalRepository, materialize, read_tree
@@ -41,6 +43,7 @@ from repro.restore import (
     OptimalContainerCacheRestore,
     execute_plan,
 )
+from repro.restore.scheduler import ContainerRead, PlanSpan
 from repro.server import DaemonThread
 from repro.units import KiB, MiB
 
@@ -190,6 +193,35 @@ class TestPrefetchedExecution:
         stream = restore_stream(fragmented_system, version, workers=4)
         next(stream)
         stream.close()  # no hang, no leaked worker exceptions
+
+    def test_closing_waits_out_the_reads_in_flight(self, fragmented_system):
+        # A daemon drops the tenant's read lock once the stream is closed,
+        # so close() must not return while a reader thread is still reading.
+        system = fragmented_system
+        entries = system.resolved_restore_range(system.version_ids()[-1])
+        plan = iter([
+            PlanSpan(emit=(i,), reads=(ContainerRead(entry.cid, (i,)),))
+            for i, entry in enumerate(entries)
+        ])
+        calls, entered, release, order = itertools.count(), threading.Event(), threading.Event(), []
+
+        def reader(cid):
+            if next(calls) == 1:
+                entered.set()
+                assert release.wait(30)
+                order.append("read")
+            return system._read_container(cid)
+
+        stream = execute_plan_prefetched(entries, plan, reader, workers=2)
+        next(stream)
+        assert entered.wait(30)
+        closer = threading.Thread(target=lambda: (stream.close(), order.append("closed")))
+        closer.start()
+        closer.join(0.2)  # a close that did not wait would have returned by now
+        release.set()
+        closer.join(30)
+        assert not closer.is_alive()
+        assert order == ["read", "closed"]
 
     def test_rejects_bad_knobs(self, fragmented_system):
         version = fragmented_system.version_ids()[-1]

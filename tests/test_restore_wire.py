@@ -7,15 +7,18 @@
 * ``Connection.recv_frame`` — exact-size reads against a server that speaks
   the older 256 KiB frames, sends one byte at a time, sends an empty data
   frame or fails mid-stream, and the decoder fallback after a ``sweep``;
+* ``RESTORE_END`` — ``chunks`` counts recipe entries, whole or one file;
 * pump lifecycle — whoever ends a restore early (client, engine, operator),
   the daemon's restore thread exits, the tenant's read lock is released and
-  no more than the window is ever in flight.  Every interleaving is held at
-  a hook; nothing here sleeps.
+  the thread never holds more than one frame's runs.  The thread is parked
+  on a full socket (the client stops reading) and every interleaving is
+  held at a hook; nothing here sleeps.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import random
 import select
@@ -38,10 +41,12 @@ from repro.client.protocol import (
     encode_data,
     encode_error,
     encode_json,
+    hello_frame,
     raise_remote_error,
 )
 from repro.client.remote import Connection, parse_address
 from repro.cluster import ClusterClient, ClusterHarness
+from repro.engine.restore import restore_stream
 from repro.errors import RemoteError, RestoreError, VersionNotFoundError
 from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository, read_tree, stream_blocks
@@ -102,12 +107,13 @@ def restore_all(repo):
     return [[bytes(block) for block in repo.restore(v, **kw)[1]] for v, kw in CASES]
 
 
-def old_style_restore(address, version):
+def old_style_restore(address, version, **options):
     """Read one restore the way ``recv_frame`` did before exact-size reads."""
     conn = Connection(parse_address(address), WAIT)
     decoder, blocks = FrameDecoder(), []
     try:
-        conn.send(encode_json(FrameType.RESTORE_BEGIN, {"repo": TENANT, "version": version}))
+        request = {"repo": TENANT, "version": version, **options}
+        conn.send(encode_json(FrameType.RESTORE_BEGIN, request))
         while True:
             data = conn._sock.recv(256 * 1024)
             assert data, "server closed the stream"
@@ -145,10 +151,10 @@ def test_local_daemon_and_cluster_restore_identical_bytes(tmp_path):
             frames = remote.stats()["metrics"]["counters"]["restore.frames"]
         old_blocks, end = old_style_restore(address, 5)
     assert [b"".join(blocks) for blocks in framed] == expected
-    # Every frame but a stream's last carries at least RESTORE_BLOCK bytes.
+    # Every frame but a stream's last carries exactly RESTORE_BLOCK bytes.
     for blocks in framed:
-        assert all(len(block) >= RESTORE_BLOCK for block in blocks[:-1])
-        assert all(len(block) < 2 * RESTORE_BLOCK for block in blocks)
+        assert all(len(block) == RESTORE_BLOCK for block in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= RESTORE_BLOCK
     assert [len(block) for block in framed[5]] == [300_000]
     assert [len(block) for block in framed[6]] == [RESTORE_BLOCK]
     assert frames == sum(len(blocks) for blocks in framed)
@@ -161,6 +167,63 @@ def test_local_daemon_and_cluster_restore_identical_bytes(tmp_path):
             for entries in trees:
                 routed.backup_tree(entries)
             assert [b"".join(blocks) for blocks in restore_all(routed)] == expected
+
+
+def slow_reader_restore(address, version):
+    """Read one restore through a 4 KiB receive buffer, 4 KiB per ``recv``."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(WAIT)
+    decoder, frames = FrameDecoder(), []
+    try:
+        sock.connect(parse_address(address))
+        sock.sendall(hello_frame())
+        sock.sendall(encode_json(FrameType.RESTORE_BEGIN, {"repo": TENANT, "version": version}))
+        while not frames or frames[-1][0] != FrameType.RESTORE_END:
+            data = sock.recv(4096)
+            assert data, "server closed the stream"
+            frames.extend((ftype, bytes(payload)) for ftype, payload in decoder.feed(data))
+    finally:
+        sock.close()
+    assert [ftype for ftype, _ in frames[:2]] == [FrameType.HELLO_OK, FrameType.RESTORE_META]
+    assert {ftype for ftype, _ in frames[2:-1]} == {FrameType.CHUNK_DATA}
+    return decode_json(frames[1][1]), [payload for _, payload in frames[2:-1]]
+
+
+def test_a_file_plan_larger_than_the_socket_buffers_reaches_a_slow_reader_intact(
+    tmp_path, monkeypatch
+):
+    """``RESTORE_META`` is still leaving the loop's buffer while the client
+    reads slowly; the pump gets the socket only once the loop has sent it
+    all, so their bytes never interleave.  A small kernel send buffer makes
+    every write partial, so ``drain`` would return with bytes still held."""
+    send_restore, buffered = session_module._Session._send_restore, []
+
+    async def probed_send_restore(session, handle, version, pump):
+        sock = session.writer.get_extra_info("socket")
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        attach = pump.attach
+
+        def probed_attach(sock):  # what the loop still held at the hand-over
+            buffered.append(session.writer.transport.get_write_buffer_size())
+            attach(sock)
+
+        pump.attach = probed_attach
+        await send_restore(session, handle, version, pump)
+
+    monkeypatch.setattr(session_module._Session, "_send_restore", probed_send_restore)
+    plan = [(f"{'nested/' * 40}{index:05d}.bin", 64) for index in range(30_000)]
+    data = random.Random(41).randbytes(64 * len(plan))
+    with DaemonThread(str(tmp_path / "served"), metrics=MetricsRegistry()) as address:
+        with RemoteRepository(address, TENANT) as remote:
+            remote.backup_blocks([data], plan)
+        for _ in range(3):
+            meta, blocks = slow_reader_restore(address, 1)
+            assert len(encode_json(FrameType.RESTORE_META, meta)) > 8 << 20
+            assert [tuple(row) for row in meta["files"]] == plan
+            assert b"".join(blocks) == data
+            assert [len(block) for block in blocks[:-1]] == [RESTORE_BLOCK] * (len(blocks) - 1)
+    assert buffered == [0, 0, 0]
 
 
 def test_restore_without_workers_is_serial_and_the_cap_still_clamps(tmp_path):
@@ -182,6 +245,39 @@ def test_restore_without_workers_is_serial_and_the_cap_still_clamps(tmp_path):
     finally:
         daemon_thread.stop()
     assert seen == [1, 1, 2, 2]
+
+
+def test_restore_end_counts_recipe_entries_not_runs(tmp_path):
+    rng = random.Random(31)
+    sizes = {"a.bin": 400_000, "b.bin": 300_000, "c.bin": 200_000}
+    first = write_tree(str(tmp_path / "v1"), {rel: rng.randbytes(n) for rel, n in sizes.items()})
+    second = write_tree(str(tmp_path / "v2"), {"d.bin": rng.randbytes(100_000)})
+    daemon_thread = DaemonThread(str(tmp_path / "served"))
+    address = daemon_thread.start()
+    try:
+        with RemoteRepository(address, TENANT) as remote:
+            remote.backup_tree(first)
+            remote.backup_tree(second)  # version 1's chunks go archival
+        repository = _handle_of(daemon_thread, TENANT).repository
+        store = repository._open()
+        rows = [entry.size for entry in store.recipes.peek(1).entries]
+        # Archival runs merge, so counting runs would not give the entries.
+        assert len(list(restore_stream(store, 1))) < len(rows)
+        assert old_style_restore(address, 1)[1]["chunks"] == len(rows)
+
+        offset = 0
+        for rel, size in repository.restore_plan(1):
+            if rel == "b.bin":
+                break
+            offset += size
+        edges = list(itertools.accumulate(rows, initial=0))
+        covering = sum(
+            1 for lo, hi in zip(edges, edges[1:])
+            if lo < offset + sizes["b.bin"] and hi > offset
+        )
+        assert old_style_restore(address, 1, file="b.bin")[1]["chunks"] == covering
+    finally:
+        daemon_thread.stop()
 
 
 # ----------------------------------------------------------------------
@@ -337,15 +433,17 @@ def _handle_of(daemon_thread, tenant):
 
 
 class HeldRestore:
-    """Stand in for a tenant's ``repository.restore``: frame-sized blobs.
+    """Stand in for a tenant's ``repository.restore``: 64 MiB of small runs.
 
-    Every blob is one restore frame, so ``pulled`` counts frames the pump
-    has built.  The first blob flows freely; before the second the engine
+    A run is a sixteenth of a frame, so every frame is cut from many runs.
+    The first frame's runs flow freely; before the next run the engine
     thread waits for ``go``.  ``fail_after`` makes the engine raise instead
-    of producing that blob.
+    of producing that run.  ``most_held`` is the most bytes the pump ever
+    held pulled but not yet sent.
     """
 
-    FRAMES = 64
+    RUN = RESTORE_BLOCK // 16
+    RUNS = 64 * 16
 
     def __init__(self, handle, fail_after=None):
         self.serve = handle.repository.restore
@@ -353,40 +451,48 @@ class HeldRestore:
         self.go = threading.Event()
         self.pump = None
         self.pulled = 0
-        self.most_queued = 0
+        self.most_held = 0
         handle.repository.restore = self
 
     def __call__(self, version, **options):
         plan, _data = self.serve(version, **options)
         self.pump = threading.current_thread()
-        return plan, self.blobs()
+        return plan, self.runs()
 
-    def blobs(self):
-        blob = bytes(RESTORE_BLOCK)
-        for index in range(self.FRAMES):
-            if index == 1:
+    def runs(self):
+        run = bytes(self.RUN)
+        for index in range(self.RUNS):
+            if index * self.RUN == RESTORE_BLOCK:
                 assert self.go.wait(WAIT), "the test never released the engine"
             if index == self.fail_after:
                 raise RestoreError("container 12 is gone")
-            self.most_queued = max(self.most_queued, self.pump.queue.qsize())
+            self.most_held = max(self.most_held, index * self.RUN - self.pump.sent)
             self.pulled += 1
-            yield blob
+            yield run
 
 
 @pytest.fixture
-def parked_when_full(monkeypatch):
-    """An event set when a pump finds its window full and is about to block."""
+def parked_on_full_socket(monkeypatch):
+    """An event set when a pump finds the socket full and waits on it."""
     parked = threading.Event()
-    offer = session_module._RestorePump._offer
+    attach = session_module._RestorePump.attach
 
-    def probing_offer(pump, item):
-        if pump._window.acquire(blocking=False):
-            pump._window.release()
-        else:
+    class ProbedPoller:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def register(self, *args):
+            self.inner.register(*args)
+
+        def poll(self, *args):
             parked.set()
-        offer(pump, item)
+            return self.inner.poll(*args)
 
-    monkeypatch.setattr(session_module._RestorePump, "_offer", probing_offer)
+    def probing_attach(pump, sock):
+        pump._poller = ProbedPoller(pump._poller)
+        attach(pump, sock)
+
+    monkeypatch.setattr(session_module._RestorePump, "attach", probing_attach)
     return parked
 
 
@@ -407,27 +513,23 @@ def open_restore(address):
     return conn
 
 
-def park_the_pump(daemon_thread, held, parked):
-    """Stop the event loop from writing, let the engine run: the window fills.
+def park_the_pump(held, parked):
+    """Let the engine run while the client reads nothing: the socket fills.
 
-    Returns the event that lets the loop go on.  While the loop is held no
-    window slot can come back, so once ``parked`` is set the pump stays
-    blocked in its window until someone stops it or the loop resumes.
+    Once ``parked`` is set the pump waits for a writable socket, which it
+    gets only if the client reads or someone stops the pump.
     """
-    resume = threading.Event()
-    daemon_thread._loop.call_soon_threadsafe(resume.wait)
     held.go.set()
-    assert parked.wait(WAIT), "the pump never filled its window"
-    # One frame reached the client; the window holds the rest, one is built.
-    assert held.pulled <= 1 + session_module._RESTORE_WINDOW + 1
-    return resume
+    assert parked.wait(WAIT), "the pump never found the socket full"
+    assert held.pulled < HeldRestore.RUNS
 
 
 def assert_pump_gone(held):
     held.pump.join(WAIT)
     assert not held.pump.is_alive()
-    assert held.most_queued <= session_module._RESTORE_WINDOW
-    assert held.pulled < HeldRestore.FRAMES  # it was stopped, it did not finish
+    assert held.pump._sock is None  # its dup of the connection is closed
+    assert held.most_held < RESTORE_BLOCK  # never more than one frame's runs
+    assert held.pulled < HeldRestore.RUNS  # it was stopped, it did not finish
 
 
 def backup_commits_on_idle_tenant(address, handle, entries):
@@ -440,7 +542,7 @@ def backup_commits_on_idle_tenant(address, handle, entries):
     assert handle.active_ops == 0 and handle.lock._readers == 0
 
 
-def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, parked_when_full):
+def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, parked_on_full_socket):
     daemon_thread = DaemonThread(str(tmp_path / "served"))
     address = daemon_thread.start()
     try:
@@ -448,9 +550,8 @@ def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, parked
         handle = _handle_of(daemon_thread, TENANT)
         held = HeldRestore(handle)
         conn = open_restore(address)
-        resume = park_the_pump(daemon_thread, held, parked_when_full)
-        conn.close()  # unread frames in flight: the server's next write fails
-        resume.set()
+        park_the_pump(held, parked_on_full_socket)
+        conn.close()  # unread frames in flight: the parked send fails
         backup_commits_on_idle_tenant(address, handle, entries)
         assert_pump_gone(held)
     finally:
@@ -463,7 +564,7 @@ def test_engine_failing_mid_restore_is_typed_and_frees_the_lock(tmp_path):
     try:
         entries = seed_tenant(address, tmp_path)
         handle = _handle_of(daemon_thread, TENANT)
-        held = HeldRestore(handle, fail_after=3)
+        held = HeldRestore(handle, fail_after=3 * 16 + 5)  # inside the fourth frame
         conn = open_restore(address)
         held.go.set()
         try:
@@ -485,7 +586,7 @@ def test_engine_failing_mid_restore_is_typed_and_frees_the_lock(tmp_path):
 
 
 @pytest.mark.parametrize("how", ["stop", "kill_node"])
-def test_daemon_going_down_with_a_parked_pump_returns(tmp_path, parked_when_full, how):
+def test_daemon_going_down_with_a_parked_pump_returns(tmp_path, parked_on_full_socket, how):
     harness = ClusterHarness(str(tmp_path / "cluster"), nodes=1, replicas=1)
     node = harness.start().nodes[0]
     daemon_thread = harness.threads[node.name]
@@ -494,13 +595,12 @@ def test_daemon_going_down_with_a_parked_pump_returns(tmp_path, parked_when_full
         handle = _handle_of(daemon_thread, TENANT)
         held = HeldRestore(handle)
         conn = open_restore(node.address)
-        resume = park_the_pump(daemon_thread, held, parked_when_full)
+        park_the_pump(held, parked_on_full_socket)
         if how == "stop":
             going_down = threading.Thread(target=daemon_thread.stop, args=(0.05,))
         else:
             going_down = threading.Thread(target=harness.kill_node, args=(node.name,))
         going_down.start()
-        resume.set()
         going_down.join(WAIT)
         assert not going_down.is_alive()
         assert_pump_gone(held)
