@@ -6,6 +6,11 @@ Measures the two overhead sources §5.4 reports:
 * latency of moving cold chunks to archival containers + merging sparse
   active containers.
 
+The paper's update rewrites ``R_previous``.  Here recipes are write-once:
+the update records the demoted map in memory and the next checkpoint save
+writes it as one demotion part, so the first benchmark times that record
+plus packing the part — no recipe is read or written.
+
 These are real wall-clock timings via pytest-benchmark (the paper reports
 e.g. 21 ms per kernel recipe at 414 MB versions; ours are smaller versions,
 so proportionally faster — the claim being reproduced is that the overhead
@@ -17,6 +22,7 @@ import pytest
 
 from common import CHUNKS_PER_VERSION, CONTAINER, all_presets, emit, run_scheme
 from repro.chunking.stream import synthetic_fingerprint
+from repro.core.checkpoint import pack_demoted
 from repro.core.double_cache import CacheEntry
 from repro.core.hidestore import HiDeStore
 from repro.storage.recipe import ACTIVE_CID, Recipe
@@ -25,7 +31,8 @@ from repro.workloads import load_preset
 
 @pytest.mark.parametrize("preset", all_presets())
 def test_fig12_update_one_recipe(benchmark, preset):
-    """Latency of the per-version previous-recipe update (§4.3)."""
+    """Latency of the per-version previous-recipe update (§4.3): the map
+    record plus its demotion part's bytes."""
     chunks = CHUNKS_PER_VERSION
     recipe = Recipe(1, "bench")
     for t in range(chunks):
@@ -42,10 +49,10 @@ def test_fig12_update_one_recipe(benchmark, preset):
         for entry in recipe.entries:
             fresh.append(entry.fingerprint, entry.size, ACTIVE_CID)
         store.write(fresh)
-        chain.update_previous(1, moved, next_version=2)
-        return chain.stats.update_seconds
+        chain.update_previous(1, moved)
+        return pack_demoted(chain.demoted[1])
 
-    seconds = benchmark(update)
+    benchmark(update)
     emit(f"\nFigure 12 ({preset}) — update one recipe of {chunks} chunks: "
          f"see benchmark table (paper: ~21 ms for kernel at 50k chunks)")
 
@@ -121,12 +128,12 @@ def test_fig12_deferred_maintenance_off_critical_path(benchmark):
 
 
 def test_fig12_flatten_whole_chain(benchmark):
-    """Algorithm 1 over a full history (run offline before restores)."""
+    """Algorithm 1 over a full history: the chained views, flattened in
+    memory (restores never run it)."""
     system = run_scheme("hidestore", "kernel")
 
     def flatten():
         return system.chain.flatten()
 
     benchmark(flatten)
-    emit("\nFigure 12 — Algorithm 1 (flatten) timing in benchmark table; "
-         "idempotent re-runs are cheap.")
+    emit("\nFigure 12 — Algorithm 1 (flatten) timing in benchmark table.")

@@ -3,7 +3,8 @@
 The sealed world — archival containers and recipes — already lives in the
 (possibly file-backed) stores.  What would be lost on process exit is the
 *volatile* state: the T1 fingerprint tables, the active containers and
-their location map, the deletion tags and the version counter.  A
+their location map, the per-version demotion maps of the recipe chain,
+the deletion tags and the version counter.  A
 checkpoint captures exactly that, taken at a version boundary (between
 backups), so a store can be closed and reopened **without** retiring —
 unlike :meth:`HiDeStore.retire`, a checkpointed system resumes with its hot
@@ -22,6 +23,11 @@ binary **parts**.
 * The fingerprint tables are one part — fixed-width
   ``fingerprint | size | cid`` rows (the ``storage/recipe.py`` idiom) under
   ``checkpoint-tables-<sha16>.bin``.
+* Each retained version's demotion map (what §4.3 would have rewritten
+  into its recipe) is one part of ``fingerprint | cid`` rows under
+  ``checkpoint-demoted-<version>-<sha16>.bin``, named by the head's
+  ``demoted``: written by the first save after its update, unnamed at
+  the version's expiry.
 
 Part names end in the first 16 hex digits of the part's SHA-256, so a name
 never changes its content and "present with the right size" is the whole
@@ -78,6 +84,9 @@ _TABLES_MAGIC = b"HDCT"
 _TABLE_ROWS = struct.Struct("<I")  # rows in the table that follows
 _ROW = struct.Struct(f"<{FINGERPRINT_SIZE}sII")  # fingerprint, size, cid
 _ROW_TAIL = struct.Struct("<II")
+_DEMOTED_MAGIC = b"HDCM"
+_DEMOTED_ROW = struct.Struct(f"<{FINGERPRINT_SIZE}sI")  # fingerprint, cid
+_CID = struct.Struct("<I")
 
 
 def pack_tables(tables: List[Dict[bytes, CacheEntry]]) -> bytes:
@@ -119,6 +128,22 @@ def unpack_tables(blob: bytes) -> List[Dict[bytes, CacheEntry]]:
         return tables
     except struct.error as exc:
         raise ReproError(f"corrupt checkpoint tables part: {exc}") from exc
+
+
+def pack_demoted(moved: Dict[bytes, int]) -> bytes:
+    """Serialise one version's demotion map to fixed-width rows."""
+    rows = b"".join(fp + _CID.pack(cid) for fp, cid in moved.items())
+    if len(rows) != len(moved) * _DEMOTED_ROW.size:
+        raise ReproError(f"fingerprints must be {FINGERPRINT_SIZE} bytes to checkpoint")
+    return _TABLES_HEADER.pack(_DEMOTED_MAGIC, len(moved)) + rows
+
+
+def unpack_demoted(blob: bytes) -> Dict[bytes, int]:
+    """Parse :func:`pack_demoted` output (a part the head's SHA-256 vouched for)."""
+    magic, count = _TABLES_HEADER.unpack_from(blob, 0)
+    if magic != _DEMOTED_MAGIC or len(blob) != _TABLES_HEADER.size + count * _DEMOTED_ROW.size:
+        raise ReproError("not a checkpoint demotion part")
+    return dict(_DEMOTED_ROW.iter_unpack(memoryview(blob)[_TABLES_HEADER.size :]))
 
 
 def _part_ref(stem: str, suffix: str, blob: bytes) -> Dict:
@@ -171,14 +196,15 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
     Must be taken between backups (never mid-version).  The archival
     container store and recipe store are *not* captured — persist those
     with durable stores.  Packs only what no earlier save stored: active
-    containers allocated since, and the tables if the cache was mutated.
+    containers allocated since, demotion maps recorded since, and the
+    tables if the cache was mutated.
     The system is told what is stored only when the document is written
     (:meth:`CheckpointDocument.write`), so a document that is built and
     dropped costs nothing but its packing.
     """
     system.run_maintenance()  # queued filter work is not serialised
-    cache, pool = system.cache, system.pool
-    stored = {ref["name"] for ref in pool.persisted.values()}
+    cache, pool, chain = system.cache, system.pool, system.chain
+    stored = {ref["name"] for ref in [*pool.persisted.values(), *chain.persisted.values()]}
     if cache.persisted is not None:
         stored.add(cache.persisted["name"])
     new_parts: Dict[str, bytes] = {}
@@ -203,12 +229,22 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
             new_parts[ref["name"]] = blob
         active_refs[cid] = ref
 
-    parts = [tables_ref, *active_refs.values()]
+    demoted_refs: Dict[int, Dict] = {}
+    for version, moved in sorted(chain.demoted.items()):
+        ref = chain.persisted.get(version)
+        if ref is None:
+            blob = pack_demoted(moved)
+            ref = _part_ref(f"checkpoint-demoted-{version:08d}", ".bin", blob)
+            new_parts[ref["name"]] = blob
+        demoted_refs[version] = ref
+
+    parts = [tables_ref, *active_refs.values(), *demoted_refs.values()]
     named = {ref["name"] for ref in parts}
 
     def on_commit() -> None:
         cache.persisted, cache.dirty = tables_ref, False
         pool.persisted = active_refs
+        chain.persisted = demoted_refs
 
     head = {
         "format": _FORMAT,
@@ -231,6 +267,7 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
             "disk_index_lookups": system.report.disk_index_lookups,
         },
         "tables": tables_ref["name"],
+        "demoted": {str(version): ref["name"] for version, ref in demoted_refs.items()},
         "parts": parts,
     }
     return CheckpointDocument(head, new_parts, sorted(stored - named), on_commit)
@@ -333,12 +370,18 @@ def system_from_document(
 
 
 def _load_parts(system: HiDeStore, head: Dict, read_part: Callable[[str], bytes]) -> None:
-    """Volatile cache tables, active containers and location map of a v2 head."""
-    cache, pool = system.cache, system.pool
+    """Cache tables, active containers, location map, demotion maps of a v2 head."""
+    cache, pool, chain = system.cache, system.pool, system.chain
     refs = {ref["name"]: ref for ref in head["parts"]}
     tables_ref = refs.pop(head["tables"], None)
     if tables_ref is None:
         raise ReproError(f"checkpoint head does not list its tables part {head['tables']!r}")
+    for version, name in head.get("demoted", {}).items():
+        ref = refs.pop(name, None)
+        if ref is None:
+            raise ReproError(f"checkpoint head does not list its demotion part {name!r}")
+        chain.demoted[int(version)] = unpack_demoted(_checked_part(ref, read_part))
+        chain.persisted[int(version)] = ref
     tables = unpack_tables(_checked_part(tables_ref, read_part))
     cache.restore_tables(tables)
     cache.persisted, cache.dirty = tables_ref, False

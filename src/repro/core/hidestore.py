@@ -9,7 +9,8 @@ substrate:
   dense active containers, cold residues demote to archival containers
   (§4.2);
 * :class:`~repro.core.recipe_chain.RecipeChain` — one previous-recipe update
-  per version, Algorithm 1's answers kept in memory for restores (§4.3);
+  per version, kept as a demotion map instead of a rewritten recipe;
+  :meth:`HiDeStore.archival_cids` resolves every row from it (§4.3);
 * :class:`~repro.core.deletion.DeletionManager` — GC-free expiry (§4.5).
 
 The public surface mirrors :class:`repro.pipeline.system.BackupSystem`
@@ -223,7 +224,7 @@ class HiDeStore(RestoreMixin):
     def _apply_maintenance(self, previous: int, cold) -> None:
         moved, written = self.pool.demote(cold)
         self.deletion.tag_containers(previous, written)
-        self.chain.update_previous(previous, moved, previous + 1)
+        self.chain.update_previous(previous, moved)
 
     def _compact_and_relocate(self) -> None:
         relocations = self.pool.compact()
@@ -267,15 +268,15 @@ class HiDeStore(RestoreMixin):
             version_id = self.recipes.latest_version()
         if version_id is None:
             raise VersionNotFoundError("no recipes to prime from")
-        recipe = self.recipes.peek(version_id)
+        entries = self.recipes.peek(version_id).entries
         primed = 0
-        for entry in recipe.entries:
-            if entry.cid <= 0:
+        for entry, cid in zip(entries, self.archival_cids(version_id, entries, self.recipes.peek)):
+            if cid <= 0:
                 raise ReproError(
                     "prime_from_recipe needs a fully archival recipe; "
                     "retire() the store before closing it"
                 )
-            self.cache.insert(entry.fingerprint, entry.size, entry.cid)
+            self.cache.insert(entry.fingerprint, entry.size, cid)
             primed += 1
         self.cache.end_version()  # the primed table becomes T1
         self._next_version = max(self._next_version, version_id + 1)
@@ -315,30 +316,42 @@ class HiDeStore(RestoreMixin):
             return None  # pool containers are in memory; no ranged path
         return super()._read_container_chunks(cid, fingerprints)
 
-    def _resolve_restore_entries(
-        self, entries: List[RecipeEntry], version_id: int, load
-    ) -> List[RecipeEntry]:
-        """Map every entry to a concrete container ID as Algorithm 1 would
-        (caller holds the lock): a non-positive row (``0`` or ``-k``) takes
-        the CID of the newest recipe at or after ``version_id`` holding its
-        fingerprint as archival — the chain's index, built through ``load``
-        on first need; none after the newest — else ``pool.location``'s."""
-        location = self.pool.location
+    def archival_cids(self, version_id: int, entries: List[RecipeEntry], load) -> List[int]:
+        """The one resolution rule (restores, ``verify``, priming): per row
+        of ``R_version``, its own positive CID; else ``demoted[version_id]``'s;
+        else the chain index's, if held at or after ``version_id`` (built
+        through ``load`` on first need; the newest skips it); else ``0``, the
+        active pool (DESIGN §1.1)."""
+        own = self.chain.demoted.get(version_id, {})
         archival = {} if version_id >= self._next_version - 1 else None
-        resolved: List[RecipeEntry] = []
+        cids: List[int] = []
         for entry in entries:
             cid = entry.cid
             if cid <= 0:
-                if archival is None:
-                    archival = self.chain.archival_index(load)
-                holder, cid = archival.get(entry.fingerprint, (0, 0))
-                if holder < version_id:  # no recipe from version_id on has it archival
-                    cid = location.get(entry.fingerprint)
-                    if cid is None:
-                        raise RestoreError(
-                            f"chunk {entry.fingerprint.hex()[:8]} of version {version_id} "
-                            "is neither archival in a newer recipe nor active"
-                        )
+                cid = own.get(entry.fingerprint, 0)
+                if not cid:
+                    if archival is None:
+                        archival = self.chain.archival_index(load)
+                    holder, cid = archival.get(entry.fingerprint, (0, 0))
+                    if holder < version_id:  # no version from version_id on has it archival
+                        cid = 0
+            cids.append(cid)
+        return cids
+
+    def _resolve_restore_entries(
+        self, entries: List[RecipeEntry], version_id: int, load
+    ) -> List[RecipeEntry]:
+        """:meth:`archival_cids`, active rows from ``pool.location`` (lock held)."""
+        location = self.pool.location
+        resolved: List[RecipeEntry] = []
+        for entry, cid in zip(entries, self.archival_cids(version_id, entries, load)):
+            if not cid:
+                cid = location.get(entry.fingerprint)
+                if cid is None:
+                    raise RestoreError(
+                        f"chunk {entry.fingerprint.hex()[:8]} of version {version_id} "
+                        "is neither archival in a newer recipe nor active"
+                    )
             resolved.append(RecipeEntry(entry.fingerprint, entry.size, cid))
         return resolved
 
@@ -367,7 +380,7 @@ class HiDeStore(RestoreMixin):
     # Retirement: demote everything, freeze the system
     # ------------------------------------------------------------------
     def retire(self) -> None:
-        """Demote all remaining hot chunks and flatten every recipe.
+        """Demote all remaining hot chunks.
 
         After retirement the whole store is archival: any version can be
         restored or (in order) deleted, but no further backups are accepted.
@@ -380,21 +393,13 @@ class HiDeStore(RestoreMixin):
         moved, written = self.pool.demote(drained)
         if newest is not None:
             self.deletion.tag_containers(newest, written)
-            # The recipes no previous-recipe update has reached yet: the
+            # The versions no previous-recipe update has reached yet: the
             # newest, and with history_depth > 1 the ones still cached too.
             for version in self.recipes.version_ids()[-self.history_depth :]:
-                recipe = self.recipes.read(version)
-                for entry in recipe.entries:
-                    if entry.cid <= 0:
-                        archival = moved.get(entry.fingerprint)
-                        if archival is None:
-                            raise RestoreError(
-                                f"retire: chunk {entry.fingerprint.hex()[:8]} has "
-                                "no archival location"
-                            )
-                        entry.cid = archival
-                self.recipes.write(recipe)
-            self.chain.flatten()
+                rows = dict.fromkeys(e.fingerprint for e in self.recipes.read(version) if e.cid <= 0)
+                if not rows.keys() <= moved.keys():
+                    raise RestoreError(f"retire: R_{version} has chunks with no archival location")
+                self.chain.update_previous(version, {fp: moved[fp] for fp in rows})
         self._retired = True
 
     # ------------------------------------------------------------------

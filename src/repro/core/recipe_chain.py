@@ -2,29 +2,27 @@
 
 A freshly written recipe ``R_n`` records every chunk with ``CID = 0``: all
 its chunks are hot, i.e. in active containers.  When, after version ``n``,
-the cold residue of version ``n - depth`` is demoted, only the *previous*
-recipe ``R_{n-depth}`` is rewritten:
+the cold residue of version ``n - depth`` is demoted, the paper rewrites the
+*previous* recipe ``R_{n-depth}``:
 
 * demoted chunks get their archival container ID (positive);
 * everything else — still hot — gets ``-(n-depth+1)``: "follow the chain to
   the next recipe".
 
-Old recipes therefore form a forward-pointing chain.  Algorithm 1
-(:meth:`RecipeChain.flatten`) resolves it offline: it propagates concrete
-locations backwards so every entry becomes either a positive archival CID or
-``-newest`` ("still in the active containers").  Restores never run it: every
-positive CID was written through this class, which keeps the answers in
-memory (:meth:`RecipeChain.archival_index`), so a restore only reads.
+Here no recipe is rewritten: :meth:`RecipeChain.update_previous` keeps the
+demoted map (fingerprint → archival CID) as ``demoted[n-depth]``, which the
+checkpoint persists (DESIGN §1.1).  The chained ``R_v`` is a view
+(:meth:`RecipeChain.chained`); Algorithm 1 (:meth:`RecipeChain.flatten`)
+runs over those views without writing, and restores never run it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import RecipeError
-from ..storage.recipe import ACTIVE_CID, Recipe, RecipeStore
+from ..storage.recipe import ACTIVE_CID, Recipe, RecipeEntry, RecipeStore
 
 #: fingerprint -> (newest retained version holding it archival, that CID).
 ArchivalIndex = Dict[bytes, Tuple[int, int]]
@@ -32,26 +30,26 @@ ArchivalIndex = Dict[bytes, Tuple[int, int]]
 
 @dataclass
 class ChainStats:
-    """Recipe-update accounting (Figure 12's 'update recipe' latency)."""
+    """How often Algorithm 1 ran and the index was built."""
 
-    previous_updates: int = 0
     flatten_runs: int = 0
-    entries_rewritten: int = 0
     index_builds: int = 0
-    update_seconds: float = 0.0
-    flatten_seconds: float = 0.0
 
 
 class RecipeChain:
-    """Maintains HiDeStore's chained recipes over a :class:`RecipeStore`."""
+    """Maintains HiDeStore's chain state over a write-once :class:`RecipeStore`."""
 
     def __init__(self, recipes: RecipeStore) -> None:
         self.recipes = recipes
         self.stats = ChainStats()
-        #: ``fp -> (version, cid)`` of the newest retained recipe holding
-        #: ``fp`` as archival: what Algorithm 1 would write into an older
-        #: non-positive row, kept instead of written.  ``None`` until a
-        #: restore needs it; in memory only (DESIGN §1.1).
+        #: version -> {fingerprint: archival CID} of the chunks demoted out
+        #: of that version: what §4.3 would have written into ``R_version``.
+        self.demoted: Dict[int, Dict[bytes, int]] = {}
+        #: version -> head entry of its stored demotion part (checkpoint).
+        self.persisted: Dict[int, Dict] = {}
+        #: ``fp -> (version, cid)`` of the newest retained version holding
+        #: ``fp`` archival, in ``demoted`` or as a positive recipe row.
+        #: ``None`` until a restore needs it; rebuilt, never stored.
         self.index: Optional[ArchivalIndex] = None
 
     # ------------------------------------------------------------------
@@ -74,101 +72,85 @@ class RecipeChain:
                 if entry.cid > 0:
                     self.index[entry.fingerprint] = (recipe.version_id, entry.cid)
 
-    def update_previous(
-        self, previous_version: int, moved: Mapping[bytes, int], next_version: int
-    ) -> int:
-        """Rewrite ``R_previous`` after demotion (the per-version update).
+    def update_previous(self, previous_version: int, moved: Mapping[bytes, int]) -> None:
+        """Record what demoting ``previous_version``'s cold set learned.
 
-        Args:
-            previous_version: the recipe to update (``n - depth``).
-            moved: fingerprint -> archival CID of the just-demoted cold set.
-            next_version: the chain target for still-hot chunks
-                (``previous_version + 1``).
-
-        Returns the number of entries rewritten.
+        ``moved`` (fingerprint -> archival CID) becomes
+        ``demoted[previous_version]``, even when empty.  A version that
+        already has a map keeps it: :meth:`HiDeStore.retire` records ahead
+        of the updates, and a later cold residue of that version is a subset
+        of what it recorded, at the same CIDs.
         """
-        started = time.perf_counter()
         if previous_version not in self.recipes:
             raise RecipeError(f"no recipe R_{previous_version} to update")
-        recipe = self.recipes.read(previous_version)
-        rewritten = 0
-        for entry in recipe.entries:
-            if entry.cid > 0:
-                continue  # already archival (possible with history depth > 1)
-            archival = moved.get(entry.fingerprint)
-            if archival is not None:
-                entry.cid = archival
-                if self.index is not None:  # updates run oldest first: newest wins
-                    self.index[entry.fingerprint] = (previous_version, archival)
-            else:
-                entry.cid = -next_version
-            rewritten += 1
-        self.recipes.write(recipe)
-        self.stats.previous_updates += 1
-        self.stats.entries_rewritten += rewritten
-        self.stats.update_seconds += time.perf_counter() - started
-        return rewritten
+        if previous_version not in self.demoted:
+            self.demoted[previous_version] = dict(moved)
+            if self.index is not None:
+                for fp, cid in moved.items():
+                    if self.index.get(fp, (0,))[0] <= previous_version:  # newest wins
+                        self.index[fp] = (previous_version, cid)
 
     # ------------------------------------------------------------------
     def archival_index(self, load: Callable[[int], Recipe]) -> ArchivalIndex:
-        """The index, built on first use by Algorithm 1's read pass without
-        its writes: newest→oldest through ``load``, first positive CID wins."""
+        """The index, built on first use newest→oldest from ``demoted`` and
+        the positive rows of the recipes ``load`` reads (what recipes
+        rewritten before the maps existed hold): first holder wins."""
         if self.index is None:
             index: ArchivalIndex = {}
-            for version in reversed(self.recipes.version_ids()):
-                for entry in load(version).entries:
-                    if entry.cid > 0:
-                        index.setdefault(entry.fingerprint, (version, entry.cid))
+            retained = set(self.recipes.version_ids())
+            for version in sorted(retained.union(self.demoted), reverse=True):
+                for fp, cid in self.demoted.get(version, {}).items():
+                    index.setdefault(fp, (version, cid))
+                if version in retained:
+                    for entry in load(version).entries:
+                        if entry.cid > 0:
+                            index.setdefault(entry.fingerprint, (version, entry.cid))
             self.index = index
             self.stats.index_builds += 1
         return self.index
 
     def expire(self, version: int) -> None:
         """Forget what only ``version`` (the just-expired oldest) held."""
+        self.demoted.pop(version, None)  # its part goes at the next save
         if self.index is not None:  # in place: half the cost of a rebuilt dict
             for fp in [fp for fp, known in self.index.items() if known[0] <= version]:
                 del self.index[fp]
 
     # ------------------------------------------------------------------
-    def flatten(self, newest: Optional[int] = None) -> int:
-        """Algorithm 1: eliminate chain dependencies among all recipes.
+    def chained(self, version: int) -> Recipe:
+        """``R_version`` as §4.3 would have rewritten it: a fresh copy of the
+        stored recipe whose non-positive rows take ``demoted[version]``'s
+        CID, or ``-(version + 1)`` once the version has been updated."""
+        recipe = self.recipes.read(version)
+        own = self.demoted.get(version)
+        entries = []
+        for entry in recipe.entries:
+            cid = entry.cid
+            if cid <= 0 and own is not None:
+                cid = own.get(entry.fingerprint, -(version + 1))
+            entries.append(RecipeEntry(entry.fingerprint, entry.size, cid))
+        return Recipe(version, recipe.tag, entries)
 
-        Walks recipes from the newest to the oldest, carrying a hash table of
-        known archival locations; every chained entry is resolved to its
-        archival CID, or to ``-newest`` when the chunk is still hot (active
-        containers).  Idempotent; the index is rebuilt on its next use.
+    def flatten(self) -> Dict[int, Recipe]:
+        """Algorithm 1: the retained recipes with every chain resolved.
 
-        Returns the number of entries rewritten.
+        Walks the :meth:`chained` views from the newest to the oldest,
+        carrying a hash table of known archival locations; every chained
+        entry is resolved to its archival CID, or to ``-newest`` when the
+        chunk is still hot (active containers).  Writes nothing.
+
+        Returns version -> flattened recipe.
         """
-        started = time.perf_counter()
-        self.index = None
         versions = self.recipes.version_ids()
-        if not versions:
-            return 0
-        if newest is None:
-            newest = versions[-1]
         known: Dict[bytes, int] = {}
-        rewritten = 0
+        flattened: Dict[int, Recipe] = {}
         for version in reversed(versions):
-            if version > newest:
-                continue
-            recipe = self.recipes.read(version)
-            changed = False
+            recipe = self.chained(version)
             for entry in recipe.entries:
                 if entry.cid > 0:
                     known.setdefault(entry.fingerprint, entry.cid)
-                    continue
-                if version == newest:
-                    continue  # the newest recipe's 0-entries stay active
-                resolved = known.get(entry.fingerprint)
-                target = resolved if resolved is not None else -newest
-                if entry.cid != target:
-                    entry.cid = target
-                    changed = True
-                    rewritten += 1
-            if changed:
-                self.recipes.write(recipe)
+                elif version != versions[-1]:  # the newest recipe's 0-entries stay active
+                    entry.cid = known.get(entry.fingerprint, -versions[-1])
+            flattened[version] = recipe
         self.stats.flatten_runs += 1
-        self.stats.entries_rewritten += rewritten
-        self.stats.flatten_seconds += time.perf_counter() - started
-        return rewritten
+        return flattened

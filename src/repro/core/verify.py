@@ -1,11 +1,11 @@
 """Integrity verification ("fsck") for backup systems: one plan, one pass.
 
-**Plan.**  Every retained recipe is walked once.  An entry that names no
-archival container — a chain pointer, a stale pointer past the newest
-version, a chunk still in the active pool — is checked on the spot, in
-memory.  Every other reference is folded into ``cid -> {(fingerprint,
-size)}`` and the §4.5 deletion tags join the referenced set: one pair per
-*distinct* referenced chunk, never a string per entry.
+**Plan.**  Every retained recipe is walked once, each row resolved as a
+restore resolves it (:meth:`HiDeStore.archival_cids`).  A row in the active
+pool is checked on the spot, in memory.  Every archival reference is folded
+into ``cid -> {(fingerprint, size)}`` and the §4.5 deletion tags join the
+referenced set: one pair per *distinct* referenced chunk, never a string
+per entry.
 
 **Pass.**  The container store is listed once, then each present-or-
 referenced container is visited exactly once through ``ContainerStore.peek``
@@ -118,13 +118,12 @@ class ContainerFindings:
     #: cid -> failing reference -> size the container stores (``None``: absent)
     bad_refs: Dict[int, Dict[Ref, Optional[int]]] = field(default_factory=dict)
 
-    def entry_issue(self, entry: RecipeEntry, noun: str) -> Optional[str]:
-        """What is wrong with one archival recipe entry, if anything."""
-        if entry.cid in self.unusable:
-            return f"{self.unusable[entry.cid]} {noun} {entry.cid}"
-        ref = (entry.fingerprint, entry.size)
-        bad = self.bad_refs.get(entry.cid, {})
-        return _reference_issue(entry.cid, *ref, bad[ref]) if ref in bad else None
+    def entry_issue(self, cid: int, ref: Ref, noun: str) -> Optional[str]:
+        """What is wrong with one archival reference into ``cid``, if anything."""
+        if cid in self.unusable:
+            return f"{self.unusable[cid]} {noun} {cid}"
+        bad = self.bad_refs.get(cid, {})
+        return _reference_issue(cid, *ref, bad[ref]) if ref in bad else None
 
 
 def check_containers(
@@ -165,16 +164,9 @@ def check_containers(
     return found
 
 
-def _unarchived_issue(system: HiDeStore, entry: RecipeEntry, newest: int, retained) -> Optional[str]:
-    """Check a HiDeStore entry that names no archival container."""
+def _active_issue(system: HiDeStore, entry: RecipeEntry) -> Optional[str]:
+    """Check a HiDeStore row that resolves to the active pool."""
     fp = entry.fingerprint
-    if entry.cid < 0:
-        target = -entry.cid
-        if target <= newest:
-            # Chained: the target recipe is checked itself.
-            return None if target in retained else f"chain points at deleted recipe R_{target}"
-        # A stale pointer past the newest version is legal and means
-        # "active": resolve it through the location map like a 0 entry.
     location = system.pool.location.get(fp)
     if location is None:
         return f"active chunk {fp.hex()[:8]} not in the location map"
@@ -186,26 +178,36 @@ def _unarchived_issue(system: HiDeStore, entry: RecipeEntry, newest: int, retain
 
 def _archival_entries(
     system: Union[BackupSystem, HiDeStore], report: VerificationReport, issues: Dict
-) -> Iterator[Tuple[Tuple[int, int], RecipeEntry]]:
-    """Walk the retained recipes; yield the entries naming archival containers.
+) -> Iterator[Tuple[Tuple[int, int], int, Ref]]:
+    """Walk the retained recipes; yield ``(key, cid, ref)`` of each entry
+    resolving to an archival container.
 
     Entries are keyed ``(version, index)``.  Every other entry is settled
     here (its issue, if any, lands in ``issues`` under its key), and
     ``report`` gets the version and entry counts.
     """
     hidestore = isinstance(system, HiDeStore)
-    versions = system.recipes.version_ids()
-    retained = set(versions)
-    for version_id in versions:
-        recipe = system.recipes.peek(version_id)
+    active: Dict[Ref, Optional[str]] = {}  # one pool check per distinct chunk
+    # Decoded once for the walk and the index build the resolution needs.
+    recipes = {v: system.recipes.peek(v) for v in system.recipes.version_ids()}
+    for version_id, recipe in recipes.items():
+        entries = recipe.entries
         report.versions_checked += 1
-        report.entries_checked += len(recipe.entries)
-        for i, entry in enumerate(recipe.entries):
-            if entry.cid > 0:
-                yield (version_id, i), entry
+        report.entries_checked += len(entries)
+        cids = (
+            system.archival_cids(version_id, entries, recipes.__getitem__)
+            if hidestore
+            else [entry.cid for entry in entries]
+        )
+        for i, (entry, cid) in enumerate(zip(entries, cids)):
+            ref = (entry.fingerprint, entry.size)
+            if cid > 0:
+                yield (version_id, i), cid, ref
                 continue
             if hidestore:
-                issue = _unarchived_issue(system, entry, versions[-1], retained)
+                if ref not in active:
+                    active[ref] = _active_issue(system, entry)
+                issue = active[ref]
             else:
                 issue = f"non-positive cid {entry.cid} in traditional recipe"
             if issue is not None:
@@ -216,16 +218,16 @@ def verify_system(system: Union[BackupSystem, HiDeStore], deep: bool = False) ->
     """Verify a :class:`BackupSystem` or a :class:`HiDeStore`.
 
     Every recipe entry must resolve to a container holding that
-    fingerprint with the recorded size; a HiDeStore's chains, active-
-    location map and deletion tags must be consistent as well.  ``deep``
+    fingerprint with the recorded size; a HiDeStore's active-location map
+    and deletion tags must be consistent as well.  ``deep``
     also re-hashes every archival chunk payload against its fingerprint.
     """
     report = VerificationReport()
     hidestore = isinstance(system, HiDeStore)
     issues: Dict[Tuple[int, int], str] = {}
     referenced: Dict[int, Set[Ref]] = defaultdict(set)
-    for _key, entry in _archival_entries(system, report, issues):
-        referenced[entry.cid].add((entry.fingerprint, entry.size))
+    for _key, cid, ref in _archival_entries(system, report, issues):
+        referenced[cid].add(ref)
     tags = [
         (version, cid)
         for version in (system.deletion.tagged_versions() if hidestore else ())
@@ -241,14 +243,16 @@ def verify_system(system: Union[BackupSystem, HiDeStore], deep: bool = False) ->
     if found.unusable or found.bad_refs:
         # Damage is the rare path: only now name the entries it touches.
         noun = "archival container" if hidestore else "container"
-        for key, entry in _archival_entries(system, VerificationReport(), {}):
-            issue = found.entry_issue(entry, noun)
+        for key, cid, ref in _archival_entries(system, VerificationReport(), {}):
+            issue = found.entry_issue(cid, ref, noun)
             if issue is not None:
                 issues[key] = issue
     report.issues.extend(
         f"v{version_id}[{i}]: {issue}" for (version_id, i), issue in sorted(issues.items())
     )
     if hidestore:
+        for version in sorted(set(system.chain.demoted).difference(system.recipes.version_ids())):
+            report.note(f"demotion map of v{version}: recipe R_{version} is missing")
         # Location map entries must exist in their active containers.
         for fp, cid in system.pool.location.items():
             if cid not in system.pool:

@@ -138,7 +138,8 @@ class GCDeletionManager:
                     if new_cid is not None and entry.cid != new_cid:
                         entry.cid = new_cid
                         changed = True
-                if changed:
+                if changed:  # the rewrite HiDeStore's §4.5 expiry never pays
+                    recipes.delete(other)
                     recipes.write(recipe)
                     stats.recipes_rewritten += 1
             # The index must also learn the new locations.

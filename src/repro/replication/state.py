@@ -8,21 +8,20 @@ A HiDeStore repository directory is a set of four object kinds:
   rename into place.  A mirror therefore copies each container exactly once
   (diffed by presence + size) and never again — the O(delta) property the
   §4.2 chunk filter buys us.
-* ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr``.  Mostly stable, but **not**
-  immutable: §4.3 chain maintenance rewrites the previous version's recipe
-  in place, and ``retire()``'s Algorithm 1 may rewrite any of them.  Diffed by
-  content digest.
+* ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr``.  Written once, yet diffed
+  by content digest: a repository upgraded from the code that rewrote
+  ``R_previous`` in place may hold a same-size rewrite not synced yet.
 * ``manifest`` — ``manifests/manifest-XXXXXXXX.txt``.  Immutable per
   version; diffed by digest anyway (they are tiny).
 * ``checkpoint`` — the volatile engine state (T1 tables, active containers,
   deletion tags), as a head plus parts (:mod:`repro.core.checkpoint`).  The
   head, ``checkpoint.json``, is a few KB, rewritten by every backup and
   every expiry and diffed by digest.  The parts — one per active container,
-  one for the fingerprint tables — are written once under a name that ends
-  in their content hash, so like sealed containers they are diffed by
-  presence + size: a sync after an expiry ships the head alone, a sync
-  after an incremental backup the head, the tables and the containers that
-  backup allocated.
+  one for the fingerprint tables, one demotion map per version — are
+  written once under a name that ends in their content hash, so like sealed
+  containers they are diffed by presence + size: a sync after an expiry
+  ships the head alone, a sync after an incremental backup the head, the
+  tables, a demotion map and the containers that backup allocated.
 
 The vocabulary itself (kinds, sections, name patterns, staging suffix) is
 defined once, in :mod:`repro.storage.repo`.

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from .chunking import FastCDCChunker
 from .core.checkpoint import checkpoint_document, system_from_document
 from .core.hidestore import HiDeStore
-from .errors import DeletionError, ObjectMissingError, ReproError, RestoreError, VersionNotFoundError
+from .errors import DeletionError, ReproError, RestoreError, VersionNotFoundError
 from .observability import MetricsRegistry, get_registry
 from .storage.repo import RepoStorage
 
@@ -101,13 +101,14 @@ def _recover_to_checkpoint(storage: RepoStorage, store: HiDeStore) -> None:
       may be unrestorable, and — worse — the stale version counter would
       hand the same id to the next backup, silently overwriting one version
       with another.  Containers past the checkpointed allocator are
-      deliberately kept: the §4.3 in-place rewrite of the previous recipe
-      may already reference migrated chunks inside them, so they are at
-      worst orphaned space, never safe to drop blindly.
+      deliberately kept, as orphaned space: deleting them would let the
+      allocator hand their IDs out again, and a mirror that already holds
+      the old container under that name diffs by presence + size, which
+      cannot tell the two apart.
     * **An interrupted expiry.**  §4.5 deletion removes the recipe first,
       so a deletion tag older than every retained recipe marks an expiry
       that died before its head: it is rolled forward (the rest of the
-      tagged containers go too).
+      tagged containers go too, and the expired version's demotion map).
 
     Every reader comes through here, so this deletes nothing a replication
     sync lands in place ahead of its commit — on a mirror, containers,
@@ -125,6 +126,9 @@ def _recover_to_checkpoint(storage: RepoStorage, store: HiDeStore) -> None:
     if tail:
         storage.sweep_tmp()
     store.deletion.finish_interrupted(retained)
+    oldest = min(retained, default=mark)
+    for version in [v for v in store.chain.demoted if v < oldest]:
+        store.chain.expire(version)
 
 
 def _sweep_debris(storage: RepoStorage, store: HiDeStore) -> None:
@@ -268,7 +272,7 @@ def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, 
     Returns the entry range ``[start, stop)`` covering the bytes and their
     offset within the first entry (``head_skip``).  Offsets come from the
     manifest (files concatenate in manifest order); ``sizes`` are the
-    recipe's entry sizes, which no chain rewrite changes.
+    recipe's entry sizes.
     """
     start = stop = len(sizes)
     position = 0
@@ -476,17 +480,6 @@ class LocalRepository:
         """Run one backup attempt; on any failure, roll the repo back."""
         mark = store.containers.next_id
         versions_before = set(store.recipes.version_ids())
-        latest = store.recipes.latest_version()
-        prev_blob: Optional[bytes] = None
-        if latest is not None:
-            # The previous recipe is the one chunk-filter maintenance may
-            # rewrite in place (§4.3); snapshot it for rollback.
-            try:
-                prev_blob = self.storage.read_object(
-                    "recipe", f"recipe-{latest:08d}.hdsr"
-                )
-            except ObjectMissingError:
-                prev_blob = None
         try:
             report = run()
             self.storage.write_manifest(
@@ -495,7 +488,7 @@ class LocalRepository:
             )
             self._save_checkpoint(store)
         except BaseException:
-            self._rollback(mark, versions_before, latest, prev_blob)
+            self._rollback(mark, versions_before)
             raise
         return {
             "version_id": report.version_id,
@@ -507,18 +500,11 @@ class LocalRepository:
             "stored_bytes": report.stored_bytes,
         }
 
-    def _rollback(
-        self,
-        mark: int,
-        versions_before: set,
-        latest: Optional[int],
-        prev_blob: Optional[bytes],
-    ) -> None:
+    def _rollback(self, mark: int, versions_before: set) -> None:
         """Erase every trace of a failed backup attempt.
 
         Deletes recipes/manifests of versions that were not visible before
-        the attempt, restores the previous recipe (in-place chain updates),
-        removes container objects allocated during the attempt and drops
+        the attempt, removes container objects allocated during it and drops
         the in-memory engine — the next operation reloads from the
         checkpoint, which was last written at a good version boundary —
         and sweeps the checkpoint parts the attempt wrote before its head.
@@ -531,10 +517,6 @@ class LocalRepository:
         for vid in probe.version_ids():
             if vid not in versions_before:
                 probe.delete(vid)
-        if prev_blob is not None and latest is not None:
-            self.storage.write_object(
-                "recipe", f"recipe-{latest:08d}.hdsr", prev_blob
-            )
         self.storage.sweep()
         for cid in self.storage.container_object_ids():
             if cid >= mark:

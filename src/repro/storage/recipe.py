@@ -6,9 +6,10 @@ systems only ever store positive container IDs.  HiDeStore overloads the CID
 field (§4.3 / §4.4):
 
 * ``cid > 0`` — the chunk lives in archival container ``cid``;
-* ``cid == ACTIVE_CID (0)`` — the chunk lives in the active containers;
-* ``cid < 0`` — the chunk's location is recorded in recipe ``R_{-cid}``
-  (follow the recipe chain).
+* ``cid == ACTIVE_CID (0)`` — the chunk was active when the version was
+  backed up (:meth:`~repro.core.hidestore.HiDeStore.archival_cids` says where);
+* ``cid < 0`` — a chain pointer to ``R_{-cid}``, left in recipes rewritten
+  before recipes were write-once; resolved like ``0``.
 """
 
 from __future__ import annotations
@@ -29,30 +30,11 @@ ACTIVE_CID = 0
 
 @dataclass
 class RecipeEntry:
-    """One chunk reference inside a recipe (mutable: HiDeStore updates CIDs)."""
+    """One chunk reference inside a recipe."""
 
     fingerprint: bytes
     size: int
     cid: int = ACTIVE_CID
-
-    @property
-    def is_active(self) -> bool:
-        return self.cid == ACTIVE_CID
-
-    @property
-    def is_archival(self) -> bool:
-        return self.cid > 0
-
-    @property
-    def is_chained(self) -> bool:
-        return self.cid < 0
-
-    @property
-    def chained_version(self) -> int:
-        """For ``cid < 0`` entries: the recipe version to consult next."""
-        if self.cid >= 0:
-            raise RecipeError(f"entry cid={self.cid} is not a chain reference")
-        return -self.cid
 
 
 class Recipe:
@@ -135,13 +117,12 @@ def unpack_recipe(blob: bytes) -> Recipe:
         offset += 2
         tag = blob[offset : offset + tag_len].decode("utf-8")
         offset += tag_len
-        entries = []
-        for _ in range(count):
-            fp, cid, size = _ENTRY.unpack_from(blob, offset)
-            entries.append(RecipeEntry(fp, size, cid))
-            offset += _ENTRY.size
+        rows = memoryview(blob)[offset : offset + count * _ENTRY.size]
+        entries = [RecipeEntry(fp, size, cid) for fp, cid, size in _ENTRY.iter_unpack(rows)]
     except (struct.error, UnicodeDecodeError) as exc:
         raise RecipeError(f"corrupt recipe blob: {exc}") from exc
+    if len(entries) != count:
+        raise RecipeError(f"corrupt recipe blob: {len(entries)} of {count} entries")
     return Recipe(version_id, tag, entries)
 
 
@@ -153,7 +134,7 @@ class RecipeStore(ABC):
 
     @abstractmethod
     def write(self, recipe: Recipe) -> None:
-        """Persist (or overwrite — HiDeStore updates chains) a recipe."""
+        """Persist a new recipe; refuses (a ``StorageError``) one already stored."""
 
     @abstractmethod
     def read(self, version_id: int) -> Recipe:
@@ -172,10 +153,6 @@ class RecipeStore(ABC):
         ids = self.version_ids()
         return max(ids) if ids else None
 
-    def total_bytes(self) -> int:
-        """Aggregate serialized size of all recipes (unbilled)."""
-        return sum(self.peek(v).byte_size for v in self.version_ids())
-
     def peek(self, version_id: int) -> Recipe:
         """Load without billing (metrics/test use)."""
         raise NotImplementedError
@@ -193,6 +170,8 @@ class MemoryRecipeStore(RecipeStore):
         self._recipes: Dict[int, Recipe] = {}
 
     def write(self, recipe: Recipe) -> None:
+        if recipe.version_id in self._recipes:
+            raise RecipeError(f"recipe for version {recipe.version_id} already stored")
         self._recipes[recipe.version_id] = recipe
         self.stats.note_recipe_write(recipe.byte_size)
 
@@ -221,11 +200,11 @@ class MemoryRecipeStore(RecipeStore):
 
 
 class BackendRecipeStore(RecipeStore):
-    """Recipes as named mutable blobs on a :class:`StorageBackend`.
+    """Recipes as named write-once blobs on a :class:`StorageBackend`.
 
-    Recipes are *metadata* (HiDeStore rewrites them when updating the
-    §4.3 chain), so writes go through the backend's mutable
-    ``put_meta`` surface rather than the immutable ``put``.
+    Nothing rewrites a stored recipe (what the §4.3 update learns is kept
+    in the checkpoint instead), so writes go through the backend's
+    immutable ``put``, which refuses an overwrite.
     """
 
     def __init__(self, backend, stats: Optional[IOStats] = None, prefix: str = "") -> None:
@@ -238,7 +217,7 @@ class BackendRecipeStore(RecipeStore):
 
     def write(self, recipe: Recipe) -> None:
         blob = pack_recipe(recipe)
-        self.backend.put_meta(self._name(recipe.version_id), blob)
+        self.backend.put(self._name(recipe.version_id), blob)
         self.stats.note_recipe_write(len(blob))
 
     def read(self, version_id: int) -> Recipe:
@@ -289,6 +268,8 @@ class FileRecipeStore(RecipeStore):
         return os.path.join(self.root, f"recipe-{version_id:08d}.hdsr")
 
     def write(self, recipe: Recipe) -> None:
+        if recipe.version_id in self:
+            raise RecipeError(f"recipe for version {recipe.version_id} already stored")
         blob = pack_recipe(recipe)
         tmp = self._path(recipe.version_id) + ".tmp"
         with open(tmp, "wb") as handle:

@@ -5,7 +5,7 @@ checkpoint (a head plus its parts) — and :class:`RepoStorage` maps each kind
 onto the storage backends a repo spec names (see :class:`~repro.storage.backend.
 RepoLocation`).  The default mapping puts everything on the primary
 backend; a spec with ``?archive=URL`` sends the **sealed containers** to
-the archive backend (the cold tier) while the mutable metadata stays on
+the archive backend (the cold tier) while the metadata stays on
 the primary (hot) backend — safe precisely because sealed containers are
 immutable (§4.2), so a container object reads identically from any tier.
 
@@ -79,7 +79,8 @@ _PATTERNS = {
     "recipe": re.compile(r"^recipe-(\d{8})\.hdsr$"),
     "manifest": re.compile(r"^manifest-(\d{8})\.txt$"),
     "checkpoint": re.compile(
-        r"^checkpoint(?:\.json|-tables-[0-9a-f]{16}\.bin|-active-\d{8}-[0-9a-f]{16}\.hdsc)$"
+        r"^checkpoint(?:\.json|-tables-[0-9a-f]{16}\.bin|-active-\d{8}-[0-9a-f]{16}\.hdsc"
+        r"|-demoted-\d{8}-[0-9a-f]{16}\.bin)$"
     ),
 }
 
@@ -317,9 +318,9 @@ class RepoStorage:
         """Atomically land one object (optionally as ``*.staged``).
 
         Mirror-side writes replace — repair lands a validated blob over a
-        damaged container, recipes/checkpoint rewrite by design —
-        immutability of live containers is enforced by the container
-        store, not here.
+        damaged container, the checkpoint head is rewritten by design —
+        immutability of live containers and recipes is enforced by their
+        stores, not here.
         """
         target = object_name(kind, name)
         if staged:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from typing import List
 
@@ -10,6 +11,37 @@ import pytest
 from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint
 from repro.units import KiB
 from repro.workloads import SyntheticWorkload, WorkloadSpec
+
+
+#: A directory repository written by the code that still rewrote
+#: ``R_previous`` (§4.3 in place): five versions of :func:`fixture_v2_bytes`
+#: as ``a.bin`` (the first 20 KiB) + ``b.bin``, with positive and ``-k``
+#: rows in R_1..R_4, no demotion maps, and ``expected.json``'s digests.
+FIXTURE_V2 = os.path.join(os.path.dirname(__file__), "fixtures", "repo_v2_chained")
+
+
+def fixture_v2_bytes(index: int) -> bytes:
+    """Version ``index`` (0-based) of the 64 KiB file ``FIXTURE_V2`` holds."""
+    data = bytearray(random.Random(29).randbytes(64 * 1024))
+    for k in range(1, index + 1):
+        offset = (k * 12 * 1024) % (48 * 1024)
+        data[offset : offset + 10 * 1024] = random.Random(700 + k).randbytes(10 * 1024)
+    return bytes(data)
+
+
+def copy_objects(source_spec: str, target_spec: str) -> None:
+    """Every replicable object of one repository, written into another."""
+    from repro.storage.repo import SECTIONS, RepoStorage
+
+    source, target = RepoStorage(source_spec), RepoStorage(target_spec)
+    try:
+        state = source.state()
+        for kind, section in SECTIONS.items():
+            for name in state[section]:
+                target.write_object(kind, name, source.read_object(kind, name))
+    finally:
+        source.close()
+        target.close()
 
 
 def make_stream(tokens: List[int], tag: str = "", size: int = 1024) -> BackupStream:
@@ -30,16 +62,17 @@ def algorithm_1_rows(twin) -> dict:
     """Every retained version's rows as Algorithm 1 resolves them.
 
     ``twin`` is a HiDeStore run through the same operations as the engine
-    under test; its chain is flattened here (the paper's offline pass) and
-    its recipes read as flattened recipes read: a positive CID is the
-    container, anything else is in the active containers.
+    under test; its chain is flattened here (the paper's offline pass, over
+    the chained views) and the flattened recipes read as the paper reads
+    them: a positive CID is the container, anything else is in the active
+    containers.
     """
     twin.run_maintenance()
-    twin.chain.flatten()
+    flattened = twin.chain.flatten()
     return {
         version: [
             (e.fingerprint, e.size, e.cid if e.cid > 0 else twin.pool.location[e.fingerprint])
-            for e in twin.recipes.peek(version).entries
+            for e in flattened[version].entries
         ]
         for version in twin.version_ids()
     }

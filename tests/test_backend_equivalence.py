@@ -89,14 +89,15 @@ class TestHiDeStoreChainEquivalence:
         for stream in small_workload.versions():
             memory.backup(stream)
             file_backed.backup(stream)
-        memory.chain.flatten()
-        file_backed.chain.flatten()
+        flat_memory, flat_file = memory.chain.flatten(), file_backed.chain.flatten()
         for version_id in memory.recipes.version_ids():
-            a = memory.recipes.peek(version_id)
-            b = file_backed.recipes.peek(version_id)
-            assert [(e.fingerprint, e.size, e.cid) for e in a.entries] == [
-                (e.fingerprint, e.size, e.cid) for e in b.entries
-            ]
+            for a, b in (
+                (memory.recipes.peek(version_id), file_backed.recipes.peek(version_id)),
+                (flat_memory[version_id], flat_file[version_id]),
+            ):
+                assert [(e.fingerprint, e.size, e.cid) for e in a.entries] == [
+                    (e.fingerprint, e.size, e.cid) for e in b.entries
+                ]
 
     def test_identical_deletion_outcomes(self, tmp_path, small_workload):
         memory, file_backed = hidestore_pair(tmp_path)

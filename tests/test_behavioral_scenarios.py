@@ -28,7 +28,7 @@ class TestRecipeChainScenarios:
         for stream in streams:
             system.backup(stream)
 
-        recipe = system.recipes.peek(1)
+        recipe = system.chain.chained(1)  # R_1 as §4.3 would have rewritten it
         archival = [e for e in recipe.entries if e.cid > 0]
         chained = [e for e in recipe.entries if e.cid < 0]
         assert len(archival) == 1
@@ -56,7 +56,7 @@ class TestRecipeChainScenarios:
         for stream in workload.versions():
             system.backup(stream)
         assert system.pool.stats.cold_chunks_moved == 0
-        recipe = system.recipes.peek(1)
+        recipe = system.chain.chained(1)
         assert all(e.cid == -2 for e in recipe.entries)
 
     def test_deletion_tags_name_the_right_version(self):

@@ -33,6 +33,7 @@ from repro.chunking.stream import BackupStream
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import checkpoint_document, pack_tables, unpack_tables
 from repro.core.double_cache import CacheEntry
+from repro.core.recipe_chain import RecipeChain
 from repro.errors import ReplicationError, ReproError
 from repro.observability import MetricsRegistry
 from repro.replication.repair import referenced_container_ids
@@ -44,8 +45,10 @@ from repro.server import DaemonThread
 from repro.server.registry import RepositoryRegistry
 from repro.storage import FileContainerStore, FileRecipeStore
 from repro.storage.fake_s3 import FakeS3Server
-from repro.storage.repo import CHECKPOINT_NAME, SECTIONS, RepoStorage
+from repro.storage.repo import CHECKPOINT_NAME, RepoStorage
 from repro.units import KiB
+from repro.storage.recipe import pack_recipe, unpack_recipe
+from tests.conftest import FIXTURE_V2, copy_objects, fixture_v2_bytes
 
 FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "repo_v1")
 
@@ -289,11 +292,14 @@ def test_expiry_writes_the_head_alone_and_an_unchanged_save_nothing_else(tmp_pat
     repo = open_repo(f"sqlite://{tmp_path}/repo.db")
     for index in range(4):
         backup(repo, index, big_version_bytes)
+    expired = head_of(repo.root)["demoted"]["1"]
     seen = Mutations(controller)
     repo.delete_oldest()
     puts = [(op, name) for op, name in seen.log if op in ("put", "put_meta")]
     assert puts == [("put_meta", CHECKPOINT_NAME)]
-    assert not [name for op, name in seen.log if is_part(name)]  # nor deleted
+    # The one part it drops, after the head: the expired version's demotion map.
+    assert [(op, name) for op, name in seen.log if is_part(name)] == [("delete", expired)]
+    assert seen.log.index(("delete", expired)) > seen.log.index(("put_meta", CHECKPOINT_NAME))
 
     del seen.log[:]
     repo._save_checkpoint(repo._open())  # nothing changed since the last save
@@ -387,20 +393,70 @@ def test_v1_fixture_opens_restores_and_is_v2_after_the_next_backup(tmp_path):
     assert reopened.verify(deep=True)["ok"]
 
 
-def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
-    """The fixture *is* the parent commit's output for this seed: only how
-    the volatile state is serialised changed, nothing under the head."""
+def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(tmp_path):
+    """A repository whose recipes §4.3 rewrote in place (positive and ``-k``
+    rows, no demotion maps) resolves through their positive rows, and keeps
+    doing so beside the maps the new code records."""
     root = str(tmp_path / "repo")
+    shutil.copytree(FIXTURE_V2, root)
+    with open(os.path.join(FIXTURE_V2, "expected.json"), encoding="utf-8") as handle:
+        expected = {int(version): digest for version, digest in json.load(handle).items()}
+    assert expected == {i + 1: sha(fixture_v2_bytes(i)) for i in range(5)}
+    cids = [e.cid for v in range(1, 5) for e in RepoStorage(root).recipe_store().peek(v).entries]
+    assert any(cid > 0 for cid in cids) and any(cid < 0 for cid in cids)
+    assert "demoted" not in head_of(root)
+
     repo = open_repo(root)
-    for index in range(3):
-        backup(repo, index)
-    for kind in ("containers", "recipes", "manifests"):
-        names = sorted(os.listdir(os.path.join(FIXTURE_V1, kind)))
-        assert sorted(os.listdir(os.path.join(root, kind))) == names
-        for name in names:
-            with open(os.path.join(FIXTURE_V1, kind, name), "rb") as want:
-                with open(os.path.join(root, kind, name), "rb") as got:
-                    assert got.read() == want.read(), f"{kind}/{name}"
+    for version_id, digest in expected.items():
+        assert restored_sha(repo, version_id) == digest
+    assert repo.verify(deep=True)["ok"]
+
+    data = fixture_v2_bytes(5)
+    plan = [("a.bin", 20 * KiB), ("b.bin", len(data) - 20 * KiB)]
+    assert repo.backup_blocks([data], plan, tag="v6")["version_id"] == 6
+    expected[6] = sha(data)
+    assert sorted(head_of(root)["demoted"]) == ["5"]
+    assert repo.delete_oldest()["version_id"] == 1
+    del expected[1]
+    for reopened in (repo, open_repo(root)):
+        assert [v["version_id"] for v in reopened.versions()] == [2, 3, 4, 5, 6]
+        for version_id, digest in expected.items():
+            assert restored_sha(reopened, version_id) == digest
+        assert reopened.verify(deep=True)["ok"]
+    assert part_names(root) == named_parts(root)
+
+
+def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
+    """The fixtures *are* earlier commits' output for their seeds: containers
+    and manifests come out byte for byte, and each recipe as ``write_fresh``
+    wrote it before §4.3 rewrote it in place (every row ``0``)."""
+    v2_plan = lambda data: [("a.bin", 20 * KiB), ("b.bin", len(data) - 20 * KiB)]  # noqa: E731
+    for fixture, count, version, plan in (
+        (FIXTURE_V1, 3, version_bytes, lambda data: [("data.bin", len(data))]),
+        (FIXTURE_V2, 5, fixture_v2_bytes, v2_plan),
+    ):
+        root = str(tmp_path / os.path.basename(fixture))
+        repo = open_repo(root)
+        for index in range(count):
+            data = version(index)
+            repo.backup_blocks([data], plan(data), tag=f"v{index + 1}")
+        for kind in ("containers", "recipes", "manifests"):
+            names = sorted(os.listdir(os.path.join(fixture, kind)))
+            assert sorted(os.listdir(os.path.join(root, kind))) == names
+            for name in names:
+                with open(os.path.join(fixture, kind, name), "rb") as want:
+                    with open(os.path.join(root, kind, name), "rb") as got:
+                        assert got.read() == fresh_form(want.read(), kind), f"{kind}/{name}"
+
+
+def fresh_form(blob, kind):
+    """A stored object as this version writes it: recipes with no row rewritten."""
+    if kind != "recipes":
+        return blob
+    recipe = unpack_recipe(blob)
+    for entry in recipe.entries:
+        entry.cid = 0
+    return pack_recipe(recipe)
 
 
 # ----------------------------------------------------------------------
@@ -452,18 +508,6 @@ def test_a_part_that_disagrees_with_the_head_fails_the_open_by_name(
 # ----------------------------------------------------------------------
 # Crash points of the new write order
 # ----------------------------------------------------------------------
-def copy_objects(source_spec, target_spec):
-    source, target = RepoStorage(source_spec), RepoStorage(target_spec)
-    try:
-        state = source.state()
-        for kind, section in SECTIONS.items():
-            for name in state[section]:
-                target.write_object(kind, name, source.read_object(kind, name))
-    finally:
-        source.close()
-        target.close()
-
-
 def build_v2(db, version=version_bytes, count=4):
     repo = open_repo(f"sqlite://{db}")
     for index in range(count):
@@ -495,11 +539,17 @@ SCENARIOS = {
 }
 
 
-def check_recovered(spec, digests, next_version_before):
+def stored_recipes(repo, versions):
+    return {v: repo.storage.read_object("recipe", f"recipe-{v:08d}.hdsr") for v in versions}
+
+
+def check_recovered(spec, digests, next_version_before, written):
     """Everything a reopened repository must satisfy, whatever killed the
-    process that last wrote to it."""
+    process that last wrote to it.  ``written``: version -> the recipe bytes
+    first stored for it, which no later write may change."""
     repo = open_repo(spec)
     listed = [v["version_id"] for v in repo.versions()]  # the open succeeds
+    assert stored_recipes(repo, listed) == {v: written[v] for v in listed}
     engine = repo._open()
     assert next_version_before <= engine._next_version <= next_version_before + 1
     assert listed and listed == list(range(listed[0], listed[-1] + 1))
@@ -526,16 +576,39 @@ def check_recovered(spec, digests, next_version_before):
     assert head_of(spec)["format"] == "hidestore-checkpoint-v2"
     assert part_names(spec) == named_parts(spec)
     assert sorted(repo.storage.manifest_ids()) == [*listed, new]
+    assert stored_recipes(repo, [*listed, new]) == {v: written[v] for v in [*listed, new]}
     assert open_repo(spec).verify(deep=True)["ok"]
     repo.storage.close()
 
 
+@pytest.fixture
+def fresh_recipes(monkeypatch):
+    """version -> the bytes ``write_fresh`` stored for it (the same in every
+    run: backups are deterministic)."""
+    written = {}
+    original = RecipeChain.write_fresh
+
+    def recording(chain, recipe):
+        written[recipe.version_id] = pack_recipe(recipe)
+        return original(chain, recipe)
+
+    monkeypatch.setattr(RecipeChain, "write_fresh", recording)
+    return written
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_every_crash_point_recovers(tmp_path, controller, scenario, record_property):
+def test_every_crash_point_recovers(tmp_path, controller, scenario, record_property, fresh_recipes):
     build, operation, new_digests = SCENARIOS[scenario]
     pristine = str(tmp_path / "pristine.db")
     digests = {**build(pristine), **new_digests}
     next_version_before = head_of(f"sqlite://{pristine}")["next_version"]
+    pristine_repo = open_repo(f"sqlite://{pristine}")
+    stored = stored_recipes(pristine_repo, [v["version_id"] for v in pristine_repo.versions()])
+    pristine_repo.storage.close()
+    if scenario != "v1 to v2 upgrade save":  # the fixture's recipes predate this code
+        assert stored == {v: fresh_recipes[v] for v in stored}
+    written = fresh_recipes
+    written.update(stored)
 
     def attempt(crash_after=None, torn=None):
         """One run of ``operation`` on a fresh copy; the mutations it got through."""
@@ -564,17 +637,17 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     for done in range(len(recorded)):  # dies before mutation ``done`` (0-based)
         spec, log = attempt(crash_after=done)
         assert log == recorded[:done], "the run is not deterministic"
-        check_recovered(spec, digests, next_version_before)
+        check_recovered(spec, digests, next_version_before, written)
         points += 1
     for done, (op, name) in enumerate(recorded):  # dies tearing a part write
         if op == "put_meta" and is_part(name):
             spec, log = attempt(crash_after=done + 1, torn=name)
             assert log == recorded[: done + 1]
             assert name in part_names(spec)  # the torn blob did land
-            check_recovered(spec, digests, next_version_before)
+            check_recovered(spec, digests, next_version_before, written)
             points += 1
     spec, _ = attempt()  # and the run nothing killed
-    check_recovered(spec, digests, next_version_before)
+    check_recovered(spec, digests, next_version_before, written)
     record_property("crash_points", points)
     print(f"{scenario}: {points} crash points over {len(recorded)} mutations, all recovered")
     assert points >= len(recorded) + (1 if scenario not in ("delete_oldest", RESTORE) else 0)
@@ -600,6 +673,8 @@ def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path
     assert [v["version_id"] for v in damaged.versions()] == [1, 2, 4, 5, 6]
     report = damaged.verify(deep=True)  # a fresh open of its own
     assert not report["ok"] and any("R_3" in issue for issue in report["issues"])
+    for index in (0, 1, 3, 4, 5):  # its demotion map still serves R_1 and R_2
+        assert restored_sha(damaged, index + 1) == sha(version_bytes(index))
     assert capture_state(root)["containers"] == stored
     assert damaged._open().deletion.tagged_versions() == [1, 2, 3, 4, 5]
     storage = RepoStorage(root)
@@ -738,9 +813,13 @@ def test_reads_on_the_mirror_between_the_part_puts_and_the_commit_keep_the_parts
         backup(source, 3)
         source.delete_oldest()
         plan = session.plan()
+        # Write-once recipes: the backup ships its own recipe and no
+        # rewritten R_3; what R_3's update learned travels as a part.
+        assert [a.name for a in plan.ships if a.kind == "recipe"] == ["recipe-00000004.hdsr"]
         land_without_commit(source_root, mirror_target, plan)
         landed = capture_state(mirror_root)
-        assert set(landed["checkpoint"]) - {CHECKPOINT_NAME} > set(named_parts(mirror_root))
+        unnamed = set(landed["checkpoint"]) - {CHECKPOINT_NAME} - set(named_parts(mirror_root))
+        assert any(name.startswith("checkpoint-demoted-00000003-") for name in unnamed)
         assert "manifest-00000004.txt" in landed["manifests"]
 
         reader = open_reader()  # a cold open: every commit invalidates the engine

@@ -137,12 +137,10 @@ class TestNoGarbageCollection:
     def test_deleted_containers_not_referenced_by_retained_recipes(self, small_workload):
         system = build(small_workload)
         tagged = set(system.deletion.containers_for(1))
-        system.chain.flatten()
         system.delete_oldest()
-        for version_id in system.version_ids():
-            recipe = system.recipes.peek(version_id)
-            referenced = {e.cid for e in recipe.entries if e.cid > 0}
-            assert not (referenced & tagged)
+        flattened = system.chain.flatten().values()
+        referenced = {e.cid for recipe in flattened for e in recipe.entries if e.cid > 0}
+        assert referenced and not (referenced & tagged)
 
 
 class TestHistoryDepthInteraction:

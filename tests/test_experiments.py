@@ -105,9 +105,8 @@ class TestAutoFlatten:
 
     def test_disabled_leaves_chains(self):
         system = self._run()
-        recipe = system.recipes.peek(1)
         # Without flattening, R_1 points at R_2 (one hop).
-        assert any(entry.cid == -2 for entry in recipe.entries)
+        assert any(entry.cid == -2 for entry in system.chain.chained(1).entries)
         assert system.chain.stats.flatten_runs == 0
 
     def test_restores_identical_either_way(self):
@@ -121,4 +120,3 @@ class TestAutoFlatten:
     def test_flatten_stats_recorded(self):
         system = self._run(flatten=True)
         assert system.chain.stats.flatten_runs == 1
-        assert system.chain.stats.entries_rewritten > 0

@@ -51,8 +51,7 @@ class TestMissingContainers:
 
     def test_hidestore_restore_raises_for_lost_archival(self, small_workload):
         system = hidestore(small_workload)
-        system.chain.flatten()
-        recipe = system.recipes.peek(1)
+        recipe = system.chain.flatten()[1]
         archival = [e.cid for e in recipe.entries if e.cid > 0]
         assert archival
         system.containers.delete(archival[0])

@@ -1,15 +1,14 @@
 """What is left of "Algorithm 1 runs once per chain change".
 
-Since PR 25 it runs on no restore at all: restores resolve chained rows from
-the chain's in-memory index (``tests/test_restore_resolution.py`` holds the
-oracle, the zero-write check, the rebuild net, the bound and the race).
-Algorithm 1 itself stays the offline pass ``retire()`` runs.  What this file
-keeps are the scenarios around it:
+It runs on no restore at all: restores resolve chained rows from the
+chain's demotion maps and in-memory index (``tests/test_restore_resolution.py``
+holds the oracle, the zero-write check, the rebuild net, the bound and the
+race), and Algorithm 1 itself writes nothing.  What this file keeps are the
+scenarios around it:
 
 * a head still naming the dropped ``flatten_every`` knob loads;
-* a partial offline flatten changes no restore;
 * a mirror tenant reads without writing, before and after a sync;
-* a recipe swapped for its pre-flatten bytes still restores, unchanged;
+* a recipe swapped for its flattened bytes, and back, still restores;
 * a chunk that is nowhere raises after exactly one index rebuild;
 * what ``stats --metrics`` says about who paid for the index.
 """
@@ -19,17 +18,16 @@ import random
 import pytest
 
 from repro.core.hidestore import HiDeStore
-from repro.core.recipe_chain import RecipeChain
 from repro.errors import RestoreError
 from repro.observability import MetricsRegistry
 from repro.replication.session import ReplicationSession
 from repro.replication.state import capture_state
 from repro.replication.targets import LocalMirror
 from repro.repository import LocalRepository
-from repro.storage.recipe import unpack_recipe
+from repro.storage.recipe import pack_recipe, unpack_recipe
 from repro.storage.repo import RepoStorage
 from repro.units import KiB
-from tests.conftest import algorithm_1_rows, make_stream, resolved_rows
+from tests.conftest import make_stream
 
 
 def version_bytes(index):
@@ -99,19 +97,6 @@ def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it():
     assert "flatten_every" not in checkpoint_document(loaded).head
 
 
-def test_a_partial_flatten_is_not_mistaken_for_a_whole_one():
-    system, twin = HiDeStore(container_size=8 * KiB), HiDeStore(container_size=8 * KiB)
-    for version in range(1, 5):
-        system.backup(stream(version))
-        twin.backup(stream(version))
-    system.restore(1)  # the index is built and live
-    system.chain.flatten(newest=3)  # R_1, R_2 now say -3 where R_4 is meant
-    assert any(e.cid == -3 for e in system.recipes.peek(1).entries)
-    assert resolved_rows(system) == algorithm_1_rows(twin)
-    for version in range(1, 5):
-        assert system.restore(version).chunks == 40
-
-
 # ----------------------------------------------------------------------
 # Readers write nothing
 # ----------------------------------------------------------------------
@@ -162,17 +147,18 @@ def test_a_recipe_swapped_for_its_pre_flatten_bytes_still_restores(tmp_path, kin
     spec = spec_of(kind, tmp_path, "repo")
     repo = build(spec, versions=5)
     name = "recipe-00000001.hdsr"
-    chained = repo.storage.read_object("recipe", name)
-    assert any(e.cid < 0 and e.cid != -5 for e in unpack_recipe(chained).entries)
+    fresh = repo.storage.read_object("recipe", name)
+    assert all(e.cid == 0 for e in unpack_recipe(fresh).entries)
     assert restored(repo, 1) == version_bytes(0)
-    assert repo.storage.read_object("recipe", name) == chained  # a restore writes nothing
+    assert repo.storage.read_object("recipe", name) == fresh  # a restore writes nothing
 
-    # Algorithm 1 run offline, behind the live engine, then undone for R_1.
-    storage = RepoStorage(spec)
-    RecipeChain(storage.recipe_store()).flatten()
-    storage.close()
-    assert repo.storage.read_object("recipe", name) != chained
-    swap_recipe(spec, name, chained)
+    # R_1 as Algorithm 1 resolves it, landed behind the live engine (what a
+    # repository flattened by an older version holds), then undone.
+    flat = repo._open().chain.flatten()[1]
+    assert any(e.cid > 0 for e in flat.entries) and any(e.cid == -5 for e in flat.entries)
+    swap_recipe(spec, name, pack_recipe(flat))
+    assert restored(repo, 1) == version_bytes(0)
+    swap_recipe(spec, name, fresh)
     for file, want in ((None, version_bytes(0)), ("b.bin", version_bytes(0)[48 * 1024 :])):
         assert restored(repo, 1, file=file) == want
     assert index_builds(repo) == 1
@@ -180,7 +166,7 @@ def test_a_recipe_swapped_for_its_pre_flatten_bytes_still_restores(tmp_path, kin
     # Behind a fresh engine: the same, off the recipes as they now are.
     repo.invalidate()
     assert restored(repo, 1, file="a.bin") == version_bytes(0)[: 48 * 1024]
-    assert repo.storage.read_object("recipe", name) == chained
+    assert repo.storage.read_object("recipe", name) == fresh
     assert index_builds(repo) == 2
     assert repo.verify(deep=True)["ok"]
     repo.storage.close()

@@ -156,8 +156,8 @@ class TestRetireAndReopen:
         system.retire()
         assert system.pool.hot_bytes() == 0
         for version_id in system.version_ids():
-            recipe = system.recipes.peek(version_id)
-            assert all(e.cid > 0 for e in recipe.entries)
+            entries = system.recipes.peek(version_id).entries
+            assert all(cid > 0 for cid in system.archival_cids(version_id, entries, system.recipes.peek))
 
     def test_retired_system_rejects_backup(self, small_workload):
         system = run(small_workload)

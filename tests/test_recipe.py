@@ -3,13 +3,13 @@
 import pytest
 
 from repro.chunking.stream import synthetic_fingerprint
-from repro.errors import RecipeError
+from repro.errors import RecipeError, StorageError
+from repro.storage.backend import open_backend
 from repro.storage.recipe import (
-    ACTIVE_CID,
+    BackendRecipeStore,
     FileRecipeStore,
     MemoryRecipeStore,
     Recipe,
-    RecipeEntry,
     pack_recipe,
     unpack_recipe,
 )
@@ -21,20 +21,6 @@ def build_recipe(version=1, tag="v1", cids=(1, 0, -3)):
     for i, cid in enumerate(cids):
         recipe.append(synthetic_fingerprint(i), 100 + i, cid)
     return recipe
-
-
-class TestRecipeEntry:
-    def test_kind_predicates(self):
-        assert RecipeEntry(b"a" * 20, 1, 5).is_archival
-        assert RecipeEntry(b"a" * 20, 1, ACTIVE_CID).is_active
-        assert RecipeEntry(b"a" * 20, 1, -4).is_chained
-
-    def test_chained_version(self):
-        assert RecipeEntry(b"a" * 20, 1, -4).chained_version == 4
-
-    def test_chained_version_rejects_non_chain(self):
-        with pytest.raises(RecipeError):
-            RecipeEntry(b"a" * 20, 1, 3).chained_version
 
 
 class TestRecipe:
@@ -90,10 +76,12 @@ class TestSerialisation:
             unpack_recipe(bytes(blob))
 
 
-@pytest.fixture(params=["memory", "file"])
+@pytest.fixture(params=["memory", "file", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
         return MemoryRecipeStore()
+    if request.param == "sqlite":
+        return BackendRecipeStore(open_backend(f"sqlite://{tmp_path}/r.db"), prefix="recipes/")
     return FileRecipeStore(str(tmp_path / "recipes"))
 
 
@@ -104,10 +92,11 @@ class TestRecipeStores:
         assert loaded.version_id == 2
         assert len(loaded) == 3
 
-    def test_overwrite_allowed(self, store):
+    def test_overwrite_refused(self, store):
         store.write(build_recipe(version=2, cids=(0,)))
-        store.write(build_recipe(version=2, cids=(7,)))
-        assert [e.cid for e in store.read(2)][0] == 7
+        with pytest.raises(StorageError):  # a RecipeError, or the backend's refusal
+            store.write(build_recipe(version=2, cids=(7,)))
+        assert [e.cid for e in store.read(2)] == [0]
 
     def test_read_unknown_raises(self, store):
         with pytest.raises(RecipeError):
@@ -128,11 +117,6 @@ class TestRecipeStores:
 
     def test_latest_of_empty_is_none(self, store):
         assert store.latest_version() is None
-
-    def test_total_bytes(self, store):
-        store.write(build_recipe(version=1))
-        store.write(build_recipe(version=2))
-        assert store.total_bytes() == 2 * 3 * RECIPE_ENTRY_SIZE
 
     def test_read_bills_recipe_read(self, store):
         store.write(build_recipe(version=1))

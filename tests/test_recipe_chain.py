@@ -5,7 +5,7 @@ import pytest
 from repro.chunking.stream import synthetic_fingerprint as fp
 from repro.core.recipe_chain import RecipeChain
 from repro.errors import RecipeError
-from repro.storage.recipe import ACTIVE_CID, MemoryRecipeStore, Recipe
+from repro.storage.recipe import ACTIVE_CID, MemoryRecipeStore, Recipe, pack_recipe
 
 
 def fresh_recipe(version, tokens):
@@ -39,36 +39,44 @@ class TestWriteFresh:
 
 class TestUpdatePrevious:
     def test_figure_seven_semantics(self, chain):
-        """After demoting V3's cold set, R_3 entries become archival or -4."""
+        """After demoting V3's cold set, R_3 reads as archival or -4 rows,
+        while the stored R_3 stays as written."""
         chain.write_fresh(fresh_recipe(3, [1, 2, 3]))
         chain.write_fresh(fresh_recipe(4, [2, 3, 4]))
         moved = {fp(1): 10}  # chunk 1 went to archival container 10
-        rewritten = chain.update_previous(3, moved, next_version=4)
-        assert rewritten == 3
-        updated = chain.recipes.peek(3)
-        cids = {e.fingerprint: e.cid for e in updated.entries}
-        assert cids[fp(1)] == 10
-        assert cids[fp(2)] == -4
-        assert cids[fp(3)] == -4
+        chain.update_previous(3, moved)
+        assert chain.demoted[3] == moved
+        cids = {e.fingerprint: e.cid for e in chain.chained(3).entries}
+        assert cids == {fp(1): 10, fp(2): -4, fp(3): -4}
+        assert all(e.cid == ACTIVE_CID for e in chain.recipes.peek(3).entries)
 
     def test_positive_entries_untouched(self, chain):
         recipe = Recipe(2)
         recipe.append(fp(1), 100, 5)
         recipe.append(fp(2), 100, ACTIVE_CID)
         chain.recipes.write(recipe)
-        chain.update_previous(2, {}, next_version=3)
-        cids = [e.cid for e in chain.recipes.peek(2).entries]
-        assert cids == [5, -3]
+        chain.update_previous(2, {})
+        assert chain.demoted[2] == {}  # an update that moved nothing is recorded too
+        assert [e.cid for e in chain.chained(2).entries] == [5, -3]
 
     def test_missing_recipe_raises(self, chain):
         with pytest.raises(RecipeError):
-            chain.update_previous(9, {}, next_version=10)
+            chain.update_previous(9, {})
 
     def test_stats(self, chain):
         chain.write_fresh(fresh_recipe(1, [1]))
-        chain.update_previous(1, {fp(1): 3}, next_version=2)
-        assert chain.stats.previous_updates == 1
-        assert chain.stats.entries_rewritten == 1
+        writes = chain.recipes.stats.recipe_writes
+        chain.update_previous(1, {fp(1): 3})
+        assert chain.recipes.stats.recipe_writes == writes  # nothing rewritten
+        assert chain.stats.flatten_runs == chain.stats.index_builds == 0
+
+    def test_a_recorded_map_is_kept(self, chain):
+        """retire() records ahead of the updates; a later update of the same
+        version (a subset, at the same CIDs) leaves the map as it was."""
+        chain.write_fresh(fresh_recipe(1, [1, 2]))
+        chain.update_previous(1, {fp(1): 3, fp(2): 4})
+        chain.update_previous(1, {fp(2): 4})
+        assert chain.demoted[1] == {fp(1): 3, fp(2): 4}
 
 
 def build_chained_history(chain):
@@ -80,47 +88,54 @@ def build_chained_history(chain):
     """
     chain.write_fresh(fresh_recipe(1, [1, 2, 3]))
     chain.write_fresh(fresh_recipe(2, [2, 3, 4]))
-    chain.update_previous(1, {fp(1): 11}, next_version=2)
+    chain.update_previous(1, {fp(1): 11})
     chain.write_fresh(fresh_recipe(3, [3, 4, 5]))
-    chain.update_previous(2, {fp(2): 12}, next_version=3)
+    chain.update_previous(2, {fp(2): 12})
     return chain
+
+
+def stored_bytes(chain):
+    return {v: pack_recipe(chain.recipes.peek(v)) for v in chain.recipes.version_ids()}
 
 
 class TestFlatten:
     def test_resolves_whole_chain(self, chain):
         build_chained_history(chain)
-        chain.flatten()
-        r1 = {e.fingerprint: e.cid for e in chain.recipes.peek(1).entries}
+        flattened = chain.flatten()
+        r1 = {e.fingerprint: e.cid for e in flattened[1].entries}
         assert r1[fp(1)] == 11  # archived
         assert r1[fp(2)] == 12  # archived one hop later
         assert r1[fp(3)] == -3  # still hot -> points at the newest recipe
-        r2 = {e.fingerprint: e.cid for e in chain.recipes.peek(2).entries}
+        r2 = {e.fingerprint: e.cid for e in flattened[2].entries}
         assert r2[fp(2)] == 12
         assert r2[fp(3)] == -3 and r2[fp(4)] == -3
 
     def test_newest_recipe_keeps_active_zeroes(self, chain):
         build_chained_history(chain)
-        chain.flatten()
-        assert all(e.cid == ACTIVE_CID for e in chain.recipes.peek(3).entries)
+        assert all(e.cid == ACTIVE_CID for e in chain.flatten()[3].entries)
 
     def test_idempotent(self, chain):
+        """Writes nothing, so a second run sees what the first saw."""
         build_chained_history(chain)
+        before = stored_bytes(chain)
         first = chain.flatten()
+        assert stored_bytes(chain) == before
         second = chain.flatten()
-        assert first > 0
-        assert second == 0
+        assert {v: pack_recipe(r) for v, r in first.items()} == {
+            v: pack_recipe(r) for v, r in second.items()
+        }
+        assert chain.stats.flatten_runs == 2
 
     def test_empty_store_is_noop(self, chain):
-        assert chain.flatten() == 0
+        assert chain.flatten() == {}
 
     def test_multi_hop_gap_resolved(self, chain):
-        """A stale -old pointer left by an earlier flatten still resolves."""
+        """A chunk hot through one update and demoted at the next resolves
+        to that later archival CID."""
         chain.write_fresh(fresh_recipe(1, [1]))
         chain.write_fresh(fresh_recipe(2, [1]))
-        chain.update_previous(1, {}, next_version=2)
-        chain.flatten()  # R1: fp1 -> -2
+        chain.update_previous(1, {})
+        assert chain.flatten()[1].entries[0].cid == -2
         chain.write_fresh(fresh_recipe(3, [2]))
-        chain.update_previous(2, {fp(1): 20}, next_version=3)
-        chain.flatten()
-        r1 = chain.recipes.peek(1).entries[0]
-        assert r1.cid == 20
+        chain.update_previous(2, {fp(1): 20})
+        assert chain.flatten()[1].entries[0].cid == 20

@@ -7,7 +7,8 @@ writing it.  In the order DESIGN §1.1 argues it:
 
 * (a) the oracle — after every operation of one schedule (backups, whole
   and partial restores, expiries, reopens, ``retire``), every retained
-  version resolves row for row as a twin whose chain was flattened does;
+  version resolves row for row as a twin whose chain was flattened does,
+  and every stored recipe is still the bytes ``write_fresh`` wrote;
 * (b) no restore flavour mutates the backend, on a live or a fresh engine,
   directory or ``sqlite://``;
 * (c) a recipe landed behind the engine costs one index rebuild, never a
@@ -17,6 +18,7 @@ writing it.  In the order DESIGN §1.1 argues it:
   the index once.
 """
 
+import contextlib
 import os
 import random
 import sys
@@ -31,10 +33,20 @@ from repro.core.recipe_chain import RecipeChain
 from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository
 from repro.storage import FileContainerStore, FileRecipeStore
-from repro.storage.recipe import pack_recipe
+from repro.storage.backend import open_backend
+from repro.storage.container_store import BackendContainerStore
+from repro.storage.fake_s3 import FakeS3Server
+from repro.storage.recipe import BackendRecipeStore, pack_recipe
 from repro.storage.repo import RepoStorage
 from repro.units import KiB
-from tests.conftest import algorithm_1_rows, make_stream, resolved_rows
+from tests.conftest import (
+    FIXTURE_V2,
+    algorithm_1_rows,
+    copy_objects,
+    fixture_v2_bytes,
+    make_stream,
+    resolved_rows,
+)
 
 
 def version_bytes(index):
@@ -98,17 +110,25 @@ SCHEDULE = [
 ]
 
 
-def engine(root, depth, deferred):
+def file_stores(root):
+    return lambda: (
+        FileContainerStore(os.path.join(root, "c"), capacity=8 * KiB),
+        FileRecipeStore(os.path.join(root, "r")),
+    )
+
+
+def engine(stores, depth, deferred):
+    container_store, recipe_store = stores()
     return HiDeStore(
-        container_store=FileContainerStore(os.path.join(root, "c"), capacity=8 * KiB),
-        recipe_store=FileRecipeStore(os.path.join(root, "r")),
+        container_store=container_store,
+        recipe_store=recipe_store,
         history_depth=depth,
         container_size=8 * KiB,
         deferred_maintenance=deferred,
     )
 
 
-def run(system, root, step):
+def run(system, root, step, stores):
     """Apply one schedule step; returns the (possibly reopened) system."""
     kind = step[0]
     if kind == "backup":
@@ -124,10 +144,7 @@ def run(system, root, step):
     elif kind == "reopen":
         path = os.path.join(root, "ckpt.json")
         save_checkpoint(system, path)
-        system = load_checkpoint(
-            path, FileContainerStore(os.path.join(root, "c"), capacity=8 * KiB),
-            FileRecipeStore(os.path.join(root, "r")),
-        )
+        system = load_checkpoint(path, *stores())
     elif kind == "retire":
         system.retire()
     else:
@@ -139,14 +156,62 @@ def run(system, root, step):
 @pytest.mark.parametrize("deferred", [False, True], ids=["inline", "deferred"])
 def test_every_version_resolves_as_algorithm_1_would(tmp_path, depth, deferred):
     ours_root, twin_root = str(tmp_path / "ours"), str(tmp_path / "twin")
-    ours, twin = engine(ours_root, depth, deferred), engine(twin_root, depth, deferred)
+    ours_stores, twin_stores = file_stores(ours_root), file_stores(twin_root)
+    ours, twin = engine(ours_stores, depth, deferred), engine(twin_stores, depth, deferred)
     for step in SCHEDULE:
         writes = ours.io.recipe_writes
-        ours, twin = run(ours, ours_root, step), run(twin, twin_root, step)
+        ours = run(ours, ours_root, step, ours_stores)
+        twin = run(twin, twin_root, step, twin_stores)
         if step[0] in ("restore", "partial"):
             assert ours.io.recipe_writes == writes, step
         assert resolved_rows(ours) == algorithm_1_rows(twin), step
-    assert ours.chain.stats.flatten_runs == 1  # retire's, and nobody else's
+    assert ours.chain.stats.flatten_runs == 0  # Algorithm 1 is the twin's alone
+
+
+@contextlib.contextmanager
+def backend_of_kind(kind, tmp_path):
+    with contextlib.ExitStack() as stack:
+        url = f"sqlite://{tmp_path}/repo.db"
+        if kind == "fake-s3":
+            url = stack.enter_context(FakeS3Server("127.0.0.1")).url("bucket", "write-once")
+        backend = open_backend(url)
+        stack.callback(backend.close)  # before the server stops
+        yield backend
+
+
+@pytest.fixture
+def fresh_bytes(monkeypatch):
+    """version -> the bytes ``write_fresh`` stored for it, as it stores them."""
+    written = {}
+    original = RecipeChain.write_fresh
+
+    def recording(chain, recipe):
+        written[recipe.version_id] = pack_recipe(recipe)
+        return original(chain, recipe)
+
+    monkeypatch.setattr(RecipeChain, "write_fresh", recording)
+    return written
+
+
+@pytest.mark.parametrize("kind", ["directory", "sqlite", "fake-s3"])
+def test_every_stored_recipe_stays_as_write_fresh_wrote_it(tmp_path, kind, fresh_bytes):
+    with contextlib.ExitStack() as stack:
+        if kind == "directory":
+            stores = file_stores(str(tmp_path))
+        else:
+            backend = stack.enter_context(backend_of_kind(kind, tmp_path))
+            stores = lambda: (  # noqa: E731
+                BackendContainerStore(backend, capacity=8 * KiB, prefix="containers/"),
+                BackendRecipeStore(backend, prefix="recipes/"),
+            )
+        system = engine(stores, 2, True)
+        for step in SCHEDULE:
+            system = run(system, str(tmp_path), step, stores)
+            recipes = system.recipes
+            assert {v: pack_recipe(recipes.peek(v)) for v in recipes.version_ids()} == {
+                v: fresh_bytes[v] for v in recipes.version_ids()
+            }, step
+        assert len(fresh_bytes) == sum(1 for step in SCHEDULE if step[0] == "backup")
 
 
 # ----------------------------------------------------------------------
@@ -209,16 +274,17 @@ def test_no_restore_mutates_the_backend(tmp_path, mutations, kind):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ["directory", "sqlite"])
 def test_a_recipe_landed_behind_the_engine_costs_one_rebuild(tmp_path, kind):
+    """Recipes are write-once now, but a repository written before that
+    resolves its chained rows from the positive rows its rewritten recipes
+    carry, so a recipe landing there (a mirror that synced in between, say)
+    still changes what the index must say."""
     spec = spec_of(kind, tmp_path)
-    writer = open_repo(spec)
-    for index in range(5):
-        backup(writer, index)
-    writer.storage.close()
+    copy_objects(FIXTURE_V2, spec)
     storage = RepoStorage(spec)
     name = "recipe-00000003.hdsr"
     updated = storage.read_object("recipe", name)
-    # R_3 as write_fresh left it, before its previous-recipe update landed
-    # (a mirror that synced in between, say): every row active.
+    # R_3 as write_fresh left it, before its previous-recipe update landed:
+    # every row active.
     stale = storage.recipe_store().peek(3)
     demoted = {e.fingerprint for e in stale.entries if e.cid > 0}
     assert any(e.fingerprint in demoted for e in storage.recipe_store().peek(2).entries)
@@ -227,16 +293,16 @@ def test_a_recipe_landed_behind_the_engine_costs_one_rebuild(tmp_path, kind):
     storage.write_object("recipe", name, pack_recipe(stale))
 
     reader = open_repo(spec)
-    assert restored(reader, 4) == version_bytes(3)  # builds the index off stale R_3
+    assert restored(reader, 4) == fixture_v2_bytes(3)  # builds the index off stale R_3
     engine_ = reader._open()
     assert engine_.chain.stats.index_builds == 1
     storage.write_object("recipe", name, updated)  # the update lands
 
     # R_2 chains to R_3 for the chunks R_3 now says were demoted: neither
     # the index nor the active pool knows them until the rebuild.
-    assert restored(reader, 2) == version_bytes(1)
+    assert restored(reader, 2) == fixture_v2_bytes(1)
     assert engine_.chain.stats.index_builds == 2
-    assert restored(reader, 2, file="b.bin") == version_bytes(1)[HALF:]
+    assert restored(reader, 2, file="b.bin") == fixture_v2_bytes(1)[20 * KiB :]
     assert engine_.chain.stats.index_builds == 2
     assert reader.metrics.snapshot()["counters"]["restore.index_builds"] == 2
     assert storage.read_object("recipe", name) == updated
@@ -257,7 +323,9 @@ def test_the_index_is_what_a_rebuild_reads_across_three_windows_of_expiry():
         system.backup(make_stream(list(range(version * 10, version * 10 + 40))))
         system.restore(system.version_ids()[0])
         system.delete_oldest()
-        rebuilt = RecipeChain(system.recipes).archival_index(system.recipes.peek)
+        cold = RecipeChain(system.recipes)
+        cold.demoted = system.chain.demoted  # what a reopened engine loads
+        rebuilt = cold.archival_index(system.recipes.peek)
         assert system.chain.index == rebuilt
         assert len(system.version_ids()) == window
         sizes.append(len(rebuilt))

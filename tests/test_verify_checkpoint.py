@@ -131,10 +131,7 @@ class TestMatchesPerEntryOracle:
 
     def test_issues_come_in_recipe_order(self, small_workload):
         system = _hidestore_metadata_only(small_workload)
-        victim = sorted(
-            e.cid for v in system.recipes.version_ids()
-            for e in system.recipes.peek(v).entries if e.cid > 0
-        )[0]
+        victim = min(cid for moved in system.chain.demoted.values() for cid in moved.values())
         system.containers.delete(victim)
         system.pool.location[next(iter(system.pool.location))] = 999_999
         issues = verify_system(system).issues

@@ -11,7 +11,8 @@ mode too (it used to run with ``deep`` only).
 
 It is deliberately independent of the production module: it shares no
 helper with it, hashes with ``hashlib`` directly, and formats every issue
-itself.
+itself.  A HiDeStore's rows are located by Algorithm 1 (the chain's
+``flatten``), not by the resolver restores and ``verify`` share.
 """
 
 import hashlib
@@ -66,28 +67,22 @@ def _walk_traditional(system, report):
             _check_archival(report.issues, system, entry, where, "container")
 
 
+def _rows(system):
+    """version -> its rows with the CIDs they resolve to (positive: archival)."""
+    if isinstance(system, HiDeStore):
+        flattened = system.chain.flatten()
+        return {v: flattened[v].entries for v in sorted(flattened)}
+    return {v: system.recipes.peek(v).entries for v in system.recipes.version_ids()}
+
+
 def _walk_hidestore(system, report):
     issues = report.issues
-    newest = system.recipes.latest_version()
-    versions = system.recipes.version_ids()
-    version_set = set(versions)
-    for version_id in versions:
-        recipe = system.recipes.peek(version_id)
+    for version_id, entries in _rows(system).items():
         report.versions_checked += 1
-        for i, entry in enumerate(recipe.entries):
+        for i, entry in enumerate(entries):
             report.entries_checked += 1
             where = f"v{version_id}[{i}]"
-            cid = entry.cid
-            if cid < 0:
-                target = -cid
-                if newest is not None and target > newest:
-                    cid = 0  # stale pointer past the newest version: "active"
-                elif target not in version_set:
-                    issues.append(f"{where}: chain points at deleted recipe R_{target}")
-                    continue
-                else:
-                    continue  # chained: the target recipe is checked itself
-            if cid == 0:
+            if entry.cid <= 0:
                 location = system.pool.location.get(entry.fingerprint)
                 if location is None:
                     issues.append(
@@ -120,8 +115,8 @@ def _walk_hidestore(system, report):
 
 def _referenced(system):
     referenced = set()
-    for version_id in system.recipes.version_ids():
-        for entry in system.recipes.peek(version_id).entries:
+    for entries in _rows(system).values():
+        for entry in entries:
             if entry.cid > 0:
                 referenced.add(entry.cid)
     if isinstance(system, HiDeStore):
@@ -175,9 +170,10 @@ class NotApplicable(Exception):
 
 
 def _archival(system):
-    """``(version_id, index, entry)`` of every archival recipe entry."""
-    for version_id in system.recipes.version_ids():
-        for index, entry in enumerate(system.recipes.peek(version_id).entries):
+    """``(version_id, index, entry)`` of every row resolving to an archival
+    container, the entry carrying that CID."""
+    for version_id, entries in _rows(system).items():
+        for index, entry in enumerate(entries):
             if entry.cid > 0:
                 yield version_id, index, entry
 
@@ -190,9 +186,12 @@ def _referenced_cids(system):
 
 
 def _edit_entry(system, version_id, index, **changes):
+    """Damage one stored row: the recipe is replaced on disk, as bit rot or
+    a bad copy would (no code path writes a recipe twice)."""
     recipe = system.recipes.peek(version_id)
     for name, value in changes.items():
         setattr(recipe.entries[index], name, value)
+    system.recipes.delete(version_id)
     system.recipes.write(recipe)
 
 
@@ -259,15 +258,19 @@ def payload_bitflip(system):
 
 def recipe_size_mismatch(system):
     version_id, index, entry = next(_archival(system))
-    _edit_entry(system, version_id, index, size=entry.size + 1)
+    _edit_entry(system, version_id, index, size=entry.size + 1, cid=entry.cid)
 
 
 def recipe_fingerprint_absent(system):
     version_id, index, entry = next(_archival(system))
-    _edit_entry(system, version_id, index, fingerprint=b"\xee" * len(entry.fingerprint))
+    _edit_entry(
+        system, version_id, index, fingerprint=b"\xee" * len(entry.fingerprint), cid=entry.cid
+    )
 
 
 def chain_to_deleted_recipe(system):
+    """No damage: a chain pointer names no recipe the resolver reads (a row
+    resolves by its fingerprint), so one at an expired recipe is harmless."""
     _hidestore_only(system)
     oldest = system.recipes.version_ids()[0]
     if oldest < 2:
@@ -276,15 +279,16 @@ def chain_to_deleted_recipe(system):
 
 
 def stale_pointer_past_newest(system):
-    """Pointers past the newest version mean "active": one resolves, one dangles."""
+    """Pointers past the newest version resolve like any non-positive row:
+    one to an active chunk resolves, one to a chunk that is nowhere dangles."""
     _hidestore_only(system)
     versions = system.recipes.version_ids()
     beyond = -(versions[-1] + 3)
     active = next(e for e in system.recipes.peek(versions[-1]).entries if e.cid == 0)
     _edit_entry(system, versions[0], 0, cid=beyond,
                 fingerprint=active.fingerprint, size=active.size)
-    version_id, index, _entry = next(_archival(system))
-    _edit_entry(system, version_id, index, cid=beyond)
+    version_id, index, entry = next(_archival(system))
+    _edit_entry(system, version_id, index, cid=beyond, fingerprint=b"\xdd" * len(entry.fingerprint))
 
 
 def location_map_damage(system):
@@ -315,7 +319,7 @@ CORRUPTIONS = {
     payload_bitflip: "re-hash",
     recipe_size_mismatch: "size mismatch",
     recipe_fingerprint_absent: "lacks",
-    chain_to_deleted_recipe: "chain points at deleted recipe",
+    chain_to_deleted_recipe: None,
     stale_pointer_past_newest: "not in the location map",
     location_map_damage: "location map",
     dangling_deletion_tag: "deletion tag",
