@@ -10,7 +10,7 @@ backups), so a store can be closed and reopened **without** retiring —
 unlike :meth:`HiDeStore.retire`, a checkpointed system resumes with its hot
 set still active and its physical locality intact.
 
-Layout (``hidestore-checkpoint-v2``): a small **head** plus write-once
+Layout (``hidestore-checkpoint-v3``): a small **head** plus write-once
 binary **parts**.
 
 * The head (``checkpoint.json``, a few KB of JSON) carries the format tag,
@@ -54,8 +54,12 @@ both are swept when the repository is next opened *for writing* — a reader
 never judges a part debris, because a replication sync lands a mirror's
 parts ahead of the head that names them.
 
-``hidestore-checkpoint-v1`` (one JSON document, base64 containers) is still
-read; the first save of a system loaded from it writes v2.
+Older heads are still read, and the first save writes v3:
+``hidestore-checkpoint-v2`` (the same layout without demotion parts; its
+repository's recipes were rewritten in place, so their positive rows say
+where demoted chunks went) and ``hidestore-checkpoint-v1`` (one JSON
+document, base64 containers).  A reader older than v3 refuses a v3 head as
+"not a … document" rather than misreading its demotion parts.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ from ..units import FINGERPRINT_SIZE
 from .double_cache import CacheEntry
 from .hidestore import HiDeStore
 
-_FORMAT = "hidestore-checkpoint-v2"
+_FORMAT = "hidestore-checkpoint-v3"
+_FORMAT_V2 = "hidestore-checkpoint-v2"  # no demotion parts: its recipes were rewritten
 _FORMAT_V1 = "hidestore-checkpoint-v1"
 
 _TABLES_HEADER = struct.Struct("<4sI")  # magic, table count
@@ -322,18 +327,18 @@ def system_from_document(
     """Rebuild a :class:`HiDeStore` from a checkpoint head + its stores.
 
     Args:
-        document: a v2 head (:attr:`CheckpointDocument.head`) or a whole
-            v1 document.
+        document: a v3 or v2 head (:attr:`CheckpointDocument.head`) or a
+            whole v1 document.
         container_store: the archival store the system was using; defaults
             to a fresh in-memory store (tests).
         recipe_store: likewise for recipes.
-        read_part: ``name -> bytes`` for the parts a v2 head names.
+        read_part: ``name -> bytes`` for the parts a head names.
 
     Keys this version no longer knows (the periodic-flatten period that
     heads and v1 documents carried until PR 23) are ignored.
     """
     fmt = document.get("format")
-    if fmt not in (_FORMAT, _FORMAT_V1):
+    if fmt not in (_FORMAT, _FORMAT_V2, _FORMAT_V1):
         raise ReproError(f"not a {_FORMAT} document")
 
     system = HiDeStore(
@@ -370,7 +375,7 @@ def system_from_document(
 
 
 def _load_parts(system: HiDeStore, head: Dict, read_part: Callable[[str], bytes]) -> None:
-    """Cache tables, active containers, location map, demotion maps of a v2 head."""
+    """Cache tables, active containers, location map, demotion maps (v3) of a head."""
     cache, pool, chain = system.cache, system.pool, system.chain
     refs = {ref["name"]: ref for ref in head["parts"]}
     tables_ref = refs.pop(head["tables"], None)

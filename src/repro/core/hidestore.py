@@ -254,7 +254,8 @@ class HiDeStore(RestoreMixin):
     # Reopening a retired store
     # ------------------------------------------------------------------
     def prime_from_recipe(self, version_id: Optional[int] = None) -> int:
-        """Reopen a retired store: rebuild T1 from the newest recipe.
+        """Resume a retired store (as retired, or loaded from the checkpoint
+        saved after :meth:`retire`): rebuild T1 from the newest recipe.
 
         The paper prefetches the previous version's recipe into T1 when a
         new version starts (§4.1); this is the cross-session equivalent.
@@ -273,8 +274,9 @@ class HiDeStore(RestoreMixin):
         for entry, cid in zip(entries, self.archival_cids(version_id, entries, self.recipes.peek)):
             if cid <= 0:
                 raise ReproError(
-                    "prime_from_recipe needs a fully archival recipe; "
-                    "retire() the store before closing it"
+                    f"prime_from_recipe: R_{version_id} has rows with no archival "
+                    "location; retire() the store and save a checkpoint before "
+                    "closing it (the demotion maps live in the checkpoint)"
                 )
             self.cache.insert(entry.fingerprint, entry.size, cid)
             primed += 1
@@ -384,6 +386,11 @@ class HiDeStore(RestoreMixin):
 
         After retirement the whole store is archival: any version can be
         restored or (in order) deleted, but no further backups are accepted.
+
+        Where the drained chunks went is recorded in the demotion maps, in
+        memory like every update's, so the stores alone are not
+        self-contained: checkpoint a retired store (``save_checkpoint``)
+        before closing it.  A reopen without one cannot resolve those rows.
         """
         if self._retired:
             return

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..chunking.fingerprint import Fingerprinter
@@ -207,7 +207,12 @@ def execute_plan_prefetched(
             else:
                 yield from _runs(value, located)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        # Wait for the reads in flight, never join the pool's threads: an
+        # unfinished stream may be closed by the garbage collector inside a
+        # starting thread that holds threading's shutdown lock, which a
+        # join takes again (a self-deadlock).
+        pool.shutdown(wait=False, cancel_futures=True)
+        wait([future for kind, future in queue if kind == "read"])
 
 
 def _execute_serial(

@@ -81,8 +81,10 @@ def open_repository(
     )
     existing = store.recipes.version_ids()
     if existing:
-        # Legacy repository without a checkpoint: the previous session must
-        # have retired the store; resume via recipe priming (§4.1).
+        # Legacy repository without a checkpoint: written by a release that
+        # retired the store by rewriting every recipe archival (positive
+        # rows); resume via recipe priming (§4.1).  A store retired since
+        # keeps its demotion maps in its checkpoint and never lands here.
         store._next_version = existing[-1] + 1
         store._retired = True
     return store

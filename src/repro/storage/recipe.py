@@ -136,6 +136,12 @@ class RecipeStore(ABC):
     def write(self, recipe: Recipe) -> None:
         """Persist a new recipe; refuses (a ``StorageError``) one already stored."""
 
+    def replace(self, recipe: Recipe) -> None:
+        """Overwrite a stored recipe.  Only the traditional-GC baseline's
+        fix-up (:mod:`repro.pipeline.gc`) may; HiDeStore never rewrites a
+        recipe, and backend stores refuse."""
+        raise RecipeError(f"{type(self).__name__} recipes are write-once")
+
     @abstractmethod
     def read(self, version_id: int) -> Recipe:
         """Load a recipe (bills one recipe read)."""
@@ -174,6 +180,10 @@ class MemoryRecipeStore(RecipeStore):
             raise RecipeError(f"recipe for version {recipe.version_id} already stored")
         self._recipes[recipe.version_id] = recipe
         self.stats.note_recipe_write(recipe.byte_size)
+
+    def replace(self, recipe: Recipe) -> None:
+        self.delete(recipe.version_id)
+        self.write(recipe)
 
     def read(self, version_id: int) -> Recipe:
         recipe = self._recipes.get(version_id)
@@ -270,6 +280,11 @@ class FileRecipeStore(RecipeStore):
     def write(self, recipe: Recipe) -> None:
         if recipe.version_id in self:
             raise RecipeError(f"recipe for version {recipe.version_id} already stored")
+        self.replace(recipe)
+
+    def replace(self, recipe: Recipe) -> None:
+        """:meth:`write` without its refusal: tmp + rename, so the recipe is
+        never absent."""
         blob = pack_recipe(recipe)
         tmp = self._path(recipe.version_id) + ".tmp"
         with open(tmp, "wb") as handle:

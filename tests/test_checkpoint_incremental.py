@@ -350,7 +350,7 @@ def test_head_is_small_and_names_every_part(tmp_path):
     for index in range(3):
         backup(repo, index)
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v2"
+    assert head["format"] == "hidestore-checkpoint-v3"
     assert os.path.getsize(os.path.join(root, CHECKPOINT_NAME)) < 4096
     assert part_names(root) == named_parts(root)
     for ref in head["parts"]:
@@ -384,7 +384,7 @@ def test_v1_fixture_opens_restores_and_is_v2_after_the_next_backup(tmp_path):
 
     assert backup(repo, 3)["version_id"] == 4
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v2"
+    assert head["format"] == "hidestore-checkpoint-v3"  # the parts layout of v2, and its maps
     assert "active_containers" not in head and "cache_tables" not in head
     assert part_names(root) == named_parts(root) != []
     reopened = open_repo(root)
@@ -405,6 +405,7 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
     cids = [e.cid for v in range(1, 5) for e in RepoStorage(root).recipe_store().peek(v).entries]
     assert any(cid > 0 for cid in cids) and any(cid < 0 for cid in cids)
     assert "demoted" not in head_of(root)
+    assert head_of(root)["format"] == "hidestore-checkpoint-v2"
 
     repo = open_repo(root)
     for version_id, digest in expected.items():
@@ -416,6 +417,7 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
     assert repo.backup_blocks([data], plan, tag="v6")["version_id"] == 6
     expected[6] = sha(data)
     assert sorted(head_of(root)["demoted"]) == ["5"]
+    assert head_of(root)["format"] == "hidestore-checkpoint-v3"
     assert repo.delete_oldest()["version_id"] == 1
     del expected[1]
     for reopened in (repo, open_repo(root)):
@@ -573,7 +575,7 @@ def check_recovered(spec, digests, next_version_before, written):
     data = random.Random(4242).randbytes(40 * 1024)
     new = repo.backup_blocks([data], [("data.bin", len(data))])["version_id"]
     assert new == engine._next_version - 1 and restored_sha(repo, new) == sha(data)
-    assert head_of(spec)["format"] == "hidestore-checkpoint-v2"
+    assert head_of(spec)["format"] == "hidestore-checkpoint-v3"
     assert part_names(spec) == named_parts(spec)
     assert sorted(repo.storage.manifest_ids()) == [*listed, new]
     assert stored_recipes(repo, [*listed, new]) == {v: written[v] for v in [*listed, new]}

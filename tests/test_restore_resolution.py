@@ -27,9 +27,10 @@ import threading
 import pytest
 
 from repro.chaos.faults import FaultController
-from repro.core import load_checkpoint, save_checkpoint
+from repro.core import load_checkpoint, save_checkpoint, verify_system
 from repro.core.hidestore import HiDeStore
 from repro.core.recipe_chain import RecipeChain
+from repro.errors import ReproError
 from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository
 from repro.storage import FileContainerStore, FileRecipeStore
@@ -166,6 +167,39 @@ def test_every_version_resolves_as_algorithm_1_would(tmp_path, depth, deferred):
             assert ours.io.recipe_writes == writes, step
         assert resolved_rows(ours) == algorithm_1_rows(twin), step
     assert ours.chain.stats.flatten_runs == 0  # Algorithm 1 is the twin's alone
+
+
+@pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+def test_a_retired_store_reopens_from_its_checkpoint(tmp_path, depth):
+    """``retire()`` records where the drained chunks went in the demotion
+    maps, not in the recipes, so the store is durable through a checkpoint:
+    without one a reopen cannot prime, with one every version restores."""
+    stores = file_stores(str(tmp_path))
+    system = engine(stores, depth, False)
+    for tokens in VERSIONS[:5]:
+        system.backup(make_stream(list(tokens)))
+    system.retire()
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(system, path)
+
+    bare = HiDeStore(*stores(), history_depth=depth, container_size=8 * KiB)
+    with pytest.raises(ReproError, match="save a checkpoint"):
+        bare.prime_from_recipe()
+
+    reopened = load_checkpoint(path, *stores())
+    assert reopened._retired and reopened.pool.hot_bytes() == 0
+
+    def restores_everything():
+        for version in reopened.version_ids():
+            want = make_stream(list(VERSIONS[version - 1])).fingerprints()
+            assert [c.fingerprint for c in reopened.restore_chunks(version)] == want, version
+
+    restores_everything()
+    assert reopened.prime_from_recipe() == len(VERSIONS[4])
+    report = reopened.backup(make_stream(list(VERSIONS[5])))
+    assert report.duplicate_chunks == len(range(56, 88))  # what R_5 primed
+    restores_everything()
+    assert verify_system(reopened).ok
 
 
 @contextlib.contextmanager
