@@ -38,6 +38,7 @@ from .chunking import (
     Fingerprinter,
     FixedChunker,
     RabinChunker,
+    SeqCDCChunker,
     TTTDChunker,
     make_chunker,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "NoRewriter",
     "OptimalContainerCacheRestore",
     "RabinChunker",
+    "SeqCDCChunker",
     "Recipe",
     "ReproError",
     "SCHEMES",

@@ -18,6 +18,10 @@ from .base import BaseChunker
 
 _MASK64 = (1 << 64) - 1
 
+#: Paper-config normalization level and gear-table seed.
+DEFAULT_NORMALIZATION = 2
+DEFAULT_SEED = 0xFA57
+
 
 def _gear_table(seed: int) -> List[int]:
     rng = random.Random(seed)
@@ -55,14 +59,16 @@ class FastCDCChunker(BaseChunker):
         min_size: int = 2048,
         avg_size: int = 8192,
         max_size: int = 65536,
-        normalization: int = 2,
-        seed: int = 0xFA57,
+        normalization: int = DEFAULT_NORMALIZATION,
+        seed: int = DEFAULT_SEED,
     ) -> None:
         super().__init__(min_size, avg_size, max_size)
         if avg_size & (avg_size - 1):
             raise ChunkingError("avg_size must be a power of two for FastCDC")
         if normalization < 0:
             raise ChunkingError("normalization level must be >= 0")
+        self.normalization = normalization
+        self.seed = seed
         bits = avg_size.bit_length() - 1
         self.mask_small = _spread_mask(bits + normalization)  # harder, pre-avg
         self.mask_large = _spread_mask(max(1, bits - normalization))  # easier

@@ -1,4 +1,4 @@
-"""Vectorized FastCDC boundary detection (numpy-accelerated, exact).
+"""Vectorized chunk-boundary detection (numpy-accelerated, exact).
 
 The scalar :meth:`~repro.chunking.fastcdc.FastCDCChunker.next_cut` walks one
 byte at a time through the Python interpreter, which caps ingest throughput
@@ -28,11 +28,21 @@ through the same six shift-add passes along its rows, so row ``r`` column
 the rare warm-up hit (about 0.2 % of chunks at the default sizes) that cut is
 fixed and the walk resumes from it.
 
+:class:`~repro.chunking.seqcdc.SeqCDCChunker` needs no rolling hash: each
+position's key is the unaligned 8-byte word ending there times one odd
+constant (a strided ``uint64`` view, no copy), and a position ends a run
+when it and the ``L - 1`` positions before it each hold a key greater than
+its predecessor: one multiply, one comparison and ``L - 1`` ANDs of
+shifted boolean views (:func:`seq_cuts`).  Its ``min_size`` is at least
+``L + 7``, so the bytes a run a chunk may cut at reads never reach back
+past the chunk start and the hit positions need no warm-up check: the same
+``bisect`` walk gives the scalar cuts directly.
+
 :func:`cut_lengths` takes any byte buffer (``bytes``, ``memoryview``, a
 shared-memory slab) and :func:`split_fast` is a drop-in replacement for
-``chunker.split`` built on it.  Both fall back to the scalar path for
-non-FastCDC chunkers, small buffers, or when numpy is unavailable — callers
-never need to gate on ``HAVE_NUMPY``.
+``chunker.split`` built on it.  Both fall back to the scalar path for other
+chunkers, small buffers, or when numpy is unavailable — callers never need
+to gate on ``HAVE_NUMPY``.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from typing import List, Optional, Tuple
 
 from .base import BaseChunker
 from .fastcdc import FastCDCChunker
+from .seqcdc import MULTIPLIER, WORD, SeqCDCChunker
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as _np
@@ -59,6 +70,12 @@ _WINDOW = 64
 #: box's share of L2: 32-64 KiB measured best, 128 KiB a third slower
 #: (EXPERIMENTS.md "Chunking kernel (PR 22)" has the sweep).
 _TILE = 64 * 1024
+
+#: Tile size for the SeqCDC run pass: a ``uint64`` key buffer and two bool
+#: buffers of this many elements.  On a 2-vCPU Xeon, 64, 128 and 256 KiB
+#: tiles time within 4 % of each other on a 4 MiB segment (EXPERIMENTS.md
+#: "SeqCDC default").
+_SEQ_TILE = 256 * 1024
 
 #: Below this, scalar chunking wins: the vector path costs ~55 us before
 #: its first byte, the scalar loop ~0.1 us per hashed byte (crossover
@@ -204,22 +221,69 @@ def vector_cuts(chunker: FastCDCChunker, data) -> List[int]:
     return cuts
 
 
+def _run_ends(data, run: int) -> List[int]:
+    """Sorted byte positions ``p`` whose keys ``p - run .. p`` strictly
+    increase, tile by tile, each tile led by the ``run`` keys its first
+    position looks back at."""
+    # words[j] is the little-endian word of bytes j .. j + WORD - 1.
+    total = len(data) - WORD + 1
+    words = _np.ndarray((max(total, 0),), dtype="<u8", buffer=data, strides=(1,))
+    multiplier = _np.uint64(MULTIPLIER)
+    keys = _np.empty(_SEQ_TILE + run, dtype=_np.uint64)
+    rising = _np.empty(_SEQ_TILE + run, dtype=bool)
+    ends = _np.empty(_SEQ_TILE, dtype=bool)
+    found = []
+    for start in range(run, total, _SEQ_TILE):
+        stop = min(start + _SEQ_TILE, total)
+        width = stop - start
+        tile = keys[: width + run]
+        _np.multiply(words[start - run : stop], multiplier, out=tile)
+        # rising[j]: the key of word start - run + j + 1 exceeds the one before.
+        up = rising[: width + run - 1]
+        _np.greater(tile[1:], tile[:-1], out=up)
+        hit = ends[:width]
+        _np.copyto(hit, up[:width])
+        for k in range(1, run):
+            _np.logical_and(hit, up[k : k + width], out=hit)
+        found.append(_np.flatnonzero(hit) + (start + WORD - 1))
+    return _np.concatenate(found).tolist() if found else []
+
+
+def seq_cuts(chunker: SeqCDCChunker, data) -> List[int]:
+    """Chunk lengths of ``data``, identical to the scalar SeqCDC chunker."""
+    total = len(data)
+    ends = _run_ends(data, chunker.run)
+    min_size = chunker.min_size
+    max_size = chunker.max_size
+    cuts: List[int] = []
+    s = 0
+    while s < total:
+        limit = min(total - s, max_size)
+        cut = limit
+        if limit > min_size:
+            i = bisect_left(ends, s + min_size)
+            if i < len(ends) and ends[i] < s + limit:
+                cut = ends[i] - s + 1
+        cuts.append(cut)
+        s += cut
+    return cuts
+
+
 def cut_lengths(chunker: BaseChunker, data) -> List[int]:
     """``[len(piece) for piece in chunker.split(data)]`` for any byte buffer.
 
-    The vector path is taken only for a plain :class:`FastCDCChunker`
-    (subclasses may override ``next_cut``), with numpy present, on buffers
-    large enough to amortise the windowed-hash pass.  No payload byte is
-    copied on it, so a ``memoryview`` of a shared-memory slab is chunked in
-    place.
+    The vector path is taken only for a plain :class:`FastCDCChunker` or
+    :class:`SeqCDCChunker` (subclasses may override ``next_cut``), with
+    numpy present, on buffers large enough to amortise the vector passes.
+    No payload byte is copied on it, so a ``memoryview`` of a shared-memory
+    slab is chunked in place.
     """
-    if (
-        not HAVE_NUMPY
-        or type(chunker) is not FastCDCChunker
-        or len(data) < _MIN_VECTOR_BYTES
-    ):
-        return [len(piece) for piece in chunker.iter_split(data)]
-    return vector_cuts(chunker, data)
+    if HAVE_NUMPY and len(data) >= _MIN_VECTOR_BYTES:
+        if type(chunker) is FastCDCChunker:
+            return vector_cuts(chunker, data)
+        if type(chunker) is SeqCDCChunker:
+            return seq_cuts(chunker, data)
+    return [len(piece) for piece in chunker.iter_split(data)]
 
 
 def split_fast(chunker: BaseChunker, data: bytes) -> List[bytes]:

@@ -197,6 +197,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"dedup ratio:      {stats['dedup_ratio']:.2%}")
     print(f"containers:       {stats['containers_archival']} archival, "
           f"{stats['containers_active']} active")
+    if "chunker" in stats:  # absent from an older daemon's reply
+        spec = stats["chunker"]
+        print(f"chunker:          {spec['name']} (min {spec['min_size']}, "
+              f"avg {spec['avg_size']}, max {spec['max_size']})")
     if "counters" in stats:  # remote repositories report service counters
         counters = stats["counters"]
         print(f"sessions:         {stats.get('active_sessions', 0)} active, "

@@ -10,12 +10,14 @@ backups), so a store can be closed and reopened **without** retiring —
 unlike :meth:`HiDeStore.retire`, a checkpointed system resumes with its hot
 set still active and its physical locality intact.
 
-Layout (``hidestore-checkpoint-v3``): a small **head** plus write-once
+Layout (``hidestore-checkpoint-v4``): a small **head** plus write-once
 binary **parts**.
 
 * The head (``checkpoint.json``, a few KB of JSON) carries the format tag,
   the counters, the container allocator mark, the §4.5 deletion tags, the
-  cumulative report and a parts list of ``{name, size, sha256}``.  Writing
+  cumulative report, the repository's chunker as
+  ``{name, min_size, avg_size, max_size}`` and a parts list of
+  ``{name, size, sha256}``.  Writing
   it is one atomic ``put_meta`` and it is *the* commit record: a part no
   head names is debris.
 * Each active container is one part — the ``pack_container`` blob the
@@ -54,12 +56,16 @@ both are swept when the repository is next opened *for writing* — a reader
 never judges a part debris, because a replication sync lands a mirror's
 parts ahead of the head that names them.
 
-Older heads are still read, and the first save writes v3:
-``hidestore-checkpoint-v2`` (the same layout without demotion parts; its
-repository's recipes were rewritten in place, so their positive rows say
-where demoted chunks went) and ``hidestore-checkpoint-v1`` (one JSON
-document, base64 containers).  A reader older than v3 refuses a v3 head as
-"not a … document" rather than misreading its demotion parts.
+Older heads are still read, and the first save writes v4:
+``hidestore-checkpoint-v3`` (the same layout without ``chunker``),
+``hidestore-checkpoint-v2`` (no demotion parts either; its repository's
+recipes were rewritten in place, so their positive rows say where demoted
+chunks went) and ``hidestore-checkpoint-v1`` (one JSON document, base64
+containers).  Every one of them was written by a release that cut with
+paper-config FastCDC, so it loads with that chunker and its next save
+names ``fastcdc``: the repository goes on cutting as it always has.  A
+reader older than v4 refuses a v4 head as "not a … document" rather than
+cutting with a chunker the repository was not cut with.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ import struct
 from collections import Counter
 from typing import Callable, Dict, List, Optional
 
+from ..chunking import FastCDCChunker, chunker_from_spec, chunker_spec
 from ..errors import ObjectMissingError, ReproError
 from ..storage.backend import FileBackend, StorageBackend
 from ..storage.container_store import ContainerStore, pack_container, unpack_container
@@ -80,7 +87,8 @@ from ..units import FINGERPRINT_SIZE
 from .double_cache import CacheEntry
 from .hidestore import HiDeStore
 
-_FORMAT = "hidestore-checkpoint-v3"
+_FORMAT = "hidestore-checkpoint-v4"
+_FORMAT_V3 = "hidestore-checkpoint-v3"  # no chunker: cut with paper-config FastCDC
 _FORMAT_V2 = "hidestore-checkpoint-v2"  # no demotion parts: its recipes were rewritten
 _FORMAT_V1 = "hidestore-checkpoint-v1"
 
@@ -271,6 +279,7 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
             "stored_bytes": system.report.stored_bytes,
             "disk_index_lookups": system.report.disk_index_lookups,
         },
+        "chunker": chunker_spec(system.chunker),
         "tables": tables_ref["name"],
         "demoted": {str(version): ref["name"] for version, ref in demoted_refs.items()},
         "parts": parts,
@@ -327,8 +336,8 @@ def system_from_document(
     """Rebuild a :class:`HiDeStore` from a checkpoint head + its stores.
 
     Args:
-        document: a v3 or v2 head (:attr:`CheckpointDocument.head`) or a
-            whole v1 document.
+        document: a v4, v3 or v2 head (:attr:`CheckpointDocument.head`)
+            or a whole v1 document.
         container_store: the archival store the system was using; defaults
             to a fresh in-memory store (tests).
         recipe_store: likewise for recipes.
@@ -338,8 +347,15 @@ def system_from_document(
     heads and v1 documents carried until PR 23) are ignored.
     """
     fmt = document.get("format")
-    if fmt not in (_FORMAT, _FORMAT_V2, _FORMAT_V1):
+    if fmt not in (_FORMAT, _FORMAT_V3, _FORMAT_V2, _FORMAT_V1):
         raise ReproError(f"not a {_FORMAT} document")
+    if fmt == _FORMAT:
+        try:
+            chunker = chunker_from_spec(document["chunker"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(f"checkpoint head names no usable chunker: {exc}") from None
+    else:
+        chunker = FastCDCChunker()
 
     system = HiDeStore(
         container_store=container_store,
@@ -349,6 +365,7 @@ def system_from_document(
         container_size=document["container_size"],
         lookup_unit_bytes=document["lookup_unit_bytes"],
         deferred_maintenance=document.get("deferred_maintenance", False),
+        chunker=chunker,
     )
     system._next_version = document["next_version"]
     system._retired = document["retired"]

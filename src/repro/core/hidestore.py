@@ -24,6 +24,8 @@ import time
 from itertools import islice
 from typing import List, Optional
 
+from ..chunking.base import BaseChunker
+from ..chunking.seqcdc import SeqCDCChunker
 from ..chunking.stream import BackupStream
 from ..errors import ReproError, RestoreError, VersionNotFoundError
 from ..pipeline.base import RestoreMixin, pick_rows
@@ -71,6 +73,10 @@ class HiDeStore(RestoreMixin):
             offline due to the pipeline implementation").  Queued work runs
             on :meth:`run_maintenance`, and automatically before restores,
             deletions, retirement and checkpoints.
+        chunker: the chunker this repository's byte streams are cut with
+            (default SeqCDC).  :meth:`backup` takes chunks, so the engine
+            only carries it: the repository front end chunks with it and
+            the checkpoint head records it, so later backups cut alike.
     """
 
     def __init__(
@@ -83,6 +89,7 @@ class HiDeStore(RestoreMixin):
         container_size: int = CONTAINER_SIZE,
         lookup_unit_bytes: int = 4096,
         deferred_maintenance: bool = False,
+        chunker: Optional[BaseChunker] = None,
     ) -> None:
         self.io = IOStats()
         self.containers = (
@@ -102,6 +109,7 @@ class HiDeStore(RestoreMixin):
         self.history_depth = history_depth
         self.lookup_unit_bytes = lookup_unit_bytes
         self.deferred_maintenance = deferred_maintenance
+        self.chunker = chunker if chunker is not None else SeqCDCChunker()
         self._pending_maintenance: List = []  # (previous_version, cold residue)
         self._lock = threading.Lock()  # guards cache/pool/chain/deletion state
         self._next_version = 1

@@ -18,6 +18,12 @@ builds the same pool around one backup:
   split_fast` kernel, so the serial inline path, a 1-worker pool, an
   N-worker pool and a thread pool all produce byte-identical chunk
   sequences — and therefore identical recipes, containers and dedup stats.
+* **A chunker per call, not per pool.**  Each repository cuts with the
+  chunker its checkpoint head records, so one daemon pool serves FastCDC
+  and SeqCDC tenants side by side: :meth:`SharedChunkPool.chunk_blocks`
+  takes the chunker, a process worker receives its
+  :func:`~repro.chunking.chunker_spec` with each descriptor and keeps the
+  chunker it names for the next one.
 * **Crash-safe respawn.**  A killed worker breaks the whole
   ``ProcessPoolExecutor``; the pool rebuilds it and resubmits the affected
   descriptors (their slabs still hold the payloads) up to
@@ -49,7 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..chunking.fastcdc import FastCDCChunker
+from ..chunking import BaseChunker, chunker_from_spec, chunker_spec
 from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
 from ..chunking.vectorized import cut_lengths, split_fast
@@ -58,7 +64,7 @@ from ..observability import MetricsRegistry, get_registry
 
 #: Ingest segment size: the unit of worker handoff and of chunk-boundary
 #: reset.  4 MiB ≈ one container of chunks per segment; large enough that
-#: the vectorized FastCDC kernel dominates, small enough that concurrent
+#: the vectorized chunking kernel dominates, small enough that concurrent
 #: tenants interleave fairly on the pool.
 SEGMENT_BYTES = 4 * 1024 * 1024
 
@@ -98,15 +104,16 @@ def chunk_segment(chunker, fingerprinter: Fingerprinter, segment: bytes) -> List
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-_W_CHUNKER = None
-_W_FINGERPRINTER: Optional[Fingerprinter] = None
+_W_CHUNKERS: Dict[tuple, BaseChunker] = {}
 _W_SLABS: Dict[str, shared_memory.SharedMemory] = {}
 
 
-def _ingest_worker_init(chunker, fingerprinter: Fingerprinter) -> None:
-    global _W_CHUNKER, _W_FINGERPRINTER
-    _W_CHUNKER = chunker
-    _W_FINGERPRINTER = fingerprinter
+def _worker_chunker(spec: Dict) -> BaseChunker:
+    key = tuple(spec.values())
+    chunker = _W_CHUNKERS.get(key)
+    if chunker is None:
+        chunker = _W_CHUNKERS[key] = chunker_from_spec(spec)
+    return chunker
 
 
 def _attach_slab(name: str) -> shared_memory.SharedMemory:
@@ -135,14 +142,17 @@ def _chunk_bytes_worker(chunker, fingerprinter: Fingerprinter,
     return cuts, fingerprints, time.perf_counter() - started
 
 
-def _chunk_descriptor_worker(name: str, length: int) -> Tuple[List[int], List[bytes], float]:
-    """Chunk the segment at ``(slab, length)``; return metadata only.
+def _chunk_descriptor_worker(spec: Dict, fingerprinter: Fingerprinter, name: str,
+                             length: int) -> Tuple[List[int], List[bytes], float]:
+    """Chunk the segment at ``(slab, length)`` with the chunker ``spec``
+    names; return metadata only.
 
     The payload never crosses the process boundary, and is not copied out
     of the slab either: the worker chunks and hashes it where it lies, and
     ships back just cut lengths, fingerprints and the stage timing.
     """
-    return _chunk_bytes_worker(_W_CHUNKER, _W_FINGERPRINTER, _attach_slab(name).buf[:length])
+    return _chunk_bytes_worker(_worker_chunker(spec), fingerprinter,
+                               _attach_slab(name).buf[:length])
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +225,16 @@ class _Slab:
 
 
 class _Pending:
-    """An in-flight segment: what is needed to (re)do it, then its future
-    and the executor that future runs on."""
+    """An in-flight segment: what is needed to (re)do it (the chunker is
+    its spec on a process pool), then its future and the executor that
+    future runs on."""
 
-    __slots__ = ("slab", "segment", "future", "pool")
+    __slots__ = ("slab", "segment", "chunker", "future", "pool")
 
-    def __init__(self, slab: Optional[_Slab], segment: bytes) -> None:
+    def __init__(self, slab: Optional[_Slab], segment: bytes, chunker) -> None:
         self.slab = slab
         self.segment = segment
+        self.chunker = chunker
         self.future = None
         self.pool: Optional[Executor] = None
 
@@ -234,7 +246,6 @@ class SharedChunkPool:
         workers: worker count (>= 1).
         executor: ``"process"`` (default; shared-memory descriptor handoff)
             or ``"thread"`` (no slabs; for tests and GIL-releasing kernels).
-        chunker: must be picklable; default paper-config FastCDC.
         fingerprinter: default SHA-1/20B.
         segment_bytes: slab size; segments above it are chunked inline.
         queue_depth: slab count == max descriptors in flight across *all*
@@ -249,7 +260,6 @@ class SharedChunkPool:
         workers: int,
         *,
         executor: str = "process",
-        chunker=None,
         fingerprinter: Optional[Fingerprinter] = None,
         segment_bytes: int = SEGMENT_BYTES,
         queue_depth: Optional[int] = None,
@@ -266,7 +276,6 @@ class SharedChunkPool:
             raise ValueError(f"segment_bytes must be >= 1, got {segment_bytes}")
         self.workers = workers
         self.executor_kind = executor
-        self.chunker = chunker if chunker is not None else FastCDCChunker()
         self.fingerprinter = fingerprinter if fingerprinter is not None else Fingerprinter()
         self.segment_bytes = segment_bytes
         self.queue_depth = queue_depth if queue_depth is not None else 2 * workers
@@ -293,11 +302,7 @@ class SharedChunkPool:
                 raise IngestPoolError("shared chunking pool is closed")
             if self._pool is None:
                 if self.executor_kind == "process":
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_ingest_worker_init,
-                        initargs=(self.chunker, self.fingerprinter),
-                    )
+                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
                 else:
                     self._pool = ThreadPoolExecutor(
                         max_workers=self.workers, thread_name_prefix="ingest"
@@ -362,10 +367,11 @@ class SharedChunkPool:
             try:
                 if self.executor_kind == "process":
                     record.future = pool.submit(
-                        _chunk_descriptor_worker, record.slab.shm.name, len(record.segment))
+                        _chunk_descriptor_worker, record.chunker, self.fingerprinter,
+                        record.slab.shm.name, len(record.segment))
                 else:
                     record.future = pool.submit(
-                        _chunk_bytes_worker, self.chunker, self.fingerprinter, record.segment)
+                        _chunk_bytes_worker, record.chunker, self.fingerprinter, record.segment)
                 record.pool = pool
                 return
             except BrokenProcessPool as exc:
@@ -428,15 +434,21 @@ class SharedChunkPool:
     # ------------------------------------------------------------------
     # The ingest API
     # ------------------------------------------------------------------
-    def chunk_segments(self, segments: Iterable[bytes]) -> Iterator[List[Chunk]]:
-        """Chunk segments on the shared pool, yielding per-segment chunk
-        lists strictly in input order.
+    def chunk_segments(self, segments: Iterable[bytes],
+                       chunker: BaseChunker) -> Iterator[List[Chunk]]:
+        """Chunk segments with ``chunker`` on the shared pool, yielding
+        per-segment chunk lists strictly in input order.
+
+        A process pool ships ``chunker`` as its
+        :func:`~repro.chunking.chunker_spec`, so it must have one; a thread
+        pool takes any chunker.
 
         Backpressure: in ``process`` mode the slab pool bounds in-flight
         descriptors across every concurrent session; a session that cannot
         get a slab first drains its own completed work, then waits for
         another session to release one.
         """
+        task = chunker_spec(chunker) if self.executor_kind == "process" else chunker
         pending: "deque[_Pending]" = deque()
         broken: Set[Executor] = set()
         try:
@@ -459,14 +471,14 @@ class SharedChunkPool:
                 elif self.executor_kind == "process":
                     # Oversized segment (caller used a custom segmenter):
                     # chunk it inline rather than overrun a slab.
-                    yield chunk_segment(self.chunker, self.fingerprinter, segment)
+                    yield chunk_segment(chunker, self.fingerprinter, segment)
                     continue
                 else:
                     while len(pending) >= self.queue_depth:
                         yield self._drain_one(pending, broken)
                 # Pending from the moment it owns a slab, so the ``finally``
                 # below returns the slab even when the submit is what fails.
-                record = _Pending(slab, segment)
+                record = _Pending(slab, segment, task)
                 pending.append(record)
                 with self._lock:
                     self._inflight += 1
@@ -488,9 +500,10 @@ class SharedChunkPool:
                     record.future.cancel()
                 self._release(record.slab)
 
-    def chunk_blocks(self, blocks: Iterable[bytes]) -> Iterator[List[Chunk]]:
+    def chunk_blocks(self, blocks: Iterable[bytes],
+                     chunker: BaseChunker) -> Iterator[List[Chunk]]:
         """Segment a raw block stream, then :meth:`chunk_segments` it."""
-        return self.chunk_segments(iter_segments(blocks, self.segment_bytes))
+        return self.chunk_segments(iter_segments(blocks, self.segment_bytes), chunker)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .chunking import FastCDCChunker
+from .chunking import FastCDCChunker, chunker_spec
 from .core.checkpoint import checkpoint_document, system_from_document
 from .core.hidestore import HiDeStore
 from .errors import DeletionError, ReproError, RestoreError, VersionNotFoundError
@@ -74,12 +74,15 @@ def open_repository(
         )
         _recover_to_checkpoint(storage, store)
         return store
+    existing = recipe_store.version_ids()
+    # A new repository cuts with SeqCDC (the engine's default); one with
+    # recipes but no checkpoint predates both and was cut with FastCDC.
     store = HiDeStore(
         container_store=container_store,
         recipe_store=recipe_store,
         history_depth=history_depth,
+        chunker=FastCDCChunker() if existing else None,
     )
-    existing = store.recipes.version_ids()
     if existing:
         # Legacy repository without a checkpoint: written by a release that
         # retired the store by rewriting every recipe archival (positive
@@ -430,9 +433,11 @@ class LocalRepository:
 
         The stream is re-framed into fixed-size ingest segments
         (:func:`~repro.engine.shared_pool.iter_segments`); each segment is
-        chunked independently with the vectorized FastCDC kernel — inline
-        here, or on the daemon's shared multiprocess pool when
-        ``ingest_pool`` is wired in.  Segmentation depends only on the
+        chunked independently with the repository's own chunker (the one
+        its checkpoint head records: SeqCDC for a new repository, FastCDC
+        for one written before heads named it) through the vectorized
+        kernel — inline here, or on the daemon's shared multiprocess pool
+        when ``ingest_pool`` is wired in.  Segmentation depends only on the
         byte stream, so every execution mode (serial, 1..N pool workers,
         thread pool) produces byte-identical recipes, containers and
         dedup stats.
@@ -443,7 +448,7 @@ class LocalRepository:
 
         plan = [(validate_rel_name(rel), int(size)) for rel, size in plan]
         store = self._open_for_backup()
-        chunker = FastCDCChunker()
+        chunker = store.chunker
         fingerprinter = Fingerprinter()
         timings = {"chunking": 0.0}
 
@@ -456,7 +461,7 @@ class LocalRepository:
             if self.ingest_pool is not None:
                 # The pool segments with its own configured segment size,
                 # so its slabs always fit the descriptors it hands out.
-                batches = self.ingest_pool.chunk_blocks(blocks)
+                batches = self.ingest_pool.chunk_blocks(blocks, chunker)
             else:
                 batches = (
                     chunk_segment(chunker, fingerprinter, segment)
@@ -639,6 +644,7 @@ class LocalRepository:
             "containers_read": store.io.container_reads,
             "containers_written": store.io.container_writes,
             "pending_maintenance": store.pending_maintenance,
+            "chunker": chunker_spec(store.chunker),
         }
 
     def delete_oldest(self) -> Dict:

@@ -9,6 +9,8 @@ from typing import List
 import pytest
 
 from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint
+from repro.engine import iter_segments
+from repro.storage.repo import RepoStorage
 from repro.units import KiB
 from repro.workloads import SyntheticWorkload, WorkloadSpec
 
@@ -27,6 +29,21 @@ def fixture_v2_bytes(index: int) -> bytes:
         offset = (k * 12 * 1024) % (48 * 1024)
         data[offset : offset + 10 * 1024] = random.Random(700 + k).randbytes(10 * 1024)
     return bytes(data)
+
+
+def oracle_sizes(chunker, data: bytes) -> List[int]:
+    """Cut lengths of ``data`` as ingest makes them: per 4 MiB segment,
+    by the scalar chunker."""
+    return [len(piece) for segment in iter_segments([data]) for piece in chunker.split(segment)]
+
+
+def recipe_sizes(root: str, version_id: int) -> List[int]:
+    """The chunk sizes ``version_id``'s recipe lists, read from disk."""
+    storage = RepoStorage(root)
+    try:
+        return [entry.size for entry in storage.recipe_store().peek(version_id).entries]
+    finally:
+        storage.close()
 
 
 def copy_objects(source_spec: str, target_spec: str) -> None:

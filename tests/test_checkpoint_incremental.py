@@ -1,4 +1,4 @@
-"""The v2 checkpoint: a small head plus write-once parts.
+"""The checkpoint: a small head plus write-once parts.
 
 Five groups, in the order the format is argued in ``core/checkpoint.py``:
 
@@ -28,6 +28,7 @@ import pytest
 
 from repro.chaos.faults import FaultController
 from repro.client import RemoteRepository
+from repro.chunking import FastCDCChunker
 from repro.chunking.fingerprint import Fingerprinter
 from repro.chunking.stream import BackupStream
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint
@@ -350,7 +351,7 @@ def test_head_is_small_and_names_every_part(tmp_path):
     for index in range(3):
         backup(repo, index)
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v3"
+    assert head["format"] == "hidestore-checkpoint-v4"
     assert os.path.getsize(os.path.join(root, CHECKPOINT_NAME)) < 4096
     assert part_names(root) == named_parts(root)
     for ref in head["parts"]:
@@ -384,7 +385,8 @@ def test_v1_fixture_opens_restores_and_is_v2_after_the_next_backup(tmp_path):
 
     assert backup(repo, 3)["version_id"] == 4
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v3"  # the parts layout of v2, and its maps
+    assert head["format"] == "hidestore-checkpoint-v4"  # the parts layout of v2, and its maps
+    assert head["chunker"]["name"] == "fastcdc"  # cut as the release that wrote it
     assert "active_containers" not in head and "cache_tables" not in head
     assert part_names(root) == named_parts(root) != []
     reopened = open_repo(root)
@@ -417,7 +419,7 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
     assert repo.backup_blocks([data], plan, tag="v6")["version_id"] == 6
     expected[6] = sha(data)
     assert sorted(head_of(root)["demoted"]) == ["5"]
-    assert head_of(root)["format"] == "hidestore-checkpoint-v3"
+    assert head_of(root)["format"] == "hidestore-checkpoint-v4"
     assert repo.delete_oldest()["version_id"] == 1
     del expected[1]
     for reopened in (repo, open_repo(root)):
@@ -429,9 +431,12 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
 
 
 def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
-    """The fixtures *are* earlier commits' output for their seeds: containers
-    and manifests come out byte for byte, and each recipe as ``write_fresh``
-    wrote it before §4.3 rewrote it in place (every row ``0``)."""
+    """The fixtures *are* earlier commits' output for their seeds: a
+    repository that cuts with FastCDC, as every one of theirs did, writes
+    containers and manifests byte for byte, and each recipe as
+    ``write_fresh`` wrote it before §4.3 rewrote it in place (every row
+    ``0``).  (A new repository cuts with SeqCDC; the head it saves first
+    records whichever chunker the engine carries.)"""
     v2_plan = lambda data: [("a.bin", 20 * KiB), ("b.bin", len(data) - 20 * KiB)]  # noqa: E731
     for fixture, count, version, plan in (
         (FIXTURE_V1, 3, version_bytes, lambda data: [("data.bin", len(data))]),
@@ -439,6 +444,7 @@ def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
     ):
         root = str(tmp_path / os.path.basename(fixture))
         repo = open_repo(root)
+        repo._open().chunker = FastCDCChunker()
         for index in range(count):
             data = version(index)
             repo.backup_blocks([data], plan(data), tag=f"v{index + 1}")
@@ -575,7 +581,7 @@ def check_recovered(spec, digests, next_version_before, written):
     data = random.Random(4242).randbytes(40 * 1024)
     new = repo.backup_blocks([data], [("data.bin", len(data))])["version_id"]
     assert new == engine._next_version - 1 and restored_sha(repo, new) == sha(data)
-    assert head_of(spec)["format"] == "hidestore-checkpoint-v3"
+    assert head_of(spec)["format"] == "hidestore-checkpoint-v4"
     assert part_names(spec) == named_parts(spec)
     assert sorted(repo.storage.manifest_ids()) == [*listed, new]
     assert stored_recipes(repo, [*listed, new]) == {v: written[v] for v in [*listed, new]}

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.chunking import SeqCDCChunker, chunker_spec
 from repro.client import RemoteRepository
 from repro.cluster import (
     ClusterClient,
@@ -31,6 +32,7 @@ from repro.cluster import (
 from repro.errors import ClusterError, NotPrimaryError, RemoteError
 from repro.observability import EventLogger, MetricsRegistry
 from repro.repository import read_tree
+from tests.conftest import oracle_sizes, recipe_sizes
 
 #: Aggressive probe settings so failover lands in test time, not ops time.
 PROBE = dict(probe_interval=0.15, probe_failures=2, probe_timeout=1.0)
@@ -170,6 +172,12 @@ def test_write_failover_promotes_successor_without_forking(tmp_path):
             assert fresh.promotions, "promotion record missing from map"
             new_primary = fresh.primary(tenant)
             assert new_primary.name != old_primary.name
+            # The replica brought the tenant's head, so the promoted
+            # primary cut v2 with the chunker v1 was cut with.
+            remote = client.remote(new_primary.address, tenant)
+            assert remote.stats()["chunker"] == chunker_spec(SeqCDCChunker())
+            tenant_root = os.path.join(new_primary.root, tenant)
+            assert recipe_sizes(tenant_root, 2) == oracle_sizes(SeqCDCChunker(), tree_bytes(v2))
 
             # Zero torn/forked versions: the promoted primary holds both
             # versions and each restores byte-identical to its source.

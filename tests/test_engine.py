@@ -1,21 +1,23 @@
 """Tests for the segment-contract ingest engine (src/repro/engine/).
 
-Covers the vectorized FastCDC kernel's exact equivalence with the scalar
-chunker, the shared chunking pool's determinism, crash-safe respawn and
-slab hygiene, and pooled-vs-serial repository equivalence (identical
+Covers the vectorized FastCDC and SeqCDC kernels' exact equivalence with
+the scalar chunkers, the shared chunking pool's determinism, crash-safe
+respawn and slab hygiene, and pooled-vs-serial repository equivalence (identical
 recipes, containers and reports at any worker count).
 """
 
+import contextlib
 import os
 import random
 import signal
 import subprocess
 import sys
+from multiprocessing import shared_memory
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chunking import FastCDCChunker, Fingerprinter
+from repro.chunking import FastCDCChunker, Fingerprinter, SeqCDCChunker
 from repro.chunking.stream import LazyBackupStream
 from repro.chunking.vectorized import (
     _MIN_VECTOR_BYTES,
@@ -25,6 +27,7 @@ from repro.chunking.vectorized import (
     split_fast,
 )
 from repro.engine import (
+    SEGMENT_BYTES,
     IngestPoolError,
     SharedChunkPool,
     chunk_segment,
@@ -143,8 +146,6 @@ class TestVectorizedCuts:
         assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
 
     def test_full_segment_matches_scalar(self):
-        from repro.engine import SEGMENT_BYTES
-
         chunker = FastCDCChunker()
         data = random.Random(4).randbytes(SEGMENT_BYTES)
         assert _kernel_cuts(chunker, data) == _scalar_cuts(chunker, data)
@@ -191,6 +192,99 @@ class TestVectorizedCuts:
 
 
 # ----------------------------------------------------------------------
+# Vectorized SeqCDC kernel
+# ----------------------------------------------------------------------
+def _seq_data(kind, size, seed=0):
+    rng = random.Random(seed)
+    if kind == "random":
+        return rng.randbytes(size)
+    if kind == "low_entropy":
+        return bytes(rng.randrange(4) for _ in range(size))
+    if kind == "ramp":  # period 256: the same keys, so the same cuts, each lap
+        return (bytes(range(256)) * (size // 256 + 1))[:size]
+    return bytes([rng.randrange(256)]) * size  # constant
+
+
+def _as_buffer(wrap, data, stack):
+    """``data`` as ``bytes``, a ``memoryview`` or a shared-memory slab view."""
+    if wrap == "bytes":
+        return data
+    if wrap == "memoryview":
+        return memoryview(data)
+    slab = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
+    stack.callback(slab.unlink)
+    stack.callback(slab.close)
+    slab.buf[: len(data)] = data
+    view = slab.buf[: len(data)]
+    stack.callback(view.release)
+    return view
+
+
+def _seq_lengths(chunker):
+    """Buffer lengths around every size the kernel or its walk branches on."""
+    anchors = [chunker.min_size, chunker.max_size, _MIN_VECTOR_BYTES,
+               3 * chunker.max_size + chunker.min_size, SEGMENT_BYTES]
+    return [anchor + delta for anchor in anchors for delta in (-1, 0, 1)]
+
+
+SEQ_CONTRACTS = [(3648, 8192, 65536), (512, 2048, 8192), (64, 256, 1024)]
+
+
+class TestSeqCDCCuts:
+    """Oracle: the scalar SeqCDC ``chunker.split``, through the public
+    ``cut_lengths``, so these run the ``HAVE_NUMPY = False`` fallback too
+    when numpy cannot be imported (CI has a step that does)."""
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    def test_cut_lengths_dispatches_to_the_seqcdc_kernel(self, monkeypatch):
+        from repro.chunking import vectorized
+
+        monkeypatch.setattr(vectorized, "seq_cuts", lambda chunker, data: ["kernel"])
+        assert cut_lengths(SeqCDCChunker(), bytes(_MIN_VECTOR_BYTES)) == ["kernel"]
+        assert cut_lengths(SeqCDCChunker(), bytes(_MIN_VECTOR_BYTES - 1)) != ["kernel"]
+
+    @pytest.mark.parametrize("kind", ["random", "low_entropy", "ramp", "constant"])
+    @pytest.mark.parametrize("wrap", ["bytes", "memoryview", "slab"])
+    def test_cuts_match_scalar(self, kind, wrap):
+        chunker = SeqCDCChunker()
+        data = _seq_data(kind, 300_001, seed=len(kind))
+        with contextlib.ExitStack() as stack:
+            buffer = _as_buffer(wrap, data, stack)
+            assert cut_lengths(chunker, buffer) == _scalar_cuts(chunker, data)
+        assert split_fast(chunker, data) == chunker.split(data)
+
+    def test_full_segment_matches_scalar(self):
+        chunker = SeqCDCChunker()
+        data = random.Random(4).randbytes(SEGMENT_BYTES)
+        assert cut_lengths(chunker, data) == _scalar_cuts(chunker, data)
+
+    def test_subclass_falls_back_to_scalar(self):
+        class Custom(SeqCDCChunker):
+            pass
+
+        chunker = Custom()
+        data = random.Random(2).randbytes(100_000)
+        assert split_fast(chunker, data) == chunker.split(data)
+
+    # hypothesis cannot run with numpy unimportable (see TestVectorizedCuts).
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        contract=st.sampled_from(SEQ_CONTRACTS),
+        kind=st.sampled_from(["random", "low_entropy", "ramp", "constant"]),
+        wrap=st.sampled_from(["bytes", "memoryview", "slab"]),
+        pick=st.integers(0, 14),
+        seed=st.integers(0, 2**32),
+    )
+    def test_any_input_matches_scalar(self, contract, kind, wrap, pick, seed):
+        chunker = SeqCDCChunker(*contract)
+        data = _seq_data(kind, _seq_lengths(chunker)[pick], seed)
+        with contextlib.ExitStack() as stack:
+            buffer = _as_buffer(wrap, data, stack)
+            assert cut_lengths(chunker, buffer) == _scalar_cuts(chunker, data)
+
+
+# ----------------------------------------------------------------------
 # What the ingest path is built from
 # ----------------------------------------------------------------------
 class TestIngestPrimitives:
@@ -230,7 +324,6 @@ def _pool(workers, executor, metrics=None, **kwargs):
     return SharedChunkPool(
         workers,
         executor=executor,
-        chunker=_chunker(),
         segment_bytes=SEGMENT,
         metrics=metrics if metrics is not None else MetricsRegistry(),
         **kwargs,
@@ -294,7 +387,7 @@ class TestSharedChunkPool:
     def test_pool_matches_inline_chunking(self, workers, executor):
         blocks = _blocks()
         with _pool(workers, executor) as pool:
-            pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
+            pooled = [c for batch in pool.chunk_blocks(blocks, _chunker()) for c in batch]
         inline = _inline_chunks(blocks)
         assert [(c.fingerprint, c.size) for c in pooled] == [
             (c.fingerprint, c.size) for c in inline
@@ -305,7 +398,7 @@ class TestSharedChunkPool:
         metrics = MetricsRegistry()
         blocks = _blocks(count=6)
         with _pool(2, "process", metrics=metrics) as pool:
-            list(pool.chunk_blocks(blocks))
+            list(pool.chunk_blocks(blocks, _chunker()))
         snap = metrics.snapshot()
         assert snap["counters"]["ingest.segments_total"] == len(
             list(iter_segments(blocks, SEGMENT))
@@ -321,7 +414,8 @@ class TestSharedChunkPool:
             pool.warm()
             pooled = [
                 c
-                for batch in pool.chunk_blocks(_killing_workers(pool, blocks, after=8))
+                for batch in pool.chunk_blocks(
+                    _killing_workers(pool, blocks, after=8), _chunker())
                 for c in batch
             ]
         assert [(c.fingerprint, c.size, c.data) for c in pooled] == [
@@ -337,7 +431,8 @@ class TestSharedChunkPool:
         with _pool(2, "process", max_retries=0) as pool:
             pool.warm()
             with pytest.raises(IngestPoolError):
-                for _ in pool.chunk_blocks(_killing_workers(pool, blocks, after=8)):
+                killed = _killing_workers(pool, blocks, after=8)
+                for _ in pool.chunk_blocks(killed, _chunker()):
                     pass
             # The aborted backup gave every slab back, including the one it
             # was holding if the break surfaced at a submit.
@@ -353,7 +448,7 @@ class TestSharedChunkPool:
             for name in names:
                 assert not os.path.exists(os.path.join("/dev/shm", name))
         with pytest.raises(IngestPoolError):
-            list(pool.chunk_blocks([b"x"]))
+            list(pool.chunk_blocks([b"x"], _chunker()))
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
