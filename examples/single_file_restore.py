@@ -1,59 +1,69 @@
 #!/usr/bin/env python3
-"""File-level snapshots and partial restore over HiDeStore.
+"""File-level snapshots and partial restore over a local repository.
 
-Backs up several generations of a source tree through the
-:class:`~repro.archive.DirectoryArchive` layer, then restores a single file
-out of an old snapshot and compares the container reads against a full
-restore — partial restores touch only the containers the file's chunks
-live in.
+Backs up several generations of a source tree into a
+:class:`~repro.repository.LocalRepository` in a temporary directory, then
+restores a single file out of an old snapshot and compares the container
+reads against a full restore of that snapshot — a partial restore reads
+only the containers the file's chunks live in.
 
 Usage::
 
     python examples/single_file_restore.py
 """
 
-from repro import DirectoryArchive, HiDeStore
-from repro.chunking import FastCDCChunker
+import tempfile
+
+from repro.observability import MetricsRegistry
+from repro.repository import LocalRepository
 from repro.units import KiB, format_bytes
 from repro.workloads import FileTreeGenerator, FileTreeSpec
 
 
+def containers_read(repo: LocalRepository, version_id: int, **kwargs):
+    """Restore ``version_id`` (or one ``file=`` of it); returns the bytes
+    and the containers the restore read."""
+    before = repo.stats()["containers_read"]
+    _plan, data = repo.restore(version_id, **kwargs)
+    payload = b"".join(data)
+    return payload, repo.stats()["containers_read"] - before
+
+
 def main() -> None:
     generator = FileTreeGenerator(
-        FileTreeSpec(files=24, mean_file_size=32 * KiB, versions=5, seed=33)
+        FileTreeSpec(files=24, mean_file_size=160 * KiB, versions=5, seed=33)
     )
-    archive = DirectoryArchive(
-        HiDeStore(container_size=64 * KiB),
-        chunker=FastCDCChunker(min_size=1024, avg_size=4096, max_size=16384),
-    )
-
-    print("== snapshotting 5 generations of a 24-file tree ==")
     trees = list(generator.versions())
-    for k, tree in enumerate(trees, start=1):
-        report = archive.backup_tree(tree, tag=f"gen-{k}")
-        print(
-            f"  gen-{k}: {len(tree)} files, "
-            f"{format_bytes(report.logical_bytes):>10s} logical, "
-            f"{format_bytes(report.stored_bytes):>10s} stored"
-        )
-    print(f"\ndedup ratio: {archive.system.dedup_ratio:.2%}")
+    with tempfile.TemporaryDirectory() as root:
+        repo = LocalRepository(root, metrics=MetricsRegistry())
 
-    victim_version = 2
-    victim_file = archive.list_files(victim_version)[5]
-    print(f"\n== restoring only {victim_file!r} from snapshot {victim_version} ==")
+        print(f"== snapshotting {len(trees)} generations of a {len(trees[0])}-file tree ==")
+        for k, tree in enumerate(trees, start=1):
+            names = sorted(tree)
+            report = repo.backup_blocks(
+                [tree[name] for name in names],
+                [(name, len(tree[name])) for name in names],
+                tag=f"gen-{k}",
+            )
+            print(
+                f"  gen-{k}: {len(tree)} files, "
+                f"{format_bytes(report['logical_bytes']):>10s} logical, "
+                f"{format_bytes(report['stored_bytes']):>10s} stored"
+            )
+        print(f"\ndedup ratio: {repo.stats()['dedup_ratio']:.2%}")
 
-    before = archive.system.io.snapshot()
-    data = archive.restore_file(victim_version, victim_file)
-    partial_reads = archive.system.io.delta(before).container_reads
-    assert data == trees[victim_version - 1][victim_file]
-    print(f"  partial restore: {format_bytes(len(data))} in {partial_reads} container reads")
+        victim_version = 2
+        victim_file = sorted(trees[victim_version - 1])[5]
+        print(f"\n== restoring only {victim_file!r} from snapshot {victim_version} ==")
+        data, partial_reads = containers_read(repo, victim_version, file=victim_file)
+        assert data == trees[victim_version - 1][victim_file]
+        print(f"  partial restore: {format_bytes(len(data))} in {partial_reads} container reads")
 
-    before = archive.system.io.snapshot()
-    full = archive.restore_tree(victim_version)
-    full_reads = archive.system.io.delta(before).container_reads
-    assert full == trees[victim_version - 1]
-    print(f"  full restore:    {format_bytes(sum(map(len, full.values())))} "
-          f"in {full_reads} container reads")
+        tree = trees[victim_version - 1]
+        full, full_reads = containers_read(repo, victim_version)
+        assert full == b"".join(tree[name] for name in sorted(tree))
+        print(f"  full restore:    {format_bytes(len(full))} in {full_reads} container reads")
+        assert partial_reads < full_reads
 
     print(
         f"\nThe single-file restore touched {partial_reads}/{full_reads} of the "

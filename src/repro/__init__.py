@@ -29,7 +29,6 @@ Quickstart::
     print(result.speed_factor)
 """
 
-from .archive import DirectoryArchive, Manifest
 from .chunking import (
     AEChunker,
     BackupStream,
@@ -89,8 +88,6 @@ __all__ = [
     "Container",
     "ContainerCacheRestore",
     "DDFSIndex",
-    "DirectoryArchive",
-    "Manifest",
     "DoubleHashCache",
     "ExactFullIndex",
     "FAARestore",

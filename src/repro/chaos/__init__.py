@@ -9,8 +9,7 @@ post-phase invariant checking:
 * :mod:`repro.chaos.deploy` — local / daemon / cluster deployment shapes,
 * :mod:`repro.chaos.driver` — multi-client execution + tenant models,
 * :mod:`repro.chaos.invariants` — reality vs model after every phase,
-* :mod:`repro.chaos.runner` — lifecycle + the machine-readable report,
-* :mod:`repro.chaos.worker` — subprocess client for process isolation.
+* :mod:`repro.chaos.runner` — lifecycle + the machine-readable report.
 
 Entry point: ``hidestore chaos run SCENARIO.json`` or
 :func:`repro.chaos.runner.run_scenario`.

@@ -145,7 +145,6 @@ def drain_digest(stream) -> str:
 def execute_op(op: ScheduledOp, model: TenantModel, repo) -> str:
     """Run one pure client op against ``repo``, keeping ``model`` in step.
 
-    Shared by the thread-mode :class:`Driver` and the subprocess worker.
     Returns ``"ok"`` or ``"skipped"`` (precondition not met); a mismatch
     between reality and the model raises a typed error.
     """

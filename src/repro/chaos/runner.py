@@ -20,25 +20,19 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
 import time
 from typing import Dict, List, Optional
 
-from ..errors import ReproError, WorkloadError
+from ..errors import WorkloadError
 from ..observability import MetricsRegistry, get_registry
 from .deploy import make_deployment
-from .driver import Driver, OpResult, TenantModel
+from .driver import Driver, TenantModel
 from .faults import FaultController
 from .invariants import check_invariants
 from .scenario import Schedule, compile_schedule
 
 __all__ = ["ChaosRunner", "run_scenario"]
-
-#: Op kinds a subprocess client can execute (no controller, no local
-#: filesystem access to the deployment roots required).
-_WORKER_OPS = frozenset({"backup", "restore", "verify", "delete"})
 
 
 class ChaosRunner:
@@ -58,19 +52,13 @@ class ChaosRunner:
         seed: Optional[int] = None,
         workdir: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        client_mode: str = "threads",
         deploy_kwargs: Optional[Dict] = None,
     ) -> None:
-        if client_mode not in ("threads", "process"):
-            raise WorkloadError(
-                f"unknown client mode {client_mode!r} (threads or process)"
-            )
         self.scenario = scenario
         self.deploy_kind = deploy
         self.seed = seed
         self.workdir = workdir
         self.metrics = metrics if metrics is not None else get_registry()
-        self.client_mode = client_mode
         self.deploy_kwargs = dict(deploy_kwargs or {})
         self.schedule: Optional[Schedule] = None
 
@@ -103,17 +91,11 @@ class ChaosRunner:
         try:
             controller.install()  # before start(): daemons must wrap their backends
             deployment.start()
-            if self.client_mode == "process":
-                self._run_process_clients(driver, workdir)
+            for phase in self.schedule.phases:
+                driver.run_phase(phase)
                 invariants.extend(
-                    check_invariants(driver, deployment, "final", self.metrics)
+                    check_invariants(driver, deployment, phase, self.metrics)
                 )
-            else:
-                for phase in self.schedule.phases:
-                    driver.run_phase(phase)
-                    invariants.extend(
-                        check_invariants(driver, deployment, phase, self.metrics)
-                    )
         finally:
             try:
                 deployment.stop()
@@ -147,117 +129,6 @@ class ChaosRunner:
                 f"deployment {self.deploy_kind!r} cannot realise fault "
                 f"kind(s): {', '.join(unsupported)}"
             )
-        if self.client_mode == "process":
-            if self.deploy_kind == "local":
-                raise WorkloadError(
-                    "process clients need a served deployment (daemon or cluster)"
-                )
-            if self.schedule.faults:
-                raise WorkloadError(
-                    "process clients cannot inject faults (the fault "
-                    "controller lives in the runner process); use threads"
-                )
-            bad = sorted(
-                {op.kind for op in self.schedule.ops} - _WORKER_OPS
-            )
-            if bad:
-                raise WorkloadError(
-                    f"process clients only run {sorted(_WORKER_OPS)}; "
-                    f"the scenario schedules: {', '.join(bad)}"
-                )
-
-    # ------------------------------------------------------------------
-    def _run_process_clients(self, driver: Driver, workdir: str) -> None:
-        """Fan the full schedule out to one subprocess per client.
-
-        Each worker owns its tenants end to end (all phases in one
-        invocation — models live in the worker), then reports results and
-        final models back as JSON for the invariant sweep.
-        """
-        schedule = self.schedule
-        deployment = driver.deployment
-        if deployment.kind == "cluster":
-            connect = {
-                "kind": "cluster",
-                "seeds": [n.address for n in deployment.map.nodes],
-            }
-        else:
-            connect = {"kind": "daemon", "address": deployment.address}
-        tenants = [t.name for t in schedule.tenants]
-        clients = max(1, min(schedule.clients, len(tenants)))
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        procs = []
-        for i in range(clients):
-            mine = set(tenants[i::clients])
-            job = {
-                "seed": schedule.seed,
-                "connect": connect,
-                "trees_root": os.path.join(workdir, "trees"),
-                "tenants": [
-                    {
-                        "name": t.name,
-                        "tenant_class": t.tenant_class,
-                        "files": t.files,
-                        "file_kb": t.file_kb,
-                        "churn": t.churn,
-                    }
-                    for t in schedule.tenants
-                    if t.name in mine
-                ],
-                "ops": [op.as_doc() for op in schedule.ops if op.tenant in mine],
-            }
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.chaos.worker"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                env=env,
-                text=True,
-            )
-            procs.append((proc, job))
-        failures = []
-        for proc, job in procs:
-            out, _ = proc.communicate(json.dumps(job), timeout=600)
-            if proc.returncode != 0:
-                failures.append(f"worker exited with {proc.returncode}")
-                continue
-            try:
-                doc = json.loads(out)
-            except ValueError as exc:
-                failures.append(f"worker emitted invalid JSON: {exc}")
-                continue
-            for row in doc.get("results", []):
-                result = OpResult(
-                    index=row["index"],
-                    phase=row["phase"],
-                    tenant=row["tenant"],
-                    kind=row["kind"],
-                    status=row["status"],
-                    seconds=row["seconds"],
-                    error=row.get("error"),
-                )
-                driver.results.append(result)
-                self.metrics.inc("chaos.ops_total")
-                self.metrics.inc(f"chaos.ops_{result.status}")
-                self.metrics.observe(
-                    f"chaos.op_seconds.{result.kind}", result.seconds
-                )
-            for tenant, state in doc.get("models", {}).items():
-                model = driver.models.get(tenant)
-                if model is None:
-                    continue
-                model.versions = state.get("versions", [])
-                model.deleted = state.get("deleted", [])
-        if failures:
-            raise WorkloadError("; ".join(failures))
-        driver.results.sort(key=lambda r: r.index)
-        # Invariants run once at the end of a process-mode run; relabel
-        # every result into the synthetic "final" phase they check.
-        driver.results = [
-            OpResult(r.index, "final", r.tenant, r.kind, r.status, r.seconds, r.error)
-            for r in driver.results
-        ]
 
     # ------------------------------------------------------------------
     def _report(
@@ -291,7 +162,6 @@ class ChaosRunner:
             "scenario": schedule.name,
             "seed": schedule.seed,
             "deploy": self.deploy_kind,
-            "client_mode": self.client_mode,
             "clients": schedule.clients,
             "schedule": {
                 "digest": schedule.digest(),

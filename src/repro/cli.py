@@ -644,7 +644,6 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         report_path=args.report,
         workdir=args.workdir,
-        client_mode=args.client_mode,
         deploy_kwargs=deploy_kwargs,
     )
     ops = report["ops"]["by_status"]
@@ -1048,10 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", metavar="DIR", default=None,
                    help="keep deployment state under DIR (default: a "
                         "temporary directory, removed afterwards)")
-    p.add_argument("--client-mode", choices=["threads", "process"],
-                   default="threads",
-                   help="thread clients (full fault support) or one "
-                        "subprocess per client (fault-free load only)")
     p.add_argument("--nodes", type=_positive_int, default=3,
                    help="cluster deployment: node count (default 3)")
     p.add_argument("--replicas", type=_positive_int, default=2,

@@ -15,9 +15,9 @@ builds the same pool around one backup:
 * **Determinism by construction.**  Segmentation is a pure function of
   the byte stream (fixed ``SEGMENT_BYTES`` boundaries) and each segment is
   chunked independently with the same :func:`~repro.chunking.vectorized.
-  split_fast` kernel, so the serial inline path, a 1-worker pool, an
-  N-worker pool and a thread pool all produce byte-identical chunk
-  sequences — and therefore identical recipes, containers and dedup stats.
+  split_fast` kernel, so the serial inline path, a 1-worker pool and an
+  N-worker pool all produce byte-identical chunk sequences — and
+  therefore identical recipes, containers and dedup stats.
 * **A chunker per call, not per pool.**  Each repository cuts with the
   chunker its checkpoint head records, so one daemon pool serves FastCDC
   and SeqCDC tenants side by side: :meth:`SharedChunkPool.chunk_blocks`
@@ -50,7 +50,7 @@ import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -127,9 +127,8 @@ def _chunk_bytes_worker(chunker, fingerprinter: Fingerprinter,
                         segment) -> Tuple[List[int], List[bytes], float]:
     """Cut lengths, fingerprints and stage seconds of one segment, in place.
 
-    ``segment`` is any byte buffer (the thread executor passes the segment
-    itself: it is shared memory already); its chunks are hashed as
-    ``memoryview`` slices and never copied.
+    ``segment`` is any byte buffer; its chunks are hashed as ``memoryview``
+    slices and never copied.
     """
     started = time.perf_counter()
     view = memoryview(segment)
@@ -225,13 +224,13 @@ class _Slab:
 
 
 class _Pending:
-    """An in-flight segment: what is needed to (re)do it (the chunker is
-    its spec on a process pool), then its future and the executor that
-    future runs on."""
+    """An in-flight segment: what is needed to (re)do it (its slab, and the
+    chunker as its spec), then its future and the executor that future
+    runs on."""
 
     __slots__ = ("slab", "segment", "chunker", "future", "pool")
 
-    def __init__(self, slab: Optional[_Slab], segment: bytes, chunker) -> None:
+    def __init__(self, slab: _Slab, segment: bytes, chunker: Dict) -> None:
         self.slab = slab
         self.segment = segment
         self.chunker = chunker
@@ -243,9 +242,7 @@ class SharedChunkPool:
     """One chunking pool for the daemon's lifetime, shared across tenants.
 
     Args:
-        workers: worker count (>= 1).
-        executor: ``"process"`` (default; shared-memory descriptor handoff)
-            or ``"thread"`` (no slabs; for tests and GIL-releasing kernels).
+        workers: worker process count (>= 1).
         fingerprinter: default SHA-1/20B.
         segment_bytes: slab size; segments above it are chunked inline.
         queue_depth: slab count == max descriptors in flight across *all*
@@ -259,7 +256,6 @@ class SharedChunkPool:
         self,
         workers: int,
         *,
-        executor: str = "process",
         fingerprinter: Optional[Fingerprinter] = None,
         segment_bytes: int = SEGMENT_BYTES,
         queue_depth: Optional[int] = None,
@@ -268,14 +264,11 @@ class SharedChunkPool:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in ("process", "thread"):
-            raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
         if queue_depth is not None and queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if segment_bytes < 1:
             raise ValueError(f"segment_bytes must be >= 1, got {segment_bytes}")
         self.workers = workers
-        self.executor_kind = executor
         self.fingerprinter = fingerprinter if fingerprinter is not None else Fingerprinter()
         self.segment_bytes = segment_bytes
         self.queue_depth = queue_depth if queue_depth is not None else 2 * workers
@@ -287,11 +280,10 @@ class SharedChunkPool:
         self._inflight = 0
         self._slabs: List[_Slab] = []
         self._free: "queue.Queue[_Slab]" = queue.Queue()
-        if executor == "process":
-            for _ in range(self.queue_depth):
-                slab = _Slab(segment_bytes)
-                self._slabs.append(slab)
-                self._free.put(slab)
+        for _ in range(self.queue_depth):
+            slab = _Slab(segment_bytes)
+            self._slabs.append(slab)
+            self._free.put(slab)
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -301,12 +293,7 @@ class SharedChunkPool:
             if self._closed:
                 raise IngestPoolError("shared chunking pool is closed")
             if self._pool is None:
-                if self.executor_kind == "process":
-                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                else:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="ingest"
-                    )
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
     def _discard_broken_pool(self, broken: Executor) -> None:
@@ -318,18 +305,17 @@ class SharedChunkPool:
 
     def warm(self) -> None:
         """Spawn the workers eagerly (so startup cost is not paid mid-backup)."""
-        if self.executor_kind == "process":
-            pool = self._ensure_pool()
-            try:
-                pool.submit(os.getpid).result()
-            except BrokenProcessPool:  # pragma: no cover - spawn failure
-                self._discard_broken_pool(pool)
+        pool = self._ensure_pool()
+        try:
+            pool.submit(os.getpid).result()
+        except BrokenProcessPool:  # pragma: no cover - spawn failure
+            self._discard_broken_pool(pool)
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (test/fault-injection hook)."""
         with self._lock:
             pool = self._pool
-        if pool is None or self.executor_kind != "process":
+        if pool is None:
             return []
         return [p.pid for p in getattr(pool, "_processes", {}).values()]
 
@@ -365,13 +351,9 @@ class SharedChunkPool:
         while True:
             pool = self._ensure_pool()
             try:
-                if self.executor_kind == "process":
-                    record.future = pool.submit(
-                        _chunk_descriptor_worker, record.chunker, self.fingerprinter,
-                        record.slab.shm.name, len(record.segment))
-                else:
-                    record.future = pool.submit(
-                        _chunk_bytes_worker, record.chunker, self.fingerprinter, record.segment)
+                record.future = pool.submit(
+                    _chunk_descriptor_worker, record.chunker, self.fingerprinter,
+                    record.slab.shm.name, len(record.segment))
                 record.pool = pool
                 return
             except BrokenProcessPool as exc:
@@ -423,9 +405,8 @@ class SharedChunkPool:
         self.metrics.observe("ingest.handoff_seconds", time.perf_counter() - mark)
         return chunks
 
-    def _release(self, slab: Optional[_Slab]) -> None:
-        if slab is not None:
-            self._free.put(slab)
+    def _release(self, slab: _Slab) -> None:
+        self._free.put(slab)
         with self._lock:
             self._inflight -= 1
             depth = self._inflight
@@ -439,16 +420,15 @@ class SharedChunkPool:
         """Chunk segments with ``chunker`` on the shared pool, yielding
         per-segment chunk lists strictly in input order.
 
-        A process pool ships ``chunker`` as its
-        :func:`~repro.chunking.chunker_spec`, so it must have one; a thread
-        pool takes any chunker.
+        Workers receive ``chunker`` as its
+        :func:`~repro.chunking.chunker_spec`, so it must have one.
 
-        Backpressure: in ``process`` mode the slab pool bounds in-flight
-        descriptors across every concurrent session; a session that cannot
-        get a slab first drains its own completed work, then waits for
-        another session to release one.
+        Backpressure: the slab pool bounds in-flight descriptors across
+        every concurrent session; a session that cannot get a slab first
+        drains its own completed work, then waits for another session to
+        release one.
         """
-        task = chunker_spec(chunker) if self.executor_kind == "process" else chunker
+        task = chunker_spec(chunker)
         pending: "deque[_Pending]" = deque()
         broken: Set[Executor] = set()
         try:
@@ -458,24 +438,20 @@ class SharedChunkPool:
                 with self._lock:
                     if self._closed:
                         raise IngestPoolError("shared chunking pool is closed")
-                slab = None
-                if self.executor_kind == "process" and len(segment) <= self.segment_bytes:
-                    while slab is None:
-                        try:
-                            slab = self._free.get_nowait()
-                        except queue.Empty:
-                            if pending:
-                                yield self._drain_one(pending, broken)
-                            else:
-                                slab = self._free.get()
-                elif self.executor_kind == "process":
+                if len(segment) > self.segment_bytes:
                     # Oversized segment (caller used a custom segmenter):
                     # chunk it inline rather than overrun a slab.
                     yield chunk_segment(chunker, self.fingerprinter, segment)
                     continue
-                else:
-                    while len(pending) >= self.queue_depth:
-                        yield self._drain_one(pending, broken)
+                slab = None
+                while slab is None:
+                    try:
+                        slab = self._free.get_nowait()
+                    except queue.Empty:
+                        if pending:
+                            yield self._drain_one(pending, broken)
+                        else:
+                            slab = self._free.get()
                 # Pending from the moment it owns a slab, so the ``finally``
                 # below returns the slab even when the submit is what fails.
                 record = _Pending(slab, segment, task)
@@ -485,11 +461,10 @@ class SharedChunkPool:
                     depth = self._inflight
                 self.metrics.inc("ingest.segments_total")
                 self.metrics.set_gauge("ingest.queue_depth", depth)
-                if slab is not None:
-                    mark = time.perf_counter()
-                    slab.shm.buf[:len(segment)] = segment
-                    self.metrics.observe("ingest.handoff_seconds",
-                                         time.perf_counter() - mark)
+                mark = time.perf_counter()
+                slab.shm.buf[:len(segment)] = segment
+                self.metrics.observe("ingest.handoff_seconds",
+                                     time.perf_counter() - mark)
                 self._submit(record, broken)
             while pending:
                 yield self._drain_one(pending, broken)
@@ -508,6 +483,6 @@ class SharedChunkPool:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SharedChunkPool(workers={self.workers}, "
-            f"executor={self.executor_kind!r}, depth={self.queue_depth}, "
+            f"depth={self.queue_depth}, "
             f"segment_bytes={self.segment_bytes})"
         )

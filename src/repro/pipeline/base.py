@@ -8,8 +8,8 @@ module foregrounds the shared surface:
 
 * :class:`BackupEngine` — a runtime-checkable :class:`~typing.Protocol`
   naming the operations every scheme supports (``backup`` / ``restore`` /
-  ``restore_chunks`` / ``restore_entry_range`` / ``version_ids`` /
-  ``stored_bytes`` / ``dedup_ratio`` / ``report``).  Factories in
+  ``restore_chunks`` / ``version_ids`` / ``stored_bytes`` /
+  ``dedup_ratio`` / ``report``).  Factories in
   :mod:`~repro.pipeline.schemes` are typed against it, so callers never
   need to know which concrete engine they received.
 * :class:`RestoreMixin` — the shared restore-path implementation, written
@@ -70,14 +70,6 @@ class BackupEngine(Protocol):
     def restore_chunks(
         self,
         version_id: int,
-        restorer: Optional[RestoreAlgorithm] = None,
-    ) -> Iterator[Chunk]: ...
-
-    def restore_entry_range(
-        self,
-        version_id: int,
-        start: int,
-        stop: int,
         restorer: Optional[RestoreAlgorithm] = None,
     ) -> Iterator[Chunk]: ...
 
@@ -178,24 +170,6 @@ class RestoreMixin:
     ) -> Iterator[Chunk]:
         """Stream a stored version's chunks in original order."""
         entries = self.resolved_restore_range(version_id)
-        algorithm = restorer if restorer is not None else self.restorer
-        return algorithm.restore(entries, self._read_container)
-
-    def restore_entry_range(
-        self,
-        version_id: int,
-        start: int,
-        stop: int,
-        restorer: Optional[RestoreAlgorithm] = None,
-    ) -> Iterator[Chunk]:
-        """Restore a contiguous slice of a version's recipe entries.
-
-        Used for partial restores (e.g. one file out of a snapshot): only
-        the containers covering entries ``[start, stop)`` are read.
-        """
-        entries = self.resolved_restore_range(
-            version_id, lambda _entries: slice(start, stop)
-        )
         algorithm = restorer if restorer is not None else self.restorer
         return algorithm.restore(entries, self._read_container)
 

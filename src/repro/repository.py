@@ -176,6 +176,29 @@ def validate_rel_name(rel: str) -> str:
     return rel
 
 
+def validate_plan(plan: Iterable[Tuple[str, int]]) -> FilePlan:
+    """Vet a file plan from a caller or a ``BACKUP_BEGIN`` frame; returns
+    its rows as (name, int size).
+
+    Every name passes :func:`validate_rel_name`, no name repeats (the later
+    file would overwrite the earlier one on restore) and no size is
+    negative (it would shift every later file's bytes).  That the sizes add
+    up to the bytes streamed can only be checked once they are stored, by
+    :meth:`LocalRepository.backup_blocks`.
+    """
+    vetted: FilePlan = []
+    seen = set()
+    for rel, size in plan:
+        rel, size = validate_rel_name(rel), int(size)
+        if size < 0:
+            raise ReproError(f"negative size {size} for {rel!r} in file plan")
+        if rel in seen:
+            raise ReproError(f"duplicate file name {rel!r} in file plan")
+        seen.add(rel)
+        vetted.append((rel, size))
+    return vetted
+
+
 def read_tree(source: str) -> List[Tuple[str, str]]:
     """All files under ``source`` as (relative name, absolute path), sorted."""
     entries = []
@@ -417,9 +440,7 @@ class LocalRepository:
     # ------------------------------------------------------------------
     def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
         """Back up files from disk ((rel, path) rows, see :func:`read_tree`)."""
-        plan: FilePlan = [
-            (validate_rel_name(rel), os.path.getsize(path)) for rel, path in entries
-        ]
+        plan: FilePlan = [(rel, os.path.getsize(path)) for rel, path in entries]
         return self.backup_blocks(stream_blocks(entries), plan, tag)
 
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
@@ -427,6 +448,10 @@ class LocalRepository:
 
         ``plan`` carries the file boundaries for the manifest; the blocks
         are the concatenation of those files, in order (any block sizing).
+        A plan :func:`validate_plan` refuses is rejected before the
+        repository is opened; one whose sizes do not add up to the bytes
+        streamed is rejected after they are stored, and rolled back — a
+        manifest always covers its version's bytes exactly.
         This is the entry point the network daemon feeds frames into:
         chunking + fingerprinting run lazily, so ingest overlaps with frame
         arrival instead of buffering the whole version first.
@@ -446,7 +471,7 @@ class LocalRepository:
         from .chunking.stream import LazyBackupStream
         from .engine.shared_pool import chunk_segment, iter_segments
 
-        plan = [(validate_rel_name(rel), int(size)) for rel, size in plan]
+        plan = validate_plan(plan)
         store = self._open_for_backup()
         chunker = store.chunker
         fingerprinter = Fingerprinter()
@@ -484,11 +509,18 @@ class LocalRepository:
         return report
 
     def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan) -> Dict:
-        """Run one backup attempt; on any failure, roll the repo back."""
+        """Run one backup attempt; on any failure, a plan that does not
+        cover the stored bytes included, roll the repo back."""
         mark = store.containers.next_id
         versions_before = set(store.recipes.version_ids())
         try:
             report = run()
+            planned = sum(size for _rel, size in plan)
+            if planned != report.logical_bytes:
+                raise ReproError(
+                    f"file plan covers {planned} bytes but the backup stream "
+                    f"carried {report.logical_bytes}"
+                )
             self.storage.write_manifest(
                 report.version_id,
                 "".join(f"{size}\t{rel}\n" for rel, size in plan),

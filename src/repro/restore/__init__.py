@@ -21,7 +21,6 @@ from .scheduler import (
     execute_plan,
     scheduler_for,
 )
-from .verified import VerifyingRestore
 
 __all__ = [
     "ALACCRestore",
@@ -36,7 +35,6 @@ __all__ = [
     "PlanSpan",
     "RestoreScheduler",
     "SimulatedScheduler",
-    "VerifyingRestore",
     "RestoreAlgorithm",
     "RestoreResult",
     "execute_plan",

@@ -80,9 +80,6 @@ class BackupDaemon:
             ship to workers through shared-memory slabs, crashed workers
             respawn transparently, and any value of ``N`` produces
             byte-identical recipes, containers and dedup stats.
-        ingest_executor: ``"process"`` (default) or ``"thread"`` — the
-            executor kind behind the shared pool.  Threads exist for
-            platforms where fork is unavailable and for determinism tests.
     """
 
     def __init__(
@@ -105,7 +102,6 @@ class BackupDaemon:
         probe_failures: int = 3,
         probe_timeout: float = 2.0,
         ingest_workers: int = 0,
-        ingest_executor: str = "process",
     ) -> None:
         if window < 1:
             raise ReproError("credit window must be at least 1 frame")
@@ -141,9 +137,7 @@ class BackupDaemon:
         # the slab free-list bounds total in-flight segment memory however
         # many backups run concurrently.
         self.ingest_pool: Optional[SharedChunkPool] = (
-            SharedChunkPool(
-                ingest_workers, executor=ingest_executor, metrics=self.metrics
-            )
+            SharedChunkPool(ingest_workers, metrics=self.metrics)
             if ingest_workers >= 1
             else None
         )

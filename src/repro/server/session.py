@@ -55,7 +55,7 @@ from ..errors import (
 from ..observability import new_trace_id
 from ..replication.planner import ObjectRef
 from ..replication.state import blob_digest, validate_object
-from ..repository import FilePlan, validate_rel_name
+from ..repository import FilePlan, validate_plan, validate_rel_name
 from .registry import RepoHandle
 
 if TYPE_CHECKING:
@@ -351,13 +351,11 @@ class _Session:
         # repository is even created: a fenced write must not leave an
         # empty tenant directory behind.
         await self.daemon.ensure_write_primary(obj.get("repo"))
+        # Vet the plan before any tenant, lock or stream: a traversal
+        # attempt ('../x', absolute, control chars), a negative size or a
+        # repeated name dies here with a typed ERROR.
+        plan = validate_plan((str(rel), size) for rel, size in obj.get("files", []))
         handle = self.daemon.registry.get(obj.get("repo"), create=True)
-        # Vet names before any lock or stream: a traversal attempt
-        # ('../x', absolute, control chars) dies here with a typed ERROR.
-        plan: FilePlan = [
-            (validate_rel_name(str(rel)), int(size))
-            for rel, size in obj.get("files", [])
-        ]
         tag = str(obj.get("tag", "") or "")
         async with handle.writing():
             await self._run_backup(handle, plan, tag)

@@ -320,10 +320,9 @@ class TestEngineEquivalence:
 SEGMENT = 64 * KiB  # small segments so a few hundred KiB exercises many handoffs
 
 
-def _pool(workers, executor, metrics=None, **kwargs):
+def _pool(workers, metrics=None, **kwargs):
     return SharedChunkPool(
         workers,
-        executor=executor,
         segment_bytes=SEGMENT,
         metrics=metrics if metrics is not None else MetricsRegistry(),
         **kwargs,
@@ -381,12 +380,10 @@ class TestSharedChunkPool:
         assert all(len(s) == SEGMENT for s in segmented[0][:-1])
         assert b"".join(segmented[0]) == payload
 
-    @pytest.mark.parametrize(
-        "workers,executor", [(1, "process"), (4, "process"), (2, "thread")]
-    )
-    def test_pool_matches_inline_chunking(self, workers, executor):
+    @pytest.mark.parametrize("workers", [1, 4], ids=["1-process", "4-process"])
+    def test_pool_matches_inline_chunking(self, workers):
         blocks = _blocks()
-        with _pool(workers, executor) as pool:
+        with _pool(workers) as pool:
             pooled = [c for batch in pool.chunk_blocks(blocks, _chunker()) for c in batch]
         inline = _inline_chunks(blocks)
         assert [(c.fingerprint, c.size) for c in pooled] == [
@@ -397,7 +394,7 @@ class TestSharedChunkPool:
     def test_pool_records_stage_metrics(self):
         metrics = MetricsRegistry()
         blocks = _blocks(count=6)
-        with _pool(2, "process", metrics=metrics) as pool:
+        with _pool(2, metrics=metrics) as pool:
             list(pool.chunk_blocks(blocks, _chunker()))
         snap = metrics.snapshot()
         assert snap["counters"]["ingest.segments_total"] == len(
@@ -410,7 +407,7 @@ class TestSharedChunkPool:
     def test_killed_worker_respawns_and_output_is_identical(self):
         metrics = MetricsRegistry()
         blocks = _blocks(seed=23, count=20)
-        with _pool(2, "process", metrics=metrics) as pool:
+        with _pool(2, metrics=metrics) as pool:
             pool.warm()
             pooled = [
                 c
@@ -428,7 +425,7 @@ class TestSharedChunkPool:
 
     def test_retry_budget_exhaustion_raises_typed_error(self):
         blocks = _blocks(seed=31, count=20)
-        with _pool(2, "process", max_retries=0) as pool:
+        with _pool(2, max_retries=0) as pool:
             pool.warm()
             with pytest.raises(IngestPoolError):
                 killed = _killing_workers(pool, blocks, after=8)
@@ -439,7 +436,7 @@ class TestSharedChunkPool:
             assert pool._free.qsize() == pool.queue_depth
 
     def test_closed_pool_rejects_work_and_unlinks_slabs(self):
-        pool = _pool(1, "process")
+        pool = _pool(1)
         names = [slab.shm.name for slab in pool._slabs]
         assert names
         pool.close()
@@ -453,8 +450,6 @@ class TestSharedChunkPool:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             SharedChunkPool(0)
-        with pytest.raises(ValueError):
-            SharedChunkPool(1, executor="fiber")
         with pytest.raises(ValueError):
             SharedChunkPool(1, queue_depth=0)
         with pytest.raises(ValueError):
@@ -482,13 +477,11 @@ class TestSharedChunkPool:
 
 class TestRepositoryPoolDeterminism:
     """The determinism contract at the repository layer: serial inline
-    ingest, a 1-worker pool, an N-worker pool and a thread pool must all
-    produce identical reports and byte-identical restores."""
+    ingest, a 1-worker pool and an N-worker pool must all produce
+    identical reports and byte-identical restores."""
 
-    @pytest.mark.parametrize(
-        "workers,executor", [(1, "process"), (4, "process"), (2, "thread")]
-    )
-    def test_pooled_repository_matches_serial(self, workers, executor, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 4], ids=["1-process", "4-process"])
+    def test_pooled_repository_matches_serial(self, workers, tmp_path):
         from repro.repository import LocalRepository
 
         # Default-config pool: the serial inline path chunks with the
@@ -511,9 +504,7 @@ class TestRepositoryPoolDeterminism:
             return reports, restored
 
         serial = run(str(tmp_path / "serial"), None)
-        with SharedChunkPool(
-            workers, executor=executor, metrics=MetricsRegistry()
-        ) as pool:
-            pooled = run(str(tmp_path / f"pool-{executor}{workers}"), pool)
+        with SharedChunkPool(workers, metrics=MetricsRegistry()) as pool:
+            pooled = run(str(tmp_path / f"pool-{workers}"), pool)
         assert pooled == serial
         assert pooled[0][1]["duplicate_chunks"] > 0  # the churn actually deduped

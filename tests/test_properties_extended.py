@@ -1,14 +1,18 @@
-"""Extended property-based tests: archive, GC, checkpoint, pack round-trips."""
+"""Extended property-based tests: file trees, GC, checkpoint, pack round-trips."""
 
+import os
 import random
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint as fp
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint, verify_system
 from repro.index import ExactFullIndex
+from repro.observability import MetricsRegistry
 from repro.pipeline import GCDeletionManager
 from repro.pipeline.system import BackupSystem
+from repro.repository import LocalRepository, materialize
 from repro.storage.container import Container
 from repro.storage.container_store import pack_container, unpack_container
 from repro.storage.recipe import Recipe, RecipeEntry, pack_recipe, unpack_recipe
@@ -23,7 +27,7 @@ def trees(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     tree = {}
     for i in range(n_files):
-        size = draw(st.sampled_from([0, 1, 100, 1000, 5000]))
+        size = draw(st.sampled_from([0, 1, 100, 1000, 5000, 20000]))
         tree[f"f{i:02d}.bin"] = bytes(rng.getrandbits(8) for _ in range(size))
     return tree
 
@@ -67,17 +71,23 @@ class TestArchiveProperties:
     @given(trees())
     @settings(max_examples=25, deadline=None)
     def test_any_tree_round_trips(self, tree):
-        from repro.archive import DirectoryArchive
-        from repro.chunking import FastCDCChunker
-
-        archive = DirectoryArchive(
-            HiDeStore(container_size=32 * KB),
-            chunker=FastCDCChunker(min_size=64, avg_size=256, max_size=2048),
-        )
-        archive.backup_tree(tree)
-        assert archive.restore_tree(1) == tree
-        for path, data in tree.items():
-            assert archive.restore_file(1, path) == data
+        """Any tree backed up through ``LocalRepository`` restores whole and
+        file by file, empty files and files straddling chunk boundaries
+        included."""
+        names = sorted(tree)
+        plan = [(name, len(tree[name])) for name in names]
+        with tempfile.TemporaryDirectory() as root:
+            repo = LocalRepository(os.path.join(root, "repo"), metrics=MetricsRegistry())
+            repo.backup_blocks([tree[name] for name in names], plan)
+            whole_plan, data = repo.restore(1)
+            assert whole_plan == plan
+            out = os.path.join(root, "out")
+            assert materialize(whole_plan, data, out) == len(names)
+            for name in names:
+                with open(os.path.join(out, name), "rb") as handle:
+                    assert handle.read() == tree[name]
+                _plan, data = repo.restore(1, file=name)
+                assert b"".join(data) == tree[name]
 
 
 class TestGCProperties:
@@ -103,8 +113,6 @@ class TestCheckpointProperties:
     @given(histories(), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_checkpoint_at_any_boundary_resumes_exactly(self, history, cut_at):
-        import tempfile, os
-
         streams = to_streams(history)
         cut = min(cut_at, len(streams) - 1)
         with tempfile.TemporaryDirectory() as root:

@@ -1,63 +1,11 @@
-"""Tests for verified restore, the delimited importer, and entry-range restore."""
+"""Tests for the delimited fingerprint-dump importer."""
 
 import pytest
 
-from repro.chunking.fingerprint import Fingerprinter
-from repro.chunking.stream import BackupStream, Chunk
 from repro.core import HiDeStore
-from repro.errors import RestoreError, WorkloadError
-from repro.index import ExactFullIndex
-from repro.pipeline.system import BackupSystem
-from repro.restore import VerifyingRestore
+from repro.errors import WorkloadError
 from repro.units import KiB
 from repro.workloads import import_delimited
-from tests.conftest import make_stream
-
-
-def payload_stream(count=10, size=64):
-    fingerprinter = Fingerprinter()
-    return BackupStream(
-        [fingerprinter.chunk(bytes([i]) * size) for i in range(count)]
-    )
-
-
-class TestVerifyingRestore:
-    def test_clean_restore_verifies(self):
-        system = HiDeStore(container_size=16 * KiB)
-        system.backup(payload_stream())
-        restorer = VerifyingRestore()
-        out = list(system.restore_chunks(1, restorer=restorer))
-        assert len(out) == 10
-        assert restorer.chunks_verified == 10
-        assert restorer.chunks_unverifiable == 0
-
-    def test_detects_payload_corruption(self):
-        system = HiDeStore(container_size=16 * KiB)
-        system.backup(payload_stream())
-        # Flip a byte inside a stored payload, keeping the recorded metadata.
-        container = next(iter(system.pool.iter_containers()))
-        fp, slot = next(container.items())
-        container._slots[fp] = type(slot)(slot.offset, slot.size, b"\xff" * slot.size)
-        with pytest.raises(RestoreError, match="integrity failure"):
-            list(system.restore_chunks(1, restorer=VerifyingRestore()))
-
-    def test_metadata_only_passthrough(self, small_workload):
-        system = HiDeStore(container_size=64 * KiB)
-        system.backup(small_workload.version(1))
-        restorer = VerifyingRestore()
-        out = list(system.restore_chunks(1, restorer=restorer))
-        assert len(out) == 400
-        assert restorer.chunks_unverifiable == 400
-
-    def test_metadata_only_rejected_when_required(self, small_workload):
-        system = HiDeStore(container_size=64 * KiB)
-        system.backup(small_workload.version(1))
-        with pytest.raises(RestoreError, match="no payload"):
-            list(
-                system.restore_chunks(
-                    1, restorer=VerifyingRestore(require_payload=True)
-                )
-            )
 
 
 class TestImportDelimited:
@@ -123,43 +71,3 @@ class TestImportDelimited:
         report = system.report
         assert report.versions == 2
         assert report.stored_bytes == 3000  # aa11 deduplicated
-
-
-class TestRestoreEntryRange:
-    def test_traditional_slice(self, small_workload):
-        system = BackupSystem(ExactFullIndex(), container_size=64 * KiB)
-        system.backup(small_workload.version(1))
-        want = small_workload.version(1).fingerprints()[10:20]
-        out = list(system.restore_entry_range(1, 10, 20))
-        assert [c.fingerprint for c in out] == want
-
-    def test_hidestore_slice_old_version(self, small_workload):
-        system = HiDeStore(container_size=64 * KiB)
-        for stream in small_workload.versions():
-            system.backup(stream)
-        want = small_workload.version(2).fingerprints()[50:75]
-        out = list(system.restore_entry_range(2, 50, 75))
-        assert [c.fingerprint for c in out] == want
-
-    def test_slice_reads_fewer_containers_than_full(self, small_workload):
-        system = HiDeStore(container_size=16 * KiB)
-        for stream in small_workload.versions():
-            system.backup(stream)
-        before = system.io.snapshot()
-        list(system.restore_entry_range(8, 0, 10))
-        partial = system.io.delta(before).container_reads
-        before = system.io.snapshot()
-        list(system.restore_chunks(8))
-        full = system.io.delta(before).container_reads
-        assert partial < full
-
-    def test_unknown_version_rejected(self):
-        from repro.errors import VersionNotFoundError
-
-        with pytest.raises(VersionNotFoundError):
-            list(HiDeStore().restore_entry_range(1, 0, 5))
-
-    def test_empty_slice(self, small_workload):
-        system = HiDeStore(container_size=64 * KiB)
-        system.backup(small_workload.version(1))
-        assert list(system.restore_entry_range(1, 5, 5)) == []
