@@ -60,6 +60,7 @@ from typing import List, Optional
 from .errors import ReproError
 from .repository import (
     LocalRepository,
+    Repository,
     materialize,
     open_repository,
     read_tree,
@@ -106,15 +107,15 @@ def _cluster_client(spec: str):
     return ClusterClient(spec.split(","))
 
 
-def _open_target(args: argparse.Namespace, **local_kwargs):
+def _open_target(args: argparse.Namespace, **local_kwargs) -> Repository:
     """The repository front end a command talks to: local dir, daemon,
-    or cluster router."""
-    if getattr(args, "cluster", None):
-        if getattr(args, "remote", None):
+    or cluster router.  The only reader of ``--remote`` and ``--cluster``."""
+    if args.cluster:
+        if args.remote:
             raise ReproError("--remote and --cluster are mutually exclusive")
         _reject_local_flags("--cluster", local_kwargs)
         return _cluster_client(args.cluster).repo(args.repo)
-    if getattr(args, "remote", None):
+    if args.remote:
         from .client import RemoteRepository
 
         _reject_local_flags("--remote", local_kwargs)
@@ -130,14 +131,14 @@ def cmd_backup(args: argparse.Namespace) -> int:
     if not entries:
         print(f"error: no files under {args.source}", file=sys.stderr)
         return 1
-    repo = _open_target(
-        args,
-        history_depth=args.history_depth,
-        compress=args.compress,
-        workers=args.workers,
-    )
     with contextlib.ExitStack() as stack:
-        if isinstance(repo, LocalRepository) and args.workers > 1:
+        repo = stack.enter_context(_open_target(
+            args,
+            history_depth=args.history_depth,
+            compress=args.compress,
+            workers=args.workers,
+        ))
+        if args.workers > 1:  # local only: _open_target refuses it otherwise
             from .engine.shared_pool import SharedChunkPool
 
             # The daemon's pool, short-lived: same segment contract, so any
@@ -156,29 +157,24 @@ def cmd_backup(args: argparse.Namespace) -> int:
 
 def cmd_restore(args: argparse.Namespace) -> int:
     """Materialise a stored version back into a directory."""
-    repo = _open_target(args)
     # Restore knobs run on whichever side executes the restore: locally they
     # size this process's reader pool, over --remote they ride in
     # RESTORE_BEGIN and size the server's (clamped to its cap).
-    options = {}
-    if args.workers is not None:
-        options["workers"] = args.workers
-    if args.readahead is not None:
-        options["readahead"] = args.readahead
-    if args.verify:
-        options["verify"] = True
-    if args.file is not None:
-        options["file"] = args.file
-    plan, data = repo.restore(args.version, **options)
-    restored = materialize(plan, data, args.target)
+    with _open_target(args) as repo:
+        plan, data = repo.restore(
+            args.version, workers=args.workers, readahead=args.readahead,
+            verify=args.verify, file=args.file,
+        )
+        restored = materialize(plan, data, args.target)
     print(f"restored version {args.version}: {restored} files into {args.target}")
     return 0
 
 
 def cmd_versions(args: argparse.Namespace) -> int:
     """List stored versions with tags and sizes."""
-    repo = _open_target(args)
-    for row in repo.versions():
+    with _open_target(args) as repo:
+        rows = repo.versions()
+    for row in rows:
         print(
             f"version {row['version_id']}: tag={row['tag']!r} "
             f"chunks={row['chunks']} "
@@ -189,8 +185,33 @@ def cmd_versions(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print repository statistics (optionally per-version detail)."""
-    repo = _open_target(args)
-    stats = repo.stats()
+    with _open_target(args) as repo:
+        stats = repo.stats()
+        _print_stats(stats, args.metrics)
+        if not args.detail:
+            return 0
+        if "counters" in stats:  # a service's document
+            print("error: --detail is not available over --remote/--cluster",
+                  file=sys.stderr)
+            return 1
+        from .analysis import fragmentation_growth
+
+        store = repo._open()
+        print()
+        print(f"{'version':>8s} {'chunks':>8s} {'logical':>12s} "
+              f"{'containers':>11s} {'CFL':>6s} {'best sf':>8s}")
+        frags = {f.version_id: f for f in fragmentation_growth(store)}
+        for version_id in store.recipes.version_ids():
+            recipe = store.recipes.peek(version_id)
+            frag = frags[version_id]
+            print(f"{version_id:>8d} {len(recipe):>8d} "
+                  f"{format_bytes(recipe.logical_size):>12s} "
+                  f"{frag.containers_referenced:>11d} {frag.cfl:>6.2f} "
+                  f"{frag.best_speed_factor:>8.3f}")
+    return 0
+
+
+def _print_stats(stats: dict, with_metrics: bool) -> None:
     print(f"versions:         {stats['versions']}")
     print(f"logical bytes:    {format_bytes(stats['logical_bytes'])}")
     print(f"stored bytes:     {format_bytes(stats['stored_bytes'])}")
@@ -210,12 +231,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
               f"{counters['restores']} restores, "
               f"{format_bytes(counters['bytes_ingested'])} ingested, "
               f"{format_bytes(counters['bytes_restored'])} restored")
-    if args.metrics:
-        if getattr(args, "remote", None) or getattr(args, "cluster", None):
-            metrics = stats.get("metrics", {})
-            if not metrics:
-                print("error: server does not report metrics", file=sys.stderr)
-                return 1
+    if with_metrics:
+        if "metrics" in stats:  # a service reports its own registry
+            metrics = stats["metrics"]
         else:
             from .observability import get_registry
 
@@ -228,26 +246,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print("no local metrics recorded in this process; run an "
                       "operation first or query a daemon with --remote")
         _print_metrics(metrics)
-    if args.detail:
-        if getattr(args, "remote", None) or getattr(args, "cluster", None):
-            print("error: --detail is not available over --remote/--cluster",
-                  file=sys.stderr)
-            return 1
-        from .analysis import fragmentation_growth
-
-        store = repo._open()
-        print()
-        print(f"{'version':>8s} {'chunks':>8s} {'logical':>12s} "
-              f"{'containers':>11s} {'CFL':>6s} {'best sf':>8s}")
-        frags = {f.version_id: f for f in fragmentation_growth(store)}
-        for version_id in store.recipes.version_ids():
-            recipe = store.recipes.peek(version_id)
-            frag = frags[version_id]
-            print(f"{version_id:>8d} {len(recipe):>8d} "
-                  f"{format_bytes(recipe.logical_size):>12s} "
-                  f"{frag.containers_referenced:>11d} {frag.cfl:>6.2f} "
-                  f"{frag.best_speed_factor:>8.3f}")
-    return 0
 
 
 def _print_metrics(metrics: dict) -> None:
@@ -276,8 +274,8 @@ def _print_metrics(metrics: dict) -> None:
 
 def cmd_delete_oldest(args: argparse.Namespace) -> int:
     """Expire the oldest retained version, GC-free."""
-    repo = _open_target(args)
-    result = repo.delete_oldest()
+    with _open_target(args) as repo:
+        result = repo.delete_oldest()
     print(
         f"deleted version {result['version_id']}: "
         f"{result['containers_deleted']} containers, "
@@ -289,42 +287,21 @@ def cmd_delete_oldest(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Integrity-check a repository; non-zero exit on any failure."""
-    if getattr(args, "cluster", None) or getattr(args, "remote", None):
-        if getattr(args, "cluster", None):
-            if getattr(args, "remote", None):
-                raise ReproError("--remote and --cluster are mutually exclusive")
-            remote = _cluster_client(args.cluster).repo(args.repo)
-        else:
-            from .client import RemoteRepository
-
-            remote = RemoteRepository(args.remote, args.repo)
-        try:
-            doc = remote.verify(deep=args.deep)
-        finally:
-            close = getattr(remote, "close", None)
-            if close is not None:
-                close()
-        print(doc.get("summary", "no report"))
-        issues = list(doc.get("issues", []))
-        ok = bool(doc.get("ok", False))
-    else:
-        from .replication.repair import verify_repository
-
-        report = verify_repository(args.repo, deep=args.deep)
-        print(report.summary())
-        issues, ok = report.issues, report.ok
-    for issue in issues[:50]:
+    with _open_target(args) as repo:
+        doc = repo.verify(deep=args.deep)
+    print(doc["summary"])
+    for issue in doc["issues"][:50]:
         print(f"  - {issue}")
-    if len(issues) > 50:
-        print(f"  ... and {len(issues) - 50} more")
-    return 0 if ok else 1
+    if doc["issues_total"] > 50:
+        print(f"  ... and {doc['issues_total'] - 50} more")
+    return 0 if doc["ok"] else 1
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     """Incrementally mirror a repository to a directory or mirror daemon."""
     from .replication import ReplicationSession, open_target
 
-    target = open_target(args.target, args.remote)
+    target = open_target(args.target, args.mirror_daemon)
     try:
         session = ReplicationSession(args.repo, target, journal=args.journal)
         if args.dry_run:
@@ -338,7 +315,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             )
             return 0
         report = session.run()
-        where = f"{args.target} on {args.remote}" if args.remote else args.target
+        where = (
+            f"{args.target} on {args.mirror_daemon}" if args.mirror_daemon else args.target
+        )
         print(
             f"replicated {args.repo} -> {where}: "
             f"{report.objects_shipped} objects "
@@ -358,7 +337,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     """Re-fetch damaged containers from a replication mirror."""
     from .replication import open_target, repair_from_mirror
 
-    mirror = open_target(args.mirror, args.remote)
+    mirror = open_target(args.mirror, args.mirror_daemon)
     try:
         report = repair_from_mirror(args.repo, mirror, deep=not args.shallow)
     finally:
@@ -778,9 +757,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_remote_flag(parser: argparse.ArgumentParser) -> None:
+def _add_remote_flag(parser: argparse.ArgumentParser, dest: str = "remote") -> None:
     parser.add_argument(
         "--remote",
+        dest=dest,
         metavar="HOST:PORT",
         default=None,
         help="drive a backup daemon instead of a local directory; "
@@ -889,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "for directory sources; disabled for URL sources)")
     p.add_argument("--dry-run", action="store_true",
                    help="print the sync plan without shipping anything")
-    _add_remote_flag(p)
+    _add_remote_flag(p, dest="mirror_daemon")
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser(
@@ -902,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --remote")
     p.add_argument("--shallow", action="store_true",
                    help="skip payload re-hashing when scanning for damage")
-    _add_remote_flag(p)
+    _add_remote_flag(p, dest="mirror_daemon")
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("serve", help="run the multi-tenant backup daemon")

@@ -1,10 +1,8 @@
 """Blocking client for the backup daemon (:mod:`repro.server`).
 
-:class:`RemoteRepository` mirrors the surface of
-:class:`repro.repository.LocalRepository` — ``backup_tree`` /
-``backup_blocks`` / ``restore`` / ``versions`` / ``stats`` /
-``delete_oldest`` — so the CLI's command implementations drive a tenant on
-a remote daemon exactly like a local directory.
+:class:`RemoteRepository` keeps the :class:`repro.repository.Repository`
+contract over the wire, so the CLI's command implementations drive a
+tenant on a remote daemon exactly like a local directory.
 
 Reliability model:
 
@@ -20,7 +18,6 @@ Reliability model:
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -34,7 +31,7 @@ from ..errors import (
     TimeoutExceededError,
 )
 from ..observability import EventLogger, MetricsRegistry, get_registry, new_trace_id
-from ..repository import FilePlan, stream_blocks
+from ..repository import FilePlan, Repository, restore_workers
 from .protocol import (
     DATA_BLOCK,
     HEADER_SIZE,
@@ -336,7 +333,7 @@ class ConnectionPool:
             conn.close()
 
 
-class RemoteRepository:
+class RemoteRepository(Repository):
     """A named tenant on a backup daemon, driven over the wire.
 
     Args:
@@ -391,12 +388,6 @@ class RemoteRepository:
     def close(self) -> None:
         if self._owns_pool:
             self.pool.close()
-
-    def __enter__(self) -> "RemoteRepository":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -496,11 +487,6 @@ class RemoteRepository:
     # ------------------------------------------------------------------
     # Backup (mutating — never retried)
     # ------------------------------------------------------------------
-    def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
-        """Stream files from disk ((rel, path) rows) to the daemon."""
-        plan: FilePlan = [(rel, os.path.getsize(path)) for rel, path in entries]
-        return self.backup_blocks(stream_blocks(entries), plan, tag)
-
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
         """Stream one version's bytes under the server's credit window."""
         conn = self.pool.acquire()
@@ -606,8 +592,10 @@ class RemoteRepository:
         re-hashes chunks server-side before they hit
         the wire, ``file`` restores a single manifest-relative file.  Old
         servers ignore unknown payload keys, so every combination degrades
-        to a plain serial full restore.
+        to a plain serial full restore.  Knobs below 1 raise
+        :class:`~repro.errors.RestoreError` before anything is sent.
         """
+        restore_workers(workers, readahead)
 
         def begin() -> Tuple[Connection, str, dict]:
             conn = self.pool.acquire()

@@ -5,7 +5,8 @@ into.  It bootstraps a :class:`~repro.cluster.map.ClusterMap` from any
 reachable seed daemon (adopting the highest epoch it sees — epoch-based
 invalidation, never a downgrade), keeps **one shared connection pool per
 daemon address** regardless of how many tenants route there, and hands out
-:class:`RoutedRepository` objects that look exactly like a
+:class:`RoutedRepository` objects that keep the
+:class:`~repro.repository.Repository` contract like a
 :class:`~repro.client.remote.RemoteRepository` but resolve their daemon
 through the ring:
 
@@ -48,7 +49,7 @@ from ..errors import (
     TimeoutExceededError,
 )
 from ..observability import EventLogger, MetricsRegistry, get_registry
-from ..repository import FilePlan
+from ..repository import FilePlan, Repository, restore_workers
 from .map import ClusterMap, NodeSpec, newer_map
 
 
@@ -322,16 +323,20 @@ class ClusterClient:
         return reports
 
 
-class RoutedRepository:
+class RoutedRepository(Repository):
     """One tenant, addressed by placement instead of by daemon.
 
-    Mirrors the :class:`RemoteRepository` surface the CLI drives, so
+    Keeps the :class:`~repro.repository.Repository` contract, so
     ``--cluster`` slots in wherever ``--remote`` did.
     """
 
     def __init__(self, client: ClusterClient, tenant: str) -> None:
         self.client = client
         self.repo = tenant
+
+    def close(self) -> None:
+        """Close the router's idle connections; it reconnects on next use."""
+        self.client.close()
 
     # ------------------------------------------------------------------
     def _primary_remote(self) -> RemoteRepository:
@@ -485,6 +490,7 @@ class RoutedRepository:
     ) -> Tuple[FilePlan, Iterator[bytes]]:
         """Open the restore on the first live copy holder; if the stream
         dies mid-flight, resume byte-exact on the next one."""
+        restore_workers(workers, readahead)
         nodes = self.client.placement(self.repo)
         self.client.metrics.inc("cluster.client_requests_routed")
         kwargs = dict(workers=workers, readahead=readahead, verify=verify, file=file)

@@ -1,12 +1,12 @@
 """The pipelined restore engine: prefetched container reads, ordered runs.
 
-A restore plan (:mod:`repro.restore.scheduler`) names which containers to
-read and which recipe slots each read serves; this module executes such a
-plan with a **prefetching container reader pool** — N worker threads issue
-:class:`~repro.storage.container_store.FileContainerStore` reads up to a
-bounded *readahead* window ahead of consumption — and an order-preserving
-reassembly stage that emits the version strictly in recipe order as reads
-complete.  Container I/O, zlib decompression and (optional) SHA-1
+An FAA restore plan (:mod:`repro.restore.scheduler`) names which
+containers to read and which recipe slots each read serves; this module
+executes such a plan with a **prefetching container reader pool** — N
+worker threads issue :class:`~repro.storage.container_store.
+FileContainerStore` reads up to a bounded *readahead* window ahead of
+consumption — and an order-preserving reassembly stage that emits the
+version strictly in recipe order as reads complete.  Container I/O, zlib decompression and (optional) SHA-1
 re-verification all release the GIL, so they genuinely overlap with the
 Python-side reassembly and with whatever the consumer does with the bytes
 (file writes, socket sends).
@@ -40,7 +40,7 @@ from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
 from ..errors import RestoreError
 from ..observability import MetricsRegistry, get_registry
-from ..restore.base import ContainerReader, RestoreAlgorithm
+from ..restore.base import ContainerReader
 from ..restore.scheduler import ContainerRead, PlanSpan
 from ..storage.recipe import RecipeEntry
 
@@ -210,9 +210,10 @@ def execute_plan_prefetched(
         # Wait for the reads in flight, never join the pool's threads: an
         # unfinished stream may be closed by the garbage collector inside a
         # starting thread that holds threading's shutdown lock, which a
-        # join takes again (a self-deadlock).
+        # join takes again (a self-deadlock).  A read the shutdown cancelled
+        # never runs, and ``wait`` would never count it done.
         pool.shutdown(wait=False, cancel_futures=True)
-        wait([future for kind, future in queue if kind == "read"])
+        wait([future for kind, future in queue if kind == "read" and not future.cancelled()])
 
 
 def _execute_serial(
@@ -241,7 +242,6 @@ def restore_stream(
     system,
     version_id: int,
     *,
-    restorer: Optional[RestoreAlgorithm] = None,
     workers: int = 1,
     readahead: Optional[int] = None,
     verify: bool = False,
@@ -252,9 +252,11 @@ def restore_stream(
 
     The one real-path restore implementation: resolves entries via the
     engine's :meth:`~repro.pipeline.base.RestoreMixin.resolved_restore_range`
-    hook, plans through :meth:`~repro.pipeline.base.RestoreMixin.
-    restore_scheduler`, then executes serially (``workers=1``) or with the
-    prefetching pool, yielding :class:`Run` s in recipe order.  ``verify``
+    hook, plans FAA through :meth:`~repro.pipeline.base.RestoreMixin.
+    restore_scheduler` (an engine with another policy raises
+    :class:`~repro.errors.RestoreError`), then executes serially
+    (``workers=1``) or with the prefetching pool, yielding :class:`Run` s
+    in recipe order.  ``verify``
     re-hashes every entry against its recipe fingerprint (typed
     :class:`~repro.errors.RestoreError` on mismatch).  ``rows`` picks a
     partial restore's entry range from the version's recipe entries, so
@@ -266,7 +268,7 @@ def restore_stream(
         raise RestoreError(f"readahead must be >= 1, got {readahead}")
     registry = metrics if metrics is not None else get_registry()
     entries = system.resolved_restore_range(version_id, rows, registry)
-    plan = system.restore_scheduler(restorer).plan(entries)
+    plan = system.restore_scheduler().plan(entries)
     reader = system._read_container
     chunk_reader = getattr(system, "_read_container_chunks", None)
     if workers <= 1:

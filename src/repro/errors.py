@@ -57,6 +57,16 @@ class VersionNotFoundError(ReproError):
     """A backup version ID was referenced that the system does not know."""
 
 
+class RepositoryNotFoundError(ReproError):
+    """A read named a repository (a spec, a daemon tenant) that does not exist.
+
+    Only a backup creates a repository; every other operation on a missing
+    one raises this and creates nothing.  A domain answer like
+    :class:`VersionNotFoundError`: the cluster router does not ask a
+    replica instead.
+    """
+
+
 class DeletionError(ReproError):
     """An expired-version deletion request was invalid (e.g. not the oldest)."""
 

@@ -27,10 +27,10 @@ from typing import (
 )
 
 from ..chunking.stream import BackupStream, Chunk
-from ..errors import VersionNotFoundError
+from ..errors import RestoreError, VersionNotFoundError
 from ..reports import BackupReport, SystemReport
 from ..restore.base import RestoreAlgorithm, RestoreResult
-from ..restore.scheduler import scheduler_for
+from ..restore.faa import FAARestore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import MetricsRegistry
@@ -150,18 +150,23 @@ class RestoreMixin:
             raise VersionNotFoundError(f"no backup version {version_id}")
         return self._restore_rows(version_id, self.recipes.read, rows, metrics)
 
-    def restore_scheduler(
-        self, restorer: Optional[RestoreAlgorithm] = None
-    ) -> "RestoreScheduler":
-        """The restore plan scheduler for this engine's (or the given) policy.
+    def restore_scheduler(self) -> "RestoreScheduler":
+        """The plan scheduler of this engine's FAA policy.
 
         This is the hook the pipelined restore engine calls: the returned
         scheduler turns :meth:`resolved_restore_range` output into an
         ordered container-read plan that a prefetching executor can run —
-        with exactly the read sequence the serial algorithm would issue.
+        with exactly the read sequence :class:`FAARestore` would issue.
+        The engine executes FAA plans only; an engine built with another
+        policy raises :class:`~repro.errors.RestoreError` here (run it
+        through :meth:`restore` instead).
         """
-        algorithm = restorer if restorer is not None else self.restorer
-        return scheduler_for(algorithm)
+        if not isinstance(self.restorer, FAARestore):
+            raise RestoreError(
+                f"the pipelined restore engine plans FAA only, not "
+                f"{self.restorer.name!r}"
+            )
+        return self.restorer.scheduler()
 
     def restore_chunks(
         self,

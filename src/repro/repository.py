@@ -1,17 +1,14 @@
-"""Repository front end: one surface for local directories and the service.
+"""Repository front end: one contract for local directories and the service.
 
-The CLI, the backup daemon and the remote client all drive repositories
-through the same small vocabulary:
-
-* ``backup_tree(entries, tag)`` / ``backup_blocks(blocks, plan, tag)``
-* ``restore(version) -> (plan, data_iter)``
-* ``versions()`` / ``stats()`` / ``delete_oldest()``
-
-:class:`LocalRepository` implements it over an on-disk HiDeStore repository
-(the layout the ``hidestore`` CLI has always used); the server hosts one
-``LocalRepository`` per tenant, and :class:`repro.client.RemoteRepository`
-implements the same vocabulary over the wire — so ``cmd_backup`` et al.
-genuinely share one code path between ``repo/`` and ``--remote HOST:PORT``.
+:class:`Repository` is the surface every front end implements and every
+caller (the CLI, the daemon, the chaos harness, the benchmarks) drives:
+``backup_tree`` / ``backup_blocks``, ``restore``, ``versions``, ``stats``,
+``verify``, ``delete_oldest`` and ``close`` (also as a context manager).
+:class:`LocalRepository` implements it over an on-disk HiDeStore
+repository, and the server hosts one per tenant;
+:class:`repro.client.RemoteRepository` implements it over the wire, and
+:class:`repro.cluster.RoutedRepository` through a sharded cluster's router.
+``tests/test_repository_contract.py`` holds all three to the same answers.
 
 Failed backups **roll back**: a backup that dies mid-stream (client
 disconnect, storage error, process kill) leaves no recipe, no manifest, no
@@ -26,12 +23,20 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable,
+)
 
 from .chunking import FastCDCChunker, chunker_spec
 from .core.checkpoint import checkpoint_document, system_from_document
 from .core.hidestore import HiDeStore
-from .errors import DeletionError, ReproError, RestoreError, VersionNotFoundError
+from .errors import (
+    DeletionError,
+    RepositoryNotFoundError,
+    ReproError,
+    RestoreError,
+    VersionNotFoundError,
+)
 from .observability import MetricsRegistry, get_registry
 from .storage.repo import RepoStorage
 
@@ -316,7 +321,75 @@ def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, 
     return start, stop, offset - sum(sizes[:start])
 
 
-class LocalRepository:
+def restore_workers(workers: Optional[int], readahead: Optional[int]) -> int:
+    """Vet :meth:`Repository.restore`'s knobs before anything is opened or
+    sent; returns the reader-pool size (``None`` is serial, i.e. 1)."""
+    if workers is not None and workers < 1:
+        raise RestoreError(f"restore workers must be >= 1, got {workers}")
+    if readahead is not None and readahead < 1:
+        raise RestoreError(f"readahead must be >= 1, got {readahead}")
+    return 1 if workers is None else workers
+
+
+@runtime_checkable
+class Repository(Protocol):
+    """The contract every repository front end keeps, whatever it talks to.
+
+    Reports are plain documents with the same keys on every surface:
+    ``backup_*`` returns the version's dedup report, ``versions`` one row
+    per retained version, ``stats`` at least the keys
+    :meth:`LocalRepository.stats` returns, ``verify`` the integrity
+    report (``ok``, ``summary``, ``issues``, ...), ``delete_oldest`` the
+    expiry report.  Errors are typed: an unknown version or file is
+    :class:`~repro.errors.VersionNotFoundError`, reading a repository that
+    does not exist is :class:`~repro.errors.RepositoryNotFoundError` (only
+    a backup creates one), bad restore knobs are
+    :class:`~repro.errors.RestoreError` raised before any request.
+
+    The front ends subclass it for :meth:`backup_tree` and the context
+    manager; ``isinstance(x, Repository)`` holds for any object with the
+    methods.
+    """
+
+    def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
+        """Back up files from disk ((rel, path) rows, see :func:`read_tree`)."""
+        plan: FilePlan = [(rel, os.path.getsize(path)) for rel, path in entries]
+        return self.backup_blocks(stream_blocks(entries), plan, tag)
+
+    def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
+        """Back up one version: the concatenated bytes of ``plan``'s files."""
+        ...
+
+    def restore(
+        self,
+        version_id: int,
+        *,
+        workers: Optional[int] = None,
+        readahead: Optional[int] = None,
+        verify: bool = False,
+        file: Optional[str] = None,
+    ) -> Tuple[FilePlan, Iterable]:
+        """A version's (or one of its files') plan and byte stream."""
+        ...
+
+    def versions(self) -> List[Dict]: ...
+
+    def stats(self) -> Dict: ...
+
+    def verify(self, deep: bool = False) -> Dict: ...
+
+    def delete_oldest(self) -> Dict: ...
+
+    def close(self) -> None: ...
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class LocalRepository(Repository):
     """An on-disk HiDeStore repository behind the shared front-end surface.
 
     Args:
@@ -360,15 +433,30 @@ class LocalRepository:
     # ------------------------------------------------------------------
     # Engine lifecycle
     # ------------------------------------------------------------------
-    def _open(self) -> HiDeStore:
+    def _open(self, create: bool = False) -> HiDeStore:
+        """The cached engine; only ``create`` (a backup) may initialise a
+        repository the spec does not hold yet."""
         with self._open_lock:
             if self._store is None:
+                if not create:
+                    self._require_exists()
                 self._store = open_repository(
                     self.root, self.history_depth,
                     compress=self.compress, metrics=self.metrics,
                     storage=self.storage,
                 )
             return self._store
+
+    def _require_exists(self) -> None:
+        if not self.storage.exists():
+            raise RepositoryNotFoundError(
+                f"no repository at {self.storage.location.spec}"
+            )
+
+    def close(self) -> None:
+        """Drop the cached engine and close the storage backends."""
+        self.invalidate()
+        self.storage.close()
 
     def invalidate(self) -> None:
         """Drop the cached engine; the next operation reloads from disk.
@@ -393,6 +481,7 @@ class LocalRepository:
         """
         from .replication.repair import verify_repository
 
+        self._require_exists()
         started = time.perf_counter()
         report = verify_repository(self.root, deep=deep)
         seconds = time.perf_counter() - started
@@ -413,17 +502,17 @@ class LocalRepository:
             "summary": report.summary(),
         }
 
-    def _open_writer(self) -> HiDeStore:
+    def _open_writer(self, create: bool = False) -> HiDeStore:
         """The engine for a backup or an expiry: :func:`_sweep_debris` runs
         first, once per loaded engine (and never for a reader)."""
-        store = self._open()
+        store = self._open(create)
         if self._swept is not store:
             _sweep_debris(self.storage, store)
             self._swept = store
         return store
 
     def _open_for_backup(self) -> HiDeStore:
-        store = self._open_writer()
+        store = self._open_writer(create=True)
         # A retired store cannot take further backups until its cache is
         # rebuilt from the last recipe (§4.1's T1 prefetch, cross-session).
         if store._retired and store.recipes.latest_version() is not None:
@@ -438,11 +527,6 @@ class LocalRepository:
     # ------------------------------------------------------------------
     # Backup
     # ------------------------------------------------------------------
-    def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
-        """Back up files from disk ((rel, path) rows, see :func:`read_tree`)."""
-        plan: FilePlan = [(rel, os.path.getsize(path)) for rel, path in entries]
-        return self.backup_blocks(stream_blocks(entries), plan, tag)
-
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
         """Back up an incoming byte-block stream as one version.
 
@@ -582,7 +666,7 @@ class LocalRepository:
         self,
         version_id: int,
         *,
-        workers: int = 1,
+        workers: Optional[int] = None,
         readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
@@ -591,9 +675,10 @@ class LocalRepository:
         engine's runs, trimmed to the file for a partial restore.
 
         Args:
-            workers: container-reader pool size; ``1`` restores serially,
-                ``>1`` prefetches container reads through the pipelined
-                engine (:func:`repro.engine.restore.restore_stream`).
+            workers: container-reader pool size; ``None`` or ``1``
+                restores serially, ``>1`` prefetches container reads
+                through the pipelined engine
+                (:func:`repro.engine.restore.restore_stream`).
             readahead: in-flight container-read cap (default 2×workers).
             verify: re-hash every chunk against its recipe fingerprint;
                 a mismatch raises :class:`~repro.errors.RestoreError`.
@@ -602,6 +687,7 @@ class LocalRepository:
         """
         from .engine.restore import restore_stream
 
+        workers = restore_workers(workers, readahead)
         store = self._open()
         plan = self.restore_plan(version_id)
         offset = 0

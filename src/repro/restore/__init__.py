@@ -17,9 +17,7 @@ from .scheduler import (
     FAAScheduler,
     PlanSpan,
     RestoreScheduler,
-    SimulatedScheduler,
     execute_plan,
-    scheduler_for,
 )
 
 __all__ = [
@@ -34,12 +32,10 @@ __all__ = [
     "OptimalContainerCacheRestore",
     "PlanSpan",
     "RestoreScheduler",
-    "SimulatedScheduler",
     "RestoreAlgorithm",
     "RestoreResult",
     "execute_plan",
     "make_restorer",
-    "scheduler_for",
 ]
 
 _RESTORERS = {

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 from ..chunking.stream import Chunk
 from ..errors import RestoreError
 from ..storage.container import Container
 from ..storage.recipe import RecipeEntry
 from ..units import MiB
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .scheduler import RestoreScheduler
 
 #: Signature of the billed container fetch: cid -> Container.
 ContainerReader = Callable[[int], Container]
@@ -57,19 +54,6 @@ class RestoreAlgorithm(ABC):
         container read they model (the reader bills IOStats) and must yield
         ``len(entries)`` chunks whose fingerprints match the entries.
         """
-
-    def scheduler(self) -> "RestoreScheduler":
-        """The planning half of this policy, for the pipelined real path.
-
-        Scheduler-native algorithms (FAA) override this to return their
-        planner directly; the default derives a plan by dry-running the
-        algorithm over synthetic recipe-only containers
-        (:class:`~repro.restore.scheduler.SimulatedScheduler`), so every
-        cache policy works with prefetched execution unchanged.
-        """
-        from .scheduler import SimulatedScheduler
-
-        return SimulatedScheduler(self)
 
     @staticmethod
     def _check_positive_cids(entries: Sequence[RecipeEntry]) -> None:

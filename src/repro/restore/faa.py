@@ -11,7 +11,8 @@ FAA is scheduler-native: the planning half lives in
 :class:`~repro.restore.scheduler.FAAScheduler` and this class merely
 executes the plan serially against the billed reader — which is how the
 same policy also drives the pipelined real-path executor in
-:mod:`repro.engine.restore` without a second implementation.
+:mod:`repro.engine.restore` without a second implementation.  It is the
+only policy that executor runs.
 """
 
 from __future__ import annotations

@@ -3,16 +3,20 @@
 A :class:`RestoreScheduler` turns a fully resolved recipe (positive
 container IDs) into an ordered *plan*: which containers to read, in what
 order, which recipe slots each read must serve, and when each slot is
-emitted.  The plan separates **policy** (cache/assembly decisions — the
-entire subject of the paper's §4.4 comparison) from **execution** (how the
-container bytes are actually fetched), so one policy drives both worlds:
+emitted.  The plan separates **policy** from **execution** (how the
+container bytes are actually fetched), so FAA — the policy the real
+restore path runs — drives both worlds:
 
 * the simulation layer executes a plan serially against the billed reader
   (:func:`execute_plan`) — container-read counts, and therefore speed
-  factor, are exactly those of the classic algorithm implementations;
+  factor, are exactly those of :class:`~repro.restore.faa.FAARestore`;
 * the real byte-serving path executes the *same* plan with a prefetching
   reader pool (:mod:`repro.engine.restore`), overlapping container I/O
   with reassembly and socket writes.
+
+The other §4.4 policies (LRU, ALACC, hot-set, Belady) are compared through
+:meth:`~repro.pipeline.base.RestoreMixin.restore`, which runs each
+algorithm directly against the billed reader.
 
 Plans are streams of :class:`PlanSpan` steps.  Within a span, every listed
 read happens before any listed emit; a read's ``slots`` name all entry
@@ -31,18 +35,16 @@ Plan invariants (checked by the executors as they go):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from ..chunking.stream import Chunk
 from ..errors import RestoreError
-from ..storage.container import Container
 from ..storage.recipe import RecipeEntry
 from ..units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .base import ContainerReader, RestoreAlgorithm
+    from .base import ContainerReader
 
 
 @dataclass(frozen=True)
@@ -118,130 +120,6 @@ class FAAScheduler(RestoreScheduler):
             )
 
 
-class SimulatedScheduler(RestoreScheduler):
-    """Derive a plan by dry-running any :class:`RestoreAlgorithm`.
-
-    The algorithm is executed once against *synthetic* containers built
-    purely from the recipe's (fingerprint, size, cid) rows — no real
-    container is touched and nothing is billed.  The recorded interleaving
-    of reads and emissions compiles into a plan whose billed read sequence
-    matches what the algorithm itself would have issued, so any cache
-    policy (LRU, ALACC, hot-set, Belady) drives the real prefetching path
-    without a parallel implementation.
-
-    Caveat: policies that exploit chunks a real container holds *beyond*
-    this recipe's references (possible when rewriting stores duplicate
-    copies) cannot see them here; against a deduplicated store — where each
-    fingerprint lives in exactly one container — the derived plan is exact.
-    """
-
-    name = "simulated"
-
-    def __init__(self, algorithm: "RestoreAlgorithm") -> None:
-        self.algorithm = algorithm
-
-    def _fake_containers(self, entries: Sequence[RecipeEntry]) -> Dict[int, Container]:
-        sizes: Dict[int, int] = {}
-        members: Dict[int, Dict[bytes, int]] = {}
-        for entry in entries:
-            group = members.setdefault(entry.cid, {})
-            if entry.fingerprint not in group:
-                group[entry.fingerprint] = entry.size
-                sizes[entry.cid] = sizes.get(entry.cid, 0) + entry.size
-        fakes: Dict[int, Container] = {}
-        for cid, group in members.items():
-            container = Container(cid, capacity=max(1, sizes[cid]))
-            for fp, size in group.items():
-                container.add(Chunk(fp, size))
-            fakes[cid] = container
-        return fakes
-
-    def plan(self, entries: Sequence[RecipeEntry]) -> Iterator[PlanSpan]:
-        entries = list(entries)
-        if not entries:
-            return iter(())
-        fakes = self._fake_containers(entries)
-        # ops: ("read", cid) / ("emit", index), in the algorithm's order.
-        ops: List[Tuple[str, int]] = []
-
-        def recording_reader(cid: int) -> Container:
-            ops.append(("read", cid))
-            try:
-                return fakes[cid]
-            except KeyError:
-                raise RestoreError(
-                    f"algorithm {self.algorithm.name!r} read container {cid}, "
-                    "which no recipe entry references"
-                ) from None
-
-        index = 0
-        for chunk in self.algorithm.restore(entries, recording_reader):
-            if chunk.fingerprint != entries[index].fingerprint:
-                raise RestoreError(
-                    f"algorithm {self.algorithm.name!r} emitted chunk "
-                    f"{chunk.short_fp()} out of recipe order at slot {index}"
-                )
-            ops.append(("emit", index))
-            index += 1
-        if index != len(entries):
-            raise RestoreError(
-                f"algorithm {self.algorithm.name!r} emitted {index} of "
-                f"{len(entries)} chunks"
-            )
-        return iter(self._compile(entries, ops))
-
-    def _compile(
-        self, entries: Sequence[RecipeEntry], ops: List[Tuple[str, int]]
-    ) -> List[PlanSpan]:
-        # Positions of every read, per container, for serving-read lookup.
-        read_pos: Dict[int, List[int]] = {}
-        for pos, (kind, value) in enumerate(ops):
-            if kind == "read":
-                read_pos.setdefault(value, []).append(pos)
-        # Each emission is served by the latest read of its container that
-        # precedes it (cache hits are "served early, held until emitted").
-        slots: Dict[int, List[int]] = {}  # op position of read -> indices
-        extra_reads: Dict[int, List[int]] = {}  # emit op position -> indices
-        for pos, (kind, index) in enumerate(ops):
-            if kind != "emit":
-                continue
-            cid = entries[index].cid
-            positions = read_pos.get(cid, [])
-            at = bisect_right(positions, pos) - 1
-            if at < 0:
-                # The algorithm served this slot without ever reading its
-                # container (a cross-container chunk-cache hit, only possible
-                # with duplicate stored copies).  Schedule a direct read so
-                # the real path stays correct; this bills one extra read.
-                extra_reads.setdefault(pos, []).append(index)
-            else:
-                slots.setdefault(positions[at], []).append(index)
-        # Group into spans: runs of reads, then the emits up to the next read.
-        spans: List[PlanSpan] = []
-        reads: List[ContainerRead] = []
-        emits: List[int] = []
-
-        def flush() -> None:
-            if reads or emits:
-                spans.append(PlanSpan(emit=tuple(emits), reads=tuple(reads)))
-
-        for pos, (kind, value) in enumerate(ops):
-            if kind == "read":
-                if emits:
-                    flush()
-                    reads, emits = [], []
-                # Zero-slot reads (e.g. a look-ahead fetch whose parked
-                # chunks all get re-served later) stay in the plan: the
-                # algorithm billed them, so the plan must too.
-                reads.append(ContainerRead(value, tuple(slots.get(pos, ()))))
-            else:
-                for index in extra_reads.get(pos, ()):
-                    reads.append(ContainerRead(entries[index].cid, (index,)))
-                emits.append(value)
-        flush()
-        return spans
-
-
 def execute_plan(
     entries: Sequence[RecipeEntry],
     plan: Iterator[PlanSpan],
@@ -266,12 +144,3 @@ def execute_plan(
                 raise RestoreError(
                     f"restore plan emitted slot {i} before any read served it"
                 ) from None
-
-
-def scheduler_for(algorithm: "RestoreAlgorithm") -> RestoreScheduler:
-    """The scheduler driving ``algorithm``'s policy on the real path.
-
-    Scheduler-native algorithms (FAA) expose their planner directly;
-    anything else is wrapped in a :class:`SimulatedScheduler`.
-    """
-    return algorithm.scheduler()

@@ -26,7 +26,7 @@ from ..client.remote import RemoteRepository
 from ..cluster.controller import FailoverController, Note, Offer, Probe, Resync, Verify
 from ..cluster.failover import pull_tenant
 from ..cluster.map import ClusterMap
-from ..errors import ClusterError, ReproError, RemoteError
+from ..errors import ClusterError, RepositoryNotFoundError, ReproError
 from ..engine.shared_pool import SharedChunkPool, sweep_orphaned_segments
 from ..observability import EventLogger, MetricsRegistry, get_registry
 from ..replication.session import ReplicationSession, SyncReport
@@ -444,7 +444,7 @@ class BackupDaemon:
         Returns the verdict and the fields its event carries."""
         try:
             handle = self.registry.get(name)
-        except RemoteError:
+        except RepositoryNotFoundError:
             return False, {"error": "no local replica"}
         try:
             async with handle.reading():

@@ -30,7 +30,7 @@ import threading
 from contextlib import asynccontextmanager
 from typing import Dict, List
 
-from ..errors import RemoteError
+from ..errors import RepositoryNotFoundError, ReproError
 from ..observability import MetricsRegistry
 from ..replication.targets import LocalMirror
 from ..repository import LocalRepository
@@ -173,7 +173,7 @@ class RepositoryRegistry:
     # ------------------------------------------------------------------
     def validate_name(self, name: object) -> str:
         if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise RemoteError(
+            raise ReproError(
                 f"invalid repository name {name!r}: use 1-64 of [A-Za-z0-9._-], "
                 "not starting with a dot or dash"
             )
@@ -188,7 +188,7 @@ class RepositoryRegistry:
                 return handle
             repo_root = self.location.child(name)
             if not create and not parse_repo_spec(repo_root).exists():
-                raise RemoteError(f"unknown repository {name!r}")
+                raise RepositoryNotFoundError(f"unknown repository {name!r}")
             handle = self._handles[name] = RepoHandle(
                 name,
                 LocalRepository(

@@ -48,6 +48,7 @@ from ..client.protocol import (
 from ..errors import (
     ProtocolError,
     ReplicationError,
+    RepositoryNotFoundError,
     ReproError,
     RemoteError,
     ServerDrainingError,
@@ -589,7 +590,10 @@ class _Session:
             for repo_name in names:
                 handle = self.daemon.registry.get(repo_name, create=True)
                 async with handle.lock.read_locked():
-                    repos[repo_name] = await asyncio.to_thread(handle.stats)
+                    try:
+                        repos[repo_name] = await asyncio.to_thread(handle.stats)
+                    except RepositoryNotFoundError:
+                        continue  # a handle whose tenant holds nothing yet
             doc: Dict = {"repos": repos, "server": self.daemon.server_stats()}
         else:
             handle = self.daemon.registry.get(name)

@@ -444,7 +444,7 @@ def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
     ):
         root = str(tmp_path / os.path.basename(fixture))
         repo = open_repo(root)
-        repo._open().chunker = FastCDCChunker()
+        repo._open(create=True).chunker = FastCDCChunker()
         for index in range(count):
             data = version(index)
             repo.backup_blocks([data], plan(data), tag=f"v{index + 1}")

@@ -63,6 +63,7 @@ def restored(repo, version_id):
 
 def test_new_repository_cuts_with_seqcdc_and_says_so(tmp_path):
     root = str(tmp_path / "repo")
+    os.makedirs(root)  # an empty repository: stats before the first backup
     repo = open_repo(root)
     assert repo.stats()["chunker"] == SEQCDC  # before the first backup, too
     data = random.Random(3).randbytes(300_000)

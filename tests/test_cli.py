@@ -30,67 +30,6 @@ def read_tree(root):
     return out
 
 
-class TestBackupRestoreCycle:
-    def test_single_version_round_trip(self, tmp_path, source_tree):
-        repo = str(tmp_path / "repo")
-        assert main(["backup", repo, str(source_tree), "--tag", "v1"]) == 0
-        target = str(tmp_path / "out")
-        assert main(["restore", repo, "1", target]) == 0
-        assert read_tree(source_tree) == read_tree(target)
-
-    def test_incremental_backup_deduplicates(self, tmp_path, source_tree, capsys):
-        repo = str(tmp_path / "repo")
-        main(["backup", repo, str(source_tree)])
-        capsys.readouterr()
-        # Small mutation, then back up again.
-        data = bytearray((source_tree / "f1.bin").read_bytes())
-        data[100:110] = b"0123456789"
-        (source_tree / "f1.bin").write_bytes(bytes(data))
-        main(["backup", repo, str(source_tree)])
-        out = capsys.readouterr().out
-        assert "duplicates" in out
-        # Most chunks deduplicated against version 1.
-        duplicates = int(out.split("(")[1].split(" ")[0])
-        assert duplicates > 0
-
-    def test_multi_version_restore_each(self, tmp_path, source_tree):
-        repo = str(tmp_path / "repo")
-        trees = []
-        for k in range(3):
-            trees.append(read_tree(source_tree))
-            main(["backup", repo, str(source_tree)])
-            (source_tree / f"new{k}.bin").write_bytes(bytes([k]) * 5000)
-        for version in (1, 2, 3):
-            target = str(tmp_path / f"out{version}")
-            assert main(["restore", repo, str(version), target]) == 0
-            assert read_tree(target) == trees[version - 1]
-
-    def test_versions_and_stats_commands(self, tmp_path, source_tree, capsys):
-        repo = str(tmp_path / "repo")
-        main(["backup", repo, str(source_tree), "--tag", "nightly"])
-        capsys.readouterr()
-        assert main(["versions", repo]) == 0
-        out = capsys.readouterr().out
-        assert "nightly" in out
-        assert main(["stats", repo]) == 0
-        out = capsys.readouterr().out
-        assert "dedup ratio" in out
-
-    def test_delete_oldest(self, tmp_path, source_tree, capsys):
-        repo = str(tmp_path / "repo")
-        main(["backup", repo, str(source_tree)])
-        (source_tree / "f0.bin").write_bytes(b"changed" * 1000)
-        main(["backup", repo, str(source_tree)])
-        capsys.readouterr()
-        assert main(["delete-oldest", repo]) == 0
-        out = capsys.readouterr().out
-        assert "deleted version 1" in out
-        # Version 2 still restores after the expiry.
-        target = str(tmp_path / "out")
-        assert main(["restore", repo, "2", target]) == 0
-        assert read_tree(target) == read_tree(source_tree)
-
-
 class TestVerifyAndCheckpoint:
     def test_verify_clean_repo(self, tmp_path, source_tree, capsys):
         repo = str(tmp_path / "repo")

@@ -27,7 +27,7 @@ from repro.cluster import (
     newer_map,
 )
 from repro.cluster.rebalance import moved_tenants
-from repro.errors import ClusterError, RemoteError, VersionNotFoundError
+from repro.errors import ClusterError, RemoteError
 from repro.observability import JsonEventLogger
 from repro.repository import read_tree
 from repro.server import DaemonThread
@@ -285,18 +285,6 @@ def test_mutating_ops_never_fail_over(tmp_path):
                 assert len(client.remote(node.address, tenant).versions()) == 1
     finally:
         harness.stop()
-
-
-def test_typed_domain_errors_are_authoritative(tmp_path):
-    with ClusterHarness(str(tmp_path), nodes=2, replicas=2) as cmap:
-        with ClusterClient([n.address for n in cmap.nodes]) as client:
-            entries = make_tree(str(tmp_path / "src"), files=1, size=10_000)
-            repo = client.repo("tenant")
-            repo.backup_tree(entries)
-            # The primary is alive and says "no such version" — the router
-            # must NOT mask that by asking the replica.
-            with pytest.raises(VersionNotFoundError):
-                repo.restore(99)
 
 
 # ----------------------------------------------------------------------

@@ -62,13 +62,6 @@ def mixed_spec(request, tmp_path, s3_server):
 
 
 class TestMixedTierRestore:
-    def test_restore_verify_byte_identical(self, mixed_spec, tmp_path):
-        repo, v1, src1 = backup_twice(mixed_spec, tmp_path)
-        plan, data = repo.restore(v1, verify=True, workers=4)
-        out = str(tmp_path / "out")
-        materialize(plan, data, out)
-        assert_identical(src1, out)
-
     def test_containers_live_on_cold_tier_only(self, mixed_spec, tmp_path):
         backup_twice(mixed_spec, tmp_path)
         hot = str(tmp_path / "hot")
@@ -78,14 +71,6 @@ class TestMixedTierRestore:
         # …but no sealed containers: those are on the archive backend.
         containers_dir = os.path.join(hot, "containers")
         assert not os.path.isdir(containers_dir) or not os.listdir(containers_dir)
-
-    def test_serial_and_prefetched_restores_agree(self, mixed_spec, tmp_path):
-        repo, v1, src1 = backup_twice(mixed_spec, tmp_path)
-        for workers, out_name in ((1, "serial"), (4, "pooled")):
-            plan, data = repo.restore(v1, verify=True, workers=workers)
-            out = str(tmp_path / out_name)
-            materialize(plan, data, out)
-            assert_identical(src1, out)
 
 
 class TestS3RangedRestore:

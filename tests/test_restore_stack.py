@@ -2,16 +2,17 @@
 
 Covers the restore-side pipeline end to end:
 
-* scheduler layer — FAA's native planner and the simulated planner derived
-  from any :class:`RestoreAlgorithm` produce plans whose execution is
-  byte-identical to the algorithm and billed identically;
+* scheduler layer — FAA's planner produces plans whose execution is
+  byte-identical to the algorithm and billed identically, and an engine
+  with another policy is refused by the pipelined path;
 * pipelined engine — parallel restores match serial ones byte for byte
   (local and over the daemon) at every worker/readahead combination;
 * streaming ``materialize`` — bounded memory, ``.part`` + rename, no
   partial files after a mid-stream failure;
 * ``verify`` — corrupted container payloads raise typed errors instead of
   restoring silently-wrong bytes;
-* partial restore — one file out of a snapshot, local and remote;
+* partial restore — fewer container reads than a whole restore, and
+  through the CLI;
 * daemon failure path — a restore that dies mid-stream surfaces a typed
   ERROR frame and leaves the connection pool and target directory clean.
 """
@@ -29,20 +30,12 @@ import pytest
 from repro.chunking.fingerprint import Fingerprinter
 from repro.chunking.stream import BackupStream, Chunk
 from repro.client import RemoteRepository
+from repro.core.hidestore import HiDeStore
 from repro.engine.restore import execute_plan_prefetched, restore_stream
-from repro.errors import ReproError, RestoreError, VersionNotFoundError
+from repro.errors import ReproError, RestoreError
 from repro.pipeline.schemes import build_baseline
 from repro.repository import LocalRepository, materialize, read_tree
-from repro.restore import (
-    ALACCRestore,
-    ChunkCacheRestore,
-    ContainerCacheRestore,
-    FAARestore,
-    FAAScheduler,
-    HotSetRestore,
-    OptimalContainerCacheRestore,
-    execute_plan,
-)
+from repro.restore import FAARestore, FAAScheduler, HotSetRestore, execute_plan
 from repro.restore.scheduler import ContainerRead, PlanSpan
 from repro.server import DaemonThread
 from repro.units import KiB, MiB
@@ -95,14 +88,8 @@ def synthetic_files(seed, count=4, size=40_000):
     return {f"dir{i % 2}/file{i}.bin": rng.randbytes(size) for i in range(count)}
 
 
-ALGORITHMS = [
-    FAARestore,
-    ALACCRestore,
-    ChunkCacheRestore,
-    ContainerCacheRestore,
-    HotSetRestore,
-    OptimalContainerCacheRestore,
-]
+#: The policies the pipelined engine plans.
+PLANNED = [FAARestore]
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +108,7 @@ class TestSchedulerLayer:
             emitted.extend(span.emit)
         assert emitted == list(range(len(entries)))
 
-    @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm_cls", PLANNED)
     def test_plan_execution_matches_algorithm(self, fragmented_system, algorithm_cls):
         system = fragmented_system
         version = system.version_ids()[-1]
@@ -134,7 +121,7 @@ class TestSchedulerLayer:
         ]
         direct_reads = system.io.delta(before).container_reads
 
-        scheduler = system.restore_scheduler(algorithm_cls())
+        scheduler = system.restore_scheduler()
         before = system.io.snapshot()
         planned = [
             bytes(c.data)
@@ -173,7 +160,7 @@ class TestPrefetchedExecution:
         ]
         assert parallel == serial
 
-    @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm_cls", PLANNED)
     def test_parallel_billing_matches_serial(self, fragmented_system, algorithm_cls):
         system = fragmented_system
         version = system.version_ids()[-1]
@@ -181,12 +168,14 @@ class TestPrefetchedExecution:
         list(system.restore_chunks(version, restorer=algorithm_cls()))
         serial_reads = system.io.delta(before).container_reads
         before = system.io.snapshot()
-        list(
-            restore_stream(
-                system, version, restorer=algorithm_cls(), workers=4
-            )
-        )
+        list(restore_stream(system, version, workers=4))
         assert system.io.delta(before).container_reads == serial_reads
+
+    def test_other_policies_are_refused(self):
+        system = HiDeStore(restorer=HotSetRestore())
+        system.backup(payload_stream(1, [b"x" * 2000], 20, tag="v"))
+        with pytest.raises(RestoreError, match="FAA only"):
+            restore_stream(system, 1)
 
     def test_abandoned_stream_shuts_pool_down(self, fragmented_system):
         version = fragmented_system.version_ids()[-1]
@@ -194,10 +183,10 @@ class TestPrefetchedExecution:
         next(stream)
         stream.close()  # no hang, no leaked worker exceptions
 
-    def test_closing_waits_out_the_reads_in_flight(self, fragmented_system):
-        # A daemon drops the tenant's read lock once the stream is closed,
-        # so close() must not return while a reader thread is still reading.
-        system = fragmented_system
+    @staticmethod
+    def _parked(system, **knobs):
+        """A prefetched stream, one run in, whose second read is parked
+        until ``release`` is set."""
         entries = system.resolved_restore_range(system.version_ids()[-1])
         plan = iter([
             PlanSpan(emit=(i,), reads=(ContainerRead(entry.cid, (i,)),))
@@ -212,9 +201,15 @@ class TestPrefetchedExecution:
                 order.append("read")
             return system._read_container(cid)
 
-        stream = execute_plan_prefetched(entries, plan, reader, workers=2)
+        stream = execute_plan_prefetched(entries, plan, reader, **knobs)
         next(stream)
         assert entered.wait(30)
+        return stream, release, order
+
+    def test_closing_waits_out_the_reads_in_flight(self, fragmented_system):
+        # A daemon drops the tenant's read lock once the stream is closed,
+        # so close() must not return while a reader thread is still reading.
+        stream, release, order = self._parked(fragmented_system, workers=2)
         closer = threading.Thread(target=lambda: (stream.close(), order.append("closed")))
         closer.start()
         closer.join(0.2)  # a close that did not wait would have returned by now
@@ -222,6 +217,16 @@ class TestPrefetchedExecution:
         closer.join(30)
         assert not closer.is_alive()
         assert order == ["read", "closed"]
+
+    def test_closing_with_reads_still_queued_returns(self, fragmented_system):
+        # One reader, parked: the reads queued behind it are cancelled by
+        # the close, which must still return.
+        stream, release, _order = self._parked(fragmented_system, workers=1, readahead=4)
+        closer = threading.Thread(target=stream.close, daemon=True)
+        closer.start()
+        release.set()
+        closer.join(30)
+        assert not closer.is_alive()
 
     def test_rejects_bad_knobs(self, fragmented_system):
         version = fragmented_system.version_ids()[-1]
@@ -323,16 +328,6 @@ class TestVerifiedRestore:
 # Partial restore
 # ----------------------------------------------------------------------
 class TestPartialRestore:
-    def test_local_single_file(self, tmp_path):
-        files = synthetic_files(31, count=5, size=30_000)
-        entries = make_tree(str(tmp_path / "src"), files)
-        repo = LocalRepository(str(tmp_path / "repo"))
-        repo.backup_tree(entries, tag="snap")
-        target = files and sorted(files)[2]
-        plan, data = repo.restore(1, file=target)
-        assert plan == [(target, len(files[target]))]
-        assert b"".join(data) == files[target]
-
     def test_partial_reads_fewer_containers(self, tmp_path):
         rng = random.Random(41)
         files = {f"f{i}.bin": rng.randbytes(600_000) for i in range(12)}
@@ -349,26 +344,6 @@ class TestPartialRestore:
         b"".join(full)
         full_reads = store.io.delta(before).container_reads
         assert partial_reads < full_reads
-
-    def test_unknown_file_raises(self, tmp_path):
-        entries = make_tree(str(tmp_path / "src"), synthetic_files(32, count=2))
-        repo = LocalRepository(str(tmp_path / "repo"))
-        repo.backup_tree(entries, tag="snap")
-        with pytest.raises(VersionNotFoundError, match="no file"):
-            repo.restore(1, file="nope.bin")
-
-    def test_remote_single_file(self, tmp_path):
-        files = synthetic_files(33, count=4)
-        entries = make_tree(str(tmp_path / "src"), files)
-        with DaemonThread(str(tmp_path / "served")) as address:
-            with RemoteRepository(address, "alpha") as repo:
-                repo.backup_tree(entries, tag="snap")
-                target = sorted(files)[1]
-                plan, data = repo.restore(
-                    1, file=target, workers=2, verify=True
-                )
-                assert plan == [(target, len(files[target]))]
-                assert b"".join(data) == files[target]
 
     def test_cli_partial_restore(self, tmp_path, capsys):
         from repro.cli import main
