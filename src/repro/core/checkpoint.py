@@ -10,18 +10,22 @@ backups), so a store can be closed and reopened **without** retiring —
 unlike :meth:`HiDeStore.retire`, a checkpointed system resumes with its hot
 set still active and its physical locality intact.
 
-Layout (``hidestore-checkpoint-v4``): a small **head** plus write-once
-binary **parts**.
+Layout (``hidestore-checkpoint-v5``): a small **head**, write-once binary
+**parts**, and the active containers as **container objects**.
 
 * The head (``checkpoint.json``, a few KB of JSON) carries the format tag,
   the counters, the container allocator mark, the §4.5 deletion tags, the
   cumulative report, the repository's chunker as
-  ``{name, min_size, avg_size, max_size}`` and a parts list of
-  ``{name, size, sha256}``.  Writing
-  it is one atomic ``put_meta`` and it is *the* commit record: a part no
-  head names is debris.
-* Each active container is one part — the ``pack_container`` blob the
-  container stores write, under ``checkpoint-active-<cid>-<sha16>.hdsc``.
+  ``{name, min_size, avg_size, max_size}``, a parts list of
+  ``{name, size, sha256}``, the active containers as ``{cid, size,
+  sha256}`` and the ``released`` CIDs.  Writing it is one atomic
+  ``put_meta`` and it is *the* commit record: a part no head names is
+  debris.
+* Each active container is an object of the container store —
+  ``containers/container-<cid>.hdsc``, the name and format every archival
+  container has — written through the store's own write path
+  (``ContainerStore.write(container, active=True)``), so the store keeps
+  it out of its archival listing (``active_ids``).
 * The fingerprint tables are one part — fixed-width
   ``fingerprint | size | cid`` rows (the ``storage/recipe.py`` idiom) under
   ``checkpoint-tables-<sha16>.bin``.
@@ -34,38 +38,57 @@ binary **parts**.
 Part names end in the first 16 hex digits of the part's SHA-256, so a name
 never changes its content and "present with the right size" is the whole
 identity — what lets replication skip a part the way it skips a sealed
-container.
+container.  A container object is write-once too: its CID is never reused.
 
-**Why an active container is written once.**  An active container only
-grows while it is the pool's open container, during the one backup (or
+**Why a container is written once.**  An active container only grows
+while it is the pool's open container, during the one backup (or
 compaction) that allocated it: ``ActiveContainerPool.end_version`` drops
 the open container and ``compact`` always allocates fresh targets.  A
 checkpoint is taken between versions, so by the first checkpoint that
 sees a container it has stopped growing; from then on demotion only
 *shrinks its live set*.  The tables part records that live set (a chunk is
 live in container ``c`` iff a table row points at ``c``), so a stored
-container part stays a valid superset for the container's whole life and
-loading drops the fingerprints no row names.  A save therefore writes only
-the containers allocated since the previous save, the tables when the
+container object stays a valid superset for the container's whole life
+and loading drops the fingerprints no row names.  When demotion would copy
+exactly the chunks of an intact container (one that never lost a chunk)
+into one archival container, it *adopts* that container instead: the
+object already holds exactly those chunks, so it becomes archival under
+the same name and nothing is copied.  An active container that ends any
+other way — drained by demotion, merged by compaction — is *released*:
+the next head no longer names it and lists its CID under ``released``.
+Either way no container is written twice.  A save therefore writes
+only the containers allocated since the previous save, the tables when the
 cache was mutated, and the head; ``delete_oldest`` mutates neither and
 writes the head alone.
 
-Save order: new parts → head → delete the parts the new head no longer
-names.  A crash before the head leaves unnamed parts, after it stale ones;
-both are swept when the repository is next opened *for writing* — a reader
-never judges a part debris, because a replication sync lands a mirror's
-parts ahead of the head that names them.
+Save order: new parts and container objects → head → delete the parts it
+no longer names and the released objects.  A crash before the head leaves
+unnamed parts, container objects past the allocator (orphaned space like
+any other) and, under the ID of a container the old head's pool holds,
+an object no head names: a v4 pool's first save writes below the
+allocator.  After it, stale parts and released objects remain.  Loading
+counts neither kind of ID as archival — the store's ``active_ids`` and
+``released_ids`` — and the next write of a pool container's ID replaces
+what is there.  Unnamed parts and released objects are swept when the
+repository is next opened *for writing* — a reader never judges debris,
+because a replication sync lands a mirror's parts ahead of the head that
+names them — and a released object only because a head names it
+released.  Opening holds every active object to the head's size and
+SHA-256, as it does every part, so ``verify`` need not re-hash them.
 
-Older heads are still read, and the first save writes v4:
-``hidestore-checkpoint-v3`` (the same layout without ``chunker``),
-``hidestore-checkpoint-v2`` (no demotion parts either; its repository's
-recipes were rewritten in place, so their positive rows say where demoted
-chunks went) and ``hidestore-checkpoint-v1`` (one JSON document, base64
-containers).  Every one of them was written by a release that cut with
-paper-config FastCDC, so it loads with that chunker and its next save
-names ``fastcdc``: the repository goes on cutting as it always has.  A
-reader older than v4 refuses a v4 head as "not a … document" rather than
-cutting with a chunker the repository was not cut with.
+Older heads are still read, and the first save writes v5:
+``hidestore-checkpoint-v4`` (each active container a
+``checkpoint-active-<cid>-<sha16>.hdsc`` part; read once, then written as
+objects and the parts unnamed), ``hidestore-checkpoint-v3`` (the same
+layout without ``chunker``), ``hidestore-checkpoint-v2`` (no demotion
+parts either; its repository's recipes were rewritten in place, so their
+positive rows say where demoted chunks went) and
+``hidestore-checkpoint-v1`` (one JSON document, base64 containers).
+v3, v2 and v1 were written by releases that cut with paper-config
+FastCDC, so they load with that chunker and the next save names
+``fastcdc``: the repository goes on cutting as it always has.  A reader
+older than v5 refuses a v5 head as "not a … document" rather than opening
+a repository whose active containers it cannot find.
 """
 
 from __future__ import annotations
@@ -76,18 +99,21 @@ import json
 import os
 import struct
 from collections import Counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chunking import FastCDCChunker, chunker_from_spec, chunker_spec
 from ..errors import ObjectMissingError, ReproError
 from ..storage.backend import FileBackend, StorageBackend
-from ..storage.container_store import ContainerStore, pack_container, unpack_container
+from ..storage.container import Container
+from ..storage.container_store import ContainerStore, decode_container, unpack_container
 from ..storage.recipe import RecipeStore
 from ..units import FINGERPRINT_SIZE
 from .double_cache import CacheEntry
 from .hidestore import HiDeStore
+from .verify import container_name
 
-_FORMAT = "hidestore-checkpoint-v4"
+_FORMAT = "hidestore-checkpoint-v5"
+_FORMAT_V4 = "hidestore-checkpoint-v4"  # active containers as checkpoint parts
 _FORMAT_V3 = "hidestore-checkpoint-v3"  # no chunker: cut with paper-config FastCDC
 _FORMAT_V2 = "hidestore-checkpoint-v2"  # no demotion parts: its recipes were rewritten
 _FORMAT_V1 = "hidestore-checkpoint-v1"
@@ -166,12 +192,16 @@ def _part_ref(stem: str, suffix: str, blob: bytes) -> Dict:
 
 
 class CheckpointDocument:
-    """One save: the head, plus the parts it names that are not stored yet.
+    """One save: the head, plus the parts and objects it names that are not
+    stored yet.
 
     Attributes:
-        head: the JSON-serialisable head.
+        head: the JSON-serialisable head; :meth:`write` adds its ``active``
+            entries once it has stored the new containers.
         new_parts: name -> blob of every named part no earlier save wrote.
         stale_parts: parts the previous head named and this one does not.
+        new_containers: active containers no earlier save wrote.
+        released: CIDs of active objects no pool container needs any more.
     """
 
     def __init__(
@@ -179,45 +209,63 @@ class CheckpointDocument:
         head: Dict,
         new_parts: Dict[str, bytes],
         stale_parts: List[str],
-        on_commit: Callable[[], None],
+        on_commit: Callable[[List[Dict]], None],
+        containers: ContainerStore,
+        active: List[Tuple[Container, Optional[Dict]]],
     ) -> None:
         self.head = head
         self.new_parts = new_parts
         self.stale_parts = stale_parts
         self._on_commit = on_commit
+        self._containers = containers
+        self._active = active
+        self.new_containers = [c for c, ref in active if ref is None]
+        self.released: List[int] = head["released"]
 
-    def write(self, backend: StorageBackend, head_name: str) -> None:
-        """Parts, then the head (the commit), then drop what it unnamed."""
+    def write(self, backend: StorageBackend, head_name: str) -> int:
+        """Parts and container objects, then the head (the commit), then
+        drop what it unnamed; returns the head's size in bytes."""
         for name, blob in self.new_parts.items():
             backend.put_meta(name, blob)
-        backend.put_meta(head_name, json.dumps(self.head).encode("utf-8"))
-        self._on_commit()
-        for name in self.stale_parts:
-            try:
-                backend.delete(name)
-            except ObjectMissingError:
-                pass
-            except Exception:
-                # Committed already: a part left behind is debris the next
-                # writer sweeps, never a reason to fail (and roll back) the save.
-                break
+        active = [
+            ref if ref is not None else self._containers.write(container, active=True)
+            for container, ref in self._active
+        ]
+        self.head["active"] = active
+        blob = json.dumps(self.head).encode("utf-8")
+        backend.put_meta(head_name, blob)
+        self._on_commit(active)
+        try:
+            for cid in self.released:
+                self._containers.release(cid)
+            for name in self.stale_parts:
+                try:
+                    backend.delete(name)
+                except ObjectMissingError:
+                    pass
+        except Exception:
+            # Committed already: what is left behind is debris the next
+            # writer sweeps, never a reason to fail (and roll back) the save.
+            pass
+        return len(blob)
 
 
 def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
-    """The volatile state of ``system`` as a head plus its unwritten parts.
+    """The volatile state of ``system`` as a head plus what it has not stored.
 
     Must be taken between backups (never mid-version).  The archival
     container store and recipe store are *not* captured — persist those
-    with durable stores.  Packs only what no earlier save stored: active
-    containers allocated since, demotion maps recorded since, and the
-    tables if the cache was mutated.
-    The system is told what is stored only when the document is written
-    (:meth:`CheckpointDocument.write`), so a document that is built and
-    dropped costs nothing but its packing.
+    with durable stores.  Packs only what no earlier save stored: demotion
+    maps recorded since, and the tables if the cache was mutated; active
+    containers allocated since are written to the container store by
+    :meth:`CheckpointDocument.write`, which is also when the system is told
+    what is stored — a document that is built and dropped costs nothing
+    but its packing.
     """
     system.run_maintenance()  # queued filter work is not serialised
     cache, pool, chain = system.cache, system.pool, system.chain
-    stored = {ref["name"] for ref in [*pool.persisted.values(), *chain.persisted.values()]}
+    stored = {ref["name"] for ref in chain.persisted.values()}
+    stored.update(pool.legacy_parts)
     if cache.persisted is not None:
         stored.add(cache.persisted["name"])
     new_parts: Dict[str, bytes] = {}
@@ -232,15 +280,11 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
     else:
         tables_ref = cache.persisted
 
-    active_refs: Dict[int, Dict] = {}
-    for container in pool.iter_containers():
-        cid = container.container_id
-        ref = pool.persisted.get(cid)
-        if ref is None:
-            blob = pack_container(container)
-            ref = _part_ref(f"checkpoint-active-{cid:08d}", ".hdsc", blob)
-            new_parts[ref["name"]] = blob
-        active_refs[cid] = ref
+    active = [
+        (container, pool.persisted.get(container.container_id))
+        for container in pool.iter_containers()
+    ]
+    released = sorted(cid for cid in system.containers.active_ids if cid not in pool)
 
     demoted_refs: Dict[int, Dict] = {}
     for version, moved in sorted(chain.demoted.items()):
@@ -251,12 +295,13 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
             new_parts[ref["name"]] = blob
         demoted_refs[version] = ref
 
-    parts = [tables_ref, *active_refs.values(), *demoted_refs.values()]
+    parts = [tables_ref, *demoted_refs.values()]
     named = {ref["name"] for ref in parts}
 
-    def on_commit() -> None:
+    def on_commit(active_refs: List[Dict]) -> None:
         cache.persisted, cache.dirty = tables_ref, False
-        pool.persisted = active_refs
+        pool.persisted = {ref["cid"]: ref for ref in active_refs}
+        pool.legacy_parts = []
         chain.persisted = demoted_refs
 
     head = {
@@ -283,14 +328,17 @@ def checkpoint_document(system: HiDeStore) -> CheckpointDocument:
         "tables": tables_ref["name"],
         "demoted": {str(version): ref["name"] for version, ref in demoted_refs.items()},
         "parts": parts,
+        "released": released,
     }
-    return CheckpointDocument(head, new_parts, sorted(stored - named), on_commit)
+    return CheckpointDocument(
+        head, new_parts, sorted(stored - named), on_commit, system.containers, active
+    )
 
 
 def _check_live_sets(system: HiDeStore, tables: List[Dict[bytes, CacheEntry]]) -> None:
     """Refuse to save a state whose reload would lose a chunk.
 
-    A stored container part is filtered on load to the fingerprints the
+    A stored container object is filtered on load to the fingerprints the
     tables point at it, so every chunk an active container holds must have
     its row (the invariant the write-once argument rests on).
     """
@@ -311,20 +359,23 @@ def save_checkpoint(system: HiDeStore, path: str) -> None:
     checkpoint_document(system).write(backend, os.path.basename(path))
 
 
-def _checked_part(ref: Dict, read_part: Callable[[str], bytes]) -> bytes:
-    """Fetch one named part and hold it to the head's size and SHA-256."""
-    name = ref["name"]
+def _fetched(read: Callable[[], bytes], ref: Dict, what: str) -> bytes:
+    """Fetch one part or object the head names and hold it to the head's
+    size and SHA-256; ``what`` names it in the error."""
     try:
-        blob = read_part(name)
+        blob = read()
     except ObjectMissingError:
-        raise ReproError(f"checkpoint part {name!r} is missing") from None
+        raise ReproError(f"{what} is missing") from None
     if len(blob) != ref["size"]:
-        raise ReproError(
-            f"checkpoint part {name!r} is {len(blob)} bytes, the head says {ref['size']}"
-        )
+        raise ReproError(f"{what} is {len(blob)} bytes, the head says {ref['size']}")
     if hashlib.sha256(blob).hexdigest() != ref["sha256"]:
-        raise ReproError(f"checkpoint part {name!r} does not match the head's sha256")
+        raise ReproError(f"{what} does not match the head's sha256")
     return blob
+
+
+def _checked_part(ref: Dict, read_part: Callable[[str], bytes]) -> bytes:
+    name = ref["name"]
+    return _fetched(lambda: read_part(name), ref, f"checkpoint part {name!r}")
 
 
 def system_from_document(
@@ -336,10 +387,11 @@ def system_from_document(
     """Rebuild a :class:`HiDeStore` from a checkpoint head + its stores.
 
     Args:
-        document: a v4, v3 or v2 head (:attr:`CheckpointDocument.head`)
+        document: a v5, v4, v3 or v2 head (:attr:`CheckpointDocument.head`)
             or a whole v1 document.
-        container_store: the archival store the system was using; defaults
-            to a fresh in-memory store (tests).
+        container_store: the store the system was using (archival and
+            active containers); defaults to a fresh in-memory store, which
+            holds no active container a head can name.
         recipe_store: likewise for recipes.
         read_part: ``name -> bytes`` for the parts a head names.
 
@@ -347,9 +399,9 @@ def system_from_document(
     heads and v1 documents carried until PR 23) are ignored.
     """
     fmt = document.get("format")
-    if fmt not in (_FORMAT, _FORMAT_V3, _FORMAT_V2, _FORMAT_V1):
+    if fmt not in (_FORMAT, _FORMAT_V4, _FORMAT_V3, _FORMAT_V2, _FORMAT_V1):
         raise ReproError(f"not a {_FORMAT} document")
-    if fmt == _FORMAT:
+    if fmt in (_FORMAT, _FORMAT_V4):
         try:
             chunker = chunker_from_spec(document["chunker"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -378,6 +430,12 @@ def system_from_document(
             raise ReproError(f"a {_FORMAT} head needs its parts to load")
         _load_parts(system, document, read_part)
 
+    # Whatever is stored under these IDs is not archival: the pool's
+    # containers (a save that died before its head may have left an object
+    # for one) and those the head released (deleted after it, or swept).
+    system.containers.active_ids.update(system.pool._active)
+    system.containers.released_ids.update(document.get("released", ()))
+
     # Deletion tags.
     for version, cids in document["deletion_tags"].items():
         system.deletion.tag_containers(int(version), list(cids))
@@ -392,8 +450,9 @@ def system_from_document(
 
 
 def _load_parts(system: HiDeStore, head: Dict, read_part: Callable[[str], bytes]) -> None:
-    """Cache tables, active containers, location map, demotion maps (v3) of a head."""
-    cache, pool, chain = system.cache, system.pool, system.chain
+    """Cache tables, demotion maps and active containers (v5: container
+    objects; before: parts) of a head, each checked against it."""
+    cache, pool, chain, store = system.cache, system.pool, system.chain, system.containers
     refs = {ref["name"]: ref for ref in head["parts"]}
     tables_ref = refs.pop(head["tables"], None)
     if tables_ref is None:
@@ -408,27 +467,40 @@ def _load_parts(system: HiDeStore, head: Dict, read_part: Callable[[str], bytes]
     cache.restore_tables(tables)
     cache.persisted, cache.dirty = tables_ref, False
 
+    loaded: List[Tuple[str, Container, Optional[Dict]]] = []
+    for ref in head.get("active", ()):
+        cid = ref["cid"]
+        name = container_name(cid)
+        blob = _fetched(lambda: store.read_object(cid), ref, f"active container object {name!r}")
+        try:
+            loaded.append((name, decode_container(blob, cid, own=True), ref))
+        except ReproError as exc:
+            raise ReproError(f"active container object {name!r} does not decode: {exc}") from exc
+    for name, ref in refs.items():  # pre-v5 heads: the rest are active parts
+        try:
+            loaded.append((name, unpack_container(_checked_part(ref, read_part)), None))
+        except struct.error as exc:
+            raise ReproError(f"checkpoint part {name!r} does not unpack: {exc}") from exc
+        pool.legacy_parts.append(name)
+
     #: cid -> fingerprints some table row places there: the live sets.
     live: Dict[int, set] = {}
     for table in tables:
         for fp, entry in table.items():
             live.setdefault(entry.cid, set()).add(fp)
-    for name, ref in refs.items():
-        try:
-            container = unpack_container(_checked_part(ref, read_part))
-        except struct.error as exc:
-            raise ReproError(f"checkpoint part {name!r} does not unpack: {exc}") from exc
+    for name, container, ref in loaded:
         cid = container.container_id
         keep = live.get(cid, ())
         for fp in container.fingerprints():
             if fp not in keep:
-                container.remove(fp)  # demoted after the part was written
+                container.remove(fp)  # demoted after the object was written
         if container.chunk_count != len(keep):
-            raise ReproError(f"checkpoint part {name!r} lacks chunks the tables place in it")
+            raise ReproError(f"{name!r} lacks chunks the checkpoint tables place in it")
         pool._active[cid] = container
         for fp in container.fingerprints():
             pool.location[fp] = cid
-        pool.persisted[cid] = ref
+        if ref is not None:
+            pool.persisted[cid] = ref
 
 
 def _load_v1_state(system: HiDeStore, document: Dict) -> None:

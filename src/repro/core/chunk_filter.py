@@ -4,9 +4,12 @@ Unique chunks are staged in **active containers**.  After each version the
 cold residue of the fingerprint cache is *demoted*: removed from the active
 containers and written sequentially into sealed **archival containers**
 (tagged with the version whose expiry will free them, enabling §4.5's
-GC-free deletion).  Demotion leaves holes, so sparse active containers —
-utilisation below a threshold — are merged and compacted so the hot set
-stays physically dense (Figure 6).
+GC-free deletion).  Where an archival container would hold exactly the
+chunks of one active container that never lost a chunk, that container is
+*adopted* instead: it turns archival where it stands, with no byte copied
+(the move §5.4 calls offline, done by not moving).  Demotion leaves holes,
+so sparse active containers — utilisation below a threshold — are merged
+and compacted so the hot set stays physically dense (Figure 6).
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from .double_cache import CacheEntry
 class FilterStats:
     """Accounting for the demotion/compaction machinery (Fig. 12 inputs)."""
 
+    #: Cold chunks copied into new archival containers (adopted ones stay put).
     cold_chunks_moved: int = 0
     cold_bytes_moved: int = 0
     archival_containers_written: int = 0
+    containers_adopted: int = 0
     compactions: int = 0
     containers_merged: int = 0
     move_seconds: float = 0.0
@@ -42,7 +47,7 @@ class ActiveContainerPool:
         store: the shared container store; supplies globally unique IDs and
             receives sealed archival containers.  Active containers are held
             here (in memory) until every chunk they hold has been demoted or
-            relocated.
+            relocated; a checkpoint also writes each one to the store once.
         compaction_threshold: utilisation below which an active container is
             considered sparse and eligible for merging (§4.2).
     """
@@ -56,12 +61,15 @@ class ActiveContainerPool:
         self._open: Optional[Container] = None
         #: fp -> active container id, for resolving ACTIVE_CID recipe entries.
         self.location: Dict[bytes, int] = {}
-        #: Checkpoint tracking: cid -> head entry of the part that stores the
-        #: container.  Written once: a container grows only while it is
+        #: Checkpoint tracking: cid -> head entry of the container's object
+        #: in the store.  Written once: a container grows only while it is
         #: ``_open`` or a fresh compaction target, both over by the next
         #: version boundary; after that demotion only shrinks its live set.
         #: Maintained by :mod:`repro.core.checkpoint` alone.
         self.persisted: Dict[int, Dict] = {}
+        #: Parts a pre-v5 head stored active containers in: the first v5
+        #: save writes those containers as objects and unnames the parts.
+        self.legacy_parts: List[str] = []
         self.stats = FilterStats()
 
     # ------------------------------------------------------------------
@@ -100,59 +108,92 @@ class ActiveContainerPool:
     # ------------------------------------------------------------------
     # Demotion: cold chunks -> archival containers
     # ------------------------------------------------------------------
-    def demote(
-        self, cold: Mapping[bytes, CacheEntry], expiry_version: Optional[int] = None
-    ) -> Tuple[Dict[bytes, int], List[int]]:
+    def demote(self, cold: Mapping[bytes, CacheEntry]) -> Tuple[Dict[bytes, int], List[int]]:
         """Move cold chunks from active to archival containers.
 
+        The cold chunks are packed, in ``cold`` order, into archival
+        containers of the store's capacity.  A container that would receive
+        exactly the chunks of one intact active container (see
+        :meth:`adoptable`) is not written: that active container is
+        *adopted* — the store makes it archival where it stands.  Either
+        way every chunk lands in the archival container the copy would have
+        put it in, so the layout (and every restore's container reads) is
+        the same; only the adopted container keeps its own CID.
+
         Args:
-            cold: fingerprint -> cache entry (the T1 residue).
-            expiry_version: version tag recorded on the written archival
-                containers (for §4.5 deletion); purely informational here —
-                the caller's deletion manager keeps the map.
+            cold: fingerprint -> cache entry (the T1 residue); the caller's
+                deletion manager tags what it returns (§4.5).
 
         Returns:
             ``(moved, archival_cids)``: the archival CID per fingerprint, and
-            the list of archival containers written.
+            the archival containers it made (written or adopted), in order.
         """
         started = time.perf_counter()
-        moved: Dict[bytes, int] = {}
-        written: List[int] = []
-        archive: Optional[Container] = None
+        target: Dict[bytes, int] = {}
+        groups: List[List[bytes]] = []  # the archival containers, as cold chunks
+        fill = capacity = self.store.capacity
         for fp, entry in cold.items():
-            container = self._active.get(entry.cid)
-            if container is None:
+            if entry.cid not in self._active:
                 if entry.cid in self.store:
                     # Already archival: a reopened system primed its cache
                     # from a retired recipe.  Nothing to move; just report
                     # the existing location so recipe updates resolve.
-                    moved[fp] = entry.cid
+                    target[fp] = entry.cid
                     continue
                 raise UnknownContainerError(
                     f"cold chunk {fp.hex()[:8]} claims active container {entry.cid}, "
                     "which is not in the pool"
                 )
-            slot = container.remove(fp)
-            self.location.pop(fp, None)
-            chunk = Chunk(fp, slot.size, slot.data)
-            if archive is None or not archive.fits(chunk.size):
-                if archive is not None:
-                    self.store.write(archive)
-                    written.append(archive.container_id)
+            if fill + entry.size > capacity:
+                groups.append([])
+                fill = 0
+            groups[-1].append(fp)
+            fill += entry.size
+        written: List[int] = []
+        active, forget = self._active, self.location.pop
+        for group in groups:
+            container = active[cold[group[0]].cid]
+            if self.adoptable(container, group, cold):
+                if container.container_id in self.persisted:
+                    self.store.adopt(container)  # its object is these chunks
+                else:
+                    self.store.write(container)
+                del active[container.container_id]
+                archive = container
+                self.stats.containers_adopted += 1
+            else:
                 archive = self.store.allocate()
-            archive.add(chunk)
-            moved[fp] = archive.container_id
-            self.stats.cold_chunks_moved += 1
-            self.stats.cold_bytes_moved += chunk.size
-        if archive is not None and not archive.is_empty:
-            self.store.write(archive)
-            written.append(archive.container_id)
-        self.stats.archival_containers_written += len(written)
+                for fp in group:
+                    slot = active[cold[fp].cid].remove(fp)
+                    archive.put(fp, slot.size, slot.data)
+                self.store.write(archive)
+                self.stats.archival_containers_written += 1
+                self.stats.cold_chunks_moved += len(group)
+                self.stats.cold_bytes_moved += archive.used
+            cid = archive.container_id
+            for fp in group:
+                forget(fp, None)
+                target[fp] = cid
+            written.append(cid)
         # Drop active containers that demotion emptied entirely.
-        for cid in [cid for cid, c in self._active.items() if c.is_empty]:
-            del self._active[cid]
+        for cid in [cid for cid, c in active.items() if c.is_empty]:
+            del active[cid]
         self.stats.move_seconds += time.perf_counter() - started
-        return moved, written
+        return target, written
+
+    @staticmethod
+    def adoptable(
+        container: Container, group: List[bytes], cold: Mapping[bytes, CacheEntry]
+    ) -> bool:
+        """Whether ``group`` — one archival container's worth of cold chunks
+        — is exactly ``container``, which never lost a chunk (so its stored
+        object, if a checkpoint wrote one, holds exactly those chunks)."""
+        cid = container.container_id
+        return (
+            container.chunk_count == len(group)
+            and container.used == container.written
+            and all(cold[fp].cid == cid for fp in group)
+        )
 
     # ------------------------------------------------------------------
     # Compaction: merge sparse active containers (Figure 6)

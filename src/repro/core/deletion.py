@@ -116,8 +116,8 @@ class DeletionManager:
         call_stats = DeletionStats()
         self.recipes.delete(version)
         for cid in self._tagged.pop(version, []):
-            container = self.containers.peek(cid)
-            call_stats.bytes_reclaimed += container.used
+            # The entry table says how many bytes go: no payload is decoded.
+            call_stats.bytes_reclaimed += self.containers.used_bytes(cid)
             self.containers.delete(cid)
             call_stats.containers_deleted += 1
         call_stats.versions_deleted = 1

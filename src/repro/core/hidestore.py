@@ -127,8 +127,8 @@ class HiDeStore(RestoreMixin):
         (inline or on a shared pool) with classification.
 
         ``report.containers_written`` counts the archival containers
-        written synchronously by *this* call (demotion/compaction inline) —
-        the per-version delta, matching
+        made synchronously by *this* call (demotion inline: copies written
+        and active containers adopted) — the per-version delta, matching
         :class:`~repro.pipeline.system.BackupSystem`.  Work still queued
         behind ``deferred_maintenance`` is attributed to whichever call
         later drains it.

@@ -54,14 +54,15 @@ def check_container_blob(blob: bytes, expected_id: int, deep: bool = True) -> Op
 
 
 def referenced_container_ids(storage: RepoStorage) -> Set[int]:
-    """Archival container IDs the repository's metadata still points at.
+    """Container IDs the repository's metadata still points at.
 
     Union of positive cids across every retained recipe plus the §4.5
     deletion tags in the checkpoint head (tagged containers must exist for
     the expiry path to reclaim them), less the tags older than every
     retained recipe: those are interrupted expiries the next open
-    finishes.  Chain markers (negative) and the active-pool marker (0)
-    reference no archival file.  Read straight off the recipes and the
+    finishes; plus the active containers the head names (the repository
+    does not open without them).  Chain markers (negative) and the
+    active-pool marker (0) reference no file.  Read straight off the recipes and the
     head — never the checkpoint parts, never the engine — so repair still
     works when the checkpoint does not load.
     """
@@ -72,12 +73,14 @@ def referenced_container_ids(storage: RepoStorage) -> Set[int]:
         referenced.update(e.cid for e in recipes.peek(version_id).entries if e.cid > 0)
     if storage.has_checkpoint():
         try:
-            tags = storage.read_checkpoint_document().get("deletion_tags", {})
+            head = storage.read_checkpoint_document()
+            tags = head.get("deletion_tags", {})
             dying = set(interrupted_expiries(map(int, tags), retained))
             for version, cids in tags.items():
                 if int(version) not in dying:
                     referenced.update(int(cid) for cid in cids)
-        except (ValueError, TypeError, OSError, ReproError):
+            referenced.update(int(ref["cid"]) for ref in head.get("active", ()))
+        except (ValueError, TypeError, KeyError, OSError, ReproError):
             pass  # a damaged checkpoint is verify's problem, not repair's
     return referenced
 

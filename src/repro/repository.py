@@ -145,18 +145,19 @@ def _sweep_debris(storage: RepoStorage, store: HiDeStore) -> None:
     """Delete what no recipe and no head accounts for; for writers only.
 
     Manifests without a recipe (a backup that died before its head, an
-    expiry that died before its manifest delete) and checkpoint parts the
+    expiry that died before its manifest delete), checkpoint parts the
     head does not name (a save that died before its head, stale parts of
     one that died after it, parts a sync landed under a head it never
-    renamed).  Both are invisible to readers, and both are exactly what a
-    sync in flight looks like on a mirror — only the holder of the writer's
-    lock can tell the difference.
+    renamed) and the container objects the head released (a save that died
+    after its head).  All are invisible to readers, and the first two are
+    exactly what a sync in flight looks like on a mirror — only the holder
+    of the writer's lock can tell the difference.
     """
     retained = set(store.recipes.version_ids())
     for vid in storage.manifest_ids():
         if vid not in retained:
             storage.delete_manifest(vid)
-    storage.sweep_checkpoint_parts()
+    storage.sweep_checkpoint_debris()
 
 
 def validate_rel_name(rel: str) -> str:

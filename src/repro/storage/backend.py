@@ -525,9 +525,10 @@ class RepoLocation:
     * ``sqlite:///path/to/repo.db`` — the whole repository in one file;
     * ``s3://host:port/bucket/prefix`` — the whole repository in an
       object store;
-    * any of the above plus ``?archive=URL`` — sealed archival containers
-      go to the ``archive`` backend (the cold tier) while recipes,
-      manifests and the checkpoint stay on the primary (hot) backend.
+    * any of the above plus ``?archive=URL`` — container objects (the
+      archival ones and the active ones a checkpoint names) go to the
+      ``archive`` backend (the cold tier) while recipes, manifests and
+      the checkpoint stay on the primary (hot) backend.
     """
 
     def __init__(self, spec: str) -> None:

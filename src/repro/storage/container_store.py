@@ -18,15 +18,27 @@ Several backends share one interface:
 Container IDs are allocated by the store, strictly increasing from 1.
 ID ``0`` and negative IDs never name containers — HiDeStore's recipes use
 them as "in active containers" / "see recipe R_n" markers.
+
+A store also holds HiDeStore's **active** containers once a checkpoint has
+written them (``write(container, active=True)``): the same object format
+under the same name, so a container is written once whatever its fate.
+Their IDs are :attr:`ContainerStore.active_ids` and are not archival:
+listing, counting and :meth:`~ContainerStore.stored_bytes` skip them.  An
+active container ends either *adopted* — demotion would have copied
+exactly its chunks into one archival container, so it turns archival where
+it is instead (:meth:`~ContainerStore.adopt`) — or *released* — its chunks
+were copied or merged away, so its object goes
+(:meth:`~ContainerStore.release`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import time
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..errors import (
     ObjectMissingError,
@@ -64,6 +76,13 @@ class ContainerStore(ABC):
         self.capacity = capacity
         self.stats = stats if stats is not None else IOStats()
         self._next_id = 1
+        #: IDs of the active pool's containers: not archival, whatever is
+        #: stored under them.  An object under one that no head names (a
+        #: save died before its head) is stale; the next write replaces it.
+        self.active_ids: Set[int] = set()
+        #: IDs a loaded head released, whose objects its writer may not
+        #: have deleted yet: not archival either.
+        self.released_ids: Set[int] = set()
 
     # ------------------------------------------------------------------
     def allocate(self) -> Container:
@@ -84,8 +103,16 @@ class ContainerStore(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def write(self, container: Container) -> None:
-        """Seal and persist a container (bills one container write)."""
+    def write(self, container: Container, active: bool = False) -> Optional[Dict]:
+        """Persist a container (bills one container write).
+
+        Archival (the default): sealed first, then written once.  ``active``:
+        a pool container a checkpoint persists; it stays open (demotion still
+        shrinks its live set), its ID joins :attr:`active_ids` and the return
+        is its head entry ``{cid, size, sha256}`` of the stored object.  One
+        method for both, because every container write is one layer to the
+        instrumentation that wraps it (``benchmarks/waterfall/wf_spans.py``).
+        """
 
     @abstractmethod
     def read(self, container_id: int) -> Container:
@@ -96,18 +123,44 @@ class ContainerStore(ABC):
         """Remove a container (expired-version reclamation)."""
 
     @abstractmethod
-    def __contains__(self, container_id: int) -> bool: ...
+    def __contains__(self, container_id: int) -> bool:
+        """Whether an archival container ``container_id`` is stored."""
 
     @abstractmethod
-    def container_ids(self) -> List[int]: ...
+    def container_ids(self) -> List[int]:
+        """IDs of the archival containers stored (active objects excluded)."""
+
+    @abstractmethod
+    def read_object(self, container_id: int) -> bytes:
+        """An active container's stored object, as written (unbilled);
+        raises :class:`~repro.errors.ObjectMissingError` when absent."""
+
+    def adopt(self, container: Container) -> None:
+        """Make an intact active container whose object a checkpoint wrote
+        archival where it stands: the object holds exactly its chunks, so it
+        is sealed and stops being active, and nothing is written."""
+        container.seal()
+        self.active_ids.discard(container.container_id)
+
+    def release(self, container_id: int) -> None:
+        """Delete the object of an active container no head names any more."""
+        self.active_ids.discard(container_id)
+
+    def is_archival_id(self, container_id: int) -> bool:
+        """Whether an object stored under ``container_id`` is archival."""
+        return container_id not in self.active_ids and container_id not in self.released_ids
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.container_ids())
 
+    def used_bytes(self, container_id: int) -> int:
+        """Live payload bytes of one stored container (unbilled)."""
+        return self.peek(container_id).used
+
     def stored_bytes(self) -> int:
-        """Total live payload bytes across all stored containers (unbilled)."""
-        return sum(self.peek(cid).used for cid in self.container_ids())
+        """Total live payload bytes across all archival containers (unbilled)."""
+        return sum(self.used_bytes(cid) for cid in self.container_ids())
 
     def peek(self, container_id: int) -> Container:
         """Fetch a container *without* billing a read (metrics/test use only)."""
@@ -125,13 +178,38 @@ class MemoryContainerStore(ContainerStore):
     def __init__(self, capacity: int = CONTAINER_SIZE, stats: Optional[IOStats] = None) -> None:
         super().__init__(capacity, stats)
         self._containers: Dict[int, Container] = {}
+        #: Active objects as written: the pool's container keeps shrinking.
+        self._active_blobs: Dict[int, bytes] = {}
 
-    def write(self, container: Container) -> None:
-        if container.container_id in self._containers:
-            raise StorageError(f"container {container.container_id} already stored")
-        container.seal()
-        self._containers[container.container_id] = container
+    def write(self, container: Container, active: bool = False) -> Optional[Dict]:
+        cid = container.container_id
+        if cid in self._containers:
+            raise StorageError(f"container {cid} already stored")
         self.stats.note_container_write(container.used)
+        if active:
+            blob = self._active_blobs[cid] = pack_container(container)
+            self.active_ids.add(cid)
+            return object_ref(cid, blob)
+        container.seal()
+        self._containers[cid] = container
+        self._active_blobs.pop(cid, None)
+        self.active_ids.discard(cid)
+        return None
+
+    def adopt(self, container: Container) -> None:
+        self._containers[container.container_id] = container
+        del self._active_blobs[container.container_id]
+        super().adopt(container)
+
+    def release(self, container_id: int) -> None:
+        self._active_blobs.pop(container_id, None)
+        super().release(container_id)
+
+    def read_object(self, container_id: int) -> bytes:
+        try:
+            return self._active_blobs[container_id]
+        except KeyError:  # an archival one is an object, not a blob, here
+            raise ObjectMissingError(f"no active container object {container_id}") from None
 
     def read(self, container_id: int) -> Container:
         try:
@@ -161,6 +239,14 @@ class MemoryContainerStore(ContainerStore):
 _MAGIC = b"HDSC"
 _HEADER = struct.Struct("<4sIIQ")  # magic, container_id, chunk_count, capacity
 _ENTRY = struct.Struct(f"<{FINGERPRINT_SIZE}sIIB")  # fp, offset, size, has_data
+#: Entries the first ranged read of ``used_bytes`` covers: twice those of a
+#: full container of average (8 KiB) chunks.
+_TABLE_GUESS = 1024
+
+
+def object_ref(container_id: int, blob: bytes) -> Dict:
+    """A checkpoint head's entry for one active container object."""
+    return {"cid": container_id, "size": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 def pack_container(container: Container) -> bytes:
@@ -210,17 +296,19 @@ def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Containe
 _COMPRESSED_MAGIC = b"HDSZ"
 
 
-def decode_container(blob: bytes, expected_id: int) -> Container:
+def decode_container(blob: bytes, expected_id: int, own: bool = False) -> Container:
     """Parse a stored container object, plain or zlib-wrapped.
 
-    Every way a damaged blob can fail to parse — bad magic or ID, a short
-    entry table, a payload region cut short, a broken zlib stream — raises
+    Slot data are views into the blob, unless ``own``: then each is a copy,
+    so a long-lived (active) container pins no blob.  Every way a damaged
+    blob can fail to parse — bad magic or ID, a short entry table, a
+    payload region cut short, a broken zlib stream — raises
     :class:`StorageError`.
     """
     try:
         if blob[:4] == _COMPRESSED_MAGIC:
             blob = zlib.decompress(blob[4:])
-        return unpack_container(memoryview(blob), expected_id=expected_id)
+        return unpack_container(bytes(blob) if own else memoryview(blob), expected_id=expected_id)
     except (ReproError, struct.error, zlib.error, IndexError) as exc:
         raise StorageError(str(exc) or type(exc).__name__) from exc
 
@@ -278,11 +366,15 @@ class BackendContainerStore(ContainerStore):
     def _name(self, container_id: int) -> str:
         return f"{self.prefix}container-{container_id:08d}.hdsc"
 
-    def write(self, container: Container) -> None:
-        name = self._name(container.container_id)
+    def write(self, container: Container, active: bool = False) -> Optional[Dict]:
+        cid = container.container_id
+        name = self._name(cid)
         if self.backend.exists(name):
-            raise StorageError(f"container {container.container_id} already stored")
-        container.seal()
+            if cid not in self.active_ids:
+                raise StorageError(f"container {cid} already stored")
+            self.backend.delete(name)  # stale: no head names it
+        if not active:
+            container.seal()
         started = time.perf_counter()
         blob = pack_container(container)
         if self.compress:
@@ -291,6 +383,21 @@ class BackendContainerStore(ContainerStore):
         self.stats.note_container_write(container.used)
         self.metrics.observe("store.container_write_seconds", time.perf_counter() - started)
         self.metrics.inc("store.container_write_bytes", len(blob))
+        if not active:
+            self.active_ids.discard(cid)
+            return None
+        self.active_ids.add(cid)
+        return object_ref(cid, blob)
+
+    def release(self, container_id: int) -> None:
+        super().release(container_id)
+        try:
+            self.backend.delete(self._name(container_id))
+        except ObjectMissingError:
+            pass
+
+    def read_object(self, container_id: int) -> bytes:
+        return self.backend.get(self._name(container_id))
 
     def read(self, container_id: int) -> Container:
         started = time.perf_counter()
@@ -322,8 +429,28 @@ class BackendContainerStore(ContainerStore):
         except ObjectMissingError:
             raise UnknownContainerError(f"no container {container_id}") from None
 
+    def used_bytes(self, container_id: int) -> int:
+        """Sums the entry table off one ranged read of header and table (a
+        second for a table longer than :data:`_TABLE_GUESS` entries); a
+        compressed (or odd) object takes the whole-blob path."""
+        name = self._name(container_id)
+        try:
+            head = self.backend.get_range(name, 0, _HEADER.size + _TABLE_GUESS * _ENTRY.size)
+        except ObjectMissingError:
+            raise UnknownContainerError(f"no container {container_id}") from None
+        if len(head) < _HEADER.size or head[:4] != _MAGIC:
+            return super().used_bytes(container_id)
+        _magic, cid, count, _capacity = _HEADER.unpack_from(head)
+        table = head[_HEADER.size : _HEADER.size + count * _ENTRY.size]
+        if len(table) < count * _ENTRY.size:
+            rest = count * _ENTRY.size - len(table)
+            table += self.backend.get_range(name, _HEADER.size + len(table), rest)
+        if cid != container_id or len(table) != count * _ENTRY.size:
+            raise StorageError(f"corrupt container object {name}: bad header or entry table")
+        return sum(size for _fp, _offset, size, _has_data in _ENTRY.iter_unpack(table))
+
     def __contains__(self, container_id: int) -> bool:
-        return self.backend.exists(self._name(container_id))
+        return self.is_archival_id(container_id) and self.backend.exists(self._name(container_id))
 
     def container_ids(self) -> List[int]:
         ids = []
@@ -334,7 +461,7 @@ class BackendContainerStore(ContainerStore):
                 stem = short[len("container-") : -len(".hdsc")]
                 # Tolerate foreign names ("container-backup.hdsc", editor
                 # copies): a store open must never crash on a stray name.
-                if stem.isdigit():
+                if stem.isdigit() and self.is_archival_id(int(stem)):
                     ids.append(int(stem))
         return sorted(ids)
 

@@ -97,6 +97,9 @@ def _parse_range(header: str, size: int) -> Optional[Tuple[int, int]]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes: with Nagle's algorithm the
+    # body of a small response waits on the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     store: _Store  # injected by FakeS3Server via subclassing
 
     # -- helpers -------------------------------------------------------

@@ -127,10 +127,20 @@ def unpack_recipe(blob: bytes) -> Recipe:
 
 
 class RecipeStore(ABC):
-    """Versioned recipe repository with read/write accounting."""
+    """Versioned recipe repository with read/write accounting.
 
-    def __init__(self, stats: Optional[IOStats] = None) -> None:
+    ``metrics``, when given, counts the bytes each write stores
+    (``store.recipe_write_bytes``).
+    """
+
+    def __init__(self, stats: Optional[IOStats] = None, metrics=None) -> None:
         self.stats = stats if stats is not None else IOStats()
+        self.metrics = metrics
+
+    def _note_write(self, blob: bytes) -> None:
+        self.stats.note_recipe_write(len(blob))
+        if self.metrics is not None:
+            self.metrics.inc("store.recipe_write_bytes", len(blob))
 
     @abstractmethod
     def write(self, recipe: Recipe) -> None:
@@ -217,8 +227,10 @@ class BackendRecipeStore(RecipeStore):
     immutable ``put``, which refuses an overwrite.
     """
 
-    def __init__(self, backend, stats: Optional[IOStats] = None, prefix: str = "") -> None:
-        super().__init__(stats)
+    def __init__(
+        self, backend, stats: Optional[IOStats] = None, prefix: str = "", metrics=None
+    ) -> None:
+        super().__init__(stats, metrics)
         self.backend = backend
         self.prefix = prefix
 
@@ -228,7 +240,7 @@ class BackendRecipeStore(RecipeStore):
     def write(self, recipe: Recipe) -> None:
         blob = pack_recipe(recipe)
         self.backend.put(self._name(recipe.version_id), blob)
-        self.stats.note_recipe_write(len(blob))
+        self._note_write(blob)
 
     def read(self, version_id: int) -> Recipe:
         recipe = self.peek(version_id)
@@ -269,8 +281,8 @@ class BackendRecipeStore(RecipeStore):
 class FileRecipeStore(RecipeStore):
     """One binary file per recipe under ``root`` (CLI / examples backend)."""
 
-    def __init__(self, root: str, stats: Optional[IOStats] = None) -> None:
-        super().__init__(stats)
+    def __init__(self, root: str, stats: Optional[IOStats] = None, metrics=None) -> None:
+        super().__init__(stats, metrics)
         self.root = root
         os.makedirs(root, exist_ok=True)
 
@@ -290,7 +302,7 @@ class FileRecipeStore(RecipeStore):
         with open(tmp, "wb") as handle:
             handle.write(blob)
         os.replace(tmp, self._path(recipe.version_id))
-        self.stats.note_recipe_write(len(blob))
+        self._note_write(blob)
 
     def read(self, version_id: int) -> Recipe:
         recipe = self.peek(version_id)

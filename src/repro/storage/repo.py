@@ -4,10 +4,14 @@ A repository is four object kinds — containers, recipes, manifests, the
 checkpoint (a head plus its parts) — and :class:`RepoStorage` maps each kind
 onto the storage backends a repo spec names (see :class:`~repro.storage.backend.
 RepoLocation`).  The default mapping puts everything on the primary
-backend; a spec with ``?archive=URL`` sends the **sealed containers** to
+backend; a spec with ``?archive=URL`` sends the **container objects** to
 the archive backend (the cold tier) while the metadata stays on
-the primary (hot) backend — safe precisely because sealed containers are
-immutable (§4.2), so a container object reads identically from any tier.
+the primary (hot) backend — safe precisely because container objects are
+written once (§4.2; an active container's object too), so one reads
+identically from any tier.  The price: the active pool lives on the cold
+tier as well, so every open reads it from there, and on evolving data the
+short-lived active objects are written to and released from the cold
+tier (EXPERIMENTS.md, "Mixed tier").
 
 Plain ``file://`` repositories keep the historical directory layout and
 the historical store classes (:class:`FileContainerStore`,
@@ -28,7 +32,7 @@ import json
 import os
 import re
 import socket
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ObjectMissingError, ReplicationError, ReproError
 from ..observability import MetricsRegistry, get_registry
@@ -72,8 +76,12 @@ _PREFIXES = {
 #: The whole name vocabulary per kind.  Anything else is rejected — these
 #: names arrive over the wire and are joined under the tenant root.  Every
 #: name of a kind starts with the kind's own word, which is what listings
-#: use as their prefix.  Checkpoint parts (:mod:`repro.core.checkpoint`)
-#: end in the first 16 hex digits of their SHA-256.
+#: use as their prefix.  A container object is archival or, while the
+#: checkpoint head names it under ``active``, an active container: one name
+#: for its whole life (:mod:`repro.core.checkpoint`).  Checkpoint parts end
+#: in the first 16 hex digits of their SHA-256; ``checkpoint-active-*``
+#: parts are what a v4 head stored active containers in, read (and
+#: replicated) until that repository's next save.
 _PATTERNS = {
     "container": re.compile(r"^container-(\d{8})\.hdsc$"),
     "recipe": re.compile(r"^recipe-(\d{8})\.hdsr$"),
@@ -187,8 +195,11 @@ class RepoStorage:
 
     def recipe_store(self) -> RecipeStore:
         if self.is_plain_file or self.location.scheme == "file":
-            return FileRecipeStore(os.path.join(self.location.path, "recipes"))
-        return BackendRecipeStore(self.primary(), prefix=_PREFIXES["recipe"])
+            path = os.path.join(self.location.path, "recipes")
+            return FileRecipeStore(path, metrics=self.metrics)
+        return BackendRecipeStore(
+            self.primary(), prefix=_PREFIXES["recipe"], metrics=self.metrics
+        )
 
     # ------------------------------------------------------------------
     # Manifests
@@ -199,7 +210,9 @@ class RepoStorage:
 
     def write_manifest(self, version_id: int, text: str) -> None:
         name = object_name("manifest", self.manifest_name(version_id))
-        self.primary().put_meta(name, text.encode("utf-8"))
+        blob = text.encode("utf-8")
+        self.primary().put_meta(name, blob)
+        self.metrics.inc("store.manifest_write_bytes", len(blob))
 
     def read_manifest(self, version_id: int) -> Optional[str]:
         name = object_name("manifest", self.manifest_name(version_id))
@@ -237,29 +250,44 @@ class RepoStorage:
 
     def write_checkpoint_document(self, document) -> None:
         """Commit one :class:`~repro.core.checkpoint.CheckpointDocument`:
-        its unwritten parts, then the head, then the parts it unnamed."""
-        document.write(self.primary(), CHECKPOINT_NAME)
+        its unwritten parts and container objects, then the head, then what
+        it unnamed."""
+        head_bytes = document.write(self.primary(), CHECKPOINT_NAME)
+        self.metrics.inc("store.checkpoint_head_write_bytes", head_bytes)
+        self.metrics.inc(
+            "store.checkpoint_part_write_bytes", sum(map(len, document.new_parts.values()))
+        )
 
-    def sweep_checkpoint_parts(self) -> int:
-        """Delete checkpoint parts the head does not name; returns how many.
+    def sweep_checkpoint_debris(self) -> int:
+        """Delete checkpoint debris; returns how many objects were judged debris.
 
-        An unnamed part is debris: a save that died before its head, the
-        stale parts of one that died after it, or a sync that landed parts
-        and never renamed the head.  Without a head no part is named; with
-        an unreadable one nothing is judged.  For writers only — a sync in
-        flight has landed parts the head does not name *yet*.
+        Debris is a part the head does not name — a save that died before
+        its head, the stale parts of one that died after it, or a sync that
+        landed parts and never renamed the head — and a container object
+        the head lists as ``released`` that no deletion tag or ``active``
+        entry names (a save that died before deleting it).  Without a head
+        no part is named and nothing is released; with an unreadable one
+        nothing is judged.  For writers only — a sync in flight has landed
+        parts the head does not name *yet*.
         """
         named = {CHECKPOINT_NAME}
+        released: Set[int] = set()
         if self.has_checkpoint():
             try:
                 head = self.read_checkpoint_document()
                 named.update(ref["name"] for ref in head.get("parts", ()))
-            except (ValueError, KeyError, TypeError):
+                released = {int(cid) for cid in head.get("released", ())}
+                released -= {int(ref["cid"]) for ref in head.get("active", ())}
+                for cids in head.get("deletion_tags", {}).values():
+                    released.difference_update(int(cid) for cid in cids)
+            except (ValueError, KeyError, TypeError, AttributeError):
                 return 0
         debris = [name for name in self._names("checkpoint") if name not in named]
         for name in debris:
             self.delete_object("checkpoint", name)
-        return len(debris)
+        for cid in sorted(released):
+            self.delete_container_object(cid)
+        return len(debris) + len(released)
 
     # ------------------------------------------------------------------
     # Replicable-object surface (replication / repair / rollback)
@@ -371,16 +399,21 @@ class RepoStorage:
         backend = self.primary()
         try:
             head = json.loads(backend.get(CHECKPOINT_NAME + STAGED_SUFFIX))
-            parts = [(ref["name"], ref["size"]) for ref in head.get("parts", ())]
+            objects = [("checkpoint", ref["name"], ref["size"]) for ref in head.get("parts", ())]
+            objects += [
+                ("container", f"container-{int(ref['cid']):08d}.hdsc", ref["size"])
+                for ref in head.get("active", ())
+            ]
         except ObjectMissingError:
             return  # renamed already: this commit is a replay
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ReplicationError(f"commit: the staged checkpoint head does not parse: {exc}")
-        for name, size in parts:
-            target = object_name("checkpoint", name)
-            if not backend.exists(target) or backend.size(target) != size:
+        for kind, name, size in objects:
+            target = object_name(kind, name)
+            holder = self._backend_for(kind)
+            if not holder.exists(target) or holder.size(target) != size:
                 raise ReplicationError(
-                    f"commit: the staged checkpoint head names part {name!r}, "
+                    f"commit: the staged checkpoint head names {kind} {name!r}, "
                     "which is not on the mirror; sync again"
                 )
 
@@ -405,6 +438,6 @@ class RepoStorage:
             self.container_backend().sweep_tmp()
 
     def sweep(self) -> None:
-        """Remove crash litter: ``*.tmp`` files and unnamed checkpoint parts."""
+        """Remove crash litter: ``*.tmp`` files and checkpoint debris."""
         self.sweep_tmp()
-        self.sweep_checkpoint_parts()
+        self.sweep_checkpoint_debris()

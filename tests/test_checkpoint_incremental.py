@@ -9,10 +9,12 @@ Five groups, in the order the format is argued in ``core/checkpoint.py``:
 * the v1 reader — a committed v1 repository opens, restores, and is v2
   after its next backup (and the same seed still produces the recipes and
   archival containers the parent commit wrote);
-* damage — a part that disagrees with the head is a typed error that names
-  it, and ``verify`` reports it;
+* damage — a part or active container object that disagrees with the head
+  is a typed error that names it, and ``verify`` reports it;
 * every crash point of the new write order enumerated on ``sqlite://``
-  behind ``FaultInjectingBackend`` — and a restore, which has none;
+  behind ``FaultInjectingBackend`` — a backup that adopts a container, one
+  that releases active containers, a v4 head's first v5 save — and a
+  restore, which has none;
 
 then the replication planner's view of head and parts.
 """
@@ -35,6 +37,8 @@ from repro.core import HiDeStore, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import checkpoint_document, pack_tables, unpack_tables
 from repro.core.double_cache import CacheEntry
 from repro.core.recipe_chain import RecipeChain
+from repro.core.verify import container_name
+from repro.storage.container_store import decode_container
 from repro.errors import ReplicationError, ReproError
 from repro.observability import MetricsRegistry
 from repro.replication.repair import referenced_container_ids
@@ -50,8 +54,10 @@ from repro.storage.repo import CHECKPOINT_NAME, RepoStorage
 from repro.units import KiB
 from repro.storage.recipe import pack_recipe, unpack_recipe
 from tests.conftest import FIXTURE_V2, copy_objects, fixture_v2_bytes
+from tests.test_write_once_containers import FIXTURE_V4, fresh_bytes
 
 FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "repo_v1")
+HEAD_FORMAT = "hidestore-checkpoint-v5"
 
 
 def version_bytes(index):
@@ -228,8 +234,10 @@ def test_a_document_that_is_never_written_marks_nothing_stored(tmp_path):
     system.backup(token_stream(range(0, 60)))
     first = checkpoint_document(system)
     assert first.new_parts and not system.pool.persisted and system.cache.persisted is None
+    assert first.new_containers and not system.containers.active_ids
     second = checkpoint_document(system)  # the first was dropped: pack again
     assert sorted(second.new_parts) == sorted(first.new_parts)
+    assert second.new_containers == first.new_containers
 
 
 def test_a_mid_version_state_is_refused_though_no_boundary_marked_the_tables(tmp_path):
@@ -308,11 +316,18 @@ def test_expiry_writes_the_head_alone_and_an_unchanged_save_nothing_else(tmp_pat
 
     del seen.log[:]
     before = set(named_parts(repo.root))
+    kept = {ref["cid"] for ref in head_of(repo.root)["active"]}
     backup(repo, 4, big_version_bytes)
     after = set(named_parts(repo.root))
     written = [name for op, name in seen.log if op == "put_meta" and is_part(name)]
     assert sorted(written) == sorted(after - before)  # only what is new ...
-    assert before & after  # ... and an old active container was kept as is
+    assert before & after
+    kept &= {ref["cid"] for ref in head_of(repo.root)["active"]}
+    assert kept  # ... and an old active container was kept as is, not rewritten
+    assert not [
+        name for op, name in seen.log
+        if op == "put" and any(name.endswith(container_name(cid)) for cid in kept)
+    ]
     assert any(name.startswith("checkpoint-tables-") for name in written)
     dropped = [name for op, name in seen.log if op == "delete" and is_part(name)]
     assert sorted(dropped) == sorted(before - after)
@@ -351,7 +366,7 @@ def test_head_is_small_and_names_every_part(tmp_path):
     for index in range(3):
         backup(repo, index)
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v4"
+    assert head["format"] == HEAD_FORMAT
     assert os.path.getsize(os.path.join(root, CHECKPOINT_NAME)) < 4096
     assert part_names(root) == named_parts(root)
     for ref in head["parts"]:
@@ -359,6 +374,11 @@ def test_head_is_small_and_names_every_part(tmp_path):
             blob = handle.read()
         assert (len(blob), sha(blob)) == (ref["size"], ref["sha256"])
         assert ref["name"].rsplit(".", 1)[0].endswith(ref["sha256"][:16])
+    assert head["active"] and not any(is_part(n) and "-active-" in n for n in part_names(root))
+    for ref in head["active"]:
+        with open(object_path(root, "container", container_name(ref["cid"])), "rb") as handle:
+            blob = handle.read()
+        assert (len(blob), sha(blob)) == (ref["size"], ref["sha256"])
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +405,7 @@ def test_v1_fixture_opens_restores_and_is_v2_after_the_next_backup(tmp_path):
 
     assert backup(repo, 3)["version_id"] == 4
     head = head_of(root)
-    assert head["format"] == "hidestore-checkpoint-v4"  # the parts layout of v2, and its maps
+    assert head["format"] == HEAD_FORMAT  # the parts layout of v2, its maps, container objects
     assert head["chunker"]["name"] == "fastcdc"  # cut as the release that wrote it
     assert "active_containers" not in head and "cache_tables" not in head
     assert part_names(root) == named_parts(root) != []
@@ -419,7 +439,7 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
     assert repo.backup_blocks([data], plan, tag="v6")["version_id"] == 6
     expected[6] = sha(data)
     assert sorted(head_of(root)["demoted"]) == ["5"]
-    assert head_of(root)["format"] == "hidestore-checkpoint-v4"
+    assert head_of(root)["format"] == HEAD_FORMAT
     assert repo.delete_oldest()["version_id"] == 1
     del expected[1]
     for reopened in (repo, open_repo(root)):
@@ -433,10 +453,13 @@ def test_v2_fixture_with_rewritten_recipes_opens_restores_backs_up_and_expires(t
 def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
     """The fixtures *are* earlier commits' output for their seeds: a
     repository that cuts with FastCDC, as every one of theirs did, writes
-    containers and manifests byte for byte, and each recipe as
-    ``write_fresh`` wrote it before §4.3 rewrote it in place (every row
-    ``0``).  (A new repository cuts with SeqCDC; the head it saves first
-    records whichever chunker the engine carries.)"""
+    manifests byte for byte, each recipe as ``write_fresh`` wrote it before
+    §4.3 rewrote it in place (every row ``0``), and containers that hold the
+    same chunks per deletion-tag version and in the active pool — active
+    containers are container objects now, and an adopted one keeps its CID,
+    so names may differ — every one of which decodes.  (A new repository
+    cuts with SeqCDC; the head it saves first records whichever chunker the
+    engine carries.)"""
     v2_plan = lambda data: [("a.bin", 20 * KiB), ("b.bin", len(data) - 20 * KiB)]  # noqa: E731
     for fixture, count, version, plan in (
         (FIXTURE_V1, 3, version_bytes, lambda data: [("data.bin", len(data))]),
@@ -448,13 +471,37 @@ def test_same_seed_still_writes_the_parents_recipes_and_containers(tmp_path):
         for index in range(count):
             data = version(index)
             repo.backup_blocks([data], plan(data), tag=f"v{index + 1}")
-        for kind in ("containers", "recipes", "manifests"):
+        for kind in ("recipes", "manifests"):
             names = sorted(os.listdir(os.path.join(fixture, kind)))
             assert sorted(os.listdir(os.path.join(root, kind))) == names
             for name in names:
                 with open(os.path.join(fixture, kind, name), "rb") as want:
                     with open(os.path.join(root, kind, name), "rb") as got:
                         assert got.read() == fresh_form(want.read(), kind), f"{kind}/{name}"
+        reference = str(tmp_path / f"{os.path.basename(fixture)}-as-stored")
+        shutil.copytree(fixture, reference)
+        assert stored_chunks(root) == stored_chunks(reference)
+        for name in os.listdir(os.path.join(root, "containers")):
+            with open(os.path.join(root, "containers", name), "rb") as handle:
+                decode_container(handle.read(), int(name[len("container-") : -len(".hdsc")]))
+
+
+def stored_chunks(root):
+    """``(fingerprint, size, payload)`` rows per deletion-tag version's
+    archival containers, and of the active pool."""
+    engine = open_repo(root)._open()
+
+    def rows(containers):
+        return sorted(
+            (fp, slot.size, bytes(slot.data)) for c in containers for fp, slot in c.items()
+        )
+
+    chunks = {
+        version: rows(map(engine.containers.peek, engine.deletion.containers_for(version)))
+        for version in engine.deletion.tagged_versions()
+    }
+    chunks["active"] = rows(engine.pool.iter_containers())
+    return chunks
 
 
 def fresh_form(blob, kind):
@@ -489,12 +536,17 @@ def flip_middle(blob):
 def test_a_part_that_disagrees_with_the_head_fails_the_open_by_name(
     tmp_path, which, damage, complaint
 ):
+    """``active``: the active container object the head names."""
     root = str(tmp_path / "repo")
     repo = open_repo(root)
     for index in range(3):
         backup(repo, index)
-    name = next(n for n in named_parts(root) if n.startswith(f"checkpoint-{which}-"))
-    path = object_path(root, "checkpoint", name)
+    if which == "active":
+        name = container_name(head_of(root)["active"][0]["cid"])
+        path = object_path(root, "container", name)
+    else:
+        name = next(n for n in named_parts(root) if n.startswith(f"checkpoint-{which}-"))
+        path = object_path(root, "checkpoint", name)
     if damage is None:
         os.remove(path)
     else:
@@ -529,6 +581,12 @@ def build_v1(db):
     return load_expected()
 
 
+def build_v4(db):
+    copy_objects(FIXTURE_V4, f"sqlite://{db}")
+    with open(os.path.join(FIXTURE_V4, "expected.json"), encoding="utf-8") as handle:
+        return {int(version): digest for version, digest in json.load(handle).items()}
+
+
 RESTORE = "restore"
 
 SCENARIOS = {
@@ -541,21 +599,57 @@ SCENARIOS = {
     ),
     "delete_oldest": (build_v2, lambda repo: repo.delete_oldest(), {}),
     "v1 to v2 upgrade save": (build_v1, lambda repo: backup(repo, 3), {4: sha(version_bytes(3))}),
+    # Demotion adopts version 4's container: nothing is copied, and the
+    # save only writes the new active container and the head.
+    "fresh backup adopting a container": (
+        lambda db: build_v2(db, fresh_bytes),
+        lambda repo: backup(repo, 4, fresh_bytes),
+        {5: sha(fresh_bytes(4))},
+    ),
+    # Compaction merges the active containers the head named: the save
+    # releases them, deleting their objects after the head.
+    "incremental backup releasing active containers": (
+        lambda db: build_v2(db, fixture_v2_bytes, count=3),
+        lambda repo: backup(repo, 3, fixture_v2_bytes),
+        {4: sha(fixture_v2_bytes(3))},
+    ),
+    # Version 4 again: the v4 part's container stays active, so the save
+    # writes it as a container object below the allocator mark.
+    "v4 to v5 first save": (
+        build_v4, lambda repo: backup(repo, 3, fixture_v2_bytes), {5: sha(fixture_v2_bytes(3))}
+    ),
     # Six backups nobody restored leave R_1..R_4 chained: a fresh engine
     # restoring version 1 resolves them and records no mutation to kill.
     RESTORE: (lambda db: build_v2(db, count=6), lambda repo: restored_sha(repo, 1), {}),
 }
 
 
+#: What ``check_recovered`` backs up; by default fresh bytes, which drain the
+#: active pool.  The v4 container must stay active across two backups: the
+#: first writes it as an object — again, where a dead save already had.
+RECOVERY = {"v4 to v5 first save": [fixture_v2_bytes(3), fixture_v2_bytes(3)]}
+ANY_RECOVERY = [random.Random(4242).randbytes(40 * 1024)]
+
+
+def accounting(repo):
+    stats = repo.stats()
+    keys = ("versions", "logical_bytes", "stored_bytes", "containers_archival", "containers_active")
+    return {key: stats[key] for key in keys}
+
+
 def stored_recipes(repo, versions):
     return {v: repo.storage.read_object("recipe", f"recipe-{v:08d}.hdsr") for v in versions}
 
 
-def check_recovered(spec, digests, next_version_before, written):
+def check_recovered(spec, digests, next_version_before, written, recovery, committed=None):
     """Everything a reopened repository must satisfy, whatever killed the
     process that last wrote to it.  ``written``: version -> the recipe bytes
-    first stored for it, which no later write may change."""
+    first stored for it, which no later write may change; ``recovery``: the
+    versions backed up after it; ``committed``: the accounting of the run
+    nothing killed, which a death after its head must not change."""
     repo = open_repo(spec)
+    if committed is not None:  # a reader's open, before any writer swept
+        assert accounting(repo) == committed
     listed = [v["version_id"] for v in repo.versions()]  # the open succeeds
     assert stored_recipes(repo, listed) == {v: written[v] for v in listed}
     engine = repo._open()
@@ -572,19 +666,26 @@ def check_recovered(spec, digests, next_version_before, written):
             assert cid in engine.containers, f"tagged container {cid} is gone"
     assert set(repo.storage.manifest_ids()) >= set(listed)
     debris = set(part_names(spec)) - {ref["name"] for ref in head_of(spec).get("parts", ())}
+    pending = set(head_of(spec).get("released", ()))
     report = repo.verify(deep=True)
     assert report["ok"], report["issues"]
     # Reading judged no part: only a writer can know no sync is mid-flight.
     assert debris <= set(part_names(spec))
-    # And it is not merely consistent but alive: the next backup commits,
+    # And it is not merely consistent but alive: the next backups commit,
     # and no unnamed part survives that writer's open.
-    data = random.Random(4242).randbytes(40 * 1024)
-    new = repo.backup_blocks([data], [("data.bin", len(data))])["version_id"]
-    assert new == engine._next_version - 1 and restored_sha(repo, new) == sha(data)
-    assert head_of(spec)["format"] == "hidestore-checkpoint-v4"
+    new = []
+    for data in recovery:
+        new.append(repo.backup_blocks([data], [("data.bin", len(data))])["version_id"])
+        assert restored_sha(repo, new[-1]) == sha(data)
+    assert new == list(range(engine._next_version - len(recovery), engine._next_version))
+    head = head_of(spec)
+    assert head["format"] == HEAD_FORMAT
     assert part_names(spec) == named_parts(spec)
-    assert sorted(repo.storage.manifest_ids()) == [*listed, new]
-    assert stored_recipes(repo, [*listed, new]) == {v: written[v] for v in [*listed, new]}
+    # No object a head released survives: not the ones this save released
+    # (deleted after its head), not a dead writer's (swept at this open).
+    assert not (pending | set(head["released"])) & set(repo.storage.container_object_ids())
+    assert sorted(repo.storage.manifest_ids()) == [*listed, *new]
+    assert stored_recipes(repo, [*listed, *new]) == {v: written[v] for v in [*listed, *new]}
     assert open_repo(spec).verify(deep=True)["ok"]
     repo.storage.close()
 
@@ -613,7 +714,7 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     pristine_repo = open_repo(f"sqlite://{pristine}")
     stored = stored_recipes(pristine_repo, [v["version_id"] for v in pristine_repo.versions()])
     pristine_repo.storage.close()
-    if scenario != "v1 to v2 upgrade save":  # the fixture's recipes predate this code
+    if not scenario.startswith("v"):  # a fixture's recipes predate this code
         assert stored == {v: fresh_recipes[v] for v in stored}
     written = fresh_recipes
     written.update(stored)
@@ -636,26 +737,48 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
             repo.storage.close()
         return spec, seen.log
 
-    _, recorded = attempt()
+    clean, recorded = attempt()
     if scenario == RESTORE:  # a reader writes nothing: there is no point to die at
         assert recorded == []
     else:
         assert ("put_meta", CHECKPOINT_NAME) in recorded
+    after_head = recorded[recorded.index(("put_meta", CHECKPOINT_NAME)) + 1 :] if recorded else []
+    released = [n for op, n in after_head if op == "delete" and n.startswith("containers/")]
+    if scenario == "incremental backup releasing active containers":
+        assert released
+    if scenario == "fresh backup adopting a container":
+        # The only containers written are the new version's, by the save.
+        new_head = head_of(attempt()[0])
+        adopted = [ref["cid"] for ref in head_of(f"sqlite://{pristine}")["active"]]
+        assert new_head["deletion_tags"]["4"] == adopted
+        assert [n for op, n in recorded if op == "put" and n.startswith("containers/")] == [
+            "containers/" + container_name(ref["cid"]) for ref in new_head["active"]
+        ]
+    recovery = RECOVERY.get(scenario, ANY_RECOVERY)
+    head_at = len(recorded) - len(after_head)  # the first death after the head
+    probe = open_repo(clean)
+    committed = accounting(probe)
+    probe.storage.close()
     points = 0
     for done in range(len(recorded)):  # dies before mutation ``done`` (0-based)
         spec, log = attempt(crash_after=done)
         assert log == recorded[:done], "the run is not deterministic"
-        check_recovered(spec, digests, next_version_before, written)
+        check_recovered(
+            spec, digests, next_version_before, written, recovery,
+            committed if recorded and done >= head_at else None,
+        )
         points += 1
     for done, (op, name) in enumerate(recorded):  # dies tearing a part write
         if op == "put_meta" and is_part(name):
             spec, log = attempt(crash_after=done + 1, torn=name)
             assert log == recorded[: done + 1]
             assert name in part_names(spec)  # the torn blob did land
-            check_recovered(spec, digests, next_version_before, written)
+            check_recovered(spec, digests, next_version_before, written, recovery)
             points += 1
     spec, _ = attempt()  # and the run nothing killed
-    check_recovered(spec, digests, next_version_before, written)
+    check_recovered(spec, digests, next_version_before, written, recovery, committed)
+    if scenario in RECOVERY:  # the v4 container did stay active throughout
+        assert 10 in [ref["cid"] for ref in head_of(spec)["active"]]
     record_property("crash_points", points)
     print(f"{scenario}: {points} crash points over {len(recorded)} mutations, all recovered")
     assert points >= len(recorded) + (1 if scenario not in ("delete_oldest", RESTORE) else 0)

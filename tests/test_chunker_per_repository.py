@@ -106,8 +106,9 @@ def test_head_formats_and_the_chunker_they_load():
     def loaded(head):
         return chunker_spec(system_from_document(head, read_part=read_part).chunker)
 
-    assert head["format"] == "hidestore-checkpoint-v4" and head["chunker"] == SEQCDC
+    assert head["format"] == "hidestore-checkpoint-v5" and head["chunker"] == SEQCDC
     assert loaded(head) == SEQCDC
+    assert loaded(dict(head, format="hidestore-checkpoint-v4")) == SEQCDC
     assert loaded(dict(head, chunker=FASTCDC)) == FASTCDC
     older = {key: value for key, value in head.items() if key != "chunker"}
     assert loaded(dict(older, format="hidestore-checkpoint-v3")) == FASTCDC

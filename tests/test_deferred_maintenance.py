@@ -82,7 +82,7 @@ class TestAutomaticDraining:
         save_checkpoint(system, path)
         assert system.pending_maintenance == 0
         # The flag itself survives the round trip.
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, system.containers, system.recipes)
         assert loaded.deferred_maintenance is True
 
 

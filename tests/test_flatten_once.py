@@ -78,13 +78,15 @@ def index_builds(repo):
 # ----------------------------------------------------------------------
 # Algorithm 1 offline
 # ----------------------------------------------------------------------
-def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it():
+def test_a_head_that_still_says_flatten_every_loads_and_the_next_drops_it(tmp_path):
     from repro.core.checkpoint import checkpoint_document, system_from_document
+    from repro.storage.backend import FileBackend
 
     system = HiDeStore(container_size=8 * KiB)
     for version in range(1, 4):
         system.backup(stream(version))
     saved = checkpoint_document(system)
+    saved.write(FileBackend(str(tmp_path)), "ckpt.json")  # active containers go to the store
     assert "flatten_every" not in saved.head
     loaded = system_from_document(
         dict(saved.head, flatten_every=2),  # what a PR 22 repository holds

@@ -121,17 +121,9 @@ class TestCheckpointProperties:
                 first.backup(stream)
             path = os.path.join(root, "ckpt.json")
             save_checkpoint(first, path)
-            resumed = load_checkpoint(path)
-            # In-memory stores are not shared, so re-point the resumed
-            # system at the original's stores (the documented contract).
-            resumed.containers = first.containers
-            resumed.containers.stats = resumed.io
-            resumed.recipes = first.recipes
-            resumed.recipes.stats = resumed.io
-            resumed.pool.store = first.containers
-            resumed.chain.recipes = first.recipes
-            resumed.deletion.containers = first.containers
-            resumed.deletion.recipes = first.recipes
+            # In-memory stores are not shared: the resumed system gets the
+            # original's, which hold its archival and active containers.
+            resumed = load_checkpoint(path, first.containers, first.recipes)
             for stream in streams[cut:]:
                 resumed.backup(stream)
 

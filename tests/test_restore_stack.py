@@ -20,6 +20,7 @@ Covers the restore-side pipeline end to end:
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import threading
@@ -81,6 +82,18 @@ def make_tree(base, files):
 
 def tree_bytes(base):
     return {rel: open(path, "rb").read() for rel, path in read_tree(base)}
+
+
+def archival_files(repo_dir):
+    """The archival container files of a repository directory, sorted: not
+    the active container objects its checkpoint head names (those the open
+    checks against the head before any restore)."""
+    with open(os.path.join(str(repo_dir), "checkpoint.json"), encoding="utf-8") as handle:
+        active = {ref["cid"] for ref in json.load(handle)["active"]}
+    return [
+        path for path in sorted((repo_dir / "containers").glob("container-*.hdsc"))
+        if int(path.stem.split("-")[1]) not in active
+    ]
 
 
 def synthetic_files(seed, count=4, size=40_000):
@@ -296,8 +309,7 @@ class TestVerifiedRestore:
         keep = sorted(files)[0]
         survivor = make_tree(str(tmp_path / "src2"), {keep: files[keep]})
         repo.backup_tree(survivor, tag="two")
-        containers = tmp_path / "repo" / "containers"
-        victims = sorted(containers.glob("container-*.hdsc"))
+        victims = archival_files(tmp_path / "repo")
         assert victims, "expected archival containers after the demotion"
         for victim in victims:
             # Payloads sit at the end of the file; flipping the final byte
@@ -394,8 +406,7 @@ class TestDaemonRestorePath:
                     str(tmp_path / "src2"), {"f0.bin": files["f0.bin"]}
                 )
                 repo.backup_tree(survivor, tag="two")
-                containers = tmp_path / "served" / "alpha" / "containers"
-                victims = sorted(containers.glob("container-*.hdsc"))
+                victims = archival_files(tmp_path / "served" / "alpha")
                 assert len(victims) >= 2, "need multiple containers mid-stream"
                 victims[-1].unlink()  # the engine dies after streaming some data
                 plan, data = repo.restore(1, workers=4)
