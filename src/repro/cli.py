@@ -378,7 +378,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.root,
         host=host,
         port=port,
-        window=args.window,
         history_depth=args.history_depth,
         compress=args.compress,
         drain_timeout=args.drain_timeout,
@@ -896,8 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "The old directory-only '--root DIR' phrasing is "
                         "deprecated — bare paths keep working as an "
                         "implicit file:// root")
-    p.add_argument("--window", type=_positive_int, default=64,
-                   help="ingest credit window (CHUNK_DATA frames in flight)")
     p.add_argument("--history-depth", type=int, default=1)
     p.add_argument("--compress", action="store_true",
                    help="zlib-compress container files of new repositories")

@@ -13,10 +13,8 @@ Frame layout (little-endian)::
 
 Control frames carry a UTF-8 JSON object; ``CHUNK_DATA`` frames carry raw
 backup bytes.  A conversation opens with ``HELLO``/``HELLO_OK`` version
-negotiation; ingest streams ``BACKUP_BEGIN`` → ``CHUNK_DATA``\\ * →
-``BACKUP_END`` under a credit window (the receiver grants ``CREDIT``
-frames; the sender may have at most *window* unacknowledged data frames in
-flight — bounded memory on the server, backpressure on the client);
+negotiation.  Ingest answers ``BACKUP_BEGIN`` with ``BACKUP_READY``, then
+reads ``CHUNK_DATA``\\ * → ``BACKUP_END`` and replies ``BACKUP_DONE``;
 restores stream ``RESTORE_META`` → ``CHUNK_DATA``\\ * → ``RESTORE_END``.
 Replication ships repository objects to a mirror daemon
 (``REPLICATE_STATE`` / ``REPLICATE_PUT`` / ``REPLICATE_COMMIT``) and reads
@@ -28,6 +26,16 @@ ring successors) and ``TENANT_DROP`` (rebalance cleanup).
 Failures travel as ``ERROR`` frames carrying the :class:`ReproError`
 taxonomy by class name, so the client re-raises the exact exception type
 the server hit (:func:`repro.errors.error_by_name`).
+
+One flow-control rule covers every ``CHUNK_DATA`` stream (backup, restore,
+``REPLICATE_PUT``): TCP's window.  A receiver reads a frame when it can use
+one, so a sender that outruns it blocks in ``send``; no frame acknowledges
+data.  On the daemon one engine thread owns the connection for the length
+of a backup or restore stream, reading a backup's frames as the chunker
+asks for bytes and writing a restore's as they fill, so a stream holds one
+frame of server memory.  Between ``BACKUP_BEGIN`` and ``BACKUP_DONE`` or
+``ERROR`` the daemon sends exactly one frame, ``BACKUP_READY``, and a
+client sends no data before it arrives.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..errors import ProtocolError, ReproError, error_by_name
 
 #: Bump when the frame vocabulary changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Handshake magic carried inside HELLO (guards against foreign clients).
 MAGIC = "HDSP"
@@ -48,11 +56,8 @@ MAGIC = "HDSP"
 #: Hard ceiling on a single frame's payload (wire-sanity guard).
 MAX_PAYLOAD = 32 * 1024 * 1024
 
-#: Default credit window: data frames in flight before an ack is required.
-DEFAULT_WINDOW = 64
-
 #: Preferred payload size for CHUNK_DATA frames on ingest and replication
-#: (streaming granularity; the credit window counts these).
+#: (streaming granularity: a backup's daemon holds one such frame at a time).
 DATA_BLOCK = 256 * 1024
 
 #: CHUNK_DATA payload of every restore frame but a stream's last: the daemon
@@ -73,7 +78,7 @@ class FrameType(IntEnum):
     CHUNK_DATA = 4
     BACKUP_END = 5
     BACKUP_DONE = 6
-    CREDIT = 7
+    BACKUP_READY = 7
     RESTORE_BEGIN = 8
     RESTORE_META = 9
     RESTORE_END = 10

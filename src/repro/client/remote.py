@@ -238,8 +238,8 @@ class Connection:
         """Pull any bytes already sitting in the kernel buffer, without blocking.
 
         Makes :meth:`has_buffered` authoritative before pool reuse: a stale
-        frame the server wrote after our last read (e.g. a late CREDIT)
-        becomes visible instead of poisoning the next request.
+        frame the server wrote after our last read becomes visible instead
+        of poisoning the next request.
         """
         try:
             self._sock.settimeout(0.0)
@@ -292,8 +292,8 @@ class ConnectionPool:
                 if not self._idle:
                     break
                 conn = self._idle.pop()
-            # Drain-verify before reuse: a connection carrying leftover
-            # frames (stale CREDIT after BACKUP_DONE) would answer the next
+            # Drain-verify before reuse: a connection carrying a leftover
+            # frame (anything after a request's reply) would answer the next
             # request with the wrong frame.  Discard, never repair.
             conn.sweep()
             if conn.broken or conn.has_buffered():
@@ -351,7 +351,7 @@ class RemoteRepository(Repository):
             absorb unbounded client retry spend.
         pool_size: idle connections kept for reuse.
         event_log: structured event sink for client-side spans (connect,
-            credit stalls, retries); defaults to the no-op logger.
+            requests, retries); defaults to the no-op logger.
         metrics: registry for client-side latency histograms (defaults to
             the process registry).
         pool: an externally owned :class:`ConnectionPool` to use instead
@@ -455,12 +455,7 @@ class RemoteRepository(Repository):
         started = time.perf_counter()
         try:
             conn.send(encode_json(ftype, dict(obj, trace=trace)))
-            reply_type, payload = conn.recv_frame()
-            if reply_type == FrameType.ERROR:
-                raise_remote_error(payload)
-            if reply_type != expect:
-                raise ProtocolError(f"expected {expect.name}, got {reply_type.name}")
-            reply = decode_json(payload)
+            reply = decode_json(self._expect(conn, expect))
         except BaseException as exc:
             conn.close()
             self.events.log(
@@ -488,7 +483,13 @@ class RemoteRepository(Repository):
     # Backup (mutating — never retried)
     # ------------------------------------------------------------------
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
-        """Stream one version's bytes under the server's credit window."""
+        """Stream one version's bytes once the daemon says ``BACKUP_READY``.
+
+        The daemon reads a frame when its engine wants one, so a fast
+        source blocks in ``send`` on a full TCP window — the only flow
+        control there is.  A send that fails mid-stream reads the typed
+        ``ERROR`` the daemon wrote before it hung up.
+        """
         conn = self.pool.acquire()
         trace = conn.next_trace()
         self.events.log(
@@ -503,29 +504,17 @@ class RemoteRepository(Repository):
                 "trace": trace,
             }
             conn.send(encode_json(FrameType.BACKUP_BEGIN, begin))
-            credits = 0
-            for block in iter_data_blocks(iter(blocks)):
-                while credits <= 0:
-                    credits += self._await_credit(conn, trace)
-                try:
+            self._expect(conn, FrameType.BACKUP_READY)
+            try:
+                for block in iter_data_blocks(iter(blocks)):
                     conn.send_parts(frame_parts(FrameType.CHUNK_DATA, block))
-                except OSError as exc:
-                    error = conn.pending_error()
-                    if error is not None:
-                        raise_remote_error(error)
-                    raise RemoteError(f"connection lost mid-backup: {exc}") from exc
-                credits -= 1
-            conn.send(encode_frame(FrameType.BACKUP_END))
-            while True:
-                ftype, payload = conn.recv_frame()
-                if ftype == FrameType.CREDIT:
-                    continue
-                if ftype == FrameType.ERROR:
-                    raise_remote_error(payload)
-                if ftype != FrameType.BACKUP_DONE:
-                    raise ProtocolError(f"expected BACKUP_DONE, got {ftype.name}")
-                report = decode_json(payload)
-                break
+                conn.send(encode_frame(FrameType.BACKUP_END))
+            except OSError as exc:
+                error = conn.pending_error()
+                if error is not None:
+                    raise_remote_error(error)
+                raise RemoteError(f"connection lost mid-backup: {exc}") from exc
+            report = decode_json(self._expect(conn, FrameType.BACKUP_DONE))
         except BaseException as exc:
             conn.close()
             self.events.log(
@@ -549,26 +538,15 @@ class RemoteRepository(Repository):
         )
         return report
 
-    def _await_credit(self, conn: Connection, trace: str) -> int:
-        started = time.perf_counter()
+    @staticmethod
+    def _expect(conn: Connection, expect: FrameType) -> bytes:
+        """The next frame's payload; an ERROR re-raises its type."""
         ftype, payload = conn.recv_frame()
-        stalled = time.perf_counter() - started
-        self.metrics.observe("client.credit_stall_seconds", stalled)
-        if stalled >= 0.001:  # only log stalls worth reading about
-            self.events.log(
-                "client_credit_stall",
-                trace=trace,
-                repo=self.repo,
-                duration_ms=round(stalled * 1000, 3),
-            )
         if ftype == FrameType.ERROR:
             raise_remote_error(payload)
-        if ftype != FrameType.CREDIT:
-            raise ProtocolError(f"expected CREDIT, got {ftype.name}")
-        frames = decode_json(payload).get("frames", 0)
-        if not isinstance(frames, int) or frames <= 0:
-            raise ProtocolError("CREDIT must grant a positive frame count")
-        return frames
+        if ftype != expect:
+            raise ProtocolError(f"expected {expect.name}, got {ftype.name}")
+        return payload
 
     # ------------------------------------------------------------------
     # Restore (idempotent to open; streaming once opened)
@@ -611,12 +589,7 @@ class RemoteRepository(Repository):
                 request["file"] = file
             try:
                 conn.send(encode_json(FrameType.RESTORE_BEGIN, request))
-                ftype, payload = conn.recv_frame()
-                if ftype == FrameType.ERROR:
-                    raise_remote_error(payload)
-                if ftype != FrameType.RESTORE_META:
-                    raise ProtocolError(f"expected RESTORE_META, got {ftype.name}")
-                return conn, trace, decode_json(payload)
+                return conn, trace, decode_json(self._expect(conn, FrameType.RESTORE_META))
             except BaseException:
                 conn.close()
                 self.pool.release(conn)
@@ -824,12 +797,7 @@ class RemoteRepository(Repository):
                         if error is not None:
                             raise_remote_error(error)
                         raise RemoteError(f"connection lost mid-put: {exc}") from exc
-                ftype, payload = conn.recv_frame()
-                if ftype == FrameType.ERROR:
-                    raise_remote_error(payload)
-                if ftype != FrameType.REPLICATE_PUT_OK:
-                    raise ProtocolError(f"expected REPLICATE_PUT_OK, got {ftype.name}")
-                return decode_json(payload)
+                return decode_json(self._expect(conn, FrameType.REPLICATE_PUT_OK))
             except BaseException:
                 conn.close()
                 raise
@@ -866,12 +834,7 @@ class RemoteRepository(Repository):
                         {"repo": self.repo, "kind": kind, "name": name, "trace": trace},
                     )
                 )
-                ftype, payload = conn.recv_frame()
-                if ftype == FrameType.ERROR:
-                    raise_remote_error(payload)
-                if ftype != FrameType.REPLICATE_OBJECT:
-                    raise ProtocolError(f"expected REPLICATE_OBJECT, got {ftype.name}")
-                size = decode_json(payload).get("size")
+                size = decode_json(self._expect(conn, FrameType.REPLICATE_OBJECT)).get("size")
                 if not isinstance(size, int) or size < 0:
                     raise ProtocolError("REPLICATE_OBJECT must announce a size")
                 parts: List[bytes] = []

@@ -12,14 +12,16 @@ Two harnesses, one spec format:
   interpreter.  Cheap to start, trivially killable mid-operation
   (``kill_node``), but serialised by the GIL — never benchmark with it.
 
-Both allocate ports up front (a bound-then-released probe socket per
-node), because every daemon must know the *full* address map before it
-starts: placement is a pure function of the map, and the map is part of
-each daemon's constructor.
+Both allocate ports up front (:func:`free_ports`: one probe socket per
+node, all bound at once so no two nodes share a port), because every
+daemon must know the *full* address map before it starts: placement is a
+pure function of the map, and the map is part of each daemon's
+constructor.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import subprocess
@@ -35,12 +37,16 @@ if TYPE_CHECKING:  # import cycle guard: server.daemon imports repro.cluster
     from ..server.daemon import DaemonThread
 
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """A currently-free TCP port (bind-probe; small reuse race is fine
-    for tests and single-operator clusters)."""
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
+def free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
+    """``count`` distinct free TCP ports: every probe socket stays bound
+    until the last is, so no port is handed out twice (another process may
+    still take one before its daemon binds it; fine for tests and
+    single-operator clusters)."""
+    with contextlib.ExitStack() as stack:
+        probes = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for probe in probes:
+            probe.bind((host, 0))
+        return [probe.getsockname()[1] for probe in probes]
 
 
 def assign_ports(cmap: ClusterMap, host: str = "127.0.0.1") -> ClusterMap:
@@ -48,11 +54,12 @@ def assign_ports(cmap: ClusterMap, host: str = "127.0.0.1") -> ClusterMap:
 
     Keeps the epoch (this is materialisation, not a membership change).
     """
+    ports = iter(free_ports(sum(n.address.endswith(":0") for n in cmap.nodes), host))
     nodes = []
     for node in cmap.nodes:
         node_host, _, port = node.address.rpartition(":")
         if port == "0":
-            nodes.append(NodeSpec(node.name, f"{node_host or host}:{free_port(host)}",
+            nodes.append(NodeSpec(node.name, f"{node_host or host}:{next(ports)}",
                                   node.root, down=node.down))
         else:
             nodes.append(node)
@@ -237,12 +244,10 @@ class ClusterHarness:
         replicate_interval: float = 0.0,
         **daemon_kwargs,
     ) -> None:
-        specs = []
-        for index in range(1, nodes + 1):
-            name = f"n{index}"
-            specs.append(NodeSpec(
-                name, f"127.0.0.1:{free_port()}", os.path.join(root, name)
-            ))
+        specs = [
+            NodeSpec(f"n{index}", f"127.0.0.1:{port}", os.path.join(root, f"n{index}"))
+            for index, port in enumerate(free_ports(nodes), 1)
+        ]
         self.map = ClusterMap(specs, replicas=replicas, vnodes=vnodes)
         self.replicate_interval = replicate_interval
         self.daemon_kwargs = daemon_kwargs

@@ -21,7 +21,6 @@ import threading
 import time
 from typing import Dict, Optional, Set, Tuple
 
-from ..client.protocol import DEFAULT_WINDOW
 from ..client.remote import RemoteRepository
 from ..cluster.controller import FailoverController, Note, Offer, Probe, Resync, Verify
 from ..cluster.failover import pull_tenant
@@ -38,11 +37,15 @@ from .session import _Session
 class BackupDaemon:
     """The multi-tenant asyncio backup service.
 
+    Every backup or restore stream runs on one engine thread that owns the
+    connection for the stream's length (:mod:`repro.server.session`), so
+    TCP's window paces the client and a stream holds one frame of server
+    memory however fast the client sends.  There is no window to size.
+
     Args:
         root: directory holding one repository subdirectory per tenant.
         host / port: listen address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
-        window: ingest credit window, in CHUNK_DATA frames per backup.
         restore_workers: server-side cap on the restore container-reader
             pool a client may ask for with ``RESTORE_BEGIN``'s ``workers``;
             a request that names none is served serially.
@@ -87,7 +90,6 @@ class BackupDaemon:
         root: str,
         host: str = "127.0.0.1",
         port: int = 0,
-        window: int = DEFAULT_WINDOW,
         history_depth: int = 1,
         compress: bool = False,
         drain_timeout: float = 10.0,
@@ -103,8 +105,6 @@ class BackupDaemon:
         probe_timeout: float = 2.0,
         ingest_workers: int = 0,
     ) -> None:
-        if window < 1:
-            raise ReproError("credit window must be at least 1 frame")
         if restore_workers < 1:
             raise ReproError("restore_workers must be at least 1")
         if ingest_workers < 0:
@@ -150,7 +150,6 @@ class BackupDaemon:
         )
         self.host = host
         self.port = port
-        self.window = window
         self.restore_workers = restore_workers
         self.drain_timeout = drain_timeout
         self.events = event_log if event_log is not None else EventLogger()
@@ -179,7 +178,7 @@ class BackupDaemon:
         self._server = await asyncio.start_server(self._accept, self.host, self.port)
         self._started = time.monotonic()
         self.port = self._server.sockets[0].getsockname()[1]
-        self.events.log("daemon_start", address=self.address, window=self.window)
+        self.events.log("daemon_start", address=self.address)
         if self.metrics_interval > 0:
             self._spawn(self._report_metrics())
         if self.replicate_interval > 0:
@@ -274,7 +273,6 @@ class BackupDaemon:
             "active_connections": len(self._sessions),
             "draining": self.draining,
             "requests": dict(self._session_counts),
-            "window": self.window,
         }
 
     # ------------------------------------------------------------------

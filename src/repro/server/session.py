@@ -1,19 +1,26 @@
 """One client connection's frame conversation with the daemon.
 
-Concurrency model: the event loop owns every socket; blocking engine work
-(chunking, dedup, container I/O) runs on worker threads via
-``asyncio.to_thread``.  Ingest streams bridge the two worlds through a
-credit-bounded queue — the loop-side session enqueues ``CHUNK_DATA``
-payloads as frames arrive, the engine-side thread dequeues them as the
-chunker demands bytes, and consumption notifications flow back to the loop
-to grant the client more window.  At most *window* data frames are ever
-buffered per backup, however fast the client pushes.  A restore runs the
-other way through :class:`_RestorePump`, the one exception to the loop's
-ownership: between ``RESTORE_META`` and its terminal item, one engine
-thread per restore owns the connection and writes its frames itself.
+Concurrency model: the event loop owns every socket between requests and
+answers control requests itself; blocking engine work (chunking, dedup,
+container I/O) runs on worker threads.  A data stream is the exception.
+For the length of one, an engine thread owns the connection through a
+:class:`_SocketLease`, a dup of the loop's socket:
+
+* a backup: after ``BACKUP_READY``, until the engine returns (the loop has
+  stopped reading first, so it never reads what the client sends after
+  it).  The engine's block iterator (:class:`_BackupStream`) reads one
+  ``CHUNK_DATA`` frame each time the chunker asks for bytes;
+* a restore: after ``RESTORE_META``, until its terminal item
+  (:class:`_RestorePump` writes every ``CHUNK_DATA`` frame itself).
+
+TCP's window is the flow control: a stream holds one frame of server
+memory, and a client sending faster than the engine reads blocks in
+``send``.  The loop takes the connection back to write ``BACKUP_DONE`` /
+``RESTORE_END`` or a typed ``ERROR``.
 
 Failure semantics: a backup whose session dies (disconnect, cancellation
-during shutdown) aborts the engine thread, which rolls the repository back
+during shutdown) shuts the leased socket down; the engine's read in flight
+fails and the engine rolls the repository back
 (:meth:`repro.repository.LocalRepository._guarded_backup`) — partially
 streamed versions never become visible and leave no ``*.tmp`` litter.
 """
@@ -22,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import queue
 import select
 import socket
 import threading
@@ -42,6 +48,7 @@ from ..client.protocol import (
     decode_json,
     encode_data_header,
     encode_error,
+    encode_frame,
     encode_json,
     frame_parts,
 )
@@ -49,8 +56,6 @@ from ..errors import (
     ProtocolError,
     ReplicationError,
     RepositoryNotFoundError,
-    ReproError,
-    RemoteError,
     ServerDrainingError,
 )
 from ..observability import new_trace_id
@@ -66,8 +71,7 @@ if TYPE_CHECKING:
 #: checkpoint grows with the fingerprint tables but stays far below this).
 _MAX_OBJECT = 1 << 30
 
-#: Sentinel closing a stream handed between the loop and an engine thread:
-#: a backup's block queue (client sent BACKUP_END), a restore pump's items.
+#: Sentinel closing a restore pump's items: the stream ended whole.
 _EOF = object()
 
 #: Most buffers one ``sendmsg`` takes (a frame is its header plus its runs).
@@ -82,13 +86,134 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
     return ftype, payload
 
 
-class _RestorePump(threading.Thread):
+class _SocketLease:
+    """An engine thread's hold on a connection's socket for one stream.
+
+    The loop hands the thread a dup of the connection's socket
+    (:meth:`attach`) once the transport has written its last frame; the
+    thread owns the connection until it releases the dup.  The dup shares
+    its file description, ``O_NONBLOCK`` included, with the loop's socket,
+    so it stays non-blocking (making it blocking would make the loop's
+    blocking too) and the thread waits for it with ``poll``.  :meth:`stop`
+    aborts from the loop: it shuts the connection down, so a wait or call
+    in flight fails at once.  :attr:`EVENTS` is what the thread waits for:
+    ``POLLIN`` for a stream it reads, ``POLLOUT`` for one it writes.
+    """
+
+    EVENTS = 0
+
+    def __init__(self) -> None:
+        self._attached = threading.Event()
+        self._lock = threading.Lock()  # the socket's close against stop()'s shutdown
+        self._sock: Optional[socket.socket] = None
+        self._poller = select.poll()
+        self._stopped = False
+
+    def attach(self, sock: socket.socket) -> None:
+        """Loop-side: hand the thread the connection, the transport empty."""
+        sock.setblocking(False)
+        self._poller.register(sock, self.EVENTS)
+        self._sock = sock
+        self._attached.set()
+
+    def stop(self) -> None:
+        """Loop-side: shut the socket down; a parked or next call fails at once."""
+        self._stopped = True
+        self._attached.set()
+        with self._lock:
+            if self._sock is not None:
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already tore it down
+
+    def _wait_attached(self) -> None:
+        """Thread-side: wait for the hand-over; raises if stopped first."""
+        self._attached.wait()
+        if self._stopped:  # after the hand-over, stop() shuts the socket
+            raise ConnectionAbortedError("session aborted")
+
+    def _release(self) -> None:
+        """Thread-side: close the dup (the loop's socket stays open)."""
+        with self._lock:
+            if self._sock is not None:
+                self._sock.close()
+                self._sock = None
+
+    def _send(self, buffers: list) -> None:
+        """Write every buffer whole, in as few ``sendmsg`` calls as fit."""
+        first = 0
+        while first < len(buffers):
+            try:
+                sent = self._sock.sendmsg(buffers[first : first + _IOV_MAX])
+            except BlockingIOError:
+                self._poller.poll()  # writable, or shut down by stop(): then EPIPE
+                continue
+            except OSError as exc:  # half a frame may be out: never reuse it
+                raise ConnectionAbortedError(f"stream send failed: {exc}") from exc
+            while sent:  # resume a partial send from the exact byte
+                head = len(buffers[first])
+                if sent < head:
+                    buffers[first] = memoryview(buffers[first])[sent:]
+                    break
+                sent -= head
+                first += 1
+
+    def _recv(self, size: int) -> bytearray:
+        """Read exactly ``size`` bytes into a buffer of that size."""
+        buffer = bytearray(size)
+        view = memoryview(buffer)
+        while view:
+            try:
+                got = self._sock.recv_into(view)
+            except BlockingIOError:
+                self._poller.poll()  # readable, or shut down by stop(): then EOF
+                continue
+            except OSError as exc:
+                raise ConnectionAbortedError(f"stream read failed: {exc}") from exc
+            if not got:
+                raise ConnectionAbortedError("connection closed mid-stream")
+            view = view[got:]
+        return buffer
+
+
+class _BackupStream(_SocketLease):
+    """One backup's byte blocks, read off the leased socket by the engine.
+
+    Iterating reads one ``CHUNK_DATA`` frame per block, on the engine's
+    thread and only when the chunker asks for bytes, until ``BACKUP_END``
+    (:attr:`ended`).  Any other frame is a :class:`ProtocolError`; a
+    connection that closes or is stopped mid-stream raises
+    ``ConnectionAbortedError`` into the engine, which rolls back.
+    """
+
+    EVENTS = select.POLLIN
+
+    def __init__(self, metrics) -> None:
+        super().__init__()
+        self.metrics = metrics
+        self.ended = False
+
+    def __iter__(self):
+        while True:
+            length, ftype = decode_header(self._recv(HEADER_SIZE))
+            payload = self._recv(length)
+            if ftype == FrameType.BACKUP_END:
+                self.ended = True
+                return
+            if ftype != FrameType.CHUNK_DATA:
+                raise ProtocolError(f"unexpected {ftype.name} frame mid-backup")
+            self.metrics.inc("server.ingest_bytes", length)
+            yield payload
+
+
+class _RestorePump(_SocketLease, threading.Thread):
     """One restore's engine thread: plan, read, assemble, frame, send.
 
     Runs the repository's restore iterator off the event loop and hands the
-    loop the file plan.  After ``RESTORE_META`` the loop hands it a dup of
-    the connection's socket (:meth:`attach`), which the thread owns until
-    its terminal item, writing every ``CHUNK_DATA`` frame itself: exactly
+    loop the file plan.  After ``RESTORE_META`` the loop leases it the
+    connection (:meth:`attach`), which the thread owns until its terminal
+    item, writing every ``CHUNK_DATA`` frame itself: exactly
     ``RESTORE_BLOCK`` payload bytes cut from the runs (the last frame
     shorter), header and runs in one gather ``sendmsg``.  A restore holds
     one frame's runs; a full socket stalls the engine.  The terminal item
@@ -96,15 +221,13 @@ class _RestorePump(threading.Thread):
     the engine's stream and the socket: the thread has left the repository.
     """
 
+    EVENTS = select.POLLOUT
+
     def __init__(self, loop: asyncio.AbstractEventLoop, open_restore) -> None:
-        super().__init__(name="restore-pump", daemon=True)
+        _SocketLease.__init__(self)
+        threading.Thread.__init__(self, name="restore-pump", daemon=True)
         self._loop = loop
         self._open = open_restore
-        self._attached = threading.Event()
-        self._lock = threading.Lock()  # the socket's close against stop()'s shutdown
-        self._sock: Optional[socket.socket] = None
-        self._poller = select.poll()
-        self._stopped = False
         self.queue: asyncio.Queue = asyncio.Queue()
         self.finished = False
         self.frames = self.sent = self.entries = 0
@@ -116,19 +239,14 @@ class _RestorePump(threading.Thread):
             plan, data = self._open()
             try:
                 self._loop.call_soon_threadsafe(self.queue.put_nowait, plan)
-                self._attached.wait()
-                if self._stopped:  # after the hand-over, stop() shuts the socket
-                    raise ConnectionAbortedError("restore session aborted")
+                self._wait_attached()
                 self._frames(data)
                 self.entries = data.entries
             finally:
                 data.close()  # returns once the engine's reads in flight are done
         except BaseException as exc:  # forwarded: take() re-raises it on the loop
             last = exc
-        with self._lock:
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None
+        self._release()
         try:
             self._loop.call_soon_threadsafe(self.queue.put_nowait, last)
         except RuntimeError:
@@ -143,47 +261,24 @@ class _RestorePump(threading.Thread):
                 cut = RESTORE_BLOCK - size
                 block = memoryview(block)
                 frame.append(block[:cut])
-                mark = self._send(frame, RESTORE_BLOCK, mark)
+                mark = self._send_frame(frame, RESTORE_BLOCK, mark)
                 frame, size, block = [], 0, block[cut:]
             if block:
                 frame.append(block)
                 size += len(block)
         if size:
-            self._send(frame, size, mark)
+            self._send_frame(frame, size, mark)
 
-    def _send(self, frame: list, size: int, mark: float) -> float:
+    def _send_frame(self, frame: list, size: int, mark: float) -> float:
         """Write one frame whole; returns the time it left."""
         ready = time.perf_counter()
         self.wait_seconds += ready - mark
-        buffers = [encode_data_header(size), *frame]
-        first = 0
-        while first < len(buffers):
-            try:
-                sent = self._sock.sendmsg(buffers[first : first + _IOV_MAX])
-            except BlockingIOError:
-                self._poller.poll()  # writable, or shut down by stop(): then EPIPE
-                continue
-            except OSError as exc:  # half a frame may be out: never reuse it
-                raise ConnectionAbortedError(f"restore send failed: {exc}") from exc
-            while sent:  # resume a partial send from the exact byte
-                head = len(buffers[first])
-                if sent < head:
-                    buffers[first] = memoryview(buffers[first])[sent:]
-                    break
-                sent -= head
-                first += 1
+        self._send([encode_data_header(size), *frame])
         done = time.perf_counter()
         self.send_seconds += done - ready
         self.frames += 1
         self.sent += size
         return done
-
-    def attach(self, sock: socket.socket) -> None:
-        """Loop-side: hand the thread the connection, the transport empty."""
-        sock.setblocking(False)
-        self._poller.register(sock, select.POLLOUT)
-        self._sock = sock
-        self._attached.set()
 
     async def _next(self) -> object:
         item = await self.queue.get()
@@ -196,17 +291,6 @@ class _RestorePump(threading.Thread):
         if isinstance(item, BaseException):
             raise item
         return item
-
-    def stop(self) -> None:
-        """Loop-side: shut the socket down; a parked or next send fails at once."""
-        self._stopped = True
-        self._attached.set()
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer already tore it down
 
     async def close(self) -> None:
         """Loop-side: stop the thread and wait until it is out of the engine."""
@@ -268,10 +352,7 @@ class _Session:
         if ftype != FrameType.HELLO:
             raise ProtocolError(f"expected HELLO, got {ftype.name}")
         check_hello(payload)
-        hello = {
-            "magic": MAGIC, "version": PROTOCOL_VERSION,
-            "window": self.daemon.window, "trace": self.trace,
-        }
+        hello = {"magic": MAGIC, "version": PROTOCOL_VERSION, "trace": self.trace}
         self.writer.write(encode_json(FrameType.HELLO_OK, hello))
         await self.writer.drain()
 
@@ -287,6 +368,21 @@ class _Session:
         self.daemon.note_session(kind)
         self.writer.write(encode_json(ftype, doc))
         await self.writer.drain()
+
+    async def _lease(self, lease: _SocketLease, frame: bytes) -> None:
+        """Write the loop's last frame before a stream, then lease the socket.
+
+        ``drain()`` may return with up to the low-water mark still buffered
+        in the transport; the lease starts only once that buffer is empty,
+        so the loop's bytes and the engine thread's never interleave.
+        """
+        transport = self.writer.transport
+        self.writer.write(frame)
+        low, high = transport.get_write_buffer_limits()
+        transport.set_write_buffer_limits(high=0)
+        await self.writer.drain()
+        transport.set_write_buffer_limits(high, low)
+        lease.attach(self.writer.get_extra_info("socket").dup())
 
     # ------------------------------------------------------------------
     async def _dispatch(self, ftype: FrameType, payload: bytes) -> None:
@@ -362,38 +458,14 @@ class _Session:
             await self._run_backup(handle, plan, tag)
 
     async def _run_backup(self, handle: RepoHandle, plan: FilePlan, tag: str) -> None:
-        loop = asyncio.get_running_loop()
-        window = self.daemon.window
-        blocks: "queue.Queue" = queue.Queue()
-        consumed = {"since_grant": 0, "total": 0, "ended": False}
-
-        def note_consumed() -> None:
-            # Loop-side: grant fresh window as the engine drains the queue.
-            consumed["total"] += 1
-            # Once BACKUP_END arrives the client sends no more data, so any
-            # further CREDIT would land *after* BACKUP_DONE and poison the
-            # next pooled request on this connection.  Stop granting.
-            if consumed["ended"]:
-                return
-            consumed["since_grant"] += 1
-            if consumed["since_grant"] >= max(1, window // 2) and not self.writer.is_closing():
-                grant, consumed["since_grant"] = consumed["since_grant"], 0
-                self.writer.write(encode_json(FrameType.CREDIT, {"frames": grant}))
-
-        def block_iter():
-            # Thread-side: feed the chunker from the frame queue.
-            while True:
-                item = blocks.get()
-                if item is _EOF:
-                    return
-                if isinstance(item, BaseException):
-                    raise item
-                loop.call_soon_threadsafe(note_consumed)
-                yield item
-
-        # Initial window, then start the engine before reading any data.
-        self.writer.write(encode_json(FrameType.CREDIT, {"frames": window}))
-        await self.writer.drain()
+        # Stop the loop's reading before BACKUP_READY goes out: what the
+        # client sends after it belongs to the engine thread.
+        transport = self.writer.transport
+        transport.pause_reading()
+        if self.reader._buffer:  # read by the loop already: not ours to hand on
+            raise ProtocolError("client sent data before BACKUP_READY")
+        stream = _BackupStream(self.daemon.metrics)
+        await self._lease(stream, encode_frame(FrameType.BACKUP_READY))
         engine_done = threading.Event()
 
         def _engine():
@@ -402,63 +474,23 @@ class _Session:
             # cancelling a to_thread task only marks the future, the thread
             # runs on regardless.
             try:
-                return handle.repository.backup_blocks(block_iter(), plan, tag)
+                return handle.repository.backup_blocks(stream, plan, tag)
             finally:
+                stream._release()
                 engine_done.set()
 
-        backup_task = asyncio.ensure_future(asyncio.to_thread(_engine))
-
-        received = 0
-        read_task: Optional[asyncio.Task] = None
         try:
-            while True:
-                if read_task is None:
-                    read_task = asyncio.ensure_future(read_frame(self.reader))
-                # Wait on the socket AND the engine: if the engine fails
-                # while the client is stalled waiting for credit, the error
-                # must reach it now, not after another frame arrives.
-                await asyncio.wait(
-                    {read_task, backup_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read_task.done():
-                    # Engine finished first.  Success is impossible before
-                    # BACKUP_END (the stream has no EOF yet), so surface
-                    # the failure immediately.
-                    exc = backup_task.exception()
-                    raise exc if exc is not None else ProtocolError(
-                        "engine finished before BACKUP_END"
-                    )
-                ftype, payload = read_task.result()
-                read_task = None
-                if ftype == FrameType.CHUNK_DATA:
-                    received += 1
-                    if received - consumed["total"] > window * 2:
-                        raise ProtocolError("client overran its credit window")
-                    self.daemon.metrics.inc("server.ingest_bytes", len(payload))
-                    blocks.put(payload)
-                elif ftype == FrameType.BACKUP_END:
-                    consumed["ended"] = True
-                    blocks.put(_EOF)
-                    break
-                else:
-                    raise ProtocolError(f"unexpected {ftype.name} frame mid-backup")
-            report = await backup_task
+            report = await asyncio.to_thread(_engine)
+            if not stream.ended:
+                raise ProtocolError("engine finished before BACKUP_END")
         except BaseException as first:
-            # Abort the engine thread (triggers repository rollback), wait
-            # for the rollback to complete, then surface the root cause.
-            blocks.put(
-                first
-                if isinstance(first, ReproError)
-                else RemoteError("backup session aborted")
-            )
-            # The engine runs on a worker thread and cannot be interrupted;
-            # the queued exception makes it unwind into the repository
-            # rollback.  When shutdown() cancels this session, the await on
-            # backup_task auto-cancels that future too — while the thread
-            # runs on — so backup_task.done() proves nothing.  Wait on the
-            # thread's own completion event, swallowing repeated
-            # cancellation, so shutdown() only returns once the repository
-            # is clean: committed or rolled back, never mid-write.
+            # Shut the leased socket down: the engine's read in flight fails
+            # and it unwinds into the repository rollback.  When shutdown()
+            # cancels this session the thread runs on, so wait on its own
+            # completion event, swallowing repeated cancellation: shutdown()
+            # only returns once the repository is clean — committed or
+            # rolled back, never mid-write.
+            stream.stop()
             while not engine_done.is_set():
                 try:
                     await asyncio.shield(asyncio.to_thread(engine_done.wait))
@@ -467,18 +499,14 @@ class _Session:
                 except BaseException:
                     break
             handle.note_backup_failed()
-            if isinstance(first, ReproError) and not isinstance(first, ProtocolError):
+            if isinstance(first, Exception) and not isinstance(first, ConnectionError):
+                # Where the client's stream stopped is unknown: report the
+                # failure, then hang up.  A client blocked sending sees its
+                # send fail and reads this ERROR.
                 await self._send_error(first)
                 raise _EndSession() from first
             raise
-        finally:
-            if read_task is not None:
-                read_task.cancel()
-                try:
-                    await read_task
-                except BaseException:
-                    pass
-
+        transport.resume_reading()
         handle.note_backup(report)
         self.daemon.note_session("backup")
         self.writer.write(encode_json(FrameType.BACKUP_DONE, report))
@@ -558,15 +586,8 @@ class _Session:
         # any data, and leave as a typed ERROR frame.
         plan = await pump.take()
         files = [[rel, size] for rel, size in plan]
-        self.writer.write(encode_json(FrameType.RESTORE_META, {"version": version, "files": files}))
-        # drain() may return with up to the low-water mark still buffered in
-        # the transport; hand the socket over only once that buffer is empty.
-        transport = self.writer.transport
-        low, high = transport.get_write_buffer_limits()
-        transport.set_write_buffer_limits(high=0)
-        await self.writer.drain()
-        transport.set_write_buffer_limits(high, low)
-        pump.attach(self.writer.get_extra_info("socket").dup())
+        meta = encode_json(FrameType.RESTORE_META, {"version": version, "files": files})
+        await self._lease(pump, meta)
         await pump.take()  # the pump's connection until now; errors follow whole frames
         metrics.observe("restore.send_seconds", pump.send_seconds)
         metrics.observe("restore.pump_wait_seconds", pump.wait_seconds)

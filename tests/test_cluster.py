@@ -23,10 +23,12 @@ from repro.cluster import (
     ClusterRebalancer,
     HashRing,
     NodeSpec,
+    assign_ports,
     moved_keys,
     newer_map,
 )
 from repro.cluster.rebalance import moved_tenants
+from repro.cluster.supervisor import free_ports
 from repro.errors import ClusterError, RemoteError
 from repro.observability import JsonEventLogger
 from repro.repository import read_tree
@@ -140,6 +142,16 @@ def test_cluster_map_roundtrip_and_epochs(tmp_path):
         ClusterMap([NodeSpec("x", "h:1"), NodeSpec("x", "h:2")])
     with pytest.raises(ClusterError):
         ClusterMap([NodeSpec("x", "h:1")], epoch=0)
+
+
+def test_a_cluster_never_gets_one_port_twice(tmp_path):
+    """Every probe stays bound until the last is, so ports are distinct."""
+    ports = free_ports(64)
+    assert len(set(ports)) == 64 and all(ports)
+    specs = [NodeSpec(f"n{i}", "127.0.0.1:0", str(tmp_path / f"n{i}")) for i in range(32)]
+    specs.append(NodeSpec("fixed", "127.0.0.1:1", str(tmp_path / "fixed")))
+    addresses = [node.address for node in assign_ports(ClusterMap(specs)).nodes]
+    assert len(set(addresses)) == 33 and addresses[-1] == "127.0.0.1:1"
 
 
 def test_cluster_map_wire_frame(tmp_path):

@@ -310,7 +310,7 @@ def scripted_server(script):
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 assert read_request(sock)[0] == FrameType.HELLO
                 sock.sendall(encode_json(FrameType.HELLO_OK, {
-                    "magic": MAGIC, "version": PROTOCOL_VERSION, "window": 8, "trace": "t",
+                    "magic": MAGIC, "version": PROTOCOL_VERSION, "trace": "t",
                 }))
                 script(sock)
         except BaseException as exc:  # re-raised on the test's thread below

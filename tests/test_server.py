@@ -7,6 +7,7 @@ byte-identical restores, local/remote equivalence, multi-tenant
 concurrency, writer-lock serialisation and crash rollback.
 """
 
+import itertools
 import os
 import socket
 import threading
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from repro.client import ConnectionPool, RemoteRepository
-from repro.client.protocol import FrameType, encode_json
+from repro.client.protocol import DATA_BLOCK, FrameType, encode_frame, encode_json
 from repro.client.remote import Connection, parse_address
 from repro.errors import (
     ProtocolError,
@@ -26,6 +27,7 @@ from repro.errors import (
     StorageError,
     TimeoutExceededError,
 )
+from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository, materialize, read_tree
 from repro.server import DaemonThread
 
@@ -241,6 +243,61 @@ class TestRelNameSafety:
 
 
 # ----------------------------------------------------------------------
+# Flow control: TCP's window bounds what a backup holds on the server
+# ----------------------------------------------------------------------
+class TestIngestMemory:
+    def test_a_parked_engine_holds_only_the_frames_it_took(self, tmp_path):
+        """With the engine parked after three blocks, a client pushing
+        20 MiB has had exactly three frames read off its socket: the rest
+        wait in TCP buffers and the client's blocked send, not in the
+        daemon.  The backup then completes byte for byte."""
+        metrics = MetricsRegistry()
+        thread = DaemonThread(str(tmp_path / "served"), metrics=metrics)
+        address = thread.start()
+        try:
+            handle = thread.daemon.registry.get("alpha", create=True)
+            backup = handle.repository.backup_blocks
+            parked, release = threading.Event(), threading.Event()
+
+            def stand_in(blocks, plan, tag=""):
+                blocks = iter(blocks)
+                taken = [next(blocks) for _ in range(3)]
+                parked.set()
+                assert release.wait(30)
+                return backup(itertools.chain(taken, blocks), plan, tag)
+
+            handle.repository.backup_blocks = stand_in
+            data = os.urandom(20 << 20)
+            outcome = {}
+
+            def client():
+                try:
+                    with RemoteRepository(address, "alpha", timeout=60) as repo:
+                        outcome["report"] = repo.backup_blocks(
+                            [data], [("big.bin", len(data))], tag="big"
+                        )
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    outcome["error"] = exc
+
+            sender = threading.Thread(target=client, daemon=True)
+            sender.start()
+            assert parked.wait(30)
+            time.sleep(0.5)  # time enough for any read-ahead to happen
+            assert metrics.counter("server.ingest_bytes").value == 3 * DATA_BLOCK
+            release.set()
+            sender.join(60)
+            assert not sender.is_alive()
+            if "error" in outcome:
+                raise outcome["error"]
+            assert outcome["report"]["logical_bytes"] == len(data)
+            with RemoteRepository(address, "alpha") as repo:
+                assert b"".join(repo.restore(1)[1]) == data
+        finally:
+            release.set()
+            thread.stop(drain_timeout=5)
+
+
+# ----------------------------------------------------------------------
 # Failure semantics
 # ----------------------------------------------------------------------
 class TestFailureSemantics:
@@ -397,7 +454,7 @@ class TestTransport:
         _, address = daemon
         conn = Connection(parse_address(address), timeout=5)
         try:
-            conn.send(encode_json(FrameType.CREDIT, {"frames": 3}))
+            conn.send(encode_frame(FrameType.BACKUP_READY))
             with pytest.raises(ProtocolError):
                 ftype, payload = conn.recv_frame()
                 if ftype == FrameType.ERROR:
@@ -447,16 +504,16 @@ class TestTransport:
 
 
 # ----------------------------------------------------------------------
-# The pooled-connection credit race (regression)
+# A stray frame after a reply must not poison a pooled connection
 # ----------------------------------------------------------------------
-class _StaleCreditServer:
-    """A scripted protocol speaker that writes a CREDIT *after* BACKUP_DONE.
+class _StrayFrameServer:
+    """A scripted protocol speaker that writes a stray frame *after* BACKUP_DONE.
 
-    Deterministically reproduces the race the real daemon used to have: a
-    ``note_consumed`` callback landing after the completion frame.  The
-    stale CREDIT arrives in the same TCP segment as BACKUP_DONE, so it is
+    Reproduces, deterministically, the state a race in the daemon once left
+    behind (a late flow-control frame behind the completion frame).  The
+    stray frame arrives in the same TCP segment as BACKUP_DONE, so it is
     guaranteed to sit in the client connection's frame buffer when
-    ``backup_blocks`` returns — exactly the state that used to poison the
+    ``backup_blocks`` returns — exactly the state that would poison the
     next pooled request.
     """
 
@@ -512,13 +569,13 @@ class _StaleCreditServer:
             sock.sendall(
                 encode_json(
                     FrameType.HELLO_OK,
-                    {"magic": MAGIC, "version": PROTOCOL_VERSION, "window": 64},
+                    {"magic": MAGIC, "version": PROTOCOL_VERSION},
                 )
             )
             while True:
                 ftype, _payload = next_frame()
                 if ftype == FrameType.BACKUP_BEGIN:
-                    sock.sendall(encode_json(FrameType.CREDIT, {"frames": 64}))
+                    sock.sendall(encode_frame(FrameType.BACKUP_READY))
                     chunks = 0
                     while True:
                         ftype, _payload = next_frame()
@@ -531,11 +588,10 @@ class _StaleCreditServer:
                         "unique_chunks": chunks, "duplicate_chunks": 0,
                         "logical_bytes": 0, "stored_bytes": 0,
                     }
-                    # The race, made deterministic: DONE then a stale CREDIT
-                    # in one segment.
+                    # DONE then a stray frame, in one segment.
                     sock.sendall(
                         encode_json(FrameType.BACKUP_DONE, report)
-                        + encode_json(FrameType.CREDIT, {"frames": 1})
+                        + encode_frame(FrameType.BACKUP_READY)
                     )
                 elif ftype == FrameType.STATS:
                     sock.sendall(
@@ -549,12 +605,12 @@ class _StaleCreditServer:
             sock.close()
 
 
-class TestCreditRace:
-    def test_stale_credit_does_not_poison_the_pool(self, tmp_path):
-        """Regression: a CREDIT buffered behind BACKUP_DONE must not be
-        replayed into the next pooled request (pre-fix this fails with
-        ``ProtocolError: expected STATS_OK, got CREDIT``)."""
-        server = _StaleCreditServer()
+class TestStrayFrameAfterReply:
+    def test_stray_frame_does_not_poison_the_pool(self, tmp_path):
+        """A frame buffered behind BACKUP_DONE must not be replayed into the
+        next pooled request (without the pool's drain-verify this fails
+        with ``ProtocolError: expected STATS_OK, got BACKUP_READY``)."""
+        server = _StrayFrameServer()
         try:
             # retries=1: a poisoned connection surfaces instead of being
             # papered over by the idempotent-retry machinery.
@@ -570,9 +626,9 @@ class TestCreditRace:
             server.close()
 
     def test_backup_stats_backup_on_pooled_connection(self, tmp_path):
-        """The ISSUE's failing sequence against the real daemon: one pooled
-        RemoteRepository, small credit window, no retries to hide races."""
-        thread = DaemonThread(str(tmp_path / "served"), window=2)
+        """Backup, stats, backup against the real daemon on one pooled
+        RemoteRepository, no retries to hide races."""
+        thread = DaemonThread(str(tmp_path / "served"))
         address = thread.start()
         try:
             with RemoteRepository(address, "alpha", retries=1) as repo:
@@ -587,11 +643,11 @@ class TestCreditRace:
             thread.stop(drain_timeout=5)
 
     def test_daemon_sends_nothing_after_backup_done(self, tmp_path):
-        """Server-side half of the fix: once BACKUP_END is received the
-        daemon must stop granting credit, so nothing trails BACKUP_DONE."""
-        from repro.client.protocol import decode_json, encode_data, encode_frame
+        """Between BACKUP_BEGIN and BACKUP_DONE the daemon sends exactly one
+        frame, BACKUP_READY, and nothing trails BACKUP_DONE."""
+        from repro.client.protocol import encode_data
 
-        thread = DaemonThread(str(tmp_path / "served"), window=2)
+        thread = DaemonThread(str(tmp_path / "served"))
         address = thread.start()
         conn = None
         try:
@@ -603,21 +659,12 @@ class TestCreditRace:
                     {"repo": "t", "tag": "", "files": [["f.bin", len(payload)]]},
                 )
             )
-            credits = 0
+            assert conn.recv_frame() == (FrameType.BACKUP_READY, b"")
             for start in range(0, len(payload), 8192):
-                while credits <= 0:
-                    ftype, p = conn.recv_frame()
-                    assert ftype == FrameType.CREDIT
-                    credits += decode_json(p)["frames"]
                 conn.send(encode_data(payload[start : start + 8192]))
-                credits -= 1
             conn.send(encode_frame(FrameType.BACKUP_END))
-            while True:
-                ftype, _p = conn.recv_frame()
-                if ftype == FrameType.CREDIT:
-                    continue
-                assert ftype == FrameType.BACKUP_DONE
-                break
+            ftype, _p = conn.recv_frame()
+            assert ftype == FrameType.BACKUP_DONE
             time.sleep(0.3)  # let any straggler loop callbacks run
             conn.sweep()
             assert not conn.has_buffered()
