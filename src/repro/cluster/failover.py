@@ -8,15 +8,15 @@ way back up:
 * :func:`pull_tenant` — the demoted-node resync.  When a dead primary
   rejoins with a stale epoch it adopts the newer map, demotes itself to
   replica, and *pulls* every hosted tenant back in sync from the tenant's
-  current acting primary.  The pull is the O(delta) planner diff from the
-  replication subsystem run in reverse: capture both states, plan the
-  ships, fetch only the missing objects, land them in visibility-safe
-  order and commit.  Containers preserved byte-for-byte is what keeps the
-  paper's physical-locality argument intact across a demotion — the
-  resynced copy restores with the same contiguity as the copy it mirrors.
+  current acting primary: the one tenant copy,
+  :func:`~repro.replication.session.sync`, with the acting primary as the
+  source and the local repository as the target.  Containers preserved
+  byte-for-byte is what keeps the paper's physical-locality argument
+  intact across a demotion — the resynced copy restores with the same
+  contiguity as the copy it mirrors.
 
 Promotion safety itself (the verify-before-serve gate) reuses the
-repository's deep verify exactly as the PR 7 rebalancer does before a
+repository's deep verify exactly as the rebalancer does before a
 ``TENANT_DROP``: the promoted successor re-hashes every chunk of its
 replica before the first write is accepted, so a fork of tenant history
 is impossible even if the replica was torn.
@@ -27,23 +27,21 @@ from __future__ import annotations
 from typing import Dict
 
 from ..client.remote import RemoteRepository
-from ..errors import ReplicationError
-from ..replication.planner import SyncPlanner
-from ..replication.state import blob_digest, capture_state, normalize_state
-from ..replication.targets import commit_objects, write_object
+from ..replication.session import sync
+from ..replication.targets import LocalMirror, RemoteMirror
 
 
 def pull_tenant(remote: RemoteRepository, repository) -> Dict:
     """Pull one tenant's state from ``remote`` into the local ``repository``
     and deep-verify the result.
 
-    The mirror-sync diff with the arrow reversed: ``remote`` (the acting
-    primary) is the source of truth, the local repository the target.
-    Ships land additions invisibly (containers and manifests are
-    unreferenced until a recipe names them; recipes arrive ``*.staged``),
-    then one commit flips visibility and removes local objects the source
-    no longer has — so a reader never observes a half-applied resync.
-    Digest-carrying objects are validated in transit.
+    ``remote`` (the acting primary) is the source of truth, the local
+    repository the target.  Additions land invisibly (containers and
+    manifests are unreferenced until a recipe names them; recipes arrive
+    ``*.staged``), then one commit flips visibility and removes local
+    objects the source no longer has — so a reader never observes a
+    half-applied resync.  Every pulled object is checked against the
+    source's state before it lands.
 
     Callers must hold the tenant's write lock.  The cached engine is
     dropped, and the pulled copy then has to pass the same
@@ -51,29 +49,13 @@ def pull_tenant(remote: RemoteRepository, repository) -> Dict:
     returned event fields): the revive gate, before this node may reclaim
     its natural primaryship.
     """
-    root = repository.root
-    src_state = normalize_state(remote.replicate_state().get("state"))
-    dst_state = capture_state(root)
-    plan = SyncPlanner().plan(src_state, dst_state)
-    pulled = pulled_bytes = 0
-    for action in plan.ships:
-        blob = remote.replicate_fetch(action.kind, action.name)
-        if action.digest and blob_digest(blob) != action.digest:
-            raise ReplicationError(
-                f"pulled {action.kind} {action.name!r} failed digest "
-                "validation in transit"
-            )
-        write_object(root, action.kind, action.name, blob, action.staged)
-        pulled += 1
-        pulled_bytes += len(blob)
-    if plan.needs_commit:
-        commit_objects(root, plan.renames, plan.deletes)
+    report = sync(RemoteMirror(remote=remote), LocalMirror(repository.storage))
     repository.invalidate()
     verify = repository.verify(True)
     return {
         "verified": bool(verify.get("ok")),
         "verify_seconds": verify.get("seconds"),
-        "objects_pulled": pulled,
-        "bytes_pulled": pulled_bytes,
-        "containers_skipped": plan.containers_skipped,
+        "objects_pulled": report.objects_shipped,
+        "bytes_pulled": report.bytes_shipped,
+        "containers_skipped": report.containers_skipped,
     }

@@ -6,14 +6,15 @@ the keyspace; this module is where that promise is cashed in.  Given the
 
 1. enumerates hosted tenants (union of every old-map node's tenant list);
 2. keeps only those whose placement differs between the maps —
-   everything else is untouched, so the work is O(moved tenants), and
-   each move is itself O(delta) thanks to the
-   :class:`~repro.replication.planner.SyncPlanner` diff (a new holder
-   that already replicates the tenant receives only what it lacks);
-3. for each moved tenant, copies daemon→daemon: state + objects are
-   *pulled* from a surviving old holder over ``REPLICATE_STATE`` /
-   ``REPLICATE_FETCH`` and *pushed* to each new holder over
-   ``REPLICATE_PUT`` / ``REPLICATE_COMMIT``;
+   everything else is untouched, so the work is O(moved tenants);
+3. copies each moved tenant daemon→daemon with the one tenant copy,
+   :func:`~repro.replication.session.sync`, from a surviving old holder
+   to each new holder: both endpoints are
+   :class:`~repro.replication.targets.RemoteMirror` over the client's
+   shared pools (``REPLICATE_STATE`` / ``REPLICATE_FETCH`` on the source,
+   ``REPLICATE_STATE`` / ``REPLICATE_PUT`` / ``REPLICATE_COMMIT`` on the
+   destination).  The copy is O(delta): a new holder that already
+   replicates the tenant receives only what it lacks;
 4. **deep-verifies the new primary's copy** (server-side re-hash of every
    chunk and container) and only then sends ``TENANT_DROP`` to holders
    that lost the tenant.  A failed verify keeps the old copy — rebalance
@@ -31,8 +32,8 @@ import time
 from typing import Dict, List, Optional
 
 from ..errors import ClusterError, ReproError
-from ..replication.planner import SyncPlanner
-from ..replication.state import blob_digest, normalize_state
+from ..replication.session import sync
+from ..replication.targets import RemoteMirror
 from .client import ClusterClient
 from .map import ClusterMap, NodeSpec
 
@@ -76,32 +77,17 @@ class ClusterRebalancer:
 
     # ------------------------------------------------------------------
     def _copy(self, tenant: str, source: NodeSpec, dest: NodeSpec) -> Dict:
-        """One O(delta) daemon→daemon tenant copy (pull + push)."""
-        src = self.client.remote(source.address, tenant)
-        dst = self.client.remote(dest.address, tenant)
-        src_doc = src.replicate_state()
-        src_state = normalize_state(src_doc.get("state"))
-        dst_state = normalize_state(dst.replicate_state().get("state"))
-        plan = SyncPlanner().plan(src_state, dst_state)
-        shipped = bytes_shipped = 0
-        for action in plan.ships:
-            blob = src.replicate_fetch(action.kind, action.name)
-            dst.replicate_put(action.kind, action.name, blob,
-                              digest=action.digest or blob_digest(blob),
-                              staged=action.staged)
-            shipped += 1
-            bytes_shipped += len(blob)
-        if plan.needs_commit:
-            dst.replicate_commit(
-                [[ref.kind, ref.name] for ref in plan.renames],
-                [[ref.kind, ref.name] for ref in plan.deletes],
-            )
+        """One O(delta) daemon→daemon tenant copy over the shared pools."""
+        report = sync(
+            RemoteMirror(remote=self.client.remote(source.address, tenant)),
+            RemoteMirror(remote=self.client.remote(dest.address, tenant)),
+        )
         return {
             "from": source.name,
             "to": dest.name,
-            "objects_shipped": shipped,
-            "bytes_shipped": bytes_shipped,
-            "containers_skipped": plan.containers_skipped,
+            "objects_shipped": report.objects_shipped,
+            "bytes_shipped": report.bytes_shipped,
+            "containers_skipped": report.containers_skipped,
         }
 
     def _source_for(self, tenant: str) -> NodeSpec:

@@ -1,20 +1,24 @@
-"""Replication & disaster recovery: incremental mirror sync and repair.
+"""Replication & disaster recovery: incremental tenant copies and repair.
 
-The subsystem mirrors an on-disk repository to a second location — a
-local directory or a tenant on a remote daemon — in O(delta) work per
-sync, and repairs damaged containers back from that mirror:
+One routine copies a tenant — :func:`.session.sync`, from a source
+endpoint to a target endpoint, in O(delta) work — and every copy goes
+through it: ``hidestore replicate`` and the cluster's replica sync, the
+demoted node's failover pull, the rebalance move.  Damaged containers are
+repaired back from a mirror:
 
 * :mod:`.state` — the replicable-object model: what a repository *is* on
   the wire (containers / manifests / recipes / checkpoint) and how each
   kind is identified and digested.
 * :mod:`.planner` — :class:`SyncPlanner` diffs two states into a
   :class:`SyncPlan`: sealed containers copied once and never again,
-  mutable objects re-shipped on digest change, expired objects deleted.
-* :mod:`.targets` — :class:`LocalMirror` (directory) and
-  :class:`RemoteMirror` (daemon tenant over ``REPLICATE_*`` frames)
-  behind one :class:`ReplicationTarget` protocol.
-* :mod:`.session` — :class:`ReplicationSession` executes one sync with a
-  crash-safe journal; interrupted syncs resume without re-shipping.
+  digest-bearing objects re-shipped on digest change, expired objects
+  deleted.
+* :mod:`.targets` — the endpoints: :class:`LocalMirror` (a repository
+  this process opens) and :class:`RemoteMirror` (a daemon tenant over
+  ``REPLICATE_*`` frames), behind one :class:`ReplicationTarget` protocol.
+* :mod:`.session` — :func:`sync` runs one plan between two endpoints;
+  :class:`ReplicationSession` journals a sync from a repository.
+  Interrupted syncs resume without re-shipping.
 * :mod:`.repair` — :func:`repair_from_mirror` re-fetches containers that
   fail verification, validating every blob before it lands.
 """
@@ -27,17 +31,9 @@ from .repair import (
     scan_containers,
     verify_repository,
 )
-from .session import ReplicationSession, SyncJournal, SyncReport, journal_path_for
-from .state import capture_state, normalize_state, same_identity, source_identity
-from .targets import (
-    LocalMirror,
-    RemoteMirror,
-    ReplicationTarget,
-    commit_objects,
-    open_target,
-    read_object,
-    write_object,
-)
+from .session import ReplicationSession, SyncJournal, SyncReport, journal_path_for, sync
+from .state import normalize_state, same_identity
+from .targets import LocalMirror, RemoteMirror, ReplicationTarget, open_target
 
 __all__ = [
     "LocalMirror",
@@ -51,17 +47,13 @@ __all__ = [
     "SyncPlan",
     "SyncPlanner",
     "SyncReport",
-    "capture_state",
     "check_container_blob",
-    "commit_objects",
     "journal_path_for",
     "normalize_state",
     "open_target",
-    "read_object",
     "repair_from_mirror",
     "same_identity",
     "scan_containers",
-    "source_identity",
+    "sync",
     "verify_repository",
-    "write_object",
 ]

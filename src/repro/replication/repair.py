@@ -33,8 +33,8 @@ from ..errors import ReproError, StorageError
 from ..observability import MetricsRegistry, get_registry
 from ..storage.container_store import decode_container
 from ..storage.repo import RepoStorage
-from .state import same_identity, source_identity
-from .targets import ReplicationTarget, write_object
+from .state import same_identity
+from .targets import ReplicationTarget
 
 _CONTAINER_RE = re.compile(r"^container-(\d{8})\.hdsc$")
 
@@ -152,31 +152,35 @@ def repair_from_mirror(
     from ..errors import ReplicationError
 
     metrics = metrics if metrics is not None else get_registry()
+    storage = RepoStorage(repo_root)
     mirror_id = mirror.identity()
-    if same_identity(source_identity(repo_root), mirror_id):
+    if same_identity(storage.identity(), mirror_id):
         raise ReplicationError(
             f"repair mirror resolves to the repository being repaired "
             f"({mirror_id.get('path')!r} on {mirror_id.get('host')!r})"
         )
     report = RepairReport()
     report.containers_scanned, report.damaged = scan_containers(repo_root, deep=deep)
-    for name in sorted(report.damaged):
-        cid = int(_CONTAINER_RE.match(name).group(1))
-        try:
-            blob = mirror.fetch("container", name)
-        except ReproError as exc:
-            report.unrepaired[name] = f"mirror fetch failed: {exc}"
-            metrics.inc("repair.containers_unrepaired")
-            continue
-        defect = check_container_blob(blob, cid, deep=True)
-        if defect is not None:
-            report.unrepaired[name] = f"mirror copy rejected: {defect}"
-            metrics.inc("repair.containers_unrepaired")
-            continue
-        write_object(repo_root, "container", name, blob, staged=False)
-        report.repaired.append(name)
-        metrics.inc("repair.containers_repaired")
-        metrics.inc("repair.bytes_fetched", len(blob))
+    try:
+        for name in sorted(report.damaged):
+            cid = int(_CONTAINER_RE.match(name).group(1))
+            try:
+                blob = mirror.fetch("container", name)
+            except ReproError as exc:
+                report.unrepaired[name] = f"mirror fetch failed: {exc}"
+                metrics.inc("repair.containers_unrepaired")
+                continue
+            defect = check_container_blob(blob, cid, deep=True)
+            if defect is not None:
+                report.unrepaired[name] = f"mirror copy rejected: {defect}"
+                metrics.inc("repair.containers_unrepaired")
+                continue
+            storage.write_object("container", name, blob)
+            report.repaired.append(name)
+            metrics.inc("repair.containers_repaired")
+            metrics.inc("repair.bytes_fetched", len(blob))
+    finally:
+        storage.close()
     return report
 
 

@@ -8,11 +8,16 @@ A HiDeStore repository directory is a set of four object kinds:
   rename into place.  A mirror therefore copies each container exactly once
   (diffed by presence + size) and never again — the O(delta) property the
   §4.2 chunk filter buys us.
-* ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr``.  Written once, yet diffed
-  by content digest: a repository upgraded from the code that rewrote
-  ``R_previous`` in place may hold a same-size rewrite not synced yet.
-* ``manifest`` — ``manifests/manifest-XXXXXXXX.txt``.  Immutable per
-  version; diffed by digest anyway (they are tiny).
+* ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr`` — and ``manifest`` —
+  ``manifests/manifest-XXXXXXXX.txt``.  Written once per backup, yet
+  diffed by content digest, because a version number can be written
+  twice: a backup that dies before its checkpoint head leaves its recipe
+  and manifest behind, a sync may ship them, and the next backup sweeps
+  them and takes the same number again — the same name, maybe the same
+  size, other bytes (``tests/test_replication.py::
+  test_a_reused_version_name_reaches_the_mirror``).  A repository
+  upgraded from the code that rewrote ``R_previous`` in place may hold
+  such a same-size rewrite too.
 * ``checkpoint`` — the volatile engine state (T1 tables, active containers,
   deletion tags), as a head plus parts (:mod:`repro.core.checkpoint`).  The
   head, ``checkpoint.json``, is a few KB, rewritten by every backup and
@@ -26,20 +31,20 @@ A HiDeStore repository directory is a set of four object kinds:
 The vocabulary itself (kinds, sections, name patterns, staging suffix) is
 defined once, in :mod:`repro.storage.repo`.
 
-:func:`capture_state` snapshots a repository into a plain dict the
+:meth:`RepoStorage.state <repro.storage.repo.RepoStorage.state>` snapshots
+a repository into the plain dict the
 :class:`~repro.replication.planner.SyncPlanner` diffs; it is also what a
-mirror daemon returns in ``REPLICATE_STATE_OK``, so both sides of the wire
-speak the same shape.
+daemon returns in ``REPLICATE_STATE_OK`` (vetted here by
+:func:`normalize_state`), so both sides of the wire speak the same shape.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ReplicationError
-from ..storage.repo import SECTIONS, RepoStorage, object_name
+from ..storage.repo import SECTIONS, object_name
 
 #: A repository state snapshot: kind -> name -> {"size": int, "digest": str}.
 #: Containers carry size only (immutable once visible; presence + size is
@@ -53,29 +58,9 @@ def validate_object(kind: str, name: str) -> Tuple[str, str]:
     return kind, name
 
 
-def object_path(root: str, kind: str, name: str) -> str:
-    """Absolute path of one replicable object inside a repository directory."""
-    return os.path.join(root, *object_name(kind, name).split("/"))
-
-
 def blob_digest(blob: bytes) -> str:
     """The hex sha256 of an object blob (what ``StorageBackend.digest`` reports)."""
     return hashlib.sha256(blob).hexdigest()
-
-
-def capture_state(root: str) -> RepoState:
-    """Snapshot a repository's replicable objects (directory or URL spec).
-
-    Must run while no backup/deletion is mutating the repository (the
-    caller holds the registry's reader lock, or owns the directory
-    outright); a mutation between digesting and shipping is caught later by
-    the session's read-time digest check.
-    """
-    storage = RepoStorage(root)
-    try:
-        return storage.state()
-    finally:
-        storage.close()
 
 
 def normalize_state(obj: object) -> RepoState:
@@ -100,20 +85,6 @@ def normalize_state(obj: object) -> RepoState:
             clean[name] = entry
         state[section] = clean
     return state
-
-
-def iter_blocks(blob: bytes, block_size: int = 1 << 18) -> Iterator[bytes]:
-    """Slice one object blob into wire/file-friendly blocks."""
-    view = memoryview(blob)
-    for offset in range(0, len(blob), block_size):
-        yield bytes(view[offset : offset + block_size])
-
-
-def source_identity(root: str) -> Dict[str, str]:
-    """Where a repository physically lives, for self-sync detection (see
-    :meth:`~repro.storage.repo.RepoStorage.identity`: a ``file://`` URL and
-    the bare path it names produce the same identity)."""
-    return RepoStorage(root).identity()
 
 
 def same_identity(a: Dict, b: Dict) -> bool:

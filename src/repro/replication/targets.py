@@ -1,37 +1,34 @@
-"""Replication targets: where a mirror lives (local directory or daemon).
+"""Replication endpoints: a repository this process opens, or a daemon tenant.
 
-Both targets speak the same five-verb surface the
-:class:`~repro.replication.session.ReplicationSession` drives:
+Every tenant copy — ``replicate``, replica sync, failover pull, rebalance
+move — is one :func:`~repro.replication.session.sync` between two
+endpoints, and both ends speak the same five verbs:
 
-* ``state()`` — the mirror's current :data:`RepoState` for diffing;
+* ``state()`` — the repository's :data:`RepoState`, for diffing;
+* ``fetch(kind, name)`` — read one object (the source side, and repair);
 * ``put(kind, name, blob, staged)`` — land one object, atomically
   (``*.tmp`` + rename), either into place or as a ``*.staged`` file;
 * ``commit(renames, deletes)`` — flip staged objects live and apply
   expirations, in the caller's order;
-* ``fetch(kind, name)`` — read one object back (the ``repair`` path);
-* ``identity()`` — where the mirror physically lives, so ``replicate`` and
-  ``repair`` can refuse a target that resolves to the source repository.
+* ``identity()`` — where the repository physically lives, so a sync or a
+  repair can refuse two endpoints that are one repository.
 
-:class:`LocalMirror` is a plain directory; :class:`RemoteMirror` drives a
-mirror daemon through the ``REPLICATE_*`` frames via
+:class:`LocalMirror` holds one :class:`~repro.storage.repo.RepoStorage`
+(its own, or a daemon tenant's); :class:`RemoteMirror` drives a daemon
+through the ``REPLICATE_*`` frames via
 :class:`~repro.client.remote.RemoteRepository`, inheriting its pooling,
-timeouts and idempotent-op retry machinery.
+timeouts and idempotent-op retries, and reads its identity off the same
+``REPLICATE_STATE`` reply as the state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Union, runtime_checkable
 
 from ..errors import ObjectMissingError, ReplicationError
 from ..storage.repo import RepoStorage
 from .planner import ObjectRef
-from .state import (
-    RepoState,
-    blob_digest,
-    capture_state,
-    source_identity,
-    validate_object,
-)
+from .state import RepoState, blob_digest, normalize_state
 
 
 @runtime_checkable
@@ -51,109 +48,83 @@ class ReplicationTarget(Protocol):
     def close(self) -> None: ...
 
 
-# ----------------------------------------------------------------------
-# Shared mechanics (LocalMirror + the daemon's target handlers)
-# ----------------------------------------------------------------------
-def write_object(root: str, kind: str, name: str, blob: bytes, staged: bool) -> None:
-    """Atomically land one object in the repository at ``root`` (a
-    directory or any backend spec).
+class LocalMirror:
+    """A repository this process opens itself: a directory (created on
+    first sync) or any backend spec.
 
-    Direct writes replace the object in one step (``*.tmp`` + rename on
-    file backends: a crash leaves only litter the stores already sweep);
-    staged writes land as ``<name>.staged`` and wait for
-    :func:`commit_objects`.
+    ``location`` is a spec, or a :class:`RepoStorage` to borrow — a daemon
+    hands in its tenant's own, so every ``REPLICATE_*`` request of that
+    tenant goes through one set of backends; :meth:`close` leaves a
+    borrowed one open.
     """
-    validate_object(kind, name)
-    storage = RepoStorage(root)
-    try:
-        storage.write_object(kind, name, blob, staged=staged)
-    finally:
-        storage.close()
 
+    def __init__(self, location: Union[str, RepoStorage]) -> None:
+        self._owned = not isinstance(location, RepoStorage)
+        self.storage = RepoStorage(location) if self._owned else location
 
-def commit_objects(root: str, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
-    """Apply a sync's commit step to a mirror (directory or backend URL);
-    returns ops applied.
+    def state(self) -> RepoState:
+        return self.storage.state()
 
-    Idempotent by construction, so an interrupted commit can simply be
-    re-run: a rename whose staged object is gone but whose final object
-    exists already happened; a delete of a missing object already happened.
-    Refused before anything is renamed when the staged checkpoint head names
-    a part that is not in place (:meth:`~repro.storage.repo.RepoStorage.
-    commit_objects`).
-    """
-    for ref in list(renames) + list(deletes):
-        validate_object(ref.kind, ref.name)
-    storage = RepoStorage(root)
-    try:
-        return storage.commit_objects(
+    def put(self, kind: str, name: str, blob: bytes, staged: bool = False) -> None:
+        """Land one object atomically: into place, or as ``<name>.staged``
+        awaiting :meth:`commit`."""
+        self.storage.write_object(kind, name, blob, staged=staged)
+
+    def commit(self, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
+        """Flip staged objects live, then apply deletions; returns ops
+        applied.  Idempotent, so an interrupted commit is simply re-run
+        (:meth:`~repro.storage.repo.RepoStorage.commit_objects`)."""
+        return self.storage.commit_objects(
             [(ref.kind, ref.name) for ref in renames],
             [(ref.kind, ref.name) for ref in deletes],
         )
-    finally:
-        storage.close()
-
-
-def read_object(root: str, kind: str, name: str) -> bytes:
-    """Read one replicable object's bytes from a repository (path or URL)."""
-    validate_object(kind, name)
-    storage = RepoStorage(root)
-    try:
-        return storage.read_object(kind, name)
-    except ObjectMissingError:
-        raise ReplicationError(f"no {kind} object {name!r} in {root}") from None
-    finally:
-        storage.close()
-
-
-class LocalMirror:
-    """A mirror living in a local directory (created on first sync)."""
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-
-    def state(self) -> RepoState:
-        return capture_state(self.root)
-
-    def put(self, kind: str, name: str, blob: bytes, staged: bool = False) -> None:
-        write_object(self.root, kind, name, blob, staged)
-
-    def commit(self, renames: List[ObjectRef], deletes: List[ObjectRef]) -> int:
-        return commit_objects(self.root, renames, deletes)
 
     def fetch(self, kind: str, name: str) -> bytes:
-        return read_object(self.root, kind, name)
+        try:
+            return self.storage.read_object(kind, name)
+        except ObjectMissingError:
+            raise ReplicationError(
+                f"no {kind} object {name!r} in {self.storage.location.spec}"
+            ) from None
 
     def identity(self) -> Dict[str, str]:
-        return source_identity(self.root)
+        return self.storage.identity()
 
-    def close(self) -> None:  # nothing to release
-        pass
+    def close(self) -> None:
+        if self._owned:
+            self.storage.close()
 
 
 class RemoteMirror:
-    """A tenant on a mirror daemon, driven over the ``REPLICATE_*`` frames."""
+    """A tenant on a daemon, driven over the ``REPLICATE_*`` frames.
 
-    def __init__(self, address, repo: str, timeout: float = 30.0, retries: int = 3) -> None:
+    Pass ``remote=`` to borrow a :class:`~repro.client.remote.RemoteRepository`
+    (say one on a :class:`~repro.cluster.client.ClusterClient`'s shared
+    pool) instead of connecting to ``address``; :meth:`close` leaves a
+    borrowed one open.
+    """
+
+    def __init__(
+        self, address=None, repo: str = "", timeout: float = 30.0, retries: int = 3,
+        *, remote=None,
+    ) -> None:
         from ..client.remote import RemoteRepository
 
-        self.remote = RemoteRepository(address, repo, timeout=timeout, retries=retries)
+        self._owned = remote is None
+        self.remote = (
+            RemoteRepository(address, repo, timeout=timeout, retries=retries)
+            if remote is None else remote
+        )
         self._identity: Optional[Dict[str, str]] = None
 
-    def _state_doc(self) -> Tuple[RepoState, Dict[str, str]]:
-        from .state import normalize_state
-
+    def state(self) -> RepoState:
+        """One ``REPLICATE_STATE``: the state, and the identity beside it."""
         doc = self.remote.replicate_state()
         identity = doc.get("identity")
         self._identity = identity if isinstance(identity, dict) else {}
-        return normalize_state(doc.get("state")), self._identity
-
-    def state(self) -> RepoState:
-        state, _ = self._state_doc()
-        return state
+        return normalize_state(doc.get("state"))
 
     def put(self, kind: str, name: str, blob: bytes, staged: bool = False) -> None:
-        validate_object(kind, name)
         self.remote.replicate_put(kind, name, blob, blob_digest(blob), staged)
 
     def commit(self, renames: List[ObjectRef], deletes: List[ObjectRef]) -> None:
@@ -163,16 +134,18 @@ class RemoteMirror:
         )
 
     def fetch(self, kind: str, name: str) -> bytes:
-        validate_object(kind, name)
         return self.remote.replicate_fetch(kind, name)
 
     def identity(self) -> Dict[str, str]:
+        """Where the tenant lives, as the last :meth:`state` reported it
+        (one ``REPLICATE_STATE`` when none has been read yet)."""
         if self._identity is None:
-            self._state_doc()
+            self.state()
         return self._identity or {}
 
     def close(self) -> None:
-        self.remote.close()
+        if self._owned:
+            self.remote.close()
 
 
 def open_target(target: str, remote: Optional[str] = None) -> ReplicationTarget:

@@ -288,7 +288,7 @@ class BackupDaemon:
         handle = self.registry.get(name)
         async with handle.reading():
             session = ReplicationSession(
-                handle.repository.root, target, metrics=self.metrics
+                handle.repository.storage, target, metrics=self.metrics
             )
             report = await asyncio.to_thread(session.run)
         self.note_session("replicate")

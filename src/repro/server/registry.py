@@ -85,7 +85,7 @@ class RepoHandle:
         self.name = name
         self.repository = repository
         #: The same tenant as a replication target (``REPLICATE_*`` frames).
-        self.mirror = LocalMirror(repository.root)
+        self.mirror = LocalMirror(repository.storage)
         self.lock = ReadWriteLock()
         self.active_ops = 0
         self.counters: Dict[str, int] = {

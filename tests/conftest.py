@@ -46,6 +46,15 @@ def recipe_sizes(root: str, version_id: int) -> List[int]:
         storage.close()
 
 
+def repo_state(spec: str) -> dict:
+    """A repository's replicable objects by section (``RepoStorage.state``)."""
+    storage = RepoStorage(spec)
+    try:
+        return storage.state()
+    finally:
+        storage.close()
+
+
 def copy_objects(source_spec: str, target_spec: str) -> None:
     """Every replicable object of one repository, written into another."""
     from repro.storage.repo import SECTIONS, RepoStorage

@@ -43,7 +43,6 @@ from repro.errors import ReplicationError, ReproError
 from repro.observability import MetricsRegistry
 from repro.replication.repair import referenced_container_ids
 from repro.replication.session import ReplicationSession
-from repro.replication.state import capture_state, object_path
 from repro.replication.targets import LocalMirror, RemoteMirror
 from repro.repository import LocalRepository
 from repro.server import DaemonThread
@@ -53,7 +52,7 @@ from repro.storage.fake_s3 import FakeS3Server
 from repro.storage.repo import CHECKPOINT_NAME, RepoStorage
 from repro.units import KiB
 from repro.storage.recipe import pack_recipe, unpack_recipe
-from tests.conftest import FIXTURE_V2, copy_objects, fixture_v2_bytes
+from tests.conftest import FIXTURE_V2, copy_objects, fixture_v2_bytes, repo_state
 from tests.test_write_once_containers import FIXTURE_V4, fresh_bytes
 
 FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "repo_v1")
@@ -107,7 +106,7 @@ def head_of(spec):
 
 def part_names(spec):
     """Checkpoint parts present in the repository, whatever the head says."""
-    return sorted(set(capture_state(spec)["checkpoint"]) - {CHECKPOINT_NAME})
+    return sorted(set(repo_state(spec)["checkpoint"]) - {CHECKPOINT_NAME})
 
 
 def named_parts(spec):
@@ -347,14 +346,14 @@ def test_a_backup_that_fails_at_its_head_rolls_its_parts_back(tmp_path, controll
     repo = open_repo(spec)
     for index in range(committed):
         backup(repo, index)
-    before = capture_state(spec)
+    before = repo_state(spec)
     seen = Mutations(controller)
     controller.arm("enospc", op="put_meta", match_name=CHECKPOINT_NAME, count=1)
     with pytest.raises(ReproError, match="ENOSPC"):
         backup(repo, committed)
     assert any(op == "put_meta" and is_part(name) for op, name in seen.log)
     controller.disarm_all()
-    assert capture_state(spec) == before  # parts included: nothing unnamed is left
+    assert repo_state(spec) == before  # parts included: nothing unnamed is left
     assert backup(repo, committed)["version_id"] == committed + 1
     assert part_names(spec) == named_parts(spec)
     assert repo.verify(deep=True)["ok"]
@@ -370,13 +369,15 @@ def test_head_is_small_and_names_every_part(tmp_path):
     assert os.path.getsize(os.path.join(root, CHECKPOINT_NAME)) < 4096
     assert part_names(root) == named_parts(root)
     for ref in head["parts"]:
-        with open(object_path(root, "checkpoint", ref["name"]), "rb") as handle:
+        path = RepoStorage(root).local_path("checkpoint", ref["name"])
+        with open(path, "rb") as handle:
             blob = handle.read()
         assert (len(blob), sha(blob)) == (ref["size"], ref["sha256"])
         assert ref["name"].rsplit(".", 1)[0].endswith(ref["sha256"][:16])
     assert head["active"] and not any(is_part(n) and "-active-" in n for n in part_names(root))
     for ref in head["active"]:
-        with open(object_path(root, "container", container_name(ref["cid"])), "rb") as handle:
+        path = RepoStorage(root).local_path("container", container_name(ref["cid"]))
+        with open(path, "rb") as handle:
             blob = handle.read()
         assert (len(blob), sha(blob)) == (ref["size"], ref["sha256"])
 
@@ -543,10 +544,10 @@ def test_a_part_that_disagrees_with_the_head_fails_the_open_by_name(
         backup(repo, index)
     if which == "active":
         name = container_name(head_of(root)["active"][0]["cid"])
-        path = object_path(root, "container", name)
+        path = RepoStorage(root).local_path("container", name)
     else:
         name = next(n for n in named_parts(root) if n.startswith(f"checkpoint-{which}-"))
-        path = object_path(root, "checkpoint", name)
+        path = RepoStorage(root).local_path("checkpoint", name)
     if damage is None:
         os.remove(path)
     else:
@@ -656,10 +657,10 @@ def check_recovered(spec, digests, next_version_before, written, recovery, commi
     assert next_version_before <= engine._next_version <= next_version_before + 1
     assert listed and listed == list(range(listed[0], listed[-1] + 1))
     assert listed[-1] < engine._next_version
-    stored = capture_state(spec)
+    stored = repo_state(spec)
     for version_id in listed:
         assert restored_sha(repo, version_id) == digests[version_id], version_id
-    assert capture_state(spec) == stored, "a restore changed a stored object"
+    assert repo_state(spec) == stored, "a restore changed a stored object"
     for version in engine.deletion.tagged_versions():
         assert version in listed, f"tag of version {version} outlived its recipe"
         for cid in engine.deletion.containers_for(version):
@@ -794,11 +795,11 @@ def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path
         backup(repo, index)
     tags = head_of(root)["deletion_tags"]
     assert tags["3"] and sorted(map(int, tags)) == [1, 2, 3, 4, 5]
-    lost = object_path(root, "recipe", "recipe-00000003.hdsr")
+    lost = RepoStorage(root).local_path("recipe", "recipe-00000003.hdsr")
     with open(lost, "rb") as handle:
         blob = handle.read()
     os.remove(lost)
-    stored = capture_state(root)["containers"]
+    stored = repo_state(root)["containers"]
 
     damaged = open_repo(root)
     assert [v["version_id"] for v in damaged.versions()] == [1, 2, 4, 5, 6]
@@ -806,7 +807,7 @@ def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path
     assert not report["ok"] and any("R_3" in issue for issue in report["issues"])
     for index in (0, 1, 3, 4, 5):  # its demotion map still serves R_1 and R_2
         assert restored_sha(damaged, index + 1) == sha(version_bytes(index))
-    assert capture_state(root)["containers"] == stored
+    assert repo_state(root)["containers"] == stored
     assert damaged._open().deletion.tagged_versions() == [1, 2, 3, 4, 5]
     storage = RepoStorage(root)
     assert referenced_container_ids(storage) >= {int(cid) for cid in tags["3"]}
@@ -834,14 +835,14 @@ def test_sync_ships_the_head_alone_after_an_expiry_and_skips_unchanged_parts(tmp
     session = ReplicationSession(source_root, LocalMirror(mirror_root), journal="")
     first = session.run()
     assert first.committed and ships_of(session) == []
-    assert capture_state(mirror_root) == capture_state(source_root)
+    assert repo_state(mirror_root) == repo_state(source_root)
 
     source.delete_oldest()
     assert ships_of(session) == [("checkpoint", CHECKPOINT_NAME)]
     report = session.run()
     assert report.objects_shipped == 1 and report.bytes_shipped < 4096
     assert report.objects_deleted >= 3  # recipe, manifest, tagged container(s)
-    assert capture_state(mirror_root) == capture_state(source_root)
+    assert repo_state(mirror_root) == repo_state(source_root)
 
     before = set(named_parts(source_root))
     backup(source, 4, big_version_bytes)
@@ -859,7 +860,7 @@ def test_sync_ships_the_head_alone_after_an_expiry_and_skips_unchanged_parts(tmp
         ref for ref in plan.deletes if ref.kind == "checkpoint"
     ]
     session.run()
-    assert capture_state(mirror_root) == capture_state(source_root)
+    assert repo_state(mirror_root) == repo_state(source_root)
     mirror = open_repo(mirror_root)
     for index in range(1, 5):
         assert restored_sha(mirror, index + 1) == sha(big_version_bytes(index))
@@ -948,7 +949,7 @@ def test_reads_on_the_mirror_between_the_part_puts_and_the_commit_keep_the_parts
         # rewritten R_3; what R_3's update learned travels as a part.
         assert [a.name for a in plan.ships if a.kind == "recipe"] == ["recipe-00000004.hdsr"]
         land_without_commit(source_root, mirror_target, plan)
-        landed = capture_state(mirror_root)
+        landed = repo_state(mirror_root)
         unnamed = set(landed["checkpoint"]) - {CHECKPOINT_NAME} - set(named_parts(mirror_root))
         assert any(name.startswith("checkpoint-demoted-00000003-") for name in unnamed)
         assert "manifest-00000004.txt" in landed["manifests"]
@@ -958,10 +959,10 @@ def test_reads_on_the_mirror_between_the_part_puts_and_the_commit_keep_the_parts
         assert restored_sha(reader, 3) == sha(version_bytes(2))
         assert reader.stats()["versions"] == 3
         assert reader.verify(deep=True)["ok"]
-        assert capture_state(mirror_root) == landed, "reading changed something"
+        assert repo_state(mirror_root) == landed, "reading changed something"
 
         mirror_target.commit(plan.renames, plan.deletes)
-        assert capture_state(mirror_root) == capture_state(source_root)
+        assert repo_state(mirror_root) == repo_state(source_root)
         caught_up = open_reader()
         assert [v["version_id"] for v in caught_up.versions()] == [2, 3, 4]
         for index in range(1, 4):
@@ -977,19 +978,19 @@ def test_commit_refuses_a_head_whose_part_is_not_on_the_mirror(tmp_path):
     backup(source, 3)
     plan = session.plan()
     land_without_commit(source.root, mirror_target, plan)
-    before = capture_state(mirror_root)
+    before = repo_state(mirror_root)
     lost = next(iter(set(part_names(mirror_root)) - set(named_parts(mirror_root))))
-    os.remove(object_path(mirror_root, "checkpoint", lost))
+    os.remove(RepoStorage(mirror_root).local_path("checkpoint", lost))
 
     with pytest.raises(ReplicationError, match=lost):
         mirror_target.commit(plan.renames, plan.deletes)
     del before["checkpoint"][lost]
-    assert capture_state(mirror_root) == before  # nothing was renamed
+    assert repo_state(mirror_root) == before  # nothing was renamed
     mirror = open_repo(mirror_root)
     assert [v["version_id"] for v in mirror.versions()] == [1, 2, 3]  # the old head
 
     session.run()  # the next sync ships the part again, by presence
-    assert capture_state(mirror_root) == capture_state(source.root)
+    assert repo_state(mirror_root) == repo_state(source.root)
     assert open_repo(mirror_root).verify(deep=True)["ok"]
 
 
@@ -997,10 +998,11 @@ def test_object_vocabulary_knows_head_and_parts(tmp_path):
     root = str(tmp_path / "repo")
     tables = "checkpoint-tables-0123456789abcdef.bin"
     active = "checkpoint-active-00000007-0123456789abcdef.hdsc"
-    assert object_path(root, "checkpoint", CHECKPOINT_NAME) == os.path.join(root, CHECKPOINT_NAME)
-    assert object_path(root, "checkpoint", tables) == os.path.join(root, tables)
-    assert object_path(root, "checkpoint", active) == os.path.join(root, active)
-    assert object_path(root, "container", "container-00000007.hdsc") == os.path.join(
+    object_path = RepoStorage(root).local_path
+    assert object_path("checkpoint", CHECKPOINT_NAME) == os.path.join(root, CHECKPOINT_NAME)
+    assert object_path("checkpoint", tables) == os.path.join(root, tables)
+    assert object_path("checkpoint", active) == os.path.join(root, active)
+    assert object_path("container", "container-00000007.hdsc") == os.path.join(
         root, "containers", "container-00000007.hdsc"
     )
     for bad in (
@@ -1008,9 +1010,9 @@ def test_object_vocabulary_knows_head_and_parts(tmp_path):
         "../checkpoint.json", "checkpoint-tables-0123456789abcdef.bin/x", "checkpoint",
     ):
         with pytest.raises(ReplicationError):
-            object_path(root, "checkpoint", bad)
+            object_path("checkpoint", bad)
     with pytest.raises(ReplicationError):
-        object_path(root, "tables", tables)
+        object_path("tables", tables)
 
 
 def test_dropping_a_tenant_removes_its_checkpoint_parts():
@@ -1023,4 +1025,4 @@ def test_dropping_a_tenant_removes_its_checkpoint_parts():
         assert len(part_names(spec)) >= 2
         handle.repository.storage.close()
         assert registry.drop("tenant") > 0
-        assert all(section == {} for section in capture_state(spec).values())
+        assert all(section == {} for section in repo_state(spec).values())

@@ -21,13 +21,12 @@ from repro.core.hidestore import HiDeStore
 from repro.errors import RestoreError
 from repro.observability import MetricsRegistry
 from repro.replication.session import ReplicationSession
-from repro.replication.state import capture_state
 from repro.replication.targets import LocalMirror
 from repro.repository import LocalRepository
 from repro.storage.recipe import pack_recipe, unpack_recipe
 from repro.storage.repo import RepoStorage
 from repro.units import KiB
-from tests.conftest import make_stream
+from tests.conftest import make_stream, repo_state
 
 
 def version_bytes(index):
@@ -108,7 +107,7 @@ def test_mirror_tenant_after_a_sync_restores_without_writing(tmp_path):
     assert restored(source, 1) == version_bytes(0)
     session = ReplicationSession(source_root, LocalMirror(mirror_root), journal="")
     assert session.run().committed
-    shipped = capture_state(mirror_root)
+    shipped = repo_state(mirror_root)
     for version, reads in ((4, 1), (1, 1 + 4), (2, 1 + 4)):
         mirror = open_repo(mirror_root)
         engine = mirror._open()
@@ -118,7 +117,7 @@ def test_mirror_tenant_after_a_sync_restores_without_writing(tmp_path):
         # The newest reads its own recipe; an older one also builds the index.
         assert (delta.recipe_reads, delta.recipe_writes) == (reads, 0)
         mirror.storage.close()
-    assert capture_state(mirror_root) == shipped
+    assert repo_state(mirror_root) == shipped
 
     # A sync lands new recipes behind a cached engine; it is invalidated.
     mirror = open_repo(mirror_root)
@@ -129,7 +128,7 @@ def test_mirror_tenant_after_a_sync_restores_without_writing(tmp_path):
     for version in (5, 4, 1):
         assert restored(mirror, version) == version_bytes(version - 1)
     assert index_builds(mirror) == 2  # one per engine load
-    assert capture_state(mirror_root) == capture_state(source_root)
+    assert repo_state(mirror_root) == repo_state(source_root)
     assert mirror.verify(deep=True)["ok"]
 
 

@@ -25,7 +25,6 @@ from repro.replication import (
     RemoteMirror,
     ReplicationSession,
     SyncPlanner,
-    capture_state,
     repair_from_mirror,
     scan_containers,
 )
@@ -33,6 +32,7 @@ from repro.replication.repair import check_container_blob, verify_repository
 from repro.replication.state import validate_object
 from repro.repository import LocalRepository, materialize, read_tree
 from repro.server import BackupDaemon, DaemonThread
+from tests.conftest import repo_state
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +234,7 @@ class TestLocalSync:
         ).run()
         assert first.containers_shipped > 0 and first.committed
         shipped_before = first.containers_shipped
-        before = set(capture_state(str(tmp_path / "repo"))["containers"])
+        before = set(repo_state(str(tmp_path / "repo"))["containers"])
         _assert_mirror_serves(mirror_root, contents, tmp_path, "seed")
 
         # One more backup: the next sync must ship only the new delta.
@@ -248,7 +248,7 @@ class TestLocalSync:
         ).run()
         # Containers the backup released (active ones it merged away) are
         # gone from both sides; everything still stored ships at most once.
-        after = set(capture_state(str(tmp_path / "repo"))["containers"])
+        after = set(repo_state(str(tmp_path / "repo"))["containers"])
         assert second.containers_skipped == len(before & after) > 0
         assert second.containers_shipped == len(after - before) > 0
         counters = metrics.snapshot()["counters"]
@@ -314,7 +314,7 @@ class TestLocalSync:
         resumed = ReplicationSession(
             str(tmp_path / "repo"), LocalMirror(str(mirror_root)), metrics=metrics
         ).run()
-        total = len(capture_state(str(tmp_path / "repo"))["containers"])
+        total = len(repo_state(str(tmp_path / "repo"))["containers"])
         assert resumed.containers_shipped + resumed.containers_skipped == total
         assert resumed.containers_skipped > 0, "resume re-shipped completed containers"
         assert resumed.committed
@@ -446,6 +446,147 @@ class TestRemoteSync:
                     mirror.fetch("container", "container-99999999.hdsc")
             finally:
                 mirror.close()
+
+
+# ----------------------------------------------------------------------
+# The one tenant copy: every check sync makes holds for all its callers
+# ----------------------------------------------------------------------
+class TamperedSource(LocalMirror):
+    """A source whose fetch of the chosen objects returns other bytes."""
+
+    def __init__(self, root, pick, tamper):
+        super().__init__(root)
+        self.pick, self.tamper = pick, tamper
+
+    def fetch(self, kind, name):
+        blob = super().fetch(kind, name)
+        return self.tamper(blob) if self.pick(kind, name) else blob
+
+
+class CommitLog(LocalMirror):
+    """A local mirror that records the commits it is asked for."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.commits = []
+
+    def commit(self, renames, deletes):
+        self.commits.append((renames, deletes))
+        return super().commit(renames, deletes)
+
+
+def _flip_first(blob):
+    return bytes([blob[0] ^ 0xFF]) + blob[1:]
+
+
+@pytest.mark.parametrize(
+    "pick, tamper",
+    [
+        (lambda kind, name: kind == "container", lambda blob: blob + b"\0"),
+        (lambda kind, name: kind == "container", lambda blob: blob[:-1]),
+        (lambda kind, name: kind == "recipe", _flip_first),
+        (lambda kind, name: kind == "manifest", _flip_first),
+        (lambda kind, name: name == "checkpoint.json", _flip_first),
+    ],
+    ids=["container-longer", "container-shorter", "recipe-digest", "manifest-digest", "head-digest"],
+)
+def test_sync_refuses_a_fetch_that_does_not_match_the_source_state(tmp_path, pick, tamper):
+    """Replicate, failover pull and rebalance move all run :func:`sync`, so
+    this is their check too: a blob of the wrong size, or of the wrong
+    digest where the state carries one, stops the sync before its commit."""
+    from repro.replication import sync
+
+    repo, contents = _build_repo(tmp_path / "repo", tmp_path / "src", versions=2)
+    source, mirror_root = str(tmp_path / "repo"), str(tmp_path / "mirror")
+    sync(LocalMirror(source), LocalMirror(mirror_root))
+    files = dict(contents[2], late=_blob(99))
+    _write_tree(str(tmp_path / "src"), files)
+    repo.backup_tree(read_tree(str(tmp_path / "src")), tag="v3")
+    before = repo_state(mirror_root)
+
+    target = CommitLog(mirror_root)
+    with pytest.raises(ReplicationError, match="changed while syncing"):
+        sync(TamperedSource(source, pick, tamper), target)
+    assert target.commits == []
+    after = repo_state(mirror_root)  # what a reader sees: the recipes and the head
+    assert after["recipes"] == before["recipes"]
+    assert after["checkpoint"]["checkpoint.json"] == before["checkpoint"]["checkpoint.json"]
+    _assert_mirror_serves(mirror_root, {v: contents[v] for v in (1, 2)}, tmp_path, "refused")
+
+    sync(LocalMirror(source), LocalMirror(mirror_root))  # an honest source resumes it
+    _assert_mirror_serves(mirror_root, {**contents, 3: files}, tmp_path, "resumed")
+
+
+def test_a_reused_version_name_reaches_the_mirror(tmp_path, monkeypatch):
+    """Why recipes and manifests keep their digests: a backup that dies
+    before its checkpoint head leaves its recipe and manifest behind, a
+    sync ships them, and the next backup takes the same version number —
+    the same names, here the same recipe size, other bytes."""
+    from repro.replication import sync
+
+    source, mirror_root = str(tmp_path / "repo"), str(tmp_path / "mirror")
+    data = _blob(7, 300_000)
+    repo = LocalRepository(source)
+    for version in (1, 2):
+        data = data[:1000 * version] + _blob(20 + version, 5000) + data[1000 * version + 5000:]
+        repo.backup_blocks([data], [("f.bin", len(data))], tag=f"v{version}")
+    dead = data[:150_000] + _blob(31, 20_000) + data[170_000:]
+
+    # v3 dies before its head: its recipe and manifest are written, its
+    # head is not, and (a killed process) nothing rolls it back.
+    def killed(self, store):
+        raise KeyboardInterrupt("killed before the checkpoint head")
+
+    monkeypatch.setattr(LocalRepository, "_save_checkpoint", killed)
+    monkeypatch.setattr(LocalRepository, "_rollback", lambda self, *args: None)
+    with pytest.raises(KeyboardInterrupt):
+        repo.backup_blocks([dead], [("f.bin", len(dead))], tag="v3")
+    monkeypatch.undo()
+    recipe = "recipe-00000003.hdsr"
+    stale = repo_state(source)["recipes"][recipe]
+    assert "manifest-00000003.txt" in repo_state(source)["manifests"]
+
+    sync(LocalMirror(source), LocalMirror(mirror_root))  # before any writer opens the source
+    assert repo_state(mirror_root)["recipes"][recipe] == stale
+
+    edited = dead[:100_000] + bytes(b ^ 0x5A for b in dead[100_000:100_100]) + dead[100_100:]
+    retaken = LocalRepository(source)
+    assert retaken.backup_blocks([edited], [("f.bin", len(edited))], tag="v3")["version_id"] == 3
+    fresh = repo_state(source)["recipes"][recipe]
+    assert fresh["size"] == stale["size"] and fresh["digest"] != stale["digest"]
+
+    sync(LocalMirror(source), LocalMirror(mirror_root))
+    assert repo_state(mirror_root)["recipes"][recipe] == fresh
+    mirror = LocalRepository(mirror_root)
+    assert b"".join(mirror.restore(3)[1]) == edited
+    assert mirror.verify(deep=True)["ok"]
+
+
+def test_one_replicate_state_per_remote_endpoint_per_sync(tmp_path):
+    """Each endpoint's state is read once, its identity off the same reply."""
+    from repro.replication import sync
+
+    _build_repo(tmp_path / "repo", tmp_path / "src", versions=2)
+    metrics = MetricsRegistry()
+
+    def state_requests():
+        histogram = metrics.snapshot()["histograms"].get("server.replicate_state_seconds")
+        return histogram["count"] if histogram else 0
+
+    with DaemonThread(str(tmp_path / "served"), metrics=metrics) as address:
+        mirror = RemoteMirror(address, "mirror")
+        try:
+            for done in range(1, 4):
+                ReplicationSession(str(tmp_path / "repo"), mirror, journal="").run()
+                assert state_requests() == done
+            copy = RemoteMirror(address, "copy")
+            try:
+                report = sync(mirror, copy)  # daemon to daemon: two remote endpoints
+                assert report.committed and state_requests() == 5
+            finally:
+                copy.close()
+        finally:
+            mirror.close()
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ engine stores and the replication layer rely on.  Also covered here:
 """
 
 import threading
+import time
+import types
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.storage.container_store import (
     FileContainerStore,
     MemoryContainerStore,
 )
+from repro.storage import fake_s3
 from repro.storage.fake_s3 import FakeS3Server
 from repro.storage.object_store import ObjectStoreBackend
 
@@ -186,11 +189,16 @@ class TestFakeS3Dialect:
         assert records[0].status == 206
         backend.close()
 
-    def test_parallel_ranged_gets_tracked(self, s3_server):
+    def test_parallel_ranged_gets_tracked(self, s3_server, monkeypatch):
         backend = ObjectStoreBackend(s3_server.url("bucket", "dialect-parallel"))
         backend.put("obj", b"x" * 4096)
         s3_server.clear_log()
-        s3_server.latency = 0.05
+        # The handler's latency sleep becomes a barrier: no GET is answered
+        # before all four are in flight, whatever the thread timing.
+        barrier = threading.Barrier(4, timeout=30)
+        clock = types.SimpleNamespace(monotonic=time.monotonic, sleep=lambda _s: barrier.wait())
+        monkeypatch.setattr(fake_s3, "time", clock)
+        s3_server.latency = 1.0
         try:
             threads = [
                 threading.Thread(target=backend.get_range, args=("obj", i * 256, 256))
@@ -203,7 +211,7 @@ class TestFakeS3Dialect:
         finally:
             s3_server.latency = 0.0
         assert len(s3_server.ranged_get_records()) == 4
-        assert s3_server.max_concurrent_ranged_gets() >= 2
+        assert s3_server.max_concurrent_ranged_gets() == 4
         backend.close()
 
     def test_suffix_and_invalid_ranges(self, s3_server):

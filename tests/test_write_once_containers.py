@@ -26,7 +26,6 @@ import pytest
 from repro.core.chunk_filter import ActiveContainerPool
 from repro.core.verify import container_name
 from repro.observability import MetricsRegistry
-from repro.replication.state import capture_state, object_path
 from repro.repository import LocalRepository
 from repro.errors import StorageError
 from repro.storage.backend import SQLiteBackend
@@ -34,7 +33,7 @@ from repro.storage.container import Container
 from repro.storage.container_store import BackendContainerStore
 from repro.storage.repo import CHECKPOINT_NAME, RepoStorage
 from repro.units import KiB
-from tests.conftest import fixture_v2_bytes
+from tests.conftest import fixture_v2_bytes, repo_state
 
 #: A directory repository written by the release whose head was
 #: ``hidestore-checkpoint-v4``: four versions of :func:`fixture_v2_bytes`
@@ -73,7 +72,7 @@ def head_of(spec):
 
 
 def part_names(spec):
-    return sorted(set(capture_state(spec)["checkpoint"]) - {CHECKPOINT_NAME})
+    return sorted(set(repo_state(spec)["checkpoint"]) - {CHECKPOINT_NAME})
 
 
 def test_a_fresh_stream_writes_each_unique_byte_once(tmp_path, monkeypatch):
@@ -152,7 +151,7 @@ def test_deep_verify_catches_a_bit_flip_in_an_adopted_container(tmp_path):
     backup(repo, fresh_bytes(1))
     assert head_of(root)["deletion_tags"] == {"1": [active["cid"]]}  # adopted, not copied
     name = container_name(active["cid"])
-    path = object_path(root, "container", name)
+    path = RepoStorage(root).local_path("container", name)
     with open(path, "rb") as handle:
         blob = bytearray(handle.read())
     assert sha(bytes(blob)) == active["sha256"]  # the very object the checkpoint wrote
@@ -190,7 +189,8 @@ def test_a_v4_head_opens_restores_and_its_first_save_moves_the_parts(tmp_path):
     assert not [name for name in part_names(root) if name.startswith("checkpoint-active-")]
     assert part_names(root) == sorted(ref["name"] for ref in head["parts"])
     for ref in head["active"]:
-        with open(object_path(root, "container", container_name(ref["cid"])), "rb") as handle:
+        path = RepoStorage(root).local_path("container", container_name(ref["cid"]))
+        with open(path, "rb") as handle:
             blob = handle.read()
         assert (len(blob), sha(blob)) == (ref["size"], ref["sha256"])
     for reopened in (repo, open_repo(root)):
