@@ -5,7 +5,8 @@ to a local mirror directory:
 
 * **seed** — the first sync ships every container;
 * **incremental** — one more backup lands, the next sync ships only the
-  newly sealed containers (everything already mirrored is skipped);
+  containers it added and skips every mirrored one still stored (the
+  active containers the backup released are deleted on both sides);
 * **steady-state** — nothing changed, the sync ships zero objects.
 
 The assertions pin the subsystem's O(delta) contract: work is
@@ -25,6 +26,7 @@ from repro.observability import MetricsRegistry
 from repro.replication import LocalMirror, RemoteMirror, ReplicationSession
 from repro.repository import LocalRepository, read_tree
 from repro.server import DaemonThread
+from repro.storage.repo import RepoStorage
 from repro.units import MiB
 
 FILES = 6
@@ -48,6 +50,14 @@ def _mutate(base: str, seed: int) -> None:
         handle.write(rng.randbytes(DELTA))
 
 
+def _containers(repo_root: str) -> set:
+    storage = RepoStorage(repo_root)
+    try:
+        return set(storage.state()["containers"])
+    finally:
+        storage.close()
+
+
 def _timed_sync(repo_root: str, target, metrics: MetricsRegistry):
     session = ReplicationSession(repo_root, target, journal="", metrics=metrics)
     started = time.perf_counter()
@@ -67,8 +77,10 @@ def _run_phases(repo_root: str, src: str, make_target, metrics: MetricsRegistry)
     target = make_target()
     try:
         phases["seed"] = _timed_sync(repo_root, target, metrics)
+        before = _containers(repo_root)
         _mutate(src, 990)
         repo.backup_tree(read_tree(src), tag="delta")
+        after = _containers(repo_root)
         phases["incremental"] = _timed_sync(repo_root, target, metrics)
         phases["steady"] = _timed_sync(repo_root, target, metrics)
     finally:
@@ -82,8 +94,11 @@ def _run_phases(repo_root: str, src: str, make_target, metrics: MetricsRegistry)
         "incremental sync re-shipped the whole repository: "
         f"{incr.containers_shipped} vs seed {seed.containers_shipped}"
     )
-    assert incr.containers_skipped >= seed.containers_shipped, (
+    assert incr.containers_skipped == len(before & after) > 0, (
         "incremental sync failed to skip already-mirrored containers"
+    )
+    assert incr.containers_shipped == len(after - before) > 0, (
+        "incremental sync did not ship exactly the containers the backup added"
     )
     assert steady.containers_shipped == 0 and steady.objects_shipped == 0, (
         f"steady-state sync shipped {steady.objects_shipped} objects"

@@ -4,8 +4,8 @@
 Models the paper's motivating deployment — an archival service keeping
 "all versions of the software and the system snapshots for users".  Two
 tenants back up evolving byte streams into one in-process daemon through
-:class:`~repro.client.RemoteRepository`; both share the daemon's chunking
-pool, each tenant's versions restore independently, and one tenant's
+:class:`~repro.client.RemoteRepository`; each backup chunks on its own
+engine thread, each tenant's versions restore independently, and one tenant's
 retention window expires GC-free without touching the other.
 
 Usage::
@@ -35,7 +35,7 @@ def versions(seed: int, count: int = 4, size: int = 600_000):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as root, \
-            DaemonThread(root, ingest_workers=2) as address:
+            DaemonThread(root) as address:
         repos = {name: RemoteRepository(address, name) for name in TENANTS}
         originals = {}
         for name, seed in TENANTS.items():

@@ -53,7 +53,6 @@ back into files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import List, Optional
 
@@ -76,7 +75,6 @@ __all__ = ["build_parser", "main", "open_repository"]
 _LOCAL_ONLY_DEFAULTS = {
     "history_depth": 1,
     "compress": False,
-    "workers": 1,
 }
 
 
@@ -120,8 +118,6 @@ def _open_target(args: argparse.Namespace, **local_kwargs) -> Repository:
 
         _reject_local_flags("--remote", local_kwargs)
         return RemoteRepository(args.remote, args.repo)
-    # ``workers`` sizes cmd_backup's short-lived pool, not the repository.
-    local_kwargs.pop("workers", None)
     return LocalRepository(args.repo, **local_kwargs)
 
 
@@ -131,19 +127,9 @@ def cmd_backup(args: argparse.Namespace) -> int:
     if not entries:
         print(f"error: no files under {args.source}", file=sys.stderr)
         return 1
-    with contextlib.ExitStack() as stack:
-        repo = stack.enter_context(_open_target(
-            args,
-            history_depth=args.history_depth,
-            compress=args.compress,
-            workers=args.workers,
-        ))
-        if args.workers > 1:  # local only: _open_target refuses it otherwise
-            from .engine.shared_pool import SharedChunkPool
-
-            # The daemon's pool, short-lived: same segment contract, so any
-            # worker count stores what the serial path (and --remote) would.
-            repo.ingest_pool = stack.enter_context(SharedChunkPool(args.workers))
+    with _open_target(
+        args, history_depth=args.history_depth, compress=args.compress,
+    ) as repo:
         report = repo.backup_tree(entries, tag=args.tag or "")
     print(
         f"backed up version {report['version_id']}: "
@@ -353,7 +339,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-tenant backup daemon until SIGTERM/SIGINT."""
     import asyncio
-    import os
     import signal
 
     from .client.remote import parse_address
@@ -367,13 +352,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from .cluster import ClusterMap
 
         cluster_map = ClusterMap.load(args.cluster_map)
-    ingest_workers = getattr(args, "ingest_workers", None)
-    if ingest_workers is None:
-        # Auto: parallel chunking wherever there are cores to use, capped
-        # so small hosts are not fork-bombed.  Single-core boxes still get
-        # one worker — the pool's segment path runs the vectorized chunk
-        # kernel, which beats the serial scalar path even without overlap.
-        ingest_workers = min(4, os.cpu_count() or 1)
     daemon = BackupDaemon(
         args.root,
         host=host,
@@ -390,7 +368,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         probe_interval=getattr(args, "probe_interval", 0.0),
         probe_failures=getattr(args, "probe_failures", 3),
         probe_timeout=getattr(args, "probe_timeout", 2.0),
-        ingest_workers=ingest_workers,
     )
 
     async def run() -> None:
@@ -791,14 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("repo", help=_REPO_SPEC_HELP)
     p.add_argument("source")
     p.add_argument("--tag", default=None)
-    p.add_argument("--history-depth", type=int, default=1)
+    p.add_argument("--history-depth", type=_positive_int, default=1)
     p.add_argument("--compress", action="store_true",
                    help="zlib-compress container files on disk")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="chunking/fingerprinting worker processes; every "
-                        "count stores recipes and containers byte-identical "
-                        "to the serial path and to --remote (fixed-size "
-                        "segments are chunked independently)")
     _add_remote_flag(p)
     _add_cluster_flag(p)
     p.set_defaults(func=cmd_backup)
@@ -895,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "The old directory-only '--root DIR' phrasing is "
                         "deprecated — bare paths keep working as an "
                         "implicit file:// root")
-    p.add_argument("--history-depth", type=int, default=1)
+    p.add_argument("--history-depth", type=_positive_int, default=1)
     p.add_argument("--compress", action="store_true",
                    help="zlib-compress container files of new repositories")
     p.add_argument("--drain-timeout", type=float, default=10.0,
@@ -934,13 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "declared dead")
     p.add_argument("--probe-timeout", type=float, default=2.0,
                    help="per-probe connect/read deadline in seconds")
-    p.add_argument("--ingest-workers", type=int, default=None, metavar="N",
-                   help="size of the daemon-lifetime shared chunking pool: "
-                        "CDC + fingerprinting for every tenant's backups "
-                        "run on N worker processes fed through shared-"
-                        "memory segments (any N yields byte-identical "
-                        "repositories).  0 forces the serial in-thread "
-                        "path; default auto-sizes to min(4, CPU count)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("cluster", help="sharded multi-daemon cluster operations")

@@ -399,12 +399,9 @@ class LocalRepository(Repository):
         compress: zlib-compress container files on disk.
         metrics: registry for stage-timing histograms (chunking, dedup,
             restore); defaults to the process registry.
-        ingest_pool: a :class:`~repro.engine.shared_pool.SharedChunkPool`
-            (daemon-lifetime on the server, short-lived around one local
-            ``backup --workers N``); when set, :meth:`backup_blocks` chunks
-            its segments on the pool instead of inline.  The chunk sequence
-            is byte-identical either way (see the determinism contract in
-            that module).
+
+    A backup chunks inline, in the thread that calls :meth:`backup_blocks`
+    (the caller's locally, the session's engine thread in the daemon).
 
     Thread-safety: backups and deletions must be externally serialised (the
     daemon's per-repo writer lock does this); concurrent restores and stats
@@ -418,12 +415,10 @@ class LocalRepository(Repository):
         history_depth: int = 1,
         compress: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        ingest_pool=None,
     ) -> None:
         self.root = root
         self.history_depth = history_depth
         self.compress = compress
-        self.ingest_pool = ingest_pool
         self.metrics = metrics if metrics is not None else get_registry()
         self.storage = RepoStorage(root, compress=compress, metrics=self.metrics)
         self._store: Optional[HiDeStore] = None
@@ -546,11 +541,9 @@ class LocalRepository(Repository):
         chunked independently with the repository's own chunker (the one
         its checkpoint head records: SeqCDC for a new repository, FastCDC
         for one written before heads named it) through the vectorized
-        kernel — inline here, or on the daemon's shared multiprocess pool
-        when ``ingest_pool`` is wired in.  Segmentation depends only on the
-        byte stream, so every execution mode (serial, 1..N pool workers,
-        thread pool) produces byte-identical recipes, containers and
-        dedup stats.
+        kernel, inline in this thread.  Segmentation depends only on the
+        byte stream, so every front end (local, daemon, cluster route)
+        produces byte-identical recipes, containers and dedup stats.
         """
         from .chunking.fingerprint import Fingerprinter
         from .chunking.stream import LazyBackupStream
@@ -565,20 +558,11 @@ class LocalRepository(Repository):
         def chunks():
             # Accumulate chunking wall time inside the lazy stream.  Note
             # this includes waiting on the source iterator (frame arrival,
-            # for network ingest) and, on the pooled path, waiting for
-            # worker results — it bounds the time the dedup engine spent
-            # blocked on upstream stages.
-            if self.ingest_pool is not None:
-                # The pool segments with its own configured segment size,
-                # so its slabs always fit the descriptors it hands out.
-                batches = self.ingest_pool.chunk_blocks(blocks, chunker)
-            else:
-                batches = (
-                    chunk_segment(chunker, fingerprinter, segment)
-                    for segment in iter_segments(blocks)
-                )
+            # for network ingest) — it bounds the time the dedup engine
+            # spent blocked on upstream stages.
             mark = time.perf_counter()
-            for batch in batches:
+            for segment in iter_segments(blocks):
+                batch = chunk_segment(chunker, fingerprinter, segment)
                 timings["chunking"] += time.perf_counter() - mark
                 yield from batch
                 mark = time.perf_counter()

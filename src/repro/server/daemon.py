@@ -26,7 +26,6 @@ from ..cluster.controller import FailoverController, Note, Offer, Probe, Resync,
 from ..cluster.failover import pull_tenant
 from ..cluster.map import ClusterMap
 from ..errors import ClusterError, RepositoryNotFoundError, ReproError
-from ..engine.shared_pool import SharedChunkPool, sweep_orphaned_segments
 from ..observability import EventLogger, MetricsRegistry, get_registry
 from ..replication.session import ReplicationSession, SyncReport
 from ..replication.targets import RemoteMirror
@@ -49,7 +48,8 @@ class BackupDaemon:
         restore_workers: server-side cap on the restore container-reader
             pool a client may ask for with ``RESTORE_BEGIN``'s ``workers``;
             a request that names none is served serially.
-        history_depth / compress: forwarded to newly created repositories.
+        history_depth / compress: forwarded to newly created repositories
+            (``history_depth >= 1``, checked here).
         drain_timeout: seconds in-flight sessions get to finish on
             :meth:`shutdown` before being cancelled into rollback.
         metrics: the :class:`MetricsRegistry` to record into (defaults to
@@ -76,13 +76,6 @@ class BackupDaemon:
         probe_timeout: per-probe connect/read deadline in seconds — kept
             short so a dead peer is detected in roughly
             ``probe_failures * (probe_interval + probe_timeout)``.
-        ingest_workers: size of the daemon-lifetime shared chunking pool
-            (``serve --ingest-workers``).  ``0`` keeps the serial inline
-            ingest path; ``N >= 1`` chunks every tenant's backups on one
-            :class:`~repro.engine.shared_pool.SharedChunkPool` — segments
-            ship to workers through shared-memory slabs, crashed workers
-            respawn transparently, and any value of ``N`` produces
-            byte-identical recipes, containers and dedup stats.
     """
 
     def __init__(
@@ -103,12 +96,11 @@ class BackupDaemon:
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_timeout: float = 2.0,
-        ingest_workers: int = 0,
     ) -> None:
         if restore_workers < 1:
             raise ReproError("restore_workers must be at least 1")
-        if ingest_workers < 0:
-            raise ReproError("ingest_workers must be >= 0 (0 = serial ingest)")
+        if history_depth < 1:
+            raise ReproError("history_depth must be at least 1")
         if cluster_map is not None and not isinstance(cluster_map, ClusterMap):
             cluster_map = ClusterMap.from_doc(cluster_map)
         self.node_name = node_name
@@ -132,22 +124,10 @@ class BackupDaemon:
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.metrics = metrics if metrics is not None else get_registry()
-        # One chunking pool for the daemon's whole lifetime, shared by every
-        # tenant and session: CDC + SHA-1 escape the event loop's GIL, and
-        # the slab free-list bounds total in-flight segment memory however
-        # many backups run concurrently.
-        self.ingest_pool: Optional[SharedChunkPool] = (
-            SharedChunkPool(ingest_workers, metrics=self.metrics)
-            if ingest_workers >= 1
-            else None
-        )
         # Hosted repositories record their stage timings (chunking, dedup,
         # container I/O) into the daemon's registry, so STATS metrics tell
         # one consistent story per daemon.
-        self.registry = RepositoryRegistry(
-            root, history_depth, compress, self.metrics,
-            ingest_pool=self.ingest_pool,
-        )
+        self.registry = RepositoryRegistry(root, history_depth, compress, self.metrics)
         self.host = host
         self.port = port
         self.restore_workers = restore_workers
@@ -166,15 +146,6 @@ class BackupDaemon:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listener (resolves the real port for ``port=0``)."""
-        if self.ingest_pool is not None:
-            # Reclaim slabs leaked by a previous daemon that died without
-            # unlinking, then spawn the workers *before* the first backup
-            # arrives — forking from a thread-quiet moment is safest, and
-            # eager spawn keeps first-backup latency flat.
-            swept = await asyncio.to_thread(sweep_orphaned_segments, self.metrics)
-            if swept:
-                self.events.log("ingest_orphans_swept", segments=swept)
-            await asyncio.to_thread(self.ingest_pool.warm)
         self._server = await asyncio.start_server(self._accept, self.host, self.port)
         self._started = time.monotonic()
         self.port = self._server.sockets[0].getsockname()[1]
@@ -533,10 +504,6 @@ class BackupDaemon:
             task.cancel()
         if tasks:
             await asyncio.wait(tasks, timeout=max(5.0, timeout))
-        if self.ingest_pool is not None:
-            # After the drain no engine thread can touch the pool; close
-            # unlinks every shared-memory slab so nothing outlives us.
-            await asyncio.to_thread(self.ingest_pool.close)
         self.events.log("daemon_stop", address=self.address)
 
 

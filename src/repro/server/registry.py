@@ -151,15 +151,11 @@ class RepositoryRegistry:
         history_depth: int = 1,
         compress: bool = False,
         metrics: "MetricsRegistry | None" = None,
-        ingest_pool=None,
     ) -> None:
         self.root = root
         self.history_depth = history_depth
         self.compress = compress
         self.metrics = metrics
-        #: Daemon-lifetime shared chunking pool, handed to every tenant's
-        #: repository (``None`` keeps the serial inline ingest path).
-        self.ingest_pool = ingest_pool
         #: A bare directory is a ``file://`` location like any other.
         self.location: RepoLocation = parse_repo_spec(root)
         if self.location.scheme in ("file", "sqlite"):
@@ -193,7 +189,7 @@ class RepositoryRegistry:
                 name,
                 LocalRepository(
                     repo_root, history_depth=self.history_depth, compress=self.compress,
-                    metrics=self.metrics, ingest_pool=self.ingest_pool,
+                    metrics=self.metrics,
                 ),
             )
             return handle

@@ -118,8 +118,9 @@ def test_head_formats_and_the_chunker_they_load():
 
 
 def test_daemon_pool_serves_a_legacy_and_a_new_tenant_at_once(tmp_path):
-    """One process pool, two chunkers in flight: each tenant's recipe is
-    the one its own inline path writes."""
+    """Two tenants back up at once, each chunking inline on its own
+    engine thread with its own chunker: each tenant's recipe is the one a
+    local backup writes."""
     rng = random.Random(17)
     payloads = {
         "legacy": fixture_v2_bytes(5) + rng.randbytes(4_500_000),  # two segments
@@ -137,7 +138,7 @@ def test_daemon_pool_serves_a_legacy_and_a_new_tenant_at_once(tmp_path):
         inline[tenant] = (version, recipe_blob(root, version))
 
     metrics = MetricsRegistry()
-    with DaemonThread(str(served), ingest_workers=2, metrics=metrics) as address:
+    with DaemonThread(str(served), metrics=metrics) as address:
         start = threading.Barrier(len(payloads))
         results, errors = {}, []
 
@@ -159,7 +160,8 @@ def test_daemon_pool_serves_a_legacy_and_a_new_tenant_at_once(tmp_path):
             thread.join(timeout=120)
             assert not thread.is_alive()
     assert not errors, errors
-    assert metrics.snapshot()["counters"]["ingest.segments_total"] >= 4
+    # Both backups chunked on the daemon's engine threads, one each.
+    assert metrics.snapshot()["histograms"]["repo.chunking_seconds"]["count"] == 2
     for tenant, (version, blob) in inline.items():
         assert results[tenant] == version
         assert recipe_blob(str(served / tenant), version) == blob

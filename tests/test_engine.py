@@ -1,17 +1,11 @@
 """Tests for the segment-contract ingest engine (src/repro/engine/).
 
 Covers the vectorized FastCDC and SeqCDC kernels' exact equivalence with
-the scalar chunkers, the shared chunking pool's determinism, crash-safe
-respawn and slab hygiene, and pooled-vs-serial repository equivalence (identical
-recipes, containers and reports at any worker count).
+the scalar chunkers and the segment framing every backup chunks through.
 """
 
 import contextlib
-import os
 import random
-import signal
-import subprocess
-import sys
 from multiprocessing import shared_memory
 
 import pytest
@@ -26,15 +20,7 @@ from repro.chunking.vectorized import (
     cut_lengths,
     split_fast,
 )
-from repro.engine import (
-    SEGMENT_BYTES,
-    IngestPoolError,
-    SharedChunkPool,
-    chunk_segment,
-    iter_segments,
-    sweep_orphaned_segments,
-)
-from repro.observability import MetricsRegistry
+from repro.engine import SEGMENT_BYTES, iter_segments
 from repro.pipeline import SCHEMES, BackupEngine, build_scheme
 from repro.units import KiB
 
@@ -288,6 +274,19 @@ class TestSeqCDCCuts:
 # What the ingest path is built from
 # ----------------------------------------------------------------------
 class TestIngestPrimitives:
+    def test_iter_segments_independent_of_block_framing(self):
+        segment = 64 * KiB
+        payload = random.Random(7).randbytes(5 * segment + 123)
+        framings = [
+            [payload],
+            [payload[i : i + 1000] for i in range(0, len(payload), 1000)],
+            [payload[:1], payload[1:segment], payload[segment:]],
+        ]
+        segmented = [list(iter_segments(f, segment)) for f in framings]
+        assert segmented[0] == segmented[1] == segmented[2]
+        assert all(len(s) == segment for s in segmented[0][:-1])
+        assert b"".join(segmented[0]) == payload
+
     def test_lazy_stream_is_single_pass(self):
         chunk = Fingerprinter().chunk(b"x" * 4096)
         stream = LazyBackupStream(iter([chunk]), tag="v1")
@@ -312,199 +311,3 @@ class TestEngineEquivalence:
     def test_every_scheme_satisfies_protocol(self):
         for name in SCHEMES:
             assert isinstance(build_scheme(name, container_size=CONTAINER), BackupEngine), name
-
-
-# ----------------------------------------------------------------------
-# Shared daemon-lifetime chunking pool
-# ----------------------------------------------------------------------
-SEGMENT = 64 * KiB  # small segments so a few hundred KiB exercises many handoffs
-
-
-def _pool(workers, metrics=None, **kwargs):
-    return SharedChunkPool(
-        workers,
-        segment_bytes=SEGMENT,
-        metrics=metrics if metrics is not None else MetricsRegistry(),
-        **kwargs,
-    )
-
-
-def _inline_chunks(blocks):
-    chunker, fp = _chunker(), Fingerprinter()
-    return [
-        chunk
-        for segment in iter_segments(blocks, SEGMENT)
-        for chunk in chunk_segment(chunker, fp, segment)
-    ]
-
-
-def _blocks(seed=11, count=12, size=37_000):
-    rng = random.Random(seed)
-    return [rng.randbytes(size) for _ in range(count)]
-
-
-def _killing_workers(pool, blocks, after):
-    """Yield ``blocks``; before block ``after``, SIGKILL every pool worker
-    and go on only once each is dead.
-
-    The pool pulls blocks from inside ``chunk_segments``, so at the kill
-    the segments cut from the earlier blocks are submitted and undrained
-    and the rest of the stream is not submitted yet -- both kinds exist by
-    construction, whatever the kernel's speed.  ``WNOWAIT`` leaves the exit
-    status for the executor's own join.
-    """
-    for index, block in enumerate(blocks):
-        if index == after:
-            pids = pool.worker_pids()
-            assert pids
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            for pid in pids:
-                try:
-                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-                except ChildProcessError:
-                    pass  # the executor reaped it first: dead either way
-        yield block
-
-
-class TestSharedChunkPool:
-    def test_iter_segments_independent_of_block_framing(self):
-        payload = random.Random(7).randbytes(5 * SEGMENT + 123)
-        framings = [
-            [payload],
-            [payload[i : i + 1000] for i in range(0, len(payload), 1000)],
-            [payload[:1], payload[1:SEGMENT], payload[SEGMENT:]],
-        ]
-        segmented = [list(iter_segments(f, SEGMENT)) for f in framings]
-        assert segmented[0] == segmented[1] == segmented[2]
-        assert all(len(s) == SEGMENT for s in segmented[0][:-1])
-        assert b"".join(segmented[0]) == payload
-
-    @pytest.mark.parametrize("workers", [1, 4], ids=["1-process", "4-process"])
-    def test_pool_matches_inline_chunking(self, workers):
-        blocks = _blocks()
-        with _pool(workers) as pool:
-            pooled = [c for batch in pool.chunk_blocks(blocks, _chunker()) for c in batch]
-        inline = _inline_chunks(blocks)
-        assert [(c.fingerprint, c.size) for c in pooled] == [
-            (c.fingerprint, c.size) for c in inline
-        ]
-        assert b"".join(c.data for c in pooled) == b"".join(blocks)
-
-    def test_pool_records_stage_metrics(self):
-        metrics = MetricsRegistry()
-        blocks = _blocks(count=6)
-        with _pool(2, metrics=metrics) as pool:
-            list(pool.chunk_blocks(blocks, _chunker()))
-        snap = metrics.snapshot()
-        assert snap["counters"]["ingest.segments_total"] == len(
-            list(iter_segments(blocks, SEGMENT))
-        )
-        assert snap["gauges"]["ingest.queue_depth"] == 0  # all drained
-        assert "ingest.chunk_seconds" in snap["histograms"]
-        assert "ingest.handoff_seconds" in snap["histograms"]
-
-    def test_killed_worker_respawns_and_output_is_identical(self):
-        metrics = MetricsRegistry()
-        blocks = _blocks(seed=23, count=20)
-        with _pool(2, metrics=metrics) as pool:
-            pool.warm()
-            pooled = [
-                c
-                for batch in pool.chunk_blocks(
-                    _killing_workers(pool, blocks, after=8), _chunker())
-                for c in batch
-            ]
-        assert [(c.fingerprint, c.size, c.data) for c in pooled] == [
-            (c.fingerprint, c.size, c.data) for c in _inline_chunks(blocks)
-        ]
-        # One death is one respawn, whether the pool first met it at a
-        # submit or at a drain (it used to count both and overrun a budget
-        # of one in the submit-first order).
-        assert metrics.snapshot()["counters"]["ingest.worker_respawns"] == 1
-
-    def test_retry_budget_exhaustion_raises_typed_error(self):
-        blocks = _blocks(seed=31, count=20)
-        with _pool(2, max_retries=0) as pool:
-            pool.warm()
-            with pytest.raises(IngestPoolError):
-                killed = _killing_workers(pool, blocks, after=8)
-                for _ in pool.chunk_blocks(killed, _chunker()):
-                    pass
-            # The aborted backup gave every slab back, including the one it
-            # was holding if the break surfaced at a submit.
-            assert pool._free.qsize() == pool.queue_depth
-
-    def test_closed_pool_rejects_work_and_unlinks_slabs(self):
-        pool = _pool(1)
-        names = [slab.shm.name for slab in pool._slabs]
-        assert names
-        pool.close()
-        pool.close()  # idempotent
-        if os.path.isdir("/dev/shm"):
-            for name in names:
-                assert not os.path.exists(os.path.join("/dev/shm", name))
-        with pytest.raises(IngestPoolError):
-            list(pool.chunk_blocks([b"x"], _chunker()))
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            SharedChunkPool(0)
-        with pytest.raises(ValueError):
-            SharedChunkPool(1, queue_depth=0)
-        with pytest.raises(ValueError):
-            SharedChunkPool(1, segment_bytes=0)
-
-    def test_orphan_sweep_removes_only_dead_owners(self, tmp_path):
-        dead = subprocess.Popen([sys.executable, "-c", "pass"])
-        dead.wait()
-        base = str(tmp_path)
-        orphan = f"hidestore-ing-{dead.pid}-0"
-        mine = f"hidestore-ing-{os.getpid()}-1"
-        stranger = "unrelated-file"
-        unparsable = "hidestore-ing-notapid-2"
-        for name in (orphan, mine, stranger, unparsable):
-            with open(os.path.join(base, name), "wb") as handle:
-                handle.write(b"slab")
-        metrics = MetricsRegistry()
-        assert sweep_orphaned_segments(metrics, base=base) == 1
-        assert not os.path.exists(os.path.join(base, orphan))
-        for kept in (mine, stranger, unparsable):
-            assert os.path.exists(os.path.join(base, kept))
-        assert metrics.snapshot()["counters"]["ingest.orphaned_segments_swept"] == 1
-        assert sweep_orphaned_segments(metrics, base=str(tmp_path / "missing")) == 0
-
-
-class TestRepositoryPoolDeterminism:
-    """The determinism contract at the repository layer: serial inline
-    ingest, a 1-worker pool and an N-worker pool must all produce
-    identical reports and byte-identical restores."""
-
-    @pytest.mark.parametrize("workers", [1, 4], ids=["1-process", "4-process"])
-    def test_pooled_repository_matches_serial(self, workers, tmp_path):
-        from repro.repository import LocalRepository
-
-        # Default-config pool: the serial inline path chunks with the
-        # default chunker at the default segment size, so equivalence needs
-        # the pool on the same configuration.
-        rng = random.Random(41)
-        size = 5 * 1024 * 1024  # > SEGMENT_BYTES: every backup spans segments
-        payloads = [rng.randbytes(size), rng.randbytes(size)]
-        payloads[1] = payloads[0][: size // 2] + payloads[1][: size - size // 2]
-
-        def run(root, pool):
-            repo = LocalRepository(root, ingest_pool=pool, metrics=MetricsRegistry())
-            reports, restored = [], []
-            for i, payload in enumerate(payloads):
-                blocks = [payload[j : j + 65_536] for j in range(0, len(payload), 65_536)]
-                plan = [("stream.bin", len(payload))]
-                reports.append(repo.backup_blocks(iter(blocks), plan, tag=f"v{i}"))
-                _plan_rows, data = repo.restore(i + 1)
-                restored.append(b"".join(bytes(b) for b in data))
-            return reports, restored
-
-        serial = run(str(tmp_path / "serial"), None)
-        with SharedChunkPool(workers, metrics=MetricsRegistry()) as pool:
-            pooled = run(str(tmp_path / f"pool-{workers}"), pool)
-        assert pooled == serial
-        assert pooled[0][1]["duplicate_chunks"] > 0  # the churn actually deduped

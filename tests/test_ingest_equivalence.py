@@ -1,24 +1,22 @@
 """One ingest contract: every way into a repository stores the same bytes.
 
-The same two-version tree is backed up through the library serially,
-through ``hidestore backup --workers 3`` (a short-lived chunking pool),
-through a daemon with a shared pool, and through a one-node cluster route.
-Reports, every ``recipes/``, ``manifests/`` and ``containers/`` object, the
-checkpoint (head and parts) and every restore must be identical across the
-four — chunk boundaries depend on the byte stream alone, never on who
-chunked it.
+The same two-version tree is backed up through the library, through a
+daemon (whose engine thread chunks the socket's byte stream) and through a
+one-node cluster route.  Reports, every ``recipes/``, ``manifests/`` and
+``containers/`` object, the checkpoint (head and parts) and every restore
+must be identical across the three — chunk boundaries depend on the byte
+stream alone, never on how the transport framed it.
 """
 
-import glob
 import os
 import random
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.client import RemoteRepository
 from repro.cluster import ClusterClient, ClusterHarness
-from repro.engine import SEGMENT_BYTES, SharedChunkPool
+from repro.engine import SEGMENT_BYTES
 from repro.repository import LocalRepository, read_tree, stream_blocks
 from repro.server import DaemonThread
 
@@ -79,11 +77,7 @@ def restored(repo, versions):
     return [b"".join(bytes(b) for b in repo.restore(v)[1]) for v in versions]
 
 
-def slabs_of_this_process():
-    return glob.glob(f"/dev/shm/hidestore-ing-{os.getpid()}-*")
-
-
-def test_serial_workers_daemon_and_cluster_store_identical_bytes(tmp_path, monkeypatch):
+def test_serial_workers_daemon_and_cluster_store_identical_bytes(tmp_path):
     trees = write_versions(str(tmp_path / "src"))
     outcome = {}  # mode -> (reports, stored objects, restores)
 
@@ -93,30 +87,7 @@ def test_serial_workers_daemon_and_cluster_store_identical_bytes(tmp_path, monke
     # Objects are read before any restore: Algorithm 1 rewrites recipes.
     outcome["serial"] = (reports, stored_objects(serial_dir), restored(repo, [1, 2]))
 
-    cli_dir = str(tmp_path / "cli")
-    cli_reports, pools = [], []
-    backup_tree = LocalRepository.backup_tree
-
-    def spy(self, entries, tag=""):
-        pools.append((self.ingest_pool, slabs_of_this_process()))
-        cli_reports.append(backup_tree(self, entries, tag))
-        return cli_reports[-1]
-
-    monkeypatch.setattr(LocalRepository, "backup_tree", spy)
-    for tag in TAGS:
-        source = str(tmp_path / "src" / tag)
-        assert main(["backup", cli_dir, source, "--tag", tag, "--workers", "3"]) == 0
-    monkeypatch.undo()
-    for pool, live_slabs in pools:
-        assert isinstance(pool, SharedChunkPool) and pool.workers == 3
-        assert live_slabs or not os.path.isdir("/dev/shm")
-    # The short-lived pool's close() ran: no slab of ours outlives the call.
-    assert slabs_of_this_process() == []
-    outcome["--workers 3"] = (
-        cli_reports, stored_objects(cli_dir), restored(LocalRepository(cli_dir), [1, 2])
-    )
-
-    with DaemonThread(str(tmp_path / "daemon"), ingest_workers=2) as address:
+    with DaemonThread(str(tmp_path / "daemon")) as address:
         with RemoteRepository(address, TENANT) as remote:
             reports = [remote.backup_tree(e, tag) for e, tag in zip(trees, TAGS)]
             objects = stored_objects(str(tmp_path / "daemon" / TENANT))
@@ -145,7 +116,16 @@ def test_serial_workers_daemon_and_cluster_store_identical_bytes(tmp_path, monke
 
 
 def test_pipeline_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args(["backup", "repo", "src", "--pipeline"])
-    assert exit_info.value.code == 2
-    assert "--pipeline" in capsys.readouterr().err
+    """Removed ingest knobs are unknown flags; restore's pool stays."""
+    for argv in (
+        ["backup", "repo", "src", "--pipeline"],
+        ["backup", "repo", "src", "--workers", "2"],
+        ["serve", "127.0.0.1:0", "--root", "r", "--ingest-workers", "2"],
+    ):
+        flag = next(arg for arg in argv if arg.startswith("--") and arg != "--root")
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2, argv
+        assert flag in capsys.readouterr().err
+    args = build_parser().parse_args(["restore", "repo", "1", "out", "--workers", "2"])
+    assert args.workers == 2

@@ -695,107 +695,45 @@ class TestDaemonStartup:
         finally:
             blocker.close()
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_history_depth_below_one_is_refused_at_construction(self, tmp_path, depth):
+        """It used to start, then fail every new tenant's first backup."""
+        with pytest.raises(ReproError, match="history_depth"):
+            DaemonThread(str(tmp_path / "served"), history_depth=depth)
+        assert not (tmp_path / "served").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["backup", "repo", "src"],
+        ["serve", "127.0.0.1:0", "--root", "r"],
+    ])
+    def test_history_depth_flag_must_be_positive(self, command, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--history-depth", "0"])
+        assert exit_info.value.code == 2
+        assert "--history-depth" in capsys.readouterr().err
+        assert build_parser().parse_args(command + ["--history-depth", "2"]).history_depth == 2
+
 
 # ----------------------------------------------------------------------
 # CLI wiring (--remote)
 # ----------------------------------------------------------------------
 class TestRemoteCLI:
     def test_local_only_flags_rejected_with_remote(self, daemon, tmp_path, capsys):
-        """Engine knobs (--workers/--compress/--history-depth) error out
-        with --remote instead of being silently ignored."""
+        """Engine knobs (--compress/--history-depth) error out with
+        --remote instead of being silently ignored."""
         from repro.cli import main
 
         _, address = daemon
         make_tree(str(tmp_path / "src"), {"f.bin": b"x" * 10})
         src = str(tmp_path / "src")
-        assert main(["backup", "t", src, "--workers", "4",
-                     "--remote", address]) == 1
-        assert "--workers" in capsys.readouterr().err
         assert main(["backup", "t", src, "--compress",
                      "--remote", address]) == 1
         assert "--compress" in capsys.readouterr().err
         assert main(["backup", "t", src, "--history-depth", "3",
                      "--remote", address]) == 1
         assert "--history-depth" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# The shared multiprocess ingest plane behind the daemon
-# ----------------------------------------------------------------------
-class TestIngestPlane:
-    """Daemon-level acceptance for the shared chunking pool: any worker
-    count must be byte-identical to serial ingest,
-    killed workers must respawn transparently, and a pool that exhausts
-    its retry budget must roll the partial version back."""
-
-    @pytest.mark.parametrize("workers", [1, 4], ids=["1-process", "4-process"])
-    def test_pooled_daemon_matches_serial(self, workers, tmp_path):
-        trees = [synthetic_files(31, count=3, size=120_000)]
-        trees.append(dict(trees[0], **synthetic_files(32, count=1, size=120_000)))
-
-        def run(label, **daemon_kwargs):
-            thread = DaemonThread(str(tmp_path / label), **daemon_kwargs)
-            address = thread.start()
-            try:
-                reports, restored = [], []
-                with RemoteRepository(address, "alpha") as repo:
-                    for i, files in enumerate(trees):
-                        entries = make_tree(str(tmp_path / f"src-{label}-{i}"), files)
-                        reports.append(repo.backup_tree(entries, tag=f"v{i}"))
-                        plan, data = repo.restore(i + 1)
-                        out = str(tmp_path / f"out-{label}-{i}")
-                        materialize(plan, data, out)
-                        restored.append(tree_bytes(out))
-                return reports, restored
-            finally:
-                thread.stop(drain_timeout=5)
-
-        serial = run("serial")
-        pooled = run(f"pool-{workers}", ingest_workers=workers)
-        assert pooled == serial
-        assert serial[0][1]["duplicate_chunks"] > 0  # versions actually overlap
-
-    def test_killed_workers_respawn_and_backup_succeeds(self, tmp_path):
-        thread = DaemonThread(str(tmp_path / "served"), ingest_workers=2)
-        address = thread.start()
-        try:
-            pids = thread.daemon.ingest_pool.worker_pids()
-            assert pids  # start() warmed the pool
-            for pid in pids:
-                os.kill(pid, 9)
-            entries = make_tree(str(tmp_path / "src"), synthetic_files(33))
-            with RemoteRepository(address, "alpha") as repo:
-                report = repo.backup_tree(entries, tag="survivor")
-                assert report["version_id"] == 1
-                plan, data = repo.restore(1)
-                materialize(plan, data, str(tmp_path / "out"))
-            assert tree_bytes(str(tmp_path / "out")) == tree_bytes(str(tmp_path / "src"))
-            counters = thread.daemon.metrics.snapshot()["counters"]
-            assert counters.get("ingest.worker_respawns", 0) >= 1
-        finally:
-            thread.stop(drain_timeout=5)
-
-    def test_pool_exhaustion_rolls_back_partial_version(self, tmp_path):
-        thread = DaemonThread(str(tmp_path / "served"), ingest_workers=2)
-        address = thread.start()
-        try:
-            thread.daemon.ingest_pool.max_retries = 0
-            for pid in thread.daemon.ingest_pool.worker_pids():
-                os.kill(pid, 9)
-            entries = make_tree(str(tmp_path / "src"), synthetic_files(34))
-            with RemoteRepository(address, "alpha") as repo:
-                with pytest.raises(ReproError, match="ingest|pool"):
-                    repo.backup_tree(entries, tag="doomed")
-                # Rollback guard: the partial version must not exist.
-                assert repo.versions() == []
-                # The pool rebuilt itself, so the next backup succeeds.
-                report = repo.backup_tree(entries, tag="recovered")
-                assert report["version_id"] == 1
-                plan, data = repo.restore(1)
-                materialize(plan, data, str(tmp_path / "out"))
-            assert tree_bytes(str(tmp_path / "out")) == tree_bytes(str(tmp_path / "src"))
-        finally:
-            thread.stop(drain_timeout=5)
 
 
 # ----------------------------------------------------------------------
