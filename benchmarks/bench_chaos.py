@@ -1,87 +1,84 @@
-"""Chaos harness benchmark: throughput under fault injection.
+"""Chaos benchmark: the repository model's long profile under faults.
 
-Replays the bundled ``benchmarks/scenarios/`` specs through the chaos
-runner and reports sustained multi-tenant ops/s *while faults fire* —
-the number that says what fleet-scale churn costs, not just a clean-path
-throughput.  The headline correctness number rides along: every run must
-finish with **zero invariant violations** and zero untyped errors, and
-``check_regression.py`` holds ``BENCH_chaos.json`` to that ceiling.
+Runs the fixed tour and then the long Hypothesis profile of
+``tests/repository_machine.py`` on every surface of the ``Repository``
+contract (``file://``, ``sqlite://``, fake S3, a mixed tier, a daemon
+tenant, a routed tenant on three nodes), every fault rule armed, and reports
+operations per second *while faults fire*.  The correctness numbers ride
+along: a surface whose run the model falsifies is an invariant violation,
+and so is an untyped error; ``check_regression.py`` holds
+``BENCH_chaos.json`` to zero of each.
 
-Two deployment shapes are exercised: ``many_small_tenants`` against the
-in-process engine (storage-seam faults only) and ``mixed_churn`` against
-a live 3-daemon cluster + mirror daemon, where the fault set includes a
-SIGKILL'd primary, a corrupted replication PUT and a partitioned mirror.
+Run from the repository root (``tests`` must be importable)::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_chaos.py -q
 """
 
 from __future__ import annotations
 
-import os
+import time
 
 from common import emit, write_bench_json
 
-from repro.chaos import load_scenario
-from repro.chaos.runner import ChaosRunner
+from repro.chaos.faults import FaultController
 from repro.observability import MetricsRegistry
+from tests.conftest import SURFACES, Deployment
+from tests.repository_machine import FAULT_KINDS, LONG, run_machine, run_tour
 
-SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scenarios")
 
-
-def _run(name: str, deploy: str, workdir: str, **deploy_kwargs):
-    scenario = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))
-    runner = ChaosRunner(
-        scenario,
-        deploy=deploy,
-        workdir=workdir,
-        metrics=MetricsRegistry(),
-        deploy_kwargs=deploy_kwargs,
-    )
-    return runner.run()
+def _counter(metrics, name):
+    return metrics.snapshot()["counters"].get(name, 0)
 
 
 def test_chaos_throughput(benchmark, tmp_path):
-    """ops/s with faults firing, across an engine run and a cluster run."""
-    reports = {}
+    """ops/s with faults firing, surface by surface."""
+    metrics = MetricsRegistry()
+    surfaces = {}
 
     def run_all():
-        reports["many_small_tenants"] = _run(
-            "many_small_tenants", "local", str(tmp_path / "small")
-        )
-        reports["mixed_churn"] = _run(
-            "mixed_churn", "cluster", str(tmp_path / "mixed"),
-            nodes=3, replicas=2,
-        )
+        with Deployment(tmp_path) as deployment, FaultController(metrics) as controller:
+            for kind in SURFACES:
+                ops, started = _counter(metrics, "chaos.ops_total"), time.perf_counter()
+                error = None
+                try:
+                    run_tour(deployment, kind, controller)
+                    run_machine(deployment, kind, controller, LONG)
+                except Exception as exc:  # the model falsified: reported, then gated
+                    error = f"{type(exc).__name__}: {exc}"[:2000]
+                seconds = time.perf_counter() - started
+                ops = _counter(metrics, "chaos.ops_total") - ops
+                surfaces[kind] = {
+                    "ops": ops,
+                    "seconds": round(seconds, 3),
+                    "ops_per_second": round(ops / seconds, 3) if seconds else 0.0,
+                    "falsified": error,
+                }
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    doc = {"scenarios": {}, "invariant_violations": 0, "ops_failed_untyped": 0,
-           "faults_injected": 0}
-    for name, report in sorted(reports.items()):
-        ops = report["ops"]["attempted"]
-        seconds = report["duration_seconds"]
-        doc["scenarios"][name] = {
-            "deploy": report["deploy"],
-            "schedule_digest": report["schedule"]["digest"],
-            "ops": ops,
-            "ops_per_second": round(ops / seconds, 3) if seconds else 0.0,
-            "faults_injected": report["faults_injected"],
-            "invariant_failures": report["invariant_failures"],
-            "duration_seconds": seconds,
-        }
-        doc["invariant_violations"] += report["invariant_failures"]
-        doc["ops_failed_untyped"] += report["ops"]["by_status"].get(
-            "failed_untyped", 0
-        )
-        doc["faults_injected"] += report["faults_injected"]
+    faults = {kind: _counter(metrics, f"chaos.faults_injected.{kind}") for kind in (*FAULT_KINDS, "crash")}
+    doc = {
+        "profile": {"max_examples": LONG.max_examples, "steps": LONG.stateful_step_count},
+        "surfaces": surfaces,
+        "invariant_violations": sum(1 for row in surfaces.values() if row["falsified"]),
+        "ops_failed_untyped": _counter(metrics, "chaos.ops_failed_untyped"),
+        "ops_failed_typed": _counter(metrics, "chaos.ops_failed_typed"),
+        "invariants_checked": _counter(metrics, "chaos.invariants_checked"),
+        "faults_injected": _counter(metrics, "chaos.faults_injected"),
+        "faults_by_kind": faults,
+    }
+    for kind, row in surfaces.items():
         emit(
-            f"chaos {name} [{report['deploy']}]: {ops} ops in "
-            f"{seconds:.1f}s ({doc['scenarios'][name]['ops_per_second']:.1f} "
-            f"ops/s), {report['faults_injected']} faults, "
-            f"{report['invariant_failures']} invariant violations"
+            f"chaos {kind}: {row['ops']} ops in {row['seconds']:.1f}s "
+            f"({row['ops_per_second']:.1f} ops/s)"
+            + (f", FALSIFIED: {row['falsified'][:200]}" if row["falsified"] else "")
         )
+    emit(f"chaos faults fired: {faults}")
     write_bench_json("chaos", doc)
 
-    # The chaos contract: faults actually fired, and nothing they did
-    # produced a torn version, a torn mirror, or an untyped error.
-    assert doc["faults_injected"] >= 3
-    assert doc["invariant_violations"] == 0
+    # The chaos contract: every fault fired, and nothing it did produced a
+    # torn version, a torn mirror, a changed object or an untyped error.
+    assert [kind for kind, count in faults.items() if not count] == []
+    assert doc["faults_injected"] >= len(faults)
+    assert doc["invariant_violations"] == 0, surfaces
     assert doc["ops_failed_untyped"] == 0

@@ -10,8 +10,8 @@ Three seams, all production code paths rather than test doubles:
   operations: ``enospc`` (a typed :class:`~repro.errors.StorageError` on
   ``put``, the disk-full mid-container-seal case), ``torn_write`` (land a
   truncated blob, then fail — the half-written container a crash leaves),
-  ``latency`` (sleep before the call), ``corrupt_read`` (flip a byte in
-  the returned blob).
+  ``latency`` (sleep before the call), and ``observe``, which only runs
+  its callback (a crash or a kill is a callback that raises).
 
 * **Replication target** — :class:`WireCorruptingMirror` wraps a
   :class:`~repro.replication.targets.RemoteMirror` and flips a byte in
@@ -19,19 +19,18 @@ Three seams, all production code paths rather than test doubles:
   corruption on the wire; the mirror daemon's digest validation must
   reject the PUT.
 
-* **At-rest bytes** — :func:`flip_container_byte` corrupts a sealed
-  container file in place (silent media corruption); only a deep verify
-  or a failed restore notices, and only ``repair --from-mirror`` heals.
+* **At-rest bytes** — :func:`flip_container_byte` corrupts a stored
+  container in place (silent media corruption); only a deep verify or a
+  failed restore notices, and only ``repair --from-mirror`` heals.
 
-Process-level faults (SIGKILL a daemon, partition a listener) live on
-the deployment shapes in :mod:`repro.chaos.deploy` — they are lifecycle
-actions, not data-path wrappers.
+Every fault that fires counts ``chaos.faults_injected`` and
+``chaos.faults_injected.<kind>``.  The repository model in
+``tests/repository_machine.py`` drives all of them, and the process-level
+faults (kill a daemon, partition a listener) as its own rules.
 """
 
 from __future__ import annotations
 
-import os
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from ..storage.backend import (
     clear_backend_wrapper,
     install_backend_wrapper,
 )
+from ..storage.repo import RepoStorage
 
 __all__ = [
     "FaultController",
@@ -81,11 +81,11 @@ class FaultController:
     """Thread-safe registry of armed fault directives.
 
     One controller is shared by every :class:`FaultInjectingBackend` in
-    the process; the driver arms directives at the scheduled fault sites
-    and the next matching backend operation trips them.  Matching is by
-    backend verb, backend-URL substring (tenant roots embed the tenant
-    name, which is how a fault stays pinned to its tenant) and object
-    name prefix (``containers/`` vs metadata).
+    the process; a test arms directives and the next matching backend
+    operation trips them.  Matching is by backend verb, backend-URL
+    substring (tenant roots embed the tenant name, which is how a fault
+    stays pinned to its tenant) and object name prefix (``container``
+    vs metadata).
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -147,15 +147,15 @@ class FaultController:
         with self._lock:
             self._directives.clear()
 
-    def armed_count(self) -> int:
-        with self._lock:
-            return len(self._directives)
-
     def note_injected(self, kind: str, **detail) -> None:
         """Record a fault injected outside the backend seam (kill, ...)."""
         with self._lock:
             self.fired.append({"kind": kind, **detail})
+        self._count(kind)
+
+    def _count(self, kind: str) -> None:
         self.metrics.inc("chaos.faults_injected")
+        self.metrics.inc(f"chaos.faults_injected.{kind}")
 
     # -- firing ----------------------------------------------------------
     def _take(self, op: str, url: str, name: str) -> List[_Directive]:
@@ -180,12 +180,13 @@ class FaultController:
                 if d.remaining != 0:
                     keep.append(d)
             self._directives = keep
-            for d in hits:
+            faults = [d for d in hits if d.kind != "observe"]
+            for d in faults:
                 self.fired.append(
                     {"kind": d.kind, "op": op, "url": url, "name": name}
                 )
-        for _ in hits:
-            self.metrics.inc("chaos.faults_injected")
+        for d in faults:
+            self._count(d.kind)
         return hits
 
 
@@ -210,8 +211,8 @@ class FaultInjectingBackend:
         return self.inner.prefers_ranged_reads
 
     # -- directive application ------------------------------------------
-    def _apply(self, op: str, name: str, blob: Optional[bytes] = None) -> Optional[bytes]:
-        """Fire matching directives; may sleep, raise, or mutate ``blob``."""
+    def _apply(self, op: str, name: str, blob: Optional[bytes] = None) -> None:
+        """Fire matching directives; may sleep or raise."""
         hits = self.controller._take(op, self.inner.url, name)
         for d in hits:
             if d.callback is not None:
@@ -233,10 +234,6 @@ class FaultInjectingBackend:
                 raise StorageError(
                     f"injected fault: write torn mid-flight for {name!r}"
                 )
-            elif d.kind == "corrupt_read":
-                if blob is not None:
-                    blob = flip_byte(blob)
-        return blob
 
     # -- protocol ---------------------------------------------------------
     def put(self, name: str, blob: bytes) -> None:
@@ -248,14 +245,12 @@ class FaultInjectingBackend:
         self.inner.put_meta(name, blob)
 
     def get(self, name: str) -> bytes:
-        blob = self.inner.get(name)
-        out = self._apply("get", name, blob)
-        return blob if out is None else out
+        self._apply("get", name)
+        return self.inner.get(name)
 
     def get_range(self, name: str, offset: int, length: int) -> bytes:
-        blob = self.inner.get_range(name, offset, length)
-        out = self._apply("get", name, blob)
-        return blob if out is None else out
+        self._apply("get", name)
+        return self.inner.get_range(name, offset, length)
 
     def exists(self, name: str) -> bool:
         return self.inner.exists(name)
@@ -335,35 +330,14 @@ class WireCorruptingMirror:
 
 
 def flip_container_byte(
-    repo_root: str,
-    rng: Optional[random.Random] = None,
-    controller: Optional[FaultController] = None,
-) -> str:
-    """Corrupt one sealed container file in place (at-rest bit rot).
-
-    Picks a container deterministically (seeded ``rng``) from the sorted
-    listing and inverts one byte in the middle of its payload.  Returns
-    the corrupted file's object name; raises :class:`StorageError` when
-    the repository has no sealed containers yet.
-    """
-    containers_dir = os.path.join(repo_root, "containers")
+    spec: str, name: str, controller: Optional[FaultController] = None
+) -> None:
+    """Corrupt stored container ``name`` of the repository at ``spec`` in
+    place (at-rest bit rot): one byte in the middle of the object flips."""
+    storage = RepoStorage(spec)
     try:
-        names = sorted(
-            n for n in os.listdir(containers_dir) if n.endswith(".hdsc")
-        )
-    except OSError:
-        names = []
-    if not names:
-        raise StorageError(f"no sealed containers under {repo_root!r} to corrupt")
-    pick = names[-1] if rng is None else rng.choice(names)
-    path = os.path.join(containers_dir, pick)
-    size = os.path.getsize(path)
-    offset = size // 2
-    with open(path, "r+b") as handle:
-        handle.seek(offset)
-        byte = handle.read(1)
-        handle.seek(offset)
-        handle.write(bytes([byte[0] ^ 0xFF]))
+        storage.write_object("container", name, flip_byte(storage.read_object("container", name)))
+    finally:
+        storage.close()
     if controller is not None:
-        controller.note_injected("bitflip", name=f"containers/{pick}")
-    return f"containers/{pick}"
+        controller.note_injected("bitflip", name=f"containers/{name}")

@@ -583,73 +583,6 @@ def cmd_cluster_rebalance(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Chaos harness
-# ----------------------------------------------------------------------
-def cmd_chaos_run(args: argparse.Namespace) -> int:
-    """Compile a scenario, run it against a deployment, print the verdict."""
-    from .chaos import load_scenario, run_scenario
-
-    scenario = load_scenario(args.scenario)
-    deploy_kwargs = {}
-    if args.deploy == "cluster":
-        deploy_kwargs = {"nodes": args.nodes, "replicas": args.replicas}
-    report = run_scenario(
-        scenario,
-        deploy=args.deploy,
-        seed=args.seed,
-        report_path=args.report,
-        workdir=args.workdir,
-        deploy_kwargs=deploy_kwargs,
-    )
-    ops = report["ops"]["by_status"]
-    print(
-        f"chaos {report['scenario']!r} seed={report['seed']} "
-        f"deploy={report['deploy']} schedule={report['schedule']['digest'][:12]}"
-    )
-    print(
-        f"  ops: {report['ops']['attempted']} attempted "
-        f"({ops.get('ok', 0)} ok, {ops.get('skipped', 0)} skipped, "
-        f"{ops.get('failed_typed', 0)} failed typed, "
-        f"{ops.get('failed_untyped', 0)} failed UNTYPED)"
-    )
-    print(f"  faults injected: {report['faults_injected']}")
-    for inv in report["invariants"]:
-        status = "ok" if inv["ok"] else "VIOLATED"
-        print(f"  invariant {inv['name']} [{inv['phase']}]: {status} "
-              f"({inv['checked']} checks)")
-        for detail in inv["details"][:5]:
-            print(f"    - {detail}")
-    if args.report:
-        print(f"  report written to {args.report}")
-    if not report["ok"]:
-        print(f"  VERDICT: {report['invariant_failures']} invariant "
-              f"violation(s)", file=sys.stderr)
-        return 1
-    print("  VERDICT: all invariants hold")
-    return 0
-
-
-def cmd_chaos_compile(args: argparse.Namespace) -> int:
-    """Print a scenario's compiled schedule (reproducibility inspection)."""
-    import json as _json
-
-    from .chaos import compile_schedule, load_scenario
-
-    schedule = compile_schedule(load_scenario(args.scenario), args.seed)
-    doc = {
-        "name": schedule.name,
-        "seed": schedule.seed,
-        "digest": schedule.digest(),
-        "tenants": [t.name for t in schedule.tenants],
-        "phases": schedule.phases,
-        "ops": [op.as_doc() for op in schedule.ops],
-        "faults": [f.as_doc() for f in schedule.faults],
-    }
-    print(_json.dumps(doc, indent=2, sort_keys=True))
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Research tooling: traces, observation, experiment matrices
 # ----------------------------------------------------------------------
 def cmd_trace_generate(args: argparse.Namespace) -> int:
@@ -968,39 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", metavar="PATH", default=None,
                    help="append a JSONL request log to PATH")
     p.set_defaults(func=cmd_fake_s3)
-
-    p = sub.add_parser("chaos", help="scenario-driven chaos harness")
-    chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
-
-    p = chaos_sub.add_parser(
-        "run",
-        help="replay a multi-tenant scenario with fault injection and "
-             "check invariants after every phase (exit 1 on violation)")
-    p.add_argument("scenario", help="scenario spec JSON (tenants, phases, "
-                                    "op mix, faults)")
-    p.add_argument("--deploy", choices=["local", "daemon", "cluster"],
-                   default="local",
-                   help="deployment shape to drive (default: local)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the spec's seed (same spec + seed "
-                        "compiles to the same schedule and fault sites)")
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the machine-readable JSON report here")
-    p.add_argument("--workdir", metavar="DIR", default=None,
-                   help="keep deployment state under DIR (default: a "
-                        "temporary directory, removed afterwards)")
-    p.add_argument("--nodes", type=_positive_int, default=3,
-                   help="cluster deployment: node count (default 3)")
-    p.add_argument("--replicas", type=_positive_int, default=2,
-                   help="cluster deployment: copies per tenant (default 2)")
-    p.set_defaults(func=cmd_chaos_run)
-
-    p = chaos_sub.add_parser(
-        "compile",
-        help="print the deterministic op schedule a scenario compiles to")
-    p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_chaos_compile)
 
     p = sub.add_parser("trace-generate", help="write a preset workload as a trace file")
     p.add_argument("preset", choices=["kernel", "gcc", "fslhomes", "macos"])

@@ -301,8 +301,8 @@ class ClusterHarness:
     def restart_node(self, name: str) -> None:
         """Bring a (killed or running) node back on its original address.
 
-        The chaos harness kills a primary mid-backup and later restarts
-        it; the node resumes from its on-disk state — exactly the
+        The repository model kills a primary mid-backup and revives it
+        here; the node resumes from its on-disk state — exactly the
         operator "replace the crashed daemon" move.
         """
         from ..server.daemon import DaemonThread

@@ -1,7 +1,7 @@
 """Repository front end: one contract for local directories and the service.
 
 :class:`Repository` is the surface every front end implements and every
-caller (the CLI, the daemon, the chaos harness, the benchmarks) drives:
+caller (the CLI, the daemon, the repository model, the benchmarks) drives:
 ``backup_tree`` / ``backup_blocks``, ``restore``, ``versions``, ``stats``,
 ``verify``, ``delete_oldest`` and ``close`` (also as a context manager).
 :class:`LocalRepository` implements it over an on-disk HiDeStore
@@ -242,10 +242,23 @@ def materialize(plan: FilePlan, data: Iterable[bytes], target: str) -> int:
     written to ``<name>.part`` and renamed into place only once complete —
     a restore that dies mid-stream leaves no truncated files posing as
     good ones, and the ``.part`` litter of the failed file is removed.
+
+    The stream is read to its end — a remote stream only then reads its
+    terminating frame and returns its connection — and bytes beyond the
+    plan raise :class:`RestoreError`.  The stream is closed either way.
     """
-    root = os.path.abspath(target)
-    os.makedirs(root, exist_ok=True)
     blocks = iter(data)
+    try:
+        restored = _write_plan(plan, blocks, os.path.abspath(target))
+    finally:
+        close = getattr(blocks, "close", None)
+        if close is not None:
+            close()
+    return restored
+
+
+def _write_plan(plan: FilePlan, blocks: Iterator[bytes], root: str) -> int:
+    os.makedirs(root, exist_ok=True)
     #: Tail of the last block that belongs to the *next* file.
     leftover = b""
     restored = 0
@@ -281,6 +294,9 @@ def materialize(plan: FilePlan, data: Iterable[bytes], target: str) -> int:
                 pass
             raise
         restored += 1
+    trailing = len(leftover) + sum(len(block) for block in blocks)
+    if trailing:
+        raise RestoreError(f"restore stream carries {trailing} bytes beyond its file plan")
     return restored
 
 
@@ -579,9 +595,13 @@ class LocalRepository(Repository):
 
     def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan) -> Dict:
         """Run one backup attempt; on any failure, a plan that does not
-        cover the stored bytes included, roll the repo back."""
+        cover the stored bytes included, roll the repo back — unless the
+        failure came after the head committed the version (an interrupt
+        while the save dropped what the head no longer names): that version
+        is the repository's now."""
         mark = store.containers.next_id
         versions_before = set(store.recipes.version_ids())
+        next_version = store._next_version
         try:
             report = run()
             planned = sum(size for _rel, size in plan)
@@ -596,7 +616,10 @@ class LocalRepository(Repository):
             )
             self._save_checkpoint(store)
         except BaseException:
-            self._rollback(mark, versions_before)
+            if not self._head_commits(next_version):
+                self._rollback(mark, versions_before)
+            else:
+                self.invalidate()
             raise
         return {
             "version_id": report.version_id,
@@ -607,6 +630,13 @@ class LocalRepository(Repository):
             "logical_bytes": report.logical_bytes,
             "stored_bytes": report.stored_bytes,
         }
+
+    def _head_commits(self, version_id: int) -> bool:
+        """Whether the stored checkpoint head already commits ``version_id``."""
+        try:
+            return self.storage.read_checkpoint_document()["next_version"] > version_id
+        except (ReproError, KeyError, TypeError, ValueError, OSError):
+            return False
 
     def _rollback(self, mark: int, versions_before: set) -> None:
         """Erase every trace of a failed backup attempt.

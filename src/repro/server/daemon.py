@@ -187,14 +187,15 @@ class BackupDaemon:
         return cluster.is_primary(node, tenant)
 
     # ------------------------------------------------------------------
-    # Listener partition (chaos harness)
+    # Listener partition
     # ------------------------------------------------------------------
     async def pause_accepting(self) -> None:
         """Close the listener without draining: a network partition.
 
         In-flight sessions keep running; *new* connections are refused
-        until :meth:`resume_accepting` re-binds the same port.  The chaos
-        harness partitions a mirror daemon this way — the daemon process
+        until :meth:`resume_accepting` re-binds the same port.  The
+        repository model (``tests/repository_machine.py``) partitions its
+        mirror daemon this way — the daemon process
         stays healthy, only its front door disappears.
         """
         if self._server is not None:
@@ -573,7 +574,7 @@ class DaemonThread:
         asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout=timeout)
 
     def pause_accepting(self, timeout: float = 10.0) -> None:
-        """Partition this daemon: refuse new connections (chaos harness)."""
+        """Partition this daemon: refuse new connections."""
         self._call(self.daemon.pause_accepting(), timeout)
 
     def resume_accepting(self, timeout: float = 10.0) -> None:

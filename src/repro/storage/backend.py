@@ -96,7 +96,7 @@ def validate_object_name(name: str) -> str:
 #: Process-global backend wrapper: every backend construction that goes
 #: through this module (``open_backend``, ``RepoLocation.open_primary`` /
 #: ``open_archive``, the engine file stores) passes the fresh backend
-#: through the installed callable.  The chaos harness uses this to slide
+#: through the installed callable.  Fault injection uses this to slide
 #: a :class:`~repro.chaos.faults.FaultInjectingBackend` under *every*
 #: repository in the process — including the plain-directory repos the
 #: daemon serves — without the owning layers knowing.
@@ -107,7 +107,7 @@ _WRAPPER_LOCK = threading.Lock()
 def install_backend_wrapper(wrapper) -> None:
     """Install a process-global ``backend -> backend`` wrapper.
 
-    Only one wrapper may be installed at a time (chaos runs own the
+    Only one wrapper may be installed at a time (a fault controller owns the
     process); installing over an existing one raises so two harnesses
     cannot silently stack.
     """

@@ -9,8 +9,14 @@ from typing import List
 import pytest
 
 from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint
+from repro.client import RemoteRepository
+from repro.cluster import ClusterClient
+from repro.cluster.supervisor import ClusterHarness
 from repro.engine import iter_segments
-from repro.storage.repo import RepoStorage
+from repro.repository import LocalRepository
+from repro.server import DaemonThread
+from repro.storage.fake_s3 import FakeS3Server
+from repro.storage.repo import SECTIONS, RepoStorage
 from repro.units import KiB
 from repro.workloads import SyntheticWorkload, WorkloadSpec
 
@@ -57,8 +63,6 @@ def repo_state(spec: str) -> dict:
 
 def copy_objects(source_spec: str, target_spec: str) -> None:
     """Every replicable object of one repository, written into another."""
-    from repro.storage.repo import SECTIONS, RepoStorage
-
     source, target = RepoStorage(source_spec), RepoStorage(target_spec)
     try:
         state = source.state()
@@ -68,6 +72,127 @@ def copy_objects(source_spec: str, target_spec: str) -> None:
     finally:
         source.close()
         target.close()
+
+
+def stored_objects(spec: str) -> dict:
+    """Every replicable object of the repository at ``spec``."""
+    storage = RepoStorage(spec)
+    try:
+        if not storage.exists():
+            return {}
+        state = storage.state()
+        return {
+            (kind, name): storage.read_object(kind, name)
+            for kind, section in SECTIONS.items() for name in state[section]
+        }
+    finally:
+        storage.close()
+
+
+# ----------------------------------------------------------------------
+# The six surfaces of the Repository contract
+# ----------------------------------------------------------------------
+#: Local specs (``file://``, ``sqlite://``, fake S3, a mixed tier), a daemon
+#: tenant and a routed tenant on three nodes with replicas=2.
+SURFACES = ["file", "sqlite", "s3", "mixed", "remote", "routed"]
+
+
+class Surface:
+    """One way of reaching a tenant: its repository, the specs it is stored
+    under, and the copy its writes land in (``primary``)."""
+
+    def __init__(self, kind, open_repo, specs, primary):
+        self.kind, self.open_repo, self.specs, self.primary = kind, open_repo, specs, primary
+
+    @property
+    def local(self) -> bool:
+        return self.kind not in ("remote", "routed")
+
+    def objects(self, tenant):
+        return [stored_objects(spec) for spec in self.specs(tenant)]
+
+    def exists(self, tenant):
+        return any(RepoStorage(spec).exists() for spec in self.specs(tenant))
+
+
+class Deployment:
+    """Every surface the contract runs on, built once: a fake S3 server, a
+    daemon, a three-node cluster with its router, and a mirror daemon that
+    any tenant replicates to.  A daemon killed under a tenant is revived on
+    its own port and root."""
+
+    def __init__(self, root) -> None:
+        self.root = root
+
+    def __enter__(self) -> "Deployment":
+        root = self.root
+        self.s3 = FakeS3Server("127.0.0.1").__enter__()
+        self.daemon = self.harness = self.client = self.mirror = None
+        try:
+            self.daemon = DaemonThread(str(root / "served"))
+            self.address = self.daemon.start()
+            self.harness = ClusterHarness(str(root / "cluster"), nodes=3, replicas=2)
+            self.cmap = self.harness.start()
+            self.client = ClusterClient([n.address for n in self.cmap.nodes], cluster_map=self.cmap)
+            self.mirror = DaemonThread(str(root / "mirror"))
+            self.mirror_address = self.mirror.start()
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.client is not None:
+            self.client.close()
+        if self.harness is not None:
+            self.harness.stop()
+        for daemon in (self.daemon, self.mirror):
+            if daemon is not None:
+                daemon.stop(drain_timeout=5)
+        self.s3.__exit__(*exc)
+
+    def surface(self, kind: str) -> Surface:
+        root = self.root
+        if kind == "remote":
+            served = lambda t: str(root / "served" / t)  # noqa: E731
+            return Surface(kind, lambda t: RemoteRepository(self.address, t),
+                           lambda t: [served(t)], served)
+        if kind == "routed":
+            return Surface(
+                kind, self.client.repo,
+                lambda t: [os.path.join(n.root, t) for n in self.cmap.nodes],
+                lambda t: os.path.join(self.cmap.primary(t).root, t),
+            )
+        local = {
+            "file": lambda t: f"file://{root}/file/{t}",
+            "sqlite": lambda t: f"sqlite://{root}/sqlite/{t}.db",
+            "s3": lambda t: self.s3.url("contract", t),
+            "mixed": lambda t: f"file://{root}/mixed/{t}?archive=sqlite://{root}/mixed/{t}.db",
+        }[kind]
+        return Surface(kind, lambda t: LocalRepository(local(t)), lambda t: [local(t)], local)
+
+    def daemon_of(self, kind: str, tenant: str):
+        """The daemon thread that holds ``tenant``'s primary copy (``None``
+        for a local surface)."""
+        if kind == "remote":
+            return self.daemon
+        if kind == "routed":
+            return self.harness.threads[self.cmap.primary(tenant).name]
+        return None
+
+    def revive(self, kind: str, tenant: str) -> None:
+        """Start a fresh daemon where a killed one served ``tenant``."""
+        if kind == "remote":
+            self.daemon = DaemonThread(str(self.root / "served"), port=self.daemon.daemon.port)
+            self.daemon.start()
+        else:
+            self.harness.restart_node(self.cmap.primary(tenant).name)
+
+
+@pytest.fixture(scope="module")
+def deployment(tmp_path_factory):
+    with Deployment(tmp_path_factory.mktemp("surfaces")) as built:
+        yield built
 
 
 def make_stream(tokens: List[int], tag: str = "", size: int = 1024) -> BackupStream:

@@ -20,7 +20,6 @@ then the replication planner's view of head and parts.
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import random
@@ -36,7 +35,6 @@ from repro.chunking.stream import BackupStream
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import checkpoint_document, pack_tables, unpack_tables
 from repro.core.double_cache import CacheEntry
-from repro.core.recipe_chain import RecipeChain
 from repro.core.verify import container_name
 from repro.storage.container_store import decode_container
 from repro.errors import ReplicationError, ReproError
@@ -44,7 +42,6 @@ from repro.observability import MetricsRegistry
 from repro.replication.repair import referenced_container_ids
 from repro.replication.session import ReplicationSession
 from repro.replication.targets import LocalMirror, RemoteMirror
-from repro.repository import LocalRepository
 from repro.server import DaemonThread
 from repro.server.registry import RepositoryRegistry
 from repro.storage import FileContainerStore, FileRecipeStore
@@ -53,10 +50,25 @@ from repro.storage.repo import CHECKPOINT_NAME, RepoStorage
 from repro.units import KiB
 from repro.storage.recipe import pack_recipe, unpack_recipe
 from tests.conftest import FIXTURE_V2, copy_objects, fixture_v2_bytes, repo_state
+from tests.crashpoints import (
+    HEAD_FORMAT,
+    Crash,
+    Mutations,
+    accounting,
+    check_recovered,
+    crash_run,
+    head_of,
+    named_parts,
+    open_repo,
+    part_names,
+    recording_recipes,
+    restored_sha,
+    sha,
+    stored_recipes,
+)
 from tests.test_write_once_containers import FIXTURE_V4, fresh_bytes
 
 FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "repo_v1")
-HEAD_FORMAT = "hidestore-checkpoint-v5"
 
 
 def version_bytes(index):
@@ -82,35 +94,6 @@ def big_version_bytes(index):
 def backup(repo, index, version=version_bytes):
     data = version(index)
     return repo.backup_blocks([data], [("data.bin", len(data))], tag=f"v{index + 1}")
-
-
-def sha(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def restored_sha(repo, version_id):
-    return sha(b"".join(repo.restore(version_id)[1]))
-
-
-def open_repo(spec):
-    return LocalRepository(spec, metrics=MetricsRegistry())
-
-
-def head_of(spec):
-    storage = RepoStorage(spec)
-    try:
-        return storage.read_checkpoint_document()
-    finally:
-        storage.close()
-
-
-def part_names(spec):
-    """Checkpoint parts present in the repository, whatever the head says."""
-    return sorted(set(repo_state(spec)["checkpoint"]) - {CHECKPOINT_NAME})
-
-
-def named_parts(spec):
-    return sorted(ref["name"] for ref in head_of(spec)["parts"])
 
 
 # ----------------------------------------------------------------------
@@ -256,35 +239,6 @@ def test_a_mid_version_state_is_refused_though_no_boundary_marked_the_tables(tmp
 # ----------------------------------------------------------------------
 # (b) What a save writes
 # ----------------------------------------------------------------------
-class Mutations:
-    """Every mutating backend call, in order, via ``FaultController``.
-
-    ``crash_after=n`` lets ``n`` mutations through and fails every later
-    one with :class:`Crash` — the process is dead, nothing it would have
-    done after that point happens, the rollback handlers included.
-    """
-
-    OPS = ("put", "put_meta", "rename", "delete")
-
-    def __init__(self, controller, crash_after=None):
-        self.log = []
-        self.crash_after = crash_after
-        for op in self.OPS:
-            controller.arm("observe", op=op, count=-1, callback=self._on(op))
-
-    def _on(self, op):
-        def note(_url, name):
-            if self.crash_after is not None and len(self.log) >= self.crash_after:
-                raise Crash(f"dead before {op} {name}")
-            self.log.append((op, name))
-
-        return note
-
-
-class Crash(BaseException):
-    """Not an ``Exception``: nothing on the way out may swallow a death."""
-
-
 @pytest.fixture
 def controller():
     with FaultController(metrics=MetricsRegistry()) as installed:
@@ -357,6 +311,30 @@ def test_a_backup_that_fails_at_its_head_rolls_its_parts_back(tmp_path, controll
     assert backup(repo, committed)["version_id"] == committed + 1
     assert part_names(spec) == named_parts(spec)
     assert repo.verify(deep=True)["ok"]
+
+
+def test_an_interrupt_after_the_head_keeps_the_version_it_committed(tmp_path, controller):
+    """Once the head names a version, an interrupt while the save drops the
+    parts it no longer names is no rollback: a directory repository writes
+    its recipes beside the backend, and rolling back deleted ``R_4`` under a
+    head that commits it, so the next backup failed to update it."""
+    spec = f"file://{tmp_path}/repo"
+    repo = open_repo(spec)
+    for index in range(3):
+        backup(repo, index)
+
+    def interrupted(_url, name):
+        raise Crash(f"interrupted before deleting {name}")
+
+    controller.arm("observe", op="delete", match_name="checkpoint-", callback=interrupted)
+    with pytest.raises(Crash):
+        backup(repo, 3)
+    controller.disarm_all()
+    reopened = open_repo(spec)
+    assert [v["version_id"] for v in reopened.versions()] == [1, 2, 3, 4]
+    assert restored_sha(reopened, 4) == sha(version_bytes(3))
+    assert backup(reopened, 4)["version_id"] == 5
+    assert reopened.verify(deep=True)["ok"]
 
 
 def test_head_is_small_and_names_every_part(tmp_path):
@@ -632,78 +610,12 @@ RECOVERY = {"v4 to v5 first save": [fixture_v2_bytes(3), fixture_v2_bytes(3)]}
 ANY_RECOVERY = [random.Random(4242).randbytes(40 * 1024)]
 
 
-def accounting(repo):
-    stats = repo.stats()
-    keys = ("versions", "logical_bytes", "stored_bytes", "containers_archival", "containers_active")
-    return {key: stats[key] for key in keys}
-
-
-def stored_recipes(repo, versions):
-    return {v: repo.storage.read_object("recipe", f"recipe-{v:08d}.hdsr") for v in versions}
-
-
-def check_recovered(spec, digests, next_version_before, written, recovery, committed=None):
-    """Everything a reopened repository must satisfy, whatever killed the
-    process that last wrote to it.  ``written``: version -> the recipe bytes
-    first stored for it, which no later write may change; ``recovery``: the
-    versions backed up after it; ``committed``: the accounting of the run
-    nothing killed, which a death after its head must not change."""
-    repo = open_repo(spec)
-    if committed is not None:  # a reader's open, before any writer swept
-        assert accounting(repo) == committed
-    listed = [v["version_id"] for v in repo.versions()]  # the open succeeds
-    assert stored_recipes(repo, listed) == {v: written[v] for v in listed}
-    engine = repo._open()
-    assert next_version_before <= engine._next_version <= next_version_before + 1
-    assert listed and listed == list(range(listed[0], listed[-1] + 1))
-    assert listed[-1] < engine._next_version
-    stored = repo_state(spec)
-    for version_id in listed:
-        assert restored_sha(repo, version_id) == digests[version_id], version_id
-    assert repo_state(spec) == stored, "a restore changed a stored object"
-    for version in engine.deletion.tagged_versions():
-        assert version in listed, f"tag of version {version} outlived its recipe"
-        for cid in engine.deletion.containers_for(version):
-            assert cid in engine.containers, f"tagged container {cid} is gone"
-    assert set(repo.storage.manifest_ids()) >= set(listed)
-    debris = set(part_names(spec)) - {ref["name"] for ref in head_of(spec).get("parts", ())}
-    pending = set(head_of(spec).get("released", ()))
-    report = repo.verify(deep=True)
-    assert report["ok"], report["issues"]
-    # Reading judged no part: only a writer can know no sync is mid-flight.
-    assert debris <= set(part_names(spec))
-    # And it is not merely consistent but alive: the next backups commit,
-    # and no unnamed part survives that writer's open.
-    new = []
-    for data in recovery:
-        new.append(repo.backup_blocks([data], [("data.bin", len(data))])["version_id"])
-        assert restored_sha(repo, new[-1]) == sha(data)
-    assert new == list(range(engine._next_version - len(recovery), engine._next_version))
-    head = head_of(spec)
-    assert head["format"] == HEAD_FORMAT
-    assert part_names(spec) == named_parts(spec)
-    # No object a head released survives: not the ones this save released
-    # (deleted after its head), not a dead writer's (swept at this open).
-    assert not (pending | set(head["released"])) & set(repo.storage.container_object_ids())
-    assert sorted(repo.storage.manifest_ids()) == [*listed, *new]
-    assert stored_recipes(repo, [*listed, *new]) == {v: written[v] for v in [*listed, *new]}
-    assert open_repo(spec).verify(deep=True)["ok"]
-    repo.storage.close()
-
-
 @pytest.fixture
-def fresh_recipes(monkeypatch):
+def fresh_recipes():
     """version -> the bytes ``write_fresh`` stored for it (the same in every
     run: backups are deterministic)."""
-    written = {}
-    original = RecipeChain.write_fresh
-
-    def recording(chain, recipe):
-        written[recipe.version_id] = pack_recipe(recipe)
-        return original(chain, recipe)
-
-    monkeypatch.setattr(RecipeChain, "write_fresh", recording)
-    return written
+    with recording_recipes() as written:
+        yield written
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -725,18 +637,8 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
         db = str(tmp_path / f"crash-{crash_after}-{'torn' if torn else 'clean'}.db")
         shutil.copy(pristine, db)
         spec = f"sqlite://{db}"
-        seen = Mutations(controller, crash_after)
-        if torn is not None:  # armed after the observers: they count it first
-            controller.arm("torn_write", op="put_meta", match_name=torn, count=1)
-        repo = open_repo(spec)
-        try:
-            operation(repo)
-        except (Crash, ReproError):
-            assert crash_after is not None
-        finally:
-            controller.disarm_all()
-            repo.storage.close()
-        return spec, seen.log
+        log, _crashed = crash_run(controller, spec, operation, crash_after, torn)
+        return spec, log
 
     clean, recorded = attempt()
     if scenario == RESTORE:  # a reader writes nothing: there is no point to die at

@@ -301,12 +301,10 @@ class TestKillMidBackup:
         """Killing the daemon while a backup has a container in flight must
         leave the repository without the new version — never torn — and a
         restarted daemon serves it."""
-        import threading
-        import time
-
         from repro.chaos.faults import FaultController
         from repro.client import RemoteRepository
         from repro.server import DaemonThread
+        from tests.crashpoints import kill_in_flight
 
         tree = _daemon_tree(str(tmp_path / "tree"), files=4, size=60_000)
         controller = FaultController()
@@ -317,34 +315,19 @@ class TestKillMidBackup:
             repo = RemoteRepository(f"127.0.0.1:{port}", "tenant-a")
             try:
                 repo.backup_tree(tree, tag="v1")
-                # The trigger runs in the victim put's own thread.  It keeps
-                # that put in flight until the daemon is going down, and then
-                # the put never lands — as under a real SIGKILL — so the
-                # backup cannot win the race, and kill() still returns on a
-                # rolled-back repository (it waits for the engine thread).
-                fired = threading.Event()
-
-                def die_in_flight(_url, name):
-                    fired.set()
-                    deadline = time.monotonic() + 30.0
-                    while not daemon.daemon.draining and time.monotonic() < deadline:
-                        time.sleep(0.005)
-                    raise StorageError(f"daemon killed with {name!r} in flight")
-
+                # The victim put kills the daemon from its own thread: it
+                # never lands, so the backup cannot win the race, and the
+                # shutdown rolls it back before kill() returns.
                 controller.arm(
-                    "trigger", op="put", match_name="container",
-                    callback=die_in_flight,
+                    "observe", op="put", match_name="container",
+                    callback=kill_in_flight(daemon, controller),
                 )
-                killer = threading.Thread(
-                    target=lambda: fired.wait(30.0) and daemon.kill()
-                )
-                killer.start()
                 churned = _daemon_tree(str(tmp_path / "tree"), files=4,
                                        size=60_000, seed=9)
-                with pytest.raises((ReproError, OSError)):
+                with pytest.raises(ReproError):
                     repo.backup_tree(churned, tag="v2")
-                killer.join(timeout=30.0)
-                assert fired.is_set() and not killer.is_alive()
+                daemon.kill()
+                assert [f["kind"] for f in controller.fired] == ["kill_primary"]
             finally:
                 repo.close()
 

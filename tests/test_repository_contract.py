@@ -3,9 +3,10 @@
 Each case runs on a local repository over ``file://``, ``sqlite://``, the
 fake S3 server and a mixed tier (``?archive=``), on a daemon tenant
 (:class:`RemoteRepository`) and on a routed cluster tenant
-(:class:`RoutedRepository`, 3 nodes, replicas=2).  The deployments are
-shared by the module; every test gets a fresh tenant.  The CLI test drives
-the same commands against a local path, ``--remote`` and ``--cluster``.
+(:class:`RoutedRepository`, 3 nodes, replicas=2), built by
+``conftest.Deployment``.  The deployment is shared by the module; every test
+gets a fresh tenant.  The CLI test drives the same commands against a local
+path, ``--remote`` and ``--cluster``.
 """
 
 import itertools
@@ -16,9 +17,6 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.client import RemoteRepository
-from repro.cluster import ClusterClient
-from repro.cluster.supervisor import ClusterHarness
 from repro.errors import (
     RepositoryNotFoundError,
     ReproError,
@@ -26,11 +24,7 @@ from repro.errors import (
     VersionNotFoundError,
 )
 from repro.repository import LocalRepository, Repository, read_tree
-from repro.server import DaemonThread
-from repro.storage.fake_s3 import FakeS3Server
-from repro.storage.repo import SECTIONS, RepoStorage
-
-SURFACES = ["file", "sqlite", "s3", "mixed", "remote", "routed"]
+from tests.conftest import SURFACES
 
 #: Two versions of a small tree: v2 edits one file, drops one, adds one.
 _rng = random.Random(17)
@@ -64,68 +58,9 @@ def joined(tree):
     return b"".join(tree[name] for name in sorted(tree))
 
 
-def stored_objects(spec):
-    """Every replicable object of the repository at ``spec``."""
-    storage = RepoStorage(spec)
-    try:
-        if not storage.exists():
-            return {}
-        state = storage.state()
-        return {
-            (kind, name): storage.read_object(kind, name)
-            for kind, section in SECTIONS.items() for name in state[section]
-        }
-    finally:
-        storage.close()
-
-
-class Surface:
-    """One way of reaching a tenant: its repository and its stored specs."""
-
-    def __init__(self, open_repo, specs):
-        self.open_repo, self.specs = open_repo, specs
-
-    def objects(self, tenant):
-        return [stored_objects(spec) for spec in self.specs(tenant)]
-
-    def exists(self, tenant):
-        return any(RepoStorage(spec).exists() for spec in self.specs(tenant))
-
-
-@pytest.fixture(scope="module")
-def deployments(tmp_path_factory):
-    root = tmp_path_factory.mktemp("contract")
-    with FakeS3Server("127.0.0.1") as s3:
-        daemon = DaemonThread(str(root / "served"))
-        address = daemon.start()
-        harness = ClusterHarness(str(root / "cluster"), nodes=3, replicas=2)
-        try:
-            cmap = harness.start()
-            with ClusterClient([n.address for n in cmap.nodes], cluster_map=cmap) as client:
-                yield root, s3, address, cmap, client
-        finally:
-            harness.stop()
-            daemon.stop(drain_timeout=5)
-
-
 @pytest.fixture(scope="module", params=SURFACES)
-def surface(request, deployments):
-    root, s3, address, cmap, client = deployments
-    kind = request.param
-    if kind == "remote":
-        return Surface(
-            lambda t: RemoteRepository(address, t),
-            lambda t: [str(root / "served" / t)],
-        )
-    if kind == "routed":
-        return Surface(client.repo, lambda t: [os.path.join(n.root, t) for n in cmap.nodes])
-    local = {
-        "file": lambda t: f"file://{root}/file/{t}",
-        "sqlite": lambda t: f"sqlite://{root}/sqlite/{t}.db",
-        "s3": lambda t: s3.url("contract", t),
-        "mixed": lambda t: f"file://{root}/mixed/{t}?archive=sqlite://{root}/mixed/{t}.db",
-    }[kind]
-    return Surface(lambda t: LocalRepository(local(t)), lambda t: [local(t)])
+def surface(request, deployment):
+    return deployment.surface(request.param)
 
 
 @pytest.fixture
@@ -259,8 +194,8 @@ def test_missing_repository_is_a_prompt_domain_answer(surface, tenant):
 # The CLI drives every target through the same commands
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("target", ["local", "remote", "cluster"])
-def test_cli_cycle(target, deployments, tmp_path, capsys):
-    root, _s3, address, cmap, _client = deployments
+def test_cli_cycle(target, deployment, tmp_path, capsys):
+    root, address, cmap = deployment.root, deployment.address, deployment.cmap
     seeds = ",".join(n.address for n in cmap.nodes)
     repo, flags, roots = {
         "local": (str(tmp_path / "repo"), [], [""]),

@@ -24,6 +24,7 @@ import json
 import os
 import random
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -34,6 +35,7 @@ from repro.client import RemoteRepository
 from repro.core.hidestore import HiDeStore
 from repro.engine.restore import execute_plan_prefetched, restore_stream
 from repro.errors import ReproError, RestoreError
+from repro.observability import MetricsRegistry
 from repro.pipeline.schemes import build_baseline
 from repro.repository import LocalRepository, materialize, read_tree
 from repro.restore import FAARestore, FAAScheduler, HotSetRestore, execute_plan
@@ -293,6 +295,10 @@ class TestMaterializeStreaming:
         assert not (tmp_path / "out" / "short.bin").exists()
         assert not list((tmp_path / "out").glob("**/*.part"))
 
+    def test_bytes_beyond_the_plan_are_refused(self, tmp_path):
+        with pytest.raises(RestoreError, match="beyond its file plan"):
+            materialize([("a", 3)], [b"abcd"], str(tmp_path / "out"))
+
 
 # ----------------------------------------------------------------------
 # Verified restore
@@ -420,3 +426,24 @@ class TestDaemonRestorePath:
                 # The pooled connection was discarded, not reused mid-error:
                 # the next request on the same client works.
                 assert [row["version_id"] for row in repo.versions()] == [1, 2]
+
+    def test_materialized_remote_restores_return_their_connections(self, tmp_path):
+        """``materialize`` reads each stream to ``RESTORE_END``: the client
+        counts every restore and the daemon stops without waiting out its
+        drain patience on a connection nobody will read again."""
+        entries = make_tree(str(tmp_path / "src"), synthetic_files(53, count=3, size=40_000))
+        metrics = MetricsRegistry()
+        thread = DaemonThread(str(tmp_path / "served"))
+        address = thread.start()
+        try:
+            with RemoteRepository(address, "alpha", metrics=metrics) as repo:
+                repo.backup_tree(entries, tag="snap")
+                for k in range(3):
+                    plan, data = repo.restore(1)
+                    materialize(plan, data, str(tmp_path / f"out{k}"))
+        finally:
+            started = time.monotonic()
+            thread.stop()
+            stopped = time.monotonic() - started
+        assert stopped < 1.0
+        assert metrics.snapshot()["histograms"]["client.restore_seconds"]["count"] == 3

@@ -342,13 +342,13 @@ class TestFailureSemantics:
         plan = [(rel, os.path.getsize(path)) for rel, path in entries]
         thread = DaemonThread(root)
         address = thread.start()
-        started = threading.Event()
+        started, killed = threading.Event(), threading.Event()
 
         def stalled_blocks():
             yield open(entries[0][1], "rb").read(65536)
             started.set()
             yield open(entries[0][1], "rb").read()
-            threading.Event().wait(30)  # stall until the kill severs us
+            killed.wait(30)  # stall until the kill has severed us
 
         outcome = {}
 
@@ -363,6 +363,7 @@ class TestFailureSemantics:
         worker.start()
         assert started.wait(timeout=30)
         thread.kill()  # SIGTERM with no drain patience
+        killed.set()
         worker.join(timeout=30)
         assert "report" not in outcome  # the backup must NOT have completed
 
@@ -531,6 +532,8 @@ class _StrayFrameServer:
 
     def close(self):
         self._running = False
+        # A close alone does not wake a thread blocked in accept().
+        self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
         self._thread.join(timeout=5)
 
