@@ -327,8 +327,9 @@ class HiDeStore(RestoreMixin):
         return super()._read_container_chunks(cid, fingerprints)
 
     def archival_cids(self, version_id: int, entries: List[RecipeEntry], load) -> List[int]:
-        """The one resolution rule (restores, ``verify``, priming): per row
-        of ``R_version``, its own positive CID; else ``demoted[version_id]``'s;
+        """The one resolution rule (``verify``, priming; restores apply it in
+        :meth:`_resolve_restore_entries`' single pass): per row of
+        ``R_version``, its own positive CID; else ``demoted[version_id]``'s;
         else the chain index's, if held at or after ``version_id`` (built
         through ``load`` on first need; the newest skips it); else ``0``, the
         active pool (DESIGN §1.1)."""
@@ -351,18 +352,32 @@ class HiDeStore(RestoreMixin):
     def _resolve_restore_entries(
         self, entries: List[RecipeEntry], version_id: int, load
     ) -> List[RecipeEntry]:
-        """:meth:`archival_cids`, active rows from ``pool.location`` (lock held)."""
+        """:meth:`archival_cids`'s rule in one pass (lock held): a row whose
+        own CID is concrete is kept as it is; any other becomes a new entry
+        at its archival CID, else at its active one from ``pool.location``."""
+        own = self.chain.demoted.get(version_id, {})
+        archival = {} if version_id >= self._next_version - 1 else None
         location = self.pool.location
         resolved: List[RecipeEntry] = []
-        for entry, cid in zip(entries, self.archival_cids(version_id, entries, load)):
+        append = resolved.append
+        for entry in entries:
+            if entry.cid > 0:
+                append(entry)
+                continue
+            fp = entry.fingerprint
+            cid = own.get(fp, 0)
             if not cid:
-                cid = location.get(entry.fingerprint)
-                if cid is None:
-                    raise RestoreError(
-                        f"chunk {entry.fingerprint.hex()[:8]} of version {version_id} "
-                        "is neither archival in a newer recipe nor active"
-                    )
-            resolved.append(RecipeEntry(entry.fingerprint, entry.size, cid))
+                if archival is None:
+                    archival = self.chain.archival_index(load)
+                holder, cid = archival.get(fp, (0, 0))
+                if holder < version_id:
+                    cid = location.get(fp)
+                    if cid is None:
+                        raise RestoreError(
+                            f"chunk {fp.hex()[:8]} of version {version_id} "
+                            "is neither archival in a newer recipe nor active"
+                        )
+            append(RecipeEntry(fp, entry.size, cid))
         return resolved
 
     # ------------------------------------------------------------------

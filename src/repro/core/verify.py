@@ -92,13 +92,13 @@ def rehash_payloads(container: Container) -> Tuple[int, Optional[str]]:
     """
     hashed = 0
     fingerprinter = None
-    for fp, slot in container.items():
-        if slot.data is None:
+    for fp, data in container.payloads():
+        if data is None:
             continue
         if fingerprinter is None or fingerprinter.width != len(fp):
             fingerprinter = Fingerprinter(width=len(fp))
-        hashed += len(slot.data)
-        if fingerprinter.fingerprint(slot.data) != fp:
+        hashed += len(data)
+        if fingerprinter.fingerprint(data) != fp:
             return hashed, f"payload of chunk {fp.hex()[:8]} does not re-hash to its fingerprint"
     return hashed, None
 

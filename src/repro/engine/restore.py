@@ -12,15 +12,19 @@ Python-side reassembly and with whatever the consumer does with the bytes
 (file writes, socket sends).
 
 The output is **runs** (:class:`Run`), not chunks: entries that lie back to
-back in one decoded container payload leave as one ``memoryview`` slice, so
-the physical locality of a container read (§4.4) reaches the consumer whole.
+back in one decoded container payload leave as one slice, so the physical
+locality of a container read (§4.4) reaches the consumer whole.  A read is
+priced per container, not per chunk: it is served straight from the decoded
+container's entry index (:attr:`~repro.storage.container.Container.index`),
+cut into runs in one pass over its slots, and builds no slot object.
 Plans and billing are the scheduler's; :func:`~repro.restore.scheduler.
 execute_plan` is the per-chunk oracle.
 
 Memory stays capped: at most ``readahead`` container reads are in flight
-or awaiting collection at once, and only the slots a read was scheduled to
+or awaiting collection at once, and only the runs a read was scheduled to
 serve are retained (the plan's slot lifetimes bound the assembly buffer as
-the policy's cache budget would; held slots pin at most twice their bytes).
+the policy's cache budget would).  A read serving under half its blob
+copies its runs out, so a held run pins at most twice its bytes.
 
 Per-stage timings land in the observability registry:
 
@@ -34,11 +38,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from ..chunking.fingerprint import Fingerprinter
 from ..chunking.stream import Chunk
-from ..errors import RestoreError
+from ..errors import RestoreError, UnknownChunkError
 from ..observability import MetricsRegistry, get_registry
 from ..restore.base import ContainerReader
 from ..restore.scheduler import ContainerRead, PlanSpan
@@ -47,8 +51,6 @@ from ..storage.recipe import RecipeEntry
 #: Ranged slot fetch: ``(cid, fingerprints) -> {fp: Chunk}`` or ``None``
 #: when the container can't be partially read (fall back to a full read).
 ChunkReader = Callable[[int, Sequence[bytes]], Optional[Dict[bytes, Chunk]]]
-
-Located = Tuple[object, int, int]  #: where one slot's bytes lie: (buffer, start, size)
 
 
 class Run(NamedTuple):
@@ -63,71 +65,95 @@ def default_readahead(workers: int) -> int:
     return max(2, 2 * workers)
 
 
-def _fetch_slots(
+def _check(fingerprinter: Fingerprinter, fp: bytes, data) -> None:
+    actual = fingerprinter.fingerprint(data)
+    if actual != fp:
+        raise RestoreError(
+            f"integrity failure: chunk recorded as {fp.hex()[:8]} "
+            f"hashes to {actual.hex()[:8]}"
+        )
+
+
+def _serve(
     entries: Sequence[RecipeEntry],
     read: ContainerRead,
     reader: ContainerReader,
+    chunk_reader: Optional[ChunkReader],
     fingerprinter: Optional[Fingerprinter],
     metrics: MetricsRegistry,
-    located: List[Optional[Located]],
-    chunk_reader: Optional[ChunkReader] = None,
+    runs: Dict[int, Run],
 ) -> None:
-    """Worker-side: one billed container read; fills ``located`` for its slots.
+    """Worker-side: one billed container read, cut into the runs it serves.
 
-    Location (and verification, when requested: each entry's own bytes are
-    re-hashed, so a bit-flip names its chunk) happens on the worker so the
-    GIL-releasing portions — file read, decompression, hashing — run
-    concurrently across the pool.
+    Each run lands in ``runs`` under its first entry's index.  A container
+    decoded from a blob is served from its entry index: one pass over the
+    read's slots cuts every stretch of consecutive entries that lie back to
+    back in the payload into one run, and no slot object is built.  A read
+    serving under half its blob copies each run out rather than pin the
+    whole blob for as long as the run is held.  Per-chunk bytes (a ranged
+    read, an in-memory container) leave one run per entry.
 
-    When ``chunk_reader`` is given (a store with ranged reads), only the
-    scheduled slots' chunks travel over the wire; the fallback — and the
-    billing, which is whole-container either way — is the full read.
+    The read, decompression and verification (each entry's own bytes are
+    re-hashed, so a bit-flip names its chunk) happen here, on the worker,
+    so the GIL-releasing portions run concurrently across the pool.  With
+    ``chunk_reader`` (a store with ranged reads) only the scheduled slots'
+    chunks travel; the fallback, and the billing, is the whole container.
     """
     started = time.perf_counter()
-    fps = [entries[i].fingerprint for i in read.slots]
-    chunks = chunk_reader(read.cid, fps) if chunk_reader is not None else None
+    slots = read.slots
+    chunks = None
+    if chunk_reader is not None:
+        chunks = chunk_reader(read.cid, [entries[i].fingerprint for i in slots])
+    index = payload = None
     if chunks is None:
         container = reader(read.cid)
-        slots, payload = [container.get(fp) for fp in fps], container.payload
-    else:
-        slots, payload = [chunks[fp] for fp in fps], None
+        index, payload = container.index, container.payload
     metrics.observe("restore.container_read_seconds", time.perf_counter() - started)
-    # A read serving under half its blob copies its slots out rather than
-    # pin the whole blob for as long as they are held.
-    copy = payload is not None and 2 * sum(slot.size for slot in slots) < len(payload)
-    payload = None if copy else payload
-    for i, fp, slot in zip(read.slots, fps, slots):
-        data = bytes(slot.data) if copy else slot.data
-        if data is None:
-            raise RestoreError(f"chunk {fp.hex()[:8]} carries no payload")
+    if index is None:
+        for i in slots:
+            fp = entries[i].fingerprint
+            data = chunks[fp].data if chunks is not None else container.get(fp).data
+            if data is None:
+                raise RestoreError(f"chunk {fp.hex()[:8]} carries no payload")
+            if fingerprinter is not None:
+                _check(fingerprinter, fp, data)
+            runs[i] = Run(data, 1)
+        return
+    cuts = []  # (first entry, payload start, payload end, entries)
+    first = -1
+    begin = end = count = 0
+    try:
+        for i in slots:
+            start, size = index[entries[i].fingerprint]
+            if i == first + count and start == end:
+                end += size
+                count += 1
+                continue
+            if count:
+                cuts.append((first, begin, end, count))
+            first, begin, end, count = i, start, start + size, 1
         if fingerprinter is not None:
-            actual = fingerprinter.fingerprint(data)
-            if actual != fp:
-                raise RestoreError(
-                    f"integrity failure: chunk recorded as {fp.hex()[:8]} "
-                    f"hashes to {actual.hex()[:8]}"
-                )
-        located[i] = (data, 0, len(data)) if payload is None else (payload, slot.offset, len(data))
+            for i in slots:
+                fp = entries[i].fingerprint
+                start, size = index[fp]
+                _check(fingerprinter, fp, payload[start : start + size])
+    except KeyError as missing:
+        raise UnknownChunkError(
+            f"container {read.cid} does not hold {missing.args[0].hex()[:8]}"
+        ) from None
+    if count:
+        cuts.append((first, begin, end, count))
+    copy = 2 * sum(end - begin for _i, begin, end, _n in cuts) < len(payload)
+    for first, begin, end, count in cuts:
+        data = payload[begin:end]
+        runs[first] = Run(bytes(data) if copy else data, count)
 
 
-def _runs(emit: Sequence[int], located: List[Optional[Located]]) -> Iterator[Run]:
-    """One plan step's emissions; back-to-back entries of a payload merge."""
-    base: object = None
-    first = end = count = 0
-    for i in emit:
-        where, located[i] = located[i], None
-        if where is None:
-            raise RestoreError(f"restore plan emitted slot {i} before any read served it")
-        buffer, start, size = where
-        if buffer is base and start == end:
-            end += size
-            count += 1
-            continue
-        if base is not None:
-            yield Run(base[first:end], count)
-        base, first, end, count = buffer, start, start + size, 1
-    if base is not None:
-        yield Run(base[first:end], count)
+def _next_run(runs: Dict[int, Run], cursor: int) -> Run:
+    run = runs.pop(cursor, None)
+    if run is None:
+        raise RestoreError(f"restore plan emitted slot {cursor} before any read served it")
+    return run
 
 
 def execute_plan_prefetched(
@@ -163,12 +189,13 @@ def execute_plan_prefetched(
             for read in span.reads:
                 yield "read", read
             if span.emit:
-                yield "emit", span.emit
+                yield "emit", span.emit[-1] + 1
 
     stream = events()
-    #: ("read", Future[None]) and ("emit", indices), plan order.
+    #: ("read", Future[None]) and ("emit", end of the span's entries), plan order.
     queue: deque = deque()
-    located: List[Optional[Located]] = [None] * len(entries)
+    runs: Dict[int, Run] = {}
+    cursor = 0
     inflight = 0
     exhausted = False
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="restore")
@@ -185,8 +212,8 @@ def execute_plan_prefetched(
                 if kind == "read":
                     queue.append(
                         ("read", pool.submit(
-                            _fetch_slots, entries, value, reader,
-                            fingerprinter, registry, located, chunk_reader,
+                            _serve, entries, value, reader, chunk_reader,
+                            fingerprinter, registry, runs,
                         ))
                     )
                     inflight += 1
@@ -205,7 +232,10 @@ def execute_plan_prefetched(
                 inflight -= 1
                 pump()
             else:
-                yield from _runs(value, located)
+                while cursor < value:
+                    run = _next_run(runs, cursor)
+                    cursor += run.entries
+                    yield run
     finally:
         # Wait for the reads in flight, never join the pool's threads: an
         # unfinished stream may be closed by the garbage collector inside a
@@ -227,15 +257,18 @@ def _execute_serial(
 ) -> Iterator[Run]:
     """Single-threaded plan execution with the same timings and checks."""
     fingerprinter = Fingerprinter() if verify else None
-    located: List[Optional[Located]] = [None] * len(entries)
+    runs: Dict[int, Run] = {}
+    cursor = 0
     for span in plan:
         started = time.perf_counter()
         for read in span.reads:
-            _fetch_slots(
-                entries, read, reader, fingerprinter, metrics, located, chunk_reader
-            )
+            _serve(entries, read, reader, chunk_reader, fingerprinter, metrics, runs)
         metrics.observe("restore.assemble_seconds", time.perf_counter() - started)
-        yield from _runs(span.emit, located)
+        stop = span.emit[-1] + 1 if span.emit else cursor
+        while cursor < stop:
+            run = _next_run(runs, cursor)
+            cursor += run.entries
+            yield run
 
 
 def restore_stream(

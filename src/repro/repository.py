@@ -566,6 +566,9 @@ class LocalRepository(Repository):
         from .engine.shared_pool import chunk_segment, iter_segments
 
         plan = validate_plan(plan)
+        # What a rollback must remove; an object store leaves nothing to (and
+        # would pay a full listing to tell).
+        created = self.storage.location.scheme in ("file", "sqlite") and not self.storage.exists()
         store = self._open_for_backup()
         chunker = store.chunker
         fingerprinter = Fingerprinter()
@@ -586,19 +589,20 @@ class LocalRepository(Repository):
 
         stream = LazyBackupStream(chunks(), tag=tag or "")
         started = time.perf_counter()
-        report = self._guarded_backup(store, lambda: store.backup(stream), plan)
+        report = self._guarded_backup(store, lambda: store.backup(stream), plan, created)
         total = time.perf_counter() - started
         self.metrics.observe("repo.backup_seconds", total)
         self.metrics.observe("repo.chunking_seconds", timings["chunking"])
         self.metrics.observe("repo.dedup_seconds", max(0.0, total - timings["chunking"]))
         return report
 
-    def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan) -> Dict:
+    def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan, created: bool) -> Dict:
         """Run one backup attempt; on any failure, a plan that does not
         cover the stored bytes included, roll the repo back — unless the
         failure came after the head committed the version (an interrupt
         while the save dropped what the head no longer names): that version
-        is the repository's now."""
+        is the repository's now.  ``created``: this attempt's open created
+        the repository, so a rollback removes it again."""
         mark = store.containers.next_id
         versions_before = set(store.recipes.version_ids())
         next_version = store._next_version
@@ -617,7 +621,7 @@ class LocalRepository(Repository):
             self._save_checkpoint(store)
         except BaseException:
             if not self._head_commits(next_version):
-                self._rollback(mark, versions_before)
+                self._rollback(mark, versions_before, created)
             else:
                 self.invalidate()
             raise
@@ -638,7 +642,7 @@ class LocalRepository(Repository):
         except (ReproError, KeyError, TypeError, ValueError, OSError):
             return False
 
-    def _rollback(self, mark: int, versions_before: set) -> None:
+    def _rollback(self, mark: int, versions_before: set, created: bool) -> None:
         """Erase every trace of a failed backup attempt.
 
         Deletes recipes/manifests of versions that were not visible before
@@ -647,7 +651,10 @@ class LocalRepository(Repository):
         checkpoint, which was last written at a good version boundary —
         and sweeps the checkpoint parts the attempt wrote before its head.
         Foreign container names (e.g. ``container-backup.hdsc``) are not
-        ours to delete; only the 8-digit IDs from this attempt go.
+        ours to delete; only the 8-digit IDs from this attempt go.  When the
+        attempt's open ``created`` the repository, what it created goes too
+        (the directory or ``.db``): reads of it raise
+        :class:`RepositoryNotFoundError` again.
         """
         with self._open_lock:
             self._store = None
@@ -662,6 +669,8 @@ class LocalRepository(Repository):
         for vid in self.storage.manifest_ids():
             if vid not in versions_before:
                 self.storage.delete_manifest(vid)
+        if created:
+            self.storage.remove()
 
     # ------------------------------------------------------------------
     # Restore

@@ -90,34 +90,29 @@ class FAAScheduler(RestoreScheduler):
             raise RestoreError("area_bytes must be positive")
         self.area_bytes = area_bytes
 
-    def _spans(self, entries: Sequence[RecipeEntry]) -> Iterator[List[int]]:
-        """Partition entry indices into assembly-area-sized spans."""
-        span: List[int] = []
-        used = 0
-        for i, entry in enumerate(entries):
-            if used + entry.size > self.area_bytes and span:
-                yield span
-                span = []
-                used = 0
-            span.append(i)
-            used += entry.size
-        if span:
-            yield span
-
     def plan(self, entries: Sequence[RecipeEntry]) -> Iterator[PlanSpan]:
-        for span in self._spans(entries):
-            needed: Dict[int, List[int]] = {}
-            order: List[int] = []
-            for i in span:
-                cid = entries[i].cid
-                if cid not in needed:
-                    needed[cid] = []
-                    order.append(cid)
-                needed[cid].append(i)
-            yield PlanSpan(
-                emit=tuple(span),
-                reads=tuple(ContainerRead(cid, tuple(needed[cid])) for cid in order),
-            )
+        # One pass: per area, each container's slots in first-need order.
+        needed: Dict[int, List[int]] = {}
+        first = used = 0
+        for i, entry in enumerate(entries):
+            if used + entry.size > self.area_bytes and needed:
+                yield self._span(first, i, needed)
+                needed, first, used = {}, i, 0
+            slots = needed.get(entry.cid)
+            if slots is None:
+                needed[entry.cid] = [i]
+            else:
+                slots.append(i)
+            used += entry.size
+        if needed:
+            yield self._span(first, len(entries), needed)
+
+    @staticmethod
+    def _span(first: int, stop: int, needed: Dict[int, List[int]]) -> PlanSpan:
+        return PlanSpan(
+            emit=tuple(range(first, stop)),
+            reads=tuple(ContainerRead(cid, tuple(slots)) for cid, slots in needed.items()),
+        )
 
 
 def execute_plan(

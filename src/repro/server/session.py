@@ -489,15 +489,19 @@ class _Session:
             # cancels this session the thread runs on, so wait on its own
             # completion event, swallowing repeated cancellation: shutdown()
             # only returns once the repository is clean — committed or
-            # rolled back, never mid-write.
+            # rolled back, never mid-write.  One waiter, awaited to its end
+            # however often this is cancelled: none is left pending when
+            # the loop closes.
             stream.stop()
-            while not engine_done.is_set():
-                try:
-                    await asyncio.shield(asyncio.to_thread(engine_done.wait))
-                except asyncio.CancelledError:
-                    continue
-                except BaseException:
-                    break
+            if not engine_done.is_set():
+                waiter = asyncio.ensure_future(asyncio.to_thread(engine_done.wait))
+                while not waiter.done():
+                    try:
+                        await asyncio.shield(waiter)
+                    except asyncio.CancelledError:
+                        continue
+                    except BaseException:
+                        break
             handle.note_backup_failed()
             if isinstance(first, Exception) and not isinstance(first, ConnectionError):
                 # Where the client's stream stopped is unknown: report the

@@ -14,7 +14,6 @@ the same class here; mutability is a policy of the owning layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ContainerFullError, StorageError, UnknownChunkError
@@ -22,17 +21,27 @@ from ..units import CONTAINER_SIZE
 from ..chunking.stream import Chunk
 
 
-@dataclass(frozen=True)
 class ChunkSlot:
     """Location and payload of one chunk inside a container."""
 
-    offset: int
-    size: int
-    data: Optional[bytes] = None
+    __slots__ = ("offset", "size", "data")
+
+    def __init__(self, offset: int, size: int, data: Optional[bytes] = None) -> None:
+        self.offset = offset
+        self.size = size
+        self.data = data
+
+    def __repr__(self) -> str:
+        return f"ChunkSlot(offset={self.offset}, size={self.size})"
 
 
 class Container:
     """An append-oriented chunk container with a metadata hash table.
+
+    A container decoded from a stored blob may hold its table as an
+    :attr:`index` (``fingerprint -> (offset, size)`` into :attr:`payload`)
+    instead of slots: reads then build a :class:`ChunkSlot` only for what
+    they touch, and the first mutation turns the index into slots.
 
     Args:
         container_id: globally unique positive integer.
@@ -40,7 +49,9 @@ class Container:
             paper; all compared schemes use the same size for fairness).
     """
 
-    __slots__ = ("container_id", "capacity", "_slots", "_used", "_cursor", "sealed", "payload")
+    __slots__ = (
+        "container_id", "capacity", "_slots", "_used", "_cursor", "sealed", "payload", "index",
+    )
 
     def __init__(self, container_id: int, capacity: int = CONTAINER_SIZE) -> None:
         if container_id <= 0:
@@ -59,6 +70,33 @@ class Container:
         #: A decoded blob's payload region while slot offsets index it (slot
         #: ``data`` are views into it), else ``None``.
         self.payload: Optional[memoryview] = None
+        #: A decoded blob's table, ``fingerprint -> (offset, size)`` into
+        #: :attr:`payload` in offset order, while no slot has been built
+        #: from it (the table is then this, not ``_slots``); else ``None``.
+        self.index: Optional[Dict[bytes, Tuple[int, int]]] = None
+
+    @classmethod
+    def indexed(
+        cls, container_id: int, capacity: int, index: Dict[bytes, Tuple[int, int]],
+        payload: memoryview,
+    ) -> "Container":
+        """A container over a decoded blob: ``index`` in offset order, every
+        chunk's bytes back to back in ``payload``."""
+        container = cls(container_id, capacity)
+        if len(payload) > capacity:
+            raise ContainerFullError(
+                f"container {container_id}: {len(payload)} B of chunks exceed {capacity}"
+            )
+        container.index, container.payload = index, payload
+        container._used = container._cursor = len(payload)
+        return container
+
+    def _table(self) -> Dict[bytes, ChunkSlot]:
+        """The slots, built from :attr:`index` first if it holds the table."""
+        if self.index is not None:
+            self._slots = dict(self.items())
+            self.index = None
+        return self._slots
 
     # ------------------------------------------------------------------
     # Write path
@@ -79,7 +117,8 @@ class Container:
         """:meth:`add` without building a :class:`Chunk` (the blob decoder's path)."""
         if self.sealed:
             raise StorageError(f"container {self.container_id} is sealed")
-        if fingerprint in self._slots:
+        slots = self._table()
+        if fingerprint in slots:
             raise StorageError(
                 f"container {self.container_id} already holds chunk {fingerprint.hex()[:8]}"
             )
@@ -89,7 +128,7 @@ class Container:
                 f"fit (cursor {self._cursor}/{self.capacity})"
             )
         slot = ChunkSlot(self._cursor, size, data)
-        self._slots[fingerprint] = slot
+        slots[fingerprint] = slot
         self._cursor += size
         self._used += size
         self.payload = None
@@ -102,7 +141,7 @@ class Container:
         The hole is reclaimed only by :meth:`compact`.
         """
         try:
-            slot = self._slots.pop(fingerprint)
+            slot = self._table().pop(fingerprint)
         except KeyError:
             raise UnknownChunkError(
                 f"container {self.container_id} does not hold {fingerprint.hex()[:8]}"
@@ -113,12 +152,12 @@ class Container:
     def compact(self) -> int:
         """Rewrite live chunks contiguously; returns bytes reclaimed."""
         reclaimed = self._cursor - self._used
-        self.payload = None
         offset = 0
         rebuilt: Dict[bytes, ChunkSlot] = {}
-        for fp, slot in self._slots.items():
+        for fp, slot in self._table().items():
             rebuilt[fp] = ChunkSlot(offset, slot.size, slot.data)
             offset += slot.size
+        self.payload = None
         self._slots = rebuilt
         self._cursor = offset
         return reclaimed
@@ -131,15 +170,18 @@ class Container:
     # Read path
     # ------------------------------------------------------------------
     def __contains__(self, fingerprint: bytes) -> bool:
-        return fingerprint in self._slots
+        return fingerprint in (self._slots if self.index is None else self.index)
 
     def get(self, fingerprint: bytes) -> ChunkSlot:
         try:
-            return self._slots[fingerprint]
+            if self.index is None:
+                return self._slots[fingerprint]
+            offset, size = self.index[fingerprint]
         except KeyError:
             raise UnknownChunkError(
                 f"container {self.container_id} does not hold {fingerprint.hex()[:8]}"
             ) from None
+        return ChunkSlot(offset, size, self.payload[offset : offset + size])
 
     def get_chunk(self, fingerprint: bytes) -> Chunk:
         """Materialise a :class:`Chunk` for a stored fingerprint."""
@@ -147,22 +189,35 @@ class Container:
         return Chunk(fingerprint, slot.size, slot.data)
 
     def fingerprints(self) -> List[bytes]:
-        return list(self._slots.keys())
+        return list(self._slots if self.index is None else self.index)
 
     def chunks(self) -> Iterator[Chunk]:
         """Iterate live chunks in offset order (the physical layout)."""
-        for fp, slot in sorted(self._slots.items(), key=lambda kv: kv[1].offset):
+        for fp, slot in sorted(self.items(), key=lambda kv: kv[1].offset):
             yield Chunk(fp, slot.size, slot.data)
 
     def items(self) -> Iterator[Tuple[bytes, ChunkSlot]]:
-        return iter(self._slots.items())
+        if self.index is None:
+            return iter(self._slots.items())
+        payload = self.payload
+        return (
+            (fp, ChunkSlot(offset, size, payload[offset : offset + size]))
+            for fp, (offset, size) in self.index.items()
+        )
+
+    def payloads(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+        """``(fingerprint, data)`` of every chunk, building no slot."""
+        if self.index is None:
+            return ((fp, slot.data) for fp, slot in self._slots.items())
+        payload = self.payload
+        return ((fp, payload[at : at + size]) for fp, (at, size) in self.index.items())
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
     def chunk_count(self) -> int:
-        return len(self._slots)
+        return len(self._slots if self.index is None else self.index)
 
     @property
     def used(self) -> int:
@@ -181,7 +236,7 @@ class Container:
 
     @property
     def is_empty(self) -> bool:
-        return not self._slots
+        return not self.chunk_count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

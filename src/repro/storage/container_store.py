@@ -38,6 +38,8 @@ import struct
 import time
 import zlib
 from abc import ABC, abstractmethod
+from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set
 
 from ..errors import (
@@ -269,18 +271,33 @@ def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Containe
     """Parse :func:`pack_container` output back into an (unsealed) container.
 
     Chunks are re-appended in offset order, so holes left by removals are
-    compacted away on load; the logical contents are identical.  Slot data
-    are copies out of ``bytes`` (a long-lived container pins no blob) and
-    views into a ``memoryview``, kept whole as :attr:`Container.payload`.
+    compacted away on load; the logical contents are identical.  The entry
+    table is read in one pass.  From a ``memoryview`` whose chunks all
+    carry data, it becomes the container's :attr:`~Container.index` over
+    the payload region, kept whole as :attr:`Container.payload`, and no
+    slot is built until one is read.  From ``bytes``, slot data are copies
+    (a long-lived container pins no blob).
     """
     magic, cid, count, capacity = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC or (expected_id is not None and cid != expected_id):
         raise StorageError("corrupt container blob")
-    container = Container(cid, capacity)
     base = _HEADER.size + count * _ENTRY.size
+    table = sorted(_ENTRY.iter_unpack(blob[_HEADER.size : base]), key=itemgetter(1))
+    fps, _offsets, sizes, has_data = tuple(zip(*table)) or ((), (), (), ())
+    if isinstance(blob, memoryview) and all(has_data):
+        offsets = list(accumulate(sizes, initial=0))
+        end = base + offsets.pop()
+        index = dict(zip(fps, zip(offsets, sizes)))
+        if len(index) < len(fps):
+            seen: Set[bytes] = set()
+            fp = next(fp for fp in fps if fp in seen or seen.add(fp))
+            raise StorageError(f"container {cid} already holds chunk {fp.hex()[:8]}")
+        if end > len(blob):  # a short entry table lands here too
+            raise StorageError("corrupt container blob: cut short")
+        return Container.indexed(cid, capacity, index, blob[base:end])
+    container = Container(cid, capacity)
     cursor = 0
-    table = _ENTRY.iter_unpack(blob[_HEADER.size : base])
-    for fp, _offset, size, has_data in sorted(table, key=lambda m: m[1]):
+    for fp, _offset, size, has_data in table:
         data = None
         if has_data:
             data = blob[base + cursor : base + cursor + size]
@@ -288,8 +305,6 @@ def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Containe
         container.put(fp, size, data)
     if base + cursor > len(blob):  # a short entry table lands here too
         raise StorageError("corrupt container blob: cut short")
-    if isinstance(blob, memoryview) and cursor == container.written:
-        container.payload = blob[base : base + cursor]
     return container
 
 

@@ -107,6 +107,18 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self, status: int, body: bytes = b"", headers: Optional[dict] = None) -> None:
+        # Logged before any byte of the reply leaves: a client that has its
+        # reply finds the request in the log.
+        self._logged = RequestRecord(
+            method=self.command,
+            path=self.path,
+            range_header=self.headers.get("Range"),
+            status=status,
+            started=self._started,
+            finished=time.monotonic(),
+        )
+        with self.store.log_lock:
+            self.store.log.append(self._logged)
         self.send_response(status)
         for key, value in (headers or {}).items():
             self.send_header(key, value)
@@ -125,35 +137,24 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0) or 0)
         return self.rfile.read(length) if length else b""
 
-    def _record(self, status: int, started: float) -> None:
-        record = RequestRecord(
-            method=self.command,
-            path=self.path,
-            range_header=self.headers.get("Range"),
-            status=status,
-            started=started,
-            finished=time.monotonic(),
-        )
-        store = self.store
-        with store.log_lock:
-            store.log.append(record)
-            if store.log_file is not None:
-                store.log_file.write(json.dumps(record.to_json()) + "\n")
-                store.log_file.flush()
-
     def _serve(self) -> None:
-        started = time.monotonic()
+        self._started = time.monotonic()
+        self._logged: Optional[RequestRecord] = None
         store = self.store
         if store.latency:
             time.sleep(store.latency)
         try:
-            status = self._dispatch()
+            self._dispatch()
         except BrokenPipeError:  # client went away mid-reply
-            status = 499
-        self._record(status, started)
+            if self._logged is not None:
+                self._logged.status = 499
+        if store.log_file is not None and self._logged is not None:
+            with store.log_lock:
+                store.log_file.write(json.dumps(self._logged.to_json()) + "\n")
+                store.log_file.flush()
 
     # -- dialect -------------------------------------------------------
-    def _dispatch(self) -> int:
+    def _dispatch(self) -> None:
         store = self.store
         key = self._key()
         if self.command == "PUT":
@@ -161,18 +162,18 @@ class _Handler(BaseHTTPRequestHandler):
             with store.lock:
                 if self.headers.get("If-None-Match") == "*" and key in store.objects:
                     self._respond(412, b"precondition failed: object exists")
-                    return 412
+                    return
                 store.objects[key] = body
             self._respond(201)
-            return 201
+            return
         if self.command == "DELETE":
             with store.lock:
                 missing = store.objects.pop(key, None) is None
             if missing:
                 self._respond(404, b"no such object")
-                return 404
+                return
             self._respond(204)
-            return 204
+            return
         if self.command in ("GET", "HEAD"):
             query = self._query()
             if self.command == "GET" and "prefix" in query:
@@ -189,22 +190,22 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 body = "\n".join(keys).encode("utf-8")
                 self._respond(200, body, {"Content-Type": "text/plain"})
-                return 200
+                return
             with store.lock:
                 blob = store.objects.get(key)
             if blob is None:
                 self._respond(404, b"no such object")
-                return 404
+                return
             if "digest" in query:
                 body = hashlib.sha256(blob).hexdigest().encode("ascii")
                 self._respond(200, body, {"Content-Type": "text/plain"})
-                return 200
+                return
             range_header = self.headers.get("Range")
             if range_header:
                 span = _parse_range(range_header, len(blob))
                 if span == (-1, -1):
                     self._respond(416, b"", {"Content-Range": f"bytes */{len(blob)}"})
-                    return 416
+                    return
                 if span is not None:
                     start, end = span
                     headers = {
@@ -212,11 +213,10 @@ class _Handler(BaseHTTPRequestHandler):
                         "Accept-Ranges": "bytes",
                     }
                     self._respond(206, blob[start:end], headers)
-                    return 206
+                    return
             self._respond(200, blob, {"Accept-Ranges": "bytes"})
-            return 200
+            return
         self._respond(405, b"method not allowed")
-        return 405
 
     do_GET = do_HEAD = do_PUT = do_DELETE = _serve
 

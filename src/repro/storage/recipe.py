@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ObjectMissingError, RecipeError
@@ -28,13 +27,25 @@ from .io_model import IOStats
 ACTIVE_CID = 0
 
 
-@dataclass
 class RecipeEntry:
     """One chunk reference inside a recipe."""
 
-    fingerprint: bytes
-    size: int
-    cid: int = ACTIVE_CID
+    __slots__ = ("fingerprint", "size", "cid")
+
+    def __init__(self, fingerprint: bytes, size: int, cid: int = ACTIVE_CID) -> None:
+        self.fingerprint = fingerprint
+        self.size = size
+        self.cid = cid
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecipeEntry):
+            return NotImplemented
+        return (self.fingerprint, self.size, self.cid) == (other.fingerprint, other.size, other.cid)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, as it always was
+
+    def __repr__(self) -> str:
+        return f"RecipeEntry(fingerprint={self.fingerprint!r}, size={self.size}, cid={self.cid})"
 
 
 class Recipe:

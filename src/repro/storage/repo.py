@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import socket
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -175,6 +176,19 @@ class RepoStorage:
 
     def exists(self) -> bool:
         return self.location.exists()
+
+    def remove(self) -> None:
+        """Close the backends and delete what opening a fresh ``file://`` or
+        ``sqlite://`` repository here created: its directory or its ``.db``."""
+        self.close()
+        if self.location.scheme == "file":
+            shutil.rmtree(self.location.path, ignore_errors=True)
+        elif self.location.scheme == "sqlite":
+            for suffix in ("", "-wal", "-shm"):
+                try:
+                    os.remove(self.location.path + suffix)
+                except FileNotFoundError:
+                    pass
 
     # ------------------------------------------------------------------
     # Engine stores

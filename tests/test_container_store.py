@@ -266,3 +266,97 @@ class TestCompressedStore:
         delta = store.stats.delta(before)
         assert delta.container_reads == 0
         assert delta.bytes_read == 0
+
+
+# ----------------------------------------------------------------------
+# Decoding a stored blob: one pass over the table, slots only on demand
+# ----------------------------------------------------------------------
+def _full_blob(slots=448):
+    """A 4 MiB container of ``slots`` chunks, packed as stored."""
+    from repro.storage.container import Container
+    from repro.storage.container_store import pack_container
+
+    container = Container(7)
+    size = container.capacity // slots
+    for t in range(slots):
+        container.add(Chunk(synthetic_fingerprint(t), size, bytes([t % 256]) * size))
+    return pack_container(container), size
+
+
+class TestIndexedDecode:
+    def test_decoding_builds_no_slot_until_one_is_read(self, monkeypatch):
+        from repro.storage import container as container_module
+        from repro.storage.container_store import decode_container
+
+        blob, size = _full_blob()
+        built = []
+
+        class CountedSlot(container_module.ChunkSlot):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(container_module, "ChunkSlot", CountedSlot)
+        decoded = decode_container(blob, 7)
+        fp = synthetic_fingerprint(300)
+        assert decoded.chunk_count == 448 and fp in decoded
+        assert decoded.used == 448 * size
+        assert decoded.index[fp] == (300 * size, size)
+        assert built == []
+        assert bytes(decoded.get(fp).data) == bytes([300 % 256]) * size
+        assert built == [300 * size]
+        # A mutation turns the index into slots once; reads then use them.
+        decoded.remove(synthetic_fingerprint(0))
+        assert decoded.index is None and len(built) == 1 + 448
+        assert bytes(decoded.get(fp).data) == bytes([300 % 256]) * size
+        assert len(built) == 1 + 448
+
+    def test_the_index_round_trips_what_was_packed(self):
+        from repro.storage.container_store import decode_container, unpack_container
+
+        blob, _size = _full_blob(slots=64)
+        decoded = decode_container(blob, 7)
+        owned = unpack_container(blob)  # bytes: eager slots, copied data
+        assert decoded.index is not None and owned.index is None
+        assert decoded.fingerprints() == owned.fingerprints()
+        for (fp, slot), (fp2, own) in zip(decoded.items(), owned.items()):
+            assert (fp, slot.offset, slot.size, bytes(slot.data)) == (
+                fp2, own.offset, own.size, own.data,
+            )
+        assert [(fp, bytes(data)) for fp, data in decoded.payloads()] == [
+            (fp, data) for fp, data in owned.payloads()
+        ]
+
+    @pytest.mark.parametrize("own", [False, True])
+    @pytest.mark.parametrize(
+        "damage",
+        ["bad magic", "bad id", "short table", "table cut at an entry", "cut-short payload",
+         "duplicate fingerprint", "broken zlib"],
+    )
+    def test_every_damaged_blob_raises_at_decode(self, damage, own):
+        import zlib
+
+        from repro.storage.container_store import _ENTRY, _HEADER, decode_container
+
+        blob, _size = _full_blob(slots=16)
+        blob = bytearray(blob)
+        table = _HEADER.size
+        if damage == "bad magic":
+            blob[:4] = b"XXXX"
+        elif damage == "bad id":
+            blob[4] ^= 0x01
+        elif damage == "short table":
+            del blob[table + 5 * _ENTRY.size + 3 :]
+        elif damage == "table cut at an entry":
+            del blob[table + 5 * _ENTRY.size :]
+        elif damage == "cut-short payload":
+            del blob[-10:]
+        elif damage == "duplicate fingerprint":
+            second = table + _ENTRY.size
+            blob[second : second + 20] = blob[table : table + 20]
+        elif damage == "broken zlib":
+            blob = bytearray(b"HDSZ" + zlib.compress(bytes(blob))[:-8])
+        with pytest.raises(StorageError):
+            decode_container(bytes(blob), 7, own=own)

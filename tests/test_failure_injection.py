@@ -253,6 +253,34 @@ class TestDaemonDiskFull:
                     repo.close()
 
 
+class TestFailedFirstBackup:
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_a_failed_first_backup_leaves_no_repository(self, tmp_path, kind):
+        """Backup is the only operation that creates a repository, and a
+        failed one changes nothing: no directory or ``.db`` stays behind,
+        and reads still answer ``RepositoryNotFoundError`` (DESIGN §11)."""
+        from repro.chaos.faults import FaultController
+        from repro.errors import RepositoryNotFoundError
+        from repro.repository import LocalRepository
+
+        spec = str(tmp_path / "repo") if kind == "file" else f"sqlite://{tmp_path}/repo.db"
+        data = os.urandom(300_000)
+        plan = [("a.bin", len(data))]
+        with FaultController() as controller:  # installed before any backend
+            repo = LocalRepository(spec)
+            controller.arm("enospc", op="put", match_name="container")
+            with pytest.raises(ReproError):
+                repo.backup_blocks([data], plan)
+            assert controller.fired
+            assert os.listdir(tmp_path) == []
+            with pytest.raises(RepositoryNotFoundError):
+                repo.versions()
+            # The fault consumed itself; the retry creates the repository.
+            report = repo.backup_blocks([data], plan)
+            assert b"".join(repo.restore(report["version_id"])[1]) == data
+            repo.close()
+
+
 class TestReplicateWireCorruption:
     def test_bitflip_in_transit_rejected_by_digest_validation(self, tmp_path):
         """A container blob corrupted between the source digest computation
@@ -344,3 +372,48 @@ class TestKillMidBackup:
                     assert again.verify(deep=True)["ok"]
                 finally:
                     again.close()
+
+    def test_a_kill_mid_backup_leaves_no_task_pending(self, tmp_path):
+        """The session a kill cancels waits its engine thread out and leaves
+        nothing behind: once ``kill()`` returns, no task of the daemon's loop
+        is pending and its exception handler saw no "Task was destroyed but
+        it is pending" report."""
+        import asyncio
+        import gc
+        import threading
+        import time
+
+        from repro.chaos.faults import FaultController
+        from repro.client import RemoteRepository
+        from repro.server import DaemonThread
+
+        reports = []
+        daemon = DaemonThread(str(tmp_path / "served"))
+        daemon._loop.set_exception_handler(lambda _loop, context: reports.append(context))
+        cancelled = threading.Event()
+
+        def die(_url, name):
+            # Held until the shutdown has cancelled the session running
+            # this backup, so the session waits on a parked engine.
+            asyncio.run_coroutine_threadsafe(daemon.daemon.shutdown(0), daemon._loop)
+            while not any(task.cancelling() for task in list(daemon.daemon._sessions)):
+                time.sleep(0.001)
+            cancelled.set()
+            raise StorageError(f"daemon killed with {name!r} in flight")
+
+        with FaultController() as controller:
+            address = daemon.start()
+            repo = RemoteRepository(address, "tenant-a")
+            try:
+                repo.backup_tree(_daemon_tree(str(tmp_path / "tree")), tag="v1")
+                controller.arm("observe", op="put", match_name="container", callback=die)
+                churned = _daemon_tree(str(tmp_path / "tree"), seed=9)
+                with pytest.raises(ReproError):
+                    repo.backup_tree(churned, tag="v2")
+                daemon.kill()
+            finally:
+                repo.close()
+        assert cancelled.is_set()
+        assert not asyncio.all_tasks(daemon._loop)
+        gc.collect()
+        assert not [context for context in reports if "pending" in context.get("message", "")]

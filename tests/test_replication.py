@@ -567,13 +567,13 @@ def test_one_replicate_state_per_remote_endpoint_per_sync(tmp_path):
     from repro.replication import sync
 
     _build_repo(tmp_path / "repo", tmp_path / "src", versions=2)
-    metrics = MetricsRegistry()
+    served = DaemonThread(str(tmp_path / "served"))
 
     def state_requests():
-        histogram = metrics.snapshot()["histograms"].get("server.replicate_state_seconds")
-        return histogram["count"] if histogram else 0
+        # Counted before the reply is written, so settled once the sync has it.
+        return served.daemon.server_stats()["requests"].get("replicate_state", 0)
 
-    with DaemonThread(str(tmp_path / "served"), metrics=metrics) as address:
+    with served as address:
         mirror = RemoteMirror(address, "mirror")
         try:
             for done in range(1, 4):

@@ -11,8 +11,9 @@ ranged-read path where nothing merges):
 * every run covers whole entries of one container, and only runs cut out
   of a blob-decoded payload merge;
 * a bit-flip inside a merged run still names the chunk it hit;
-* nothing long-lived pins a whole blob: a sparse read copies its slots,
-  and pool containers loaded from checkpoint parts own their bytes.
+* nothing long-lived pins a whole blob: a sparse read copies its runs
+  (each back-to-back span once, so they still merge), and pool containers
+  loaded from checkpoint parts own their bytes.
 """
 
 from __future__ import annotations
@@ -169,9 +170,10 @@ def test_a_sparse_read_copies_its_slots_instead_of_pinning_the_blob(tmp_path):
     assert all(isinstance(run.data, memoryview) for run in whole)  # dense: views
     # c.bin is under a fifth of version 1's one archival container.
     picked = file_rows(store.resolved_restore_range(1), repo.restore_plan(1), "c.bin")
-    runs = list(restore_stream(store, 1, rows=lambda _entries: picked))
-    assert len(runs) == picked.stop - picked.start
-    assert all(type(run.data) is bytes for run in runs)
+    _entries, runs, oracle = runs_and_oracle(store, 1, lambda _entries: picked)
+    assert b"".join(run.data for run in runs) == oracle
+    assert sum(run.entries for run in runs) == picked.stop - picked.start
+    assert all(type(run.data) is bytes for run in runs)  # copies, not views of the blob
 
 
 def test_pool_containers_from_checkpoint_parts_own_their_bytes(tmp_path):

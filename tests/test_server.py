@@ -319,8 +319,9 @@ class TestFailureSemantics:
         with RemoteRepository(address, "alpha") as repo:
             with pytest.raises((Dies, ReproError, OSError)):
                 repo.backup_blocks(poisoned_blocks(), plan, tag="doomed")
-            # The server rolled back: no version is visible.
-            assert repo.versions() == []
+            # The server rolled back: a failed first backup leaves no tenant.
+            with pytest.raises(RepositoryNotFoundError):
+                repo.versions()
             report = repo.backup_tree(entries, tag="clean")
             assert report["version_id"] == 1
         repo_dir = os.path.join(thread.daemon.registry.root, "alpha")
@@ -375,13 +376,14 @@ class TestFailureSemantics:
             if name.endswith(".tmp")
         ]
         assert litter == []
-        # Restart over the same root: the partial version is invisible and
-        # the repository takes a clean backup as version 1.
+        # Restart over the same root: the failed first backup left no
+        # tenant, and the repository takes a clean backup as version 1.
         thread2 = DaemonThread(root)
         address2 = thread2.start()
         try:
             with RemoteRepository(address2, "alpha") as repo:
-                assert repo.versions() == []
+                with pytest.raises(RepositoryNotFoundError):
+                    repo.versions()
                 report = repo.backup_tree(entries, tag="recovered")
                 assert report["version_id"] == 1
                 plan2, data = repo.restore(1)
