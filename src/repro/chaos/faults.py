@@ -248,6 +248,10 @@ class FaultInjectingBackend:
         self._apply("get", name)
         return self.inner.get(name)
 
+    def view(self, name: str):
+        self._apply("get", name)
+        return self.inner.view(name)
+
     def get_range(self, name: str, offset: int, length: int) -> bytes:
         self._apply("get", name)
         return self.inner.get_range(name, offset, length)

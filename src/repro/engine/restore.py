@@ -24,7 +24,10 @@ Memory stays capped: at most ``readahead`` container reads are in flight
 or awaiting collection at once, and only the runs a read was scheduled to
 serve are retained (the plan's slot lifetimes bound the assembly buffer as
 the policy's cache budget would).  A read serving under half its blob
-copies its runs out, so a held run pins at most twice its bytes.
+copies its runs out, so a held run pins at most twice its bytes.  On
+``file://`` the blob is a read-only mapping of the container file: a sparse
+read copies only the bytes it serves, and a dense read's runs are views of
+the mapping, which is unmapped when the last of them is dropped.
 
 Per-stage timings land in the observability registry:
 
@@ -41,16 +44,17 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from ..chunking.fingerprint import Fingerprinter
-from ..chunking.stream import Chunk
 from ..errors import RestoreError, UnknownChunkError
 from ..observability import MetricsRegistry, get_registry
 from ..restore.base import ContainerReader
 from ..restore.scheduler import ContainerRead, PlanSpan
+from ..storage.container import Container
 from ..storage.recipe import RecipeEntry
 
-#: Ranged slot fetch: ``(cid, fingerprints) -> {fp: Chunk}`` or ``None``
-#: when the container can't be partially read (fall back to a full read).
-ChunkReader = Callable[[int, Sequence[bytes]], Optional[Dict[bytes, Chunk]]]
+#: Ranged slot fetch: ``(cid, fingerprints) ->`` a container indexed over
+#: just those chunks, or ``None`` when the container can't be partially read
+#: (fall back to a full read).
+ChunkReader = Callable[[int, Sequence[bytes]], Optional[Container]]
 
 
 class Run(NamedTuple):
@@ -85,13 +89,15 @@ def _serve(
 ) -> None:
     """Worker-side: one billed container read, cut into the runs it serves.
 
-    Each run lands in ``runs`` under its first entry's index.  A container
-    decoded from a blob is served from its entry index: one pass over the
-    read's slots cuts every stretch of consecutive entries that lie back to
-    back in the payload into one run, and no slot object is built.  A read
-    serving under half its blob copies each run out rather than pin the
-    whole blob for as long as the run is held.  Per-chunk bytes (a ranged
-    read, an in-memory container) leave one run per entry.
+    Each run lands in ``runs`` under its first entry's index.  An archival
+    container is served from its entry index, whether it was decoded from
+    the whole blob or from ``chunk_reader``'s ranged spans: one pass over
+    the read's slots cuts every stretch of consecutive entries that lie
+    back to back in the payload into one run, and no slot object is built.
+    A dense read hands out views of the payload (on ``file://``, of the
+    mapped file); a read serving under half its payload copies each run
+    out, so the payload goes as soon as the read returns.  A pool
+    container (no index) leaves one run per entry.
 
     The read, decompression and verification (each entry's own bytes are
     re-hashed, so a bit-flip names its chunk) happen here, on the worker,
@@ -101,18 +107,17 @@ def _serve(
     """
     started = time.perf_counter()
     slots = read.slots
-    chunks = None
+    container = None
     if chunk_reader is not None:
-        chunks = chunk_reader(read.cid, [entries[i].fingerprint for i in slots])
-    index = payload = None
-    if chunks is None:
+        container = chunk_reader(read.cid, [entries[i].fingerprint for i in slots])
+    if container is None:
         container = reader(read.cid)
-        index, payload = container.index, container.payload
     metrics.observe("restore.container_read_seconds", time.perf_counter() - started)
+    index, payload = container.index, container.payload
     if index is None:
         for i in slots:
             fp = entries[i].fingerprint
-            data = chunks[fp].data if chunks is not None else container.get(fp).data
+            data = container.get(fp).data
             if data is None:
                 raise RestoreError(f"chunk {fp.hex()[:8]} carries no payload")
             if fingerprinter is not None:
@@ -278,7 +283,7 @@ def restore_stream(
     workers: int = 1,
     readahead: Optional[int] = None,
     verify: bool = False,
-    rows: Optional[Callable[[Sequence[RecipeEntry]], slice]] = None,
+    rows: Optional[Callable[[Sequence[int]], slice]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Iterator[Run]:
     """Restore a version (or an entry range) through the scheduler layer.
@@ -292,8 +297,8 @@ def restore_stream(
     in recipe order.  ``verify``
     re-hashes every entry against its recipe fingerprint (typed
     :class:`~repro.errors.RestoreError` on mismatch).  ``rows`` picks a
-    partial restore's entry range from the version's recipe entries, so
-    locating it costs no second recipe read.
+    partial restore's entry range from the version's recipe entry sizes,
+    so locating it costs no second recipe read.
     """
     if workers < 1:
         raise RestoreError(f"restore workers must be >= 1, got {workers}")

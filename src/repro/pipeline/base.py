@@ -38,14 +38,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.container import Container
     from ..storage.recipe import Recipe, RecipeEntry
 
-    #: Maps a recipe's entries to the slice of them a partial restore wants.
-    RowPicker = Callable[[List[RecipeEntry]], slice]
+    #: Maps a recipe's entry sizes to the slice of entries a partial
+    #: restore wants.
+    RowPicker = Callable[[List[int]], slice]
 
 
 def pick_rows(recipe: "Recipe", rows: "Optional[RowPicker]") -> "List[RecipeEntry]":
-    """A copy of the recipe's entry list, narrowed to what ``rows`` picks."""
-    entries = recipe.entries
-    return entries[slice(None) if rows is None else rows(entries)]
+    """A copy of the recipe's entry list, narrowed to what ``rows`` picks off
+    the recipe's :meth:`~repro.storage.recipe.Recipe.sizes` (only the picked
+    entries are built)."""
+    if rows is None:
+        return recipe.entries[:]
+    return recipe.entries_in(rows(recipe.sizes()))
 
 
 @runtime_checkable
@@ -140,7 +144,7 @@ class RestoreMixin:
 
         The one entry-resolution path every restore flavour shares: full
         restores (``rows is None``), partial restores (``rows`` maps the
-        recipe's entries to the slice wanted, so a caller that locates its
+        recipe's entry sizes to the slice wanted, so a caller that locates its
         range by entry size costs no second recipe read), the serial
         algorithm layer and the pipelined engine all come through here, so
         maintenance draining and chained/active-row resolution happen

@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 import threading
 import time
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable,
 )
@@ -324,18 +326,12 @@ def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, 
     manifest (files concatenate in manifest order); ``sizes`` are the
     recipe's entry sizes.
     """
-    start = stop = len(sizes)
-    position = 0
-    for i, entry_size in enumerate(sizes):
-        if position + entry_size > offset and start == len(sizes):
-            start = i
-        if position >= offset + size:
-            stop = i
-            break
-        position += entry_size
     if size == 0:
-        start = stop = 0
-    return start, stop, offset - sum(sizes[:start])
+        return 0, 0, offset
+    ends = list(accumulate(sizes))
+    start = bisect_right(ends, offset)
+    stop = min(bisect_left(ends, offset + size) + 1, len(ends))
+    return start, stop, offset - (ends[start - 1] if start else 0)
 
 
 def restore_workers(workers: Optional[int], readahead: Optional[int]) -> int:
@@ -731,13 +727,11 @@ class LocalRepository(Repository):
             started = time.perf_counter()
             skip, remaining = 0, length
 
-            def rows(entries) -> slice:
+            def rows(sizes) -> slice:
                 # Located in the recipe the restore decodes anyway: one
                 # recipe read per restore, partial or whole.
                 nonlocal skip
-                start, stop, skip = _covering_rows(
-                    [entry.size for entry in entries], offset, length
-                )
+                start, stop, skip = _covering_rows(sizes, offset, length)
                 return slice(start, stop)
 
             for run in restore_stream(

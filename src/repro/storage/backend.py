@@ -27,6 +27,9 @@ Protocol vocabulary (the verbs every backend must honour):
 * ``get(name)`` / ``get_range(name, offset, length)`` — whole or ranged
   reads (ranged reads feed the prefetching restore pool with parallel
   ranged GETs on object stores);
+* ``view(name)`` — the whole object as a read-only buffer: a mapping of
+  the file on ``file://`` (a read copies only the bytes it keeps), the
+  ``get`` bytes elsewhere;
 * ``exists`` / ``size`` / ``digest`` — metadata without shipping bytes;
 * ``delete`` / ``list(prefix)`` / ``rename`` — expiry, discovery, and
   staged-object commits;
@@ -47,6 +50,7 @@ over the wire (replication frames) and are joined under roots.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import sqlite3
 import threading
@@ -159,6 +163,10 @@ class StorageBackend(Protocol):
 
     def get(self, name: str) -> bytes: ...
 
+    def view(self, name: str):
+        """The whole object as a read-only buffer (``bytes`` or a mapping)."""
+        ...
+
     def get_range(self, name: str, offset: int, length: int) -> bytes: ...
 
     def exists(self, name: str) -> bool: ...
@@ -194,9 +202,15 @@ class FileBackend:
     name ``containers/container-00000001.hdsc`` is exactly that path under
     the repository directory, so a ``file://`` repository is byte-identical
     to one written before backends existed.
+
+    :meth:`view` maps the file read-only instead of copying it.  That is
+    safe because no object is ever modified in place: every write lands a
+    new file by rename, and a delete only unlinks, so a mapping keeps the
+    bytes it was opened on.  Truncating a mapped file in place would not be
+    safe (a later touch of a page past the new end raises ``SIGBUS``).
     """
 
-    prefers_ranged_reads = False  # local reads are one syscall either way
+    prefers_ranged_reads = False  # a mapped read touches only what it serves
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -235,6 +249,25 @@ class FileBackend:
         try:
             with open(self._path(name), "rb") as handle:
                 return handle.read()
+        except FileNotFoundError:
+            raise ObjectMissingError(f"no object {name!r} in {self.url}") from None
+
+    def view(self, name: str):
+        """A read-only ``mmap`` of the file (``b""`` when it is empty); it
+        is unmapped when the last buffer exported from it is dropped.
+
+        A live mapping holds a file descriptor of its own, so a caller that
+        keeps thousands of them can exhaust the process's limit; a mapping
+        that cannot be made falls back to a copy of the file.
+        """
+        try:
+            with open(self._path(name), "rb") as handle:
+                if not os.fstat(handle.fileno()).st_size:
+                    return b""
+                try:
+                    return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                except OSError:
+                    return handle.read()
         except FileNotFoundError:
             raise ObjectMissingError(f"no object {name!r} in {self.url}") from None
 
@@ -409,6 +442,8 @@ class SQLiteBackend:
         if row is None:
             raise ObjectMissingError(f"no object {name!r} in {self.url}")
         return bytes(row[0])
+
+    view = get
 
     def get_range(self, name: str, offset: int, length: int) -> bytes:
         row = self._one(

@@ -40,7 +40,7 @@ import zlib
 from abc import ABC, abstractmethod
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import (
     ObjectMissingError,
@@ -341,7 +341,10 @@ class BackendContainerStore(ContainerStore):
     payload region.  Metadata-only chunks (simulated streams) serialise
     with a zero payload flag so round-trips preserve ``data=None``.
 
-    On backends that advertise ``prefers_ranged_reads``,
+    :meth:`read` and :meth:`peek` decode the backend's :meth:`~repro.
+    storage.backend.StorageBackend.view` of the blob, so on ``file://`` a
+    plain container is a mapping of its file and slot data are views of
+    it.  On backends that advertise ``prefers_ranged_reads``,
     :meth:`read_chunks` serves a restore plan's slots with ranged reads
     of just the entry table and the needed payload spans — the paper's
     whole-container read becomes a handful of parallel ranged GETs while
@@ -428,7 +431,7 @@ class BackendContainerStore(ContainerStore):
     def _load(self, container_id: int) -> Container:
         name = self._name(container_id)
         try:
-            blob = self.backend.get(name)
+            blob = self.backend.view(name)
         except ObjectMissingError:
             raise UnknownContainerError(f"no container {container_id}") from None
         try:
@@ -483,17 +486,18 @@ class BackendContainerStore(ContainerStore):
     # ------------------------------------------------------------------
     # Ranged partial reads (object store / SQLite restore path)
     # ------------------------------------------------------------------
-    def read_chunks(self, container_id: int, fingerprints: List[bytes]) -> Optional[Dict[bytes, "object"]]:
+    def read_chunks(self, container_id: int, fingerprints: List[bytes]) -> Optional[Container]:
         """Fetch just the named chunks via ranged reads, or ``None``.
 
-        Returns a fingerprint → :class:`~repro.chunking.stream.Chunk`
-        mapping when the backend prefers ranged reads and the blob is not
-        compressed; ``None`` means "use :meth:`read`" (whole-blob path).
-        Bills exactly one whole-container read either way, so
+        Returns a sealed container indexed over the coalesced payload spans
+        the named chunks lie in, joined into one buffer (its
+        :attr:`~repro.storage.container.Container.index` holds each named
+        chunk's offset in that buffer), when the backend prefers ranged
+        reads and the blob is plain.  ``None`` means "use :meth:`read`"
+        (the whole-blob path): a compressed blob, or a named chunk with no
+        stored payload.  Bills exactly one whole-container read, so
         :class:`IOStats` parity with the full-read path holds.
         """
-        from ..chunking.stream import Chunk
-
         if not getattr(self.backend, "prefers_ranged_reads", False):
             return None
         name = self._name(container_id)
@@ -504,69 +508,71 @@ class BackendContainerStore(ContainerStore):
             raise UnknownContainerError(f"no container {container_id}") from None
         if len(header) < _HEADER.size or header[:4] == _COMPRESSED_MAGIC:
             return None  # compressed (or tiny/odd) blob: whole-read path
-        magic, cid, count, _capacity = _HEADER.unpack(header)
+        magic, cid, count, capacity = _HEADER.unpack(header)
         if magic != _MAGIC or cid != container_id:
             raise StorageError(f"corrupt container object {name}: bad header")
         table = self.backend.get_range(name, _HEADER.size, count * _ENTRY.size)
         if len(table) != count * _ENTRY.size:
             raise StorageError(f"corrupt container object {name}: short entry table")
-        metas = [_ENTRY.unpack_from(table, i * _ENTRY.size) for i in range(count)]
         # Payload is packed in offset order over has_data entries only.
-        payload_base = _HEADER.size + count * _ENTRY.size
-        located: Dict[bytes, Optional[tuple]] = {}
-        sizes: Dict[bytes, int] = {}
+        located: Dict[bytes, Optional[Tuple[int, int]]] = {}
         total_logical = 0
-        cursor = 0
-        for fp, chunk_offset, size, has_data in sorted(metas, key=lambda m: m[1]):
+        cursor = _HEADER.size + count * _ENTRY.size
+        for fp, _offset, size, has_data in sorted(_ENTRY.iter_unpack(table), key=itemgetter(1)):
             total_logical += size
-            sizes[fp] = size
-            if has_data:
-                located[fp] = (payload_base + cursor, size)
-                cursor += size
-            else:
-                located[fp] = None  # metadata-only chunk
-        chunks: Dict[bytes, Chunk] = {}
-        wanted = []
+            located[fp] = (cursor, size) if has_data else None
+            cursor += size if has_data else 0
+        wanted = set()
         for fp in fingerprints:
-            if fp not in sizes:
+            try:
+                span = located[fp]
+            except KeyError:
                 raise UnknownChunkError(
                     f"container {container_id} does not hold {fp.hex()[:8]}"
-                )
-            span = located[fp]
+                ) from None
             if span is None:
-                chunks[fp] = Chunk(fp, sizes[fp], None)
-            else:
-                wanted.append((span[0], span[1], fp))
-        wanted.sort()
-        spans: List[List[object]] = []  # [start, end, [(offset, size, fp), ...]]
-        for offset, size, fp in wanted:
+                return None  # a metadata-only chunk: the whole read says so
+            wanted.add(span + (fp,))
+        spans: List[List] = []  # [start, end, [(offset, size, fp), ...]]
+        for offset, size, fp in sorted(wanted):
             if spans and offset <= spans[-1][1] + _COALESCE_GAP:
                 spans[-1][1] = max(spans[-1][1], offset + size)
                 spans[-1][2].append((offset, size, fp))
             else:
                 spans.append([offset, offset + size, [(offset, size, fp)]])
+        blobs: List[bytes] = []
+        index: Dict[bytes, Tuple[int, int]] = {}
+        base = 0
         for start, end, members in spans:
             blob = self.backend.get_range(name, start, end - start)
             if len(blob) != end - start:
                 raise StorageError(f"corrupt container object {name}: short ranged read")
+            blobs.append(blob)
             for offset, size, fp in members:
-                chunks[fp] = Chunk(fp, size, bytes(blob[offset - start : offset - start + size]))
+                index[fp] = (base + offset - start, size)
+            base += end - start
+        container = Container.indexed(
+            container_id, capacity, index, memoryview(b"".join(blobs))
+        )
+        container.seal()
         # Whole-container billing regardless of how few bytes moved: the
         # paper's cost model charges per container touched, and parity
         # with the full-read path keeps backends comparable.
         self.stats.note_container_read(total_logical)
         self.metrics.observe("store.container_read_seconds", time.perf_counter() - started)
         self.metrics.inc("store.container_read_bytes", total_logical)
-        return chunks
+        return container
 
 
 class FileContainerStore(BackendContainerStore):
     """One file per container under ``root`` (used by the CLI and examples).
 
     The historical store, now one :class:`BackendContainerStore` over a
-    ``file://`` backend — same files, same names, same billing.  Local
-    files do not benefit from ranged reads (one syscall either way), so
-    restores always take the whole-container read path here.
+    ``file://`` backend — same files, same names, same billing.  Restores
+    take the whole-container read path here, but a read maps the file
+    rather than copying it (:meth:`~repro.storage.backend.FileBackend.view`):
+    decoding touches the header and entry table, and only the pages of the
+    chunks a restore serves are ever read.
     """
 
     def __init__(

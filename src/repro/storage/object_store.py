@@ -144,6 +144,8 @@ class ObjectStoreBackend:
             self._raise_for(status, name, payload)
         return payload
 
+    view = get
+
     def get_range(self, name: str, offset: int, length: int) -> bytes:
         if length <= 0:
             return b""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,14 +50,52 @@ class RecipeEntry:
 
 
 class Recipe:
-    """The ordered chunk list of one backup version."""
+    """The ordered chunk list of one backup version.
 
-    def __init__(self, version_id: int, tag: str = "", entries: Optional[List[RecipeEntry]] = None) -> None:
+    A recipe decoded from its blob keeps the packed row table and builds
+    its :attr:`entries` on first use: a file restore locates its rows on
+    :meth:`sizes` and builds only those (:meth:`entries_in`).
+    """
+
+    def __init__(
+        self,
+        version_id: int,
+        tag: str = "",
+        entries: Optional[List[RecipeEntry]] = None,
+        rows: Optional[memoryview] = None,
+    ) -> None:
         if version_id <= 0:
             raise RecipeError("version IDs are 1-based positive integers")
         self.version_id = version_id
         self.tag = tag or f"v{version_id}"
-        self.entries: List[RecipeEntry] = entries if entries is not None else []
+        if entries is None and rows is None:
+            entries = []
+        self._entries: Optional[List[RecipeEntry]] = entries
+        #: The packed rows (:data:`_ENTRY` each) while no entry is built.
+        self._rows = rows if entries is None else None
+
+    @property
+    def entries(self) -> List[RecipeEntry]:
+        if self._entries is None:
+            self._entries = _build_entries(self._rows)
+            self._rows = None
+        return self._entries
+
+    def entries_in(self, picked: slice) -> List[RecipeEntry]:
+        """The entries ``picked`` selects, built off the rows when none are."""
+        start, stop, step = picked.indices(len(self))
+        if self._rows is None or step != 1:
+            return self.entries[picked]
+        return _build_entries(self._rows[start * _ENTRY.size : max(start, stop) * _ENTRY.size])
+
+    def sizes(self) -> List[int]:
+        """Every entry's size in recipe order, off the rows when no entry is built."""
+        if self._rows is None:
+            return [entry.size for entry in self.entries]
+        if sys.byteorder == "little":
+            return self._rows.cast("I")[_SIZE_WORD::_ROW_WORDS].tolist()
+        words = struct.unpack(f"<{len(self._rows) // 4}I", self._rows)
+        return list(words[_SIZE_WORD::_ROW_WORDS])
 
     def append(self, fingerprint: bytes, size: int, cid: int = ACTIVE_CID) -> RecipeEntry:
         entry = RecipeEntry(fingerprint, size, cid)
@@ -64,7 +103,9 @@ class Recipe:
         return entry
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if self._rows is None:
+            return len(self._entries)
+        return len(self._rows) // _ENTRY.size
 
     def __iter__(self) -> Iterator[RecipeEntry]:
         return iter(self.entries)
@@ -72,12 +113,12 @@ class Recipe:
     @property
     def logical_size(self) -> int:
         """Pre-dedup byte size of the version this recipe restores."""
-        return sum(e.size for e in self.entries)
+        return sum(self.sizes())
 
     @property
     def byte_size(self) -> int:
         """Serialized recipe size (28 bytes per entry, as in the paper)."""
-        return len(self.entries) * RECIPE_ENTRY_SIZE
+        return len(self) * RECIPE_ENTRY_SIZE
 
     def referenced_containers(self) -> List[int]:
         """Distinct positive CIDs, in first-reference order."""
@@ -88,13 +129,20 @@ class Recipe:
         return list(seen)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Recipe(version={self.version_id}, tag={self.tag!r}, entries={len(self.entries)})"
+        return f"Recipe(version={self.version_id}, tag={self.tag!r}, entries={len(self)})"
 
 
 _ENTRY = struct.Struct(f"<{FINGERPRINT_SIZE}siI")
-assert _ENTRY.size == RECIPE_ENTRY_SIZE
+assert _ENTRY.size == RECIPE_ENTRY_SIZE and _ENTRY.size % 4 == 0
+#: A row in 4-byte words; the size is its last word.
+_ROW_WORDS = _ENTRY.size // 4
+_SIZE_WORD = _ROW_WORDS - 1
 _HEADER = struct.Struct("<4sII")  # magic, version_id, entry count
 _MAGIC = b"HDSR"
+
+
+def _build_entries(rows) -> List[RecipeEntry]:
+    return [RecipeEntry(fp, size, cid) for fp, cid, size in _ENTRY.iter_unpack(rows)]
 
 
 def pack_recipe(recipe: Recipe) -> bytes:
@@ -120,7 +168,11 @@ def unpack_header(blob: bytes) -> Tuple[int, int]:
 
 
 def unpack_recipe(blob: bytes) -> Recipe:
-    """Parse the binary form produced by :func:`pack_recipe`."""
+    """Parse the binary form produced by :func:`pack_recipe`.
+
+    The row table's length is checked here; its rows stay packed until the
+    recipe's :attr:`~Recipe.entries` are first asked for.
+    """
     version_id, count = unpack_header(blob)
     try:
         offset = _HEADER.size
@@ -128,13 +180,14 @@ def unpack_recipe(blob: bytes) -> Recipe:
         offset += 2
         tag = blob[offset : offset + tag_len].decode("utf-8")
         offset += tag_len
-        rows = memoryview(blob)[offset : offset + count * _ENTRY.size]
-        entries = [RecipeEntry(fp, size, cid) for fp, cid, size in _ENTRY.iter_unpack(rows)]
     except (struct.error, UnicodeDecodeError) as exc:
         raise RecipeError(f"corrupt recipe blob: {exc}") from exc
-    if len(entries) != count:
-        raise RecipeError(f"corrupt recipe blob: {len(entries)} of {count} entries")
-    return Recipe(version_id, tag, entries)
+    rows = memoryview(blob)[offset : offset + count * _ENTRY.size]
+    if len(rows) != count * _ENTRY.size:
+        raise RecipeError(
+            f"corrupt recipe blob: {len(rows) // _ENTRY.size} of {count} entries"
+        )
+    return Recipe(version_id, tag, rows=rows)
 
 
 class RecipeStore(ABC):

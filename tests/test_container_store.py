@@ -360,3 +360,80 @@ class TestIndexedDecode:
             blob = bytearray(b"HDSZ" + zlib.compress(bytes(blob))[:-8])
         with pytest.raises(StorageError):
             decode_container(bytes(blob), 7, own=own)
+
+
+# ----------------------------------------------------------------------
+# file:// reads map the container object instead of copying it
+# ----------------------------------------------------------------------
+class TestMappedReads:
+    def written(self, tmp_path, compress=False):
+        store = FileContainerStore(str(tmp_path / "c"), capacity=10_000, compress=compress)
+        c = store.allocate()
+        fill(c, range(3), size=64, with_data=True)
+        store.write(c)
+        return store, os.path.join(str(tmp_path / "c"), "container-00000001.hdsc")
+
+    def test_a_plain_read_is_a_view_of_a_mapping(self, tmp_path):
+        import mmap
+
+        store, _path = self.written(tmp_path)
+        for loaded in (store.read(1), store.peek(1)):
+            assert isinstance(loaded.payload.obj, mmap.mmap)
+            assert bytes(loaded.get_chunk(synthetic_fingerprint(2)).data) == bytes([2]) * 64
+
+    def test_a_compressed_read_decompresses_to_bytes(self, tmp_path):
+        store, _path = self.written(tmp_path, compress=True)
+        loaded = store.read(1)
+        assert type(loaded.payload.obj) is bytes
+        assert bytes(loaded.get_chunk(synthetic_fingerprint(1)).data) == bytes([1]) * 64
+
+    def test_a_held_read_outlives_its_unlinked_file(self, tmp_path):
+        store, path = self.written(tmp_path)
+        loaded = store.read(1)
+        store.delete(1)
+        assert not os.path.exists(path)
+        for t in range(3):
+            assert bytes(loaded.get_chunk(synthetic_fingerprint(t)).data) == bytes([t]) * 64
+
+    def test_a_read_that_cannot_map_copies(self, tmp_path, monkeypatch):
+        import errno
+        import mmap
+
+        store, _path = self.written(tmp_path)
+
+        def out_of_descriptors(*_args, **_kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(mmap, "mmap", out_of_descriptors)
+        loaded = store.read(1)
+        assert type(loaded.payload.obj) is bytes
+        assert bytes(loaded.get_chunk(synthetic_fingerprint(2)).data) == bytes([2]) * 64
+
+    @pytest.mark.parametrize("length", [0, 16], ids=["empty", "truncated"])
+    def test_a_cut_object_still_raises_at_decode(self, tmp_path, length):
+        store, path = self.written(tmp_path)
+        with open(path, "r+b") as handle:  # no read of it is open
+            handle.truncate(length)
+        view = store.backend.view("container-00000001.hdsc")
+        assert len(view) == length and (length or view == b"")
+        del view
+        with pytest.raises(StorageError, match="corrupt container object"):
+            store.read(1)
+        with pytest.raises(StorageError, match="corrupt container object"):
+            store.peek(1)
+
+    @pytest.mark.parametrize("kind", ["latency", "enospc"])
+    def test_a_get_directive_fires_on_a_mapped_read(self, tmp_path, kind):
+        from repro.chaos.faults import FaultController
+
+        with FaultController() as controller:
+            store, _path = self.written(tmp_path)
+            controller.arm(kind, op="get", match_name="container-00000001", seconds=0.01)
+            if kind == "enospc":
+                with pytest.raises(StorageError, match="injected fault"):
+                    store.read(1)
+            else:
+                assert store.read(1).chunk_count == 3
+        assert [(f["kind"], f["op"], f["name"]) for f in controller.fired] == [
+            (kind, "get", "container-00000001.hdsc")
+        ]

@@ -75,6 +75,67 @@ class TestSerialisation:
         with pytest.raises(RecipeError):
             unpack_recipe(bytes(blob))
 
+    @pytest.mark.parametrize("cut", [1, RECIPE_ENTRY_SIZE, RECIPE_ENTRY_SIZE + 5])
+    def test_a_short_row_table_raises_at_decode(self, cut):
+        blob = pack_recipe(build_recipe(cids=(1, 2, 3, 4)))
+        with pytest.raises(RecipeError, match="of 4 entries"):
+            unpack_recipe(blob[:-cut])
+
+
+class TestPackedRows:
+    """A decoded recipe keeps its rows packed: sizes come off the row
+    buffer, and only the entries asked for are built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.storage import recipe as recipe_module
+
+        made = []
+
+        class Counted(recipe_module.RecipeEntry):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(recipe_module, "RecipeEntry", Counted)
+        return made
+
+    def test_sizes_and_picked_rows_build_only_those(self, built):
+        recipe = build_recipe(cids=tuple(range(1, 11)))
+        built.clear()
+        loaded = unpack_recipe(pack_recipe(recipe))
+        assert built == [] and len(loaded) == 10
+        assert loaded.sizes() == [100 + i for i in range(10)]
+        assert loaded.logical_size == recipe.logical_size and built == []
+        picked = loaded.entries_in(slice(3, 6))
+        assert picked == recipe.entries[3:6] and len(built) == 3
+        assert loaded.entries_in(slice(6, 3)) == []
+        assert loaded.entries == recipe.entries and len(built) == 3 + 10
+        assert loaded.entries_in(slice(3, 6)) == recipe.entries[3:6]
+        assert len(built) == 3 + 10  # built once, then sliced
+
+    def test_a_picked_file_matches_its_bytes(self):
+        import random
+        from itertools import accumulate
+
+        from repro.repository import _covering_rows
+
+        rng = random.Random(7)
+        for _ in range(500):
+            sizes = [rng.randrange(1, 9) for _ in range(rng.randrange(12))]
+            stream = b"".join(bytes([i]) * size for i, size in enumerate(sizes))
+            offset = rng.randrange(len(stream) + 2)
+            length = rng.randrange(len(stream) + 2)
+            start, stop, skip = _covering_rows(sizes, offset, length)
+            starts = [0, *accumulate(sizes)]
+            covered = stream[starts[min(start, len(sizes))] : starts[min(stop, len(sizes))]]
+            assert covered[skip : skip + length] == stream[offset : offset + length]
+            if length and offset < len(stream):  # no entry beyond the bytes
+                assert starts[start] <= offset < starts[start + 1]
+                assert starts[stop - 1] < offset + length <= starts[stop] or stop == len(sizes)
+
 
 @pytest.fixture(params=["memory", "file", "sqlite"])
 def store(request, tmp_path):

@@ -4,21 +4,25 @@
 decoded container payload, merged into one slice — instead of one chunk per
 recipe entry.  Against :func:`repro.restore.scheduler.execute_plan` over the
 same plan, on a directory, ``sqlite://`` and fake-S3 (``?archive=``, the
-ranged-read path where nothing merges):
+ranged-read path):
 
 * newest, oldest, one file, ``verify=True`` and ``workers=4`` restore the
   oracle's bytes and bill the oracle's container reads;
 * every run covers whole entries of one container, and only runs cut out
-  of a blob-decoded payload merge;
+  of a blob-decoded payload merge — the ranged path's joined spans
+  included, so ``sqlite://`` and S3 yield no more runs than a directory;
 * a bit-flip inside a merged run still names the chunk it hit;
 * nothing long-lived pins a whole blob: a sparse read copies its runs
   (each back-to-back span once, so they still merge), and pool containers
-  loaded from checkpoint parts own their bytes.
+  loaded from checkpoint parts own their bytes;
+* on a directory a dense read's runs are views of the mapped container
+  file, and they stay whole after the file is unlinked.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import random
 
 import pytest
@@ -131,10 +135,7 @@ def test_only_blob_payloads_merge(repo):
     store = repo._open()
     entries, runs, _oracle = runs_and_oracle(store, 1)
     assert not any(entry.cid in store.pool for entry in entries)  # all archival
-    if store.containers.backend.prefers_ranged_reads:
-        assert len(runs) == len(entries)  # ranged reads: each chunk its own bytes
-    else:
-        assert len(runs) < len(entries) // 10
+    assert len(runs) < len(entries) // 10  # ranged reads merge too
 
 
 def test_a_bit_flip_inside_a_merged_run_names_its_chunk(tmp_path):
@@ -167,7 +168,7 @@ def test_a_sparse_read_copies_its_slots_instead_of_pinning_the_blob(tmp_path):
     repo = backed_up(str(tmp_path / "repo"))
     store = repo._open()
     whole = list(restore_stream(store, 1))
-    assert all(isinstance(run.data, memoryview) for run in whole)  # dense: views
+    assert all(isinstance(run.data.obj, mmap.mmap) for run in whole)  # dense: mapped views
     # c.bin is under a fifth of version 1's one archival container.
     picked = file_rows(store.resolved_restore_range(1), repo.restore_plan(1), "c.bin")
     _entries, runs, oracle = runs_and_oracle(store, 1, lambda _entries: picked)
@@ -183,3 +184,52 @@ def test_pool_containers_from_checkpoint_parts_own_their_bytes(tmp_path):
     for container in store.pool.iter_containers():
         assert container.payload is None
         assert all(type(slot.data) is bytes for _fp, slot in container.items())
+
+
+@pytest.fixture(scope="module")
+def directory_repo(tmp_path_factory):
+    repository = backed_up(str(tmp_path_factory.mktemp("mapped") / "repo"))
+    yield repository
+    repository.storage.close()
+
+
+def run_counts(repository):
+    store = repository._open()
+    counts = {}
+    for case in ("newest", "oldest", "file"):
+        version, name, _options = CASES[case]
+        rows = None
+        if name is not None:
+            picked = file_rows(
+                store.resolved_restore_range(version), repository.restore_plan(version), name
+            )
+            rows = lambda _sizes, picked=picked: picked  # noqa: E731
+        counts[case] = len(list(restore_stream(store, version, rows=rows)))
+    return counts
+
+
+def test_ranged_backends_yield_no_more_runs_than_a_directory(repo, directory_repo):
+    ranged, mapped = run_counts(repo), run_counts(directory_repo)
+    assert all(ranged[case] <= mapped[case] for case in mapped), (ranged, mapped)
+
+
+def test_parallel_mapped_runs_equal_serial_ones(directory_repo):
+    store = directory_repo._open()
+    for version in (1, 3):
+        serial = b"".join(run.data for run in restore_stream(store, version))
+        parallel = list(restore_stream(store, version, workers=4))
+        assert b"".join(run.data for run in parallel) == serial
+        mapped = [getattr(run.data, "obj", None) for run in parallel]
+        assert any(isinstance(obj, mmap.mmap) for obj in mapped) == (version == 1)
+
+
+def test_runs_held_past_delete_oldest_stay_whole(tmp_path):
+    repo = backed_up(str(tmp_path / "repo"))
+    store = repo._open()
+    entries, runs, oracle = runs_and_oracle(store, 1)
+    assert any(isinstance(run.data.obj, mmap.mmap) for run in runs)
+    cids = {entry.cid for entry in entries}
+    repo.delete_oldest()  # version 1's own containers go
+    containers = tmp_path / "repo" / "containers"
+    assert not any((containers / f"container-{cid:08d}.hdsc").exists() for cid in cids)
+    assert b"".join(run.data for run in runs) == oracle

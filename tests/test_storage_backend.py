@@ -366,9 +366,9 @@ class TestReadChunks:
         wanted = [synthetic_fingerprint(t) for t in (1, 5, 9)]
         chunks = store.read_chunks(cid, wanted)
         full = store.peek(cid)
-        assert chunks is not None
+        assert chunks is not None and chunks.index is not None
         for fp in wanted:
-            assert chunks[fp].data == full.get_chunk(fp).data
+            assert chunks.get_chunk(fp).data == full.get_chunk(fp).data
 
     def test_bills_whole_container(self, tmp_path):
         store, cid = self._store_with_container(SQLiteBackend(str(tmp_path / "c.db")))

@@ -135,7 +135,8 @@ class TestOneBadContainerDoesNotHideTheNext:
 
 
 class CountingBackend:
-    """Backend proxy that counts ``get`` and ``exists`` per object name."""
+    """Backend proxy that counts whole-object fetches (``get`` or ``view``)
+    and ``exists`` calls per object name."""
 
     def __init__(self, backend, gets, exists):
         self._backend = backend
@@ -148,6 +149,10 @@ class CountingBackend:
     def get(self, name):
         self._gets[name] = self._gets.get(name, 0) + 1
         return self._backend.get(name)
+
+    def view(self, name):
+        self._gets[name] = self._gets.get(name, 0) + 1
+        return self._backend.view(name)
 
     def exists(self, name):
         self._exists.append(name)
