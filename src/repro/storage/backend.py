@@ -52,8 +52,10 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
+import resource
 import sqlite3
 import threading
+import weakref
 from typing import List, Optional, Protocol, runtime_checkable
 from urllib.parse import parse_qs, quote, unquote
 
@@ -195,6 +197,12 @@ class StorageBackend(Protocol):
 # ----------------------------------------------------------------------
 # file:// — one file per object (the historical layout)
 # ----------------------------------------------------------------------
+#: Every live mapping :meth:`FileBackend.view` handed out, process-wide
+#: like the descriptors they hold; one leaves when its last buffer drops.
+_MAPPED: "weakref.WeakSet[mmap.mmap]" = weakref.WeakSet()
+_MAPPING = threading.Lock()  # the count is checked, then grown
+
+
 class FileBackend:
     """Objects as files under ``root``; writes are ``*.tmp`` + rename.
 
@@ -256,18 +264,26 @@ class FileBackend:
         """A read-only ``mmap`` of the file (``b""`` when it is empty); it
         is unmapped when the last buffer exported from it is dropped.
 
-        A live mapping holds a file descriptor of its own, so a caller that
-        keeps thousands of them can exhaust the process's limit; a mapping
-        that cannot be made falls back to a copy of the file.
+        A live mapping holds a file descriptor of its own (CPython dups the
+        file's), so the process keeps at most a quarter of its soft
+        ``RLIMIT_NOFILE`` mapped: past that, or when a mapping cannot be
+        made, the read is a copy of the file.  Callers that hold many reads
+        (chunk caches, held runs) then cannot starve other opens.
         """
         try:
             with open(self._path(name), "rb") as handle:
                 if not os.fstat(handle.fileno()).st_size:
                     return b""
-                try:
-                    return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                except OSError:
-                    return handle.read()
+                soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+                with _MAPPING:
+                    if soft == resource.RLIM_INFINITY or len(_MAPPED) < soft // 4:
+                        try:
+                            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                            _MAPPED.add(mapped)
+                            return mapped
+                        except OSError:
+                            pass
+                return handle.read()
         except FileNotFoundError:
             raise ObjectMissingError(f"no object {name!r} in {self.url}") from None
 

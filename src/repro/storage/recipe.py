@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,20 +81,17 @@ class Recipe:
         return self._entries
 
     def entries_in(self, picked: slice) -> List[RecipeEntry]:
-        """The entries ``picked`` selects, built off the rows when none are."""
-        start, stop, step = picked.indices(len(self))
-        if self._rows is None or step != 1:
+        """The entries of the row range ``picked`` (``[start, stop)``),
+        built off the rows when none are."""
+        if self._rows is None:
             return self.entries[picked]
-        return _build_entries(self._rows[start * _ENTRY.size : max(start, stop) * _ENTRY.size])
+        return _build_entries(self._rows[picked.start * _ENTRY.size : picked.stop * _ENTRY.size])
 
     def sizes(self) -> List[int]:
         """Every entry's size in recipe order, off the rows when no entry is built."""
         if self._rows is None:
             return [entry.size for entry in self.entries]
-        if sys.byteorder == "little":
-            return self._rows.cast("I")[_SIZE_WORD::_ROW_WORDS].tolist()
-        words = struct.unpack(f"<{len(self._rows) // 4}I", self._rows)
-        return list(words[_SIZE_WORD::_ROW_WORDS])
+        return [size for _fp, _cid, size in _ENTRY.iter_unpack(self._rows)]
 
     def append(self, fingerprint: bytes, size: int, cid: int = ACTIVE_CID) -> RecipeEntry:
         entry = RecipeEntry(fingerprint, size, cid)
@@ -133,10 +129,7 @@ class Recipe:
 
 
 _ENTRY = struct.Struct(f"<{FINGERPRINT_SIZE}siI")
-assert _ENTRY.size == RECIPE_ENTRY_SIZE and _ENTRY.size % 4 == 0
-#: A row in 4-byte words; the size is its last word.
-_ROW_WORDS = _ENTRY.size // 4
-_SIZE_WORD = _ROW_WORDS - 1
+assert _ENTRY.size == RECIPE_ENTRY_SIZE
 _HEADER = struct.Struct("<4sII")  # magic, version_id, entry count
 _MAGIC = b"HDSR"
 

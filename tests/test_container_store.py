@@ -409,6 +409,52 @@ class TestMappedReads:
         assert type(loaded.payload.obj) is bytes
         assert bytes(loaded.get_chunk(synthetic_fingerprint(2)).data) == bytes([2]) * 64
 
+    def test_held_reads_leave_descriptors_for_other_opens(self, tmp_path):
+        # Each live mapping pins a descriptor.  A child process lowers its own
+        # soft limit to 64, holds reads of 80 containers made by 8 threads
+        # (the count is shared), then opens 8 files.
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import mmap, resource, sys
+            from concurrent.futures import ThreadPoolExecutor
+            from repro.chunking.stream import Chunk, synthetic_fingerprint
+            from repro.storage.container_store import FileContainerStore
+
+            store = FileContainerStore(sys.argv[1], capacity=10_000)
+            for cid in range(1, 81):
+                c = store.allocate()
+                c.add(Chunk(synthetic_fingerprint(cid), 64, bytes([cid]) * 64))
+                store.write(c)
+            _soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(8) as pool:
+                held = list(pool.map(store.read, range(1, 81)))
+            others = [open(sys.argv[1] + "/container-00000001.hdsc", "rb") for _ in range(8)]
+            for handle in others:
+                handle.close()
+            assert all(
+                bytes(c.get_chunk(synthetic_fingerprint(cid)).data) == bytes([cid]) * 64
+                for cid, c in zip(range(1, 81), held)
+            )
+            print(sum(isinstance(c.payload.obj, mmap.mmap) for c in held))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "c")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["16"]  # a quarter of the limit stays mapped
+
     @pytest.mark.parametrize("length", [0, 16], ids=["empty", "truncated"])
     def test_a_cut_object_still_raises_at_decode(self, tmp_path, length):
         store, path = self.written(tmp_path)
