@@ -103,7 +103,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chunking import FastCDCChunker, chunker_from_spec, chunker_spec
 from ..errors import ObjectMissingError, ReproError
-from ..storage.backend import FileBackend, StorageBackend
+from ..storage.backend import StorageBackend, open_backend
 from ..storage.container import Container
 from ..storage.container_store import ContainerStore, decode_container, unpack_container
 from ..storage.recipe import RecipeStore
@@ -355,7 +355,7 @@ def _check_live_sets(system: HiDeStore, tables: List[Dict[bytes, CacheEntry]]) -
 def save_checkpoint(system: HiDeStore, path: str) -> None:
     """Write the volatile state of ``system``: the head at ``path``, the
     parts beside it (see :func:`checkpoint_document`)."""
-    backend = FileBackend(os.path.dirname(path) or ".")
+    backend = open_backend(os.path.dirname(path) or ".")
     checkpoint_document(system).write(backend, os.path.basename(path))
 
 
@@ -532,9 +532,8 @@ def load_checkpoint(
     sit beside it) + its stores."""
     if not os.path.exists(path):
         raise ReproError(f"no checkpoint at {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    backend = FileBackend(os.path.dirname(path) or ".")
+    backend = open_backend(os.path.dirname(path) or ".")
+    document = json.loads(backend.get(os.path.basename(path)))
     try:
         return system_from_document(document, container_store, recipe_store, backend.get)
     except ReproError as exc:

@@ -4,7 +4,7 @@ An FAA restore plan (:mod:`repro.restore.scheduler`) names which
 containers to read and which recipe slots each read serves; this module
 executes such a plan with a **prefetching container reader pool** — N
 worker threads issue :class:`~repro.storage.container_store.
-FileContainerStore` reads up to a bounded *readahead* window ahead of
+ContainerStore` reads up to a bounded *readahead* window ahead of
 consumption — and an order-preserving reassembly stage that emits the
 version strictly in recipe order as reads complete.  Container I/O, zlib decompression and (optional) SHA-1
 re-verification all release the GIL, so they genuinely overlap with the

@@ -3,11 +3,11 @@
 A HiDeStore repository directory is a set of four object kinds:
 
 * ``container`` — ``containers/container-XXXXXXXX.hdsc``.  Sealed archival
-  containers are **immutable**: :meth:`FileContainerStore.write` refuses to
-  overwrite, so a container file's content never changes after its first
-  rename into place.  A mirror therefore copies each container exactly once
-  (diffed by presence + size) and never again — the O(delta) property the
-  §4.2 chunk filter buys us.
+  containers are **immutable**: :meth:`BackendContainerStore.write` refuses
+  to overwrite (the backend's ``put``), so a container file's content never
+  changes after its first rename into place.  A mirror therefore copies
+  each container exactly once (diffed by presence + size) and never again —
+  the O(delta) property the §4.2 chunk filter buys us.
 * ``recipe`` — ``recipes/recipe-XXXXXXXX.hdsr`` — and ``manifest`` —
   ``manifests/manifest-XXXXXXXX.txt``.  Written once per backup, yet
   diffed by content digest, because a version number can be written

@@ -69,7 +69,6 @@ def open_repository(
     """
     if storage is None:
         storage = RepoStorage(repo, compress=compress, metrics=metrics)
-    storage.prepare()
     container_store = storage.container_store()
     recipe_store = storage.recipe_store()
     if storage.has_checkpoint():

@@ -25,7 +25,6 @@ from __future__ import annotations
 import asyncio
 import os
 import re
-import shutil
 import threading
 from contextlib import asynccontextmanager
 from typing import Dict, List
@@ -199,35 +198,28 @@ class RepositoryRegistry:
 
         Rebalance cleanup: the caller must hold the tenant's write lock
         (no in-flight operation survives the removal) and must only call
-        this after the tenant's new home deep-verified its copy.  Every
-        replicable object is deleted on whichever tier holds it, then the
-        tenant's local skeleton (per-tenant directory / sqlite ``.db``
-        file).
+        this after the tenant's new home deep-verified its copy.  The open
+        handle is closed, every replicable object is deleted on whichever
+        tier holds it, then :meth:`RepoStorage.remove` deletes the tenant's
+        local skeleton (its directory, or its ``.db`` with the WAL files).
         """
+        from ..storage.repo import SECTIONS, RepoStorage
+
         name = self.validate_name(name)
         with self._lock:
-            self._handles.pop(name, None)
-            from ..storage.repo import SECTIONS, RepoStorage
-
-            spec = self.location.child(name)
+            handle = self._handles.pop(name, None)
+            if handle is not None:
+                handle.repository.close()
+            storage = RepoStorage(self.location.child(name))
             removed = 0
-            storage = RepoStorage(spec)
-            try:
-                if storage.exists():
-                    state = storage.state()
-                    for kind, section in SECTIONS.items():
-                        for short in state[section]:
-                            storage.delete_object(kind, short)
-                            removed += 1
-            finally:
-                storage.close()
-            local = storage.location
-            if local.scheme == "file" and os.path.isdir(local.path):
-                shutil.rmtree(local.path)
+            if storage.exists():
+                state = storage.state()
+                for kind, section in SECTIONS.items():
+                    for short in state[section]:
+                        storage.delete_object(kind, short)
+                        removed += 1
                 removed = max(removed, 1)
-            elif local.scheme == "sqlite" and os.path.exists(local.path):
-                os.remove(local.path)
-                removed = max(removed, 1)
+            storage.remove()
             return removed
 
     def repo_names(self) -> List[str]:

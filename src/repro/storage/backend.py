@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
+import re
 import resource
 import sqlite3
 import threading
@@ -76,6 +77,9 @@ __all__ = [
 ]
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def validate_object_name(name: str) -> str:
     """Vet one backend object name; returns it.
 
@@ -86,7 +90,7 @@ def validate_object_name(name: str) -> str:
     """
     if not isinstance(name, str) or not name:
         raise StorageError("empty storage object name")
-    if any(ord(ch) < 32 or ord(ch) == 127 for ch in name):
+    if _CONTROL.search(name):
         raise StorageError(f"control character in object name {name!r}")
     if name.startswith("/") or "\\" in name or (len(name) >= 2 and name[1] == ":"):
         raise StorageError(f"absolute object name {name!r}")
@@ -101,7 +105,7 @@ def validate_object_name(name: str) -> str:
 # ----------------------------------------------------------------------
 #: Process-global backend wrapper: every backend construction that goes
 #: through this module (``open_backend``, ``RepoLocation.open_primary`` /
-#: ``open_archive``, the engine file stores) passes the fresh backend
+#: ``open_archive``, the directory stores) passes the fresh backend
 #: through the installed callable.  Fault injection uses this to slide
 #: a :class:`~repro.chaos.faults.FaultInjectingBackend` under *every*
 #: repository in the process — including the plain-directory repos the
@@ -326,19 +330,25 @@ class FileBackend:
     def list(self, prefix: str = "") -> List[str]:
         out: List[str] = []
         # Walk only what the prefix can reach: its directory part, and at
-        # that level only the sub-directories its last component matches.
+        # that level only the entries its last component matches; below
+        # that, everything.  Like ``os.walk``, an unreadable directory is
+        # skipped and a symlinked one is not entered.
         head, _, tail = prefix.rpartition("/")
-        top = self._path(head) if head else self.root
-        if not os.path.isdir(top):
-            return out
-        for dirpath, dirs, files in os.walk(top):
-            if dirpath == top and tail:
-                dirs[:] = [d for d in dirs if d.startswith(tail)]
-            rel_dir = os.path.relpath(dirpath, self.root)
-            for fname in files:
-                rel = fname if rel_dir == "." else f"{rel_dir}/{fname}".replace(os.sep, "/")
-                if rel.startswith(prefix):
-                    out.append(rel)
+        pending = [(self._path(head) if head else self.root, head + "/" if head else "", tail)]
+        while pending:
+            directory, rel, start = pending.pop()
+            try:
+                entries = os.scandir(directory)
+            except OSError:
+                continue
+            with entries:
+                for entry in entries:
+                    if not entry.name.startswith(start):
+                        continue
+                    if not entry.is_dir():
+                        out.append(rel + entry.name)
+                    elif not entry.is_symlink():
+                        pending.append((entry.path, rel + entry.name + "/", ""))
         return sorted(out)
 
     def rename(self, name: str, new_name: str) -> None:
@@ -616,7 +626,8 @@ class RepoLocation:
     # -- identity ------------------------------------------------------
     @property
     def is_file(self) -> bool:
-        """Plain-directory repository with no cold tier: the legacy path."""
+        """Plain-directory repository with no cold tier: every object is a
+        file under :attr:`path`."""
         return self.scheme == "file" and self.archive_url is None
 
     def canonical_url(self) -> str:

@@ -11,9 +11,11 @@ Several backends share one interface:
   (``file://``, ``sqlite://``, ``s3://``).  On backends that prefer
   ranged reads it can fetch only the chunk ranges a restore plan needs
   (:meth:`~BackendContainerStore.read_chunks`) instead of whole blobs.
-* :class:`FileContainerStore` — the historical one-file-per-container
-  layout, re-expressed as :class:`BackendContainerStore` over a
-  ``file://`` backend; byte-identical to what it always wrote.
+* :class:`FileContainerStore` — one file per container under a bare
+  directory: :class:`BackendContainerStore` over a ``file://`` backend
+  rooted there.  A repository does not use it: its containers are a
+  :class:`BackendContainerStore` with prefix ``containers/`` on whichever
+  backend holds them, a directory's included.
 
 Container IDs are allocated by the store, strictly increasing from 1.
 ID ``0`` and negative IDs never name containers — HiDeStore's recipes use
@@ -565,12 +567,12 @@ class BackendContainerStore(ContainerStore):
 
 
 class FileContainerStore(BackendContainerStore):
-    """One file per container under ``root`` (used by the CLI and examples).
+    """One file per container under ``root``: a :class:`BackendContainerStore`
+    over a ``file://`` backend rooted there (engine-level tests and
+    examples; a repository's own store carries the ``containers/`` prefix).
 
-    The historical store, now one :class:`BackendContainerStore` over a
-    ``file://`` backend — same files, same names, same billing.  Restores
-    take the whole-container read path here, but a read maps the file
-    rather than copying it (:meth:`~repro.storage.backend.FileBackend.view`):
+    Restores take the whole-container read path here, but a read maps the
+    file rather than copying it (:meth:`~repro.storage.backend.FileBackend.view`):
     decoding touches the header and entry table, and only the pages of the
     chunks a restore serves are ever read.
     """

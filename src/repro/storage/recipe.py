@@ -10,17 +10,23 @@ field (§4.3 / §4.4):
   backed up (:meth:`~repro.core.hidestore.HiDeStore.archival_cids` says where);
 * ``cid < 0`` — a chain pointer to ``R_{-cid}``, left in recipes rewritten
   before recipes were write-once; resolved like ``0``.
+
+Every persistent repository keeps its recipes in a
+:class:`BackendRecipeStore`: write-once ``recipes/recipe-%08d.hdsr`` objects
+on its primary backend, whatever the scheme.  :class:`FileRecipeStore` is
+the same store over a bare directory; :class:`MemoryRecipeStore` serves the
+simulations.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ObjectMissingError, RecipeError
 from ..units import FINGERPRINT_SIZE, RECIPE_ENTRY_SIZE
+from .backend import FileBackend, wrap_backend
 from .io_model import IOStats
 
 #: CID marker: chunk currently lives in the active containers.
@@ -205,8 +211,9 @@ class RecipeStore(ABC):
 
     def replace(self, recipe: Recipe) -> None:
         """Overwrite a stored recipe.  Only the traditional-GC baseline's
-        fix-up (:mod:`repro.pipeline.gc`) may; HiDeStore never rewrites a
-        recipe, and backend stores refuse."""
+        fix-up (:mod:`repro.pipeline.gc`) may, in memory; HiDeStore never
+        rewrites a recipe, and every backend store (a directory's too)
+        refuses."""
         raise RecipeError(f"{type(self).__name__} recipes are write-once")
 
     @abstractmethod
@@ -335,62 +342,11 @@ class BackendRecipeStore(RecipeStore):
         return sorted(ids)
 
 
-class FileRecipeStore(RecipeStore):
-    """One binary file per recipe under ``root`` (CLI / examples backend)."""
+class FileRecipeStore(BackendRecipeStore):
+    """One file per recipe under ``root``: a :class:`BackendRecipeStore`
+    over a ``file://`` backend, writing ``*.tmp`` + rename like every
+    object of a directory repository."""
 
     def __init__(self, root: str, stats: Optional[IOStats] = None, metrics=None) -> None:
-        super().__init__(stats, metrics)
         self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, version_id: int) -> str:
-        return os.path.join(self.root, f"recipe-{version_id:08d}.hdsr")
-
-    def write(self, recipe: Recipe) -> None:
-        if recipe.version_id in self:
-            raise RecipeError(f"recipe for version {recipe.version_id} already stored")
-        self.replace(recipe)
-
-    def replace(self, recipe: Recipe) -> None:
-        """:meth:`write` without its refusal: tmp + rename, so the recipe is
-        never absent."""
-        blob = pack_recipe(recipe)
-        tmp = self._path(recipe.version_id) + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, self._path(recipe.version_id))
-        self._note_write(blob)
-
-    def read(self, version_id: int) -> Recipe:
-        recipe = self.peek(version_id)
-        self.stats.note_recipe_read(recipe.byte_size)
-        return recipe
-
-    def _read(self, version_id: int, size: int = -1) -> bytes:
-        try:
-            with open(self._path(version_id), "rb") as handle:
-                return handle.read(size)
-        except FileNotFoundError:
-            raise RecipeError(f"no recipe for version {version_id}") from None
-
-    def peek(self, version_id: int) -> Recipe:
-        return unpack_recipe(self._read(version_id))
-
-    def entry_count(self, version_id: int) -> int:
-        return unpack_header(self._read(version_id, _HEADER.size))[1]
-
-    def delete(self, version_id: int) -> None:
-        path = self._path(version_id)
-        if not os.path.exists(path):
-            raise RecipeError(f"no recipe for version {version_id}")
-        os.remove(path)
-
-    def __contains__(self, version_id: int) -> bool:
-        return os.path.exists(self._path(version_id))
-
-    def version_ids(self) -> List[int]:
-        ids = []
-        for name in os.listdir(self.root):
-            if name.startswith("recipe-") and name.endswith(".hdsr"):
-                ids.append(int(name[len("recipe-") : -len(".hdsr")]))
-        return sorted(ids)
+        super().__init__(wrap_backend(FileBackend(root)), stats=stats, metrics=metrics)

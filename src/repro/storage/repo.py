@@ -13,10 +13,14 @@ tier as well, so every open reads it from there, and on evolving data the
 short-lived active objects are written to and released from the cold
 tier (EXPERIMENTS.md, "Mixed tier").
 
-Plain ``file://`` repositories keep the historical directory layout and
-the historical store classes (:class:`FileContainerStore`,
-:class:`FileRecipeStore`), so a pre-backend repository opens unchanged and
-a new one is byte-identical to what older versions wrote.
+Every scheme takes the same path: containers are a
+:class:`~repro.storage.container_store.BackendContainerStore` and recipes a
+:class:`~repro.storage.recipe.BackendRecipeStore` on the backend that holds
+their kind, under the ``containers/`` and ``recipes/`` prefixes.  On a plain
+directory those names are the historical paths, each written ``*.tmp`` +
+rename, so a repository written before backends existed opens unchanged;
+and every mutation of a directory repository passes the backend wrapper
+hook under the names replication and repair use.
 
 Beyond the engine stores, this module exposes the *replicable-object*
 surface (read/write/commit/state by kind + name) that replication,
@@ -38,8 +42,8 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from ..errors import ObjectMissingError, ReplicationError, ReproError
 from ..observability import MetricsRegistry, get_registry
 from .backend import RepoLocation, StorageBackend, parse_repo_spec
-from .container_store import BackendContainerStore, ContainerStore, FileContainerStore
-from .recipe import BackendRecipeStore, FileRecipeStore, RecipeStore
+from .container_store import BackendContainerStore, ContainerStore
+from .recipe import BackendRecipeStore, RecipeStore
 
 __all__ = [
     "RepoStorage",
@@ -129,11 +133,6 @@ class RepoStorage:
     # ------------------------------------------------------------------
     # Backends
     # ------------------------------------------------------------------
-    @property
-    def is_plain_file(self) -> bool:
-        """Single-tier ``file://`` repository: the historical layout."""
-        return self.location.is_file
-
     def primary(self) -> StorageBackend:
         if self._primary is None:
             self._primary = self.location.open_primary()
@@ -163,11 +162,6 @@ class RepoStorage:
     def _ids(self, kind: str) -> List[int]:
         return sorted(int(_PATTERNS[kind].match(name).group(1)) for name in self._names(kind))
 
-    def prepare(self) -> None:
-        """Create the directory skeleton a fresh file repository expects."""
-        if self.location.scheme == "file":
-            os.makedirs(os.path.join(self.location.path, "manifests"), exist_ok=True)
-
     def close(self) -> None:
         for backend in (self._primary, self._archive):
             if backend is not None:
@@ -194,12 +188,6 @@ class RepoStorage:
     # Engine stores
     # ------------------------------------------------------------------
     def container_store(self) -> ContainerStore:
-        if self.is_plain_file:
-            return FileContainerStore(
-                os.path.join(self.location.path, "containers"),
-                compress=self.compress,
-                metrics=self.metrics,
-            )
         return BackendContainerStore(
             self.container_backend(),
             compress=self.compress,
@@ -208,9 +196,6 @@ class RepoStorage:
         )
 
     def recipe_store(self) -> RecipeStore:
-        if self.is_plain_file or self.location.scheme == "file":
-            path = os.path.join(self.location.path, "recipes")
-            return FileRecipeStore(path, metrics=self.metrics)
         return BackendRecipeStore(
             self.primary(), prefix=_PREFIXES["recipe"], metrics=self.metrics
         )
@@ -314,7 +299,7 @@ class RepoStorage:
         identity and capture stays O(metadata)); recipes, manifests and the
         checkpoint head carry size and digest.
         """
-        if self.is_plain_file and not self.exists():  # looking creates no directory
+        if self.location.scheme == "file" and not self.exists():  # looking creates no directory
             return {section: {} for section in SECTIONS.values()}
         state: Dict[str, Dict[str, Dict]] = {}
         for kind, section in SECTIONS.items():
@@ -349,7 +334,7 @@ class RepoStorage:
     def local_path(self, kind: str, name: str) -> Optional[str]:
         """The object's file when the repository is a plain local directory
         (what ``os.sendfile`` can ship), else ``None``."""
-        if not self.is_plain_file:
+        if not self.location.is_file:
             return None
         return os.path.join(self.location.path, *object_name(kind, name).split("/"))
 

@@ -11,19 +11,21 @@ Five groups, in the order the format is argued in ``core/checkpoint.py``:
   archival containers the parent commit wrote);
 * damage — a part or active container object that disagrees with the head
   is a typed error that names it, and ``verify`` reports it;
-* every crash point of the new write order enumerated on ``sqlite://``
-  behind ``FaultInjectingBackend`` — a backup that adopts a container, one
-  that releases active containers, a v4 head's first v5 save — and a
-  restore, which has none;
+* every crash point of the new write order enumerated behind
+  ``FaultInjectingBackend``, on ``sqlite://`` and on a plain directory — a
+  backup that adopts a container, one that releases active containers, a
+  v4 head's first v5 save — and a restore, which has none;
 
 then the replication planner's view of head and parts.
 """
 
 import contextlib
+import itertools
 import json
 import os
 import random
 import shutil
+import threading
 
 import pytest
 
@@ -315,9 +317,8 @@ def test_a_backup_that_fails_at_its_head_rolls_its_parts_back(tmp_path, controll
 
 def test_an_interrupt_after_the_head_keeps_the_version_it_committed(tmp_path, controller):
     """Once the head names a version, an interrupt while the save drops the
-    parts it no longer names is no rollback: a directory repository writes
-    its recipes beside the backend, and rolling back deleted ``R_4`` under a
-    head that commits it, so the next backup failed to update it."""
+    parts it no longer names is no rollback: rolling back deleted ``R_4``
+    under a head that commits it, so the next backup failed to update it."""
     spec = f"file://{tmp_path}/repo"
     repo = open_repo(spec)
     for index in range(3):
@@ -547,21 +548,21 @@ def test_a_part_that_disagrees_with_the_head_fails_the_open_by_name(
 # ----------------------------------------------------------------------
 # Crash points of the new write order
 # ----------------------------------------------------------------------
-def build_v2(db, version=version_bytes, count=4):
-    repo = open_repo(f"sqlite://{db}")
+def build_v2(spec, version=version_bytes, count=4):
+    repo = open_repo(spec)
     for index in range(count):
         backup(repo, index, version)
     repo.storage.close()
     return {i + 1: sha(version(i)) for i in range(count)}
 
 
-def build_v1(db):
-    copy_objects(FIXTURE_V1, f"sqlite://{db}")
+def build_v1(spec):
+    copy_objects(FIXTURE_V1, spec)
     return load_expected()
 
 
-def build_v4(db):
-    copy_objects(FIXTURE_V4, f"sqlite://{db}")
+def build_v4(spec):
+    copy_objects(FIXTURE_V4, spec)
     with open(os.path.join(FIXTURE_V4, "expected.json"), encoding="utf-8") as handle:
         return {int(version): digest for version, digest in json.load(handle).items()}
 
@@ -572,7 +573,7 @@ SCENARIOS = {
     "incremental backup": (build_v2, lambda repo: backup(repo, 4), {5: sha(version_bytes(4))}),
     # 5 MiB: the head keeps naming a full active container it does not rewrite.
     "incremental backup, two active containers": (
-        lambda db: build_v2(db, big_version_bytes),
+        lambda spec: build_v2(spec, big_version_bytes),
         lambda repo: backup(repo, 4, big_version_bytes),
         {5: sha(big_version_bytes(4))},
     ),
@@ -581,14 +582,14 @@ SCENARIOS = {
     # Demotion adopts version 4's container: nothing is copied, and the
     # save only writes the new active container and the head.
     "fresh backup adopting a container": (
-        lambda db: build_v2(db, fresh_bytes),
+        lambda spec: build_v2(spec, fresh_bytes),
         lambda repo: backup(repo, 4, fresh_bytes),
         {5: sha(fresh_bytes(4))},
     ),
     # Compaction merges the active containers the head named: the save
     # releases them, deleting their objects after the head.
     "incremental backup releasing active containers": (
-        lambda db: build_v2(db, fixture_v2_bytes, count=3),
+        lambda spec: build_v2(spec, fixture_v2_bytes, count=3),
         lambda repo: backup(repo, 3, fixture_v2_bytes),
         {4: sha(fixture_v2_bytes(3))},
     ),
@@ -599,7 +600,7 @@ SCENARIOS = {
     ),
     # Six backups nobody restored leave R_1..R_4 chained: a fresh engine
     # restoring version 1 resolves them and records no mutation to kill.
-    RESTORE: (lambda db: build_v2(db, count=6), lambda repo: restored_sha(repo, 1), {}),
+    RESTORE: (lambda spec: build_v2(spec, count=6), lambda repo: restored_sha(repo, 1), {}),
 }
 
 
@@ -618,13 +619,31 @@ def fresh_recipes():
         yield written
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_every_crash_point_recovers(tmp_path, controller, scenario, record_property, fresh_recipes):
+#: Backend kind -> (the spec of a repository at a path, how to copy one).
+CRASH_BACKENDS = {
+    "sqlite": (lambda path: f"sqlite://{path}", shutil.copy),
+    "directory": (lambda path: path, shutil.copytree),
+}
+
+#: Every scenario on both backends; the ``sqlite://`` cases are named by
+#: the scenario alone.
+CRASH_CASES = [
+    pytest.param(kind, scenario, id=scenario if kind == "sqlite" else f"{kind}-{scenario}")
+    for kind in CRASH_BACKENDS
+    for scenario in sorted(SCENARIOS)
+]
+
+
+@pytest.mark.parametrize("kind, scenario", CRASH_CASES)
+def test_every_crash_point_recovers(
+    tmp_path, controller, kind, scenario, record_property, fresh_recipes
+):
     build, operation, new_digests = SCENARIOS[scenario]
-    pristine = str(tmp_path / "pristine.db")
-    digests = {**build(pristine), **new_digests}
-    next_version_before = head_of(f"sqlite://{pristine}")["next_version"]
-    pristine_repo = open_repo(f"sqlite://{pristine}")
+    spec_at, copy = CRASH_BACKENDS[kind]
+    pristine = str(tmp_path / "pristine")
+    digests = {**build(spec_at(pristine)), **new_digests}
+    next_version_before = head_of(spec_at(pristine))["next_version"]
+    pristine_repo = open_repo(spec_at(pristine))
     stored = stored_recipes(pristine_repo, [v["version_id"] for v in pristine_repo.versions()])
     pristine_repo.storage.close()
     if not scenario.startswith("v"):  # a fixture's recipes predate this code
@@ -632,11 +651,13 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     written = fresh_recipes
     written.update(stored)
 
+    runs = itertools.count()
+
     def attempt(crash_after=None, torn=None):
         """One run of ``operation`` on a fresh copy; the mutations it got through."""
-        db = str(tmp_path / f"crash-{crash_after}-{'torn' if torn else 'clean'}.db")
-        shutil.copy(pristine, db)
-        spec = f"sqlite://{db}"
+        path = str(tmp_path / f"run-{next(runs)}")
+        copy(pristine, path)
+        spec = spec_at(path)
         log, _crashed = crash_run(controller, spec, operation, crash_after, torn)
         return spec, log
 
@@ -645,6 +666,8 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
         assert recorded == []
     else:
         assert ("put_meta", CHECKPOINT_NAME) in recorded
+    for version in new_digests:  # the new recipe passes the seam, on every backend
+        assert ("put", f"recipes/recipe-{version:08d}.hdsr") in recorded
     after_head = recorded[recorded.index(("put_meta", CHECKPOINT_NAME)) + 1 :] if recorded else []
     released = [n for op, n in after_head if op == "delete" and n.startswith("containers/")]
     if scenario == "incremental backup releasing active containers":
@@ -652,7 +675,7 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     if scenario == "fresh backup adopting a container":
         # The only containers written are the new version's, by the save.
         new_head = head_of(attempt()[0])
-        adopted = [ref["cid"] for ref in head_of(f"sqlite://{pristine}")["active"]]
+        adopted = [ref["cid"] for ref in head_of(spec_at(pristine))["active"]]
         assert new_head["deletion_tags"]["4"] == adopted
         assert [n for op, n in recorded if op == "put" and n.startswith("containers/")] == [
             "containers/" + container_name(ref["cid"]) for ref in new_head["active"]
@@ -683,8 +706,27 @@ def test_every_crash_point_recovers(tmp_path, controller, scenario, record_prope
     if scenario in RECOVERY:  # the v4 container did stay active throughout
         assert 10 in [ref["cid"] for ref in head_of(spec)["active"]]
     record_property("crash_points", points)
-    print(f"{scenario}: {points} crash points over {len(recorded)} mutations, all recovered")
+    print(f"{kind}, {scenario}: {points} crash points over {len(recorded)} mutations, recovered")
     assert points >= len(recorded) + (1 if scenario not in ("delete_oldest", RESTORE) else 0)
+
+
+def test_a_backup_mutates_a_directory_as_it_mutates_sqlite(tmp_path, controller):
+    """One path for every scheme: the same backup makes the same mutations,
+    under the same names, on a plain directory and on ``sqlite://``."""
+    logs = {}
+    specs = {"directory": str(tmp_path / "repo"), "sqlite": f"sqlite://{tmp_path}/repo.db"}
+    for kind, spec in specs.items():
+        repo = open_repo(spec)
+        for index in range(3):
+            backup(repo, index)
+        seen = Mutations(controller)
+        backup(repo, 3)
+        controller.disarm_all()
+        repo.storage.close()
+        logs[kind] = seen.log
+    assert ("put", "recipes/recipe-00000004.hdsr") in logs["directory"]
+    assert any(name.startswith("containers/container-") for _op, name in logs["directory"])
+    assert logs["directory"] == logs["sqlite"]
 
 
 def test_a_lost_middle_recipe_is_not_mistaken_for_an_interrupted_expiry(tmp_path):
@@ -928,3 +970,25 @@ def test_dropping_a_tenant_removes_its_checkpoint_parts():
         handle.repository.storage.close()
         assert registry.drop("tenant") > 0
         assert all(section == {} for section in repo_state(spec).values())
+
+
+@pytest.mark.parametrize("scheme", ["file", "sqlite"])
+def test_dropping_a_tenant_leaves_nothing_of_it(tmp_path, scheme):
+    """The drop closes the tenant's open handle and removes what its storage
+    created: the directory, or the ``.db`` with its WAL files, which a
+    restore on another thread keeps open connections to."""
+    home = tmp_path / "root"
+    registry = RepositoryRegistry(
+        str(home) if scheme == "file" else f"sqlite://{home}", metrics=MetricsRegistry()
+    )
+    handle = registry.get("t1", create=True)
+    for index in range(2):
+        backup(handle.repository, index)
+    reader = threading.Thread(target=restored_sha, args=(handle.repository, 1))
+    reader.start()
+    reader.join()
+    assert os.listdir(home)
+    assert registry.drop("t1") > 0
+    assert os.listdir(home) == []
+    assert handle.repository._store is None  # the handle was closed
+    assert registry.repo_names() == []

@@ -158,18 +158,16 @@ class TestRecipeStores:
             store.write(build_recipe(version=2, cids=(7,)))
         assert [e.cid for e in store.read(2)] == [0]
 
-    def test_only_a_local_store_replaces_and_a_file_is_never_absent(self, store, monkeypatch):
-        """``replace`` is the traditional-GC baseline's alone: in memory, or
-        by tmp + rename for a file (no delete, so no window without the
-        recipe); a backend store refuses it."""
+    def test_only_a_local_store_replaces_and_a_file_is_never_absent(self, store):
+        """``replace`` is the traditional-GC baseline's alone, in memory;
+        every backend store refuses it, a directory's too, and leaves the
+        stored recipe as it was."""
         store.write(build_recipe(version=2, cids=(0,)))
         if isinstance(store, BackendRecipeStore):
             with pytest.raises(RecipeError):
                 store.replace(build_recipe(version=2, cids=(7,)))
             assert [e.cid for e in store.read(2)] == [0]
             return
-        if isinstance(store, FileRecipeStore):
-            monkeypatch.setattr(store, "delete", None)
         store.replace(build_recipe(version=2, cids=(7,)))
         assert [e.cid for e in store.read(2)] == [7]
 

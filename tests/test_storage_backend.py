@@ -159,7 +159,7 @@ class TestBackendContract:
 
 class TestObjectNames:
     @pytest.mark.parametrize(
-        "bad", ["", "/abs", "a/../b", "..", "a\x00b", "a\nb", "con\\tainers"]
+        "bad", ["", "/abs", "a/../b", "..", "a\x00b", "a\nb", "a\x1fb", "a\x7fb", "con\\tainers"]
     )
     def test_rejected(self, bad):
         with pytest.raises(StorageError):
