@@ -40,10 +40,11 @@ def test_fig12_update_one_recipe(benchmark, preset):
     moved = {synthetic_fingerprint(t): 5 for t in range(0, chunks, 20)}
 
     from repro.core.recipe_chain import RecipeChain
-    from repro.storage.recipe import MemoryRecipeStore
+    from repro.storage.backend import MemoryBackend
+    from repro.storage.recipe import BackendRecipeStore
 
     def update():
-        store = MemoryRecipeStore()
+        store = BackendRecipeStore(MemoryBackend())
         chain = RecipeChain(store)
         fresh = Recipe(1, "bench")
         for entry in recipe.entries:

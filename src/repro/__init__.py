@@ -67,8 +67,6 @@ from .storage import (
     FileContainerStore,
     FileRecipeStore,
     IOStats,
-    MemoryContainerStore,
-    MemoryRecipeStore,
     Recipe,
 )
 from .workloads import SyntheticWorkload, WorkloadSpec, load_preset, preset_names
@@ -99,8 +97,6 @@ __all__ = [
     "FixedChunker",
     "HiDeStore",
     "IOStats",
-    "MemoryContainerStore",
-    "MemoryRecipeStore",
     "NoRewriter",
     "OptimalContainerCacheRestore",
     "RabinChunker",

@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``hidestore backup <repo> <source-dir>`` — chunk (FastCDC) + dedup +
-  store a directory snapshot into the repository.
+* ``hidestore backup <repo> <source-dir>`` — chunk (with the
+  repository's chunker: SeqCDC for a new one) + dedup + store a directory
+  snapshot into the repository.
 * ``hidestore restore <repo> <version> <target-dir>`` — materialise a
   stored version back into a directory.
 * ``hidestore versions <repo>`` — list stored versions.
@@ -148,8 +149,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
     # RESTORE_BEGIN and size the server's (clamped to its cap).
     with _open_target(args) as repo:
         plan, data = repo.restore(
-            args.version, workers=args.workers, readahead=args.readahead,
-            verify=args.verify, file=args.file,
+            args.version, workers=args.workers, verify=args.verify, file=args.file,
         )
         restored = materialize(plan, data, args.target)
     print(f"restored version {args.version}: {restored} files into {args.target}")
@@ -716,8 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="container-reader pool size; >1 prefetches "
                         "container reads ahead of reassembly (local: this "
                         "process; --remote: the server, up to its cap)")
-    p.add_argument("--readahead", type=_positive_int, default=None,
-                   help="max container reads in flight (default 2x workers)")
     p.add_argument("--verify", action="store_true",
                    help="re-hash every chunk against its recorded "
                         "fingerprint while restoring")

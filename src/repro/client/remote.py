@@ -556,24 +556,23 @@ class RemoteRepository(Repository):
         version_id: int,
         *,
         workers: Optional[int] = None,
-        readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
     ) -> Tuple[FilePlan, Iterator[bytes]]:
         """A version's file plan plus its reassembled byte stream.
 
         The keyword knobs mirror :meth:`LocalRepository.restore` and ride in
-        the ``RESTORE_BEGIN`` payload: ``workers``/``readahead`` size the
+        the ``RESTORE_BEGIN`` payload: ``workers`` sizes the
         server's prefetching container-reader pool (the daemon clamps to its
         own cap; with no ``workers`` it restores serially, which is fastest
         unless container reads block on a slow backend), ``verify``
         re-hashes chunks server-side before they hit
         the wire, ``file`` restores a single manifest-relative file.  Old
         servers ignore unknown payload keys, so every combination degrades
-        to a plain serial full restore.  Knobs below 1 raise
+        to a plain serial full restore.  ``workers`` below 1 raises
         :class:`~repro.errors.RestoreError` before anything is sent.
         """
-        restore_workers(workers, readahead)
+        restore_workers(workers)
 
         def begin() -> Tuple[Connection, str, dict]:
             conn = self.pool.acquire()
@@ -581,8 +580,6 @@ class RemoteRepository(Repository):
             request = {"repo": self.repo, "version": version_id, "trace": trace}
             if workers is not None:
                 request["workers"] = int(workers)
-            if readahead is not None:
-                request["readahead"] = int(readahead)
             if verify:
                 request["verify"] = True
             if file is not None:

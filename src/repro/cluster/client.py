@@ -484,16 +484,15 @@ class RoutedRepository(Repository):
         version_id: int,
         *,
         workers: Optional[int] = None,
-        readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
     ) -> Tuple[FilePlan, Iterator[bytes]]:
         """Open the restore on the first live copy holder; if the stream
         dies mid-flight, resume byte-exact on the next one."""
-        restore_workers(workers, readahead)
+        restore_workers(workers)
         nodes = self.client.placement(self.repo)
         self.client.metrics.inc("cluster.client_requests_routed")
-        kwargs = dict(workers=workers, readahead=readahead, verify=verify, file=file)
+        kwargs = dict(workers=workers, verify=verify, file=file)
 
         def open_on(start: int, skip: int) -> Tuple[int, FilePlan, Iterator[bytes]]:
             """Open on nodes[start:], discarding ``skip`` already-yielded bytes."""

@@ -24,7 +24,7 @@ Layout (``hidestore-checkpoint-v5``): a small **head**, write-once binary
 * Each active container is an object of the container store —
   ``containers/container-<cid>.hdsc``, the name and format every archival
   container has — written through the store's own write path
-  (``ContainerStore.write(container, active=True)``), so the store keeps
+  (``BackendContainerStore.write(container, active=True)``), so the store keeps
   it out of its archival listing (``active_ids``).
 * The fingerprint tables are one part — fixed-width
   ``fingerprint | size | cid`` rows (the ``storage/recipe.py`` idiom) under
@@ -105,8 +105,8 @@ from ..chunking import FastCDCChunker, chunker_from_spec, chunker_spec
 from ..errors import ObjectMissingError, ReproError
 from ..storage.backend import StorageBackend, open_backend
 from ..storage.container import Container
-from ..storage.container_store import ContainerStore, decode_container, unpack_container
-from ..storage.recipe import RecipeStore
+from ..storage.container_store import BackendContainerStore, decode_container, unpack_container
+from ..storage.recipe import BackendRecipeStore
 from ..units import FINGERPRINT_SIZE
 from .double_cache import CacheEntry
 from .hidestore import HiDeStore
@@ -210,7 +210,7 @@ class CheckpointDocument:
         new_parts: Dict[str, bytes],
         stale_parts: List[str],
         on_commit: Callable[[List[Dict]], None],
-        containers: ContainerStore,
+        containers: BackendContainerStore,
         active: List[Tuple[Container, Optional[Dict]]],
     ) -> None:
         self.head = head
@@ -380,8 +380,8 @@ def _checked_part(ref: Dict, read_part: Callable[[str], bytes]) -> bytes:
 
 def system_from_document(
     document: Dict,
-    container_store: Optional[ContainerStore] = None,
-    recipe_store: Optional[RecipeStore] = None,
+    container_store: Optional[BackendContainerStore] = None,
+    recipe_store: Optional[BackendRecipeStore] = None,
     read_part: Optional[Callable[[str], bytes]] = None,
 ) -> HiDeStore:
     """Rebuild a :class:`HiDeStore` from a checkpoint head + its stores.
@@ -390,8 +390,9 @@ def system_from_document(
         document: a v5, v4, v3 or v2 head (:attr:`CheckpointDocument.head`)
             or a whole v1 document.
         container_store: the store the system was using (archival and
-            active containers); defaults to a fresh in-memory store, which
-            holds no active container a head can name.
+            active containers); defaults to one over a fresh
+            :class:`~repro.storage.backend.MemoryBackend`, which holds no
+            active container a head can name.
         recipe_store: likewise for recipes.
         read_part: ``name -> bytes`` for the parts a head names.
 
@@ -525,8 +526,8 @@ def _load_v1_state(system: HiDeStore, document: Dict) -> None:
 
 def load_checkpoint(
     path: str,
-    container_store: Optional[ContainerStore] = None,
-    recipe_store: Optional[RecipeStore] = None,
+    container_store: Optional[BackendContainerStore] = None,
+    recipe_store: Optional[BackendRecipeStore] = None,
 ) -> HiDeStore:
     """Rebuild a :class:`HiDeStore` from a checkpoint head file (its parts
     sit beside it) + its stores."""

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ..chunking.stream import Chunk
 from ..errors import StorageError, UnknownContainerError
 from ..storage.container import Container
-from ..storage.container_store import ContainerStore
+from ..storage.container_store import BackendContainerStore
 from .double_cache import CacheEntry
 
 
@@ -52,7 +52,7 @@ class ActiveContainerPool:
             considered sparse and eligible for merging (§4.2).
     """
 
-    def __init__(self, store: ContainerStore, compaction_threshold: float = 0.7) -> None:
+    def __init__(self, store: BackendContainerStore, compaction_threshold: float = 0.7) -> None:
         if not (0.0 <= compaction_threshold <= 1.0):
             raise StorageError("compaction_threshold must be in [0, 1]")
         self.store = store

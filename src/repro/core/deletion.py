@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
 from ..errors import DeletionError
-from ..storage.container_store import ContainerStore
-from ..storage.recipe import RecipeStore
+from ..storage.container_store import BackendContainerStore
+from ..storage.recipe import BackendRecipeStore
 
 
 def interrupted_expiries(tagged: Iterable[int], retained: Iterable[int]) -> List[int]:
@@ -52,7 +52,7 @@ class DeletionStats:
 class DeletionManager:
     """Tracks archival containers by the version whose expiry frees them."""
 
-    def __init__(self, containers: ContainerStore, recipes: RecipeStore) -> None:
+    def __init__(self, containers: BackendContainerStore, recipes: BackendRecipeStore) -> None:
         self.containers = containers
         self.recipes = recipes
         #: last-version tag -> archival container IDs holding its cold set.
@@ -86,7 +86,9 @@ class DeletionManager:
         return len(orphaned)
 
     # ------------------------------------------------------------------
-    def delete_version(self, version: int, demotion_horizon: int) -> DeletionStats:
+    def delete_version(
+        self, version: int, demotion_horizon: int, retained: List[int]
+    ) -> DeletionStats:
         """Expire ``version``; it must be the oldest retained one.
 
         Args:
@@ -95,11 +97,12 @@ class DeletionManager:
                 been demoted (``newest_backed_up - history_depth``).  Deleting
                 a version whose exclusive chunks are still sitting in active
                 containers would corrupt newer versions, so it is refused.
+            retained: the version ids with a stored recipe, oldest first
+                (the caller's one listing of the recipe store).
 
         Returns per-call deletion statistics.
         """
         started = time.perf_counter()
-        retained = self.recipes.version_ids()
         if version not in retained:
             raise DeletionError(f"version {version} is not retained")
         if version != retained[0]:

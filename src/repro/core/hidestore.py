@@ -33,9 +33,10 @@ from ..reports import BackupReport, SystemReport
 from ..restore.base import RestoreAlgorithm
 from ..restore.faa import FAARestore
 from ..storage.container import Container
-from ..storage.container_store import ContainerStore, MemoryContainerStore
+from ..storage.backend import MemoryBackend
+from ..storage.container_store import BackendContainerStore
 from ..storage.io_model import IOStats
-from ..storage.recipe import ACTIVE_CID, MemoryRecipeStore, Recipe, RecipeEntry, RecipeStore
+from ..storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, RecipeEntry
 from ..units import CONTAINER_SIZE, RECIPE_ENTRY_SIZE
 from .chunk_filter import ActiveContainerPool
 from .deletion import DeletionManager, DeletionStats
@@ -52,8 +53,10 @@ class HiDeStore(RestoreMixin):
     """The complete HiDeStore backup system.
 
     Args:
-        container_store: sealed-container backend (defaults to in-memory).
-        recipe_store: recipe backend (defaults to in-memory).
+        container_store: sealed-container store (defaults to one over a
+            :class:`~repro.storage.backend.MemoryBackend`).
+        recipe_store: recipe store (defaults to one over a
+            :class:`~repro.storage.backend.MemoryBackend`).
         history_depth: versions of look-back in the fingerprint cache
             (1 per the paper; 2 for macos-like workloads, §4.1).
         compaction_threshold: active-container utilisation below which
@@ -81,8 +84,8 @@ class HiDeStore(RestoreMixin):
 
     def __init__(
         self,
-        container_store: Optional[ContainerStore] = None,
-        recipe_store: Optional[RecipeStore] = None,
+        container_store: Optional[BackendContainerStore] = None,
+        recipe_store: Optional[BackendRecipeStore] = None,
         history_depth: int = 1,
         compaction_threshold: float = 0.7,
         restorer: Optional[RestoreAlgorithm] = None,
@@ -95,10 +98,14 @@ class HiDeStore(RestoreMixin):
         self.containers = (
             container_store
             if container_store is not None
-            else MemoryContainerStore(container_size, self.io)
+            else BackendContainerStore(MemoryBackend(), container_size, self.io)
         )
         self.containers.stats = self.io
-        self.recipes = recipe_store if recipe_store is not None else MemoryRecipeStore(self.io)
+        self.recipes = (
+            recipe_store
+            if recipe_store is not None
+            else BackendRecipeStore(MemoryBackend(), self.io)
+        )
         self.recipes.stats = self.io
         self.cache = DoubleHashCache(history_depth)
         self.pool = ActiveContainerPool(self.containers, compaction_threshold)
@@ -390,13 +397,17 @@ class HiDeStore(RestoreMixin):
             return self._next_version - 1
         return self._next_version - 1 - self.history_depth
 
-    def delete_oldest(self) -> DeletionStats:
-        """Expire the oldest retained version (GC-free)."""
+    def delete_oldest(self, retained: Optional[List[int]] = None) -> DeletionStats:
+        """Expire the oldest retained version (GC-free).
+
+        ``retained`` is the version ids with a stored recipe, oldest first,
+        when the caller has listed them already; the store is listed once.
+        """
         self.run_maintenance()
-        versions = self.recipes.version_ids()
+        versions = self.recipes.version_ids() if retained is None else retained
         if not versions:
             raise VersionNotFoundError("no versions to delete")
-        stats = self.deletion.delete_version(versions[0], self.demotion_horizon)
+        stats = self.deletion.delete_version(versions[0], self.demotion_horizon, versions)
         with self._lock:
             self.chain.expire(versions[0])
         return stats

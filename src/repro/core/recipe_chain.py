@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import RecipeError
-from ..storage.recipe import ACTIVE_CID, Recipe, RecipeEntry, RecipeStore
+from ..storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, RecipeEntry
 
 #: fingerprint -> (newest retained version holding it archival, that CID).
 ArchivalIndex = Dict[bytes, Tuple[int, int]]
@@ -37,9 +37,9 @@ class ChainStats:
 
 
 class RecipeChain:
-    """Maintains HiDeStore's chain state over a write-once :class:`RecipeStore`."""
+    """Maintains HiDeStore's chain state over a write-once :class:`BackendRecipeStore`."""
 
-    def __init__(self, recipes: RecipeStore) -> None:
+    def __init__(self, recipes: BackendRecipeStore) -> None:
         self.recipes = recipes
         self.stats = ChainStats()
         #: version -> {fingerprint: archival CID} of the chunks demoted out

@@ -8,7 +8,7 @@ referenced set: one pair per *distinct* referenced chunk, never a string
 per entry.
 
 **Pass.**  The container store is listed once, then each present-or-
-referenced container is visited exactly once through ``ContainerStore.peek``
+referenced container is visited exactly once through ``BackendContainerStore.peek``
 (:func:`check_containers`).  That one load answers everything asked of it:
 missing or unreadable, presence and size of every referenced fingerprint,
 and with ``deep`` the re-hash of every payload.  Sealed archival containers
@@ -32,7 +32,7 @@ from ..chunking.fingerprint import Fingerprinter
 from ..errors import StorageError
 from ..pipeline.system import BackupSystem
 from ..storage.container import Container
-from ..storage.container_store import ContainerStore
+from ..storage.container_store import BackendContainerStore
 from ..storage.recipe import RecipeEntry
 from .hidestore import HiDeStore
 
@@ -127,7 +127,7 @@ class ContainerFindings:
 
 
 def check_containers(
-    store: ContainerStore, referenced: Mapping[int, Set[Ref]], deep: bool
+    store: BackendContainerStore, referenced: Mapping[int, Set[Ref]], deep: bool
 ) -> ContainerFindings:
     """The pass: load each present-or-referenced container exactly once.
 

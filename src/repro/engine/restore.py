@@ -4,8 +4,8 @@ An FAA restore plan (:mod:`repro.restore.scheduler`) names which
 containers to read and which recipe slots each read serves; this module
 executes such a plan with a **prefetching container reader pool** — N
 worker threads issue :class:`~repro.storage.container_store.
-ContainerStore` reads up to a bounded *readahead* window ahead of
-consumption — and an order-preserving reassembly stage that emits the
+BackendContainerStore` reads up to a window of twice as many reads ahead
+of consumption — and an order-preserving reassembly stage that emits the
 version strictly in recipe order as reads complete.  Container I/O, zlib decompression and (optional) SHA-1
 re-verification all release the GIL, so they genuinely overlap with the
 Python-side reassembly and with whatever the consumer does with the bytes
@@ -20,10 +20,10 @@ cut into runs in one pass over its slots, and builds no slot object.
 Plans and billing are the scheduler's; :func:`~repro.restore.scheduler.
 execute_plan` is the per-chunk oracle.
 
-Memory stays capped: at most ``readahead`` container reads are in flight
-or awaiting collection at once, and only the runs a read was scheduled to
-serve are retained (the plan's slot lifetimes bound the assembly buffer as
-the policy's cache budget would).  A read serving under half its blob
+Memory stays capped: at most ``max(2, 2 × workers)`` container reads are
+in flight or awaiting collection at once, and only the runs a read was
+scheduled to serve are retained (the plan's slot lifetimes bound the
+assembly buffer as the policy's cache budget would).  A read serving under half its blob
 copies its runs out, so a held run pins at most twice its bytes.  On
 ``file://`` the blob is a read-only mapping of the container file: a sparse
 read copies only the bytes it serves, and a dense read's runs are views of
@@ -62,11 +62,6 @@ class Run(NamedTuple):
 
     data: object
     entries: int
-
-
-def default_readahead(workers: int) -> int:
-    """Default readahead window (in container reads) for a pool size."""
-    return max(2, 2 * workers)
 
 
 def _check(fingerprinter: Fingerprinter, fp: bytes, data) -> None:
@@ -167,25 +162,20 @@ def execute_plan_prefetched(
     reader: ContainerReader,
     *,
     workers: int = 4,
-    readahead: Optional[int] = None,
     verify: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     chunk_reader: Optional[ChunkReader] = None,
 ) -> Iterator[Run]:
     """Execute a restore plan with a prefetching reader pool.
 
-    Reads are issued up to ``readahead`` ahead of the reassembly cursor;
-    runs are emitted strictly in recipe order.  The billed read sequence
+    Reads are issued up to ``max(2, 2 × workers)`` ahead of the reassembly
+    cursor; runs are emitted strictly in recipe order.  The billed read sequence
     is exactly the plan's — the same count and order a serial execution
     would issue — only the wall-clock overlap differs.  Closing the stream
     returns once the reads in flight (at most ``workers``) have finished,
     so a caller may release the repository the moment it does.
     """
-    if workers < 1:
-        raise RestoreError(f"restore workers must be >= 1, got {workers}")
-    window = default_readahead(workers) if readahead is None else readahead
-    if window < 1:
-        raise RestoreError(f"readahead must be >= 1, got {window}")
+    window = max(2, 2 * workers)
     registry = metrics if metrics is not None else get_registry()
     fingerprinter = Fingerprinter() if verify else None
 
@@ -281,7 +271,6 @@ def restore_stream(
     version_id: int,
     *,
     workers: int = 1,
-    readahead: Optional[int] = None,
     verify: bool = False,
     rows: Optional[Callable[[Sequence[int]], slice]] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -300,10 +289,6 @@ def restore_stream(
     partial restore's entry range from the version's recipe entry sizes,
     so locating it costs no second recipe read.
     """
-    if workers < 1:
-        raise RestoreError(f"restore workers must be >= 1, got {workers}")
-    if readahead is not None and readahead < 1:
-        raise RestoreError(f"readahead must be >= 1, got {readahead}")
     registry = metrics if metrics is not None else get_registry()
     entries = system.resolved_restore_range(version_id, rows, registry)
     plan = system.restore_scheduler().plan(entries)
@@ -316,6 +301,6 @@ def restore_stream(
         )
     return execute_plan_prefetched(
         entries, plan, reader,
-        workers=workers, readahead=readahead, verify=verify, metrics=registry,
+        workers=workers, verify=verify, metrics=registry,
         chunk_reader=chunk_reader,
     )

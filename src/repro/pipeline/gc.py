@@ -139,7 +139,8 @@ class GCDeletionManager:
                         entry.cid = new_cid
                         changed = True
                 if changed:  # the rewrite HiDeStore's §4.5 expiry never pays
-                    recipes.replace(recipe)
+                    recipes.delete(other)
+                    recipes.write(recipe)
                     stats.recipes_rewritten += 1
             # The index must also learn the new locations.
             for fp, cid in relocations.items():

@@ -23,9 +23,10 @@ from ..restore.faa import FAARestore
 from ..rewriting.base import Rewriter
 from ..rewriting.none import NoRewriter
 from ..storage.container import Container
-from ..storage.container_store import ContainerStore, MemoryContainerStore
+from ..storage.backend import MemoryBackend
+from ..storage.container_store import BackendContainerStore
 from ..storage.io_model import IOStats
-from ..storage.recipe import MemoryRecipeStore, Recipe, RecipeStore
+from ..storage.recipe import BackendRecipeStore, Recipe
 from ..units import CONTAINER_SIZE
 from ..reports import BackupReport, SystemReport
 from .base import RestoreMixin
@@ -44,8 +45,10 @@ class BackupSystem(RestoreMixin):
     Args:
         index: fingerprint index (decides duplicate vs unique).
         rewriter: rewrite policy (defaults to no rewriting).
-        container_store: sealed-container backend (defaults to in-memory).
-        recipe_store: recipe backend (defaults to in-memory).
+        container_store: sealed-container store (defaults to one over a
+            :class:`~repro.storage.backend.MemoryBackend`).
+        recipe_store: recipe store (defaults to one over a
+            :class:`~repro.storage.backend.MemoryBackend`).
         restorer: default restore algorithm (defaults to FAA, as Destor's
             restore pipeline does for non-ALACC schemes).
         container_size: container payload capacity (4 MiB, paper default).
@@ -55,8 +58,8 @@ class BackupSystem(RestoreMixin):
         self,
         index: FingerprintIndex,
         rewriter: Optional[Rewriter] = None,
-        container_store: Optional[ContainerStore] = None,
-        recipe_store: Optional[RecipeStore] = None,
+        container_store: Optional[BackendContainerStore] = None,
+        recipe_store: Optional[BackendRecipeStore] = None,
         restorer: Optional[RestoreAlgorithm] = None,
         container_size: int = CONTAINER_SIZE,
     ) -> None:
@@ -67,10 +70,14 @@ class BackupSystem(RestoreMixin):
         self.containers = (
             container_store
             if container_store is not None
-            else MemoryContainerStore(container_size, self.io)
+            else BackendContainerStore(MemoryBackend(), container_size, self.io)
         )
         self.containers.stats = self.io
-        self.recipes = recipe_store if recipe_store is not None else MemoryRecipeStore(self.io)
+        self.recipes = (
+            recipe_store
+            if recipe_store is not None
+            else BackendRecipeStore(MemoryBackend(), self.io)
+        )
         self.recipes.stats = self.io
         self.restorer = restorer if restorer is not None else FAARestore()
         self.container_size = container_size

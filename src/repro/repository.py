@@ -333,13 +333,11 @@ def _covering_rows(sizes: List[int], offset: int, size: int) -> Tuple[int, int, 
     return start, stop, offset - (ends[start - 1] if start else 0)
 
 
-def restore_workers(workers: Optional[int], readahead: Optional[int]) -> int:
-    """Vet :meth:`Repository.restore`'s knobs before anything is opened or
-    sent; returns the reader-pool size (``None`` is serial, i.e. 1)."""
+def restore_workers(workers: Optional[int]) -> int:
+    """Vet :meth:`Repository.restore`'s ``workers`` before anything is opened
+    or sent; returns the reader-pool size (``None`` is serial, i.e. 1)."""
     if workers is not None and workers < 1:
         raise RestoreError(f"restore workers must be >= 1, got {workers}")
-    if readahead is not None and readahead < 1:
-        raise RestoreError(f"readahead must be >= 1, got {readahead}")
     return 1 if workers is None else workers
 
 
@@ -377,7 +375,6 @@ class Repository(Protocol):
         version_id: int,
         *,
         workers: Optional[int] = None,
-        readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
     ) -> Tuple[FilePlan, Iterable]:
@@ -686,7 +683,6 @@ class LocalRepository(Repository):
         version_id: int,
         *,
         workers: Optional[int] = None,
-        readahead: Optional[int] = None,
         verify: bool = False,
         file: Optional[str] = None,
     ) -> Tuple[FilePlan, RestoreStream]:
@@ -697,8 +693,8 @@ class LocalRepository(Repository):
             workers: container-reader pool size; ``None`` or ``1``
                 restores serially, ``>1`` prefetches container reads
                 through the pipelined engine
-                (:func:`repro.engine.restore.restore_stream`).
-            readahead: in-flight container-read cap (default 2×workers).
+                (:func:`repro.engine.restore.restore_stream`) with at
+                most ``max(2, 2 × workers)`` container reads in flight.
             verify: re-hash every chunk against its recipe fingerprint;
                 a mismatch raises :class:`~repro.errors.RestoreError`.
             file: restore only this manifest-relative file — only the
@@ -706,7 +702,7 @@ class LocalRepository(Repository):
         """
         from .engine.restore import restore_stream
 
-        workers = restore_workers(workers, readahead)
+        workers = restore_workers(workers)
         store = self._open()
         plan = self.restore_plan(version_id)
         offset = 0
@@ -735,7 +731,7 @@ class LocalRepository(Repository):
 
             for run in restore_stream(
                 store, version_id,
-                workers=workers, readahead=readahead, verify=verify,
+                workers=workers, verify=verify,
                 rows=None if file is None else rows, metrics=self.metrics,
             ):
                 stream.entries += run.entries
@@ -764,13 +760,12 @@ class LocalRepository(Repository):
 
     def stats(self) -> Dict:
         store = self._open()
-        logical = sum(
-            store.recipes.peek(v).logical_size for v in store.recipes.version_ids()
-        )
+        versions = store.recipes.version_ids()
+        logical = sum(store.recipes.peek(v).logical_size for v in versions)
         stored = store.containers.stored_bytes() + store.pool.hot_bytes()
         ratio = 0.0 if logical == 0 else (logical - stored) / logical
         return {
-            "versions": len(store.recipes.version_ids()),
+            "versions": len(versions),
             "logical_bytes": logical,
             "stored_bytes": stored,
             "dedup_ratio": ratio,
@@ -789,7 +784,7 @@ class LocalRepository(Repository):
             raise VersionNotFoundError("repository is empty")
         oldest = versions[0]
         try:
-            stats = store.delete_oldest()
+            stats = store.delete_oldest(versions)
             self.storage.delete_manifest(oldest)
             if self.storage.has_checkpoint():
                 self._save_checkpoint(store)  # nothing dirty: the head alone

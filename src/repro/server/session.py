@@ -533,15 +533,11 @@ class _Session:
             1 if requested is None
             else max(1, min(int(requested), self.daemon.restore_workers))
         )
-        readahead = obj.get("readahead")
-        if readahead is not None:
-            readahead = max(1, min(int(readahead), 64))
         rel = obj.get("file")
         if rel is not None:
             rel = validate_rel_name(str(rel))
         return {
             "workers": workers,
-            "readahead": readahead,
             "verify": bool(obj.get("verify", False)),
             "file": rel,
         }

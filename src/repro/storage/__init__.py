@@ -6,42 +6,40 @@ ledger, from which the paper's hardware-independent metrics (container reads,
 speed factor, lookup requests) are computed.
 """
 
+from .backend import MemoryBackend
 from .container import ChunkSlot, Container
 from .container_store import (
-    ContainerStore,
+    BackendContainerStore,
     FileContainerStore,
-    MemoryContainerStore,
     pack_container,
     unpack_container,
 )
 from .io_model import DiskModel, IOStats
 from .recipe import (
     ACTIVE_CID,
+    BackendRecipeStore,
     FileRecipeStore,
-    MemoryRecipeStore,
     Recipe,
     RecipeEntry,
-    RecipeStore,
     pack_recipe,
     unpack_recipe,
 )
 
 __all__ = [
     "ACTIVE_CID",
+    "BackendContainerStore",
+    "BackendRecipeStore",
     "ChunkSlot",
     "Container",
-    "ContainerStore",
     "DiskModel",
     "FileContainerStore",
     "FileRecipeStore",
     "IOStats",
-    "MemoryContainerStore",
-    "MemoryRecipeStore",
+    "MemoryBackend",
     "pack_container",
     "unpack_container",
     "Recipe",
     "RecipeEntry",
-    "RecipeStore",
     "pack_recipe",
     "unpack_recipe",
 ]

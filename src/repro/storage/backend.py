@@ -18,6 +18,9 @@ tiny **mutable-metadata surface**, selected by URL:
   :mod:`repro.storage.object_store` and the local
   :class:`~repro.storage.fake_s3.FakeS3Server`.
 
+:class:`MemoryBackend` keeps objects in a dict and has no URL: it holds the
+stores of an engine built without any (simulations, the paper's figures).
+
 Protocol vocabulary (the verbs every backend must honour):
 
 * ``put(name, blob)`` — land an **immutable** object atomically; a second
@@ -57,7 +60,7 @@ import resource
 import sqlite3
 import threading
 import weakref
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 from urllib.parse import parse_qs, quote, unquote
 
 from ..errors import ObjectMissingError, StorageError
@@ -65,6 +68,7 @@ from ..errors import ObjectMissingError, StorageError
 __all__ = [
     "StorageBackend",
     "FileBackend",
+    "MemoryBackend",
     "SQLiteBackend",
     "RepoLocation",
     "open_backend",
@@ -376,6 +380,87 @@ class FileBackend:
 
 
 # ----------------------------------------------------------------------
+# In memory — the engines' own backend, behind no URL
+# ----------------------------------------------------------------------
+class MemoryBackend:
+    """Objects as ``bytes`` in a dict, for as long as the backend lives.
+
+    A :class:`~repro.core.hidestore.HiDeStore` or
+    :class:`~repro.pipeline.system.BackupSystem` built without stores keeps
+    its containers and recipes here, through the same container and recipe
+    stores a repository runs, so simulations and the paper's figures pack,
+    store and decode every object exactly as the service does.  ``get`` and
+    ``view`` hand out the stored bytes themselves: they are immutable.
+    No URL opens one; :attr:`url` only labels it in messages.
+    """
+
+    url = "memory:"
+    prefers_ranged_reads = False
+
+    def __init__(self) -> None:
+        self._objects: Dict[str, bytes] = {}
+        self._lock = threading.Lock()
+
+    def _object(self, name: str) -> bytes:
+        try:
+            return self._objects[name]
+        except KeyError:
+            raise ObjectMissingError(f"no object {name!r} in {self.url}") from None
+
+    def put(self, name: str, blob: bytes) -> None:
+        blob = bytes(blob)
+        with self._lock:
+            if validate_object_name(name) in self._objects:
+                raise StorageError(f"immutable object {name!r} already stored")
+            self._objects[name] = blob
+
+    def put_meta(self, name: str, blob: bytes) -> None:
+        blob = bytes(blob)
+        with self._lock:
+            self._objects[validate_object_name(name)] = blob
+
+    def get(self, name: str) -> bytes:
+        return self._object(name)
+
+    view = get
+
+    def get_range(self, name: str, offset: int, length: int) -> bytes:
+        return self._object(name)[offset : offset + length]
+
+    def exists(self, name: str) -> bool:
+        return name in self._objects
+
+    def size(self, name: str) -> int:
+        return len(self._object(name))
+
+    def digest(self, name: str) -> str:
+        return hashlib.sha256(self._object(name)).hexdigest()
+
+    def delete(self, name: str) -> None:
+        with self._lock:
+            if self._objects.pop(name, None) is None:
+                raise ObjectMissingError(f"no object {name!r} in {self.url}")
+
+    def list(self, prefix: str = "") -> List[str]:
+        with self._lock:
+            names = list(self._objects)
+        return sorted(name for name in names if name.startswith(prefix))
+
+    def rename(self, name: str, new_name: str) -> None:
+        validate_object_name(new_name)
+        with self._lock:
+            self._objects[new_name] = self._object(name)
+            if new_name != name:
+                del self._objects[name]
+
+    def sweep_tmp(self, prefix: str = "") -> None:  # no staged writes: no litter
+        pass
+
+    def close(self) -> None:  # nothing to release
+        pass
+
+
+# ----------------------------------------------------------------------
 # sqlite:// — every object a row in one database file
 # ----------------------------------------------------------------------
 class _SqliteTxn:
@@ -395,6 +480,10 @@ class _SqliteTxn:
 
 
 
+class _Connection(sqlite3.Connection):
+    """A connection :class:`SQLiteBackend` can hold weakly."""
+
+
 class SQLiteBackend:
     """All objects in one SQLite file — metadata + small-object backend.
 
@@ -411,7 +500,10 @@ class SQLiteBackend:
         self.path = path
         self.url = "sqlite://" + os.path.abspath(path)
         self._local = threading.local()
-        self._closed = False
+        #: Every open per-thread connection, so :meth:`close` reaches them
+        #: all; one whose thread ended leaves with its ``threading.local``.
+        self._conns: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._conns_lock = threading.Lock()
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         with self._cursor() as cur:
@@ -426,9 +518,13 @@ class SQLiteBackend:
     def _conn(self) -> sqlite3.Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = sqlite3.connect(self.path, timeout=30.0)
+            conn = sqlite3.connect(
+                self.path, timeout=30.0, factory=_Connection, check_same_thread=False
+            )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
+            with self._conns_lock:
+                self._conns.add(conn)
             self._local.conn = conn
         return conn
 
@@ -521,11 +617,12 @@ class SQLiteBackend:
         pass
 
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
+        """Close every thread's connection; a later call opens afresh."""
+        with self._conns_lock:
+            conns, self._local = list(self._conns), threading.local()
+            self._conns.clear()
+        for conn in conns:
             conn.close()
-            self._local.conn = None
-        self._closed = True
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,15 @@
-"""Container stores: where sealed containers live, with read accounting.
+"""The container store: where sealed containers live, with read accounting.
 
-Several backends share one interface:
-
-* :class:`MemoryContainerStore` — keeps containers as Python objects; the
-  default for simulation and benchmarks (every read still bills
-  :class:`~repro.storage.io_model.IOStats`, which is what the paper's
-  metrics are computed from).
-* :class:`BackendContainerStore` — serialises containers as named
-  immutable blobs on any :class:`~repro.storage.backend.StorageBackend`
-  (``file://``, ``sqlite://``, ``s3://``).  On backends that prefer
-  ranged reads it can fetch only the chunk ranges a restore plan needs
-  (:meth:`~BackendContainerStore.read_chunks`) instead of whole blobs.
-* :class:`FileContainerStore` — one file per container under a bare
-  directory: :class:`BackendContainerStore` over a ``file://`` backend
-  rooted there.  A repository does not use it: its containers are a
-  :class:`BackendContainerStore` with prefix ``containers/`` on whichever
-  backend holds them, a directory's included.
+:class:`BackendContainerStore` serialises containers as named immutable
+blobs on any :class:`~repro.storage.backend.StorageBackend`: a
+repository's ``file://``, ``sqlite://`` or ``s3://`` backend, or the
+:class:`~repro.storage.backend.MemoryBackend` an engine built without
+stores keeps them in (simulations and benchmarks).  Every read bills
+:class:`~repro.storage.io_model.IOStats`, which is what the paper's metrics
+are computed from.  On backends that prefer ranged reads it can fetch only
+the chunk ranges a restore plan needs
+(:meth:`~BackendContainerStore.read_chunks`) instead of whole blobs.
+:class:`FileContainerStore` is the same store over a bare directory.
 
 Container IDs are allocated by the store, strictly increasing from 1.
 ID ``0`` and negative IDs never name containers — HiDeStore's recipes use
@@ -24,13 +18,13 @@ them as "in active containers" / "see recipe R_n" markers.
 A store also holds HiDeStore's **active** containers once a checkpoint has
 written them (``write(container, active=True)``): the same object format
 under the same name, so a container is written once whatever its fate.
-Their IDs are :attr:`ContainerStore.active_ids` and are not archival:
-listing, counting and :meth:`~ContainerStore.stored_bytes` skip them.  An
-active container ends either *adopted* — demotion would have copied
-exactly its chunks into one archival container, so it turns archival where
-it is instead (:meth:`~ContainerStore.adopt`) — or *released* — its chunks
-were copied or merged away, so its object goes
-(:meth:`~ContainerStore.release`).
+Their IDs are :attr:`BackendContainerStore.active_ids` and are not
+archival: listing, counting and :meth:`~BackendContainerStore.stored_bytes`
+skip them.  An active container ends either *adopted* — demotion would
+have copied exactly its chunks into one archival container, so it turns
+archival where it is instead (:meth:`~BackendContainerStore.adopt`) — or
+*released* — its chunks were copied or merged away, so its object goes
+(:meth:`~BackendContainerStore.release`).
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import hashlib
 import struct
 import time
 import zlib
-from abc import ABC, abstractmethod
 from itertools import accumulate
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -56,188 +49,6 @@ from ..units import CONTAINER_SIZE, FINGERPRINT_SIZE
 from .backend import FileBackend, StorageBackend, wrap_backend
 from .container import Container
 from .io_model import IOStats
-
-
-class ContainerStore(ABC):
-    """Abstract sealed-container repository with I/O accounting.
-
-    **ID-allocation contract** (part of the backend protocol; exercised by
-    checkpoint reload and by ``tests/test_storage_backend.py``):
-
-    * :meth:`allocate` hands out strictly increasing IDs starting at 1;
-    * :attr:`next_id` always names the ID the next :meth:`allocate`
-      returns;
-    * :meth:`reserve_ids(upto) <reserve_ids>` guarantees
-      ``next_id == max(next_id, upto + 1)`` — it never moves IDs
-      backwards, so replaying a stale checkpoint cannot re-issue an ID a
-      stored container already uses;
-    * stores that can discover existing containers on open (every
-      persistent backend) must resume allocation above the highest stored
-      ID, even without a checkpoint.
-    """
-
-    def __init__(self, capacity: int = CONTAINER_SIZE, stats: Optional[IOStats] = None) -> None:
-        self.capacity = capacity
-        self.stats = stats if stats is not None else IOStats()
-        self._next_id = 1
-        #: IDs of the active pool's containers: not archival, whatever is
-        #: stored under them.  An object under one that no head names (a
-        #: save died before its head) is stale; the next write replaces it.
-        self.active_ids: Set[int] = set()
-        #: IDs a loaded head released, whose objects its writer may not
-        #: have deleted yet: not archival either.
-        self.released_ids: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    def allocate(self) -> Container:
-        """Create a fresh, open container with the next global ID."""
-        container = Container(self._next_id, self.capacity)
-        self._next_id += 1
-        return container
-
-    @property
-    def next_id(self) -> int:
-        """The ID the next :meth:`allocate` call will hand out."""
-        return self._next_id
-
-    def reserve_ids(self, upto: int) -> None:
-        """Ensure future allocations start above ``upto`` (checkpoint reload)."""
-        if upto >= self._next_id:
-            self._next_id = upto + 1
-
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def write(self, container: Container, active: bool = False) -> Optional[Dict]:
-        """Persist a container (bills one container write).
-
-        Archival (the default): sealed first, then written once.  ``active``:
-        a pool container a checkpoint persists; it stays open (demotion still
-        shrinks its live set), its ID joins :attr:`active_ids` and the return
-        is its head entry ``{cid, size, sha256}`` of the stored object.  One
-        method for both, because every container write is one layer to the
-        instrumentation that wraps it (``benchmarks/waterfall/wf_spans.py``).
-        """
-
-    @abstractmethod
-    def read(self, container_id: int) -> Container:
-        """Fetch a container by ID (bills one container read)."""
-
-    @abstractmethod
-    def delete(self, container_id: int) -> None:
-        """Remove a container (expired-version reclamation)."""
-
-    @abstractmethod
-    def __contains__(self, container_id: int) -> bool:
-        """Whether an archival container ``container_id`` is stored."""
-
-    @abstractmethod
-    def container_ids(self) -> List[int]:
-        """IDs of the archival containers stored (active objects excluded)."""
-
-    @abstractmethod
-    def read_object(self, container_id: int) -> bytes:
-        """An active container's stored object, as written (unbilled);
-        raises :class:`~repro.errors.ObjectMissingError` when absent."""
-
-    def adopt(self, container: Container) -> None:
-        """Make an intact active container whose object a checkpoint wrote
-        archival where it stands: the object holds exactly its chunks, so it
-        is sealed and stops being active, and nothing is written."""
-        container.seal()
-        self.active_ids.discard(container.container_id)
-
-    def release(self, container_id: int) -> None:
-        """Delete the object of an active container no head names any more."""
-        self.active_ids.discard(container_id)
-
-    def is_archival_id(self, container_id: int) -> bool:
-        """Whether an object stored under ``container_id`` is archival."""
-        return container_id not in self.active_ids and container_id not in self.released_ids
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.container_ids())
-
-    def used_bytes(self, container_id: int) -> int:
-        """Live payload bytes of one stored container (unbilled)."""
-        return self.peek(container_id).used
-
-    def stored_bytes(self) -> int:
-        """Total live payload bytes across all archival containers (unbilled)."""
-        return sum(self.used_bytes(cid) for cid in self.container_ids())
-
-    def peek(self, container_id: int) -> Container:
-        """Fetch a container *without* billing a read (metrics/test use only)."""
-        raise NotImplementedError
-
-    def iter_containers(self) -> Iterator[Container]:
-        """Iterate containers without billing reads (metrics/test use only)."""
-        for cid in self.container_ids():
-            yield self.peek(cid)
-
-
-class MemoryContainerStore(ContainerStore):
-    """In-memory store: the simulation substrate used by all benchmarks."""
-
-    def __init__(self, capacity: int = CONTAINER_SIZE, stats: Optional[IOStats] = None) -> None:
-        super().__init__(capacity, stats)
-        self._containers: Dict[int, Container] = {}
-        #: Active objects as written: the pool's container keeps shrinking.
-        self._active_blobs: Dict[int, bytes] = {}
-
-    def write(self, container: Container, active: bool = False) -> Optional[Dict]:
-        cid = container.container_id
-        if cid in self._containers:
-            raise StorageError(f"container {cid} already stored")
-        self.stats.note_container_write(container.used)
-        if active:
-            blob = self._active_blobs[cid] = pack_container(container)
-            self.active_ids.add(cid)
-            return object_ref(cid, blob)
-        container.seal()
-        self._containers[cid] = container
-        self._active_blobs.pop(cid, None)
-        self.active_ids.discard(cid)
-        return None
-
-    def adopt(self, container: Container) -> None:
-        self._containers[container.container_id] = container
-        del self._active_blobs[container.container_id]
-        super().adopt(container)
-
-    def release(self, container_id: int) -> None:
-        self._active_blobs.pop(container_id, None)
-        super().release(container_id)
-
-    def read_object(self, container_id: int) -> bytes:
-        try:
-            return self._active_blobs[container_id]
-        except KeyError:  # an archival one is an object, not a blob, here
-            raise ObjectMissingError(f"no active container object {container_id}") from None
-
-    def read(self, container_id: int) -> Container:
-        try:
-            container = self._containers[container_id]
-        except KeyError:
-            raise UnknownContainerError(f"no container {container_id}") from None
-        self.stats.note_container_read(container.used)
-        return container
-
-    def peek(self, container_id: int) -> Container:
-        try:
-            return self._containers[container_id]
-        except KeyError:
-            raise UnknownContainerError(f"no container {container_id}") from None
-
-    def delete(self, container_id: int) -> None:
-        if self._containers.pop(container_id, None) is None:
-            raise UnknownContainerError(f"no container {container_id}")
-
-    def __contains__(self, container_id: int) -> bool:
-        return container_id in self._containers
-
-    def container_ids(self) -> List[int]:
-        return sorted(self._containers)
 
 
 _MAGIC = b"HDSC"
@@ -335,7 +146,7 @@ def decode_container(blob: bytes, expected_id: int, own: bool = False) -> Contai
 _COALESCE_GAP = 64 * 1024
 
 
-class BackendContainerStore(ContainerStore):
+class BackendContainerStore:
     """Containers as named immutable blobs on a :class:`StorageBackend`.
 
     Object names are ``<prefix>container-%08d.hdsc``; the blob layout is
@@ -354,14 +165,26 @@ class BackendContainerStore(ContainerStore):
     one logical container read in :class:`IOStats`), so simulation
     numbers are comparable across backends.
 
+    **ID-allocation contract** (exercised by checkpoint reload and by
+    ``tests/test_storage_backend.py``): :meth:`allocate` hands out strictly
+    increasing IDs starting at 1; :attr:`next_id` always names the ID the
+    next :meth:`allocate` returns; :meth:`reserve_ids(upto) <reserve_ids>`
+    guarantees ``next_id == max(next_id, upto + 1)`` — it never moves IDs
+    backwards, so replaying a stale checkpoint cannot re-issue an ID a
+    stored container already uses; and a store opened over stored
+    containers resumes allocation above the highest stored ID, even
+    without a checkpoint.
+
     Args:
         backend: where the blobs live.
-        prefix: object-name prefix, e.g. ``"containers/"`` when the
-            backend holds a whole repository.
+        capacity: container payload capacity.
+        stats: the read/write ledger billed (a fresh one by default).
         compress: zlib-compress container blobs (transparent on read;
             compressed and plain blobs can coexist in one store).
         metrics: registry for container I/O histograms/counters (defaults
             to the process registry).
+        prefix: object-name prefix, e.g. ``"containers/"`` when the
+            backend holds a whole repository.
     """
 
     def __init__(
@@ -373,20 +196,57 @@ class BackendContainerStore(ContainerStore):
         metrics: Optional["MetricsRegistry"] = None,
         prefix: str = "",
     ) -> None:
-        super().__init__(capacity, stats)
+        self.capacity = capacity
+        self.stats = stats if stats is not None else IOStats()
+        #: IDs of the active pool's containers: not archival, whatever is
+        #: stored under them.  An object under one that no head names (a
+        #: save died before its head) is stale; the next write replaces it.
+        self.active_ids: Set[int] = set()
+        #: IDs a loaded head released, whose objects its writer may not
+        #: have deleted yet: not archival either.
+        self.released_ids: Set[int] = set()
         self.backend = backend
         self.prefix = prefix
         self.compress = compress
         self.metrics = metrics if metrics is not None else get_registry()
         self.backend.sweep_tmp(prefix.rstrip("/"))
-        existing = self.container_ids()
-        if existing:
-            self._next_id = max(existing) + 1
+        self._next_id = max(self.container_ids(), default=0) + 1
 
+    # ------------------------------------------------------------------
+    def allocate(self) -> Container:
+        """Create a fresh, open container with the next global ID."""
+        container = Container(self._next_id, self.capacity)
+        self._next_id += 1
+        return container
+
+    @property
+    def next_id(self) -> int:
+        """The ID the next :meth:`allocate` call will hand out."""
+        return self._next_id
+
+    def reserve_ids(self, upto: int) -> None:
+        """Ensure future allocations start above ``upto`` (checkpoint reload)."""
+        if upto >= self._next_id:
+            self._next_id = upto + 1
+
+    def is_archival_id(self, container_id: int) -> bool:
+        """Whether an object stored under ``container_id`` is archival."""
+        return container_id not in self.active_ids and container_id not in self.released_ids
+
+    # ------------------------------------------------------------------
     def _name(self, container_id: int) -> str:
         return f"{self.prefix}container-{container_id:08d}.hdsc"
 
     def write(self, container: Container, active: bool = False) -> Optional[Dict]:
+        """Persist a container (bills one container write).
+
+        Archival (the default): sealed first, then written once.  ``active``:
+        a pool container a checkpoint persists; it stays open (demotion still
+        shrinks its live set), its ID joins :attr:`active_ids` and the return
+        is its head entry ``{cid, size, sha256}`` of the stored object.  One
+        method for both, because every container write is one layer to the
+        instrumentation that wraps it (``benchmarks/waterfall/wf_spans.py``).
+        """
         cid = container.container_id
         name = self._name(cid)
         if self.backend.exists(name):
@@ -409,17 +269,28 @@ class BackendContainerStore(ContainerStore):
         self.active_ids.add(cid)
         return object_ref(cid, blob)
 
+    def adopt(self, container: Container) -> None:
+        """Make an intact active container whose object a checkpoint wrote
+        archival where it stands: the object holds exactly its chunks, so it
+        is sealed and stops being active, and nothing is written."""
+        container.seal()
+        self.active_ids.discard(container.container_id)
+
     def release(self, container_id: int) -> None:
-        super().release(container_id)
+        """Delete the object of an active container no head names any more."""
+        self.active_ids.discard(container_id)
         try:
             self.backend.delete(self._name(container_id))
         except ObjectMissingError:
             pass
 
     def read_object(self, container_id: int) -> bytes:
+        """A container's stored object, as written (unbilled); raises
+        :class:`~repro.errors.ObjectMissingError` when absent."""
         return self.backend.get(self._name(container_id))
 
     def read(self, container_id: int) -> Container:
+        """Fetch a container by ID (bills one container read)."""
         started = time.perf_counter()
         container = self._load(container_id)
         self.stats.note_container_read(container.used)
@@ -428,7 +299,13 @@ class BackendContainerStore(ContainerStore):
         return container
 
     def peek(self, container_id: int) -> Container:
+        """Fetch a container *without* billing a read (metrics/test use only)."""
         return self._load(container_id)
+
+    def iter_containers(self) -> Iterator[Container]:
+        """Iterate containers without billing reads (metrics/test use only)."""
+        for cid in self.container_ids():
+            yield self.peek(cid)
 
     def _load(self, container_id: int) -> Container:
         name = self._name(container_id)
@@ -444,13 +321,16 @@ class BackendContainerStore(ContainerStore):
         return container
 
     def delete(self, container_id: int) -> None:
+        """Remove a container (expired-version reclamation)."""
         try:
             self.backend.delete(self._name(container_id))
         except ObjectMissingError:
             raise UnknownContainerError(f"no container {container_id}") from None
 
     def used_bytes(self, container_id: int) -> int:
-        """Sums the entry table off one ranged read of header and table (a
+        """Live payload bytes of one stored container (unbilled).
+
+        Sums the entry table off one ranged read of header and table (a
         second for a table longer than :data:`_TABLE_GUESS` entries); a
         compressed (or odd) object takes the whole-blob path."""
         name = self._name(container_id)
@@ -459,7 +339,7 @@ class BackendContainerStore(ContainerStore):
         except ObjectMissingError:
             raise UnknownContainerError(f"no container {container_id}") from None
         if len(head) < _HEADER.size or head[:4] != _MAGIC:
-            return super().used_bytes(container_id)
+            return self.peek(container_id).used
         _magic, cid, count, _capacity = _HEADER.unpack_from(head)
         table = head[_HEADER.size : _HEADER.size + count * _ENTRY.size]
         if len(table) < count * _ENTRY.size:
@@ -469,10 +349,19 @@ class BackendContainerStore(ContainerStore):
             raise StorageError(f"corrupt container object {name}: bad header or entry table")
         return sum(size for _fp, _offset, size, _has_data in _ENTRY.iter_unpack(table))
 
+    def stored_bytes(self) -> int:
+        """Total live payload bytes across all archival containers (unbilled)."""
+        return sum(self.used_bytes(cid) for cid in self.container_ids())
+
+    def __len__(self) -> int:
+        return len(self.container_ids())
+
     def __contains__(self, container_id: int) -> bool:
+        """Whether an archival container ``container_id`` is stored."""
         return self.is_archival_id(container_id) and self.backend.exists(self._name(container_id))
 
     def container_ids(self) -> List[int]:
+        """IDs of the archival containers stored (active objects excluded)."""
         ids = []
         start = len(self.prefix)
         for name in self.backend.list(self.prefix):

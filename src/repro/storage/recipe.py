@@ -13,15 +13,14 @@ field (§4.3 / §4.4):
 
 Every persistent repository keeps its recipes in a
 :class:`BackendRecipeStore`: write-once ``recipes/recipe-%08d.hdsr`` objects
-on its primary backend, whatever the scheme.  :class:`FileRecipeStore` is
-the same store over a bare directory; :class:`MemoryRecipeStore` serves the
-simulations.
+on its primary backend, whatever the scheme; an engine built without
+stores keeps them on a :class:`~repro.storage.backend.MemoryBackend`.
+:class:`FileRecipeStore` is the same store over a bare directory.
 """
 
 from __future__ import annotations
 
 import struct
-from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ObjectMissingError, RecipeError
@@ -189,112 +188,21 @@ def unpack_recipe(blob: bytes) -> Recipe:
     return Recipe(version_id, tag, rows=rows)
 
 
-class RecipeStore(ABC):
-    """Versioned recipe repository with read/write accounting.
-
-    ``metrics``, when given, counts the bytes each write stores
-    (``store.recipe_write_bytes``).
-    """
-
-    def __init__(self, stats: Optional[IOStats] = None, metrics=None) -> None:
-        self.stats = stats if stats is not None else IOStats()
-        self.metrics = metrics
-
-    def _note_write(self, blob: bytes) -> None:
-        self.stats.note_recipe_write(len(blob))
-        if self.metrics is not None:
-            self.metrics.inc("store.recipe_write_bytes", len(blob))
-
-    @abstractmethod
-    def write(self, recipe: Recipe) -> None:
-        """Persist a new recipe; refuses (a ``StorageError``) one already stored."""
-
-    def replace(self, recipe: Recipe) -> None:
-        """Overwrite a stored recipe.  Only the traditional-GC baseline's
-        fix-up (:mod:`repro.pipeline.gc`) may, in memory; HiDeStore never
-        rewrites a recipe, and every backend store (a directory's too)
-        refuses."""
-        raise RecipeError(f"{type(self).__name__} recipes are write-once")
-
-    @abstractmethod
-    def read(self, version_id: int) -> Recipe:
-        """Load a recipe (bills one recipe read)."""
-
-    @abstractmethod
-    def delete(self, version_id: int) -> None: ...
-
-    @abstractmethod
-    def __contains__(self, version_id: int) -> bool: ...
-
-    @abstractmethod
-    def version_ids(self) -> List[int]: ...
-
-    def latest_version(self) -> Optional[int]:
-        ids = self.version_ids()
-        return max(ids) if ids else None
-
-    def peek(self, version_id: int) -> Recipe:
-        """Load without billing (metrics/test use)."""
-        raise NotImplementedError
-
-    def entry_count(self, version_id: int) -> int:
-        """Unbilled; serialised stores read the header, not the entries."""
-        return len(self.peek(version_id))
-
-
-class MemoryRecipeStore(RecipeStore):
-    """Dict-backed recipe store used by simulations and benchmarks."""
-
-    def __init__(self, stats: Optional[IOStats] = None) -> None:
-        super().__init__(stats)
-        self._recipes: Dict[int, Recipe] = {}
-
-    def write(self, recipe: Recipe) -> None:
-        if recipe.version_id in self._recipes:
-            raise RecipeError(f"recipe for version {recipe.version_id} already stored")
-        self._recipes[recipe.version_id] = recipe
-        self.stats.note_recipe_write(recipe.byte_size)
-
-    def replace(self, recipe: Recipe) -> None:
-        self.delete(recipe.version_id)
-        self.write(recipe)
-
-    def read(self, version_id: int) -> Recipe:
-        recipe = self._recipes.get(version_id)
-        if recipe is None:
-            raise RecipeError(f"no recipe for version {version_id}")
-        self.stats.note_recipe_read(recipe.byte_size)
-        return recipe
-
-    def peek(self, version_id: int) -> Recipe:
-        recipe = self._recipes.get(version_id)
-        if recipe is None:
-            raise RecipeError(f"no recipe for version {version_id}")
-        return recipe
-
-    def delete(self, version_id: int) -> None:
-        if self._recipes.pop(version_id, None) is None:
-            raise RecipeError(f"no recipe for version {version_id}")
-
-    def __contains__(self, version_id: int) -> bool:
-        return version_id in self._recipes
-
-    def version_ids(self) -> List[int]:
-        return sorted(self._recipes)
-
-
-class BackendRecipeStore(RecipeStore):
-    """Recipes as named write-once blobs on a :class:`StorageBackend`.
+class BackendRecipeStore:
+    """Recipes as named write-once blobs on a :class:`StorageBackend`, with
+    read/write accounting.
 
     Nothing rewrites a stored recipe (what the §4.3 update learns is kept
     in the checkpoint instead), so writes go through the backend's
-    immutable ``put``, which refuses an overwrite.
+    immutable ``put``, which refuses an overwrite.  ``metrics``, when
+    given, counts the bytes each write stores (``store.recipe_write_bytes``).
     """
 
     def __init__(
         self, backend, stats: Optional[IOStats] = None, prefix: str = "", metrics=None
     ) -> None:
-        super().__init__(stats, metrics)
+        self.stats = stats if stats is not None else IOStats()
+        self.metrics = metrics
         self.backend = backend
         self.prefix = prefix
 
@@ -302,11 +210,15 @@ class BackendRecipeStore(RecipeStore):
         return f"{self.prefix}recipe-{version_id:08d}.hdsr"
 
     def write(self, recipe: Recipe) -> None:
+        """Persist a new recipe; refuses (a ``StorageError``) one already stored."""
         blob = pack_recipe(recipe)
         self.backend.put(self._name(recipe.version_id), blob)
-        self._note_write(blob)
+        self.stats.note_recipe_write(len(blob))
+        if self.metrics is not None:
+            self.metrics.inc("store.recipe_write_bytes", len(blob))
 
     def read(self, version_id: int) -> Recipe:
+        """Load a recipe (bills one recipe read)."""
         recipe = self.peek(version_id)
         self.stats.note_recipe_read(recipe.byte_size)
         return recipe
@@ -319,9 +231,11 @@ class BackendRecipeStore(RecipeStore):
             raise RecipeError(f"no recipe for version {version_id}") from None
 
     def peek(self, version_id: int) -> Recipe:
+        """Load without billing (metrics/test use)."""
         return unpack_recipe(self._on(self.backend.get, version_id))
 
     def entry_count(self, version_id: int) -> int:
+        """Unbilled; reads the header, not the entries."""
         return unpack_header(self._on(self.backend.get_range, version_id, 0, _HEADER.size))[1]
 
     def delete(self, version_id: int) -> None:
@@ -340,6 +254,10 @@ class BackendRecipeStore(RecipeStore):
                 if stem.isdigit():
                     ids.append(int(stem))
         return sorted(ids)
+
+    def latest_version(self) -> Optional[int]:
+        ids = self.version_ids()
+        return max(ids) if ids else None
 
 
 class FileRecipeStore(BackendRecipeStore):

@@ -42,8 +42,8 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from ..errors import ObjectMissingError, ReplicationError, ReproError
 from ..observability import MetricsRegistry, get_registry
 from .backend import RepoLocation, StorageBackend, parse_repo_spec
-from .container_store import BackendContainerStore, ContainerStore
-from .recipe import BackendRecipeStore, RecipeStore
+from .container_store import BackendContainerStore
+from .recipe import BackendRecipeStore
 
 __all__ = [
     "RepoStorage",
@@ -187,7 +187,7 @@ class RepoStorage:
     # ------------------------------------------------------------------
     # Engine stores
     # ------------------------------------------------------------------
-    def container_store(self) -> ContainerStore:
+    def container_store(self) -> BackendContainerStore:
         return BackendContainerStore(
             self.container_backend(),
             compress=self.compress,
@@ -195,7 +195,7 @@ class RepoStorage:
             prefix=_PREFIXES["container"],
         )
 
-    def recipe_store(self) -> RecipeStore:
+    def recipe_store(self) -> BackendRecipeStore:
         return BackendRecipeStore(
             self.primary(), prefix=_PREFIXES["recipe"], metrics=self.metrics
         )

@@ -255,7 +255,7 @@ class RepositoryMachine(RuleBasedStateMachine):
     def restore(self, pick, how):
         version = sorted(self.versions)[pick % len(self.versions)]
         tree = self.versions[version]
-        knobs = {"whole": {}, "workers": {"workers": 2, "readahead": 2}, "verify": {"verify": True}}
+        knobs = {"whole": {}, "workers": {"workers": 2}, "verify": {"verify": True}}
         if how == "file":
             name = sorted(tree)[pick % len(tree)]
             plan, data = self._op(lambda: self.repo.restore(version, file=name))

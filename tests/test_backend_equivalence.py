@@ -1,11 +1,10 @@
-"""Cross-backend equivalence: memory and file stores must behave identically.
+"""Cross-backend equivalence: an engine on the memory backend and one on
+file-backed stores must behave identically.
 
-The benchmarks run on in-memory stores; the CLI runs on file-backed ones.
-Any behavioural drift between the two backends (serialisation quirks,
-billing differences, ID allocation) would silently invalidate the
-benchmark results for real deployments — so we assert equality of every
-observable: dedup accounting, restore sequences, container-read counts,
-and chain shapes.
+Both run the same container and recipe stores; only the backend under them
+differs (``bytes`` in a dict against files read through mappings).  So we
+assert equality of every observable the backend could bend: dedup
+accounting, restore sequences, container-read counts, and chain shapes.
 """
 
 import pytest
@@ -13,12 +12,7 @@ import pytest
 from repro.core import HiDeStore, verify_system
 from repro.index import ExactFullIndex
 from repro.pipeline.system import BackupSystem
-from repro.storage import (
-    FileContainerStore,
-    FileRecipeStore,
-    MemoryContainerStore,
-    MemoryRecipeStore,
-)
+from repro.storage import FileContainerStore, FileRecipeStore
 from repro.units import KiB
 
 

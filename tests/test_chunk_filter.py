@@ -6,13 +6,14 @@ from repro.chunking.stream import Chunk, synthetic_fingerprint as fp
 from repro.core.chunk_filter import ActiveContainerPool
 from repro.core.double_cache import CacheEntry
 from repro.errors import StorageError, UnknownContainerError
-from repro.storage.container_store import MemoryContainerStore
+from repro.storage.backend import MemoryBackend
+from repro.storage.container_store import BackendContainerStore
 
 KB = 1024
 
 
 def make_pool(capacity=8 * KB, threshold=0.5):
-    store = MemoryContainerStore(capacity=capacity)
+    store = BackendContainerStore(MemoryBackend(), capacity=capacity)
     return ActiveContainerPool(store, compaction_threshold=threshold), store
 
 
@@ -156,7 +157,7 @@ class TestCompact:
         assert pool.stats.containers_merged == 2
 
     def test_invalid_threshold_rejected(self):
-        store = MemoryContainerStore()
+        store = BackendContainerStore(MemoryBackend())
         with pytest.raises(StorageError):
             ActiveContainerPool(store, compaction_threshold=1.5)
 

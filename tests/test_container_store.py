@@ -1,4 +1,4 @@
-"""Tests for container stores (memory + file backends) and I/O billing."""
+"""Tests for the container store (memory + file backends) and I/O billing."""
 
 import os
 
@@ -6,7 +6,9 @@ import pytest
 
 from repro.chunking.stream import Chunk, synthetic_fingerprint
 from repro.errors import StorageError, UnknownContainerError
-from repro.storage.container_store import FileContainerStore, MemoryContainerStore
+from repro.storage.backend import MemoryBackend
+from repro.storage.container import Container
+from repro.storage.container_store import BackendContainerStore, FileContainerStore
 
 
 def fill(container, tokens, size=100, with_data=False):
@@ -18,7 +20,7 @@ def fill(container, tokens, size=100, with_data=False):
 @pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
-        return MemoryContainerStore(capacity=10_000)
+        return BackendContainerStore(MemoryBackend(), capacity=10_000)
     return FileContainerStore(str(tmp_path / "containers"), capacity=10_000)
 
 
@@ -47,7 +49,7 @@ class TestCommonBehaviour:
         c = store.allocate()
         fill(c, [1])
         store.write(c)
-        c2 = MemoryContainerStore(capacity=10_000).allocate()  # same id 1
+        c2 = Container(1, 10_000)  # same id 1
         fill(c2, [2])
         with pytest.raises(StorageError):
             store.write(c2)
@@ -273,7 +275,6 @@ class TestCompressedStore:
 # ----------------------------------------------------------------------
 def _full_blob(slots=448):
     """A 4 MiB container of ``slots`` chunks, packed as stored."""
-    from repro.storage.container import Container
     from repro.storage.container_store import pack_container
 
     container = Container(7)

@@ -1,10 +1,14 @@
 """Tests for GC-free expired-version deletion (§4.5, §5.5)."""
 
+import os
+
 import pytest
 
 from repro.core.deletion import interrupted_expiries
 from repro.core.hidestore import HiDeStore
 from repro.errors import DeletionError, VersionNotFoundError
+from repro.repository import LocalRepository
+from repro.storage.backend import clear_backend_wrapper, install_backend_wrapper
 from repro.units import KiB
 
 
@@ -105,12 +109,12 @@ class TestSafetyRails:
     def test_cannot_delete_non_oldest(self, small_workload):
         system = build(small_workload)
         with pytest.raises(DeletionError):
-            system.deletion.delete_version(3, system.demotion_horizon)
+            system.deletion.delete_version(3, system.demotion_horizon, system.version_ids())
 
     def test_cannot_delete_unknown_version(self, small_workload):
         system = build(small_workload)
         with pytest.raises(DeletionError):
-            system.deletion.delete_version(99, system.demotion_horizon)
+            system.deletion.delete_version(99, system.demotion_horizon, system.version_ids())
 
     def test_retire_extends_horizon_to_newest(self, small_workload):
         system = build(small_workload)
@@ -154,3 +158,38 @@ class TestHistoryDepthInteraction:
         for version_id in system.version_ids():
             restored = list(system.restore_chunks(version_id))
             assert len(restored) == len(skip_workload.version(version_id))
+
+
+class ListingBackend:
+    """Backend proxy that counts ``list`` calls."""
+
+    def __init__(self, backend, listings):
+        self._backend = backend
+        self._listings = listings
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def list(self, prefix=""):
+        self._listings.append(prefix)
+        return self._backend.list(prefix)
+
+
+class TestOneListingPerExpiry:
+    @pytest.mark.parametrize("scheme", ["file", "sqlite"])
+    def test_delete_oldest_lists_the_recipes_once(self, tmp_path, scheme):
+        spec = str(tmp_path / "repo") if scheme == "file" else f"sqlite://{tmp_path}/repo.db"
+        listings = []
+        install_backend_wrapper(lambda backend: ListingBackend(backend, listings))
+        try:
+            repo = LocalRepository(spec)
+            for version in range(4):
+                data = bytes([version]) * 50_000 + os.urandom(20_000)
+                repo.backup_blocks([data], [("a.bin", len(data))], tag=f"v{version}")
+            for oldest in (1, 2):
+                del listings[:]
+                assert repo.delete_oldest()["version_id"] == oldest
+                assert listings == ["recipes/"]
+            repo.close()
+        finally:
+            clear_backend_wrapper()

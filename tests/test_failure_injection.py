@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.index import ExactFullIndex
 from repro.pipeline.system import BackupSystem
-from repro.storage import FileContainerStore, FileRecipeStore
+from repro.storage import FileContainerStore, FileRecipeStore, pack_container
 from repro.units import KiB
 from tests.conftest import make_stream
 
@@ -70,10 +70,11 @@ class TestWrongChunkInContainer:
         system = traditional(small_workload)
         recipe = system.recipes.peek(1)
         entry = recipe.entries[0]
-        container = system.containers.peek(entry.cid)
+        store = system.containers
+        container = store.peek(entry.cid)
         container.sealed = False
         container.remove(entry.fingerprint)
-        container.sealed = True
+        store.backend.put_meta(store._name(entry.cid), pack_container(container))
         with pytest.raises(UnknownChunkError):
             list(system.restore_chunks(1))
 

@@ -4,11 +4,10 @@ import pytest
 
 from repro.chunking.stream import synthetic_fingerprint
 from repro.errors import RecipeError, StorageError
-from repro.storage.backend import open_backend
+from repro.storage.backend import MemoryBackend, open_backend
 from repro.storage.recipe import (
     BackendRecipeStore,
     FileRecipeStore,
-    MemoryRecipeStore,
     Recipe,
     pack_recipe,
     unpack_recipe,
@@ -139,7 +138,7 @@ class TestPackedRows:
 @pytest.fixture(params=["memory", "file", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
-        return MemoryRecipeStore()
+        return BackendRecipeStore(MemoryBackend())
     if request.param == "sqlite":
         return BackendRecipeStore(open_backend(f"sqlite://{tmp_path}/r.db"), prefix="recipes/")
     return FileRecipeStore(str(tmp_path / "recipes"))
@@ -157,19 +156,6 @@ class TestRecipeStores:
         with pytest.raises(StorageError):  # a RecipeError, or the backend's refusal
             store.write(build_recipe(version=2, cids=(7,)))
         assert [e.cid for e in store.read(2)] == [0]
-
-    def test_only_a_local_store_replaces_and_a_file_is_never_absent(self, store):
-        """``replace`` is the traditional-GC baseline's alone, in memory;
-        every backend store refuses it, a directory's too, and leaves the
-        stored recipe as it was."""
-        store.write(build_recipe(version=2, cids=(0,)))
-        if isinstance(store, BackendRecipeStore):
-            with pytest.raises(RecipeError):
-                store.replace(build_recipe(version=2, cids=(7,)))
-            assert [e.cid for e in store.read(2)] == [0]
-            return
-        store.replace(build_recipe(version=2, cids=(7,)))
-        assert [e.cid for e in store.read(2)] == [7]
 
     def test_read_unknown_raises(self, store):
         with pytest.raises(RecipeError):

@@ -5,7 +5,8 @@ import pytest
 from repro.chunking.stream import synthetic_fingerprint as fp
 from repro.core.recipe_chain import RecipeChain
 from repro.errors import RecipeError
-from repro.storage.recipe import ACTIVE_CID, MemoryRecipeStore, Recipe, pack_recipe
+from repro.storage.backend import MemoryBackend
+from repro.storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, pack_recipe
 
 
 def fresh_recipe(version, tokens):
@@ -17,7 +18,7 @@ def fresh_recipe(version, tokens):
 
 @pytest.fixture
 def chain():
-    return RecipeChain(MemoryRecipeStore())
+    return RecipeChain(BackendRecipeStore(MemoryBackend()))
 
 
 class TestWriteFresh:

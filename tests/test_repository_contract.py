@@ -113,10 +113,10 @@ def test_restore_each_file_of_the_oldest_version(repo, two_versions):
 
 
 def test_restore_knobs(repo, two_versions, surface):
-    for knobs in ({}, {"workers": None}, {"workers": 1}, {"workers": 4, "readahead": 2},
+    for knobs in ({}, {"workers": None}, {"workers": 1}, {"workers": 4},
                   {"workers": 2, "verify": True}):
         assert restored(repo, 1, **knobs)[1] == joined(V1), knobs
-    for knobs in ({"workers": 0}, {"workers": 2, "readahead": 0}):
+    for knobs in ({"workers": 0},):
         with pytest.raises(RestoreError):
             repo.restore(1, **knobs)
         # Vetted before anything is opened or sent: a missing repository

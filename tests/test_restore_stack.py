@@ -6,7 +6,7 @@ Covers the restore-side pipeline end to end:
   byte-identical to the algorithm and billed identically, and an engine
   with another policy is refused by the pipelined path;
 * pipelined engine — parallel restores match serial ones byte for byte
-  (local and over the daemon) at every worker/readahead combination;
+  (local and over the daemon) at every worker count;
 * streaming ``materialize`` — bounded memory, ``.part`` + rename, no
   partial files after a mid-stream failure;
 * ``verify`` — corrupted container payloads raise typed errors instead of
@@ -37,7 +37,7 @@ from repro.engine.restore import execute_plan_prefetched, restore_stream
 from repro.errors import ReproError, RestoreError
 from repro.observability import MetricsRegistry
 from repro.pipeline.schemes import build_baseline
-from repro.repository import LocalRepository, materialize, read_tree
+from repro.repository import LocalRepository, materialize, read_tree, restore_workers
 from repro.restore import FAARestore, FAAScheduler, HotSetRestore, execute_plan
 from repro.restore.scheduler import ContainerRead, PlanSpan
 from repro.server import DaemonThread
@@ -161,17 +161,15 @@ class TestSchedulerLayer:
 # Pipelined engine
 # ----------------------------------------------------------------------
 class TestPrefetchedExecution:
-    @pytest.mark.parametrize("workers,readahead", [(2, None), (4, 2), (4, 16)])
-    def test_parallel_matches_serial(self, fragmented_system, workers, readahead):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_matches_serial(self, fragmented_system, workers):
         version = fragmented_system.version_ids()[-1]
         serial = [
             bytes(c.data) for c in restore_stream(fragmented_system, version)
         ]
         parallel = [
             bytes(c.data)
-            for c in restore_stream(
-                fragmented_system, version, workers=workers, readahead=readahead
-            )
+            for c in restore_stream(fragmented_system, version, workers=workers)
         ]
         assert parallel == serial
 
@@ -236,23 +234,17 @@ class TestPrefetchedExecution:
     def test_closing_with_reads_still_queued_returns(self, fragmented_system):
         # One reader, parked: the reads queued behind it are cancelled by
         # the close, which must still return.
-        stream, release, _order = self._parked(fragmented_system, workers=1, readahead=4)
+        stream, release, _order = self._parked(fragmented_system, workers=1)
         closer = threading.Thread(target=stream.close, daemon=True)
         closer.start()
         release.set()
         closer.join(30)
         assert not closer.is_alive()
 
-    def test_rejects_bad_knobs(self, fragmented_system):
-        version = fragmented_system.version_ids()[-1]
+    def test_rejects_bad_knobs(self):
+        # Vetted once, where every front end takes its knobs.
         with pytest.raises(RestoreError):
-            list(restore_stream(fragmented_system, version, workers=0))
-        with pytest.raises(RestoreError):
-            list(
-                restore_stream(
-                    fragmented_system, version, workers=2, readahead=0
-                )
-            )
+            restore_workers(0)
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +381,7 @@ class TestDaemonRestorePath:
         with DaemonThread(str(tmp_path / "served"), restore_workers=4) as address:
             with RemoteRepository(address, "alpha") as repo:
                 repo.backup_tree(entries, tag="snap")
-                plan, data = repo.restore(1, workers=4, readahead=8)
+                plan, data = repo.restore(1, workers=4)
                 materialize(plan, data, str(tmp_path / "out"))
                 stats = repo.stats()
         assert tree_bytes(str(tmp_path / "out")) == files

@@ -97,7 +97,7 @@ CASES = [
     (1, {}),
     (1, {"file": "sub/b.bin"}),
     (2, {"verify": True}),
-    (2, {"workers": 4, "readahead": 8}),
+    (2, {"workers": 4}),
     (3, {}),
     (4, {}),
 ]
@@ -149,7 +149,8 @@ def test_local_daemon_and_cluster_restore_identical_bytes(tmp_path):
                 remote.backup_tree(entries)
             framed = restore_all(remote)
             frames = remote.stats()["metrics"]["counters"]["restore.frames"]
-        old_blocks, end = old_style_restore(address, 5)
+        # An old client's request, with the since-dropped ``readahead`` knob.
+        old_blocks, end = old_style_restore(address, 5, workers=2, readahead=8)
     assert [b"".join(blocks) for blocks in framed] == expected
     # Every frame but a stream's last carries exactly RESTORE_BLOCK bytes.
     for blocks in framed:

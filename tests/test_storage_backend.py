@@ -1,4 +1,4 @@
-"""Storage-backend protocol contract: file, SQLite and object-store.
+"""Storage-backend protocol contract: memory, file, SQLite and object-store.
 
 One parametrized suite drives every backend through the same surface —
 immutable ``put``, mutable ``put_meta``, ranged ``get_range``, listing,
@@ -9,20 +9,24 @@ engine stores and the replication layer rely on.  Also covered here:
   the request log the CI smoke job asserts parallelism from);
 * repo-spec parsing (:class:`RepoLocation`) including tiered
   ``?archive=`` specs and per-tenant ``child()`` composition;
-* the :class:`ContainerStore` ID-allocation contract (``next_id`` /
+* the :class:`BackendContainerStore` ID-allocation contract (``next_id`` /
   ``reserve_ids`` / resume-above-highest) across every store kind.
 """
 
+import os
 import threading
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.chunking.stream import Chunk, synthetic_fingerprint
 from repro.errors import ObjectMissingError, StorageError, UnknownChunkError
+from repro.repository import LocalRepository
 from repro.storage.backend import (
     FileBackend,
+    MemoryBackend,
     RepoLocation,
     SQLiteBackend,
     StorageBackend,
@@ -33,7 +37,6 @@ from repro.storage.backend import (
 from repro.storage.container_store import (
     BackendContainerStore,
     FileContainerStore,
-    MemoryContainerStore,
 )
 from repro.storage import fake_s3
 from repro.storage.fake_s3 import FakeS3Server
@@ -46,9 +49,11 @@ def s3_server():
         yield server
 
 
-@pytest.fixture(params=["file", "sqlite", "s3"])
+@pytest.fixture(params=["memory", "file", "sqlite", "s3"])
 def backend(request, tmp_path, s3_server):
-    if request.param == "file":
+    if request.param == "memory":
+        b = MemoryBackend()
+    elif request.param == "file":
         b = FileBackend(str(tmp_path / "objs"))
     elif request.param == "sqlite":
         b = SQLiteBackend(str(tmp_path / "objs.db"))
@@ -286,8 +291,26 @@ class TestRepoLocation:
             b.close()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_sqlite_close_closes_every_threads_connection(tmp_path):
+    path = str(tmp_path / "t.db")
+    repo = LocalRepository(f"sqlite://{path}")
+    data = os.urandom(100_000)
+    repo.backup_blocks([data], [("a.bin", len(data))], tag="v1")
+    with ThreadPoolExecutor(max_workers=1) as pool:  # its thread outlives the close
+        assert pool.submit(lambda: b"".join(repo.restore(1)[1])).result() == data
+        repo.close()
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                held.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # the listing's own descriptor, gone already
+                pass
+        assert [link for link in held if link.startswith(path)] == []
+
+
 # ----------------------------------------------------------------------
-# ContainerStore ID-allocation contract (reserve_ids / next_id resume)
+# BackendContainerStore ID-allocation contract (reserve_ids / next_id resume)
 # ----------------------------------------------------------------------
 def _fill(container, tokens, size=100):
     for t in tokens:
@@ -298,8 +321,8 @@ def _fill(container, tokens, size=100):
 def id_store_factory(request, tmp_path, s3_server):
     """A factory producing stores over the *same* persistent location."""
     if request.param == "memory":
-        store = MemoryContainerStore(capacity=10_000)
-        return lambda: store  # memory has no reopen; same instance
+        backend = MemoryBackend()  # a reopen is a new store over the same dict
+        return lambda: BackendContainerStore(backend, capacity=10_000)
     if request.param == "file":
         return lambda: FileContainerStore(str(tmp_path / "c"), capacity=10_000)
     if request.param == "sqlite":

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.errors import IndexError_, ReproError
 from repro.index import ExactFullIndex
 from repro.pipeline.system import BackupSystem
-from repro.storage import FileContainerStore, FileRecipeStore
+from repro.storage import FileContainerStore, FileRecipeStore, pack_recipe
 from repro.units import KiB
 from tests.conftest import make_stream, random_payload_stream
 from tests.verify_oracle import CORRUPTIONS, NotApplicable, assert_matches_oracle
@@ -43,7 +43,9 @@ class TestVerifyTraditional:
     def test_detects_corrupt_recipe_size(self, small_workload):
         system = BackupSystem(ExactFullIndex(), container_size=64 * KiB)
         system.backup(small_workload.version(1))
-        system.recipes.peek(1).entries[0].size += 1
+        recipe = system.recipes.peek(1)
+        recipe.entries[0].size += 1
+        system.recipes.backend.put_meta(system.recipes._name(1), pack_recipe(recipe))
         report = verify_system(system)
         assert any("size mismatch" in issue for issue in report.issues)
 

@@ -202,11 +202,8 @@ def _hidestore_only(system):
 
 def _rewrite_blob(system, cid, edit):
     store = system.containers
-    backend = getattr(store, "backend", None)
-    if backend is None:
-        raise NotApplicable("memory stores hold objects, not blobs")
     name = store._name(cid)
-    backend.put_meta(name, edit(backend.get(name)))
+    store.backend.put_meta(name, edit(store.backend.get(name)))
 
 
 def clean(system):
@@ -234,26 +231,17 @@ def truncated_plus_missing(system):
 def garbage_orphan_container(system):
     """An unreadable container no recipe references."""
     store = system.containers
-    if not hasattr(store, "backend"):
-        raise NotApplicable("memory stores hold objects, not blobs")
     store.backend.put_meta(store._name(store.next_id + 3), b"not a container")
 
 
 def payload_bitflip(system):
     """A flipped payload byte: the blob still unpacks cleanly."""
     cid = _referenced_cids(system)[0]
-    if hasattr(system.containers, "backend"):
-        # The payload region sits at the end of the blob.
-        _rewrite_blob(system, cid, lambda blob: blob[:-4] + bytes([blob[-4] ^ 0xFF]) + blob[-3:])
-        return
-    from repro.storage.container import ChunkSlot
-
-    container = system.containers.peek(cid)
-    fp, slot = next(iter(container.items()))
+    _fp, slot = next(iter(system.containers.peek(cid).items()))
     if slot.data is None:
         raise NotApplicable("metadata-only chunks have no payload to flip")
-    flipped = bytes([slot.data[0] ^ 0xFF]) + slot.data[1:]
-    container._slots[fp] = ChunkSlot(slot.offset, slot.size, flipped)
+    # The payload region sits at the end of the blob.
+    _rewrite_blob(system, cid, lambda blob: blob[:-4] + bytes([blob[-4] ^ 0xFF]) + blob[-3:])
 
 
 def recipe_size_mismatch(system):
