@@ -161,7 +161,8 @@ class TestSchedulerLayer:
 # Pipelined engine
 # ----------------------------------------------------------------------
 class TestPrefetchedExecution:
-    @pytest.mark.parametrize("workers", [2, 4])
+    # workers=8 keeps a 16-read window (max(2, 2 x workers)) under test.
+    @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_parallel_matches_serial(self, fragmented_system, workers):
         version = fragmented_system.version_ids()[-1]
         serial = [
