@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import DeletionError
 from ..storage.container_store import BackendContainerStore
@@ -43,6 +43,9 @@ def interrupted_expiries(tagged: Iterable[int], retained: Iterable[int]) -> List
 
 @dataclass
 class DeletionStats:
+    #: The version one :meth:`DeletionManager.delete_version` call expired
+    #: (``None`` on the manager's running totals).
+    version_id: Optional[int] = None
     versions_deleted: int = 0
     containers_deleted: int = 0
     bytes_reclaimed: int = 0
@@ -116,7 +119,7 @@ class DeletionManager:
                 f"yet (horizon {demotion_horizon}); back up more versions or "
                 "retire the system first"
             )
-        call_stats = DeletionStats()
+        call_stats = DeletionStats(version_id=version)
         self.recipes.delete(version)
         for cid in self._tagged.pop(version, []):
             # The entry table says how many bytes go: no payload is decoded.

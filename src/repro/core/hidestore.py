@@ -397,14 +397,11 @@ class HiDeStore(RestoreMixin):
             return self._next_version - 1
         return self._next_version - 1 - self.history_depth
 
-    def delete_oldest(self, retained: Optional[List[int]] = None) -> DeletionStats:
-        """Expire the oldest retained version (GC-free).
-
-        ``retained`` is the version ids with a stored recipe, oldest first,
-        when the caller has listed them already; the store is listed once.
-        """
+    def delete_oldest(self) -> DeletionStats:
+        """Expire the oldest retained version (GC-free); the returned
+        stats name it.  The recipe store is listed once."""
         self.run_maintenance()
-        versions = self.recipes.version_ids() if retained is None else retained
+        versions = self.recipes.version_ids()
         if not versions:
             raise VersionNotFoundError("no versions to delete")
         stats = self.deletion.delete_version(versions[0], self.demotion_horizon, versions)

@@ -779,24 +779,20 @@ class LocalRepository(Repository):
 
     def delete_oldest(self) -> Dict:
         store = self._open_writer()
-        versions = store.recipes.version_ids()
-        if not versions:
-            raise VersionNotFoundError("repository is empty")
-        oldest = versions[0]
         try:
-            stats = store.delete_oldest(versions)
-            self.storage.delete_manifest(oldest)
+            stats = store.delete_oldest()
+            self.storage.delete_manifest(stats.version_id)
             if self.storage.has_checkpoint():
                 self._save_checkpoint(store)  # nothing dirty: the head alone
-        except DeletionError:
-            raise  # refused before anything changed
+        except (DeletionError, VersionNotFoundError):
+            raise  # refused (an empty repository, say) before anything changed
         except BaseException:
             # Died between the recipe and the head: the next open rolls the
             # expiry forward from the stored objects.
             self.invalidate()
             raise
         return {
-            "version_id": oldest,
+            "version_id": stats.version_id,
             "containers_deleted": stats.containers_deleted,
             "bytes_reclaimed": stats.bytes_reclaimed,
             "delete_seconds": stats.delete_seconds,

@@ -523,9 +523,9 @@ class SQLiteBackend:
             )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            with self._conns_lock:
+            with self._conns_lock:  # atomic with close()'s swap and clear
                 self._conns.add(conn)
-            self._local.conn = conn
+                self._local.conn = conn
         return conn
 
     def _cursor(self) -> "_SqliteTxn":

@@ -63,6 +63,7 @@ class TestDeleteOldest:
         tagged = system.deletion.containers_for(1)
         stats = system.delete_oldest()
         assert 1 not in system.recipes
+        assert stats.version_id == 1
         assert stats.versions_deleted == 1
         assert stats.containers_deleted == len(tagged)
         for cid in tagged:

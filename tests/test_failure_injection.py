@@ -159,8 +159,13 @@ class TestHiDeStoreStateCorruption:
     def test_restore_of_unflattened_deleted_chain_raises(self, small_workload):
         """Breaking the chain by hand must surface, not wrap around."""
         system = hidestore(small_workload)
-        # Point v1's first entry at a recipe that will never exist.
-        system.recipes.peek(1).entries[0].cid = -99
+        # Point v1's first entry at a recipe that will never exist, in the
+        # stored recipe (the recipe is replaced, as bit rot or a bad copy would).
+        recipe = system.recipes.peek(1)
+        recipe.entries[0].cid = -99
+        system.recipes.delete(1)
+        system.recipes.write(recipe)
+        assert system.recipes.peek(1).entries[0].cid == -99
         # Flatten treats "past newest" as active; the chunk is genuinely
         # active here, so restore still works...
         restored = list(system.restore_chunks(1))
