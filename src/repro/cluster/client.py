@@ -52,6 +52,9 @@ from ..observability import EventLogger, MetricsRegistry, get_registry
 from ..repository import FilePlan, Repository, restore_workers
 from .map import ClusterMap, NodeSpec, newer_map
 
+#: Seconds between map re-polls while a failed write waits for a promotion.
+WRITE_RETRY_INTERVAL = 0.25
+
 
 def failover_worthy(exc: BaseException) -> bool:
     """Should this failure move the request to the next placement node?
@@ -89,8 +92,8 @@ class ClusterClient:
         write_retry_timeout: how long (seconds) a failed *write* may wait
             for a failover promotion to surface a new primary before
             giving up (0 disables write retries entirely — the original
-            failure propagates).
-        write_retry_interval: map re-poll cadence inside that window.
+            failure propagates); the map is re-polled every
+            :data:`WRITE_RETRY_INTERVAL` seconds inside that window.
     """
 
     def __init__(
@@ -104,7 +107,6 @@ class ClusterClient:
         event_log: Optional[EventLogger] = None,
         metrics: Optional[MetricsRegistry] = None,
         write_retry_timeout: float = 15.0,
-        write_retry_interval: float = 0.25,
         retry_budget_seconds: float = 0.0,
     ) -> None:
         self.seeds = [s.strip() for s in seeds if s and s.strip()]
@@ -119,7 +121,6 @@ class ClusterClient:
         self.events = event_log if event_log is not None else EventLogger()
         self.metrics = metrics if metrics is not None else get_registry()
         self.write_retry_timeout = write_retry_timeout
-        self.write_retry_interval = write_retry_interval
         #: True when the last :meth:`refresh` could not reach ANY node and
         #: is serving a possibly stale cached map (``cluster status`` shows
         #: this so an operator knows the routing picture may be old).
@@ -352,24 +353,23 @@ class RoutedRepository(Repository):
         """
         nodes = self.client.placement(self.repo)
         self.client.metrics.inc("cluster.client_requests_routed")
+        return self._walk(op_name, nodes, 0, operation)[1]
+
+    def _walk(self, op_name: str, nodes: List[NodeSpec], start: int, operation):
+        """The one placement walk: ``operation`` on each of ``nodes[start:]``
+        in turn until one answers; returns ``(index, answer)``.  A transport
+        failure moves on (a ``cluster_failover``), anything typed propagates."""
         errors: List[str] = []
-        for index, node in enumerate(nodes):
+        for index in range(start, len(nodes)):
+            node = nodes[index]
             try:
-                return operation(self.client.remote(node.address, self.repo))
+                return index, operation(self.client.remote(node.address, self.repo))
             except BaseException as exc:
                 if not failover_worthy(exc):
                     raise
                 errors.append(f"{node.name} ({node.address}): {type(exc).__name__}: {exc}")
                 if index + 1 < len(nodes):
-                    self.client.metrics.inc("cluster.client_failovers")
-                    self.client.events.log(
-                        "cluster_failover",
-                        repo=self.repo,
-                        op=op_name,
-                        failed_node=node.name,
-                        next_node=nodes[index + 1].name,
-                        error=type(exc).__name__,
-                    )
+                    self._note_failover(op_name, node, nodes[index + 1], exc)
         raise ClusterError(
             f"all {len(nodes)} copy holders of {self.repo!r} failed for "
             f"{op_name}: " + "; ".join(errors)
@@ -415,7 +415,7 @@ class RoutedRepository(Repository):
                     f"primary within {client.write_retry_timeout:.1f}s: "
                     f"{type(last_error).__name__}: {last_error}"
                 ) from last_error
-            time.sleep(min(client.write_retry_interval, remaining))
+            time.sleep(min(WRITE_RETRY_INTERVAL, remaining))
             try:
                 fresh = client.refresh()
             except ClusterError as exc:
@@ -494,32 +494,16 @@ class RoutedRepository(Repository):
         self.client.metrics.inc("cluster.client_requests_routed")
         kwargs = dict(workers=workers, verify=verify, file=file)
 
-        def open_on(start: int, skip: int) -> Tuple[int, FilePlan, Iterator[bytes]]:
+        def open_on(start: int, skip: int) -> Tuple[int, Tuple[FilePlan, Iterator[bytes]]]:
             """Open on nodes[start:], discarding ``skip`` already-yielded bytes."""
-            errors: List[str] = []
-            for index in range(start, len(nodes)):
-                node = nodes[index]
-                try:
-                    plan, data = self.client.remote(node.address, self.repo).restore(
-                        version_id, **kwargs
-                    )
-                    if skip:
-                        data = _skip_bytes(data, skip)
-                    return index, plan, data
-                except BaseException as exc:
-                    if not failover_worthy(exc):
-                        raise
-                    errors.append(
-                        f"{node.name} ({node.address}): {type(exc).__name__}: {exc}"
-                    )
-                    if index + 1 < len(nodes):
-                        self._note_failover("restore_open", node, nodes[index + 1], exc)
-            raise ClusterError(
-                f"all copy holders of {self.repo!r} failed to serve version "
-                f"{version_id}: " + "; ".join(errors)
-            )
 
-        index, plan, data = open_on(0, 0)
+            def open_one(remote: RemoteRepository) -> Tuple[FilePlan, Iterator[bytes]]:
+                plan, data = remote.restore(version_id, **kwargs)
+                return plan, _skip_bytes(data, skip) if skip else data
+
+            return self._walk("restore_open", nodes, start, open_one)
+
+        index, (plan, data) = open_on(0, 0)
 
         def stream() -> Iterator[bytes]:
             at, current = index, data
@@ -537,7 +521,7 @@ class RoutedRepository(Repository):
                     self._note_failover(
                         "restore_stream", nodes[at], nodes[at + 1], exc, bytes_done=yielded
                     )
-                    at, _plan, current = open_on(at + 1, yielded)
+                    at, (_plan, current) = open_on(at + 1, yielded)
                     self.client.metrics.observe(
                         "cluster.failover_resume_seconds",
                         time.perf_counter() - started,

@@ -35,7 +35,6 @@ from ..restore.faa import FAARestore
 from ..storage.container import Container
 from ..storage.backend import MemoryBackend
 from ..storage.container_store import BackendContainerStore
-from ..storage.io_model import IOStats
 from ..storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, RecipeEntry
 from ..units import CONTAINER_SIZE, RECIPE_ENTRY_SIZE
 from .chunk_filter import ActiveContainerPool
@@ -94,19 +93,16 @@ class HiDeStore(RestoreMixin):
         deferred_maintenance: bool = False,
         chunker: Optional[BaseChunker] = None,
     ) -> None:
-        self.io = IOStats()
         self.containers = (
             container_store
             if container_store is not None
-            else BackendContainerStore(MemoryBackend(), container_size, self.io)
+            else BackendContainerStore(MemoryBackend(), container_size)
         )
-        self.containers.stats = self.io
         self.recipes = (
-            recipe_store
-            if recipe_store is not None
-            else BackendRecipeStore(MemoryBackend(), self.io)
+            recipe_store if recipe_store is not None else BackendRecipeStore(MemoryBackend())
         )
-        self.recipes.stats = self.io
+        # One ledger per engine: the container store's, shared with the recipes.
+        self.io = self.recipes.stats = self.containers.stats
         self.cache = DoubleHashCache(history_depth)
         self.pool = ActiveContainerPool(self.containers, compaction_threshold)
         self.chain = RecipeChain(self.recipes)
@@ -304,24 +300,20 @@ class HiDeStore(RestoreMixin):
     # Restore path (§4.4) — the shared RestoreMixin implementation over
     # three HiDeStore-specific hooks.
     # ------------------------------------------------------------------
-    def _restore_rows(self, version_id, load, rows=None, metrics=None):
+    def _restore_rows(self, version_id, load, rows=None):
         """Drain queued filter work, decode ``R_version`` once and resolve the
         rows ``rows`` picks, writing nothing.  A row nothing resolves (a
         recipe replaced behind the engine) rebuilds the index once, then is a
-        :class:`RestoreError`; ``restore.index_builds`` counts every build."""
+        :class:`RestoreError`; the ledger counts every build."""
         self.run_maintenance()
         entries = pick_rows(load(version_id), rows)
         with self._lock:
-            builds = self.chain.stats.index_builds
             try:
                 return self._resolve_restore_entries(entries, version_id, load)
             except RestoreError:
                 self.chain.index = None
                 self.chain.archival_index(load)
                 return self._resolve_restore_entries(entries, version_id, load)
-            finally:
-                if metrics is not None and self.chain.stats.index_builds > builds:
-                    metrics.inc("restore.index_builds", self.chain.stats.index_builds - builds)
 
     def _read_container(self, cid: int) -> Container:
         if cid in self.pool:

@@ -290,7 +290,7 @@ def restore_stream(
     so locating it costs no second recipe read.
     """
     registry = metrics if metrics is not None else get_registry()
-    entries = system.resolved_restore_range(version_id, rows, registry)
+    entries = system.resolved_restore_range(version_id, rows)
     plan = system.restore_scheduler().plan(entries)
     reader = system._read_container
     chunk_reader = getattr(system, "_read_container_chunks", None)

@@ -17,7 +17,8 @@ caches, sampled sparse indexes, similarity hashes), so the interface exposes:
 
 Disk-probe accounting: every probe that would hit the platter in the real
 system (full-index lookup, champion-manifest load, similarity-block load)
-increments ``disk_lookups`` — the paper's Figure 9 "lookup requests" metric.
+is billed to the engine's ledger (``io_stats.index_lookups``) — the paper's
+Figure 9 "lookup requests" metric.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from ..storage.io_model import IOStats
 
 @dataclass
 class IndexStats:
-    """Counters every index keeps; the source of Figures 9 and 10."""
+    """Counters every index keeps (on-disk probes go to the ledger)."""
 
     lookups: int = 0  # chunks classified
     cache_hits: int = 0  # answered from memory
-    disk_lookups: int = 0  # on-disk probes (Fig. 9 numerator)
     duplicates: int = 0
     uniques: int = 0
 
@@ -96,12 +96,8 @@ class FingerprintIndex(ABC):
         credits HiDeStore with near-zero index overhead).
         """
 
-    def _bill_disk_lookup(self, count: int = 1) -> None:
-        self.stats.disk_lookups += count
-        self.io_stats.note_index_lookup(count)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"{type(self).__name__}(lookups={self.stats.lookups}, "
-            f"disk={self.stats.disk_lookups}, mem={self.memory_bytes})"
+            f"disk={self.io_stats.index_lookups}, mem={self.memory_bytes})"
         )

@@ -116,7 +116,7 @@ class BLCIndex(FingerprintIndex):
                 results.append(None)
                 continue
             # Miss: probe the full on-disk index (billed).
-            self._bill_disk_lookup()
+            self.io_stats.note_index_lookup()
             cid = self._table.get(fp)
             if cid is None:
                 self.stats.note_classification(False)

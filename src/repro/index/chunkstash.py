@@ -11,10 +11,9 @@ disk" answer to the index bottleneck.  The design reproduced here:
 * a lookup whose signature is absent is definitely new (no I/O at all);
   a signature match goes to flash to confirm (rarely a false match).
 
-Accounting: flash probes are counted in ``stats.cache_hits``' sibling
-counter :attr:`flash_lookups` and in IOStats' generic index-lookup channel
-(scaled would be unfair — the paper's Fig. 9 counts *disk* lookups, which
-ChunkStash by construction has none of), so ``stats.disk_lookups`` stays 0.
+Accounting: flash probes are counted in :attr:`flash_lookups` only, not
+in the ledger (the paper's Fig. 9 counts *disk* lookups, which ChunkStash
+by construction has none of), so ``io_stats.index_lookups`` stays 0.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class DDFSIndex(FingerprintIndex):
             self.stats.note_classification(False)
             return None
         # 3. On-disk full index (billed), possible Bloom false positive.
-        self._bill_disk_lookup()
+        self.io_stats.note_index_lookup()
         cid = self._table.get(fp)
         if cid is None:
             self.stats.note_classification(False)

@@ -73,7 +73,7 @@ class ExtremeBinningIndex(FingerprintIndex):
             self._pending_bin = bin_id
             # One disk access loads the bin (even for whole-file duplicates
             # the chunk locations must be read for the recipe).
-            self._bill_disk_lookup()
+            self.io_stats.note_index_lookup()
             known = self._bins[bin_id]
             if stored_hash == whole:
                 self.whole_file_hits += 1

@@ -29,7 +29,7 @@ class ExactFullIndex(FingerprintIndex):
     def lookup_batch(self, chunks: Sequence[Chunk]) -> List[Optional[int]]:
         results: List[Optional[int]] = []
         for chunk in chunks:
-            self._bill_disk_lookup()
+            self.io_stats.note_index_lookup()
             cid = self._table.get(chunk.fingerprint)
             self.stats.note_classification(cid is not None)
             results.append(cid)

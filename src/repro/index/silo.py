@@ -61,7 +61,7 @@ class SiLoIndex(FingerprintIndex):
         if block_id in self._cache:
             self._cache.move_to_end(block_id)
             return self._cache[block_id]
-        self._bill_disk_lookup()
+        self.io_stats.note_index_lookup()
         block = self._blocks[block_id]
         self._cache[block_id] = block
         while len(self._cache) > self.cache_blocks:

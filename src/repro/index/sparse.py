@@ -78,7 +78,7 @@ class SparseIndex(FingerprintIndex):
         # Loading each champion manifest is one random disk read.
         known: Dict[bytes, int] = {}
         for manifest_id in champions:
-            self._bill_disk_lookup()
+            self.io_stats.note_index_lookup()
             known.update(self._manifests[manifest_id])
 
         results: List[Optional[int]] = []

@@ -1,7 +1,7 @@
 """A dependency-free, thread-safe metrics registry.
 
 Three instrument kinds, all keyed by dotted names (``server.backup_seconds``,
-``store.container_read_bytes``):
+``repo.chunking_seconds``):
 
 * :class:`Counter` — monotonically increasing integer/float totals;
 * :class:`Gauge` — a point-in-time value (queue depth, active sessions);

@@ -33,7 +33,6 @@ from ..restore.base import RestoreAlgorithm, RestoreResult
 from ..restore.faa import FAARestore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observability import MetricsRegistry
     from ..restore.scheduler import RestoreScheduler
     from ..storage.container import Container
     from ..storage.recipe import Recipe, RecipeEntry
@@ -105,12 +104,10 @@ class RestoreMixin:
         version_id: int,
         load: "Callable[[int], Recipe]",
         rows: "Optional[RowPicker]" = None,
-        metrics: "Optional[MetricsRegistry]" = None,
     ) -> "List[RecipeEntry]":
         """Hook: the rows of ``load(version_id)`` that ``rows`` picks (all
         of them by default) with concrete container IDs, the store brought
-        into a restorable state first (default: the rows as recorded).
-        ``metrics`` receives what the hook counts."""
+        into a restorable state first (default: the rows as recorded)."""
         return pick_rows(load(version_id), rows)
 
     def _read_container(self, cid: int) -> "Container":
@@ -138,7 +135,6 @@ class RestoreMixin:
         self,
         version_id: int,
         rows: "Optional[RowPicker]" = None,
-        metrics: "Optional[MetricsRegistry]" = None,
     ) -> "List[RecipeEntry]":
         """Prepare the store and resolve a version's entries for restoring.
 
@@ -152,7 +148,7 @@ class RestoreMixin:
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")
-        return self._restore_rows(version_id, self.recipes.read, rows, metrics)
+        return self._restore_rows(version_id, self.recipes.read, rows)
 
     def restore_scheduler(self) -> "RestoreScheduler":
         """The plan scheduler of this engine's FAA policy.

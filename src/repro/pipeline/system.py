@@ -25,7 +25,6 @@ from ..rewriting.none import NoRewriter
 from ..storage.container import Container
 from ..storage.backend import MemoryBackend
 from ..storage.container_store import BackendContainerStore
-from ..storage.io_model import IOStats
 from ..storage.recipe import BackendRecipeStore, Recipe
 from ..units import CONTAINER_SIZE
 from ..reports import BackupReport, SystemReport
@@ -63,22 +62,19 @@ class BackupSystem(RestoreMixin):
         restorer: Optional[RestoreAlgorithm] = None,
         container_size: int = CONTAINER_SIZE,
     ) -> None:
-        self.io = IOStats()
         self.index = index
-        self.index.io_stats = self.io
         self.rewriter = rewriter if rewriter is not None else NoRewriter()
         self.containers = (
             container_store
             if container_store is not None
-            else BackendContainerStore(MemoryBackend(), container_size, self.io)
+            else BackendContainerStore(MemoryBackend(), container_size)
         )
-        self.containers.stats = self.io
         self.recipes = (
-            recipe_store
-            if recipe_store is not None
-            else BackendRecipeStore(MemoryBackend(), self.io)
+            recipe_store if recipe_store is not None else BackendRecipeStore(MemoryBackend())
         )
-        self.recipes.stats = self.io
+        # One ledger per engine: the container store's, shared with the
+        # recipes and the index.
+        self.io = self.recipes.stats = self.index.io_stats = self.containers.stats
         self.restorer = restorer if restorer is not None else FAARestore()
         self.container_size = container_size
         self._open: Optional[Container] = None
@@ -99,7 +95,7 @@ class BackupSystem(RestoreMixin):
         self.index.begin_version(version_id, tag)
         self.rewriter.begin_version(version_id, tag)
 
-        lookups_before = self.index.stats.disk_lookups
+        lookups_before = self.io.index_lookups
 
         # Phase 1: classify every chunk (batched by the index's segment size).
         lookups: List[Optional[int]] = []
@@ -146,7 +142,7 @@ class BackupSystem(RestoreMixin):
         self.index.end_version()
         self.rewriter.end_version()
 
-        report.disk_index_lookups = self.index.stats.disk_lookups - lookups_before
+        report.disk_index_lookups = self.io.index_lookups - lookups_before
         report.containers_written = len(self.containers) - containers_before
         report.elapsed_seconds = time.perf_counter() - started
 

@@ -8,8 +8,8 @@ FailoverController`; :meth:`BackupDaemon._run` performs the I/O its actions
 name (a probe, a deep verify, a map offer, a resync) and feeds each outcome
 back.
 
-Shutdown is a graceful drain: the listener closes, new backups are
-refused (``ServerDrainingError``), in-flight sessions get
+Shutdown is a graceful drain: the listener closes, new connections and
+backups are refused (``ServerDrainingError``), in-flight sessions get
 ``drain_timeout`` seconds to finish, stragglers are cancelled into the
 rollback path.
 """
@@ -222,6 +222,11 @@ class BackupDaemon:
 
     async def _accept(self, reader, writer) -> None:
         session = _Session(self, reader, writer)
+        if self.draining:
+            # Refused unregistered: shutdown has already taken the sessions
+            # it drains, so it would neither await nor cancel this one.
+            await session.refuse()
+            return
         task = asyncio.current_task()
         self._sessions.add(task)
         try:
@@ -539,6 +544,13 @@ class DaemonThread:
         self._ready.set()
         if self._startup_error is None:
             self._loop.run_forever()
+        # End what is left while the loop still runs: a task closed with
+        # the loop would run its ``finally`` (a writer's close) on a dead one.
+        pending = asyncio.all_tasks(self._loop)
+        for task in pending:
+            task.cancel()
+        if pending:
+            self._loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
         self._loop.close()
 
     def start(self) -> str:

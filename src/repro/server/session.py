@@ -347,6 +347,17 @@ class _Session:
             except (ConnectionError, OSError):
                 pass
 
+    async def refuse(self) -> None:
+        """Answer a draining daemon's new connection: its HELLO gets
+        ``ServerDrainingError`` and the connection closes."""
+        try:
+            await read_frame(self.reader)
+            await self._send_error(ServerDrainingError("server is draining; connect elsewhere"))
+        except (asyncio.IncompleteReadError, ConnectionError, ProtocolError):
+            pass
+        finally:
+            self.writer.close()
+
     async def _handshake(self) -> None:
         ftype, payload = await read_frame(self.reader)
         if ftype != FrameType.HELLO:

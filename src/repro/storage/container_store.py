@@ -4,9 +4,9 @@
 blobs on any :class:`~repro.storage.backend.StorageBackend`: a
 repository's ``file://``, ``sqlite://`` or ``s3://`` backend, or the
 :class:`~repro.storage.backend.MemoryBackend` an engine built without
-stores keeps them in (simulations and benchmarks).  Every read bills
-:class:`~repro.storage.io_model.IOStats`, which is what the paper's metrics
-are computed from.  On backends that prefer ranged reads it can fetch only
+stores keeps them in (simulations and benchmarks).  Every read and write
+bills :class:`~repro.storage.io_model.IOStats`, the ledger the paper's
+metrics are computed from and the service's ``store.*`` metrics mirror.  On backends that prefer ranged reads it can fetch only
 the chunk ranges a restore plan needs
 (:meth:`~BackendContainerStore.read_chunks`) instead of whole blobs.
 :class:`FileContainerStore` is the same store over a bare directory.
@@ -44,7 +44,6 @@ from ..errors import (
     UnknownChunkError,
     UnknownContainerError,
 )
-from ..observability import MetricsRegistry, get_registry
 from ..units import CONTAINER_SIZE, FINGERPRINT_SIZE
 from .backend import FileBackend, StorageBackend, wrap_backend
 from .container import Container
@@ -181,8 +180,6 @@ class BackendContainerStore:
         stats: the read/write ledger billed (a fresh one by default).
         compress: zlib-compress container blobs (transparent on read;
             compressed and plain blobs can coexist in one store).
-        metrics: registry for container I/O histograms/counters (defaults
-            to the process registry).
         prefix: object-name prefix, e.g. ``"containers/"`` when the
             backend holds a whole repository.
     """
@@ -193,7 +190,6 @@ class BackendContainerStore:
         capacity: int = CONTAINER_SIZE,
         stats: Optional[IOStats] = None,
         compress: bool = False,
-        metrics: Optional["MetricsRegistry"] = None,
         prefix: str = "",
     ) -> None:
         self.capacity = capacity
@@ -208,7 +204,6 @@ class BackendContainerStore:
         self.backend = backend
         self.prefix = prefix
         self.compress = compress
-        self.metrics = metrics if metrics is not None else get_registry()
         self.backend.sweep_tmp(prefix.rstrip("/"))
         self._next_id = max(self.container_ids(), default=0) + 1
 
@@ -260,9 +255,9 @@ class BackendContainerStore:
         if self.compress:
             blob = _COMPRESSED_MAGIC + zlib.compress(blob, level=1)
         self.backend.put(name, blob)
-        self.stats.note_container_write(container.used)
-        self.metrics.observe("store.container_write_seconds", time.perf_counter() - started)
-        self.metrics.inc("store.container_write_bytes", len(blob))
+        self.stats.note_container_write(
+            container.used, time.perf_counter() - started, len(blob)
+        )
         if not active:
             self.active_ids.discard(cid)
             return None
@@ -293,9 +288,7 @@ class BackendContainerStore:
         """Fetch a container by ID (bills one container read)."""
         started = time.perf_counter()
         container = self._load(container_id)
-        self.stats.note_container_read(container.used)
-        self.metrics.observe("store.container_read_seconds", time.perf_counter() - started)
-        self.metrics.inc("store.container_read_bytes", container.used)
+        self.stats.note_container_read(container.used, time.perf_counter() - started)
         return container
 
     def peek(self, container_id: int) -> Container:
@@ -449,9 +442,7 @@ class BackendContainerStore:
         # Whole-container billing regardless of how few bytes moved: the
         # paper's cost model charges per container touched, and parity
         # with the full-read path keeps backends comparable.
-        self.stats.note_container_read(total_logical)
-        self.metrics.observe("store.container_read_seconds", time.perf_counter() - started)
-        self.metrics.inc("store.container_read_bytes", total_logical)
+        self.stats.note_container_read(total_logical, time.perf_counter() - started)
         return container
 
 
@@ -472,13 +463,8 @@ class FileContainerStore(BackendContainerStore):
         capacity: int = CONTAINER_SIZE,
         stats: Optional[IOStats] = None,
         compress: bool = False,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.root = root
         super().__init__(
-            wrap_backend(FileBackend(root)),
-            capacity=capacity,
-            stats=stats,
-            compress=compress,
-            metrics=metrics,
+            wrap_backend(FileBackend(root)), capacity=capacity, stats=stats, compress=compress
         )

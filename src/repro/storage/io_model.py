@@ -2,26 +2,34 @@
 
 The paper deliberately reports *speed factor* (MB restored per container
 read) instead of wall-clock throughput, because container-read counts are
-hardware-independent.  :class:`IOStats` is the ledger every store updates;
-:class:`DiskModel` converts read counts into estimated seconds for readers
-who want a feel for absolute numbers (HDD-ish defaults).
+hardware-independent.  :class:`IOStats` is the one ledger every store and
+index bills, and the one place a billed event is recorded into the service's
+:class:`~repro.observability.MetricsRegistry`; :class:`DiskModel` converts
+read counts into estimated seconds for readers who want a feel for absolute
+numbers (HDD-ish defaults).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
+from ..observability import MetricsRegistry, get_registry
 from ..units import MiB
 
 
 @dataclass
 class IOStats:
-    """Mutable ledger of simulated device traffic.
+    """Mutable ledger of simulated device traffic, one per engine.
 
-    Increments are lock-protected: the pipelined restore engine bills
-    container reads from multiple worker threads, and an unguarded
-    ``+= 1`` is a read-modify-write that can drop updates.
+    Each ``note_*`` call updates the paper's counters and records the same
+    event in :attr:`metrics` (the process registry unless one is given):
+    a store passes the ``seconds`` its I/O took, a read served from memory
+    (the active pool) passes none and records nothing there.  Increments
+    are lock-protected: the pipelined restore engine bills container reads
+    from multiple worker threads, and an unguarded ``+= 1`` is a
+    read-modify-write that can drop updates.
     """
 
     container_reads: int = 0
@@ -31,19 +39,30 @@ class IOStats:
     recipe_reads: int = 0
     recipe_writes: int = 0
     index_lookups: int = 0  # on-disk full-index probes (Fig. 9 metric)
+    index_builds: int = 0  # archival-index builds (``restore.index_builds``)
+    metrics: MetricsRegistry = field(default_factory=get_registry, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def note_container_read(self, nbytes: int) -> None:
+    def note_container_read(self, nbytes: int, seconds: Optional[float] = None) -> None:
         with self._lock:
             self.container_reads += 1
             self.bytes_read += nbytes
+        if seconds is not None:
+            self.metrics.observe("store.container_read_seconds", seconds)
+            self.metrics.inc("store.container_read_bytes", nbytes)
 
-    def note_container_write(self, nbytes: int) -> None:
+    def note_container_write(
+        self, nbytes: int, seconds: Optional[float] = None, stored: int = 0
+    ) -> None:
+        """``nbytes`` of payload; ``stored``, the length of the blob written."""
         with self._lock:
             self.container_writes += 1
             self.bytes_written += nbytes
+        if seconds is not None:
+            self.metrics.observe("store.container_write_seconds", seconds)
+            self.metrics.inc("store.container_write_bytes", stored)
 
     def note_recipe_read(self, nbytes: int = 0) -> None:
         with self._lock:
@@ -54,44 +73,31 @@ class IOStats:
         with self._lock:
             self.recipe_writes += 1
             self.bytes_written += nbytes
+        self.metrics.inc("store.recipe_write_bytes", nbytes)
 
     def note_index_lookup(self, count: int = 1) -> None:
         with self._lock:
             self.index_lookups += count
 
+    def note_index_build(self) -> None:
+        with self._lock:
+            self.index_builds += 1
+        self.metrics.inc("restore.index_builds")
+
     def snapshot(self) -> "IOStats":
         """Copy the current counters (e.g. before a restore, to diff after)."""
         with self._lock:
-            return IOStats(
-                container_reads=self.container_reads,
-                container_writes=self.container_writes,
-                bytes_read=self.bytes_read,
-                bytes_written=self.bytes_written,
-                recipe_reads=self.recipe_reads,
-                recipe_writes=self.recipe_writes,
-                index_lookups=self.index_lookups,
-            )
+            return IOStats(**{name: getattr(self, name) for name in _COUNTERS})
 
     def delta(self, earlier: "IOStats") -> "IOStats":
         """Counters accumulated since ``earlier`` was snapshotted."""
         return IOStats(
-            container_reads=self.container_reads - earlier.container_reads,
-            container_writes=self.container_writes - earlier.container_writes,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            recipe_reads=self.recipe_reads - earlier.recipe_reads,
-            recipe_writes=self.recipe_writes - earlier.recipe_writes,
-            index_lookups=self.index_lookups - earlier.index_lookups,
+            **{name: getattr(self, name) - getattr(earlier, name) for name in _COUNTERS}
         )
 
-    def reset(self) -> None:
-        self.container_reads = 0
-        self.container_writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.recipe_reads = 0
-        self.recipe_writes = 0
-        self.index_lookups = 0
+
+#: The ledger's counters: every field but the registry and the lock.
+_COUNTERS = tuple(f.name for f in fields(IOStats) if f.compare)
 
 
 @dataclass(frozen=True)

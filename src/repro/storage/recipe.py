@@ -194,15 +194,11 @@ class BackendRecipeStore:
 
     Nothing rewrites a stored recipe (what the §4.3 update learns is kept
     in the checkpoint instead), so writes go through the backend's
-    immutable ``put``, which refuses an overwrite.  ``metrics``, when
-    given, counts the bytes each write stores (``store.recipe_write_bytes``).
+    immutable ``put``, which refuses an overwrite.
     """
 
-    def __init__(
-        self, backend, stats: Optional[IOStats] = None, prefix: str = "", metrics=None
-    ) -> None:
+    def __init__(self, backend, stats: Optional[IOStats] = None, prefix: str = "") -> None:
         self.stats = stats if stats is not None else IOStats()
-        self.metrics = metrics
         self.backend = backend
         self.prefix = prefix
 
@@ -214,8 +210,6 @@ class BackendRecipeStore:
         blob = pack_recipe(recipe)
         self.backend.put(self._name(recipe.version_id), blob)
         self.stats.note_recipe_write(len(blob))
-        if self.metrics is not None:
-            self.metrics.inc("store.recipe_write_bytes", len(blob))
 
     def read(self, version_id: int) -> Recipe:
         """Load a recipe (bills one recipe read)."""
@@ -265,6 +259,6 @@ class FileRecipeStore(BackendRecipeStore):
     over a ``file://`` backend, writing ``*.tmp`` + rename like every
     object of a directory repository."""
 
-    def __init__(self, root: str, stats: Optional[IOStats] = None, metrics=None) -> None:
+    def __init__(self, root: str, stats: Optional[IOStats] = None) -> None:
         self.root = root
-        super().__init__(wrap_backend(FileBackend(root)), stats=stats, metrics=metrics)
+        super().__init__(wrap_backend(FileBackend(root)), stats=stats)

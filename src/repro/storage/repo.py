@@ -43,6 +43,7 @@ from ..errors import ObjectMissingError, ReplicationError, ReproError
 from ..observability import MetricsRegistry, get_registry
 from .backend import RepoLocation, StorageBackend, parse_repo_spec
 from .container_store import BackendContainerStore
+from .io_model import IOStats
 from .recipe import BackendRecipeStore
 
 __all__ = [
@@ -115,7 +116,7 @@ class RepoStorage:
     Args:
         spec: a repo spec string or a parsed :class:`RepoLocation`.
         compress: zlib-compress container blobs (engine stores only).
-        metrics: registry forwarded to the container store.
+        metrics: the registry the engine stores' ledger records into.
     """
 
     def __init__(
@@ -190,14 +191,14 @@ class RepoStorage:
     def container_store(self) -> BackendContainerStore:
         return BackendContainerStore(
             self.container_backend(),
+            stats=IOStats(metrics=self.metrics),
             compress=self.compress,
-            metrics=self.metrics,
             prefix=_PREFIXES["container"],
         )
 
     def recipe_store(self) -> BackendRecipeStore:
         return BackendRecipeStore(
-            self.primary(), prefix=_PREFIXES["recipe"], metrics=self.metrics
+            self.primary(), IOStats(metrics=self.metrics), prefix=_PREFIXES["recipe"]
         )
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ class TestBLCIndex:
         for stream in small_workload.versions():
             system.backup(stream)
         duplicates = index.stats.duplicates
-        assert index.stats.disk_lookups < duplicates / 4
+        assert index.io_stats.index_lookups < duplicates / 4
 
     def test_beats_ddfs_under_fragmentation(self):
         """BLC's recipe-order locality stays fresh; DDFS's container-order
@@ -50,7 +50,7 @@ class TestBLCIndex:
                 "kernel", versions=12, chunks_per_version=800
             ).versions():
                 system.backup(stream)
-            return index.stats.disk_lookups
+            return index.io_stats.index_lookups
 
         blc = run(BLCIndex(page_entries=128, cache_pages=8, expected_chunks=100_000))
         ddfs = run(DDFSIndex(expected_chunks=100_000, cache_containers=8))

@@ -30,7 +30,7 @@ class TestChunkStash:
         system = BackupSystem(index, container_size=64 * KiB)
         for stream in small_workload.versions():
             system.backup(stream)
-        assert index.stats.disk_lookups == 0
+        assert index.io_stats.index_lookups == 0
         assert index.flash_lookups > 0
 
     def test_unique_chunks_skip_flash_mostly(self):

@@ -67,9 +67,9 @@ class TestBinning:
         for i, c in enumerate(batch):
             index.record(c, i)
         index.end_batch()
-        assert index.stats.disk_lookups == 0  # first file: no bin existed
+        assert index.io_stats.index_lookups == 0  # first file: no bin existed
         index.lookup_batch(batch)
-        assert index.stats.disk_lookups == 1
+        assert index.io_stats.index_lookups == 1
 
     def test_memory_is_one_entry_per_file(self):
         index = ExtremeBinningIndex(segment_chunks=4)

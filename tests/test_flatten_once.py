@@ -178,11 +178,11 @@ def test_a_chunk_that_is_nowhere_still_raises_after_one_retry():
     for version in range(1, 4):
         system.backup(stream(version))
     system.restore(1)
-    builds = system.chain.stats.index_builds
+    builds = system.io.index_builds
     del system.pool.location[system.recipes.peek(3).entries[0].fingerprint]
     with pytest.raises(RestoreError, match="neither archival in a newer recipe"):
         system.restore(3)
-    assert system.chain.stats.index_builds == builds + 1  # it did try
+    assert system.io.index_builds == builds + 1  # it did try
 
 
 # ----------------------------------------------------------------------

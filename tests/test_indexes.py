@@ -32,7 +32,7 @@ class TestExactFullIndex:
     def test_every_probe_bills_disk(self):
         index = ExactFullIndex()
         index.lookup_batch(chunks([1, 2, 3]))
-        assert index.stats.disk_lookups == 3
+        assert index.io_stats.index_lookups == 3
 
     def test_memory_is_zero_table_grows(self):
         index = ExactFullIndex()
@@ -60,7 +60,7 @@ class TestDDFSIndex:
         index.lookup_batch(chunks(range(1000)))
         # All chunks unique and unknown: essentially no disk probes (only
         # Bloom false positives would bill, and there are none yet).
-        assert index.stats.disk_lookups <= 10
+        assert index.io_stats.index_lookups <= 10
 
     def test_locality_prefetch_serves_followers_from_cache(self):
         index = DDFSIndex(expected_chunks=10_000, cache_containers=4)
@@ -71,12 +71,12 @@ class TestDDFSIndex:
         # Evict container 1's metadata from the cache.
         for filler_cid in range(2, 10):
             index.record(chunks([1000 + filler_cid])[0], filler_cid)
-        before = index.stats.disk_lookups
+        before = index.io_stats.index_lookups
         results = index.lookup_batch(batch)
         assert all(r == 1 for r in results)
         # One disk probe prefetches the whole container's metadata; the
         # other 99 chunks hit the locality cache.
-        assert index.stats.disk_lookups - before == 1
+        assert index.io_stats.index_lookups - before == 1
 
     def test_memory_accounts_bloom_and_cache(self):
         index = DDFSIndex(expected_chunks=1000, cache_containers=2)
@@ -111,7 +111,7 @@ class TestSparseIndex:
         segments = sum(
             (len(s) + 127) // 128 for s in small_workload.versions()
         )
-        assert index.stats.disk_lookups <= segments * 4
+        assert index.io_stats.index_lookups <= segments * 4
 
     def test_memory_is_hooks_only(self, small_workload):
         index = SparseIndex(segment_chunks=128, sample_rate=16)
@@ -154,7 +154,7 @@ class TestSiLoIndex:
     def test_block_loads_bill_disk(self, small_workload):
         index = SiLoIndex(segment_chunks=64, segments_per_block=4, cache_blocks=2)
         run_workload(index, small_workload)
-        assert index.stats.disk_lookups > 0
+        assert index.io_stats.index_lookups > 0
 
     def test_cache_capacity_enforced(self, small_workload):
         index = SiLoIndex(segment_chunks=64, segments_per_block=2, cache_blocks=3)

@@ -39,13 +39,6 @@ class TestIOStats:
         assert delta.bytes_read == 50
         assert delta.index_lookups == 1
 
-    def test_reset(self):
-        stats = IOStats()
-        stats.note_container_read(50)
-        stats.reset()
-        assert stats.container_reads == 0
-        assert stats.bytes_read == 0
-
 
 class TestDiskModel:
     def test_restore_seconds_combines_seeks_and_transfer(self):

@@ -69,7 +69,7 @@ class TestUpdatePrevious:
         writes = chain.recipes.stats.recipe_writes
         chain.update_previous(1, {fp(1): 3})
         assert chain.recipes.stats.recipe_writes == writes  # nothing rewritten
-        assert chain.stats.flatten_runs == chain.stats.index_builds == 0
+        assert chain.stats.flatten_runs == chain.recipes.stats.index_builds == 0
 
     def test_a_recorded_map_is_kept(self, chain):
         """retire() records ahead of the updates; a later update of the same

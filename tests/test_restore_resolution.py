@@ -323,15 +323,15 @@ def test_a_recipe_landed_behind_the_engine_costs_one_rebuild(tmp_path, kind):
     reader = open_repo(spec)
     assert restored(reader, 4) == fixture_v2_bytes(3)  # builds the index off stale R_3
     engine_ = reader._open()
-    assert engine_.chain.stats.index_builds == 1
+    assert engine_.io.index_builds == 1
     storage.write_object("recipe", name, updated)  # the update lands
 
     # R_2 chains to R_3 for the chunks R_3 now says were demoted: neither
     # the index nor the active pool knows them until the rebuild.
     assert restored(reader, 2) == fixture_v2_bytes(1)
-    assert engine_.chain.stats.index_builds == 2
+    assert engine_.io.index_builds == 2
     assert restored(reader, 2, file="b.bin") == fixture_v2_bytes(1)[20 * KiB :]
-    assert engine_.chain.stats.index_builds == 2
+    assert engine_.io.index_builds == 2
     assert reader.metrics.snapshot()["counters"]["restore.index_builds"] == 2
     assert storage.read_object("recipe", name) == updated
     storage.close()
@@ -351,13 +351,13 @@ def test_the_index_is_what_a_rebuild_reads_across_three_windows_of_expiry():
         system.backup(make_stream(list(range(version * 10, version * 10 + 40))))
         system.restore(system.version_ids()[0])
         system.delete_oldest()
-        cold = RecipeChain(system.recipes)
+        cold = RecipeChain(BackendRecipeStore(system.recipes.backend))
         cold.demoted = system.chain.demoted  # what a reopened engine loads
         rebuilt = cold.archival_index(system.recipes.peek)
         assert system.chain.index == rebuilt
         assert len(system.version_ids()) == window
         sizes.append(len(rebuilt))
-    assert system.chain.stats.index_builds == 1
+    assert system.io.index_builds == 1
     assert max(sizes) == min(sizes) > 0  # a steady window holds a steady index
 
 

@@ -7,6 +7,7 @@ byte-identical restores, local/remote equivalence, multi-tenant
 concurrency, writer-lock serialisation and crash rollback.
 """
 
+import asyncio
 import itertools
 import os
 import socket
@@ -422,6 +423,39 @@ class TestFailureSemantics:
                     repo.backup_tree(entries, tag="late")
         finally:
             thread.daemon.draining = False
+
+    def test_a_connection_while_draining_gets_no_session(self, daemon):
+        """A session that started after shutdown took its list would be
+        neither awaited nor cancelled: the draining daemon refuses it at
+        the handshake, even for a read."""
+        thread, address = daemon
+        thread.daemon.draining = True
+        try:
+            with RemoteRepository(address, "alpha", retries=1) as repo:
+                with pytest.raises(ServerDrainingError):
+                    repo.versions()
+            assert thread.daemon.server_stats()["requests"] == {}
+        finally:
+            thread.daemon.draining = False
+
+    def test_a_stopped_daemon_leaves_no_task(self, tmp_path):
+        """``stop`` ends what is still pending on the loop while the loop
+        runs, so no ``finally`` (a session's ``writer.close()``) runs later
+        on a closed loop."""
+        thread = DaemonThread(str(tmp_path / "served"))
+        thread.start()
+        ended = []
+
+        async def late():
+            try:
+                await asyncio.Event().wait()
+            finally:
+                ended.append(asyncio.get_running_loop().is_closed())
+
+        pending = asyncio.run_coroutine_threadsafe(late(), thread._loop)
+        thread.stop()
+        assert ended == [False]
+        assert pending.cancelled()
 
 
 # ----------------------------------------------------------------------
