@@ -6,6 +6,7 @@ Spawns real daemon *processes* (``ClusterSupervisor`` — the same shape
 client-side router (:class:`~repro.cluster.ClusterClient`).
 """
 
+import glob
 import os
 import random
 import time
@@ -52,11 +53,13 @@ FAILOVER_PROBE_TIMEOUT = 1.0
 PROMOTE_VERIFY_VERSIONS = (1, 2, 4)
 
 
-def _promotion_verify_seconds(log_path):
-    """``{tenant: verify_seconds}`` from the daemons' promotion events."""
+def _promotion_verify_seconds(log_dir):
+    """``{tenant: verify_seconds}`` from the daemons' promotion events: each
+    node logs to ``<log_dir>/<node>.jsonl``, a promoted one its own verify."""
     return {
         event["repo"]: event["verify_seconds"]
-        for event in read_jsonl(log_path)
+        for path in sorted(glob.glob(os.path.join(log_dir, "*.jsonl")))
+        for event in read_jsonl(path)
         if event.get("event") == "cluster_promotion_verified"
     }
 
@@ -83,7 +86,7 @@ def test_failover_write_availability(benchmark, tmp_path):
     tenant = "failover-tenant"
     streams = _versions_for(seed=99)
     results = {}
-    log_path = os.path.join(root, "events.jsonl")
+    log_dir = os.path.join(root, "logs")
     # Tenants of growing size that live on the node about to die.
     doomed = cmap.primary(tenant).name
     sized = {}
@@ -100,7 +103,7 @@ def test_failover_write_availability(benchmark, tmp_path):
             probe_interval=FAILOVER_PROBE_INTERVAL,
             probe_failures=FAILOVER_PROBE_FAILURES,
             probe_timeout=FAILOVER_PROBE_TIMEOUT,
-            log_json=log_path,
+            log_dir=log_dir,
         ) as supervisor:
             with ClusterClient(
                 [n.address for n in cmap.nodes], cluster_map=cmap,
@@ -147,7 +150,7 @@ def test_failover_write_availability(benchmark, tmp_path):
                     client.repo(name).backup_blocks(
                         [b"after failover"], [("late.bin", 14)], tag="late"
                     )
-        verified = _promotion_verify_seconds(log_path)
+        verified = _promotion_verify_seconds(log_dir)
         results["promote_verify_seconds"] = [
             {"logical_bytes": versions * VERSION_BYTES, "verify_seconds": verified[name]}
             for name, versions in sized.items()

@@ -404,7 +404,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def cmd_cluster_serve(args: argparse.Namespace) -> int:
     """Spawn one daemon process per node in a cluster spec and supervise."""
-    import os
     import signal
     import time
 
@@ -416,11 +415,9 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         # :0 ports got real numbers; persist them so clients can route.
         materialized.save(args.spec)
         cmap = materialized
-    log_dir = args.log_dir
-    if log_dir:
-        os.makedirs(log_dir, exist_ok=True)
     supervisor = ClusterSupervisor(
         cmap, args.spec, replicate_interval=args.replicate_interval,
+        log_dir=args.log_dir,
         probe_interval=args.probe_interval,
         probe_failures=args.probe_failures,
         probe_timeout=args.probe_timeout,
@@ -428,32 +425,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
     stopping = []
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: stopping.append(True))
-    # Spawn node-by-node so each child can get its own log file.
-    try:
-        from .cluster.supervisor import DaemonProcess
-
-        for node in cmap.nodes:
-            log_json = os.path.join(log_dir, f"{node.name}.jsonl") if log_dir else None
-            supervisor.daemons[node.name] = DaemonProcess(
-                node, args.spec,
-                replicate_interval=args.replicate_interval,
-                log_json=log_json,
-                probe_interval=args.probe_interval,
-                probe_failures=args.probe_failures,
-                probe_timeout=args.probe_timeout,
-            )
-        for daemon in supervisor.daemons.values():
-            daemon.wait_ready()
-    except Exception:
-        supervisor.stop()
-        raise
-    except BaseException:
-        # Ctrl-C during spawn: unwind best-effort, never swallow the signal.
-        try:
-            supervisor.stop()
-        except Exception:
-            pass
-        raise
+    supervisor.start()
     print(
         f"cluster up: {len(cmap.nodes)} daemons, epoch {cmap.epoch}, "
         f"replicas {cmap.replicas}",
@@ -461,12 +433,13 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
     )
     for node in cmap.nodes:
         print(f"  {node.name}: {node.address} (root {node.root})", flush=True)
+    reported = set()
     try:
         while not stopping:
             time.sleep(0.2)
             for name, daemon in supervisor.daemons.items():
-                if not daemon.alive and not getattr(daemon, "_reported", False):
-                    daemon._reported = True
+                if not daemon.alive and name not in reported:
+                    reported.add(name)
                     print(
                         f"warning: daemon {name} exited with "
                         f"{daemon.process.returncode} (not restarting; restore "

@@ -8,25 +8,29 @@ Reliability model:
 
 * every socket operation runs under a per-request timeout
   (:class:`~repro.errors.TimeoutExceededError` when exceeded);
+* every request runs through one path, :meth:`RemoteRepository._request`
+  (pooled connection, trace, latency histogram, end/error event);
 * **idempotent** requests (``stats``, ``versions``, opening a restore)
-  retry transparently on connection failures with bounded exponential
-  backoff; mutating requests (``backup``, ``delete_oldest``) never retry —
-  the caller decides;
+  retry transparently on a :func:`~repro.client.retry.transport_failure`
+  with bounded exponential backoff (:func:`~repro.client.retry.retry`);
+  mutating requests (``backup``, ``delete_oldest``) never retry — the
+  caller decides;
 * connections are pooled and reused across requests; a connection that saw
   an error is discarded, never reused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from ..errors import (
     ProtocolError,
     RemoteError,
-    ReproError,
     RetryBudgetExceededError,
     TimeoutExceededError,
 )
@@ -47,11 +51,9 @@ from .protocol import (
     iter_data_blocks,
     raise_remote_error,
 )
+from .retry import backoff, retry
 
 Address = Union[str, Tuple[str, int]]
-
-#: Cap on one exponential-backoff sleep between retries.
-_MAX_BACKOFF = 2.0
 
 _RECV_SIZE = 256 * 1024
 
@@ -124,14 +126,7 @@ class Connection:
 
     # ------------------------------------------------------------------
     def send(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except socket.timeout as exc:
-            self.broken = True
-            raise TimeoutExceededError("send timed out") from exc
-        except OSError:
-            self.broken = True
-            raise
+        self.send_parts([data])
 
     def send_parts(self, parts) -> None:
         """Gather-send several buffers as one wire write (zero concat).
@@ -142,14 +137,13 @@ class Connection:
         byte the kernel accepted; platforms without ``sendmsg`` fall back
         to ``sendall`` per buffer (still no concatenation).
         """
-        try:
-            sendmsg = self._sock.sendmsg
-        except AttributeError:  # pragma: no cover - exotic platform
-            for part in parts:
-                self.send(part)
-            return
+        sendmsg = getattr(self._sock, "sendmsg", None)
         views = [memoryview(part).cast("B") for part in parts if len(part)]
         try:
+            if sendmsg is None:  # pragma: no cover - exotic platform
+                for view in views:
+                    self._sock.sendall(view)
+                return
             while views:
                 sent = sendmsg(views)
                 while views and sent >= len(views[0]):
@@ -340,8 +334,8 @@ class RemoteRepository(Repository):
         address: daemon address (``"host:port"`` or a tuple).
         repo: tenant (repository) name on the server.
         timeout: per-socket-operation deadline in seconds.
-        retries: attempts for idempotent requests (1 = no retry).
-        backoff: initial exponential-backoff delay between retries.
+        retries: attempts for idempotent requests (1 = no retry), paced by
+            :func:`~repro.client.retry.backoff`.
         retry_budget_seconds: total wall-clock one operation may spend
             across all its attempts and backoff sleeps (0 = unlimited).
             Exhaustion raises
@@ -366,7 +360,6 @@ class RemoteRepository(Repository):
         repo: str,
         timeout: float = 30.0,
         retries: int = 3,
-        backoff: float = 0.1,
         pool_size: int = 2,
         event_log: Optional[EventLogger] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -375,7 +368,6 @@ class RemoteRepository(Repository):
     ) -> None:
         self.repo = repo
         self.retries = max(1, retries)
-        self.backoff = backoff
         self.retry_budget_seconds = max(0.0, retry_budget_seconds)
         self.events = event_log if event_log is not None else EventLogger()
         self.metrics = metrics if metrics is not None else get_registry()
@@ -392,92 +384,130 @@ class RemoteRepository(Repository):
     # ------------------------------------------------------------------
     # Request plumbing
     # ------------------------------------------------------------------
-    def _with_retries(self, operation):
-        """Run an idempotent operation under its retry budget.
+    @contextlib.contextmanager
+    def _request(
+        self, kind: str, repo: Optional[str], **fields
+    ) -> Iterator[Tuple[Connection, Dict]]:
+        """The one request path: everything around one request's frames.
 
-        Two independent bounds: ``retries`` caps the attempts, and
-        ``retry_budget_seconds`` caps the total wall-clock the operation
-        may consume (attempts + backoff sleeps).  Whichever runs out
-        first ends the operation; budget exhaustion raises the typed
-        :class:`RetryBudgetExceededError` so callers (and the cluster
-        router's failover logic) can distinguish "out of patience" from
-        "the server said no".
+        Takes a pooled connection and mints the request's
+        ``<session>.<seq>`` trace, as the daemon's ``_Session._dispatch``
+        does on its side; the body sends ``span["trace"]`` in its opening
+        frame and may add fields to ``span`` for the end event.  A body
+        that returns observes ``client.{kind}_seconds`` and logs
+        ``client_{kind}_end``; one that raises (or a stream its consumer
+        abandons) logs ``client_{kind}_error`` and closes the connection.
+        Either way the connection goes back to the pool, which keeps only
+        a clean one.
         """
-        deadline = (
-            time.monotonic() + self.retry_budget_seconds
-            if self.retry_budget_seconds > 0
-            else None
-        )
-        last: Optional[BaseException] = None
-        for attempt in range(self.retries):
-            if attempt:
-                sleep = min(self.backoff * (2 ** (attempt - 1)), _MAX_BACKOFF)
-                if deadline is not None and time.monotonic() + sleep >= deadline:
-                    break  # sleeping would overrun the budget: stop now
-                self.metrics.inc("client.retries_total")
-                self.events.log(
-                    "client_retry",
-                    attempt=attempt + 1,
-                    sleep_s=round(sleep, 3),
-                    error=type(last).__name__ if last is not None else None,
-                )
-                time.sleep(sleep)
-            try:
-                return operation()
-            except ReproError as exc:
-                if isinstance(exc, (TimeoutExceededError, ProtocolError)):
-                    last = exc  # transport trouble: worth another attempt
-                    continue
-                raise  # the server answered; retrying cannot change it
-            except OSError as exc:
-                last = exc
-                continue
-        else:
-            # Attempts ran out (no budget break): the historical outcome.
-            if isinstance(last, ReproError):
-                raise last
-            raise RemoteError(
-                f"request failed after {self.retries} attempts: {last}"
-            ) from last
-        self.metrics.inc("client.retry_budget_exhausted")
-        self.events.log(
-            "client_retry_budget_exhausted",
-            budget_s=self.retry_budget_seconds,
-            error=type(last).__name__ if last is not None else None,
-        )
-        raise RetryBudgetExceededError(
-            f"retry budget of {self.retry_budget_seconds:.1f}s exhausted: {last}"
-        ) from last
-
-    def _simple_request(self, ftype: FrameType, obj: dict, expect: FrameType, kind: str) -> dict:
         conn = self.pool.acquire()
-        trace = conn.next_trace()
+        span = dict(trace=conn.next_trace(), repo=repo, **fields)
         started = time.perf_counter()
         try:
-            conn.send(encode_json(ftype, dict(obj, trace=trace)))
-            reply = decode_json(self._expect(conn, expect))
+            yield conn, span
         except BaseException as exc:
             conn.close()
             self.events.log(
                 f"client_{kind}_error",
-                trace=trace,
-                repo=obj.get("repo"),
+                **span,
                 duration_ms=round((time.perf_counter() - started) * 1000, 3),
                 error=type(exc).__name__,
                 message=str(exc),
             )
             raise
+        else:
+            elapsed = time.perf_counter() - started
+            self.metrics.observe(f"client.{kind}_seconds", elapsed)
+            self.events.log(
+                f"client_{kind}_end", **span, duration_ms=round(elapsed * 1000, 3)
+            )
         finally:
             self.pool.release(conn)
-        elapsed = time.perf_counter() - started
-        self.metrics.observe(f"client.{kind}_seconds", elapsed)
-        self.events.log(
-            f"client_{kind}_end",
-            trace=trace,
-            repo=obj.get("repo"),
-            duration_ms=round(elapsed * 1000, 3),
-        )
-        return reply
+
+    def _with_retries(self, operation):
+        """Run an idempotent operation under its retry budget.
+
+        Two independent bounds: ``retries`` caps the attempts, and
+        ``retry_budget_seconds`` caps the total wall-clock the operation
+        may consume (attempts + backoff sleeps).  Only a
+        :func:`~repro.client.retry.transport_failure` is tried again.
+        Whichever bound runs out first ends the operation: the attempts
+        cap raises the last failure (a bare ``OSError`` as
+        :class:`RemoteError`), the budget the typed
+        :class:`RetryBudgetExceededError`, so callers (and the cluster
+        router's failover logic) can distinguish "out of patience" from
+        "the server said no".
+        """
+
+        def note_retry(number: int, pause: float, last: BaseException) -> None:
+            self.metrics.inc("client.retries_total")
+            self.events.log(
+                "client_retry",
+                attempt=number,
+                sleep_s=round(pause, 3),
+                error=type(last).__name__,
+            )
+
+        def budget_spent(last: Optional[BaseException]) -> NoReturn:
+            self.metrics.inc("client.retry_budget_exhausted")
+            self.events.log(
+                "client_retry_budget_exhausted",
+                budget_s=self.retry_budget_seconds,
+                error=type(last).__name__ if last is not None else None,
+            )
+            raise RetryBudgetExceededError(
+                f"retry budget of {self.retry_budget_seconds:.1f}s exhausted: {last}"
+            ) from last
+
+        try:
+            return retry(
+                operation,
+                backoff(self.retries),
+                timeout=self.retry_budget_seconds or None,
+                expired=budget_spent,
+                on_retry=note_retry,
+            )
+        except OSError as exc:
+            raise RemoteError(
+                f"request failed after {self.retries} attempts: {exc}"
+            ) from exc
+
+    def _simple_request(
+        self, ftype: FrameType, obj: dict, expect: FrameType, kind: str,
+        retried: bool = True,
+    ) -> dict:
+        """One JSON request, one JSON reply; retried unless it mutates."""
+
+        def ask() -> dict:
+            with self._request(kind, obj.get("repo")) as (conn, span):
+                conn.send(encode_json(ftype, dict(obj, trace=span["trace"])))
+                return decode_json(self._expect(conn, expect))
+
+        return self._with_retries(ask) if retried else ask()
+
+    @staticmethod
+    def _send_all(conn: Connection, sends: Iterable[List], what: str) -> None:
+        """Gather-send each buffer list of ``sends``.  A send that fails
+        raises the typed ``ERROR`` the daemon wrote before it hung up, or
+        a :class:`RemoteError` when it wrote none."""
+        try:
+            for parts in sends:
+                conn.send_parts(parts)
+        except OSError as exc:
+            error = conn.pending_error()
+            if error is not None:
+                raise_remote_error(error)
+            raise RemoteError(f"connection lost mid-{what}: {exc}") from exc
+
+    @staticmethod
+    def _expect(conn: Connection, expect: FrameType) -> bytes:
+        """The next frame's payload; an ERROR re-raises its type."""
+        ftype, payload = conn.recv_frame()
+        if ftype == FrameType.ERROR:
+            raise_remote_error(payload)
+        if ftype != expect:
+            raise ProtocolError(f"expected {expect.name}, got {ftype.name}")
+        return payload
 
     # ------------------------------------------------------------------
     # Backup (mutating — never retried)
@@ -490,63 +520,24 @@ class RemoteRepository(Repository):
         control there is.  A send that fails mid-stream reads the typed
         ``ERROR`` the daemon wrote before it hung up.
         """
-        conn = self.pool.acquire()
-        trace = conn.next_trace()
-        self.events.log(
-            "client_backup_begin", trace=trace, repo=self.repo, files=len(plan)
-        )
-        started = time.perf_counter()
-        try:
+        with self._request("backup", self.repo) as (conn, span):
+            self.events.log(
+                "client_backup_begin", trace=span["trace"], repo=self.repo, files=len(plan)
+            )
             begin = {
                 "repo": self.repo,
                 "tag": tag or "",
                 "files": [[rel, size] for rel, size in plan],
-                "trace": trace,
+                "trace": span["trace"],
             }
             conn.send(encode_json(FrameType.BACKUP_BEGIN, begin))
             self._expect(conn, FrameType.BACKUP_READY)
-            try:
-                for block in iter_data_blocks(iter(blocks)):
-                    conn.send_parts(frame_parts(FrameType.CHUNK_DATA, block))
-                conn.send(encode_frame(FrameType.BACKUP_END))
-            except OSError as exc:
-                error = conn.pending_error()
-                if error is not None:
-                    raise_remote_error(error)
-                raise RemoteError(f"connection lost mid-backup: {exc}") from exc
-            report = decode_json(self._expect(conn, FrameType.BACKUP_DONE))
-        except BaseException as exc:
-            conn.close()
-            self.events.log(
-                "client_backup_error",
-                trace=trace,
-                repo=self.repo,
-                duration_ms=round((time.perf_counter() - started) * 1000, 3),
-                error=type(exc).__name__,
-                message=str(exc),
+            frames = (
+                frame_parts(FrameType.CHUNK_DATA, block)
+                for block in iter_data_blocks(iter(blocks))
             )
-            raise
-        finally:
-            self.pool.release(conn)
-        elapsed = time.perf_counter() - started
-        self.metrics.observe("client.backup_seconds", elapsed)
-        self.events.log(
-            "client_backup_end",
-            trace=trace,
-            repo=self.repo,
-            duration_ms=round(elapsed * 1000, 3),
-        )
-        return report
-
-    @staticmethod
-    def _expect(conn: Connection, expect: FrameType) -> bytes:
-        """The next frame's payload; an ERROR re-raises its type."""
-        ftype, payload = conn.recv_frame()
-        if ftype == FrameType.ERROR:
-            raise_remote_error(payload)
-        if ftype != expect:
-            raise ProtocolError(f"expected {expect.name}, got {ftype.name}")
-        return payload
+            self._send_all(conn, chain(frames, [[encode_frame(FrameType.BACKUP_END)]]), "backup")
+            return decode_json(self._expect(conn, FrameType.BACKUP_DONE))
 
     # ------------------------------------------------------------------
     # Restore (idempotent to open; streaming once opened)
@@ -573,101 +564,66 @@ class RemoteRepository(Repository):
         :class:`~repro.errors.RestoreError` before anything is sent.
         """
         restore_workers(workers)
+        request: Dict = {"repo": self.repo, "version": version_id}
+        if workers is not None:
+            request["workers"] = int(workers)
+        if verify:
+            request["verify"] = True
+        if file is not None:
+            request["file"] = file
 
-        def begin() -> Tuple[Connection, str, dict]:
-            conn = self.pool.acquire()
-            trace = conn.next_trace()
-            request = {"repo": self.repo, "version": version_id, "trace": trace}
-            if workers is not None:
-                request["workers"] = int(workers)
-            if verify:
-                request["verify"] = True
-            if file is not None:
-                request["file"] = file
-            try:
-                conn.send(encode_json(FrameType.RESTORE_BEGIN, request))
-                return conn, trace, decode_json(self._expect(conn, FrameType.RESTORE_META))
-            except BaseException:
-                conn.close()
-                self.pool.release(conn)
-                raise
-
-        started = time.perf_counter()
-        conn, trace, meta = self._with_retries(begin)
-        plan: FilePlan = [(rel, size) for rel, size in meta.get("files", [])]
-        self.events.log(
-            "client_restore_begin",
-            trace=trace,
-            repo=self.repo,
-            version=version_id,
-            files=len(plan),
-        )
-
-        def data() -> Iterator[bytes]:
-            received = 0
-            try:
+        def stream() -> Iterator:
+            """The plan first, then the payloads; one request throughout."""
+            with self._request("restore", self.repo, version=version_id) as (conn, span):
+                conn.send(encode_json(FrameType.RESTORE_BEGIN, dict(request, trace=span["trace"])))
+                meta = decode_json(self._expect(conn, FrameType.RESTORE_META))
+                plan: FilePlan = [(rel, size) for rel, size in meta.get("files", [])]
+                self.events.log(
+                    "client_restore_begin",
+                    trace=span["trace"],
+                    repo=self.repo,
+                    version=version_id,
+                    files=len(plan),
+                )
+                yield plan
+                received = 0
                 while True:
                     ftype, payload = conn.recv_frame()
                     if ftype == FrameType.CHUNK_DATA:
                         received += len(payload)
                         yield payload
                     elif ftype == FrameType.RESTORE_END:
-                        elapsed = time.perf_counter() - started
-                        self.metrics.observe("client.restore_seconds", elapsed)
-                        self.events.log(
-                            "client_restore_end",
-                            trace=trace,
-                            repo=self.repo,
-                            version=version_id,
-                            bytes=received,
-                            duration_ms=round(elapsed * 1000, 3),
-                        )
+                        span["bytes"] = received
                         return
                     elif ftype == FrameType.ERROR:
                         raise_remote_error(payload)
                     else:
                         raise ProtocolError(f"unexpected {ftype.name} during restore")
-            except BaseException as exc:
-                conn.close()
-                self.events.log(
-                    "client_restore_error",
-                    trace=trace,
-                    repo=self.repo,
-                    version=version_id,
-                    duration_ms=round((time.perf_counter() - started) * 1000, 3),
-                    error=type(exc).__name__,
-                    message=str(exc),
-                )
-                raise
-            finally:
-                self.pool.release(conn)
 
-        return plan, data()
+        def begin() -> Tuple[FilePlan, Iterator[bytes]]:
+            data = stream()
+            return next(data), data
+
+        return self._with_retries(begin)
 
     # ------------------------------------------------------------------
     # Idempotent control requests (retried)
     # ------------------------------------------------------------------
     def versions(self) -> List[Dict]:
-        reply = self._with_retries(
-            lambda: self._simple_request(
-                FrameType.VERSIONS, {"repo": self.repo}, FrameType.VERSIONS_OK, "versions"
-            )
+        reply = self._simple_request(
+            FrameType.VERSIONS, {"repo": self.repo}, FrameType.VERSIONS_OK, "versions"
         )
         return list(reply.get("versions", []))
 
     def stats(self) -> Dict:
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.STATS, {"repo": self.repo}, FrameType.STATS_OK, "stats"
-            )
+        return self._simple_request(
+            FrameType.STATS, {"repo": self.repo}, FrameType.STATS_OK, "stats"
         )
 
     def server_stats(self) -> Dict:
         """Daemon-wide counters (every repo + service totals)."""
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.STATS, {"repo": None}, FrameType.STATS_OK, "stats"
-            )
+        return self._simple_request(
+            FrameType.STATS, {"repo": None}, FrameType.STATS_OK, "stats"
         )
 
     def verify(self, deep: bool = False) -> Dict:
@@ -678,13 +634,11 @@ class RemoteRepository(Repository):
         ``issues``, ``summary``).  ``deep`` re-hashes every stored chunk
         payload on the server, on the one load each container gets.
         """
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.VERIFY,
-                {"repo": self.repo, "deep": bool(deep)},
-                FrameType.VERIFY_OK,
-                "verify",
-            )
+        return self._simple_request(
+            FrameType.VERIFY,
+            {"repo": self.repo, "deep": bool(deep)},
+            FrameType.VERIFY_OK,
+            "verify",
         )
 
     # ------------------------------------------------------------------
@@ -708,11 +662,8 @@ class RemoteRepository(Repository):
         payload: Dict = {"repo": None}
         if offer is not None:
             payload["map"] = offer
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.CLUSTER_MAP, payload, FrameType.CLUSTER_MAP_OK,
-                "cluster_map",
-            )
+        return self._simple_request(
+            FrameType.CLUSTER_MAP, payload, FrameType.CLUSTER_MAP_OK, "cluster_map"
         )
 
     def cluster_sync(self, repo: Optional[str] = None) -> Dict:
@@ -722,11 +673,9 @@ class RemoteRepository(Repository):
         Retried: each underlying sync is an idempotent O(delta) replication
         — re-running a completed sync ships nothing.
         """
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.CLUSTER_SYNC, {"repo": repo}, FrameType.CLUSTER_SYNC_OK,
-                "cluster_sync",
-            )
+        return self._simple_request(
+            FrameType.CLUSTER_SYNC, {"repo": repo}, FrameType.CLUSTER_SYNC_OK,
+            "cluster_sync",
         )
 
     def drop_tenant(self) -> Dict:
@@ -735,7 +684,7 @@ class RemoteRepository(Repository):
         primary deep-verified its copy."""
         return self._simple_request(
             FrameType.TENANT_DROP, {"repo": self.repo}, FrameType.TENANT_DROP_OK,
-            "tenant_drop",
+            "tenant_drop", retried=False,
         )
 
     # ------------------------------------------------------------------
@@ -748,34 +697,29 @@ class RemoteRepository(Repository):
 
     def replicate_state(self) -> Dict:
         """The mirror tenant's replicable state + physical identity."""
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.REPLICATE_STATE,
-                {"repo": self.repo},
-                FrameType.REPLICATE_STATE_OK,
-                "replicate_state",
-            )
+        return self._simple_request(
+            FrameType.REPLICATE_STATE,
+            {"repo": self.repo},
+            FrameType.REPLICATE_STATE_OK,
+            "replicate_state",
         )
 
     def replicate_put(
         self, kind: str, name: str, blob: bytes, digest: str, staged: bool = False
     ) -> Dict:
         """Ship one repository object; the server validates size + digest."""
+        header = {
+            "repo": self.repo,
+            "kind": kind,
+            "name": name,
+            "size": len(blob),
+            "digest": digest,
+            "staged": bool(staged),
+        }
+        view = memoryview(blob)
 
-        def op() -> Dict:
-            conn = self.pool.acquire()
-            trace = conn.next_trace()
-            try:
-                header = {
-                    "repo": self.repo,
-                    "kind": kind,
-                    "name": name,
-                    "size": len(blob),
-                    "digest": digest,
-                    "staged": bool(staged),
-                    "trace": trace,
-                }
-                view = memoryview(blob)
+        def put() -> Dict:
+            with self._request("replicate_put", self.repo) as (conn, span):
                 sends = [
                     list(frame_parts(FrameType.CHUNK_DATA, view[offset : offset + DATA_BLOCK]))
                     for offset in range(0, len(blob), DATA_BLOCK)
@@ -785,50 +729,34 @@ class RemoteRepository(Repository):
                 # segment (a checkpoint head, a manifest) would sit behind
                 # it in Nagle's buffer until the mirror's delayed ACK, ~40 ms
                 # a put.
-                sends[0].insert(0, encode_json(FrameType.REPLICATE_PUT, header))
-                for parts in sends:
-                    try:
-                        conn.send_parts(parts)
-                    except OSError as exc:
-                        error = conn.pending_error()
-                        if error is not None:
-                            raise_remote_error(error)
-                        raise RemoteError(f"connection lost mid-put: {exc}") from exc
+                sends[0].insert(
+                    0, encode_json(FrameType.REPLICATE_PUT, dict(header, trace=span["trace"]))
+                )
+                self._send_all(conn, sends, "put")
                 return decode_json(self._expect(conn, FrameType.REPLICATE_PUT_OK))
-            except BaseException:
-                conn.close()
-                raise
-            finally:
-                self.pool.release(conn)
 
-        started = time.perf_counter()
-        reply = self._with_retries(op)
-        self.metrics.observe("client.replicate_put_seconds", time.perf_counter() - started)
+        reply = self._with_retries(put)
         self.metrics.inc("client.replicate_put_bytes", len(blob))
         return reply
 
     def replicate_commit(self, renames: List[List[str]], deletes: List[List[str]]) -> Dict:
         """Flip staged objects live and apply deletions on the mirror."""
-        return self._with_retries(
-            lambda: self._simple_request(
-                FrameType.REPLICATE_COMMIT,
-                {"repo": self.repo, "renames": renames, "deletes": deletes},
-                FrameType.REPLICATE_COMMIT_OK,
-                "replicate_commit",
-            )
+        return self._simple_request(
+            FrameType.REPLICATE_COMMIT,
+            {"repo": self.repo, "renames": renames, "deletes": deletes},
+            FrameType.REPLICATE_COMMIT_OK,
+            "replicate_commit",
         )
 
     def replicate_fetch(self, kind: str, name: str) -> bytes:
         """Read one repository object back from the mirror (repair path)."""
 
-        def op() -> bytes:
-            conn = self.pool.acquire()
-            trace = conn.next_trace()
-            try:
+        def fetch() -> bytes:
+            with self._request("replicate_fetch", self.repo) as (conn, span):
                 conn.send(
                     encode_json(
                         FrameType.REPLICATE_FETCH,
-                        {"repo": self.repo, "kind": kind, "name": name, "trace": trace},
+                        {"repo": self.repo, "kind": kind, "name": name, "trace": span["trace"]},
                     )
                 )
                 size = decode_json(self._expect(conn, FrameType.REPLICATE_OBJECT)).get("size")
@@ -849,18 +777,14 @@ class RemoteRepository(Repository):
                         f"fetch overran its announced size ({received} > {size})"
                     )
                 return b"".join(parts)
-            except BaseException:
-                conn.close()
-                raise
-            finally:
-                self.pool.release(conn)
 
-        return self._with_retries(op)
+        return self._with_retries(fetch)
 
     # ------------------------------------------------------------------
     # Deletion (mutating — never retried)
     # ------------------------------------------------------------------
     def delete_oldest(self) -> Dict:
         return self._simple_request(
-            FrameType.DELETE_OLDEST, {"repo": self.repo}, FrameType.DELETE_OK, "delete"
+            FrameType.DELETE_OLDEST, {"repo": self.repo}, FrameType.DELETE_OK, "delete",
+            retried=False,
         )

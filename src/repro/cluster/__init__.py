@@ -21,7 +21,7 @@ The scale-out layer above a single :class:`~repro.server.daemon.BackupDaemon`:
   deep-verifying the new primary before the old copy is dropped.
 """
 
-from .client import ClusterClient, RoutedRepository, failover_worthy
+from .client import ClusterClient, RoutedRepository
 from .failover import pull_tenant
 from .map import DEFAULT_REPLICAS, ClusterMap, NodeSpec, newer_map
 from .rebalance import ClusterRebalancer, hosted_tenants, moved_tenants
@@ -40,7 +40,6 @@ __all__ = [
     "NodeSpec",
     "RoutedRepository",
     "assign_ports",
-    "failover_worthy",
     "hosted_tenants",
     "moved_keys",
     "moved_tenants",

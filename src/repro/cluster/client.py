@@ -35,19 +35,13 @@ through the ring:
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 from ..client.remote import ConnectionPool, RemoteRepository, parse_address
-from ..errors import (
-    ClusterError,
-    NotPrimaryError,
-    RemoteError,
-    ReproError,
-    RetryBudgetExceededError,
-    ServerDrainingError,
-    TimeoutExceededError,
-)
+from ..client.retry import retry, transport_failure
+from ..errors import ClusterError, NotPrimaryError, ReproError
 from ..observability import EventLogger, MetricsRegistry, get_registry
 from ..repository import FilePlan, Repository, restore_workers
 from .map import ClusterMap, NodeSpec, newer_map
@@ -56,23 +50,14 @@ from .map import ClusterMap, NodeSpec, newer_map
 WRITE_RETRY_INTERVAL = 0.25
 
 
-def failover_worthy(exc: BaseException) -> bool:
-    """Should this failure move the request to the next placement node?
+def _write_failed_over(exc: BaseException) -> bool:
+    """Should a failed write wait for a new primary?  On transport trouble
+    (the node is dead) or the node's own fence (its map moved on)."""
+    return transport_failure(exc) or isinstance(exc, NotPrimaryError)
 
-    Only *transport* trouble qualifies: the socket died, timed out, the
-    daemon is draining, or the per-node retry budget was exhausted
-    (either the attempts cap wrapped in a bare :class:`RemoteError` or
-    the wall-clock cap's typed
-    :class:`~repro.errors.RetryBudgetExceededError`).  Other typed
-    subclasses — protocol violations and the whole domain-error taxonomy —
-    are answers from a live server; asking a replica cannot change them.
-    """
-    if isinstance(
-        exc,
-        (TimeoutExceededError, ServerDrainingError, RetryBudgetExceededError, OSError),
-    ):
-        return True
-    return type(exc) is RemoteError
+
+class _NoNewPrimary(Exception):
+    """The polled map names no new primary yet (or no seed served one)."""
 
 
 class ClusterClient:
@@ -84,10 +69,10 @@ class ClusterClient:
         cluster_map: optionally start from a known map (e.g. the spec
             file) instead of — not in place of — seed discovery; the
             freshest epoch still wins.
-        timeout / retries / backoff / pool_size / retry_budget_seconds:
+        timeout / retries / pool_size / retry_budget_seconds:
             forwarded to every underlying :class:`RemoteRepository`
             (``retry_budget_seconds`` bounds one operation's total retry
-            wall-clock *per node*; exhaustion is failover-worthy, so the
+            wall-clock *per node*; exhaustion is a transport failure, so the
             router moves on instead of waiting out a flapping daemon).
         write_retry_timeout: how long (seconds) a failed *write* may wait
             for a failover promotion to surface a new primary before
@@ -102,7 +87,6 @@ class ClusterClient:
         cluster_map: Optional[ClusterMap] = None,
         timeout: float = 30.0,
         retries: int = 3,
-        backoff: float = 0.1,
         pool_size: int = 2,
         event_log: Optional[EventLogger] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -115,7 +99,6 @@ class ClusterClient:
         self.map = cluster_map
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self.retry_budget_seconds = retry_budget_seconds
         self.pool_size = pool_size
         self.events = event_log if event_log is not None else EventLogger()
@@ -146,7 +129,7 @@ class ClusterClient:
         borrowing the shared pool for that address."""
         return RemoteRepository(
             address, tenant, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, event_log=self.events, metrics=self.metrics,
+            event_log=self.events, metrics=self.metrics,
             pool=self.pool_for(address),
             retry_budget_seconds=self.retry_budget_seconds,
         )
@@ -357,15 +340,16 @@ class RoutedRepository(Repository):
 
     def _walk(self, op_name: str, nodes: List[NodeSpec], start: int, operation):
         """The one placement walk: ``operation`` on each of ``nodes[start:]``
-        in turn until one answers; returns ``(index, answer)``.  A transport
-        failure moves on (a ``cluster_failover``), anything typed propagates."""
+        in turn until one answers; returns ``(index, answer)``.  A
+        :func:`~repro.client.retry.transport_failure` moves on (a
+        ``cluster_failover``), anything else propagates."""
         errors: List[str] = []
         for index in range(start, len(nodes)):
             node = nodes[index]
             try:
                 return index, operation(self.client.remote(node.address, self.repo))
             except BaseException as exc:
-                if not failover_worthy(exc):
+                if not transport_failure(exc):
                     raise
                 errors.append(f"{node.name} ({node.address}): {type(exc).__name__}: {exc}")
                 if index + 1 < len(nodes):
@@ -385,13 +369,14 @@ class RoutedRepository(Repository):
         ``attempt`` receives a :class:`RemoteRepository` bound to the
         tenant's current primary.  On a transport failure (dead daemon) or
         a :class:`NotPrimaryError` (the daemon's own fence says the map
-        moved on), the router polls :meth:`ClusterClient.refresh` for up
-        to ``write_retry_timeout`` seconds waiting for a map whose primary
-        is a *different node* — the promotion minted by the dead node's
-        ring successor — and retries there.  The failed node is never
-        re-sent the write, and a replica is never written to directly:
-        the only retry target the loop accepts is whatever a newer map
-        names as primary.
+        moved on), the router polls :meth:`ClusterClient.refresh` every
+        :data:`WRITE_RETRY_INTERVAL` for up to ``write_retry_timeout``
+        seconds (the one :func:`~repro.client.retry.retry` loop) waiting
+        for a map whose primary is a *different node* — the promotion
+        minted by the dead node's ring successor — and retries there.  The
+        failed node is never re-sent the write, and a replica is never
+        written to directly: the only retry target the loop accepts is
+        whatever a newer map names as primary.
         """
         client = self.client
         primary = client.placement(self.repo)[0]
@@ -399,50 +384,58 @@ class RoutedRepository(Repository):
         try:
             return attempt(client.remote(primary.address, self.repo))
         except BaseException as exc:
-            if not (failover_worthy(exc) or isinstance(exc, NotPrimaryError)):
+            if client.write_retry_timeout <= 0 or not _write_failed_over(exc):
                 raise
-            if client.write_retry_timeout <= 0:
-                raise
-            last_error = exc
-        failed = primary.name
-        deadline = time.monotonic() + client.write_retry_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ClusterError(
-                    f"{op_name} on {self.repo!r} failed on primary "
-                    f"{failed!r} and no failover promotion surfaced a new "
-                    f"primary within {client.write_retry_timeout:.1f}s: "
-                    f"{type(last_error).__name__}: {last_error}"
-                ) from last_error
-            time.sleep(min(WRITE_RETRY_INTERVAL, remaining))
+            failed, error = primary.name, exc  # the node the write last failed on, and why
+
+        def on_new_primary():
+            nonlocal failed, error
             try:
                 fresh = client.refresh()
             except ClusterError as exc:
-                last_error = exc
-                continue
-            new_primary = fresh.placement(self.repo)[0]
-            if new_primary.name == failed:
-                continue
+                error = exc
+                raise _NoNewPrimary() from None
+            node = fresh.placement(self.repo)[0]
+            if node.name == failed:
+                raise _NoNewPrimary()
             client.metrics.inc("cluster.write_retries")
             client.events.log(
                 "cluster_write_failover",
                 repo=self.repo,
                 op=op_name,
                 failed_node=failed,
-                new_node=new_primary.name,
+                new_node=node.name,
                 epoch=fresh.epoch,
-                error=type(last_error).__name__,
+                error=type(error).__name__,
             )
             try:
-                return attempt(client.remote(new_primary.address, self.repo))
+                return attempt(client.remote(node.address, self.repo))
             except BaseException as exc:
-                if not (failover_worthy(exc) or isinstance(exc, NotPrimaryError)):
+                if not _write_failed_over(exc):
                     raise
                 # The new primary died too (or is still verify-fenced);
                 # keep polling for yet another epoch until the deadline.
-                last_error = exc
-                failed = new_primary.name
+                failed, error = node.name, exc
+                raise _NoNewPrimary() from None
+
+        def gave_up(_last: Optional[BaseException]) -> NoReturn:
+            raise ClusterError(
+                f"{op_name} on {self.repo!r} failed on primary "
+                f"{failed!r} and no failover promotion surfaced a new "
+                f"primary within {client.write_retry_timeout:.1f}s: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+
+        try:
+            return retry(
+                on_new_primary,
+                itertools.repeat(WRITE_RETRY_INTERVAL),
+                retryable=lambda exc: isinstance(exc, _NoNewPrimary),
+                timeout=client.write_retry_timeout,
+                expired=gave_up,
+            )
+        finally:
+            error = None  # its traceback holds this frame (see ``retry``)
 
     def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
         # Entries are re-read from disk on each attempt, so the retry is
@@ -516,7 +509,7 @@ class RoutedRepository(Repository):
                         yield block
                     return
                 except BaseException as exc:
-                    if not failover_worthy(exc) or at + 1 >= len(nodes):
+                    if not transport_failure(exc) or at + 1 >= len(nodes):
                         raise
                     self._note_failover(
                         "restore_stream", nodes[at], nodes[at + 1], exc, bytes_done=yielded

@@ -22,13 +22,14 @@ constructor.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import socket
 import subprocess
 import sys
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NoReturn, Optional
 
+from ..client.retry import retry
 from ..errors import ClusterError
 from ..observability import MetricsRegistry
 from .map import ClusterMap, NodeSpec
@@ -67,21 +68,46 @@ def assign_ports(cmap: ClusterMap, host: str = "127.0.0.1") -> ClusterMap:
                       vnodes=cmap.vnodes, promotions=cmap.promotions)
 
 
-def wait_listening(address: str, timeout: float = 10.0) -> None:
-    """Poll until a TCP connect to ``address`` succeeds."""
+#: Seconds between connect probes while a daemon comes up.
+LISTEN_POLL_INTERVAL = 0.05
+
+
+def wait_listening(
+    address: str, timeout: float = 10.0, check: Callable[[], None] = lambda: None
+) -> None:
+    """Poll until a TCP connect to ``address`` succeeds (the one
+    :func:`~repro.client.retry.retry` loop).  ``check`` runs before each
+    connect and may raise to end the wait early."""
     host, _, port = address.rpartition(":")
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            with socket.create_connection((host, int(port)), timeout=1.0):
-                return
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise ClusterError(
-                    f"daemon at {address} not accepting connections "
-                    f"after {timeout:.0f}s"
-                ) from None
-            time.sleep(0.05)
+
+    def connect() -> None:
+        check()
+        socket.create_connection((host, int(port)), timeout=1.0).close()
+
+    def gave_up(_last: Optional[BaseException]) -> NoReturn:
+        raise ClusterError(
+            f"daemon at {address} not accepting connections after {timeout:.0f}s"
+        ) from None
+
+    retry(
+        connect,
+        itertools.chain([0.0], itertools.repeat(LISTEN_POLL_INTERVAL)),
+        timeout=timeout,
+        expired=gave_up,
+    )
+
+
+@contextlib.contextmanager
+def _stopped_on_failure(stop: Callable[[], None]) -> Iterator[None]:
+    """Unwind a half-started fleet: when the block raises (a Ctrl-C
+    included), ``stop()`` best-effort and re-raise the block's own error —
+    a failing cleanup never hides why the start failed."""
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(Exception):
+            stop()
+        raise
 
 
 class DaemonProcess:
@@ -126,19 +152,14 @@ class DaemonProcess:
         return self.process.poll() is None
 
     def wait_ready(self, timeout: float = 15.0) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
+        def running() -> None:
             if not self.alive:
                 raise ClusterError(
                     f"daemon {self.node.name} exited with "
                     f"{self.process.returncode} before accepting connections"
                 )
-            try:
-                wait_listening(self.node.address, timeout=0.5)
-                return
-            except ClusterError:
-                if time.monotonic() >= deadline:
-                    raise
+
+        wait_listening(self.node.address, timeout, check=running)
 
     def stop(self, timeout: float = 15.0) -> int:
         """Graceful SIGTERM drain; escalates to SIGKILL on overrun."""
@@ -166,7 +187,7 @@ class ClusterSupervisor:
         cmap: ClusterMap,
         map_path: str,
         replicate_interval: float = 0.0,
-        log_json: Optional[str] = None,
+        log_dir: Optional[str] = None,
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_timeout: float = 2.0,
@@ -174,37 +195,32 @@ class ClusterSupervisor:
         self.map = cmap
         self.map_path = map_path
         self.replicate_interval = replicate_interval
-        self.log_json = log_json
+        self.log_dir = log_dir
         self.probe_interval = probe_interval
         self.probe_failures = probe_failures
         self.probe_timeout = probe_timeout
         self.daemons: Dict[str, DaemonProcess] = {}
 
     def start(self, timeout: float = 20.0) -> None:
-        try:
+        """Spawn every node, then wait until each accepts connections.
+        With a ``log_dir``, each daemon logs to ``<log_dir>/<node>.jsonl``."""
+        if self.log_dir:
+            os.makedirs(self.log_dir, exist_ok=True)
+        with _stopped_on_failure(self.stop):
             for node in self.map.nodes:
                 self.daemons[node.name] = DaemonProcess(
                     node, self.map_path,
                     replicate_interval=self.replicate_interval,
-                    log_json=self.log_json,
+                    log_json=(
+                        os.path.join(self.log_dir, f"{node.name}.jsonl")
+                        if self.log_dir else None
+                    ),
                     probe_interval=self.probe_interval,
                     probe_failures=self.probe_failures,
                     probe_timeout=self.probe_timeout,
                 )
             for daemon in self.daemons.values():
                 daemon.wait_ready(timeout)
-        except Exception:
-            # Unwind the half-started fleet on real failures, but let
-            # KeyboardInterrupt/SystemExit propagate immediately — the
-            # operator's Ctrl-C must not be swallowed by cleanup.
-            self.stop()
-            raise
-        except BaseException:
-            try:
-                self.stop()
-            except Exception:
-                pass
-            raise
 
     def stop(self) -> None:
         for daemon in self.daemons.values():
@@ -254,37 +270,30 @@ class ClusterHarness:
         self.threads: Dict[str, "DaemonThread"] = {}
 
     def start(self) -> ClusterMap:
+        with _stopped_on_failure(self.stop):
+            for node in self.map.nodes:
+                self._start_node(node)
+        return self.map
+
+    def _start_node(self, node: NodeSpec) -> None:
         from ..server.daemon import DaemonThread
 
-        try:
-            for node in self.map.nodes:
-                host, _, port = node.address.rpartition(":")
-                kwargs = dict(self.daemon_kwargs)
-                # Each in-process node gets its own registry, or every
-                # node's STATS would show the same global counters.
-                kwargs.setdefault("metrics", MetricsRegistry())
-                thread = DaemonThread(
-                    node.root,
-                    host=host,
-                    port=int(port),
-                    cluster_map=self.map,
-                    node_name=node.name,
-                    replicate_interval=self.replicate_interval,
-                    **kwargs,
-                )
-                thread.start()
-                self.threads[node.name] = thread
-        except Exception:
-            self.stop()
-            raise
-        except BaseException:
-            # Ctrl-C during startup: best-effort unwind, never swallow.
-            try:
-                self.stop()
-            except Exception:
-                pass
-            raise
-        return self.map
+        host, _, port = node.address.rpartition(":")
+        kwargs = dict(self.daemon_kwargs)
+        # Each in-process node gets its own registry, or every
+        # node's STATS would show the same global counters.
+        kwargs.setdefault("metrics", MetricsRegistry())
+        thread = DaemonThread(
+            node.root,
+            host=host,
+            port=int(port),
+            cluster_map=self.map,
+            node_name=node.name,
+            replicate_interval=self.replicate_interval,
+            **kwargs,
+        )
+        thread.start()
+        self.threads[node.name] = thread
 
     def stop(self) -> None:
         for thread in self.threads.values():
@@ -305,28 +314,13 @@ class ClusterHarness:
         here; the node resumes from its on-disk state — exactly the
         operator "replace the crashed daemon" move.
         """
-        from ..server.daemon import DaemonThread
-
         node = next((n for n in self.map.nodes if n.name == name), None)
         if node is None:
             raise ClusterError(f"no node named {name!r} in the cluster map")
         old = self.threads.pop(name, None)
         if old is not None:
             old.kill()
-        host, _, port = node.address.rpartition(":")
-        kwargs = dict(self.daemon_kwargs)
-        kwargs.setdefault("metrics", MetricsRegistry())
-        thread = DaemonThread(
-            node.root,
-            host=host,
-            port=int(port),
-            cluster_map=self.map,
-            node_name=node.name,
-            replicate_interval=self.replicate_interval,
-            **kwargs,
-        )
-        thread.start()
-        self.threads[name] = thread
+        self._start_node(node)
 
     def addresses(self) -> List[str]:
         return [node.address for node in self.map.nodes]

@@ -407,7 +407,7 @@ class BackupDaemon:
         """One blocking ``CLUSTER_MAP`` round-trip (runs in a worker thread)
         with ``offer`` attached; returns the peer's map.  Short timeout, no
         retries — the controller owns the consecutive-failure counting."""
-        remote = RemoteRepository(address, "-", timeout=self.probe_timeout, retries=1, backoff=0.0)
+        remote = RemoteRepository(address, "-", timeout=self.probe_timeout, retries=1)
         try:
             return remote.cluster_map(offer=offer).get("map")
         finally:
@@ -456,7 +456,7 @@ class BackupDaemon:
                     continue
                 remote = RemoteRepository(
                     acting.address, name, timeout=max(self.probe_timeout, 10.0),
-                    retries=1, backoff=0.0,
+                    retries=1,
                 )
                 try:
                     handle = self.registry.get(name)

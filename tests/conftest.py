@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from typing import List
 
 import pytest
@@ -193,6 +194,49 @@ class Deployment:
 def deployment(tmp_path_factory):
     with Deployment(tmp_path_factory.mktemp("surfaces")) as built:
         yield built
+
+
+def wait_until(predicate, timeout: float = 20.0, interval: float = 0.1):
+    """Poll ``predicate`` until it returns something truthy; return that.
+
+    Raises ``AssertionError`` when ``timeout`` seconds pass first."""
+    deadline = time.monotonic() + timeout
+    while True:
+        result = predicate()
+        if result:
+            return result
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"condition not met within {timeout}s")
+        time.sleep(interval)
+
+
+class FakeClock:
+    """Stands in for :mod:`repro.client.retry`'s ``time``: ``sleep`` records
+    the pause and moves ``monotonic`` on at once, then runs ``on_sleep``."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.sleeps: List[float] = []
+        self.on_sleep = None
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+        if self.on_sleep is not None:
+            self.on_sleep(seconds)
+
+
+@pytest.fixture
+def retry_clock(monkeypatch) -> FakeClock:
+    """Every client retry, poll and readiness wait runs on a fake clock."""
+    from repro.client import retry
+
+    clock = FakeClock()
+    monkeypatch.setattr(retry, "time", clock)
+    return clock
 
 
 def make_stream(tokens: List[int], tag: str = "", size: int = 1024) -> BackupStream:

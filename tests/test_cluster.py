@@ -27,12 +27,20 @@ from repro.cluster import (
     moved_keys,
     newer_map,
 )
+from repro.cluster import supervisor as supervisor_module
 from repro.cluster.rebalance import moved_tenants
-from repro.cluster.supervisor import free_ports
+from repro.cluster.supervisor import (
+    LISTEN_POLL_INTERVAL,
+    ClusterSupervisor,
+    DaemonProcess,
+    free_ports,
+    wait_listening,
+)
 from repro.errors import ClusterError, RemoteError
-from repro.observability import JsonEventLogger
+from repro.observability import JsonEventLogger, read_jsonl
 from repro.repository import read_tree
 from repro.server import DaemonThread
+from tests.conftest import wait_until
 
 
 # ----------------------------------------------------------------------
@@ -391,3 +399,66 @@ def test_rebalance_keeps_old_copy_when_verify_fails(tmp_path):
             assert os.path.isdir(os.path.join(other.root, victim))
     finally:
         harness.stop()
+
+
+# ----------------------------------------------------------------------
+# Process supervisor: readiness waits, per-node logs, the start unwind
+# ----------------------------------------------------------------------
+def test_wait_listening_gives_up_at_its_timeout(retry_clock):
+    port = free_ports(1)[0]  # nobody listens there
+    with pytest.raises(ClusterError, match="not accepting connections after 1s"):
+        wait_listening(f"127.0.0.1:{port}", timeout=1.0)
+    # A connect every 0.05 s, until the next pause would pass the timeout.
+    assert set(retry_clock.sleeps) == {LISTEN_POLL_INTERVAL}
+    assert retry_clock.now < 1.0 <= retry_clock.now + LISTEN_POLL_INTERVAL
+
+
+def test_a_daemon_that_exited_fails_its_wait_at_once(tmp_path, retry_clock):
+    node = NodeSpec("n1", f"127.0.0.1:{free_ports(1)[0]}", str(tmp_path / "n1"))
+    daemon = DaemonProcess(node, str(tmp_path / "no-such-spec.json"))
+    daemon.process.wait(timeout=60)
+    with pytest.raises(ClusterError, match="exited with"):
+        daemon.wait_ready()
+    assert retry_clock.sleeps == []
+
+
+def test_each_supervised_daemon_logs_to_its_own_file(tmp_path):
+    cmap = assign_ports(ClusterMap(
+        [NodeSpec(f"n{i}", "127.0.0.1:0", str(tmp_path / f"n{i}")) for i in (1, 2)],
+        replicas=1,
+    ))
+    map_path = str(tmp_path / "cluster.json")
+    cmap.save(map_path)
+    log_dir = str(tmp_path / "logs")
+    with ClusterSupervisor(cmap, map_path, log_dir=log_dir):
+        for node in cmap.nodes:
+            path = os.path.join(log_dir, f"{node.name}.jsonl")
+            starts = wait_until(lambda: os.path.exists(path) and [
+                event for event in read_jsonl(path) if event["event"] == "daemon_start"
+            ])
+            assert [event["address"] for event in starts] == [node.address]
+    assert sorted(os.listdir(log_dir)) == ["n1.jsonl", "n2.jsonl"]
+
+
+def test_a_failed_start_stops_the_daemons_it_spawned(tmp_path, monkeypatch):
+    spawned = []
+
+    class Recorded(supervisor_module.DaemonProcess):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(supervisor_module, "DaemonProcess", Recorded)
+    ports = free_ports(2)
+    cmap = ClusterMap([
+        NodeSpec("n1", f"127.0.0.1:{ports[0]}", str(tmp_path / "n1")),
+        NodeSpec("n2", f"127.0.0.1:{ports[1]}"),  # no root: its spawn fails
+    ], replicas=1)
+    map_path = str(tmp_path / "cluster.json")
+    cmap.save(map_path)
+    supervisor = ClusterSupervisor(cmap, map_path)
+    with pytest.raises(ClusterError, match="has no root"):
+        supervisor.start()
+    assert supervisor.daemons == {}
+    assert [daemon.node.name for daemon in spawned] == ["n1"]
+    assert not spawned[0].alive

@@ -16,7 +16,6 @@ and rejoins may ever fork a tenant's history.  The moving parts:
 
 import io
 import os
-import time
 
 import pytest
 
@@ -29,10 +28,11 @@ from repro.cluster import (
     NodeSpec,
     node_order,
 )
+from repro.cluster.client import WRITE_RETRY_INTERVAL
 from repro.errors import ClusterError, NotPrimaryError, RemoteError
 from repro.observability import EventLogger, MetricsRegistry
 from repro.repository import read_tree
-from tests.conftest import oracle_sizes, recipe_sizes
+from tests.conftest import oracle_sizes, recipe_sizes, wait_until
 
 #: Aggressive probe settings so failover lands in test time, not ops time.
 PROBE = dict(probe_interval=0.15, probe_failures=2, probe_timeout=1.0)
@@ -61,16 +61,6 @@ def restored_bytes(repo, version_id: int) -> bytes:
     for block in stream:
         out.write(block)
     return out.getvalue()
-
-
-def wait_until(predicate, timeout: float = 20.0, interval: float = 0.1):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        result = predicate()
-        if result:
-            return result
-        time.sleep(interval)
-    raise AssertionError("condition not met within timeout")
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +309,7 @@ def test_refresh_prunes_pools_for_departed_addresses(tmp_path):
             assert counters.get("cluster.pools_pruned", 0) >= 1
 
 
-def test_refresh_all_fail_reports_staleness(tmp_path):
+def test_refresh_all_fail_reports_staleness(tmp_path, retry_clock):
     cmap = ClusterMap(
         [NodeSpec("n1", "127.0.0.1:1"), NodeSpec("n2", "127.0.0.1:2")],
         replicas=2,
@@ -339,7 +329,6 @@ def test_refresh_all_fail_reports_staleness(tmp_path):
         cluster_map=cmap,
         timeout=0.5,
         retries=1,
-        backoff=0.0,
         event_log=Capture(),
         metrics=metrics,
     )
@@ -353,8 +342,30 @@ def test_refresh_all_fail_reports_staleness(tmp_path):
         counters = metrics.snapshot()["counters"]
         assert counters.get("cluster.map_refresh_errors", 0) == 1
         assert client.status()["stale"] is True
+        assert retry_clock.sleeps == []  # retries=1: no pause anywhere
     finally:
         client.close()
+
+
+def test_a_write_gives_up_when_no_promotion_surfaces(retry_clock):
+    """The promotion poll re-reads the map every WRITE_RETRY_INTERVAL and
+    stops at ``write_retry_timeout``; nothing listens, so no map names a
+    new primary and the write is never re-sent."""
+    cmap = ClusterMap(
+        [NodeSpec("n1", "127.0.0.1:1"), NodeSpec("n2", "127.0.0.1:2")], replicas=2
+    )
+    metrics = MetricsRegistry()
+    client = ClusterClient(
+        [n.address for n in cmap.nodes], cluster_map=cmap, timeout=0.5,
+        retries=1, metrics=metrics, write_retry_timeout=1.0,
+    )
+    try:
+        with pytest.raises(ClusterError, match="no failover promotion surfaced"):
+            client.repo("alpha").delete_oldest()
+    finally:
+        client.close()
+    assert retry_clock.sleeps == [WRITE_RETRY_INTERVAL] * 3
+    assert metrics.snapshot()["counters"].get("cluster.write_retries", 0) == 0
 
 
 def test_status_distinguishes_stats_failure_from_dead(tmp_path, monkeypatch):

@@ -621,17 +621,18 @@ class _RejectedPutPool:
 
 
 @pytest.mark.parametrize("size", [0, 700, 3 * 256 * 1024], ids=["empty", "one frame", "several"])
-def test_a_rejected_put_surfaces_the_servers_error_whatever_its_size(size):
+def test_a_rejected_put_surfaces_the_servers_error_whatever_its_size(size, retry_clock):
     """A head, a manifest or a tables part is a single data frame, sent in
     the same write as the announcement: a rejection that kills that write
     must still arrive as the typed error, not as a retried ``OSError``."""
     from repro.client import RemoteRepository
 
     pool = _RejectedPutPool(ReplicationError("invalid checkpoint object name 'x'"))
-    remote = RemoteRepository(("127.0.0.1", 1), "mirror", pool=pool, retries=3, backoff=0.0)
+    remote = RemoteRepository(("127.0.0.1", 1), "mirror", pool=pool, retries=3)
     with pytest.raises(ReplicationError, match="invalid checkpoint object name"):
         remote.replicate_put("checkpoint", "checkpoint.json", b"h" * size, "", staged=True)
     assert pool.acquired == 1 and len(pool.sends) == 1  # answered: not retried
+    assert retry_clock.sleeps == []
     assert len(pool.sends[0]) == (1 if size == 0 else 3)  # announcement [+ header + payload]
 
 

@@ -514,27 +514,27 @@ class TestTransport:
         conn2.close()
         pool.close()
 
-    def test_retries_reach_a_late_server(self, tmp_path):
+    def test_retries_reach_a_late_server(self, tmp_path, retry_clock):
         """Idempotent requests retry with backoff until the daemon answers."""
         thread = DaemonThread(str(tmp_path / "served"))
         address = thread.start()
         host, port = parse_address(address)
         thread.stop(drain_timeout=0)  # daemon gone; port free again
 
-        repo = RemoteRepository((host, port), "alpha", timeout=2, retries=4, backoff=0.3)
+        repo = RemoteRepository((host, port), "alpha", timeout=2, retries=4)
         late = {}
 
-        def start_late():
-            late["thread"] = DaemonThread(str(tmp_path / "served"), port=port)
-            late["thread"].start()
+        def start_late(_pause):
+            if "thread" not in late:
+                late["thread"] = DaemonThread(str(tmp_path / "served"), port=port)
+                late["thread"].start()
 
-        starter = threading.Timer(0.5, start_late)
-        starter.start()
+        retry_clock.on_sleep = start_late  # the daemon comes up during the first backoff
         try:
             doc = repo.server_stats()
             assert "repos" in doc
+            assert retry_clock.sleeps == [0.1]
         finally:
-            starter.join()
             repo.close()
             if "thread" in late:
                 late["thread"].stop(drain_timeout=0)
@@ -779,7 +779,7 @@ class TestRemoteCLI:
 # Request-level retry budgets
 # ----------------------------------------------------------------------
 class TestRetryBudget:
-    def test_budget_exhaustion_raises_typed_error_and_counts(self):
+    def test_budget_exhaustion_raises_typed_error_and_counts(self, retry_clock):
         from repro.errors import RetryBudgetExceededError
         from repro.observability import MetricsRegistry
 
@@ -789,35 +789,117 @@ class TestRetryBudget:
 
         metrics = MetricsRegistry()
         repo = RemoteRepository(
-            (host, port), "alpha", timeout=1, retries=20, backoff=0.2,
+            (host, port), "alpha", timeout=1, retries=20,
             retry_budget_seconds=0.5, metrics=metrics,
         )
-        started = time.monotonic()
         try:
             with pytest.raises(RetryBudgetExceededError) as info:
                 repo.server_stats()
         finally:
             repo.close()
-        # The budget, not the 20 attempts, ended the operation — quickly.
-        assert time.monotonic() - started < 5
+        # The budget, not the 20 attempts, ended the operation: three tries
+        # 0.1 and 0.2 s apart, and the next 0.4 s pause would pass 0.5 s.
+        assert retry_clock.sleeps == [0.1, 0.2]
+        assert retry_clock.now + 0.4 >= 0.5 > retry_clock.now
         assert isinstance(info.value, RemoteError)  # wire-taxonomy compatible
         counters = metrics.snapshot()["counters"]
         assert counters["client.retry_budget_exhausted"] == 1
+        assert counters["client.retries_total"] == 2
 
-    def test_attempts_still_bound_without_a_budget(self):
+    def test_attempts_still_bound_without_a_budget(self, retry_clock):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             host, port = probe.getsockname()
-        repo = RemoteRepository((host, port), "alpha", timeout=1, retries=2,
-                                backoff=0.05)
+        repo = RemoteRepository((host, port), "alpha", timeout=1, retries=2)
         try:
-            with pytest.raises(RemoteError):
+            with pytest.raises(RemoteError, match="after 2 attempts"):
                 repo.server_stats()
         finally:
             repo.close()
+        assert retry_clock.sleeps == [0.1]
 
     def test_budget_error_is_failover_worthy(self):
-        from repro.cluster.client import failover_worthy
+        from repro.client.retry import transport_failure
         from repro.errors import RetryBudgetExceededError
 
-        assert failover_worthy(RetryBudgetExceededError("budget spent"))
+        assert transport_failure(RetryBudgetExceededError("budget spent"))
+
+
+# ----------------------------------------------------------------------
+# A peer that hangs up mid-request
+# ----------------------------------------------------------------------
+class _HangUpServer:
+    """A scripted daemon: connection ``i`` is answered with ``replies[i]``,
+    or hung up on (``None``) once its one request has been read.  It
+    records each request's frame type."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        from repro.client.protocol import MAGIC, PROTOCOL_VERSION, FrameDecoder
+
+        for reply in self.replies:
+            try:
+                sock, _peer = self.listener.accept()
+            except OSError:
+                return
+            decoder, frames = FrameDecoder(), []
+
+            def next_frame():
+                while not frames:
+                    data = sock.recv(65536)
+                    if not data:
+                        raise ConnectionError("client hung up")
+                    frames.extend(decoder.feed(data))
+                return frames.pop(0)
+
+            with sock:
+                assert next_frame()[0] == FrameType.HELLO
+                sock.sendall(encode_json(
+                    FrameType.HELLO_OK, {"magic": MAGIC, "version": PROTOCOL_VERSION},
+                ))
+                self.requests.append(next_frame()[0])
+                if reply is not None:
+                    sock.sendall(reply)
+                    while sock.recv(65536):  # until the client closes
+                        pass
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+        self.thread.join(timeout=5)
+
+
+class TestPeerClose:
+    def test_a_read_is_retried_on_a_new_connection(self, retry_clock):
+        """``server closed the connection`` is transport trouble: the second
+        connection answers the retried read."""
+        server = _HangUpServer(
+            [None, encode_json(FrameType.VERSIONS_OK, {"versions": [{"version_id": 1}]})]
+        )
+        repo = RemoteRepository(server.address, "alpha", timeout=5, retries=3)
+        try:
+            assert repo.versions() == [{"version_id": 1}]
+        finally:
+            repo.close()
+            server.close()
+        assert server.requests == [FrameType.VERSIONS, FrameType.VERSIONS]
+        assert retry_clock.sleeps == [0.1]
+
+    def test_a_delete_is_sent_once(self, retry_clock):
+        server = _HangUpServer([None, encode_json(FrameType.DELETE_OK, {})])
+        repo = RemoteRepository(server.address, "alpha", timeout=5, retries=3)
+        try:
+            with pytest.raises(RemoteError, match="closed the connection"):
+                repo.delete_oldest()
+        finally:
+            repo.close()
+            server.close()
+        assert server.requests == [FrameType.DELETE_OLDEST]
+        assert retry_clock.sleeps == []

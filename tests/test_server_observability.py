@@ -13,6 +13,7 @@ from repro.client import RemoteRepository
 from repro.observability import JsonEventLogger, MetricsRegistry, read_jsonl
 from repro.repository import materialize, read_tree
 from repro.server import DaemonThread
+from tests.conftest import wait_until
 
 
 def make_tree(base, files):
@@ -65,16 +66,12 @@ def read_jsonl_until(path, name, count=1, timeout=5.0):
     The daemon writes ``{kind}_end`` *after* sending the reply, so the
     client can observe the response a beat before the event hits disk.
     """
-    import time
 
-    deadline = time.monotonic() + timeout
-    while True:
+    def enough():
         records = read_jsonl(path)
-        if len(events_by_name(records, name)) >= count:
-            return records
-        if time.monotonic() >= deadline:
-            return records
-        time.sleep(0.02)
+        return records if len(events_by_name(records, name)) >= count else None
+
+    return wait_until(enough, timeout=timeout, interval=0.02)
 
 
 class TestTraceCorrelation:
