@@ -58,9 +58,9 @@ def _population(containers, live: Set[bytes]) -> ContainerPopulation:
         population.total_capacity += container.capacity
         population.held_bytes += container.used
         population.utilizations.append(container.utilization)
-        for fingerprint, slot in container.items():
+        for fingerprint, (_offset, size) in container.index.items():
             if fingerprint in live:
-                population.live_bytes += slot.size
+                population.live_bytes += size
     return population
 
 

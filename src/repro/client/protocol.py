@@ -223,11 +223,8 @@ class FrameDecoder:
     blocking client and tests alike.
 
     It is the reader for bytes that arrive *unasked*: the client's
-    non-blocking ``sweep`` / ``pending_error`` drains feed it whatever the
-    kernel holds, and :meth:`Connection.recv_frame
-    <repro.client.remote.Connection.recv_frame>` falls back to it while it
-    still buffers a partial frame.  The streaming path does not go through
-    it — ``recv_frame`` reads a header and then exactly one payload — because
+    non-blocking ``pending_error`` drain feeds one whatever the kernel
+    holds.  The streaming path does not go through it — ``recv_frame`` reads a header and then exactly one payload — because
     a data frame's 5-byte header makes every payload straddle a
     same-sized socket read, and a straddling payload costs a reassembly copy
     here.  A payload that does land inside one fed buffer comes back as a

@@ -87,7 +87,7 @@ def parse_address(address: Address) -> Tuple[str, int]:
 
 
 class Connection:
-    """One handshaken socket + its frame decoder."""
+    """One handshaken socket, read a frame at a time."""
 
     def __init__(self, address: Tuple[str, int], timeout: float) -> None:
         self.timeout = timeout
@@ -96,8 +96,6 @@ class Connection:
         except socket.timeout as exc:
             raise TimeoutExceededError(f"connect to {address} timed out") from exc
         self._sock.settimeout(timeout)
-        self._decoder = FrameDecoder()
-        self._frames: List[Tuple[FrameType, bytes]] = []
         self.broken = False
         self.trace = ""
         self.seq = 0
@@ -185,67 +183,53 @@ class Connection:
     def recv_frame(self) -> Tuple[FrameType, bytes]:
         """Block for the next complete frame (per-operation timeout).
 
-        With nothing buffered — every frame of a healthy stream — the
-        header is read on its own and the payload straight into a buffer
-        of exactly its size: one copy out of the kernel, none after.  Bytes
-        a ``sweep`` or ``pending_error`` drain already fed the decoder are
-        finished through the decoder.
+        The header is read on its own and the payload straight into a
+        buffer of exactly its size: one copy out of the kernel, none after.
         """
-        if not self._frames and not self._decoder.pending:
-            length, ftype = decode_header(self._recv_exactly(HEADER_SIZE))
-            if not length:
-                return ftype, b""
-            payload = self._recv_exactly(length)
-            if ftype == FrameType.CHUNK_DATA:
-                return ftype, memoryview(payload)
-            return ftype, bytes(payload)
-        while not self._frames:
-            view = memoryview(bytearray(_RECV_SIZE))
-            self._frames.extend(self._decoder.feed(bytes(view[: self._recv_into(view)])))
-        return self._frames.pop(0)
+        length, ftype = decode_header(self._recv_exactly(HEADER_SIZE))
+        if not length:
+            return ftype, b""
+        payload = self._recv_exactly(length)
+        if ftype == FrameType.CHUNK_DATA:
+            return ftype, memoryview(payload)
+        return ftype, bytes(payload)
 
     def pending_error(self) -> Optional[bytes]:
         """Drain readable bytes without blocking; return an ERROR payload.
 
-        Used when a send fails mid-stream: the server very likely reported
-        *why* before closing, and that diagnosis beats ``BrokenPipeError``.
+        Used when a send fails mid-stream (the connection is broken by
+        then): the server very likely reported *why* before closing, and
+        that diagnosis beats ``BrokenPipeError``.
         """
+        decoder, frames = FrameDecoder(), []
         try:
             self._sock.settimeout(0.2)
             while True:
                 data = self._sock.recv(_RECV_SIZE)
                 if not data:
                     break
-                self._frames.extend(self._decoder.feed(data))
+                frames.extend(decoder.feed(data))
         except (OSError, ProtocolError):
             pass
-        for ftype, payload in self._frames:
+        for ftype, payload in frames:
             if ftype == FrameType.ERROR:
                 return payload
         return None
 
-    def has_buffered(self) -> bool:
-        """True if undrained frames/bytes remain from the last exchange."""
-        return bool(self._frames) or self._decoder.pending > 0
-
     def sweep(self) -> None:
-        """Pull any bytes already sitting in the kernel buffer, without blocking.
+        """Mark the connection broken if anything is readable, without blocking.
 
-        Makes :meth:`has_buffered` authoritative before pool reuse: a stale
-        frame the server wrote after our last read becomes visible instead
-        of poisoning the next request.
+        An idle connection fit for reuse has nothing to read: a stale frame
+        the server wrote after our last read would answer the next request,
+        and a close ends it.  Either way the pool discards it.
         """
         try:
             self._sock.settimeout(0.0)
-            while True:
-                data = self._sock.recv(_RECV_SIZE)
-                if not data:
-                    self.broken = True
-                    return
-                self._frames.extend(self._decoder.feed(data))
+            self._sock.recv(1)
+            self.broken = True  # a stray byte, or the server's close
         except (BlockingIOError, socket.timeout):
             pass
-        except (OSError, ProtocolError):
+        except OSError:
             self.broken = True
         finally:
             try:
@@ -286,11 +270,11 @@ class ConnectionPool:
                 if not self._idle:
                     break
                 conn = self._idle.pop()
-            # Drain-verify before reuse: a connection carrying a leftover
-            # frame (anything after a request's reply) would answer the next
+            # Verify before reuse: a connection carrying a leftover frame
+            # (anything after a request's reply) would answer the next
             # request with the wrong frame.  Discard, never repair.
             conn.sweep()
-            if conn.broken or conn.has_buffered():
+            if conn.broken:
                 self.metrics.inc("client.pooled_discards_total")
                 conn.close()
                 continue
@@ -308,10 +292,8 @@ class ConnectionPool:
         return conn
 
     def release(self, conn: Connection) -> None:
-        """Return a connection; broken, dirty or surplus connections are closed."""
-        if conn.broken or conn.has_buffered():
-            if conn.has_buffered() and not conn.broken:
-                self.metrics.inc("client.pooled_discards_total")
+        """Return a connection; broken or surplus connections are closed."""
+        if conn.broken:
             conn.close()
             return
         with self._lock:

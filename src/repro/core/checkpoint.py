@@ -474,7 +474,7 @@ def _load_parts(system: HiDeStore, head: Dict, read_part: Callable[[str], bytes]
         name = container_name(cid)
         blob = _fetched(lambda: store.read_object(cid), ref, f"active container object {name!r}")
         try:
-            loaded.append((name, decode_container(blob, cid, own=True), ref))
+            loaded.append((name, decode_container(blob, cid), ref))
         except ReproError as exc:
             raise ReproError(f"active container object {name!r} does not decode: {exc}") from exc
     for name, ref in refs.items():  # pre-v5 heads: the rest are active parts

@@ -164,8 +164,7 @@ class ActiveContainerPool:
             else:
                 archive = self.store.allocate()
                 for fp in group:
-                    slot = active[cold[fp].cid].remove(fp)
-                    archive.put(fp, slot.size, slot.data)
+                    archive.add(active[cold[fp].cid].remove(fp))
                 self.store.write(archive)
                 self.stats.archival_containers_written += 1
                 self.stats.cold_chunks_moved += len(group)
@@ -218,10 +217,12 @@ class ActiveContainerPool:
             self.stats.compact_seconds += time.perf_counter() - started
             return {}
         sparse.sort(key=lambda c: c.used, reverse=True)
+        sparse.reverse()  # popped fullest first: a drained container's buffer goes at once
         relocations: Dict[bytes, int] = {}
         target: Optional[Container] = None
         merged = 0
-        for container in sparse:
+        while sparse:
+            container = sparse.pop()
             for chunk in list(container.chunks()):
                 if target is None or not target.fits(chunk.size):
                     target = self.store.allocate()

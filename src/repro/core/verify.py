@@ -71,7 +71,8 @@ class VerificationReport:
 
 
 def _stored_size(container: Container, fp: bytes) -> Optional[int]:
-    return container.get(fp).size if fp in container else None
+    row = container.index.get(fp)
+    return None if row is None else row[1]
 
 
 def _reference_issue(cid: int, fp: bytes, size: int, stored: Optional[int]) -> Optional[str]:

@@ -12,19 +12,21 @@ Python-side reassembly and with whatever the consumer does with the bytes
 (file writes, socket sends).
 
 The output is **runs** (:class:`Run`), not chunks: entries that lie back to
-back in one decoded container payload leave as one slice, so the physical
-locality of a container read (§4.4) reaches the consumer whole.  A read is
-priced per container, not per chunk: it is served straight from the decoded
-container's entry index (:attr:`~repro.storage.container.Container.index`),
-cut into runs in one pass over its slots, and builds no slot object.
+back in one container payload leave as one slice, so the physical locality
+of a container read (§4.4) reaches the consumer whole.  A read is priced
+per container, not per chunk: it is served straight from the container's
+entry index (:attr:`~repro.storage.container.Container.index`), active or
+archival alike, and cut into runs in one pass over its slots.
 Plans and billing are the scheduler's; :func:`~repro.restore.scheduler.
 execute_plan` is the per-chunk oracle.
 
 Memory stays capped: at most ``max(2, 2 × workers)`` container reads are
 in flight or awaiting collection at once, and only the runs a read was
 scheduled to serve are retained (the plan's slot lifetimes bound the
-assembly buffer as the policy's cache budget would).  A read serving under half its blob
-copies its runs out, so a held run pins at most twice its bytes.  On
+assembly buffer as the policy's cache budget would).  An archival read
+serving under half its payload copies its runs out, so a held run pins at
+most twice its bytes (a pool container's buffer stays in the pool anyway,
+so its runs are always views).  On
 ``file://`` the blob is a read-only mapping of the container file: a sparse
 read copies only the bytes it serves, and a dense read's runs are views of
 the mapping, which is unmapped when the last of them is dropped.
@@ -84,15 +86,16 @@ def _serve(
 ) -> None:
     """Worker-side: one billed container read, cut into the runs it serves.
 
-    Each run lands in ``runs`` under its first entry's index.  An archival
-    container is served from its entry index, whether it was decoded from
-    the whole blob or from ``chunk_reader``'s ranged spans: one pass over
-    the read's slots cuts every stretch of consecutive entries that lie
-    back to back in the payload into one run, and no slot object is built.
-    A dense read hands out views of the payload (on ``file://``, of the
-    mapped file); a read serving under half its payload copies each run
-    out, so the payload goes as soon as the read returns.  A pool
-    container (no index) leaves one run per entry.
+    Each run lands in ``runs`` under its first entry's index.  Every
+    container is served from its entry index — an active one from the
+    pool, an archival one decoded from the whole blob or from
+    ``chunk_reader``'s ranged spans: one pass over the read's slots cuts
+    every stretch of consecutive entries that lie back to back in the
+    payload into one run.  Runs are views of the payload (on ``file://``,
+    of the mapped file; for the pool, of the container's buffer, which is
+    never resized while viewed), except that an archival (sealed) read
+    serving under half its payload copies each run out, so the payload
+    goes as soon as the read returns.
 
     The read, decompression and verification (each entry's own bytes are
     re-hashed, so a bit-flip names its chunk) happen here, on the worker,
@@ -109,16 +112,8 @@ def _serve(
         container = reader(read.cid)
     metrics.observe("restore.container_read_seconds", time.perf_counter() - started)
     index, payload = container.index, container.payload
-    if index is None:
-        for i in slots:
-            fp = entries[i].fingerprint
-            data = container.get(fp).data
-            if data is None:
-                raise RestoreError(f"chunk {fp.hex()[:8]} carries no payload")
-            if fingerprinter is not None:
-                _check(fingerprinter, fp, data)
-            runs[i] = Run(data, 1)
-        return
+    if payload is None:
+        raise RestoreError(f"container {read.cid} carries no payload")
     cuts = []  # (first entry, payload start, payload end, entries)
     first = -1
     begin = end = count = 0
@@ -143,7 +138,7 @@ def _serve(
         ) from None
     if count:
         cuts.append((first, begin, end, count))
-    copy = 2 * sum(end - begin for _i, begin, end, _n in cuts) < len(payload)
+    copy = container.sealed and 2 * sum(end - begin for _i, begin, end, _n in cuts) < len(payload)
     for first, begin, end, count in cuts:
         data = payload[begin:end]
         runs[first] = Run(bytes(data) if copy else data, count)

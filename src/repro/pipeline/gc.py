@@ -101,7 +101,7 @@ class GCDeletionManager:
             if not dead_here:
                 continue  # fully live: untouched
             live_here = held - dead_here
-            dead_bytes = sum(container.get(fp).size for fp in dead_here)
+            dead_bytes = sum(container.index[fp][1] for fp in dead_here)
             live_bytes = container.used - dead_bytes
             if not live_here:
                 # Fully dead: reclaim the container outright.

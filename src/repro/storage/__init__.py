@@ -7,7 +7,7 @@ speed factor, lookup requests) are computed.
 """
 
 from .backend import MemoryBackend
-from .container import ChunkSlot, Container
+from .container import Container
 from .container_store import (
     BackendContainerStore,
     FileContainerStore,
@@ -29,7 +29,6 @@ __all__ = [
     "ACTIVE_CID",
     "BackendContainerStore",
     "BackendRecipeStore",
-    "ChunkSlot",
     "Container",
     "DiskModel",
     "FileContainerStore",

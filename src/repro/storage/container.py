@@ -21,27 +21,19 @@ from ..units import CONTAINER_SIZE
 from ..chunking.stream import Chunk
 
 
-class ChunkSlot:
-    """Location and payload of one chunk inside a container."""
-
-    __slots__ = ("offset", "size", "data")
-
-    def __init__(self, offset: int, size: int, data: Optional[bytes] = None) -> None:
-        self.offset = offset
-        self.size = size
-        self.data = data
-
-    def __repr__(self) -> str:
-        return f"ChunkSlot(offset={self.offset}, size={self.size})"
-
-
 class Container:
-    """An append-oriented chunk container with a metadata hash table.
+    """An append-oriented chunk container: an entry index over one payload.
 
-    A container decoded from a stored blob may hold its table as an
-    :attr:`index` (``fingerprint -> (offset, size)`` into :attr:`payload`)
-    instead of slots: reads then build a :class:`ChunkSlot` only for what
-    they touch, and the first mutation turns the index into slots.
+    :attr:`index` is the hash table, ``fingerprint -> (offset, size)`` in
+    offset order; :attr:`payload` views the one buffer those offsets
+    address, or is ``None`` for a metadata-only container (simulated
+    streams).  A decoded blob's buffer is the blob's payload region; a
+    container being filled owns a ``bytearray`` that :meth:`put` appends
+    to.  A buffer a reader holds a view of is never resized: an append
+    that finds it viewed copies it into a new buffer and leaves the viewed
+    one as it was.  Nothing ever writes over a row's bytes (:meth:`remove`
+    only drops the row and leaves a hole), so every view stays valid and
+    unchanged however the container changes afterwards.
 
     Args:
         container_id: globally unique positive integer.
@@ -49,9 +41,7 @@ class Container:
             paper; all compared schemes use the same size for fairness).
     """
 
-    __slots__ = (
-        "container_id", "capacity", "_slots", "_used", "_cursor", "sealed", "payload", "index",
-    )
+    __slots__ = ("container_id", "capacity", "index", "_buffer", "_used", "_cursor", "sealed")
 
     def __init__(self, container_id: int, capacity: int = CONTAINER_SIZE) -> None:
         if container_id <= 0:
@@ -63,40 +53,28 @@ class Container:
             raise StorageError("container capacity must be positive")
         self.container_id = container_id
         self.capacity = capacity
-        self._slots: Dict[bytes, ChunkSlot] = {}
+        self.index: Dict[bytes, Tuple[int, int]] = {}
+        #: The chunk bytes the index addresses, holes included, or ``None``.
+        self._buffer = None
         self._used = 0  # live payload bytes
-        self._cursor = 0  # append offset (never reused without compaction)
+        self._cursor = 0  # append offset (never reused: removals leave holes)
         self.sealed = False
-        #: A decoded blob's payload region while slot offsets index it (slot
-        #: ``data`` are views into it), else ``None``.
-        self.payload: Optional[memoryview] = None
-        #: A decoded blob's table, ``fingerprint -> (offset, size)`` into
-        #: :attr:`payload` in offset order, while no slot has been built
-        #: from it (the table is then this, not ``_slots``); else ``None``.
-        self.index: Optional[Dict[bytes, Tuple[int, int]]] = None
 
     @classmethod
     def indexed(
         cls, container_id: int, capacity: int, index: Dict[bytes, Tuple[int, int]],
-        payload: memoryview,
+        payload: Optional[memoryview], written: int,
     ) -> "Container":
-        """A container over a decoded blob: ``index`` in offset order, every
-        chunk's bytes back to back in ``payload``."""
+        """A container over a decoded blob: ``index`` in offset order over
+        ``written`` back-to-back bytes of ``payload`` (``None``: no data)."""
         container = cls(container_id, capacity)
-        if len(payload) > capacity:
+        if written > capacity:
             raise ContainerFullError(
-                f"container {container_id}: {len(payload)} B of chunks exceed {capacity}"
+                f"container {container_id}: {written} B of chunks exceed {capacity}"
             )
-        container.index, container.payload = index, payload
-        container._used = container._cursor = len(payload)
+        container.index, container._buffer = index, payload
+        container._used = container._cursor = written
         return container
-
-    def _table(self) -> Dict[bytes, ChunkSlot]:
-        """The slots, built from :attr:`index` first if it holds the table."""
-        if self.index is not None:
-            self._slots = dict(self.items())
-            self.index = None
-        return self._slots
 
     # ------------------------------------------------------------------
     # Write path
@@ -104,21 +82,23 @@ class Container:
     def fits(self, size: int) -> bool:
         """Whether a chunk of ``size`` bytes can be appended right now.
 
-        Freed space from removed chunks does *not* count until
-        :meth:`compact` runs — the free space is not contiguous (Fig. 6).
+        Freed space from removed chunks does *not* count: the free space is
+        not contiguous (Fig. 6), and only a merge into a fresh container
+        reclaims it.
         """
         return self._cursor + size <= self.capacity
 
-    def add(self, chunk: Chunk) -> ChunkSlot:
-        """Append a chunk; returns its slot.  Raises if sealed, full or duplicate."""
+    def add(self, chunk: Chunk) -> int:
+        """Append a chunk; returns its offset.  Raises if sealed, full or duplicate."""
         return self.put(chunk.fingerprint, chunk.size, chunk.data)
 
-    def put(self, fingerprint: bytes, size: int, data=None) -> ChunkSlot:
-        """:meth:`add` without building a :class:`Chunk` (the blob decoder's path)."""
+    def put(self, fingerprint: bytes, size: int, data=None) -> int:
+        """:meth:`add` without building a :class:`Chunk`; ``data`` is copied
+        into the container's buffer.  A container holds chunks either all
+        with data or all without."""
         if self.sealed:
             raise StorageError(f"container {self.container_id} is sealed")
-        slots = self._table()
-        if fingerprint in slots:
+        if fingerprint in self.index:
             raise StorageError(
                 f"container {self.container_id} already holds chunk {fingerprint.hex()[:8]}"
             )
@@ -127,40 +107,42 @@ class Container:
                 f"container {self.container_id}: chunk of {size} B does not "
                 f"fit (cursor {self._cursor}/{self.capacity})"
             )
-        slot = ChunkSlot(self._cursor, size, data)
-        slots[fingerprint] = slot
+        offset, buffer = self._cursor, self._buffer
+        if offset and (data is None) != (buffer is None):
+            raise StorageError(
+                f"container {self.container_id}: chunks with and without data do not mix"
+            )
+        if data is not None:
+            if len(data) != size:
+                raise StorageError(
+                    f"chunk {fingerprint.hex()[:8]}: {len(data)} B of data for size {size}"
+                )
+            if buffer is None:
+                self._buffer = bytearray(data)
+            elif not isinstance(buffer, bytearray):
+                raise StorageError(
+                    f"container {self.container_id} is a decoded blob: it takes no data"
+                )
+            else:
+                try:
+                    buffer += data
+                except BufferError:  # a reader holds a view: leave that buffer to it
+                    self._buffer = buffer + data
+        self.index[fingerprint] = (offset, size)
         self._cursor += size
         self._used += size
-        self.payload = None
-        return slot
+        return offset
 
-    def remove(self, fingerprint: bytes) -> ChunkSlot:
+    def remove(self, fingerprint: bytes) -> Chunk:
         """Drop a chunk from the metadata table, leaving a hole in the payload.
 
         Used when HiDeStore demotes cold chunks out of an active container.
-        The hole is reclaimed only by :meth:`compact`.
+        Returns the chunk, its data a view of the hole.
         """
-        try:
-            slot = self._table().pop(fingerprint)
-        except KeyError:
-            raise UnknownChunkError(
-                f"container {self.container_id} does not hold {fingerprint.hex()[:8]}"
-            ) from None
-        self._used -= slot.size
-        return slot
-
-    def compact(self) -> int:
-        """Rewrite live chunks contiguously; returns bytes reclaimed."""
-        reclaimed = self._cursor - self._used
-        offset = 0
-        rebuilt: Dict[bytes, ChunkSlot] = {}
-        for fp, slot in self._table().items():
-            rebuilt[fp] = ChunkSlot(offset, slot.size, slot.data)
-            offset += slot.size
-        self.payload = None
-        self._slots = rebuilt
-        self._cursor = offset
-        return reclaimed
+        chunk = self.get_chunk(fingerprint)
+        del self.index[fingerprint]
+        self._used -= chunk.size
+        return chunk
 
     def seal(self) -> None:
         """Freeze the container (archival state)."""
@@ -169,55 +151,49 @@ class Container:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def __contains__(self, fingerprint: bytes) -> bool:
-        return fingerprint in (self._slots if self.index is None else self.index)
+    @property
+    def payload(self) -> Optional[memoryview]:
+        """A read-only view of the buffer the index addresses, or ``None``."""
+        buffer = self._buffer
+        return None if buffer is None else memoryview(buffer).toreadonly()
 
-    def get(self, fingerprint: bytes) -> ChunkSlot:
+    def __contains__(self, fingerprint: bytes) -> bool:
+        return fingerprint in self.index
+
+    def get_chunk(self, fingerprint: bytes) -> Chunk:
+        """Materialise a :class:`Chunk` for a stored fingerprint."""
         try:
-            if self.index is None:
-                return self._slots[fingerprint]
             offset, size = self.index[fingerprint]
         except KeyError:
             raise UnknownChunkError(
                 f"container {self.container_id} does not hold {fingerprint.hex()[:8]}"
             ) from None
-        return ChunkSlot(offset, size, self.payload[offset : offset + size])
-
-    def get_chunk(self, fingerprint: bytes) -> Chunk:
-        """Materialise a :class:`Chunk` for a stored fingerprint."""
-        slot = self.get(fingerprint)
-        return Chunk(fingerprint, slot.size, slot.data)
+        payload = self.payload
+        data = None if payload is None else payload[offset : offset + size]
+        return Chunk(fingerprint, size, data)
 
     def fingerprints(self) -> List[bytes]:
-        return list(self._slots if self.index is None else self.index)
+        return list(self.index)
 
     def chunks(self) -> Iterator[Chunk]:
         """Iterate live chunks in offset order (the physical layout)."""
-        for fp, slot in sorted(self.items(), key=lambda kv: kv[1].offset):
-            yield Chunk(fp, slot.size, slot.data)
+        for fp, data in self.payloads():
+            yield Chunk(fp, self.index[fp][1], data)
 
-    def items(self) -> Iterator[Tuple[bytes, ChunkSlot]]:
-        if self.index is None:
-            return iter(self._slots.items())
+    def payloads(self) -> Iterator[Tuple[bytes, Optional[memoryview]]]:
+        """``(fingerprint, data)`` of every chunk, in offset order."""
         payload = self.payload
         return (
-            (fp, ChunkSlot(offset, size, payload[offset : offset + size]))
-            for fp, (offset, size) in self.index.items()
+            (fp, None if payload is None else payload[at : at + size])
+            for fp, (at, size) in self.index.items()
         )
-
-    def payloads(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """``(fingerprint, data)`` of every chunk, building no slot."""
-        if self.index is None:
-            return ((fp, slot.data) for fp, slot in self._slots.items())
-        payload = self.payload
-        return ((fp, payload[at : at + size]) for fp, (at, size) in self.index.items())
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
     def chunk_count(self) -> int:
-        return len(self._slots if self.index is None else self.index)
+        return len(self.index)
 
     @property
     def used(self) -> int:
@@ -226,7 +202,7 @@ class Container:
 
     @property
     def written(self) -> int:
-        """Bytes ever appended and not yet compacted away (cursor position)."""
+        """Bytes ever appended (cursor position, holes included)."""
         return self._cursor
 
     @property
@@ -236,7 +212,7 @@ class Container:
 
     @property
     def is_empty(self) -> bool:
-        return not self.chunk_count
+        return not self.index
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -64,78 +64,77 @@ def object_ref(container_id: int, blob: bytes) -> Dict:
 
 
 def pack_container(container: Container) -> bytes:
-    """Serialise a container (metadata + payload region) to bytes."""
-    entries = []
-    payload = bytearray()
-    for fp, slot in container.items():
-        has_data = 1 if slot.data is not None else 0
-        entries.append(_ENTRY.pack(fp, slot.offset, slot.size, has_data))
-        if slot.data is not None:
-            payload.extend(slot.data)
-    return (
+    """Serialise a container (metadata + payload region) to bytes.
+
+    Entries keep the container's offsets, holes included; the payload
+    region is the live chunks' bytes back to back, in offset order."""
+    payload = container.payload
+    has_data = 0 if payload is None else 1
+    parts = [
         _HEADER.pack(_MAGIC, container.container_id, container.chunk_count, container.capacity)
-        + b"".join(entries)
-        + bytes(payload)
+    ]
+    parts.extend(
+        _ENTRY.pack(fp, offset, size, has_data) for fp, (offset, size) in container.index.items()
     )
+    if payload is not None:  # one slice per back-to-back span of live chunks
+        start = end = 0
+        for offset, size in container.index.values():
+            if offset != end:
+                parts.append(payload[start:end])
+                start = offset
+            end = offset + size
+        parts.append(payload[start:end])
+    return b"".join(parts)
 
 
 def unpack_container(blob: bytes, expected_id: Optional[int] = None) -> Container:
     """Parse :func:`pack_container` output back into an (unsealed) container.
 
-    Chunks are re-appended in offset order, so holes left by removals are
-    compacted away on load; the logical contents are identical.  The entry
-    table is read in one pass.  From a ``memoryview`` whose chunks all
-    carry data, it becomes the container's :attr:`~Container.index` over
-    the payload region, kept whole as :attr:`Container.payload`, and no
-    slot is built until one is read.  From ``bytes``, slot data are copies
-    (a long-lived container pins no blob).
+    The entry table is read in one pass into the container's
+    :attr:`~Container.index`, in offset order; offsets are renumbered back
+    to back, so holes left by removals are compacted away on load and the
+    logical contents are identical.  The container's payload is a view of
+    the blob's payload region: on ``file://`` of the mapped file, from
+    ``bytes`` of that one object.
     """
+    blob = memoryview(blob)
     magic, cid, count, capacity = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC or (expected_id is not None and cid != expected_id):
         raise StorageError("corrupt container blob")
     base = _HEADER.size + count * _ENTRY.size
     table = sorted(_ENTRY.iter_unpack(blob[_HEADER.size : base]), key=itemgetter(1))
     fps, _offsets, sizes, has_data = tuple(zip(*table)) or ((), (), (), ())
-    if isinstance(blob, memoryview) and all(has_data):
-        offsets = list(accumulate(sizes, initial=0))
-        end = base + offsets.pop()
-        index = dict(zip(fps, zip(offsets, sizes)))
-        if len(index) < len(fps):
-            seen: Set[bytes] = set()
-            fp = next(fp for fp in fps if fp in seen or seen.add(fp))
-            raise StorageError(f"container {cid} already holds chunk {fp.hex()[:8]}")
-        if end > len(blob):  # a short entry table lands here too
-            raise StorageError("corrupt container blob: cut short")
-        return Container.indexed(cid, capacity, index, blob[base:end])
-    container = Container(cid, capacity)
-    cursor = 0
-    for fp, _offset, size, has_data in table:
-        data = None
-        if has_data:
-            data = blob[base + cursor : base + cursor + size]
-            cursor += size
-        container.put(fp, size, data)
-    if base + cursor > len(blob):  # a short entry table lands here too
+    offsets = list(accumulate(sizes, initial=0))
+    written = offsets.pop()
+    index = dict(zip(fps, zip(offsets, sizes)))
+    if len(index) < len(fps):
+        seen: Set[bytes] = set()
+        fp = next(fp for fp in fps if fp in seen or seen.add(fp))
+        raise StorageError(f"container {cid} already holds chunk {fp.hex()[:8]}")
+    if len(set(has_data)) > 1:
+        raise StorageError(f"container {cid}: chunks with and without data do not mix")
+    end = base + written if any(has_data) else base
+    if end > len(blob):  # a short entry table lands here too
         raise StorageError("corrupt container blob: cut short")
-    return container
+    payload = blob[base:end] if any(has_data) else None
+    return Container.indexed(cid, capacity, index, payload, written)
 
 
 _COMPRESSED_MAGIC = b"HDSZ"
 
 
-def decode_container(blob: bytes, expected_id: int, own: bool = False) -> Container:
+def decode_container(blob: bytes, expected_id: int) -> Container:
     """Parse a stored container object, plain or zlib-wrapped.
 
-    Slot data are views into the blob, unless ``own``: then each is a copy,
-    so a long-lived (active) container pins no blob.  Every way a damaged
-    blob can fail to parse — bad magic or ID, a short entry table, a
-    payload region cut short, a broken zlib stream — raises
+    The container's payload is a view into the (decompressed) blob.  Every
+    way a damaged blob can fail to parse — bad magic or ID, a short entry
+    table, a payload region cut short, a broken zlib stream — raises
     :class:`StorageError`.
     """
     try:
         if blob[:4] == _COMPRESSED_MAGIC:
             blob = zlib.decompress(blob[4:])
-        return unpack_container(bytes(blob) if own else memoryview(blob), expected_id=expected_id)
+        return unpack_container(blob, expected_id=expected_id)
     except (ReproError, struct.error, zlib.error, IndexError) as exc:
         raise StorageError(str(exc) or type(exc).__name__) from exc
 
@@ -155,7 +154,7 @@ class BackendContainerStore:
 
     :meth:`read` and :meth:`peek` decode the backend's :meth:`~repro.
     storage.backend.StorageBackend.view` of the blob, so on ``file://`` a
-    plain container is a mapping of its file and slot data are views of
+    plain container is a mapping of its file and its payload a view of
     it.  On backends that advertise ``prefers_ranged_reads``,
     :meth:`read_chunks` serves a restore plan's slots with ranged reads
     of just the entry table and the needed payload spans — the paper's
@@ -436,7 +435,7 @@ class BackendContainerStore:
                 index[fp] = (base + offset - start, size)
             base += end - start
         container = Container.indexed(
-            container_id, capacity, index, memoryview(b"".join(blobs))
+            container_id, capacity, index, memoryview(b"".join(blobs)), base
         )
         container.seal()
         # Whole-container billing regardless of how few bytes moved: the

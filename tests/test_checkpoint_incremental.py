@@ -142,7 +142,9 @@ def fresh_system(root, history_depth, deferred):
 def volatile_state(system):
     return {
         "pool": {
-            container.container_id: {fp: slot.data for fp, slot in container.items()}
+            container.container_id: {
+                fp: None if data is None else bytes(data) for fp, data in container.payloads()
+            }
             for container in system.pool.iter_containers()
         },
         "pool order": [c.container_id for c in system.pool.iter_containers()],
@@ -473,7 +475,7 @@ def stored_chunks(root):
 
     def rows(containers):
         return sorted(
-            (fp, slot.size, bytes(slot.data)) for c in containers for fp, slot in c.items()
+            (fp, len(data), bytes(data)) for c in containers for fp, data in c.payloads()
         )
 
     chunks = {

@@ -5,6 +5,7 @@ import pytest
 from repro.chunking.stream import Chunk, synthetic_fingerprint
 from repro.errors import ContainerFullError, StorageError, UnknownChunkError
 from repro.storage.container import Container
+from repro.storage.container_store import pack_container, unpack_container
 
 
 def chunk(token: int, size: int = 100, data: bool = False) -> Chunk:
@@ -30,10 +31,9 @@ class TestConstruction:
 class TestAdd:
     def test_add_assigns_sequential_offsets(self):
         c = Container(1, capacity=1000)
-        s1 = c.add(chunk(1, 100))
-        s2 = c.add(chunk(2, 250))
-        assert (s1.offset, s1.size) == (0, 100)
-        assert (s2.offset, s2.size) == (100, 250)
+        assert c.add(chunk(1, 100)) == 0
+        assert c.add(chunk(2, 250)) == 100
+        assert c.index == {synthetic_fingerprint(1): (0, 100), synthetic_fingerprint(2): (100, 250)}
         assert c.used == 350
         assert c.chunk_count == 2
 
@@ -53,10 +53,10 @@ class TestAdd:
         c = Container(1, capacity=300)
         c.add(chunk(1, 200))
         c.remove(synthetic_fingerprint(1))
-        # 200 B freed but not contiguous until compaction (paper Fig. 6).
+        # 200 B freed but not contiguous until compaction (paper Fig. 6):
+        # a reload packs the live chunks back to back.
         assert not c.fits(200)
-        c.compact()
-        assert c.fits(200)
+        assert unpack_container(pack_container(c)).fits(200)
 
     def test_sealed_container_rejects_add(self):
         c = Container(1, capacity=1000)
@@ -85,12 +85,11 @@ class TestRemoveAndCompact:
             c.add(chunk(t, 100))
         c.remove(synthetic_fingerprint(1))
         c.remove(synthetic_fingerprint(3))
-        reclaimed = c.compact()
-        assert reclaimed == 200
-        assert c.written == 300
-        assert c.used == 300
+        assert (c.written, c.used) == (500, 300)
+        reloaded = unpack_container(pack_container(c))  # a reload compacts
+        assert (reloaded.written, reloaded.used) == (300, 300)
         # Remaining chunks still retrievable, offsets now contiguous.
-        offsets = sorted(c.get(synthetic_fingerprint(t)).offset for t in (0, 2, 4))
+        offsets = sorted(reloaded.index[synthetic_fingerprint(t)][0] for t in (0, 2, 4))
         assert offsets == [0, 100, 200]
 
     def test_compact_preserves_payloads(self):
@@ -98,8 +97,21 @@ class TestRemoveAndCompact:
         c.add(Chunk(synthetic_fingerprint(1), 3, b"abc"))
         c.add(Chunk(synthetic_fingerprint(2), 3, b"def"))
         c.remove(synthetic_fingerprint(1))
-        c.compact()
-        assert c.get_chunk(synthetic_fingerprint(2)).data == b"def"
+        reloaded = unpack_container(pack_container(c))
+        assert reloaded.get_chunk(synthetic_fingerprint(2)).data == b"def"
+        assert bytes(reloaded.payload) == b"def"
+
+    def test_a_viewed_buffer_is_never_resized(self):
+        c = Container(1, capacity=1000)
+        c.add(Chunk(synthetic_fingerprint(1), 3, b"abc"))
+        held = c.get_chunk(synthetic_fingerprint(1)).data  # a reader's view
+        c.add(Chunk(synthetic_fingerprint(2), 3, b"def"))  # no BufferError
+        assert held == b"abc" and len(held.obj) == 3  # the viewed buffer kept its size
+        assert c.payload.obj is not held.obj and bytes(c.payload) == b"abcdef"
+        del held
+        buffer = c.payload.obj
+        c.add(Chunk(synthetic_fingerprint(3), 3, b"ghi"))  # nothing views it: in place
+        assert c.payload.obj is buffer and bytes(c.payload) == b"abcdefghi"
 
     def test_utilization(self):
         c = Container(1, capacity=1000)
@@ -115,12 +127,12 @@ class TestReadPath:
         c.add(chunk(5, 64))
         assert synthetic_fingerprint(5) in c
         assert synthetic_fingerprint(6) not in c
-        assert c.get(synthetic_fingerprint(5)).size == 64
+        assert c.get_chunk(synthetic_fingerprint(5)).size == 64
 
     def test_get_unknown_raises(self):
         c = Container(1, capacity=1000)
         with pytest.raises(UnknownChunkError):
-            c.get(synthetic_fingerprint(1))
+            c.get_chunk(synthetic_fingerprint(1))
 
     def test_get_chunk_materialises(self):
         c = Container(1, capacity=1000)

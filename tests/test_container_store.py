@@ -271,7 +271,7 @@ class TestCompressedStore:
 
 
 # ----------------------------------------------------------------------
-# Decoding a stored blob: one pass over the table, slots only on demand
+# Decoding a stored blob: one pass over the table into the entry index
 # ----------------------------------------------------------------------
 def _full_blob(slots=448):
     """A 4 MiB container of ``slots`` chunks, packed as stored."""
@@ -285,58 +285,44 @@ def _full_blob(slots=448):
 
 
 class TestIndexedDecode:
-    def test_decoding_builds_no_slot_until_one_is_read(self, monkeypatch):
-        from repro.storage import container as container_module
-        from repro.storage.container_store import decode_container
-
-        blob, size = _full_blob()
-        built = []
-
-        class CountedSlot(container_module.ChunkSlot):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
-
-        monkeypatch.setattr(container_module, "ChunkSlot", CountedSlot)
-        decoded = decode_container(blob, 7)
-        fp = synthetic_fingerprint(300)
-        assert decoded.chunk_count == 448 and fp in decoded
-        assert decoded.used == 448 * size
-        assert decoded.index[fp] == (300 * size, size)
-        assert built == []
-        assert bytes(decoded.get(fp).data) == bytes([300 % 256]) * size
-        assert built == [300 * size]
-        # A mutation turns the index into slots once; reads then use them.
-        decoded.remove(synthetic_fingerprint(0))
-        assert decoded.index is None and len(built) == 1 + 448
-        assert bytes(decoded.get(fp).data) == bytes([300 % 256]) * size
-        assert len(built) == 1 + 448
-
     def test_the_index_round_trips_what_was_packed(self):
-        from repro.storage.container_store import decode_container, unpack_container
+        from repro.storage.container_store import decode_container, pack_container
 
-        blob, _size = _full_blob(slots=64)
-        decoded = decode_container(blob, 7)
-        owned = unpack_container(blob)  # bytes: eager slots, copied data
-        assert decoded.index is not None and owned.index is None
-        assert decoded.fingerprints() == owned.fingerprints()
-        for (fp, slot), (fp2, own) in zip(decoded.items(), owned.items()):
-            assert (fp, slot.offset, slot.size, bytes(slot.data)) == (
-                fp2, own.offset, own.size, own.data,
-            )
-        assert [(fp, bytes(data)) for fp, data in decoded.payloads()] == [
-            (fp, data) for fp, data in owned.payloads()
+        blob, size = _full_blob(slots=64)
+        viewed = decode_container(memoryview(blob), 7)
+        owned = decode_container(blob, 7)
+        assert viewed.payload.obj is owned.payload.obj is blob  # a view, never a copy
+        assert viewed.index == owned.index == {
+            synthetic_fingerprint(t): (t * size, size) for t in range(64)
+        }
+        assert [(fp, bytes(data)) for fp, data in viewed.payloads()] == [
+            (synthetic_fingerprint(t), bytes([t]) * size) for t in range(64)
         ]
+        assert pack_container(viewed) == pack_container(owned) == blob
 
-    @pytest.mark.parametrize("own", [False, True])
+    def test_a_reload_compacts_the_holes_a_removal_left(self):
+        from repro.storage.container_store import _ENTRY, decode_container, pack_container
+
+        blob, size = _full_blob(slots=16)
+        container = decode_container(blob, 7)
+        for t in (0, 5, 6):
+            container.remove(synthetic_fingerprint(t))
+        packed = pack_container(container)
+        assert len(packed) == len(blob) - 3 * _ENTRY.size - 3 * size
+        reloaded = decode_container(packed, 7)
+        assert (reloaded.written, reloaded.used) == (13 * size, 13 * size)
+        assert [fp for fp, _data in reloaded.payloads()] == container.fingerprints()
+        assert b"".join(bytes(d) for _fp, d in reloaded.payloads()) == b"".join(
+            bytes(d) for _fp, d in container.payloads()
+        )
+
+    @pytest.mark.parametrize("view", [False, True])
     @pytest.mark.parametrize(
         "damage",
         ["bad magic", "bad id", "short table", "table cut at an entry", "cut-short payload",
-         "duplicate fingerprint", "broken zlib"],
+         "duplicate fingerprint", "broken zlib", "mixed data flags"],
     )
-    def test_every_damaged_blob_raises_at_decode(self, damage, own):
+    def test_every_damaged_blob_raises_at_decode(self, damage, view):
         import zlib
 
         from repro.storage.container_store import _ENTRY, _HEADER, decode_container
@@ -359,8 +345,11 @@ class TestIndexedDecode:
             blob[second : second + 20] = blob[table : table + 20]
         elif damage == "broken zlib":
             blob = bytearray(b"HDSZ" + zlib.compress(bytes(blob))[:-8])
+        elif damage == "mixed data flags":
+            blob[table + 2 * _ENTRY.size - 1] = 0  # the second entry's has_data
+        blob = bytes(blob)
         with pytest.raises(StorageError):
-            decode_container(bytes(blob), 7, own=own)
+            decode_container(memoryview(blob) if view else blob, 7)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,12 @@ import os
 import random
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint as fp
 from repro.core import HiDeStore, load_checkpoint, save_checkpoint, verify_system
+from repro.errors import StorageError
 from repro.index import ExactFullIndex
 from repro.observability import MetricsRegistry
 from repro.pipeline import GCDeletionManager
@@ -143,14 +145,20 @@ class TestSerialisationProperties:
     @settings(max_examples=50, deadline=None)
     def test_container_pack_round_trip(self, specs):
         container = Container(1, capacity=30 * 400)
+        first = specs[0][2] if specs else None
         for token, size, with_data in specs:
-            data = bytes(size) if with_data else None
-            container.add(Chunk(fp(token), size, data))
+            chunk = Chunk(fp(token), size, bytes(size) if with_data else None)
+            if with_data != first:  # a container's chunks all carry data or none do
+                with pytest.raises(StorageError):
+                    container.add(chunk)
+                continue
+            container.add(chunk)
+        kept = [spec for spec in specs if spec[2] == first]
         loaded = unpack_container(pack_container(container))
         assert loaded.container_id == 1
-        assert loaded.chunk_count == container.chunk_count
+        assert loaded.chunk_count == container.chunk_count == len(kept)
         assert loaded.used == container.used
-        for token, size, with_data in specs:
+        for token, size, with_data in kept:
             chunk = loaded.get_chunk(fp(token))
             assert chunk.size == size
             assert (chunk.data is not None) == with_data

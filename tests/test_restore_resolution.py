@@ -15,7 +15,9 @@ writing it.  In the order DESIGN §1.1 argues it:
   wrong byte (the chunk that is nowhere: ``test_flatten_once``);
 * (d) the index stays what a rebuild would read, across 3·W expiries;
 * (e) concurrent restores racing one backup are byte-identical and build
-  the index once.
+  the index once; newest restores taken between a backup's appends hold
+  views of pool buffers that stay whole through the rest of its appends,
+  its demotion and its compaction.
 """
 
 import contextlib
@@ -39,7 +41,7 @@ from repro.storage.container_store import BackendContainerStore
 from repro.storage.fake_s3 import FakeS3Server
 from repro.storage.recipe import BackendRecipeStore, pack_recipe
 from repro.storage.repo import RepoStorage
-from repro.units import KiB
+from repro.units import KiB, MiB
 from tests.conftest import (
     FIXTURE_V2,
     algorithm_1_rows,
@@ -424,4 +426,72 @@ def test_concurrent_restores_racing_a_backup_are_byte_identical(tmp_path):
     assert repo.metrics.snapshot()["counters"]["restore.index_builds"] == 1
     for version in (1, 4, 5):
         assert restored(repo, version) == version_bytes(version - 1)
+    assert repo.verify(deep=True)["ok"]
+
+
+def test_pool_views_taken_mid_backup_stay_whole_through_its_compaction(tmp_path):
+    base = random.Random(49).randbytes(5 * MiB)
+    edited = bytearray(base)
+    edited[1 * MiB : 1 * MiB + 256 * KiB] = random.Random(50).randbytes(256 * KiB)
+    repo = open_repo(str(tmp_path / "repo"))
+    for data in (base, bytes(edited)):
+        repo.backup_blocks([data], [("a.bin", len(data))])
+    store = repo._open()
+    # More than one classify batch (1024 chunks), so chunks are appended
+    # to the open container before the stream pauses.
+    fresh = random.Random(51).randbytes(12 * MiB)
+    paused, go = threading.Event(), threading.Event()
+    held, errors = {}, []
+
+    def blocks():
+        yield fresh
+        paused.set()
+        assert go.wait(30.0)
+        yield fresh[:KiB]
+
+    def backing_up():
+        try:
+            repo.backup_blocks(blocks(), [("b.bin", len(fresh)), ("c.bin", KiB)])
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    def restoring(slot, workers):
+        try:
+            held[slot] = list(repo.restore(2, workers=workers)[1])
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writing = threading.Thread(target=backing_up)
+        writing.start()
+        assert paused.wait(60.0)
+        assert not store.pool._open.is_empty  # mid-append: the open container grows
+        readers = [
+            threading.Thread(target=restoring, args=(slot, workers))
+            for slot, workers in enumerate((1, 4, 1, 4))
+        ]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(60.0)
+        go.set()
+        writing.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writing.is_alive() and not any(t.is_alive() for t in readers)
+    assert errors == []
+    views = [
+        block for blocks in held.values() for block in blocks
+        if isinstance(block, memoryview) and isinstance(block.obj, bytearray)
+    ]
+    assert views  # pool buffers, held while the backup demoted and compacted
+    assert store.pool.stats.compactions and store.pool.stats.cold_chunks_moved
+    assert {id(view.obj) for view in views}.isdisjoint(
+        id(c.payload.obj) for c in store.pool.iter_containers()
+    )  # every held buffer's container left the pool
+    for blocks in held.values():
+        assert b"".join(blocks) == bytes(edited)
+    assert restored(repo, 3) == fresh + fresh[:KiB]
     assert repo.verify(deep=True)["ok"]

@@ -8,15 +8,19 @@ ranged-read path):
 
 * newest, oldest, one file, ``verify=True`` and ``workers=4`` restore the
   oracle's bytes and bill the oracle's container reads;
-* every run covers whole entries of one container, and only runs cut out
-  of a blob-decoded payload merge — the ranged path's joined spans
-  included, so ``sqlite://`` and S3 yield no more runs than a directory;
+* every run covers whole entries of one container, and every payload
+  merges: an archival one decoded from its blob or from the ranged path's
+  joined spans (so ``sqlite://`` and S3 yield no more runs than a
+  directory), and an active one in the pool — a newest restore yields one
+  run per back-to-back span, not one per entry;
 * a bit-flip inside a merged run still names the chunk it hit;
 * nothing long-lived pins a whole blob: a sparse read copies its runs
   (each back-to-back span once, so they still merge), and pool containers
-  loaded from checkpoint parts own their bytes;
+  loaded from a checkpoint each own one ``bytes`` payload;
 * on a directory a dense read's runs are views of the mapped container
-  file, and they stay whole after the file is unlinked.
+  file, and they stay whole after the file is unlinked; a newest restore's
+  runs stay whole across the next backup, its demotion and compaction, and
+  an expiry.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ import random
 
 import pytest
 
+from repro.chunking.stream import BackupStream, Chunk, synthetic_fingerprint
+from repro.core.hidestore import HiDeStore
 from repro.engine.restore import restore_stream
 from repro.errors import RestoreError
 from repro.repository import LocalRepository
 from repro.restore import execute_plan
 from repro.storage.container_store import decode_container
 from repro.storage.fake_s3 import FakeS3Server
+from repro.units import KiB
 
 #: Three versions: every file changes, so version 1's chunks go archival.
 FILES = [
@@ -131,11 +138,33 @@ def test_runs_match_the_per_chunk_oracle(repo, case):
         assert b"".join(repo.restore(version, file=name)[1]) == version_files(version - 1)[name]
 
 
-def test_only_blob_payloads_merge(repo):
+def test_archival_payloads_merge(repo):
     store = repo._open()
     entries, runs, _oracle = runs_and_oracle(store, 1)
     assert not any(entry.cid in store.pool for entry in entries)  # all archival
     assert len(runs) < len(entries) // 10  # ranged reads merge too
+
+
+def back_to_back_spans(store, entries):
+    """Stretches of consecutive entries lying back to back in one container."""
+    spans, last = 0, None
+    for entry in entries:
+        holder = store.pool.peek(entry.cid) if entry.cid in store.pool else (
+            store.containers.peek(entry.cid)
+        )
+        offset, size = holder.index[entry.fingerprint]
+        if last != (entry.cid, offset):
+            spans += 1
+        last = (entry.cid, offset + size)
+    return spans
+
+
+def test_a_newest_restore_yields_one_run_per_back_to_back_span(repo):
+    store = repo._open()
+    entries, runs, oracle = runs_and_oracle(store, 3)
+    assert all(entry.cid in store.pool for entry in entries)  # all active
+    assert b"".join(run.data for run in runs) == oracle
+    assert len(runs) == back_to_back_spans(store, entries) < len(entries) // 10
 
 
 def test_a_bit_flip_inside_a_merged_run_names_its_chunk(tmp_path):
@@ -152,7 +181,7 @@ def test_a_bit_flip_inside_a_merged_run_names_its_chunk(tmp_path):
     path = tmp_path / "repo" / "containers" / f"container-{victim.cid:08d}.hdsc"
     blob = bytearray(path.read_bytes())
     container = decode_container(bytes(blob), victim.cid)
-    blob[len(blob) - len(container.payload) + container.get(victim.fingerprint).offset] ^= 0x01
+    blob[len(blob) - len(container.payload) + container.index[victim.fingerprint][0]] ^= 0x01
     path.write_bytes(bytes(blob))
 
     short = victim.fingerprint.hex()[:8]
@@ -181,9 +210,9 @@ def test_pool_containers_from_checkpoint_parts_own_their_bytes(tmp_path):
     backed_up(str(tmp_path / "repo"))
     store = LocalRepository(str(tmp_path / "repo"))._open()
     assert store.pool.container_count()
-    for container in store.pool.iter_containers():
-        assert container.payload is None
-        assert all(type(slot.data) is bytes for _fp, slot in container.items())
+    owners = [container.payload.obj for container in store.pool.iter_containers()]
+    assert all(type(owner) is bytes for owner in owners)  # one object each, no mapping
+    assert len({id(owner) for owner in owners}) == len(owners)
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +262,29 @@ def test_runs_held_past_delete_oldest_stay_whole(tmp_path):
     containers = tmp_path / "repo" / "containers"
     assert not any((containers / f"container-{cid:08d}.hdsc").exists() for cid in cids)
     assert b"".join(run.data for run in runs) == oracle
+
+
+def token_stream(tokens):
+    """Chunks with real payloads, one per token (the same bytes every time)."""
+    return BackupStream([
+        Chunk(synthetic_fingerprint(t), len(data), data)
+        for t in tokens for data in [random.Random(t).randbytes(700 + (t * 37) % 900)]
+    ])
+
+
+def test_newest_runs_held_across_a_backup_compaction_and_expiry_stay_whole():
+    system = HiDeStore(container_size=64 * KiB, deferred_maintenance=True)
+    system.backup(token_stream(range(0, 200)))
+    system.backup(token_stream(range(100, 300)))
+    runs = list(restore_stream(system, 2))  # the newest: served from the pool
+    held = {id(run.data.obj) for run in runs if isinstance(run.data, memoryview)}
+    assert held  # dense reads hand out views of the pool's buffers
+    expected = b"".join(chunk.data for chunk in token_stream(range(100, 300)))
+
+    system.backup(token_stream([*range(150, 250), *range(300, 400)]))
+    assert system.run_maintenance() == 1  # demotes v2's cold rows, then compacts
+    assert system.pool.stats.compactions and system.pool.stats.cold_chunks_moved
+    pooled = {id(c.payload.obj) for c in system.pool.iter_containers()}
+    assert held - pooled  # a held buffer's container left the pool
+    system.delete_oldest()
+    assert b"".join(run.data for run in runs) == expected

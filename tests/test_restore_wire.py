@@ -6,7 +6,8 @@
   wire (256 KiB ``recv`` into a :class:`FrameDecoder`) reads today's server;
 * ``Connection.recv_frame`` — exact-size reads against a server that speaks
   the older 256 KiB frames, sends one byte at a time, sends an empty data
-  frame or fails mid-stream, and the decoder fallback after a ``sweep``;
+  frame or fails mid-stream; a ``sweep`` that finds a stray byte breaks the
+  connection, and the pool discards it;
 * ``RESTORE_END`` — ``chunks`` counts recipe entries, whole or one file;
 * pump lifecycle — whoever ends a restore early (client, engine, operator),
   the daemon's restore thread exits, the tenant's read lock is released and
@@ -44,7 +45,7 @@ from repro.client.protocol import (
     hello_frame,
     raise_remote_error,
 )
-from repro.client.remote import Connection, parse_address
+from repro.client.remote import Connection, ConnectionPool, parse_address
 from repro.cluster import ClusterClient, ClusterHarness
 from repro.engine.restore import restore_stream
 from repro.errors import RemoteError, RestoreError, VersionNotFoundError
@@ -299,21 +300,23 @@ def read_request(sock):
 
 
 @contextlib.contextmanager
-def scripted_server(script):
-    """A one-connection server: answers HELLO, then runs ``script(sock)``."""
+def scripted_server(script, connections=1):
+    """A server of ``connections`` connections, one after another: each
+    answers HELLO, then runs ``script(sock)``."""
     listener = socket.create_server(("127.0.0.1", 0))
     failures = []
 
     def serve():
         try:
-            sock, _peer = listener.accept()
-            with sock:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                assert read_request(sock)[0] == FrameType.HELLO
-                sock.sendall(encode_json(FrameType.HELLO_OK, {
-                    "magic": MAGIC, "version": PROTOCOL_VERSION, "trace": "t",
-                }))
-                script(sock)
+            for _ in range(connections):
+                sock, _peer = listener.accept()
+                with sock:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    assert read_request(sock)[0] == FrameType.HELLO
+                    sock.sendall(encode_json(FrameType.HELLO_OK, {
+                        "magic": MAGIC, "version": PROTOCOL_VERSION, "trace": "t",
+                    }))
+                    script(sock)
         except BaseException as exc:  # re-raised on the test's thread below
             failures.append(exc)
 
@@ -361,7 +364,7 @@ def test_recv_frame_reads_any_framing(payload_sizes, send):
                 assert ftype == FrameType.CHUNK_DATA and bytes(got) == payload
             ftype, got = conn.recv_frame()
             assert ftype == FrameType.RESTORE_END and decode_json(got) == end
-            assert isinstance(got, bytes) and not conn.has_buffered()
+            assert isinstance(got, bytes)
         finally:
             conn.close()
 
@@ -384,32 +387,31 @@ def test_midstream_error_frame_raises_its_type():
                 next(data)
 
 
-def test_recv_frame_finishes_what_a_sweep_left_in_the_decoder():
-    first, second, third = (random.Random(s).randbytes(4000) for s in (1, 2, 3))
-    swept = threading.Event()
+def test_a_stray_byte_breaks_an_idle_connection_and_the_pool_discards_it():
+    served = []
 
     def script(sock):
-        wire = encode_data(first)
-        sock.sendall(wire[:9])  # a header and four payload bytes, unasked
-        assert swept.wait(WAIT)
-        sock.sendall(wire[9:] + encode_data(second)[:100])
-        sock.sendall(encode_data(second)[100:])
-        sock.sendall(encode_data(third))
+        served.append(sock)
+        if len(served) == 1:
+            assert read_request(sock)[0] == FrameType.VERSIONS
+            reply = encode_json(FrameType.VERSIONS_OK, {"versions": []})
+            sock.sendall(reply + encode_data(b"late"))  # a frame nobody asked for
 
-    with scripted_server(script) as address:
-        conn = Connection(address, WAIT)
+    with scripted_server(script, connections=2) as address:
+        metrics = MetricsRegistry()
+        pool = ConnectionPool(address, WAIT, metrics=metrics)
         try:
+            conn = pool.acquire()
+            conn.send(encode_json(FrameType.VERSIONS, {"repo": TENANT}))
+            assert conn.recv_frame()[0] == FrameType.VERSIONS_OK
+            pool.release(conn)  # idle as far as the reply goes
             assert select.select([conn._sock], [], [], WAIT)[0]
-            conn.sweep()
-            assert conn.has_buffered() and not conn.broken
-            swept.set()
-            # Decoder path while it holds bytes, exact-size path once it is dry.
-            for expected in (first, second, third):
-                ftype, got = conn.recv_frame()
-                assert ftype == FrameType.CHUNK_DATA and bytes(got) == expected
-            assert not conn.has_buffered()
+            fresh = pool.acquire()
+            assert fresh is not conn and conn.broken
+            assert metrics.snapshot()["counters"]["client.pooled_discards_total"] == 1
+            pool.release(fresh)
         finally:
-            conn.close()
+            pool.close()
 
 
 def test_server_closing_mid_payload_is_a_remote_error():

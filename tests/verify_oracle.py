@@ -32,11 +32,11 @@ def _check_entry(issues, fp, size, container, where):
     if fp not in container:
         issues.append(f"{where}: container {container.container_id} lacks {fp.hex()[:8]}")
         return
-    slot = container.get(fp)
-    if slot.size != size:
+    _offset, stored = container.index[fp]
+    if stored != size:
         issues.append(
             f"{where}: size mismatch for {fp.hex()[:8]} "
-            f"(recipe {size}, container {slot.size})"
+            f"(recipe {size}, container {stored})"
         )
 
 
@@ -137,10 +137,10 @@ def _sweep_containers(system, deep, issues):
             continue
         if not deep:
             continue
-        for fp, slot in container.items():
-            if slot.data is None:
+        for fp, data in container.payloads():
+            if data is None:
                 continue
-            digest = hashlib.sha1(slot.data).digest()[: len(fp)].ljust(len(fp), b"\x00")
+            digest = hashlib.sha1(data).digest()[: len(fp)].ljust(len(fp), b"\x00")
             if digest != fp:
                 issues.append(
                     f"container file {name}: payload of chunk {fp.hex()[:8]} "
@@ -237,8 +237,8 @@ def garbage_orphan_container(system):
 def payload_bitflip(system):
     """A flipped payload byte: the blob still unpacks cleanly."""
     cid = _referenced_cids(system)[0]
-    _fp, slot = next(iter(system.containers.peek(cid).items()))
-    if slot.data is None:
+    _fp, data = next(system.containers.peek(cid).payloads())
+    if data is None:
         raise NotApplicable("metadata-only chunks have no payload to flip")
     # The payload region sits at the end of the blob.
     _rewrite_blob(system, cid, lambda blob: blob[:-4] + bytes([blob[-4] ^ 0xFF]) + blob[-3:])
