@@ -338,8 +338,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-tenant backup daemon until SIGTERM/SIGINT."""
-    import asyncio
     import signal
+    import threading
 
     from .client.remote import parse_address
     from .observability import open_event_log
@@ -370,30 +370,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         probe_timeout=getattr(args, "probe_timeout", 2.0),
     )
 
-    async def run() -> None:
-        await daemon.start()
+    stop = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: stop.set())
+    try:
+        daemon.start()
         print(f"hidestore daemon listening on {daemon.address} (root {args.root})",
               flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                signal.signal(sig, lambda *_: stop.set())
-        server_task = asyncio.ensure_future(daemon.serve_forever())
-        await stop.wait()
+        stop.wait()
         print("draining: waiting for in-flight sessions...", flush=True)
-        await daemon.shutdown()
-        server_task.cancel()
-        try:
-            await server_task
-        except asyncio.CancelledError:
-            pass
+        daemon.shutdown()
         print("daemon stopped", flush=True)
-
-    try:
-        asyncio.run(run())
     finally:
         event_log.close()
     return 0

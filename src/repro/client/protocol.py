@@ -1,8 +1,9 @@
 """The backup service wire protocol: length-prefixed, versioned frames.
 
-Shared, sans-network codec — both the asyncio daemon and the blocking
-client encode/decode through this module, so the two sides can never
-disagree about the framing.
+Shared, sans-network codec — the daemon's sessions and the client both
+encode/decode through this module (and move frames through one blocking
+helper, :class:`repro.client.remote.FramedSocket`), so the two sides can
+never disagree about the framing.
 
 Frame layout (little-endian)::
 
@@ -30,10 +31,10 @@ the server hit (:func:`repro.errors.error_by_name`).
 One flow-control rule covers every ``CHUNK_DATA`` stream (backup, restore,
 ``REPLICATE_PUT``): TCP's window.  A receiver reads a frame when it can use
 one, so a sender that outruns it blocks in ``send``; no frame acknowledges
-data.  On the daemon one engine thread owns the connection for the length
-of a backup or restore stream, reading a backup's frames as the chunker
-asks for bytes and writing a restore's as they fill, so a stream holds one
-frame of server memory.  Between ``BACKUP_BEGIN`` and ``BACKUP_DONE`` or
+data.  On the daemon the connection's session thread runs the engine
+inline, reading a backup's frames as the chunker asks for bytes and
+writing a restore's as they fill, so a stream holds one frame of server
+memory.  Between ``BACKUP_BEGIN`` and ``BACKUP_DONE`` or
 ``ERROR`` the daemon sends exactly one frame, ``BACKUP_READY``, and a
 client sends no data before it arrives.
 """
@@ -130,7 +131,7 @@ def frame_parts(ftype: FrameType, payload=b"") -> Tuple[bytes, "bytes | memoryvi
     """One frame as ``(header, payload)`` for gather I/O.
 
     The zero-copy send primitive: the caller hands both pieces to
-    ``socket.sendmsg`` / ``writer.writelines`` so header and payload reach
+    ``socket.sendmsg`` so header and payload reach
     the kernel without ever being concatenated into a fresh buffer.  The
     payload may be any bytes-like object (``memoryview`` slices included).
     """

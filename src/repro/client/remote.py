@@ -22,6 +22,7 @@ Reliability model:
 from __future__ import annotations
 
 import contextlib
+import os
 import socket
 import threading
 import time
@@ -86,17 +87,115 @@ def parse_address(address: Address) -> Tuple[str, int]:
     return host, _valid_port(port, address)
 
 
-class Connection:
-    """One handshaken socket, read a frame at a time."""
+#: Most buffers one ``sendmsg`` takes (a frame is its header plus its runs).
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+class FramedSocket:
+    """A blocking socket read and written one whole frame at a time.
+
+    The one framing path of both ends: the client's :class:`Connection`
+    and every daemon session (:mod:`repro.server.session`).  ``timeout``
+    bounds each socket operation (``None``: wait as long as it takes).  A
+    failed operation marks the socket :attr:`broken`; it is never reused.
+    """
+
+    def __init__(self, sock: socket.socket, timeout: Optional[float] = None) -> None:
+        self._sock = sock
+        self.timeout = timeout
+        sock.settimeout(timeout)
+        self.broken = False
+
+    def send(self, data: bytes) -> None:
+        self.send_parts([data])
+
+    def send_parts(self, parts) -> None:
+        """Gather-send several buffers as one wire write (zero concat).
+
+        The frame header and its payload go to ``socket.sendmsg`` as
+        separate buffers — the kernel scatters them onto the wire without
+        this side ever joining them — at most ``IOV_MAX`` a call.  Short
+        writes resume from the exact byte the kernel accepted.
+        """
+        views = [memoryview(part).cast("B") for part in parts if len(part)]
+        first = 0
+        try:
+            while first < len(views):
+                sent = self._sock.sendmsg(views[first : first + _IOV_MAX])
+                while sent:
+                    head = len(views[first])
+                    if sent < head:
+                        views[first] = views[first][sent:]
+                        break
+                    sent -= head
+                    first += 1
+        except socket.timeout as exc:
+            self.broken = True
+            raise TimeoutExceededError("send timed out") from exc
+        except OSError:  # half a frame may be out: never reuse it
+            self.broken = True
+            raise
+
+    def _peer_closed(self) -> Exception:
+        """What a read that finds the peer gone raises."""
+        return ConnectionAbortedError("peer closed the connection")
+
+    def _recv_into(self, view: memoryview) -> int:
+        """One blocking read under the per-operation timeout (never 0 bytes)."""
+        try:
+            got = self._sock.recv_into(view)
+        except socket.timeout as exc:
+            self.broken = True
+            raise TimeoutExceededError(
+                f"no response within {self.timeout:.1f}s"
+            ) from exc
+        except OSError:
+            self.broken = True
+            raise
+        if not got:
+            self.broken = True
+            raise self._peer_closed()
+        return got
+
+    def _recv_exactly(self, size: int) -> bytearray:
+        buffer = bytearray(size)
+        view = memoryview(buffer)
+        while len(view):
+            view = view[self._recv_into(view):]
+        return buffer
+
+    def recv_frame(self) -> Tuple[FrameType, bytes]:
+        """Block for the next complete frame.
+
+        The header is read on its own and the payload straight into a
+        buffer of exactly its size: one copy out of the kernel, none after.
+        A ``CHUNK_DATA`` payload comes back as a ``memoryview`` of it.
+        """
+        length, ftype = decode_header(self._recv_exactly(HEADER_SIZE))
+        if not length:
+            return ftype, b""
+        payload = self._recv_exactly(length)
+        if ftype == FrameType.CHUNK_DATA:
+            return ftype, memoryview(payload)
+        return ftype, bytes(payload)
+
+    def close(self) -> None:
+        self.broken = True
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
+
+
+class Connection(FramedSocket):
+    """One handshaken client socket to a daemon."""
 
     def __init__(self, address: Tuple[str, int], timeout: float) -> None:
-        self.timeout = timeout
         try:
-            self._sock = socket.create_connection(address, timeout=timeout)
+            sock = socket.create_connection(address, timeout=timeout)
         except socket.timeout as exc:
             raise TimeoutExceededError(f"connect to {address} timed out") from exc
-        self._sock.settimeout(timeout)
-        self.broken = False
+        super().__init__(sock, timeout)
         self.trace = ""
         self.seq = 0
         try:
@@ -122,77 +221,8 @@ class Connection:
             return f"{self.trace}.{self.seq}"
         return new_trace_id()  # pre-observability server: still tag our logs
 
-    # ------------------------------------------------------------------
-    def send(self, data: bytes) -> None:
-        self.send_parts([data])
-
-    def send_parts(self, parts) -> None:
-        """Gather-send several buffers as one wire write (zero concat).
-
-        The frame header and its payload go to ``socket.sendmsg`` as
-        separate buffers — the kernel scatters them onto the wire without
-        this side ever joining them.  Short writes resume from the exact
-        byte the kernel accepted; platforms without ``sendmsg`` fall back
-        to ``sendall`` per buffer (still no concatenation).
-        """
-        sendmsg = getattr(self._sock, "sendmsg", None)
-        views = [memoryview(part).cast("B") for part in parts if len(part)]
-        try:
-            if sendmsg is None:  # pragma: no cover - exotic platform
-                for view in views:
-                    self._sock.sendall(view)
-                return
-            while views:
-                sent = sendmsg(views)
-                while views and sent >= len(views[0]):
-                    sent -= len(views[0])
-                    views.pop(0)
-                if sent and views:
-                    views[0] = views[0][sent:]
-        except socket.timeout as exc:
-            self.broken = True
-            raise TimeoutExceededError("send timed out") from exc
-        except OSError:
-            self.broken = True
-            raise
-
-    def _recv_into(self, view: memoryview) -> int:
-        """One blocking read under the per-operation timeout (never 0 bytes)."""
-        try:
-            got = self._sock.recv_into(view)
-        except socket.timeout as exc:
-            self.broken = True
-            raise TimeoutExceededError(
-                f"no response within {self.timeout:.1f}s"
-            ) from exc
-        except OSError:
-            self.broken = True
-            raise
-        if not got:
-            self.broken = True
-            raise RemoteError("server closed the connection")
-        return got
-
-    def _recv_exactly(self, size: int) -> bytearray:
-        buffer = bytearray(size)
-        view = memoryview(buffer)
-        while len(view):
-            view = view[self._recv_into(view):]
-        return buffer
-
-    def recv_frame(self) -> Tuple[FrameType, bytes]:
-        """Block for the next complete frame (per-operation timeout).
-
-        The header is read on its own and the payload straight into a
-        buffer of exactly its size: one copy out of the kernel, none after.
-        """
-        length, ftype = decode_header(self._recv_exactly(HEADER_SIZE))
-        if not length:
-            return ftype, b""
-        payload = self._recv_exactly(length)
-        if ftype == FrameType.CHUNK_DATA:
-            return ftype, memoryview(payload)
-        return ftype, bytes(payload)
+    def _peer_closed(self) -> Exception:
+        return RemoteError("server closed the connection")
 
     def pending_error(self) -> Optional[bytes]:
         """Drain readable bytes without blocking; return an ERROR payload.
@@ -236,13 +266,6 @@ class Connection:
                 self._sock.settimeout(self.timeout)
             except OSError:
                 self.broken = True
-
-    def close(self) -> None:
-        self.broken = True
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
 
 
 class ConnectionPool:

@@ -1,22 +1,23 @@
-"""The asyncio backup daemon: the listener over hosted repositories.
+"""The backup daemon: the listener over hosted repositories.
 
-It binds the socket, hands every connection to a
-:class:`~repro.server.session._Session` (the frame conversation), paces the
-background loops and *executes* the cluster control plane: the failover
-policy is the pure, tick-driven :class:`~repro.cluster.controller.
-FailoverController`; :meth:`BackupDaemon._run` performs the I/O its actions
-name (a probe, a deep verify, a map offer, a resync) and feeds each outcome
-back.
+It binds the socket and serves every accepted connection on a thread of
+its own (:class:`~repro.server.session._Session`, the frame
+conversation), paces the background loops and *executes* the cluster
+control plane: the failover policy is the pure, tick-driven
+:class:`~repro.cluster.controller.FailoverController`;
+:meth:`BackupDaemon._run` performs the I/O its actions name (a probe, a
+deep verify, a map offer, a resync) and feeds each outcome back.  Every
+controller call goes through one lock, never held across that I/O.
 
 Shutdown is a graceful drain: the listener closes, new connections and
 backups are refused (``ServerDrainingError``), in-flight sessions get
-``drain_timeout`` seconds to finish, stragglers are cancelled into the
-rollback path.
+``drain_timeout`` seconds to finish, and the stragglers' sockets are shut
+down, which sends a backup into its rollback.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 import time
 from typing import Dict, Optional, Set, Tuple
@@ -34,12 +35,12 @@ from .session import _Session
 
 
 class BackupDaemon:
-    """The multi-tenant asyncio backup service.
+    """The multi-tenant backup service: a blocking thread per connection.
 
-    Every backup or restore stream runs on one engine thread that owns the
-    connection for the stream's length (:mod:`repro.server.session`), so
-    TCP's window paces the client and a stream holds one frame of server
-    memory however fast the client sends.  There is no window to size.
+    Every backup or restore stream runs inline on its connection's session
+    thread (:mod:`repro.server.session`), so TCP's window paces the client
+    and a stream holds one frame of server memory however fast the client
+    sends.  There is no window to size.
 
     Args:
         root: directory holding one repository subdirectory per tenant.
@@ -51,7 +52,8 @@ class BackupDaemon:
         history_depth / compress: forwarded to newly created repositories
             (``history_depth >= 1``, checked here).
         drain_timeout: seconds in-flight sessions get to finish on
-            :meth:`shutdown` before being cancelled into rollback.
+            :meth:`shutdown` before their sockets are shut down (a backup
+            then rolls back).
         metrics: the :class:`MetricsRegistry` to record into (defaults to
             the process registry, so engine-layer timings land beside the
             daemon's own request histograms).
@@ -135,39 +137,65 @@ class BackupDaemon:
         self.events = event_log if event_log is not None else EventLogger()
         self.metrics_interval = metrics_interval
         self.draining = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._sessions: Set[asyncio.Task] = set()
-        #: Pacemaker loops and control-plane work in flight; the loop only
-        #: holds tasks weakly, and shutdown cancels whatever is left.
-        self._background: Set[asyncio.Task] = set()
-        self._started = time.monotonic()
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        #: Live session threads, and the pacemakers and control-plane work
+        #: in flight; shutdown joins both.  ``_lock`` guards them, the
+        #: request counts and ``draining``'s flip.
+        self._sessions: Set[_Session] = set()
+        self._background: Set[threading.Thread] = set()
         self._session_counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
+        #: Every FailoverController call, one at a time (never across I/O).
+        self._control = threading.Lock()
+        #: Serialises start, pause/resume and shutdown.
+        self._life = threading.Lock()
+        #: Set by shutdown: the pacemakers end, no background work starts.
+        self._stop = threading.Event()
+        self._started = time.monotonic()
 
     # ------------------------------------------------------------------
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind the listener (resolves the real port for ``port=0``)."""
-        self._server = await asyncio.start_server(self._accept, self.host, self.port)
+        with self._life:
+            self._listen()
         self._started = time.monotonic()
-        self.port = self._server.sockets[0].getsockname()[1]
         self.events.log("daemon_start", address=self.address)
-        if self.metrics_interval > 0:
-            self._spawn(self._report_metrics())
-        if self.replicate_interval > 0:
-            self._spawn(self._replica_sync_loop())
-        if self.probe_interval > 0:
-            self._spawn(self._health_loop())
+        for interval, work, name in (
+            (self.metrics_interval, self._report_metrics, "daemon-metrics"),
+            (self.replicate_interval, self._sync_replicas, "daemon-replica-sync"),
+            (self.probe_interval, self._tick, "daemon-health"),
+        ):
+            if interval > 0:
+                self._spawn(self._every, interval, work, name=name)
 
-    def _spawn(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
+    def _spawn(self, target, *args, name: str = "daemon-control") -> None:
+        """Run ``target(*args)`` on a background thread shutdown joins;
+        nothing starts once shutdown has begun."""
 
-    async def _report_metrics(self) -> None:
-        while True:
-            await asyncio.sleep(self.metrics_interval)
-            self.events.log(
-                "metrics_report", metrics=self.metrics.snapshot(), server=self.server_stats()
-            )
+        def body() -> None:
+            try:
+                target(*args)
+            finally:
+                with self._lock:
+                    self._background.discard(thread)
+
+        thread = threading.Thread(target=body, name=name, daemon=True)
+        with self._lock:
+            if self._stop.is_set():
+                return
+            self._background.add(thread)
+            thread.start()
+
+    def _every(self, interval: float, work) -> None:
+        """A pacemaker: ``work()`` once per ``interval`` until shutdown."""
+        while not self._stop.wait(interval):
+            work()
+
+    def _report_metrics(self) -> None:
+        self.events.log(
+            "metrics_report", metrics=self.metrics.snapshot(), server=self.server_stats()
+        )
 
     @property
     def address(self) -> str:
@@ -189,7 +217,7 @@ class BackupDaemon:
     # ------------------------------------------------------------------
     # Listener partition
     # ------------------------------------------------------------------
-    async def pause_accepting(self) -> None:
+    def pause_accepting(self) -> None:
         """Close the listener without draining: a network partition.
 
         In-flight sessions keep running; *new* connections are refused
@@ -198,62 +226,81 @@ class BackupDaemon:
         mirror daemon this way — the daemon process
         stays healthy, only its front door disappears.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-            self.events.log("daemon_pause_accepting", address=self.address)
+        with self._life:
+            if self._close_listener():
+                self.events.log("daemon_pause_accepting", address=self.address)
 
-    async def resume_accepting(self) -> None:
-        """Heal a :meth:`pause_accepting` partition (re-bind the port)."""
-        if self._server is None:
-            self._server = await asyncio.start_server(
-                self._accept, self.host, self.port
-            )
-            self.events.log("daemon_resume_accepting", address=self.address)
+    def resume_accepting(self) -> None:
+        """Heal a :meth:`pause_accepting` partition (re-bind the port);
+        a daemon shut down stays shut."""
+        with self._life:
+            if self._listener is None and not self._stop.is_set():
+                self._listen()
+                self.events.log("daemon_resume_accepting", address=self.address)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
+    def _listen(self) -> None:
+        family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
+        listener = socket.create_server((self.host, self.port), family=family, backlog=100)
+        self.port = listener.getsockname()[1]
+        self._listener = listener
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, args=(listener,), name="daemon-accept", daemon=True
+        )
+        self._acceptor.start()
+
+    def _close_listener(self) -> bool:
+        """Close the listener and join its acceptor: once this returns no
+        session is added.  False when there was none."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return False
         try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept in flight
+        except OSError:
             pass
+        listener.close()
+        self._acceptor.join()
+        return True
 
-    async def _accept(self, reader, writer) -> None:
-        session = _Session(self, reader, writer)
-        if self.draining:
-            # Refused unregistered: shutdown has already taken the sessions
-            # it drains, so it would neither await nor cancel this one.
-            await session.refuse()
-            return
-        task = asyncio.current_task()
-        self._sessions.add(task)
-        try:
-            await session.run()
-        except asyncio.CancelledError:
-            # Shutdown cancelled this session; the connection teardown in
-            # session.run's finally already ran.  Finish quietly so asyncio's
-            # stream machinery does not log the cancellation as a crash.
-            pass
-        finally:
-            self._sessions.discard(task)
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _peer = listener.accept()
+            except OSError:
+                if self._listener is not listener:
+                    return  # closed by pause_accepting or shutdown
+                self._stop.wait(0.1)  # out of descriptors, say: try again shortly
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                # A connection that arrives while draining is refused at
+                # its HELLO; either way shutdown joins its thread.
+                session = _Session(self, sock, refuse=self.draining)
+                self._sessions.add(session)
+            session.start()
+
+    def session_ended(self, session: _Session) -> None:
+        with self._lock:
+            self._sessions.discard(session)
 
     # ------------------------------------------------------------------
     def note_session(self, kind: str) -> None:
-        self._session_counts[kind] = self._session_counts.get(kind, 0) + 1
+        with self._lock:
+            self._session_counts[kind] = self._session_counts.get(kind, 0) + 1
 
     def server_stats(self) -> Dict:
+        with self._lock:
+            active, requests = len(self._sessions), dict(self._session_counts)
         return {
             "address": self.address,
             "uptime_seconds": time.monotonic() - self._started,
-            "active_connections": len(self._sessions),
+            "active_connections": active,
             "draining": self.draining,
-            "requests": dict(self._session_counts),
+            "requests": requests,
         }
 
     # ------------------------------------------------------------------
-    async def replicate_tenant(self, name: str, target) -> SyncReport:
+    def replicate_tenant(self, name: str, target) -> SyncReport:
         """Mirror one hosted tenant to ``target`` under its reader lock.
 
         The reader lock gives the sync a consistent snapshot — backups and
@@ -263,17 +310,17 @@ class BackupDaemon:
         tags make that an O(1) container-unlink on the mirror).
         """
         handle = self.registry.get(name)
-        async with handle.reading():
+        with handle.reading():
             session = ReplicationSession(
                 handle.repository.storage, target, metrics=self.metrics
             )
-            report = await asyncio.to_thread(session.run)
+            report = session.run()
         self.note_session("replicate")
         self.events.log("replicate_tenant", repo=name, **report.as_dict())
         return report
 
     # ------------------------------------------------------------------
-    async def sync_owned(self, repo: Optional[str] = None) -> Dict:
+    def sync_owned(self, repo: Optional[str] = None) -> Dict:
         """Replicate this node's primary-owned tenants to their successors.
 
         The cluster's durability loop: each tenant whose ring primary is
@@ -288,7 +335,7 @@ class BackupDaemon:
         if repo is not None:
             names = [self.registry.validate_name(repo)]
         else:
-            names = await asyncio.to_thread(self.registry.repo_names)
+            names = self.registry.repo_names()
         doc: Dict = {
             "node": self.node_name,
             "epoch": self.cluster.epoch,
@@ -304,7 +351,7 @@ class BackupDaemon:
             for succ in self.cluster.successors(name):
                 mirror = RemoteMirror(succ.address, name)
                 try:
-                    report = await self.replicate_tenant(name, mirror)
+                    report = self.replicate_tenant(name, mirror)
                     per_successor[succ.name] = report.as_dict()
                     self.metrics.inc("cluster.replica_syncs")
                 except (ReproError, OSError) as exc:
@@ -314,106 +361,105 @@ class BackupDaemon:
                         "cluster_replica_sync_failed", repo=name, successor=succ.name, error=error
                     )
                 finally:
-                    await asyncio.to_thread(mirror.close)
+                    mirror.close()
             doc["synced"][name] = per_successor
         return doc
 
-    async def _replica_sync_loop(self) -> None:
-        """Background ``sync_owned`` pacemaker (``--replicate-interval``)."""
-        while True:
-            await asyncio.sleep(self.replicate_interval)
-            if self.draining:
-                return
-            try:
-                await self.sync_owned()
-            except (ReproError, OSError) as exc:  # pragma: no cover - timing
-                error = f"{type(exc).__name__}: {exc}"
-                self.events.log("cluster_replica_sync_failed", repo="*", successor="*", error=error)
+    def _sync_replicas(self) -> None:
+        """One beat of the ``sync_owned`` pacemaker (``--replicate-interval``)."""
+        if self.draining:
+            return
+        try:
+            self.sync_owned()
+        except (ReproError, OSError) as exc:  # pragma: no cover - timing
+            error = f"{type(exc).__name__}: {exc}"
+            self.events.log("cluster_replica_sync_failed", repo="*", successor="*", error=error)
 
     # ------------------------------------------------------------------
     # Cluster control plane: execute what the FailoverController decides.
     # ------------------------------------------------------------------
-    def _emit(self, outputs: list) -> list:
-        """Log a controller step's notes; return the actions left to run."""
+    def _step(self, call, *args, **kwargs) -> list:
+        """One controller call under the controller lock; logs its notes
+        and returns the actions left to run (outside the lock)."""
         actions = []
-        for out in outputs:
-            if isinstance(out, Note):
-                if out.counter:
-                    self.metrics.inc(out.counter)
-                self.events.log(out.event, **out.fields)
-            else:
-                actions.append(out)
+        with self._control:
+            for out in call(*args, **kwargs):
+                if isinstance(out, Note):
+                    if out.counter:
+                        self.metrics.inc(out.counter)
+                    self.events.log(out.event, **out.fields)
+                else:
+                    actions.append(out)
         return actions
 
     def adopt_cluster_map(self, doc: object, source: str = "peer") -> None:
         """Offer ``doc`` to the controller (adopted only if strictly newer)."""
         if self.controller is not None:
-            for action in self._emit(self.controller.map_offered(doc, source)):
-                self._spawn(self._run(action))
+            for action in self._step(self.controller.map_offered, doc, source):
+                self._spawn(self._run, action)
 
-    async def ensure_write_primary(self, name: Optional[str]) -> None:
+    def ensure_write_primary(self, name: Optional[str]) -> None:
         """The write fence (:meth:`FailoverController.write_gate`): raises
         :class:`NotPrimaryError` unless this node may mutate ``name``,
         deep-verifying a promoted replica first.  Unclustered daemons are
         unaffected."""
         while self.controller is not None and name:
-            verify = self.controller.write_gate(name)
+            with self._control:
+                verify = self.controller.write_gate(name)
             if verify is None:
                 return
-            await self._run(verify)
+            self._run(verify)
 
-    async def _health_loop(self) -> None:
+    def _tick(self) -> None:
         """The controller's clock: one tick per probe interval."""
-        while True:
-            await asyncio.sleep(self.probe_interval)
-            if self.draining:
-                return
-            for action in self._emit(self.controller.tick()):
-                await self._run(action)
+        if self.draining:
+            return
+        for action in self._step(self.controller.tick):
+            self._run(action)
 
-    async def _run(self, action) -> None:
+    def _run(self, action) -> None:
         """Perform one action's I/O, feed the outcome back, run what follows."""
         controller = self.controller
         if isinstance(action, Resync):
-            # Seconds of pulling: its own task, so probing and serving go on.
-            self._spawn(self._resync())
+            # Seconds of pulling: its own thread, so probing and serving go on.
+            self._spawn(self._resync, name="daemon-resync")
             return
         follow: list = []
         if isinstance(action, Probe):
             try:
-                peer_doc = await asyncio.to_thread(
-                    self._probe_once, action.address, action.offer
-                )
-                follow = controller.probe_result(action.target, True, peer_doc)
+                peer_doc = self._probe_once(action.address, action.offer)
+                follow = self._step(controller.probe_result, action.target, True, peer_doc)
             except (ReproError, OSError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 try:
-                    hosted = await asyncio.to_thread(self.registry.repo_names)
+                    hosted = self.registry.repo_names()
                 except (ReproError, OSError):
                     hosted = []  # unknown: the write gate verifies lazily instead
-                follow = controller.probe_result(action.target, False, hosted=hosted, error=error)
+                follow = self._step(
+                    controller.probe_result, action.target, False, hosted=hosted, error=error
+                )
         elif isinstance(action, Verify):
-            ok, detail = await self._deep_verify(action.tenant)
-            follow = controller.verify_result(action.tenant, action.epoch, ok, detail)
+            ok, detail = self._deep_verify(action.tenant)
+            follow = self._step(controller.verify_result, action.tenant, action.epoch, ok, detail)
         elif isinstance(action, Offer):
             try:
-                await asyncio.to_thread(self._probe_once, action.address, action.doc)
+                self._probe_once(action.address, action.doc)
             except (ReproError, OSError):  # pragma: no cover - peer down
                 pass  # best effort: the peer's own probes are the backstop
-        for step in self._emit(follow):
-            await self._run(step)
+        for step in follow:
+            self._run(step)
 
     def _probe_once(self, address: str, offer: Dict) -> Optional[Dict]:
-        """One blocking ``CLUSTER_MAP`` round-trip (runs in a worker thread)
-        with ``offer`` attached; returns the peer's map.  Short timeout, no
-        retries — the controller owns the consecutive-failure counting."""
+        """One blocking ``CLUSTER_MAP`` round-trip with ``offer`` attached;
+        returns the peer's map.  Short timeout, no retries — the
+        controller owns the consecutive-failure counting."""
         remote = RemoteRepository(address, "-", timeout=self.probe_timeout, retries=1)
         try:
             return remote.cluster_map(offer=offer).get("map")
         finally:
             remote.close()
 
-    async def _deep_verify(self, name: str) -> Tuple[bool, Dict]:
+    def _deep_verify(self, name: str) -> Tuple[bool, Dict]:
         """Re-hash every chunk of the local replica of ``name`` — the
         verify-before-drop check repurposed as verify-before-serve.
         Returns the verdict and the fields its event carries."""
@@ -422,8 +468,8 @@ class BackupDaemon:
         except RepositoryNotFoundError:
             return False, {"error": "no local replica"}
         try:
-            async with handle.reading():
-                report = await asyncio.to_thread(handle.repository.verify, True)
+            with handle.reading():
+                report = handle.repository.verify(True)
         except (ReproError, OSError) as exc:
             return False, {"error": f"{type(exc).__name__}: {exc}"}
         if report.get("ok"):
@@ -436,7 +482,7 @@ class BackupDaemon:
             "verify_seconds": report.get("seconds"),
         }
 
-    async def _resync(self) -> None:
+    def _resync(self) -> None:
         """Pull every hosted tenant back in sync from its acting primary.
 
         Runs on a daemon that discovered (via map adoption) it was marked
@@ -447,10 +493,13 @@ class BackupDaemon:
         restore never sees a torn copy.
         """
         cluster = self.cluster
-        clean = False  # cancelled or broken is never a licence to revive
+        clean = False  # stopped or broken is never a licence to revive
         try:
             dirty = 0
-            for name in await asyncio.to_thread(self.registry.repo_names):
+            for name in self.registry.repo_names():
+                if self._stop.is_set():
+                    dirty += 1  # shutting down: the rest stays unpulled
+                    break
                 acting = cluster.primary(name)
                 if acting.name == self.node_name or acting.down:
                     continue
@@ -460,10 +509,8 @@ class BackupDaemon:
                 )
                 try:
                     handle = self.registry.get(name)
-                    async with handle.lock.write_locked():
-                        pulled = await asyncio.to_thread(
-                            pull_tenant, remote, handle.repository
-                        )
+                    with handle.lock.write_locked():
+                        pulled = pull_tenant(remote, handle.repository)
                     dirty += not pulled["verified"]
                     self.metrics.inc("cluster.resyncs")
                     self.events.log(
@@ -477,44 +524,47 @@ class BackupDaemon:
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 finally:
-                    await asyncio.to_thread(remote.close)
+                    remote.close()
             clean = not dirty
         finally:
-            self._emit(self.controller.resync_result(cluster.epoch, clean))
+            self._step(self.controller.resync_result, cluster.epoch, clean)
 
     # ------------------------------------------------------------------
-    async def shutdown(self, drain_timeout: Optional[float] = None) -> None:
-        """Graceful drain: stop accepting, let sessions finish, then cancel.
+    def shutdown(self, drain_timeout: Optional[float] = None) -> None:
+        """Graceful drain: stop accepting, let sessions finish, then abort.
 
-        In-flight backups either complete within the drain window or are
-        cancelled — cancellation aborts the engine thread, which rolls the
-        repository back before the session task finishes, so this method
-        only returns once every repository is in a clean state.
+        In-flight sessions get ``drain_timeout`` seconds; the sockets of
+        those still running are then shut down, so a backup's engine fails
+        its read and rolls the repository back, and a restore closes its
+        stream.  Returns only once every session and background thread has
+        ended: every repository is clean, committed or rolled back.  A
+        second call returns at once.
         """
         timeout = self.drain_timeout if drain_timeout is None else drain_timeout
-        self.draining = True
-        for task in list(self._background):
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        tasks = [t for t in self._sessions if not t.done()]
-        if tasks and timeout > 0:
-            _done, pending = await asyncio.wait(tasks, timeout=timeout)
-            tasks = list(pending)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.wait(tasks, timeout=max(5.0, timeout))
-        self.events.log("daemon_stop", address=self.address)
+        with self._life:
+            if self._stop.is_set():
+                return
+            with self._lock:
+                self.draining = True
+                self._stop.set()
+            self._close_listener()
+            deadline = time.monotonic() + timeout
+            for session in self._live(self._sessions):
+                session.join(max(0.0, deadline - time.monotonic()))
+            stragglers = self._live(self._sessions)
+            for session in stragglers:
+                session.abort()
+            for thread in stragglers + self._live(self._background):
+                thread.join()
+            self.events.log("daemon_stop", address=self.address)
+
+    def _live(self, threads: Set) -> list:
+        with self._lock:
+            return list(threads)
 
 
 class DaemonThread:
-    """Run a :class:`BackupDaemon` on a background event-loop thread.
+    """Run a :class:`BackupDaemon` inside this process, on its own threads.
 
     The harness the tests, benchmarks and examples use::
 
@@ -522,44 +572,17 @@ class DaemonThread:
             RemoteRepository(address, "tenant").backup_tree(...)
 
     ``kill()`` models an operator SIGTERM with no drain patience: in-flight
-    backups are cancelled and rolled back before it returns.
+    backups are aborted and rolled back before it returns.
     """
 
     def __init__(self, root: str, **daemon_kwargs) -> None:
         self.daemon = BackupDaemon(root, **daemon_kwargs)
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="backup-daemon", daemon=True)
-        self._stopped = False
-        self._startup_error: Optional[BaseException] = None
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self.daemon.start())
-        except BaseException as exc:
-            # Stash the failure (port already bound, bad address, ...) for
-            # start() to re-raise immediately instead of timing out.
-            self._startup_error = exc
-        self._ready.set()
-        if self._startup_error is None:
-            self._loop.run_forever()
-        # End what is left while the loop still runs: a task closed with
-        # the loop would run its ``finally`` (a writer's close) on a dead one.
-        pending = asyncio.all_tasks(self._loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
-        self._loop.close()
+        self._running = False
 
     def start(self) -> str:
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise ReproError("backup daemon failed to start within 10s")
-        if self._startup_error is not None:
-            self._thread.join(timeout=5)
-            raise self._startup_error
+        """Bind and start serving; a bind failure raises here."""
+        self.daemon.start()
+        self._running = True
         return self.daemon.address
 
     @property
@@ -567,31 +590,22 @@ class DaemonThread:
         return self.daemon.address
 
     def stop(self, drain_timeout: Optional[float] = None) -> None:
-        """Drain gracefully, stop the loop, join the thread."""
-        if self._stopped:
-            return
-        self._stopped = True
-        if self._startup_error is not None or not self._thread.is_alive():
-            self._thread.join(timeout=10)
-            return
-        self._call(self.daemon.shutdown(drain_timeout), timeout=60)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
+        """Drain gracefully and wait until every daemon thread has ended."""
+        if self._running:
+            self._running = False
+            self.daemon.shutdown(drain_timeout)
 
     def kill(self) -> None:
         """Shut down with zero drain patience (in-flight work rolls back)."""
         self.stop(drain_timeout=0)
 
-    def _call(self, coro, timeout: float) -> None:
-        asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout=timeout)
-
-    def pause_accepting(self, timeout: float = 10.0) -> None:
+    def pause_accepting(self) -> None:
         """Partition this daemon: refuse new connections."""
-        self._call(self.daemon.pause_accepting(), timeout)
+        self.daemon.pause_accepting()
 
-    def resume_accepting(self, timeout: float = 10.0) -> None:
+    def resume_accepting(self) -> None:
         """Heal a :meth:`pause_accepting` partition."""
-        self._call(self.daemon.resume_accepting(), timeout)
+        self.daemon.resume_accepting()
 
     def __enter__(self) -> str:
         return self.start()

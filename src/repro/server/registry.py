@@ -12,21 +12,20 @@ The root may equally be a backend URL (:mod:`repro.storage.backend`):
 one key prefix per tenant, and a ``?archive=URL`` cold tier fans out with
 the same per-tenant suffix (see :meth:`RepoLocation.child`).
 
-Each repository carries an async :class:`ReadWriteLock`: ingest and
-deletion take the *write* side (serialised — HiDeStore's double cache
-deduplicates a version against its predecessor, so concurrent writers to
-one repo make no semantic sense), while restores and stats take the *read*
-side and run concurrently — with each other and with everything happening
-on other repositories.
+Each repository carries a :class:`ReadWriteLock` that the daemon's
+session threads share: ingest and deletion take the *write* side
+(serialised — HiDeStore's double cache deduplicates a version against its
+predecessor, so concurrent writers to one repo make no semantic sense),
+while restores and stats take the *read* side and run concurrently — with
+each other and with everything happening on other repositories.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import re
 import threading
-from contextlib import asynccontextmanager
+from contextlib import contextmanager
 from typing import Dict, List
 
 from ..errors import RepositoryNotFoundError, ReproError
@@ -40,45 +39,52 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 class ReadWriteLock:
-    """Writer-exclusive, reader-shared asyncio lock.
+    """Writer-exclusive, reader-shared lock with writer preference.
 
     Writers serialise against each other and against all readers; readers
-    only wait while a writer holds (or is acquiring) the lock.  The waiter
-    count feeds the ``STATS`` frame's queue-depth gauge.
+    wait while a writer holds the lock or waits for it.  The writer count
+    feeds the ``STATS`` frame's queue-depth gauge.
     """
 
     def __init__(self) -> None:
-        self._gate = asyncio.Lock()
+        self._cond = threading.Condition()
         self._readers = 0
-        self._no_readers = asyncio.Event()
-        self._no_readers.set()
-        self.write_waiters = 0
+        self._writing = False
+        self.write_waiters = 0  # queued + active writers
 
-    @asynccontextmanager
-    async def read_locked(self):
-        async with self._gate:  # blocks while a writer is active
+    @contextmanager
+    def read_locked(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not self.write_waiters)
             self._readers += 1
-            self._no_readers.clear()
         try:
             yield
         finally:
-            self._readers -= 1
-            if self._readers == 0:
-                self._no_readers.set()
+            with self._cond:
+                self._readers -= 1
+                if not self._readers:
+                    self._cond.notify_all()
 
-    @asynccontextmanager
-    async def write_locked(self):
-        self.write_waiters += 1  # gauges queued + active writers
+    @contextmanager
+    def write_locked(self):
+        with self._cond:
+            self.write_waiters += 1
+            self._cond.wait_for(lambda: not (self._writing or self._readers))
+            self._writing = True
         try:
-            async with self._gate:
-                await self._no_readers.wait()
-                yield
+            yield
         finally:
-            self.write_waiters -= 1
+            with self._cond:
+                self._writing = False
+                self.write_waiters -= 1
+                self._cond.notify_all()
 
 
 class RepoHandle:
-    """One hosted repository: engine front end, lock, service counters."""
+    """One hosted repository: engine front end, lock, service counters.
+
+    Session threads update the counters and ``active_ops`` under
+    ``_counting``, so the totals are exact."""
 
     def __init__(self, name: str, repository: LocalRepository) -> None:
         self.name = name
@@ -86,6 +92,7 @@ class RepoHandle:
         #: The same tenant as a replication target (``REPLICATE_*`` frames).
         self.mirror = LocalMirror(repository.storage)
         self.lock = ReadWriteLock()
+        self._counting = threading.Lock()
         self.active_ops = 0
         self.counters: Dict[str, int] = {
             "backups": 0,
@@ -99,14 +106,16 @@ class RepoHandle:
         }
 
     # ------------------------------------------------------------------
-    @asynccontextmanager
-    async def _counted(self, locked):
-        async with locked:
-            self.active_ops += 1
+    @contextmanager
+    def _counted(self, locked):
+        with locked:
+            with self._counting:
+                self.active_ops += 1
             try:
                 yield
             finally:
-                self.active_ops -= 1
+                with self._counting:
+                    self.active_ops -= 1
 
     def reading(self):
         """The read lock, counted in the ``active_sessions`` gauge."""
@@ -116,27 +125,34 @@ class RepoHandle:
         """The write lock, counted in the ``active_sessions`` gauge."""
         return self._counted(self.lock.write_locked())
 
+    def _note(self, **amounts: int) -> None:
+        with self._counting:
+            for name, amount in amounts.items():
+                self.counters[name] += amount
+
     def note_backup(self, report: Dict) -> None:
-        self.counters["backups"] += 1
-        self.counters["bytes_ingested"] += int(report.get("logical_bytes", 0))
-        self.counters["chunks_ingested"] += int(report.get("total_chunks", 0))
+        self._note(
+            backups=1,
+            bytes_ingested=int(report.get("logical_bytes", 0)),
+            chunks_ingested=int(report.get("total_chunks", 0)),
+        )
 
     def note_backup_failed(self) -> None:
-        self.counters["backups_failed"] += 1
+        self._note(backups_failed=1)
 
     def note_restore(self, nbytes: int) -> None:
-        self.counters["restores"] += 1
-        self.counters["bytes_restored"] += nbytes
+        self._note(restores=1, bytes_restored=nbytes)
 
     def note_delete(self) -> None:
-        self.counters["deletes"] += 1
+        self._note(deletes=1)
 
     def stats(self) -> Dict:
         """The per-repo ``STATS`` document (repository + service counters)."""
         doc = dict(self.repository.stats())
         doc["repo"] = self.name
-        doc["counters"] = dict(self.counters)
-        doc["active_sessions"] = self.active_ops
+        with self._counting:
+            doc["counters"] = dict(self.counters)
+            doc["active_sessions"] = self.active_ops
         doc["write_queue_depth"] = self.lock.write_waiters
         return doc
 

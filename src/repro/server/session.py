@@ -1,50 +1,43 @@
 """One client connection's frame conversation with the daemon.
 
-Concurrency model: the event loop owns every socket between requests and
-answers control requests itself; blocking engine work (chunking, dedup,
-container I/O) runs on worker threads.  A data stream is the exception.
-For the length of one, an engine thread owns the connection through a
-:class:`_SocketLease`, a dup of the loop's socket:
-
-* a backup: after ``BACKUP_READY``, until the engine returns (the loop has
-  stopped reading first, so it never reads what the client sends after
-  it).  The engine's block iterator (:class:`_BackupStream`) reads one
-  ``CHUNK_DATA`` frame each time the chunker asks for bytes;
-* a restore: after ``RESTORE_META``, until its terminal item
-  (:class:`_RestorePump` writes every ``CHUNK_DATA`` frame itself).
+Concurrency model: every accepted connection is served by a thread of
+its own (:class:`_Session`), over a blocking socket, from ``HELLO`` to
+close.  Everything a request needs runs inline on that thread: control
+requests, a backup's engine (which reads ``CHUNK_DATA`` frames straight
+off the connection whenever the chunker asks for bytes,
+:class:`_BackupStream`) and a restore's (whose runs are cut into
+``RESTORE_BLOCK`` frames and sent with one gather ``sendmsg`` each,
+:class:`_RestoreSender`).
 
 TCP's window is the flow control: a stream holds one frame of server
-memory, and a client sending faster than the engine reads blocks in
-``send``.  The loop takes the connection back to write ``BACKUP_DONE`` /
-``RESTORE_END`` or a typed ``ERROR``.
+memory, a client sending faster than the engine reads blocks in ``send``,
+and a client reading slower than a restore produces blocks the engine in
+``sendmsg``.
 
-Failure semantics: a backup whose session dies (disconnect, cancellation
-during shutdown) shuts the leased socket down; the engine's read in flight
-fails and the engine rolls the repository back
+Failure semantics: the daemon ends a session it will not wait for by
+shutting its socket down (:meth:`_Session.abort`).  The read or send in
+flight fails at once; a backup's engine rolls the repository back
 (:meth:`repro.repository.LocalRepository._guarded_backup`) — partially
-streamed versions never become visible and leave no ``*.tmp`` litter.
+streamed versions never become visible and leave no ``*.tmp`` litter —
+and a restore closes its stream before the tenant's read lock goes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
-import select
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..client.protocol import (
     DATA_BLOCK,
-    HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD,
     PROTOCOL_VERSION,
     RESTORE_BLOCK,
     FrameType,
     check_hello,
-    decode_header,
     decode_json,
     encode_data_header,
     encode_error,
@@ -52,6 +45,7 @@ from ..client.protocol import (
     encode_json,
     frame_parts,
 )
+from ..client.remote import FramedSocket
 from ..errors import (
     ProtocolError,
     ReplicationError,
@@ -71,189 +65,49 @@ if TYPE_CHECKING:
 #: checkpoint grows with the fingerprint tables but stays far below this).
 _MAX_OBJECT = 1 << 30
 
-#: Sentinel closing a restore pump's items: the stream ended whole.
-_EOF = object()
 
-#: Most buffers one ``sendmsg`` takes (a frame is its header plus its runs).
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
+class _BackupStream:
+    """One backup's byte blocks, read off the connection by the engine.
 
-
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[FrameType, bytes]:
-    """Read exactly one validated frame from the stream."""
-    header = await reader.readexactly(HEADER_SIZE)
-    length, ftype = decode_header(header)
-    payload = await reader.readexactly(length) if length else b""
-    return ftype, payload
-
-
-class _SocketLease:
-    """An engine thread's hold on a connection's socket for one stream.
-
-    The loop hands the thread a dup of the connection's socket
-    (:meth:`attach`) once the transport has written its last frame; the
-    thread owns the connection until it releases the dup.  The dup shares
-    its file description, ``O_NONBLOCK`` included, with the loop's socket,
-    so it stays non-blocking (making it blocking would make the loop's
-    blocking too) and the thread waits for it with ``poll``.  :meth:`stop`
-    aborts from the loop: it shuts the connection down, so a wait or call
-    in flight fails at once.  :attr:`EVENTS` is what the thread waits for:
-    ``POLLIN`` for a stream it reads, ``POLLOUT`` for one it writes.
+    Iterating reads one ``CHUNK_DATA`` frame per block, only when the
+    chunker asks for bytes, until ``BACKUP_END`` (:attr:`ended`).  Any
+    other frame is a :class:`ProtocolError`; a connection that closes or
+    is shut down mid-stream raises ``ConnectionError`` into the engine,
+    which rolls back.
     """
 
-    EVENTS = 0
-
-    def __init__(self) -> None:
-        self._attached = threading.Event()
-        self._lock = threading.Lock()  # the socket's close against stop()'s shutdown
-        self._sock: Optional[socket.socket] = None
-        self._poller = select.poll()
-        self._stopped = False
-
-    def attach(self, sock: socket.socket) -> None:
-        """Loop-side: hand the thread the connection, the transport empty."""
-        sock.setblocking(False)
-        self._poller.register(sock, self.EVENTS)
-        self._sock = sock
-        self._attached.set()
-
-    def stop(self) -> None:
-        """Loop-side: shut the socket down; a parked or next call fails at once."""
-        self._stopped = True
-        self._attached.set()
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer already tore it down
-
-    def _wait_attached(self) -> None:
-        """Thread-side: wait for the hand-over; raises if stopped first."""
-        self._attached.wait()
-        if self._stopped:  # after the hand-over, stop() shuts the socket
-            raise ConnectionAbortedError("session aborted")
-
-    def _release(self) -> None:
-        """Thread-side: close the dup (the loop's socket stays open)."""
-        with self._lock:
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None
-
-    def _send(self, buffers: list) -> None:
-        """Write every buffer whole, in as few ``sendmsg`` calls as fit."""
-        first = 0
-        while first < len(buffers):
-            try:
-                sent = self._sock.sendmsg(buffers[first : first + _IOV_MAX])
-            except BlockingIOError:
-                self._poller.poll()  # writable, or shut down by stop(): then EPIPE
-                continue
-            except OSError as exc:  # half a frame may be out: never reuse it
-                raise ConnectionAbortedError(f"stream send failed: {exc}") from exc
-            while sent:  # resume a partial send from the exact byte
-                head = len(buffers[first])
-                if sent < head:
-                    buffers[first] = memoryview(buffers[first])[sent:]
-                    break
-                sent -= head
-                first += 1
-
-    def _recv(self, size: int) -> bytearray:
-        """Read exactly ``size`` bytes into a buffer of that size."""
-        buffer = bytearray(size)
-        view = memoryview(buffer)
-        while view:
-            try:
-                got = self._sock.recv_into(view)
-            except BlockingIOError:
-                self._poller.poll()  # readable, or shut down by stop(): then EOF
-                continue
-            except OSError as exc:
-                raise ConnectionAbortedError(f"stream read failed: {exc}") from exc
-            if not got:
-                raise ConnectionAbortedError("connection closed mid-stream")
-            view = view[got:]
-        return buffer
-
-
-class _BackupStream(_SocketLease):
-    """One backup's byte blocks, read off the leased socket by the engine.
-
-    Iterating reads one ``CHUNK_DATA`` frame per block, on the engine's
-    thread and only when the chunker asks for bytes, until ``BACKUP_END``
-    (:attr:`ended`).  Any other frame is a :class:`ProtocolError`; a
-    connection that closes or is stopped mid-stream raises
-    ``ConnectionAbortedError`` into the engine, which rolls back.
-    """
-
-    EVENTS = select.POLLIN
-
-    def __init__(self, metrics) -> None:
-        super().__init__()
+    def __init__(self, conn: FramedSocket, metrics) -> None:
+        self.conn = conn
         self.metrics = metrics
         self.ended = False
 
     def __iter__(self):
         while True:
-            length, ftype = decode_header(self._recv(HEADER_SIZE))
-            payload = self._recv(length)
+            ftype, payload = self.conn.recv_frame()
             if ftype == FrameType.BACKUP_END:
                 self.ended = True
                 return
             if ftype != FrameType.CHUNK_DATA:
                 raise ProtocolError(f"unexpected {ftype.name} frame mid-backup")
-            self.metrics.inc("server.ingest_bytes", length)
+            self.metrics.inc("server.ingest_bytes", len(payload))
             yield payload
 
 
-class _RestorePump(_SocketLease, threading.Thread):
-    """One restore's engine thread: plan, read, assemble, frame, send.
+class _RestoreSender:
+    """Cuts one restore's runs into frames and sends each as it fills.
 
-    Runs the repository's restore iterator off the event loop and hands the
-    loop the file plan.  After ``RESTORE_META`` the loop leases it the
-    connection (:meth:`attach`), which the thread owns until its terminal
-    item, writing every ``CHUNK_DATA`` frame itself: exactly
-    ``RESTORE_BLOCK`` payload bytes cut from the runs (the last frame
-    shorter), header and runs in one gather ``sendmsg``.  A restore holds
-    one frame's runs; a full socket stalls the engine.  The terminal item
-    (``_EOF`` or the exception that ended the stream) follows the close of
-    the engine's stream and the socket: the thread has left the repository.
+    Every ``CHUNK_DATA`` frame carries exactly ``RESTORE_BLOCK`` payload
+    bytes cut from the runs (the last frame fewer), header and runs in one
+    gather ``sendmsg``.  A restore holds one frame's runs; a full socket
+    stalls the engine.
     """
 
-    EVENTS = select.POLLOUT
+    def __init__(self, conn: FramedSocket) -> None:
+        self.conn = conn
+        self.frames = self.sent = 0
+        self.send_seconds = self.wait_seconds = 0.0  # in sendmsg; waiting on the engine
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, open_restore) -> None:
-        _SocketLease.__init__(self)
-        threading.Thread.__init__(self, name="restore-pump", daemon=True)
-        self._loop = loop
-        self._open = open_restore
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.finished = False
-        self.frames = self.sent = self.entries = 0
-        self.send_seconds = self.wait_seconds = 0.0  # on the socket; on the engine
-
-    def run(self) -> None:
-        last: object = _EOF
-        try:
-            plan, data = self._open()
-            try:
-                self._loop.call_soon_threadsafe(self.queue.put_nowait, plan)
-                self._wait_attached()
-                self._frames(data)
-                self.entries = data.entries
-            finally:
-                data.close()  # returns once the engine's reads in flight are done
-        except BaseException as exc:  # forwarded: take() re-raises it on the loop
-            last = exc
-        self._release()
-        try:
-            self._loop.call_soon_threadsafe(self.queue.put_nowait, last)
-        except RuntimeError:
-            pass  # loop closed: the daemon was killed while we were in the engine
-
-    def _frames(self, data) -> None:
-        """Cut the runs into frames and send each as it fills."""
+    def send(self, data) -> None:
         frame, size = [], 0
         mark = time.perf_counter()
         for block in data:
@@ -273,30 +127,12 @@ class _RestorePump(_SocketLease, threading.Thread):
         """Write one frame whole; returns the time it left."""
         ready = time.perf_counter()
         self.wait_seconds += ready - mark
-        self._send([encode_data_header(size), *frame])
+        self.conn.send_parts([encode_data_header(size), *frame])
         done = time.perf_counter()
         self.send_seconds += done - ready
         self.frames += 1
         self.sent += size
         return done
-
-    async def _next(self) -> object:
-        item = await self.queue.get()
-        self.finished = item is _EOF or isinstance(item, BaseException)
-        return item
-
-    async def take(self) -> object:
-        """Loop-side: the next item; raises whatever ended the stream early."""
-        item = await self._next()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    async def close(self) -> None:
-        """Loop-side: stop the thread and wait until it is out of the engine."""
-        self.stop()
-        while not self.finished:
-            await self._next()
 
 
 class _EndSession(Exception):
@@ -313,90 +149,91 @@ def sanitize_trace(value: object) -> str:
     return text
 
 
-class _Session:
-    """One client connection's frame conversation."""
+class _Session(threading.Thread):
+    """One client connection's frame conversation, on a thread of its own.
 
-    def __init__(self, daemon: "BackupDaemon", reader, writer) -> None:
-        self.daemon = daemon
-        self.reader = reader
-        self.writer = writer
+    ``refuse``: the daemon was draining when it accepted the connection;
+    its ``HELLO`` gets ``ServerDrainingError`` and the connection closes.
+    """
+
+    def __init__(self, server: "BackupDaemon", sock: socket.socket, refuse: bool) -> None:
+        super().__init__(name="daemon-session", daemon=True)
+        self.server = server
+        self.sock = sock
+        self.conn = FramedSocket(sock)
+        self.refuse = refuse
         # One trace ID per session; per-request IDs are "<session>.<seq>"
         # (the client derives the same IDs from the HELLO_OK handoff).
         self.trace = new_trace_id()
         self.seq = 0
+        self._closing = threading.Lock()  # the socket's close against abort()
+
+    def abort(self) -> None:
+        """Shut the connection down from another thread: the read or send
+        in flight, or the next one, fails at once."""
+        with self._closing:
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed already, or the peer tore it down
 
     # ------------------------------------------------------------------
-    async def run(self) -> None:
-        peer = self.writer.get_extra_info("peername")
-        self.daemon.events.log(
-            "session_open", trace=self.trace, peer=str(peer) if peer else None
-        )
+    def run(self) -> None:
         try:
-            await self._handshake()
+            if self.refuse:
+                self._refuse()
+            else:
+                self._converse()
+        finally:
+            with self._closing:
+                self.conn.close()
+            self.server.session_ended(self)
+
+    def _converse(self) -> None:
+        try:
+            peer = str(self.sock.getpeername())
+        except OSError:
+            peer = None
+        self.server.events.log("session_open", trace=self.trace, peer=peer)
+        try:
+            self._handshake()
             while True:
-                await self._dispatch(*await read_frame(self.reader))
-        except (_EndSession, asyncio.IncompleteReadError, ConnectionError):
+                self._dispatch(*self.conn.recv_frame())
+        except (_EndSession, OSError):
             pass  # told to hang up, or the client did (between requests too)
         except ProtocolError as exc:
-            await self._send_error(exc)
+            self._send_error(exc)
         finally:
-            self.daemon.events.log("session_close", trace=self.trace, requests=self.seq)
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self.server.events.log("session_close", trace=self.trace, requests=self.seq)
 
-    async def refuse(self) -> None:
-        """Answer a draining daemon's new connection: its HELLO gets
-        ``ServerDrainingError`` and the connection closes."""
+    def _refuse(self) -> None:
         try:
-            await read_frame(self.reader)
-            await self._send_error(ServerDrainingError("server is draining; connect elsewhere"))
-        except (asyncio.IncompleteReadError, ConnectionError, ProtocolError):
+            self.conn.recv_frame()
+            self._send_error(ServerDrainingError("server is draining; connect elsewhere"))
+        except (OSError, ProtocolError):
             pass
-        finally:
-            self.writer.close()
 
-    async def _handshake(self) -> None:
-        ftype, payload = await read_frame(self.reader)
+    def _handshake(self) -> None:
+        ftype, payload = self.conn.recv_frame()
         if ftype != FrameType.HELLO:
             raise ProtocolError(f"expected HELLO, got {ftype.name}")
         check_hello(payload)
         hello = {"magic": MAGIC, "version": PROTOCOL_VERSION, "trace": self.trace}
-        self.writer.write(encode_json(FrameType.HELLO_OK, hello))
-        await self.writer.drain()
+        self.conn.send(encode_json(FrameType.HELLO_OK, hello))
 
-    async def _send_error(self, exc: BaseException) -> None:
+    def _send_error(self, exc: BaseException) -> None:
         try:
-            self.writer.write(encode_error(exc))
-            await self.writer.drain()
-        except (ConnectionError, OSError):
+            self.conn.send(encode_error(exc))
+        except OSError:
             pass
 
-    async def _reply(self, ftype: FrameType, doc: Dict, kind: str) -> None:
+    def _reply(self, ftype: FrameType, doc: Dict, kind: str) -> None:
         """Count the served request and send its one-frame answer."""
-        self.daemon.note_session(kind)
-        self.writer.write(encode_json(ftype, doc))
-        await self.writer.drain()
-
-    async def _lease(self, lease: _SocketLease, frame: bytes) -> None:
-        """Write the loop's last frame before a stream, then lease the socket.
-
-        ``drain()`` may return with up to the low-water mark still buffered
-        in the transport; the lease starts only once that buffer is empty,
-        so the loop's bytes and the engine thread's never interleave.
-        """
-        transport = self.writer.transport
-        self.writer.write(frame)
-        low, high = transport.get_write_buffer_limits()
-        transport.set_write_buffer_limits(high=0)
-        await self.writer.drain()
-        transport.set_write_buffer_limits(high, low)
-        lease.attach(self.writer.get_extra_info("socket").dup())
+        self.server.note_session(kind)
+        self.conn.send(encode_json(ftype, doc))
 
     # ------------------------------------------------------------------
-    async def _dispatch(self, ftype: FrameType, payload: bytes) -> None:
+    def _dispatch(self, ftype: FrameType, payload: bytes) -> None:
         entry = self._HANDLERS.get(ftype)
         if entry is None:
             raise ProtocolError(f"unexpected {ftype.name} frame between requests")
@@ -405,21 +242,19 @@ class _Session:
         self.seq += 1
         # A clustered daemon counts the data-plane traffic the router sends
         # it (CLUSTER_MAP fetches are control plane, not routed requests).
-        if self.daemon.cluster is not None and ftype != FrameType.CLUSTER_MAP:
-            self.daemon.metrics.inc("cluster.requests_routed")
+        if self.server.cluster is not None and ftype != FrameType.CLUSTER_MAP:
+            self.server.metrics.inc("cluster.requests_routed")
         # Prefer the client's request trace (carried in the payload) so one
         # ID joins both sides' logs; fall back to our own session-derived ID.
         trace = sanitize_trace(obj.get("trace")) or f"{self.trace}.{self.seq}"
         repo = obj.get("repo") if isinstance(obj.get("repo"), str) else None
-        events, metrics = self.daemon.events, self.daemon.metrics
+        events, metrics = self.server.events, self.server.metrics
         metrics.inc("server.requests_total")
         events.log(f"{kind}_begin", trace=trace, repo=repo)
         started = time.perf_counter()
         try:
-            await handler(self, obj)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
+            handler(self, obj)
+        except Exception as exc:  # any failed request is answered; the session lives on
             elapsed = time.perf_counter() - started
             cause = exc.__cause__ if isinstance(exc, _EndSession) and exc.__cause__ else exc
             metrics.inc("server.errors_total")
@@ -434,13 +269,12 @@ class _Session:
             )
             if isinstance(exc, _EndSession):
                 raise
-            if isinstance(exc, (asyncio.IncompleteReadError, ConnectionError)):
+            if isinstance(exc, ConnectionError):
                 raise _EndSession() from None
+            self._send_error(exc)
             if isinstance(exc, ProtocolError):
                 # Framing is no longer trustworthy: report and hang up.
-                await self._send_error(exc)
                 raise _EndSession() from None
-            await self._send_error(exc)
         else:
             elapsed = time.perf_counter() - started
             metrics.observe(f"server.{kind}_seconds", elapsed)
@@ -452,80 +286,39 @@ class _Session:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    async def _handle_backup(self, obj: dict) -> None:
-        if self.daemon.draining:
+    def _handle_backup(self, obj: dict) -> None:
+        if self.server.draining:
             raise ServerDrainingError("server is draining; retry the backup elsewhere")
         # Write fencing + the promotion verify gate happen before the
         # repository is even created: a fenced write must not leave an
         # empty tenant directory behind.
-        await self.daemon.ensure_write_primary(obj.get("repo"))
+        self.server.ensure_write_primary(obj.get("repo"))
         # Vet the plan before any tenant, lock or stream: a traversal
         # attempt ('../x', absolute, control chars), a negative size or a
         # repeated name dies here with a typed ERROR.
         plan = validate_plan((str(rel), size) for rel, size in obj.get("files", []))
-        handle = self.daemon.registry.get(obj.get("repo"), create=True)
+        handle = self.server.registry.get(obj.get("repo"), create=True)
         tag = str(obj.get("tag", "") or "")
-        async with handle.writing():
-            await self._run_backup(handle, plan, tag)
+        with handle.writing():
+            self._run_backup(handle, plan, tag)
 
-    async def _run_backup(self, handle: RepoHandle, plan: FilePlan, tag: str) -> None:
-        # Stop the loop's reading before BACKUP_READY goes out: what the
-        # client sends after it belongs to the engine thread.
-        transport = self.writer.transport
-        transport.pause_reading()
-        if self.reader._buffer:  # read by the loop already: not ours to hand on
-            raise ProtocolError("client sent data before BACKUP_READY")
-        stream = _BackupStream(self.daemon.metrics)
-        await self._lease(stream, encode_frame(FrameType.BACKUP_READY))
-        engine_done = threading.Event()
-
-        def _engine():
-            # The event — not the asyncio task state — is the ground truth
-            # for "the engine thread has stopped touching the repository":
-            # cancelling a to_thread task only marks the future, the thread
-            # runs on regardless.
-            try:
-                return handle.repository.backup_blocks(stream, plan, tag)
-            finally:
-                stream._release()
-                engine_done.set()
-
+    def _run_backup(self, handle: RepoHandle, plan: FilePlan, tag: str) -> None:
+        self.conn.send(encode_frame(FrameType.BACKUP_READY))
+        stream = _BackupStream(self.conn, self.server.metrics)
         try:
-            report = await asyncio.to_thread(_engine)
+            report = handle.repository.backup_blocks(stream, plan, tag)
             if not stream.ended:
                 raise ProtocolError("engine finished before BACKUP_END")
-        except BaseException as first:
-            # Shut the leased socket down: the engine's read in flight fails
-            # and it unwinds into the repository rollback.  When shutdown()
-            # cancels this session the thread runs on, so wait on its own
-            # completion event, swallowing repeated cancellation: shutdown()
-            # only returns once the repository is clean — committed or
-            # rolled back, never mid-write.  One waiter, awaited to its end
-            # however often this is cancelled: none is left pending when
-            # the loop closes.
-            stream.stop()
-            if not engine_done.is_set():
-                waiter = asyncio.ensure_future(asyncio.to_thread(engine_done.wait))
-                while not waiter.done():
-                    try:
-                        await asyncio.shield(waiter)
-                    except asyncio.CancelledError:
-                        continue
-                    except BaseException:
-                        break
+        except Exception as first:  # mid-stream: whatever failed, the stream's place is lost
             handle.note_backup_failed()
-            if isinstance(first, Exception) and not isinstance(first, ConnectionError):
-                # Where the client's stream stopped is unknown: report the
-                # failure, then hang up.  A client blocked sending sees its
-                # send fail and reads this ERROR.
-                await self._send_error(first)
-                raise _EndSession() from first
-            raise
-        transport.resume_reading()
+            if isinstance(first, ConnectionError):
+                raise
+            # Report the failure, then hang up.  A client blocked sending
+            # sees its send fail and reads this ERROR.
+            self._send_error(first)
+            raise _EndSession() from first
         handle.note_backup(report)
-        self.daemon.note_session("backup")
-        self.writer.write(encode_json(FrameType.BACKUP_DONE, report))
-        await self.writer.drain()
+        self._reply(FrameType.BACKUP_DONE, report, "backup")
 
     # ------------------------------------------------------------------
     # Restore
@@ -542,7 +335,7 @@ class _Session:
         requested = obj.get("workers")
         workers = (
             1 if requested is None
-            else max(1, min(int(requested), self.daemon.restore_workers))
+            else max(1, min(int(requested), self.server.restore_workers))
         )
         rel = obj.get("file")
         if rel is not None:
@@ -553,92 +346,82 @@ class _Session:
             "file": rel,
         }
 
-    async def _handle_restore(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"))
+    def _handle_restore(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"))
         version = int(obj.get("version", 0))
         options = self._restore_options(obj)
-        metrics = self.daemon.metrics
         # In a cluster, the router sends restores to the tenant's primary;
         # a restore served by a replica holder *is* a failover (the primary
         # is down or draining) — count it where operators can see it.
-        if self.daemon.is_primary(handle.name) is False:
-            metrics.inc("cluster.failovers")
-            self.daemon.events.log(
+        if self.server.is_primary(handle.name) is False:
+            self.server.metrics.inc("cluster.failovers")
+            self.server.events.log(
                 "cluster_failover_serve",
                 repo=handle.name,
-                node=self.daemon.node_name,
-                primary=self.daemon.cluster.primary(handle.name).name,
+                node=self.server.node_name,
+                primary=self.server.cluster.primary(handle.name).name,
                 version=version,
             )
-        async with handle.reading():
-            pump = _RestorePump(
-                asyncio.get_running_loop(),
-                lambda: handle.repository.restore(version, **options),
-            )
-            pump.start()
+        with handle.reading():
+            # Open-time failures (unknown version or file) raise here,
+            # before any data, and leave as a typed ERROR frame.
+            plan, data = handle.repository.restore(version, **options)
             try:
-                await self._send_restore(handle, version, pump)
-            except asyncio.CancelledError:
-                # The daemon is going down with no patience left: stop the
-                # thread (and the connection), do not wait out its read.
-                pump.stop()
-                raise
-            except BaseException:
-                # The read lock must outlive the engine thread: it leaves
-                # the repository at once if parked on a full socket, else
-                # after the read it is in.
-                await pump.close()
-                raise
+                self._send_restore(handle, version, plan, data)
+            finally:
+                # The read lock outlives the engine: closing the stream
+                # waits out the container reads in flight.
+                data.close()
 
-    async def _send_restore(self, handle: RepoHandle, version: int, pump: _RestorePump) -> None:
-        """Write ``RESTORE_META``, let the pump write the frames, then end."""
-        metrics = self.daemon.metrics
-        # Open-time failures (unknown version or file) surface here, before
-        # any data, and leave as a typed ERROR frame.
-        plan = await pump.take()
+    def _send_restore(self, handle: RepoHandle, version: int, plan: FilePlan, data) -> None:
+        """Write ``RESTORE_META``, every data frame, then ``RESTORE_END``.
+
+        An engine failure mid-stream leaves after whole frames only, as
+        the typed ERROR :meth:`_dispatch` sends.
+        """
         files = [[rel, size] for rel, size in plan]
-        meta = encode_json(FrameType.RESTORE_META, {"version": version, "files": files})
-        await self._lease(pump, meta)
-        await pump.take()  # the pump's connection until now; errors follow whole frames
-        metrics.observe("restore.send_seconds", pump.send_seconds)
-        metrics.observe("restore.pump_wait_seconds", pump.wait_seconds)
-        metrics.inc("restore.frames", pump.frames)
-        metrics.inc("server.restore_bytes", pump.sent)
-        handle.note_restore(pump.sent)
-        end = {"chunks": pump.entries, "bytes": pump.sent}
-        await self._reply(FrameType.RESTORE_END, end, "restore")
+        self.conn.send(encode_json(FrameType.RESTORE_META, {"version": version, "files": files}))
+        sender = _RestoreSender(self.conn)
+        sender.send(data)
+        metrics = self.server.metrics
+        metrics.observe("restore.send_seconds", sender.send_seconds)
+        metrics.observe("restore.pump_wait_seconds", sender.wait_seconds)
+        metrics.inc("restore.frames", sender.frames)
+        metrics.inc("server.restore_bytes", sender.sent)
+        handle.note_restore(sender.sent)
+        end = {"chunks": data.entries, "bytes": sender.sent}
+        self._reply(FrameType.RESTORE_END, end, "restore")
 
     # ------------------------------------------------------------------
     # Control requests
     # ------------------------------------------------------------------
-    async def _handle_stats(self, obj: dict) -> None:
+    def _handle_stats(self, obj: dict) -> None:
         name = obj.get("repo")
         if name is None:
             # Whole-server stats: sample each repo under its read lock, as
             # the single-repo path does, so an active backup or rollback on
             # one tenant is never observed mid-mutation.
-            names = await asyncio.to_thread(self.daemon.registry.repo_names)
             repos: Dict[str, Dict] = {}
-            for repo_name in names:
-                handle = self.daemon.registry.get(repo_name, create=True)
-                async with handle.lock.read_locked():
+            for repo_name in self.server.registry.repo_names():
+                handle = self.server.registry.get(repo_name, create=True)
+                with handle.lock.read_locked():
                     try:
-                        repos[repo_name] = await asyncio.to_thread(handle.stats)
+                        repos[repo_name] = handle.stats()
                     except RepositoryNotFoundError:
                         continue  # a handle whose tenant holds nothing yet
-            doc: Dict = {"repos": repos, "server": self.daemon.server_stats()}
+            doc: Dict = {"repos": repos, "server": self.server.server_stats()}
         else:
-            handle = self.daemon.registry.get(name)
-            async with handle.lock.read_locked():
-                doc = await asyncio.to_thread(handle.stats)
-        doc["metrics"] = self.daemon.metrics.snapshot()
-        await self._reply(FrameType.STATS_OK, doc, "stats")
+            handle = self.server.registry.get(name)
+            with handle.lock.read_locked():
+                doc = handle.stats()
+        doc["metrics"] = self.server.metrics.snapshot()
+        self._reply(FrameType.STATS_OK, doc, "stats")
 
-    async def _handle_versions(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"))
-        async with handle.lock.read_locked():
-            rows = await asyncio.to_thread(handle.repository.versions)
-        await self._reply(FrameType.VERSIONS_OK, {"versions": rows}, "versions")
+    def _handle_versions(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"))
+        with handle.lock.read_locked():
+            rows = handle.repository.versions()
+        self._reply(FrameType.VERSIONS_OK, {"versions": rows}, "versions")
 
     # ------------------------------------------------------------------
     # Replication: this daemon as a mirror target
@@ -671,20 +454,20 @@ class _Session:
             refs.append(ObjectRef(kind, name))
         return refs
 
-    async def _handle_replicate_state(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"), create=True)
-        async with handle.lock.read_locked():
-            state = await asyncio.to_thread(handle.mirror.state)
-        await self._reply(
+    def _handle_replicate_state(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"), create=True)
+        with handle.lock.read_locked():
+            state = handle.mirror.state()
+        self._reply(
             FrameType.REPLICATE_STATE_OK,
             {"state": state, "identity": handle.mirror.identity()},
             "replicate_state",
         )
 
-    async def _handle_replicate_put(self, obj: dict) -> None:
-        if self.daemon.draining:
+    def _handle_replicate_put(self, obj: dict) -> None:
+        if self.server.draining:
             raise ServerDrainingError("server is draining; retry the sync elsewhere")
-        handle = self.daemon.registry.get(obj.get("repo"), create=True)
+        handle = self.server.registry.get(obj.get("repo"), create=True)
         kind, name = self._replication_object(obj)
         size = obj.get("size")
         if not isinstance(size, int) or size < 0 or size > _MAX_OBJECT:
@@ -694,7 +477,7 @@ class _Session:
         parts = []
         received = 0
         while received < size:
-            ftype, payload = await read_frame(self.reader)
+            ftype, payload = self.conn.recv_frame()
             if ftype != FrameType.CHUNK_DATA:
                 raise ProtocolError(f"unexpected {ftype.name} frame mid-put")
             parts.append(payload)
@@ -708,36 +491,34 @@ class _Session:
             raise ReplicationError(
                 f"shipped {kind} {name!r} failed digest validation in transit"
             )
-        async with handle.reading():
-            await asyncio.to_thread(handle.mirror.put, kind, name, blob, staged)
-        self.daemon.metrics.inc("server.replicate_bytes", len(blob))
-        await self._reply(
-            FrameType.REPLICATE_PUT_OK, {"bytes": len(blob)}, "replicate_put"
-        )
+        with handle.reading():
+            handle.mirror.put(kind, name, blob, staged)
+        self.server.metrics.inc("server.replicate_bytes", len(blob))
+        self._reply(FrameType.REPLICATE_PUT_OK, {"bytes": len(blob)}, "replicate_put")
 
-    async def _handle_replicate_commit(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"), create=True)
+    def _handle_replicate_commit(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"), create=True)
         renames = self._replication_refs(obj.get("renames", []), "renames")
         deletes = self._replication_refs(obj.get("deletes", []), "deletes")
-        async with handle.writing():
-            applied = await asyncio.to_thread(handle.mirror.commit, renames, deletes)
+        with handle.writing():
+            applied = handle.mirror.commit(renames, deletes)
             handle.repository.invalidate()
         # A replica sync commits on ring *successors*; a commit landing on
         # the tenant's *primary* is a rebalance move arriving at its new
         # home (the mover ships old-placement → new-primary).
-        if self.daemon.is_primary(handle.name):
-            self.daemon.metrics.inc("cluster.tenants_moved")
-            self.daemon.events.log(
-                "cluster_tenant_moved", repo=handle.name, node=self.daemon.node_name
+        if self.server.is_primary(handle.name):
+            self.server.metrics.inc("cluster.tenants_moved")
+            self.server.events.log(
+                "cluster_tenant_moved", repo=handle.name, node=self.server.node_name
             )
-        await self._reply(
+        self._reply(
             FrameType.REPLICATE_COMMIT_OK, {"applied": applied}, "replicate_commit"
         )
 
-    async def _handle_replicate_fetch(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"))
+    def _handle_replicate_fetch(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"))
         kind, name = self._replication_object(obj)
-        async with handle.lock.read_locked():
+        with handle.lock.read_locked():
             # Whole-object reads off a plain local directory go
             # kernel-to-kernel: one CHUNK_DATA header, then os.sendfile
             # ships the file without the payload ever entering user space.
@@ -747,93 +528,72 @@ class _Session:
             if path is not None and os.path.isfile(path):
                 size = os.path.getsize(path)
                 if 0 < size <= MAX_PAYLOAD:
-                    await self._reply(
-                        FrameType.REPLICATE_OBJECT, {"size": size}, "replicate_fetch"
-                    )
-                    self.writer.write(encode_data_header(size))
-                    await self.writer.drain()
-                    loop = asyncio.get_running_loop()
+                    self._reply(FrameType.REPLICATE_OBJECT, {"size": size}, "replicate_fetch")
+                    self.conn.send(encode_data_header(size))
                     with open(path, "rb") as payload_file:
-                        try:
-                            await loop.sendfile(
-                                self.writer.transport, payload_file, fallback=True
-                            )
-                        except (NotImplementedError, RuntimeError):
-                            # Transport cannot sendfile (e.g. SSL or a test
-                            # double): stream it the classic way.
-                            while True:
-                                block = payload_file.read(DATA_BLOCK)
-                                if not block:
-                                    break
-                                self.writer.write(block)
-                                await self.writer.drain()
-                    await self.writer.drain()
+                        self.sock.sendfile(payload_file, 0, size)
                     return
-            blob = await asyncio.to_thread(handle.mirror.fetch, kind, name)
-        await self._reply(
-            FrameType.REPLICATE_OBJECT, {"size": len(blob)}, "replicate_fetch"
-        )
+            blob = handle.mirror.fetch(kind, name)
+        self._reply(FrameType.REPLICATE_OBJECT, {"size": len(blob)}, "replicate_fetch")
         view = memoryview(blob)
         for offset in range(0, len(blob), DATA_BLOCK):
-            self.writer.writelines(
+            self.conn.send_parts(
                 frame_parts(FrameType.CHUNK_DATA, view[offset : offset + DATA_BLOCK])
             )
-            await self.writer.drain()
-        await self.writer.drain()
 
-    async def _handle_verify(self, obj: dict) -> None:
-        handle = self.daemon.registry.get(obj.get("repo"))
+    def _handle_verify(self, obj: dict) -> None:
+        handle = self.server.registry.get(obj.get("repo"))
         deep = bool(obj.get("deep", False))
-        async with handle.lock.read_locked():
-            doc = await asyncio.to_thread(handle.repository.verify, deep)
-        await self._reply(FrameType.VERIFY_OK, doc, "verify")
+        with handle.lock.read_locked():
+            doc = handle.repository.verify(deep)
+        self._reply(FrameType.VERIFY_OK, doc, "verify")
 
     # ------------------------------------------------------------------
     # Cluster control plane
     # ------------------------------------------------------------------
-    async def _handle_cluster_map(self, obj: dict) -> None:
+    def _handle_cluster_map(self, obj: dict) -> None:
         # Gossip on ping: a clustered peer may attach its own map.  This is
         # how a promotion minted by one daemon reaches the rest, and how a
         # rejoining stale daemon learns it was demoted.
         if obj.get("map") is not None:
-            self.daemon.adopt_cluster_map(obj["map"], source="peer")
-        cluster = self.daemon.cluster
-        await self._reply(
+            self.server.adopt_cluster_map(obj["map"], source="peer")
+        cluster = self.server.cluster
+        self._reply(
             FrameType.CLUSTER_MAP_OK,
             {
                 "map": cluster.as_doc() if cluster is not None else None,
-                "node": self.daemon.node_name,
-                "draining": self.daemon.draining,
+                "node": self.server.node_name,
+                "draining": self.server.draining,
             },
             "cluster_map",
         )
 
-    async def _handle_cluster_sync(self, obj: dict) -> None:
-        if self.daemon.draining:
+    def _handle_cluster_sync(self, obj: dict) -> None:
+        if self.server.draining:
             raise ServerDrainingError("server is draining; sync from the next epoch")
         repo = obj.get("repo")
-        doc = await self.daemon.sync_owned(str(repo) if repo else None)
-        await self._reply(FrameType.CLUSTER_SYNC_OK, doc, "cluster_sync")
+        doc = self.server.sync_owned(str(repo) if repo else None)
+        self._reply(FrameType.CLUSTER_SYNC_OK, doc, "cluster_sync")
 
-    async def _handle_tenant_drop(self, obj: dict) -> None:
-        if self.daemon.draining:
+    def _handle_tenant_drop(self, obj: dict) -> None:
+        if self.server.draining:
             raise ServerDrainingError("server is draining; refusing tenant drop")
-        handle = self.daemon.registry.get(obj.get("repo"))
-        async with handle.lock.write_locked():
-            removed = await asyncio.to_thread(self.daemon.registry.drop, handle.name)
-        self.daemon.events.log("tenant_drop", repo=handle.name, removed=removed)
-        await self._reply(
+        handle = self.server.registry.get(obj.get("repo"))
+        with handle.lock.write_locked():
+            removed = self.server.registry.drop(handle.name)
+        self.server.events.log("tenant_drop", repo=handle.name, removed=removed)
+        self._reply(
             FrameType.TENANT_DROP_OK, {"repo": handle.name, "removed": removed},
             "tenant_drop",
         )
 
-    async def _handle_delete_oldest(self, obj: dict) -> None:
-        await self.daemon.ensure_write_primary(obj.get("repo"))
-        handle = self.daemon.registry.get(obj.get("repo"))
-        async with handle.writing():
-            result = await asyncio.to_thread(handle.repository.delete_oldest)
+    def _handle_delete_oldest(self, obj: dict) -> None:
+        self.server.ensure_write_primary(obj.get("repo"))
+        handle = self.server.registry.get(obj.get("repo"))
+        with handle.writing():
+            result = handle.repository.delete_oldest()
         handle.note_delete()
-        await self._reply(FrameType.DELETE_OK, result, "delete")
+        self._reply(FrameType.DELETE_OK, result, "delete")
 
     #: Request frame -> (event/metric kind, handler).
     _HANDLERS = {
@@ -851,4 +611,3 @@ class _Session:
         FrameType.CLUSTER_SYNC: ("cluster_sync", _handle_cluster_sync),
         FrameType.TENANT_DROP: ("tenant_drop", _handle_tenant_drop),
     }
-

@@ -10,9 +10,9 @@ with :class:`Crash` and judge the reopened repository with
 :func:`kill_in_flight`.
 """
 
-import asyncio
 import contextlib
 import hashlib
+import threading
 import time
 
 from repro.core.recipe_chain import RecipeChain
@@ -93,13 +93,14 @@ class Mutations:
 def kill_in_flight(thread, controller, **detail):
     """A directive callback that kills daemon ``thread`` under the write it
     fires on: counted as ``kill_primary``, the daemon's zero-patience
-    shutdown requested on its own loop, the write held until the daemon is
-    draining and then failed — it never lands, as under a SIGKILL, and the
-    shutdown rolls the operation back.  ``thread.kill()`` then joins it."""
+    shutdown started on a thread of its own (it joins the session this
+    write runs on), the write held until the daemon is draining and then
+    failed — it never lands, as under a SIGKILL, and the shutdown rolls
+    the operation back.  ``thread.kill()`` then waits for that shutdown."""
 
     def die(_url, name):
         controller.note_injected("kill_primary", **detail)
-        asyncio.run_coroutine_threadsafe(thread.daemon.shutdown(0), thread._loop)
+        threading.Thread(target=thread.daemon.shutdown, args=(0,), daemon=True).start()
         while not thread.daemon.draining:
             time.sleep(0.001)
         raise StorageError(f"daemon killed with {name!r} in flight")

@@ -380,31 +380,28 @@ class TestKillMidBackup:
                     again.close()
 
     def test_a_kill_mid_backup_leaves_no_task_pending(self, tmp_path):
-        """The session a kill cancels waits its engine thread out and leaves
-        nothing behind: once ``kill()`` returns, no task of the daemon's loop
-        is pending and its exception handler saw no "Task was destroyed but
-        it is pending" report."""
-        import asyncio
-        import gc
+        """A kill whose drain finds a backup's engine mid-write waits that
+        engine out: once ``kill()`` returns, no session thread of the
+        daemon is alive and the version rolled back."""
         import threading
         import time
 
         from repro.chaos.faults import FaultController
         from repro.client import RemoteRepository
+        from repro.repository import LocalRepository
         from repro.server import DaemonThread
 
-        reports = []
         daemon = DaemonThread(str(tmp_path / "served"))
-        daemon._loop.set_exception_handler(lambda _loop, context: reports.append(context))
-        cancelled = threading.Event()
+        sessions, draining = [], threading.Event()
 
         def die(_url, name):
-            # Held until the shutdown has cancelled the session running
-            # this backup, so the session waits on a parked engine.
-            asyncio.run_coroutine_threadsafe(daemon.daemon.shutdown(0), daemon._loop)
-            while not any(task.cancelling() for task in list(daemon.daemon._sessions)):
+            # Held until the shutdown, started from another thread, is
+            # draining, so it has to wait for this session's rollback.
+            sessions.extend(daemon.daemon._sessions)
+            threading.Thread(target=daemon.daemon.shutdown, args=(0,), daemon=True).start()
+            while not daemon.daemon.draining:
                 time.sleep(0.001)
-            cancelled.set()
+            draining.set()
             raise StorageError(f"daemon killed with {name!r} in flight")
 
         with FaultController() as controller:
@@ -419,7 +416,8 @@ class TestKillMidBackup:
                 daemon.kill()
             finally:
                 repo.close()
-        assert cancelled.is_set()
-        assert not asyncio.all_tasks(daemon._loop)
-        gc.collect()
-        assert not [context for context in reports if "pending" in context.get("message", "")]
+        assert draining.is_set() and sessions
+        assert not [session for session in sessions if session.is_alive()]
+        assert not daemon.daemon._sessions
+        served = LocalRepository(os.path.join(str(tmp_path / "served"), "tenant-a"))
+        assert [row["version_id"] for row in served.versions()] == [1]

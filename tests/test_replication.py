@@ -8,7 +8,6 @@ local and remote mirrors, the registry lock semantics replication must
 respect, and the CLI command surface.
 """
 
-import asyncio
 import glob
 import json
 import os
@@ -785,51 +784,49 @@ class GatedTarget:
 def test_replication_lock_semantics(tmp_path):
     """Sync under the reader lock: restores run concurrently, deletion
     waits, the deletion propagates on the next sync, nothing deadlocks."""
+    daemon = BackupDaemon(str(tmp_path / "root"))
+    tenant_root = os.path.join(str(tmp_path / "root"), "tenant")
+    _build_repo(tenant_root, tmp_path / "src", versions=2)
+    handle = daemon.registry.get("tenant")
+    target = GatedTarget(tmp_path / "mirror")
+    results = {}
 
-    async def scenario():
-        daemon = BackupDaemon(str(tmp_path / "root"))
-        tenant_root = os.path.join(str(tmp_path / "root"), "tenant")
-        _build_repo(tenant_root, tmp_path / "src", versions=2)
-        handle = daemon.registry.get("tenant")
-        target = GatedTarget(tmp_path / "mirror")
+    def run(key, work):
+        thread = threading.Thread(target=lambda: results.__setitem__(key, work()), daemon=True)
+        thread.start()
+        return thread
 
-        sync_task = asyncio.ensure_future(daemon.replicate_tenant("tenant", target))
-        await asyncio.to_thread(target.entered.wait, 10)
+    sync = run("sync", lambda: daemon.replicate_tenant("tenant", target))
+    assert target.entered.wait(10)
 
-        # A reader proceeds while the sync holds the read lock.
-        async with handle.lock.read_locked():
-            rows = await asyncio.to_thread(handle.repository.versions)
-        assert [row["version_id"] for row in rows] == [1, 2]
+    # A reader proceeds while the sync holds the read lock.
+    with handle.lock.read_locked():
+        rows = handle.repository.versions()
+    assert [row["version_id"] for row in rows] == [1, 2]
 
-        # A writer (delete_oldest) must wait for the in-flight sync.
-        async def delete_oldest():
-            async with handle.lock.write_locked():
-                return await asyncio.to_thread(handle.repository.delete_oldest)
+    # A writer (delete_oldest) must wait for the in-flight sync.
+    def delete_oldest():
+        with handle.lock.write_locked():
+            return handle.repository.delete_oldest()
 
-        delete_task = asyncio.ensure_future(delete_oldest())
-        await asyncio.sleep(0.3)
-        assert not delete_task.done(), (
-            "delete_oldest ran during an in-flight sync (snapshot torn)"
-        )
+    deleter = run("deleted", delete_oldest)
+    deleter.join(0.3)
+    assert deleter.is_alive(), "delete_oldest ran during an in-flight sync (snapshot torn)"
 
-        target.gate.set()
-        report = await asyncio.wait_for(sync_task, timeout=60)
-        assert report.committed
-        deleted = await asyncio.wait_for(delete_task, timeout=60)
-        assert deleted["version_id"] == 1
+    target.gate.set()
+    sync.join(60)
+    deleter.join(60)
+    assert results["sync"].committed
+    assert results["deleted"]["version_id"] == 1
 
-        # The sync that ran concurrently saw the pre-delete snapshot...
-        mirrored = LocalRepository(str(tmp_path / "mirror"))
-        assert [r["version_id"] for r in mirrored.versions()] == [1, 2]
-        # ...and the deletion propagates on the next sync.
-        follow_up = await asyncio.wait_for(
-            daemon.replicate_tenant("tenant", target.inner), timeout=60
-        )
-        assert follow_up.objects_deleted > 0
-        mirrored.invalidate()
-        assert [r["version_id"] for r in mirrored.versions()] == [2]
-
-    asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+    # The sync that ran concurrently saw the pre-delete snapshot...
+    mirrored = LocalRepository(str(tmp_path / "mirror"))
+    assert [r["version_id"] for r in mirrored.versions()] == [1, 2]
+    # ...and the deletion propagates on the next sync.
+    follow_up = daemon.replicate_tenant("tenant", target.inner)
+    assert follow_up.objects_deleted > 0
+    mirrored.invalidate()
+    assert [r["version_id"] for r in mirrored.versions()] == [2]
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,10 @@
   connection, and the pool discards it;
 * ``RESTORE_END`` — ``chunks`` counts recipe entries, whole or one file;
 * pump lifecycle — whoever ends a restore early (client, engine, operator),
-  the daemon's restore thread exits, the tenant's read lock is released and
-  the thread never holds more than one frame's runs.  The thread is parked
-  on a full socket (the client stops reading) and every interleaving is
-  held at a hook; nothing here sleeps.
+  the session thread serving it ends, the tenant's read lock is released
+  and the thread never holds more than one frame's runs.  The thread is
+  parked in ``sendmsg`` on a full socket (the client stops reading) and
+  every interleaving is held at a hook; nothing here sleeps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import random
 import select
 import socket
 import threading
+import types
 
 import pytest
 
@@ -45,7 +46,7 @@ from repro.client.protocol import (
     hello_frame,
     raise_remote_error,
 )
-from repro.client.remote import Connection, ConnectionPool, parse_address
+from repro.client.remote import Connection, ConnectionPool, FramedSocket, parse_address
 from repro.cluster import ClusterClient, ClusterHarness
 from repro.engine.restore import restore_stream
 from repro.errors import RemoteError, RestoreError, VersionNotFoundError
@@ -195,23 +196,16 @@ def slow_reader_restore(address, version):
 def test_a_file_plan_larger_than_the_socket_buffers_reaches_a_slow_reader_intact(
     tmp_path, monkeypatch
 ):
-    """``RESTORE_META`` is still leaving the loop's buffer while the client
-    reads slowly; the pump gets the socket only once the loop has sent it
-    all, so their bytes never interleave.  A small kernel send buffer makes
-    every write partial, so ``drain`` would return with bytes still held."""
+    """``RESTORE_META`` is many times the kernel's send buffer and the
+    client reads slowly: the session's blocking send finishes the plan
+    before its first data frame, so their bytes never interleave.  A small
+    send buffer makes every write partial."""
     send_restore, buffered = session_module._Session._send_restore, []
 
-    async def probed_send_restore(session, handle, version, pump):
-        sock = session.writer.get_extra_info("socket")
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-        attach = pump.attach
-
-        def probed_attach(sock):  # what the loop still held at the hand-over
-            buffered.append(session.writer.transport.get_write_buffer_size())
-            attach(sock)
-
-        pump.attach = probed_attach
-        await send_restore(session, handle, version, pump)
+    def probed_send_restore(session, *args):
+        session.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        buffered.append(session.sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF))
+        send_restore(session, *args)
 
     monkeypatch.setattr(session_module._Session, "_send_restore", probed_send_restore)
     plan = [(f"{'nested/' * 40}{index:05d}.bin", 64) for index in range(30_000)]
@@ -225,7 +219,7 @@ def test_a_file_plan_larger_than_the_socket_buffers_reaches_a_slow_reader_intact
             assert [tuple(row) for row in meta["files"]] == plan
             assert b"".join(blocks) == data
             assert [len(block) for block in blocks[:-1]] == [RESTORE_BLOCK] * (len(blocks) - 1)
-    assert buffered == [0, 0, 0]
+    assert len(buffered) == 3 and max(buffered) < 64 << 10
 
 
 def test_restore_without_workers_is_serial_and_the_cap_still_clamps(tmp_path):
@@ -440,16 +434,18 @@ class HeldRestore:
 
     A run is a sixteenth of a frame, so every frame is cut from many runs.
     The first frame's runs flow freely; before the next run the engine
-    thread waits for ``go``.  ``fail_after`` makes the engine raise instead
-    of producing that run.  ``most_held`` is the most bytes the pump ever
-    held pulled but not yet sent.
+    waits for ``go``.  ``fail_after`` makes the engine raise instead of
+    producing that run.  ``pump`` is the session thread serving the
+    restore; ``most_held`` the most bytes it ever held pulled but not yet
+    sent (``sends`` counts what it sent).
     """
 
     RUN = RESTORE_BLOCK // 16
     RUNS = 64 * 16
 
-    def __init__(self, handle, fail_after=None):
+    def __init__(self, handle, sends, fail_after=None):
         self.serve = handle.repository.restore
+        self.sends = sends
         self.fail_after = fail_after
         self.go = threading.Event()
         self.pump = None
@@ -469,34 +465,48 @@ class HeldRestore:
                 assert self.go.wait(WAIT), "the test never released the engine"
             if index == self.fail_after:
                 raise RestoreError("container 12 is gone")
-            self.most_held = max(self.most_held, index * self.RUN - self.pump.sent)
+            self.most_held = max(self.most_held, index * self.RUN - self.sends.sent)
             self.pulled += 1
             yield run
 
 
+class FullSocketProbe:
+    """A session's socket whose ``sendmsg`` sets ``parked`` just before it
+    blocks on a full send buffer."""
+
+    def __init__(self, sock, parked):
+        self.sock = sock
+        self.parked = parked
+
+    def sendmsg(self, buffers):
+        try:
+            return self.sock.sendmsg(buffers, [], socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            self.parked.set()
+            return self.sock.sendmsg(buffers)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 @pytest.fixture
-def parked_on_full_socket(monkeypatch):
-    """An event set when a pump finds the socket full and waits on it."""
-    parked = threading.Event()
-    attach = session_module._RestorePump.attach
+def sends(monkeypatch):
+    """The daemon sessions' sends, watched: ``parked`` is set when one
+    blocks on a full socket, ``sent`` counts the data-frame payload bytes
+    they handed to the kernel."""
+    watch = types.SimpleNamespace(parked=threading.Event(), sent=0)
 
-    class ProbedPoller:
-        def __init__(self, inner):
-            self.inner = inner
+    class Watched(FramedSocket):
+        def __init__(self, sock, timeout=None):
+            super().__init__(sock, timeout)
+            self._sock = FullSocketProbe(sock, watch.parked)
 
-        def register(self, *args):
-            self.inner.register(*args)
+        def send_parts(self, parts):
+            super().send_parts(parts)
+            watch.sent += sum(len(part) for part in parts[1:])  # header apart
 
-        def poll(self, *args):
-            parked.set()
-            return self.inner.poll(*args)
-
-    def probing_attach(pump, sock):
-        pump._poller = ProbedPoller(pump._poller)
-        attach(pump, sock)
-
-    monkeypatch.setattr(session_module._RestorePump, "attach", probing_attach)
-    return parked
+    monkeypatch.setattr(session_module, "FramedSocket", Watched)
+    return watch
 
 
 def seed_tenant(address, tmp_path):
@@ -516,21 +526,21 @@ def open_restore(address):
     return conn
 
 
-def park_the_pump(held, parked):
+def park_the_pump(held):
     """Let the engine run while the client reads nothing: the socket fills.
 
-    Once ``parked`` is set the pump waits for a writable socket, which it
-    gets only if the client reads or someone stops the pump.
+    Once ``parked`` is set the session thread is blocked in ``sendmsg``,
+    which returns only if the client reads or the connection goes down.
     """
     held.go.set()
-    assert parked.wait(WAIT), "the pump never found the socket full"
+    assert held.sends.parked.wait(WAIT), "the pump never found the socket full"
     assert held.pulled < HeldRestore.RUNS
 
 
 def assert_pump_gone(held):
     held.pump.join(WAIT)
     assert not held.pump.is_alive()
-    assert held.pump._sock is None  # its dup of the connection is closed
+    assert held.pump.sock.fileno() == -1  # its connection is closed
     assert held.most_held < RESTORE_BLOCK  # never more than one frame's runs
     assert held.pulled < HeldRestore.RUNS  # it was stopped, it did not finish
 
@@ -545,15 +555,15 @@ def backup_commits_on_idle_tenant(address, handle, entries):
     assert handle.active_ops == 0 and handle.lock._readers == 0
 
 
-def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, parked_on_full_socket):
+def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, sends):
     daemon_thread = DaemonThread(str(tmp_path / "served"))
     address = daemon_thread.start()
     try:
         entries = seed_tenant(address, tmp_path)
         handle = _handle_of(daemon_thread, TENANT)
-        held = HeldRestore(handle)
+        held = HeldRestore(handle, sends)
         conn = open_restore(address)
-        park_the_pump(held, parked_on_full_socket)
+        park_the_pump(held)
         conn.close()  # unread frames in flight: the parked send fails
         backup_commits_on_idle_tenant(address, handle, entries)
         assert_pump_gone(held)
@@ -561,13 +571,13 @@ def test_client_closing_mid_restore_frees_the_pump_and_the_lock(tmp_path, parked
         daemon_thread.stop()
 
 
-def test_engine_failing_mid_restore_is_typed_and_frees_the_lock(tmp_path):
+def test_engine_failing_mid_restore_is_typed_and_frees_the_lock(tmp_path, sends):
     daemon_thread = DaemonThread(str(tmp_path / "served"))
     address = daemon_thread.start()
     try:
         entries = seed_tenant(address, tmp_path)
         handle = _handle_of(daemon_thread, TENANT)
-        held = HeldRestore(handle, fail_after=3 * 16 + 5)  # inside the fourth frame
+        held = HeldRestore(handle, sends, fail_after=3 * 16 + 5)  # inside the fourth frame
         conn = open_restore(address)
         held.go.set()
         try:
@@ -589,16 +599,16 @@ def test_engine_failing_mid_restore_is_typed_and_frees_the_lock(tmp_path):
 
 
 @pytest.mark.parametrize("how", ["stop", "kill_node"])
-def test_daemon_going_down_with_a_parked_pump_returns(tmp_path, parked_on_full_socket, how):
+def test_daemon_going_down_with_a_parked_pump_returns(tmp_path, sends, how):
     harness = ClusterHarness(str(tmp_path / "cluster"), nodes=1, replicas=1)
     node = harness.start().nodes[0]
     daemon_thread = harness.threads[node.name]
     try:
         entries = seed_tenant(node.address, tmp_path)
         handle = _handle_of(daemon_thread, TENANT)
-        held = HeldRestore(handle)
+        held = HeldRestore(handle, sends)
         conn = open_restore(node.address)
-        park_the_pump(held, parked_on_full_socket)
+        park_the_pump(held)
         if how == "stop":
             going_down = threading.Thread(target=daemon_thread.stop, args=(0.05,))
         else:

@@ -1,13 +1,12 @@
 """Integration tests for the backup daemon + remote client + CLI wiring.
 
-Every test runs a real :class:`BackupDaemon` on a background event-loop
-thread (port 0 → a free port), with real sockets and the real engine
+Every test runs a real :class:`BackupDaemon` in-process, on its own
+threads (port 0 → a free port), with real sockets and the real engine
 underneath — these are the acceptance tests for the networked service:
 byte-identical restores, local/remote equivalence, multi-tenant
 concurrency, writer-lock serialisation and crash rollback.
 """
 
-import asyncio
 import itertools
 import os
 import socket
@@ -107,7 +106,8 @@ class TestServiceCounters:
 class TestConcurrency:
     def test_four_tenants_concurrently(self, daemon, tmp_path):
         """4 clients backing up different repos concurrently, then restoring;
-        every restore is byte-identical to a local-engine run of the same data."""
+        every restore is byte-identical to a local-engine run of the same data,
+        and the service counters the sessions bumped at once are exact."""
         _, address = daemon
         failures = []
 
@@ -119,6 +119,8 @@ class TestConcurrency:
                     report = repo.backup_tree(entries, tag=f"t{idx}")
                     plan, data = repo.restore(report["version_id"])
                     materialize(plan, data, str(tmp_path / f"out{idx}"))
+                    for _ in range(10):
+                        repo.versions()
                 local = LocalRepository(str(tmp_path / f"local{idx}"))
                 local_report = local.backup_tree(entries, tag=f"t{idx}")
                 assert report == local_report
@@ -132,6 +134,13 @@ class TestConcurrency:
         for t in threads:
             t.join(timeout=120)
         assert failures == []
+        with RemoteRepository(address, "tenant0") as repo:
+            doc = repo.server_stats()
+        assert doc["server"]["requests"] == {"backup": 4, "restore": 4, "versions": 40}
+        for idx in range(4):
+            counters = doc["repos"][f"tenant{idx}"]["counters"]
+            assert (counters["backups"], counters["restores"]) == (1, 1)
+            assert doc["repos"][f"tenant{idx}"]["active_sessions"] == 0
 
     def test_same_repo_writers_serialised(self, daemon, tmp_path):
         """2 clients racing the same repo: the writer lock serialises them —
@@ -439,23 +448,22 @@ class TestFailureSemantics:
             thread.daemon.draining = False
 
     def test_a_stopped_daemon_leaves_no_task(self, tmp_path):
-        """``stop`` ends what is still pending on the loop while the loop
-        runs, so no ``finally`` (a session's ``writer.close()``) runs later
-        on a closed loop."""
-        thread = DaemonThread(str(tmp_path / "served"))
-        thread.start()
-        ended = []
-
-        async def late():
-            try:
-                await asyncio.Event().wait()
-            finally:
-                ended.append(asyncio.get_running_loop().is_closed())
-
-        pending = asyncio.run_coroutine_threadsafe(late(), thread._loop)
-        thread.stop()
-        assert ended == [False]
-        assert pending.cancelled()
+        """``stop`` returns only once every thread of the daemon has ended:
+        the acceptor, the pacemakers, and an idle client's session, whose
+        socket is shut down once the drain has run out."""
+        thread = DaemonThread(str(tmp_path / "served"), metrics_interval=60.0)
+        address = thread.start()
+        idle = Connection(parse_address(address), 10.0)  # a session between requests
+        try:
+            # The session was registered at accept, before HELLO_OK.
+            threads = [thread.daemon._acceptor, *thread.daemon._sessions]
+            threads += thread.daemon._background
+            assert len(threads) == 3 and all(t.is_alive() for t in threads)
+            thread.stop(drain_timeout=0.1)  # the idle session outlasts it
+            assert not [t for t in threads if t.is_alive()]
+            assert not thread.daemon._sessions and not thread.daemon._background
+        finally:
+            idle.close()
 
 
 # ----------------------------------------------------------------------
