@@ -10,7 +10,7 @@ substrate:
   (§4.2);
 * :class:`~repro.core.recipe_chain.RecipeChain` — one previous-recipe update
   per version, kept as a demotion map instead of a rewritten recipe;
-  :meth:`HiDeStore.archival_cids` resolves every row from it (§4.3);
+  :meth:`HiDeStore.resolve_cids` resolves every row from it (§4.3);
 * :class:`~repro.core.deletion.DeletionManager` — GC-free expiry (§4.5).
 
 The public surface mirrors :class:`repro.pipeline.system.BackupSystem`
@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from itertools import islice
-from typing import List, Optional
+from typing import List, Mapping, Optional, Sequence
 
 from ..chunking.base import BaseChunker
 from ..chunking.seqcdc import SeqCDCChunker
@@ -35,7 +35,7 @@ from ..restore.faa import FAARestore
 from ..storage.container import Container
 from ..storage.backend import MemoryBackend
 from ..storage.container_store import BackendContainerStore
-from ..storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, RecipeEntry
+from ..storage.recipe import ACTIVE_CID, BackendRecipeStore, Recipe, RecipeColumns
 from ..units import CONTAINER_SIZE, RECIPE_ENTRY_SIZE
 from .chunk_filter import ActiveContainerPool
 from .deletion import DeletionManager, DeletionStats
@@ -46,6 +46,9 @@ from .recipe_chain import RecipeChain
 #: restores and stats interleave at fine grain, large enough that the lock
 #: overhead is invisible on the hot path.
 _CLASSIFY_BATCH = 1024
+
+#: The chain index's answer for a chunk no retained version holds archival.
+_UNHELD = (0, 0)
 
 
 class HiDeStore(RestoreMixin):
@@ -280,17 +283,17 @@ class HiDeStore(RestoreMixin):
             version_id = self.recipes.latest_version()
         if version_id is None:
             raise VersionNotFoundError("no recipes to prime from")
-        entries = self.recipes.peek(version_id).entries
-        primed = 0
-        for entry, cid in zip(entries, self.archival_cids(version_id, entries, self.recipes.peek)):
-            if cid <= 0:
-                raise ReproError(
-                    f"prime_from_recipe: R_{version_id} has rows with no archival "
-                    "location; retire() the store and save a checkpoint before "
-                    "closing it (the demotion maps live in the checkpoint)"
-                )
-            self.cache.insert(entry.fingerprint, entry.size, cid)
-            primed += 1
+        rows = self.recipes.peek(version_id).columns()
+        cids = self.resolve_cids(version_id, rows.fingerprints, rows.cids, self.recipes.peek)
+        if 0 in cids:
+            raise ReproError(
+                f"prime_from_recipe: R_{version_id} has rows with no archival "
+                "location; retire() the store and save a checkpoint before "
+                "closing it (the demotion maps live in the checkpoint)"
+            )
+        for fp, size, cid in zip(rows.fingerprints, rows.sizes, cids):
+            self.cache.insert(fp, size, cid)
+        primed = len(cids)
         self.cache.end_version()  # the primed table becomes T1
         self._next_version = max(self._next_version, version_id + 1)
         self._retired = False
@@ -302,18 +305,27 @@ class HiDeStore(RestoreMixin):
     # ------------------------------------------------------------------
     def _restore_rows(self, version_id, load, rows=None):
         """Drain queued filter work, decode ``R_version`` once and resolve the
-        rows ``rows`` picks, writing nothing.  A row nothing resolves (a
-        recipe replaced behind the engine) rebuilds the index once, then is a
-        :class:`RestoreError`; the ledger counts every build."""
+        rows ``rows`` picks (:meth:`resolve_cids` over the active pool),
+        writing nothing.  A row nothing resolves (a recipe replaced behind
+        the engine) rebuilds the index once, then is a :class:`RestoreError`;
+        the ledger counts every build."""
         self.run_maintenance()
-        entries = pick_rows(load(version_id), rows)
+        picked = pick_rows(load(version_id), rows)
+        fingerprints = picked.fingerprints
         with self._lock:
-            try:
-                return self._resolve_restore_entries(entries, version_id, load)
-            except RestoreError:
+            location = self.pool.location
+            cids = self.resolve_cids(version_id, fingerprints, picked.cids, load, location)
+            if 0 in cids:
                 self.chain.index = None
                 self.chain.archival_index(load)
-                return self._resolve_restore_entries(entries, version_id, load)
+                cids = self.resolve_cids(version_id, fingerprints, picked.cids, load, location)
+        if 0 in cids:
+            fp = fingerprints[cids.index(0)]
+            raise RestoreError(
+                f"chunk {fp.hex()[:8]} of version {version_id} "
+                "is neither archival in a newer recipe nor active"
+            )
+        return RecipeColumns(fingerprints, picked.sizes, cids)
 
     def _read_container(self, cid: int) -> Container:
         if cid in self.pool:
@@ -325,58 +337,45 @@ class HiDeStore(RestoreMixin):
             return None  # pool containers are in memory; no ranged path
         return super()._read_container_chunks(cid, fingerprints)
 
-    def archival_cids(self, version_id: int, entries: List[RecipeEntry], load) -> List[int]:
-        """The one resolution rule (``verify``, priming; restores apply it in
-        :meth:`_resolve_restore_entries`' single pass): per row of
-        ``R_version``, its own positive CID; else ``demoted[version_id]``'s;
-        else the chain index's, if held at or after ``version_id`` (built
-        through ``load`` on first need; the newest skips it); else ``0``, the
-        active pool (DESIGN §1.1)."""
-        own = self.chain.demoted.get(version_id, {})
-        archival = {} if version_id >= self._next_version - 1 else None
-        cids: List[int] = []
-        for entry in entries:
-            cid = entry.cid
-            if cid <= 0:
-                cid = own.get(entry.fingerprint, 0)
-                if not cid:
-                    if archival is None:
-                        archival = self.chain.archival_index(load)
-                    holder, cid = archival.get(entry.fingerprint, (0, 0))
-                    if holder < version_id:  # no version from version_id on has it archival
-                        cid = 0
-            cids.append(cid)
-        return cids
+    def resolve_cids(
+        self,
+        version_id: int,
+        fingerprints: Sequence[bytes],
+        cids: Sequence[int],
+        load,
+        active: Optional[Mapping[bytes, int]] = None,
+    ) -> List[int]:
+        """The one resolution rule (DESIGN §1.1), over ``R_version``'s
+        fingerprint and CID columns: per row, its own positive CID; else
+        ``demoted[version_id]``'s; else the chain index's, if held at or
+        after ``version_id`` (built through ``load`` on first need; the
+        newest skips it); else ``active``'s; else ``0``.
 
-    def _resolve_restore_entries(
-        self, entries: List[RecipeEntry], version_id: int, load
-    ) -> List[RecipeEntry]:
-        """:meth:`archival_cids`'s rule in one pass (lock held): a row whose
-        own CID is concrete is kept as it is; any other becomes a new entry
-        at its archival CID, else at its active one from ``pool.location``."""
+        Verify and priming leave ``active`` out, so ``0`` is the active
+        pool; a restore passes ``pool.location``, so ``0`` is a row nothing
+        resolves.  A positive row costs no lookup, and the newest version
+        (no demotion map yet) only the ``active`` one."""
         own = self.chain.demoted.get(version_id, {})
-        archival = {} if version_id >= self._next_version - 1 else None
-        location = self.pool.location
-        resolved: List[RecipeEntry] = []
+        active_cid = (active if active is not None else {}).get
+        newest = version_id >= self._next_version - 1
+        if newest and not own:
+            return [
+                cid if cid > 0 else active_cid(fp, 0) for fp, cid in zip(fingerprints, cids)
+            ]
+        own_cid = own.get
+        index = {} if newest else None
+        resolved: List[int] = []
         append = resolved.append
-        for entry in entries:
-            if entry.cid > 0:
-                append(entry)
-                continue
-            fp = entry.fingerprint
-            cid = own.get(fp, 0)
-            if not cid:
-                if archival is None:
-                    archival = self.chain.archival_index(load)
-                holder, cid = archival.get(fp, (0, 0))
-                if holder < version_id:
-                    cid = location.get(fp)
-                    if cid is None:
-                        raise RestoreError(
-                            f"chunk {fp.hex()[:8]} of version {version_id} "
-                            "is neither archival in a newer recipe nor active"
-                        )
-            append(RecipeEntry(fp, entry.size, cid))
+        for fp, cid in zip(fingerprints, cids):
+            if cid <= 0:
+                cid = own_cid(fp, 0)
+                if not cid:
+                    if index is None:
+                        index = self.chain.archival_index(load)
+                    holder, cid = index.get(fp, _UNHELD)
+                    if holder < version_id:  # no version from version_id on has it archival
+                        cid = active_cid(fp, 0)
+            append(cid)
         return resolved
 
     # ------------------------------------------------------------------

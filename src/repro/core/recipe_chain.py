@@ -101,9 +101,10 @@ class RecipeChain:
                 for fp, cid in self.demoted.get(version, {}).items():
                     index.setdefault(fp, (version, cid))
                 if version in retained:
-                    for entry in load(version).entries:
-                        if entry.cid > 0:
-                            index.setdefault(entry.fingerprint, (version, entry.cid))
+                    rows = load(version).columns()
+                    for fp, cid in zip(rows.fingerprints, rows.cids):
+                        if cid > 0:
+                            index.setdefault(fp, (version, cid))
             self.index = index
             self.recipes.stats.note_index_build()
         return self.index

@@ -1,7 +1,7 @@
 """Integrity verification ("fsck") for backup systems: one plan, one pass.
 
 **Plan.**  Every retained recipe is walked once, each row resolved as a
-restore resolves it (:meth:`HiDeStore.archival_cids`).  A row in the active
+restore resolves it (:meth:`HiDeStore.resolve_cids`).  A row in the active
 pool is checked on the spot, in memory.  Every archival reference is folded
 into ``cid -> {(fingerprint, size)}`` and the §4.5 deletion tags join the
 referenced set: one pair per *distinct* referenced chunk, never a string
@@ -33,7 +33,6 @@ from ..errors import StorageError
 from ..pipeline.system import BackupSystem
 from ..storage.container import Container
 from ..storage.container_store import BackendContainerStore
-from ..storage.recipe import RecipeEntry
 from .hidestore import HiDeStore
 
 #: One archival chunk reference as a recipe records it.
@@ -165,16 +164,15 @@ def check_containers(
     return found
 
 
-def _active_issue(system: HiDeStore, entry: RecipeEntry) -> Optional[str]:
+def _active_issue(system: HiDeStore, fp: bytes, size: int) -> Optional[str]:
     """Check a HiDeStore row that resolves to the active pool."""
-    fp = entry.fingerprint
     location = system.pool.location.get(fp)
     if location is None:
         return f"active chunk {fp.hex()[:8]} not in the location map"
     if location not in system.pool:
         return f"location map points at missing active container {location}"
     stored = _stored_size(system.pool.peek(location), fp)
-    return _reference_issue(location, fp, entry.size, stored)
+    return _reference_issue(location, fp, size, stored)
 
 
 def _archival_entries(
@@ -192,25 +190,25 @@ def _archival_entries(
     # Decoded once for the walk and the index build the resolution needs.
     recipes = {v: system.recipes.peek(v) for v in system.recipes.version_ids()}
     for version_id, recipe in recipes.items():
-        entries = recipe.entries
+        rows = recipe.columns()
         report.versions_checked += 1
-        report.entries_checked += len(entries)
+        report.entries_checked += len(rows)
         cids = (
-            system.archival_cids(version_id, entries, recipes.__getitem__)
+            system.resolve_cids(version_id, rows.fingerprints, rows.cids, recipes.__getitem__)
             if hidestore
-            else [entry.cid for entry in entries]
+            else rows.cids
         )
-        for i, (entry, cid) in enumerate(zip(entries, cids)):
-            ref = (entry.fingerprint, entry.size)
+        for i, (fp, size, cid) in enumerate(zip(rows.fingerprints, rows.sizes, cids)):
+            ref = (fp, size)
             if cid > 0:
                 yield (version_id, i), cid, ref
                 continue
             if hidestore:
                 if ref not in active:
-                    active[ref] = _active_issue(system, entry)
+                    active[ref] = _active_issue(system, fp, size)
                 issue = active[ref]
             else:
-                issue = f"non-positive cid {entry.cid} in traditional recipe"
+                issue = f"non-positive cid {cid} in traditional recipe"
             if issue is not None:
                 issues[version_id, i] = issue
 

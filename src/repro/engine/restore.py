@@ -16,9 +16,11 @@ back in one container payload leave as one slice, so the physical locality
 of a container read (§4.4) reaches the consumer whole.  A read is priced
 per container, not per chunk: it is served straight from the container's
 entry index (:attr:`~repro.storage.container.Container.index`), active or
-archival alike, and cut into runs in one pass over its slots.
-Plans and billing are the scheduler's; :func:`~repro.restore.scheduler.
-execute_plan` is the per-chunk oracle.
+archival alike, and cut into runs in one pass over its slots.  Rows are
+never objects here: the plan is made off the recipe's CID and size columns
+(:class:`~repro.storage.recipe.RecipeColumns`) and reads are cut off its
+fingerprint column.  Plans and billing are the scheduler's;
+:func:`~repro.restore.scheduler.execute_plan` is the per-chunk oracle.
 
 Memory stays capped: at most ``max(2, 2 × workers)`` container reads are
 in flight or awaiting collection at once, and only the runs a read was
@@ -41,9 +43,12 @@ Per-stage timings land in the observability registry:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..chunking.fingerprint import Fingerprinter
 from ..errors import RestoreError, UnknownChunkError
@@ -51,7 +56,6 @@ from ..observability import MetricsRegistry, get_registry
 from ..restore.base import ContainerReader
 from ..restore.scheduler import ContainerRead, PlanSpan
 from ..storage.container import Container
-from ..storage.recipe import RecipeEntry
 
 #: Ranged slot fetch: ``(cid, fingerprints) ->`` a container indexed over
 #: just those chunks, or ``None`` when the container can't be partially read
@@ -66,6 +70,14 @@ class Run(NamedTuple):
     entries: int
 
 
+#: A served run keyed by its first entry's index.
+Served = Tuple[int, Run]
+
+_FIRST = itemgetter(0)
+_ENTRIES = itemgetter(1)
+_new = tuple.__new__
+
+
 def _check(fingerprinter: Fingerprinter, fp: bytes, data) -> None:
     actual = fingerprinter.fingerprint(data)
     if actual != fp:
@@ -76,26 +88,25 @@ def _check(fingerprinter: Fingerprinter, fp: bytes, data) -> None:
 
 
 def _serve(
-    entries: Sequence[RecipeEntry],
+    fingerprints: Sequence[bytes],
     read: ContainerRead,
     reader: ContainerReader,
     chunk_reader: Optional[ChunkReader],
     fingerprinter: Optional[Fingerprinter],
     metrics: MetricsRegistry,
-    runs: Dict[int, Run],
-) -> None:
+) -> List[Served]:
     """Worker-side: one billed container read, cut into the runs it serves.
 
-    Each run lands in ``runs`` under its first entry's index.  Every
+    Returns each run under its first entry's index, in slot order.  Every
     container is served from its entry index — an active one from the
     pool, an archival one decoded from the whole blob or from
-    ``chunk_reader``'s ranged spans: one pass over the read's slots cuts
-    every stretch of consecutive entries that lie back to back in the
-    payload into one run.  Runs are views of the payload (on ``file://``,
-    of the mapped file; for the pool, of the container's buffer, which is
-    never resized while viewed), except that an archival (sealed) read
-    serving under half its payload copies each run out, so the payload
-    goes as soon as the read returns.
+    ``chunk_reader``'s ranged spans: one pass over the read's slots, looked
+    up through the fingerprint column, cuts every stretch of consecutive
+    entries that lie back to back in the payload into one run.  Runs are
+    views of the payload (on ``file://``, of the mapped file; for the pool,
+    of the container's buffer, which is never resized while viewed), except
+    that an archival (sealed) read serving under half its payload copies
+    each run out, so the payload goes as soon as the read returns.
 
     The read, decompression and verification (each entry's own bytes are
     re-hashed, so a bit-flip names its chunk) happen here, on the worker,
@@ -107,7 +118,7 @@ def _serve(
     slots = read.slots
     container = None
     if chunk_reader is not None:
-        container = chunk_reader(read.cid, [entries[i].fingerprint for i in slots])
+        container = chunk_reader(read.cid, [fingerprints[i] for i in slots])
     if container is None:
         container = reader(read.cid)
     metrics.observe("restore.container_read_seconds", time.perf_counter() - started)
@@ -117,10 +128,10 @@ def _serve(
     cuts = []  # (first entry, payload start, payload end, entries)
     first = -1
     begin = end = count = 0
+    located = map(index.__getitem__, map(fingerprints.__getitem__, slots))
     try:
-        for i in slots:
-            start, size = index[entries[i].fingerprint]
-            if i == first + count and start == end:
+        for i, (start, size) in zip(slots, located):
+            if start == end and i == first + count:
                 end += size
                 count += 1
                 continue
@@ -129,7 +140,7 @@ def _serve(
             first, begin, end, count = i, start, start + size, 1
         if fingerprinter is not None:
             for i in slots:
-                fp = entries[i].fingerprint
+                fp = fingerprints[i]
                 start, size = index[fp]
                 _check(fingerprinter, fp, payload[start : start + size])
     except KeyError as missing:
@@ -139,20 +150,30 @@ def _serve(
     if count:
         cuts.append((first, begin, end, count))
     copy = container.sealed and 2 * sum(end - begin for _i, begin, end, _n in cuts) < len(payload)
-    for first, begin, end, count in cuts:
-        data = payload[begin:end]
-        runs[first] = Run(bytes(data) if copy else data, count)
+    # ``tuple.__new__`` builds each Run without the NamedTuple's Python-level constructor.
+    return [
+        (first, _new(Run, (bytes(payload[begin:end]) if copy else payload[begin:end], count)))
+        for first, begin, end, count in cuts
+    ]
 
 
-def _next_run(runs: Dict[int, Run], cursor: int) -> Run:
-    run = runs.pop(cursor, None)
-    if run is None:
-        raise RestoreError(f"restore plan emitted slot {cursor} before any read served it")
-    return run
+def _emit(held: List[Served], cursor: int, stop: int) -> Tuple[Sequence[Run], List[Served], int]:
+    """The held runs that restore entries ``[cursor, stop)`` in order, the
+    runs held for later steps, and the new cursor (the last run may reach
+    past ``stop``).  The runs must tile the range from ``cursor`` on."""
+    held.sort(key=_FIRST)
+    firsts, runs = zip(*held) if held else ((), ())
+    split = bisect_left(firsts, stop)
+    firsts, runs = firsts[:split], runs[:split]
+    tiled = tuple(accumulate(map(_ENTRIES, runs), initial=cursor))
+    if firsts != tiled[:-1] or tiled[-1] < stop:
+        missing = next((at for first, at in zip(firsts, tiled) if first != at), tiled[-1])
+        raise RestoreError(f"restore plan emitted slot {missing} before any read served it")
+    return runs, held[split:], tiled[-1]
 
 
 def execute_plan_prefetched(
-    entries: Sequence[RecipeEntry],
+    fingerprints: Sequence[bytes],
     plan: Iterator[PlanSpan],
     reader: ContainerReader,
     *,
@@ -182,9 +203,9 @@ def execute_plan_prefetched(
                 yield "emit", span.emit[-1] + 1
 
     stream = events()
-    #: ("read", Future[None]) and ("emit", end of the span's entries), plan order.
+    #: ("read", Future[runs]) and ("emit", end of the span's entries), plan order.
     queue: deque = deque()
-    runs: Dict[int, Run] = {}
+    held: List[Served] = []
     cursor = 0
     inflight = 0
     exhausted = False
@@ -202,8 +223,8 @@ def execute_plan_prefetched(
                 if kind == "read":
                     queue.append(
                         ("read", pool.submit(
-                            _serve, entries, value, reader, chunk_reader,
-                            fingerprinter, registry, runs,
+                            _serve, fingerprints, value, reader, chunk_reader,
+                            fingerprinter, registry,
                         ))
                     )
                     inflight += 1
@@ -215,17 +236,15 @@ def execute_plan_prefetched(
             kind, value = queue.popleft()
             if kind == "read":
                 stalled = time.perf_counter()
-                value.result()
+                held += value.result()
                 registry.observe(
                     "restore.assemble_seconds", time.perf_counter() - stalled
                 )
                 inflight -= 1
                 pump()
-            else:
-                while cursor < value:
-                    run = _next_run(runs, cursor)
-                    cursor += run.entries
-                    yield run
+            elif value > cursor:
+                runs, held, cursor = _emit(held, cursor, value)
+                yield from runs
     finally:
         # Wait for the reads in flight, never join the pool's threads: an
         # unfinished stream may be closed by the garbage collector inside a
@@ -237,7 +256,7 @@ def execute_plan_prefetched(
 
 
 def _execute_serial(
-    entries: Sequence[RecipeEntry],
+    fingerprints: Sequence[bytes],
     plan: Iterator[PlanSpan],
     reader: ContainerReader,
     *,
@@ -247,18 +266,16 @@ def _execute_serial(
 ) -> Iterator[Run]:
     """Single-threaded plan execution with the same timings and checks."""
     fingerprinter = Fingerprinter() if verify else None
-    runs: Dict[int, Run] = {}
+    held: List[Served] = []
     cursor = 0
     for span in plan:
         started = time.perf_counter()
         for read in span.reads:
-            _serve(entries, read, reader, chunk_reader, fingerprinter, metrics, runs)
+            held += _serve(fingerprints, read, reader, chunk_reader, fingerprinter, metrics)
         metrics.observe("restore.assemble_seconds", time.perf_counter() - started)
-        stop = span.emit[-1] + 1 if span.emit else cursor
-        while cursor < stop:
-            run = _next_run(runs, cursor)
-            cursor += run.entries
-            yield run
+        if span.emit and span.emit[-1] >= cursor:
+            runs, held, cursor = _emit(held, cursor, span.emit[-1] + 1)
+            yield from runs
 
 
 def restore_stream(
@@ -272,30 +289,30 @@ def restore_stream(
 ) -> Iterator[Run]:
     """Restore a version (or an entry range) through the scheduler layer.
 
-    The one real-path restore implementation: resolves entries via the
-    engine's :meth:`~repro.pipeline.base.RestoreMixin.resolved_restore_range`
-    hook, plans FAA through :meth:`~repro.pipeline.base.RestoreMixin.
-    restore_scheduler` (an engine with another policy raises
-    :class:`~repro.errors.RestoreError`), then executes serially
-    (``workers=1``) or with the prefetching pool, yielding :class:`Run` s
-    in recipe order.  ``verify``
+    The one real-path restore implementation: resolves the rows' columns
+    via the engine's :meth:`~repro.pipeline.base.RestoreMixin.resolved_restore_range`
+    hook, plans FAA off their CID and size columns through
+    :meth:`~repro.pipeline.base.RestoreMixin.restore_scheduler` (an engine
+    with another policy raises :class:`~repro.errors.RestoreError`), then
+    executes serially (``workers=1``) or with the prefetching pool, yielding
+    :class:`Run` s in recipe order.  ``verify``
     re-hashes every entry against its recipe fingerprint (typed
     :class:`~repro.errors.RestoreError` on mismatch).  ``rows`` picks a
     partial restore's entry range from the version's recipe entry sizes,
     so locating it costs no second recipe read.
     """
     registry = metrics if metrics is not None else get_registry()
-    entries = system.resolved_restore_range(version_id, rows)
-    plan = system.restore_scheduler().plan(entries)
+    columns = system.resolved_restore_range(version_id, rows)
+    plan = system.restore_scheduler().plan(columns.cids, columns.sizes)
     reader = system._read_container
     chunk_reader = getattr(system, "_read_container_chunks", None)
     if workers <= 1:
         return _execute_serial(
-            entries, plan, reader, verify=verify, metrics=registry,
+            columns.fingerprints, plan, reader, verify=verify, metrics=registry,
             chunk_reader=chunk_reader,
         )
     return execute_plan_prefetched(
-        entries, plan, reader,
+        columns.fingerprints, plan, reader,
         workers=workers, verify=verify, metrics=registry,
         chunk_reader=chunk_reader,
     )

@@ -35,20 +35,18 @@ from ..restore.faa import FAARestore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..restore.scheduler import RestoreScheduler
     from ..storage.container import Container
-    from ..storage.recipe import Recipe, RecipeEntry
+    from ..storage.recipe import Recipe, RecipeColumns, RecipeEntry
 
     #: Maps a recipe's entry sizes to the slice of entries a partial
     #: restore wants.
     RowPicker = Callable[[List[int]], slice]
 
 
-def pick_rows(recipe: "Recipe", rows: "Optional[RowPicker]") -> "List[RecipeEntry]":
-    """A copy of the recipe's entry list, narrowed to what ``rows`` picks off
-    the recipe's :meth:`~repro.storage.recipe.Recipe.sizes` (only the picked
-    entries are built)."""
-    if rows is None:
-        return recipe.entries[:]
-    return recipe.entries_in(rows(recipe.sizes()))
+def pick_rows(recipe: "Recipe", rows: "Optional[RowPicker]") -> "RecipeColumns":
+    """The recipe's rows as columns, narrowed to what ``rows`` picks off the
+    recipe's :meth:`~repro.storage.recipe.Recipe.sizes` (only the picked
+    rows are decoded)."""
+    return recipe.columns(None if rows is None else rows(recipe.sizes()))
 
 
 @runtime_checkable
@@ -104,7 +102,7 @@ class RestoreMixin:
         version_id: int,
         load: "Callable[[int], Recipe]",
         rows: "Optional[RowPicker]" = None,
-    ) -> "List[RecipeEntry]":
+    ) -> "RecipeColumns":
         """Hook: the rows of ``load(version_id)`` that ``rows`` picks (all
         of them by default) with concrete container IDs, the store brought
         into a restorable state first (default: the rows as recorded)."""
@@ -135,16 +133,17 @@ class RestoreMixin:
         self,
         version_id: int,
         rows: "Optional[RowPicker]" = None,
-    ) -> "List[RecipeEntry]":
-        """Prepare the store and resolve a version's entries for restoring.
+    ) -> "RecipeColumns":
+        """Prepare the store and resolve a version's rows for restoring.
 
-        The one entry-resolution path every restore flavour shares: full
+        The one row-resolution path every restore flavour shares: full
         restores (``rows is None``), partial restores (``rows`` maps the
         recipe's entry sizes to the slice wanted, so a caller that locates its
         range by entry size costs no second recipe read), the serial
         algorithm layer and the pipelined engine all come through here, so
         maintenance draining and chained/active-row resolution happen
-        identically everywhere.
+        identically everywhere.  The rows come as columns; iterating them
+        builds :class:`~repro.storage.recipe.RecipeEntry` rows.
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")
@@ -154,8 +153,8 @@ class RestoreMixin:
         """The plan scheduler of this engine's FAA policy.
 
         This is the hook the pipelined restore engine calls: the returned
-        scheduler turns :meth:`resolved_restore_range` output into an
-        ordered container-read plan that a prefetching executor can run —
+        scheduler turns :meth:`resolved_restore_range`'s CID and size
+        columns into an ordered container-read plan that a prefetching executor can run —
         with exactly the read sequence :class:`FAARestore` would issue.
         The engine executes FAA plans only; an engine built with another
         policy raises :class:`~repro.errors.RestoreError` here (run it
@@ -174,7 +173,7 @@ class RestoreMixin:
         restorer: Optional[RestoreAlgorithm] = None,
     ) -> Iterator[Chunk]:
         """Stream a stored version's chunks in original order."""
-        entries = self.resolved_restore_range(version_id)
+        entries = list(self.resolved_restore_range(version_id))
         algorithm = restorer if restorer is not None else self.restorer
         return algorithm.restore(entries, self._read_container)
 
@@ -221,4 +220,4 @@ class RestoreMixin:
         """
         if version_id not in self.recipes:
             raise VersionNotFoundError(f"no backup version {version_id}")
-        return self._restore_rows(version_id, self.recipes.peek)
+        return list(self._restore_rows(version_id, self.recipes.peek))

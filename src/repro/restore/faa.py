@@ -49,4 +49,5 @@ class FAARestore(RestoreAlgorithm):
         self, entries: Sequence[RecipeEntry], reader: ContainerReader
     ) -> Iterator[Chunk]:
         self._check_positive_cids(entries)
-        return execute_plan(entries, self.scheduler().plan(entries), reader)
+        plan = self.scheduler().plan([e.cid for e in entries], [e.size for e in entries])
+        return execute_plan([e.fingerprint for e in entries], plan, reader)

@@ -14,6 +14,12 @@ restore path runs — drives both worlds:
   reader pool (:mod:`repro.engine.restore`), overlapping container I/O
   with reassembly and socket writes.
 
+A plan is computed from the recipe's CID and size columns
+(:class:`~repro.storage.recipe.RecipeColumns`) and executed against its
+fingerprint column, never from per-row objects: FAA's area bounds are a
+bisection of the accumulated sizes, and each area's reads one pass over
+its CIDs.
+
 The other §4.4 policies (LRU, ALACC, hot-set, Belady) are compared through
 :meth:`~repro.pipeline.base.RestoreMixin.restore`, which runs each
 algorithm directly against the billed reader.
@@ -35,12 +41,13 @@ Plan invariants (checked by the executors as they go):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from ..chunking.stream import Chunk
 from ..errors import RestoreError
-from ..storage.recipe import RecipeEntry
 from ..units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,18 +66,19 @@ class ContainerRead:
 class PlanSpan:
     """One plan step: perform ``reads``, then emit ``emit`` in order."""
 
-    emit: Tuple[int, ...]
+    emit: Sequence[int]
     reads: Tuple[ContainerRead, ...] = ()
 
 
 class RestoreScheduler(ABC):
-    """Turns resolved recipe entries into an ordered restore plan."""
+    """Turns a resolved recipe's columns into an ordered restore plan."""
 
     name: str = "scheduler"
 
     @abstractmethod
-    def plan(self, entries: Sequence[RecipeEntry]) -> Iterator[PlanSpan]:
-        """Yield the plan for restoring ``entries`` in recipe order."""
+    def plan(self, cids: Sequence[int], sizes: Sequence[int]) -> Iterator[PlanSpan]:
+        """Yield the plan for restoring, in recipe order, the rows whose
+        container IDs and sizes are ``cids`` and ``sizes``."""
 
 
 class FAAScheduler(RestoreScheduler):
@@ -90,37 +98,39 @@ class FAAScheduler(RestoreScheduler):
             raise RestoreError("area_bytes must be positive")
         self.area_bytes = area_bytes
 
-    def plan(self, entries: Sequence[RecipeEntry]) -> Iterator[PlanSpan]:
-        # One pass: per area, each container's slots in first-need order.
-        needed: Dict[int, List[int]] = {}
-        first = used = 0
-        for i, entry in enumerate(entries):
-            if used + entry.size > self.area_bytes and needed:
-                yield self._span(first, i, needed)
-                needed, first, used = {}, i, 0
-            slots = needed.get(entry.cid)
-            if slots is None:
-                needed[entry.cid] = [i]
-            else:
-                slots.append(i)
-            used += entry.size
-        if needed:
-            yield self._span(first, len(entries), needed)
+    def plan(self, cids: Sequence[int], sizes: Sequence[int]) -> Iterator[PlanSpan]:
+        # An area takes rows while their sizes fit, and at least one row.
+        ends = list(accumulate(sizes))
+        first, count = 0, len(ends)
+        while first < count:
+            limit = (ends[first - 1] if first else 0) + self.area_bytes
+            stop = max(bisect_right(ends, limit, first), first + 1)
+            yield self._span(cids, first, stop)
+            first = stop
 
     @staticmethod
-    def _span(first: int, stop: int, needed: Dict[int, List[int]]) -> PlanSpan:
+    def _span(cids: Sequence[int], first: int, stop: int) -> PlanSpan:
+        # Each container's slots in recipe order; the dict keeps first-need order.
+        needed: Dict[int, List[int]] = {}
+        for i, cid in zip(range(first, stop), cids[first:stop]):
+            slots = needed.get(cid)
+            if slots is None:
+                needed[cid] = [i]
+            else:
+                slots.append(i)
         return PlanSpan(
-            emit=tuple(range(first, stop)),
+            emit=range(first, stop),
             reads=tuple(ContainerRead(cid, tuple(slots)) for cid, slots in needed.items()),
         )
 
 
 def execute_plan(
-    entries: Sequence[RecipeEntry],
+    fingerprints: Sequence[bytes],
     plan: Iterator[PlanSpan],
     reader: "ContainerReader",
 ) -> Iterator[Chunk]:
-    """Serial reference executor: one billed read per :class:`ContainerRead`.
+    """Serial reference executor: one billed read per :class:`ContainerRead`,
+    one chunk per slot, looked up by the slot's entry of ``fingerprints``.
 
     This is the simulation/algorithm-layer execution of a plan; the
     pipelined twin with a prefetching reader pool lives in
@@ -131,7 +141,7 @@ def execute_plan(
         for read in span.reads:
             container = reader(read.cid)
             for i in read.slots:
-                pending[i] = container.get_chunk(entries[i].fingerprint)
+                pending[i] = container.get_chunk(fingerprints[i])
         for i in span.emit:
             try:
                 yield pending.pop(i)

@@ -10,9 +10,10 @@ deep verify, a map offer, a resync) and feeds each outcome back.  Every
 controller call goes through one lock, never held across that I/O.
 
 Shutdown is a graceful drain: the listener closes, new connections and
-backups are refused (``ServerDrainingError``), in-flight sessions get
-``drain_timeout`` seconds to finish, and the stragglers' sockets are shut
-down, which sends a backup into its rollback.
+backups are refused (``ServerDrainingError``), sessions parked between
+requests are shut down at once, requests in flight get ``drain_timeout``
+seconds to finish, and the stragglers' sockets are shut down, which sends
+a backup into its rollback.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class BackupDaemon:
             a request that names none is served serially.
         history_depth / compress: forwarded to newly created repositories
             (``history_depth >= 1``, checked here).
-        drain_timeout: seconds in-flight sessions get to finish on
+        drain_timeout: seconds in-flight requests get to finish on
             :meth:`shutdown` before their sockets are shut down (a backup
             then rolls back).
         metrics: the :class:`MetricsRegistry` to record into (defaults to
@@ -531,10 +532,13 @@ class BackupDaemon:
 
     # ------------------------------------------------------------------
     def shutdown(self, drain_timeout: Optional[float] = None) -> None:
-        """Graceful drain: stop accepting, let sessions finish, then abort.
+        """Graceful drain: stop accepting, let requests finish, then abort.
 
-        In-flight sessions get ``drain_timeout`` seconds; the sockets of
-        those still running are then shut down, so a backup's engine fails
+        A session parked between requests (an idle pooled connection) is
+        shut down at once, and one that finishes its request ends instead
+        of waiting for the next.  Requests in flight get ``drain_timeout``
+        seconds; the sockets of the sessions still serving one are then
+        shut down, so a backup's engine fails
         its read and rolls the repository back, and a restore closes its
         stream.  Returns only once every session and background thread has
         ended: every repository is clean, committed or rolled back.  A
@@ -548,8 +552,11 @@ class BackupDaemon:
                 self.draining = True
                 self._stop.set()
             self._close_listener()
+            sessions = self._live(self._sessions)
+            for session in sessions:
+                session.abort(parked_only=True)  # between requests: nothing to drain
             deadline = time.monotonic() + timeout
-            for session in self._live(self._sessions):
+            for session in sessions:
                 session.join(max(0.0, deadline - time.monotonic()))
             stragglers = self._live(self._sessions)
             for session in stragglers:
@@ -557,6 +564,11 @@ class BackupDaemon:
             for thread in stragglers + self._live(self._background):
                 thread.join()
             self.events.log("daemon_stop", address=self.address)
+
+    @property
+    def stopping(self) -> bool:
+        """:meth:`shutdown` has begun: sessions take no further request."""
+        return self._stop.is_set()
 
     def _live(self, threads: Set) -> list:
         with self._lock:

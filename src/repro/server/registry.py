@@ -26,7 +26,7 @@ import os
 import re
 import threading
 from contextlib import contextmanager
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..errors import RepositoryNotFoundError, ReproError
 from ..observability import MetricsRegistry
@@ -146,6 +146,9 @@ class RepoHandle:
     def note_delete(self) -> None:
         self._note(deletes=1)
 
+    def note_error(self) -> None:
+        self._note(errors=1)
+
     def stats(self) -> Dict:
         """The per-repo ``STATS`` document (repository + service counters)."""
         doc = dict(self.repository.stats())
@@ -208,6 +211,11 @@ class RepositoryRegistry:
                 ),
             )
             return handle
+
+    def opened(self, name: str) -> Optional[RepoHandle]:
+        """The handle for ``name`` if one is open already (opens nothing)."""
+        with self._lock:
+            return self._handles.get(name)
 
     def drop(self, name: str) -> int:
         """Remove one tenant's storage entirely; returns objects removed.

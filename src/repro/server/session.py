@@ -166,16 +166,34 @@ class _Session(threading.Thread):
         # (the client derives the same IDs from the HELLO_OK handoff).
         self.trace = new_trace_id()
         self.seq = 0
-        self._closing = threading.Lock()  # the socket's close against abort()
+        self._closing = threading.Lock()  # the socket's close and ``_parked`` against abort()
+        #: Waiting for the client's next frame, not serving a request.
+        self._parked = True
 
-    def abort(self) -> None:
+    def abort(self, parked_only: bool = False) -> None:
         """Shut the connection down from another thread: the read or send
-        in flight, or the next one, fails at once."""
+        in flight, or the next one, fails at once.  ``parked_only`` spares
+        a session that is serving a request."""
         with self._closing:
+            if parked_only and not self._parked:
+                return
             try:
                 self.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # closed already, or the peer tore it down
+
+    def _park(self, parked: bool) -> None:
+        """Enter (``False``) or leave a request.  A stopping daemon lets no
+        session start a request or park again: the drain is for the
+        requests in flight, not for the clients' next ones."""
+        with self._closing:
+            stopping = self.server.stopping
+            if not stopping:
+                self._parked = parked
+        if stopping:
+            if not parked:
+                self._send_error(ServerDrainingError("server is stopping; connect elsewhere"))
+            raise _EndSession()
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -198,7 +216,10 @@ class _Session(threading.Thread):
         try:
             self._handshake()
             while True:
-                self._dispatch(*self.conn.recv_frame())
+                ftype, payload = self.conn.recv_frame()
+                self._park(False)
+                self._dispatch(ftype, payload)
+                self._park(True)
         except (_EndSession, OSError):
             pass  # told to hang up, or the client did (between requests too)
         except ProtocolError as exc:
@@ -259,6 +280,9 @@ class _Session(threading.Thread):
             cause = exc.__cause__ if isinstance(exc, _EndSession) and exc.__cause__ else exc
             metrics.inc("server.errors_total")
             metrics.inc(f"server.{kind}_errors_total")
+            handle = self.server.registry.opened(repo) if repo is not None else None
+            if handle is not None:
+                handle.note_error()
             events.log(
                 f"{kind}_error",
                 trace=trace,

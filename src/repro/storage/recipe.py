@@ -7,7 +7,7 @@ field (§4.3 / §4.4):
 
 * ``cid > 0`` — the chunk lives in archival container ``cid``;
 * ``cid == ACTIVE_CID (0)`` — the chunk was active when the version was
-  backed up (:meth:`~repro.core.hidestore.HiDeStore.archival_cids` says where);
+  backed up (:meth:`~repro.core.hidestore.HiDeStore.resolve_cids` says where);
 * ``cid < 0`` — a chain pointer to ``R_{-cid}``, left in recipes rewritten
   before recipes were write-once; resolved like ``0``.
 
@@ -21,7 +21,7 @@ stores keeps them on a :class:`~repro.storage.backend.MemoryBackend`.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ObjectMissingError, RecipeError
 from ..units import FINGERPRINT_SIZE, RECIPE_ENTRY_SIZE
@@ -53,12 +53,37 @@ class RecipeEntry:
         return f"RecipeEntry(fingerprint={self.fingerprint!r}, size={self.size}, cid={self.cid})"
 
 
+class RecipeColumns:
+    """Recipe rows as three columns: fingerprints, sizes and CIDs.
+
+    A restore resolves, plans and cuts these columns without building a
+    :class:`RecipeEntry` per row; iterating them builds the entries, for
+    callers that walk rows (the simulated algorithm layer, analyses).
+    """
+
+    __slots__ = ("fingerprints", "sizes", "cids")
+
+    def __init__(
+        self, fingerprints: Sequence[bytes], sizes: Sequence[int], cids: Sequence[int]
+    ) -> None:
+        self.fingerprints = fingerprints
+        self.sizes = sizes
+        self.cids = cids
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[RecipeEntry]:
+        return map(RecipeEntry, self.fingerprints, self.sizes, self.cids)
+
+
 class Recipe:
     """The ordered chunk list of one backup version.
 
     A recipe decoded from its blob keeps the packed row table and builds
-    its :attr:`entries` on first use: a file restore locates its rows on
-    :meth:`sizes` and builds only those (:meth:`entries_in`).
+    its :attr:`entries` on first use; a restore decodes the rows it wants
+    as :meth:`columns` instead (a file restore locates them on
+    :meth:`sizes` first).
     """
 
     def __init__(
@@ -77,6 +102,9 @@ class Recipe:
         self._entries: Optional[List[RecipeEntry]] = entries
         #: The packed rows (:data:`_ENTRY` each) while no entry is built.
         self._rows = rows if entries is None else None
+        #: All of the packed rows as columns, once decoded: a verify walks a
+        #: recipe and then builds the chain index off it.
+        self._columns: Optional[RecipeColumns] = None
 
     @property
     def entries(self) -> List[RecipeEntry]:
@@ -85,18 +113,28 @@ class Recipe:
             self._rows = None
         return self._entries
 
-    def entries_in(self, picked: slice) -> List[RecipeEntry]:
-        """The entries of the row range ``picked`` (``[start, stop)``),
-        built off the rows when none are."""
+    def columns(self, picked: Optional[slice] = None) -> RecipeColumns:
+        """The rows of the range ``picked`` (``[start, stop)``; all rows by
+        default) as columns, decoded off the packed rows in one pass when
+        no entry is built."""
         if self._rows is None:
-            return self.entries[picked]
-        return _build_entries(self._rows[picked.start * _ENTRY.size : picked.stop * _ENTRY.size])
+            entries = self.entries if picked is None else self.entries[picked]
+            return RecipeColumns(
+                [entry.fingerprint for entry in entries],
+                [entry.size for entry in entries],
+                [entry.cid for entry in entries],
+            )
+        if picked is None:
+            if self._columns is None:
+                self._columns = _decode_columns(self._rows)
+            return self._columns
+        return _decode_columns(self._rows[picked.start * _ENTRY.size : picked.stop * _ENTRY.size])
 
     def sizes(self) -> List[int]:
         """Every entry's size in recipe order, off the rows when no entry is built."""
         if self._rows is None:
             return [entry.size for entry in self.entries]
-        return [size for _fp, _cid, size in _ENTRY.iter_unpack(self._rows)]
+        return [size for (size,) in _SIZE.iter_unpack(self._rows)]
 
     def append(self, fingerprint: bytes, size: int, cid: int = ACTIVE_CID) -> RecipeEntry:
         entry = RecipeEntry(fingerprint, size, cid)
@@ -135,12 +173,22 @@ class Recipe:
 
 _ENTRY = struct.Struct(f"<{FINGERPRINT_SIZE}siI")
 assert _ENTRY.size == RECIPE_ENTRY_SIZE
+#: A row's size alone: the fingerprint and CID are skipped, not decoded.
+_SIZE = struct.Struct(f"<{FINGERPRINT_SIZE + 4}xI")
+assert _SIZE.size == RECIPE_ENTRY_SIZE
 _HEADER = struct.Struct("<4sII")  # magic, version_id, entry count
 _MAGIC = b"HDSR"
 
 
 def _build_entries(rows) -> List[RecipeEntry]:
     return [RecipeEntry(fp, size, cid) for fp, cid, size in _ENTRY.iter_unpack(rows)]
+
+
+def _decode_columns(rows) -> RecipeColumns:
+    if not rows:
+        return RecipeColumns((), (), ())
+    fingerprints, cids, sizes = zip(*_ENTRY.iter_unpack(rows))
+    return RecipeColumns(fingerprints, sizes, cids)
 
 
 def pack_recipe(recipe: Recipe) -> bytes:

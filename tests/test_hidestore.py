@@ -156,8 +156,10 @@ class TestRetireAndReopen:
         system.retire()
         assert system.pool.hot_bytes() == 0
         for version_id in system.version_ids():
-            entries = system.recipes.peek(version_id).entries
-            assert all(cid > 0 for cid in system.archival_cids(version_id, entries, system.recipes.peek))
+            rows = system.recipes.peek(version_id).columns()
+            load = system.recipes.peek
+            cids = system.resolve_cids(version_id, rows.fingerprints, rows.cids, load)
+            assert all(cid > 0 for cid in cids)
 
     def test_retired_system_rejects_backup(self, small_workload):
         system = run(small_workload)

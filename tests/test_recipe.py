@@ -108,11 +108,15 @@ class TestPackedRows:
         assert built == [] and len(loaded) == 10
         assert loaded.sizes() == [100 + i for i in range(10)]
         assert loaded.logical_size == recipe.logical_size and built == []
-        picked = loaded.entries_in(slice(3, 6))
-        assert picked == recipe.entries[3:6] and len(built) == 3
+        picked = loaded.columns(slice(3, 6))
+        assert built == [] and len(picked) == 3  # columns build no entry
+        assert loaded.columns() is loaded.columns() and built == []  # all rows decoded once
+        assert list(picked) == recipe.entries[3:6] and len(built) == 3
         assert loaded.entries == recipe.entries and len(built) == 3 + 10
-        assert loaded.entries_in(slice(3, 6)) == recipe.entries[3:6]
-        assert len(built) == 3 + 10  # built once, then sliced
+        again = loaded.columns(slice(3, 6))
+        rows = list(zip(again.fingerprints, again.sizes, again.cids))
+        assert rows == [(e.fingerprint, e.size, e.cid) for e in recipe.entries[3:6]]
+        assert len(built) == 3 + 10  # read off the built entries
 
     def test_a_picked_file_matches_its_bytes(self):
         import random

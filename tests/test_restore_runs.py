@@ -93,19 +93,21 @@ def file_rows(entries, plan, name):
 
 def runs_and_oracle(store, version, rows=None, **options):
     """(entries, runs, oracle bytes), asserting identical billing."""
-    entries = store.resolved_restore_range(version, rows)
+    columns = store.resolved_restore_range(version, rows)
     before = store.io.snapshot()
     oracle = b"".join(
         chunk.data
         for chunk in execute_plan(
-            entries, store.restore_scheduler().plan(entries), store._read_container
+            columns.fingerprints,
+            store.restore_scheduler().plan(columns.cids, columns.sizes),
+            store._read_container,
         )
     )
     billed = store.io.delta(before).container_reads
     before = store.io.snapshot()
     runs = list(restore_stream(store, version, rows=rows, **options))
     assert store.io.delta(before).container_reads == billed
-    return entries, runs, oracle
+    return list(columns), runs, oracle
 
 
 CASES = {
@@ -170,7 +172,7 @@ def test_a_newest_restore_yields_one_run_per_back_to_back_span(repo):
 def test_a_bit_flip_inside_a_merged_run_names_its_chunk(tmp_path):
     repo = backed_up(str(tmp_path / "repo"))
     store = repo._open()
-    entries = store.resolved_restore_range(1)
+    entries = list(store.resolved_restore_range(1))
     at = 0
     for run in restore_stream(store, 1):
         if run.entries >= 3:

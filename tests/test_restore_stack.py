@@ -116,7 +116,7 @@ class TestSchedulerLayer:
             fragmented_system.version_ids()[-1]
         )
         emitted = []
-        for span in FAAScheduler().plan(entries):
+        for span in FAAScheduler().plan(entries.cids, entries.sizes):
             for read in span.reads:
                 for slot in read.slots:
                     assert slot >= len(emitted), "read serves an already-emitted slot"
@@ -127,12 +127,12 @@ class TestSchedulerLayer:
     def test_plan_execution_matches_algorithm(self, fragmented_system, algorithm_cls):
         system = fragmented_system
         version = system.version_ids()[-1]
-        entries = system.resolved_restore_range(version)
+        columns = system.resolved_restore_range(version)
 
         before = system.io.snapshot()
         direct = [
             bytes(c.data)
-            for c in algorithm_cls().restore(entries, system._read_container)
+            for c in algorithm_cls().restore(list(columns), system._read_container)
         ]
         direct_reads = system.io.delta(before).container_reads
 
@@ -141,7 +141,9 @@ class TestSchedulerLayer:
         planned = [
             bytes(c.data)
             for c in execute_plan(
-                entries, scheduler.plan(entries), system._read_container
+                columns.fingerprints,
+                scheduler.plan(columns.cids, columns.sizes),
+                system._read_container,
             )
         ]
         planned_reads = system.io.delta(before).container_reads
@@ -201,10 +203,10 @@ class TestPrefetchedExecution:
     def _parked(system, **knobs):
         """A prefetched stream, one run in, whose second read is parked
         until ``release`` is set."""
-        entries = system.resolved_restore_range(system.version_ids()[-1])
+        columns = system.resolved_restore_range(system.version_ids()[-1])
         plan = iter([
-            PlanSpan(emit=(i,), reads=(ContainerRead(entry.cid, (i,)),))
-            for i, entry in enumerate(entries)
+            PlanSpan(emit=(i,), reads=(ContainerRead(cid, (i,)),))
+            for i, cid in enumerate(columns.cids)
         ])
         calls, entered, release, order = itertools.count(), threading.Event(), threading.Event(), []
 
@@ -215,7 +217,7 @@ class TestPrefetchedExecution:
                 order.append("read")
             return system._read_container(cid)
 
-        stream = execute_plan_prefetched(entries, plan, reader, **knobs)
+        stream = execute_plan_prefetched(columns.fingerprints, plan, reader, **knobs)
         next(stream)
         assert entered.wait(30)
         return stream, release, order

@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.observability import MetricsRegistry
 from repro.repository import LocalRepository, materialize, read_tree
 from repro.server import DaemonThread
+from tests.conftest import wait_until
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +91,18 @@ class TestServiceCounters:
             doc = repo.server_stats()
             assert "alpha" in doc["repos"]
             assert doc["server"]["draining"] is False
+
+    def test_a_failed_request_counts_against_its_tenant(self, daemon, tmp_path):
+        thread, address = daemon
+        errors = thread.daemon.metrics.counter("server.errors_total")
+        with RemoteRepository(address, "alpha") as repo:
+            repo.backup_tree(make_tree(str(tmp_path / "src"), synthetic_files(5)))
+            assert repo.stats()["counters"]["errors"] == 0
+            before = errors.value
+            with pytest.raises(ReproError):
+                list(repo.restore(9)[1])  # no such version
+            assert repo.stats()["counters"]["errors"] == 1
+        assert errors.value == before + 1
 
     def test_invalid_tenant_name_is_refused(self, daemon, tmp_path):
         _, address = daemon
@@ -447,10 +460,28 @@ class TestFailureSemantics:
         finally:
             thread.daemon.draining = False
 
+    def test_an_idle_pooled_connection_does_not_hold_stop(self, tmp_path):
+        """A session parked between requests is shut down at once: an idle
+        pooled client connection does not hold ``stop`` for the drain."""
+        thread = DaemonThread(str(tmp_path / "served"), drain_timeout=60)
+        address = thread.start()
+        repo = RemoteRepository(address, "alpha")
+        try:
+            repo.backup_blocks([b"x" * 5000], [("a.bin", 5000)])
+            (session,) = thread.daemon._sessions  # pooled
+            wait_until(lambda: session._parked)  # past the backup's BACKUP_DONE
+            stopper = threading.Thread(target=thread.stop, daemon=True)
+            stopper.start()
+            stopper.join(30)  # half the drain: only a parked abort gets here
+            assert not stopper.is_alive()
+            assert not thread.daemon._sessions
+        finally:
+            repo.close()
+
     def test_a_stopped_daemon_leaves_no_task(self, tmp_path):
         """``stop`` returns only once every thread of the daemon has ended:
         the acceptor, the pacemakers, and an idle client's session, whose
-        socket is shut down once the drain has run out."""
+        socket is shut down without waiting for the drain."""
         thread = DaemonThread(str(tmp_path / "served"), metrics_interval=60.0)
         address = thread.start()
         idle = Connection(parse_address(address), 10.0)  # a session between requests
@@ -459,7 +490,7 @@ class TestFailureSemantics:
             threads = [thread.daemon._acceptor, *thread.daemon._sessions]
             threads += thread.daemon._background
             assert len(threads) == 3 and all(t.is_alive() for t in threads)
-            thread.stop(drain_timeout=0.1)  # the idle session outlasts it
+            thread.stop(drain_timeout=0.1)
             assert not [t for t in threads if t.is_alive()]
             assert not thread.daemon._sessions and not thread.daemon._background
         finally:
