@@ -24,6 +24,7 @@ from repro.chunking.stream import BackupStream
 from repro.chunking.vectorized import cut_lengths
 from repro.core.hidestore import HiDeStore
 from repro.engine import iter_segments
+from repro.experiments import DDFS_CACHE, scheme_config
 from repro.metrics import exact_dedup_ratio
 from repro.pipeline import build_scheme
 from repro.restore import (
@@ -105,7 +106,7 @@ def test_ablation_capping_level(benchmark):
                 "capping",
                 container_size=CONTAINER,
                 rewriter_kwargs=dict(cap=cap, segment_bytes=4 * MiB),
-                index_kwargs=dict(cache_containers=16),
+                index_kwargs=dict(cache_containers=DDFS_CACHE),
             )
             for stream in load_preset("kernel", versions=VERSIONS).versions():
                 system.backup(stream)
@@ -143,7 +144,7 @@ def test_ablation_greedy_vs_classic_capping(benchmark):
                     name,
                     container_size=CONTAINER,
                     rewriter_kwargs=kwargs,
-                    index_kwargs=dict(cache_containers=16),
+                    index_kwargs=dict(cache_containers=DDFS_CACHE),
                 )
                 for stream in load_preset("kernel", versions=VERSIONS).versions():
                     system.backup(stream)
@@ -189,7 +190,7 @@ def test_ablation_index_family(benchmark):
     around Figures 9/10 (exact vs near-exact, RAM vs disk vs flash)."""
     configs = {
         "exact": {},
-        "ddfs": dict(index_kwargs=dict(cache_containers=16)),
+        "ddfs": scheme_config("ddfs"),
         "blc": dict(index_kwargs=dict(cache_pages=8)),
         "chunkstash": {},
         "sparse": {},

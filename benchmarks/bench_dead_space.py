@@ -18,6 +18,7 @@ import pytest
 
 from common import CONTAINER, emit, run_scheme, table
 from repro.analysis import archival_population
+from repro.experiments import scheme_config
 from repro.pipeline import GCDeletionManager, build_scheme
 from repro.workloads import load_preset
 
@@ -26,10 +27,7 @@ WINDOW = 8
 
 
 def _traditional(threshold):
-    system = build_scheme(
-        "ddfs", container_size=CONTAINER,
-        index_kwargs=dict(cache_containers=16),
-    )
+    system = build_scheme("ddfs", container_size=CONTAINER, **scheme_config("ddfs"))
     gc = GCDeletionManager(system, utilization_threshold=threshold)
     copied = 0
     for stream in load_preset("kernel", versions=VERSIONS).versions():

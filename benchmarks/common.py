@@ -1,34 +1,33 @@
 """Shared configuration and helpers for the benchmark harness.
 
-Scaling notes (see DESIGN.md §3): the paper's datasets are 64 GB-1.2 TB with
-4 MiB containers; here versions are ~16-40 MB, so containers scale to
-512 KiB to keep the containers-per-version ratio realistic, and the DDFS
-locality cache is sized below the dataset's container count (RAM caches a
-sliver of a multi-TB store).  Speed factors therefore top out at 0.5 MB per
-container read instead of the paper's 4.0 — compare *ratios between
-schemes*, not absolute values.
+The schemes' §5.1 configuration lives in :mod:`repro.experiments`; this
+module only fixes the benchmarks' scale.  Scaling notes (see DESIGN.md §3):
+the paper's datasets are 64 GB-1.2 TB with 4 MiB containers; here versions
+are ~16-40 MB, so containers scale to 512 KiB to keep the
+containers-per-version ratio realistic.  Speed factors therefore top out at
+0.5 MB per container read instead of the paper's 4.0 — compare *ratios
+between schemes*, not absolute values.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
+from functools import partial
 from typing import Dict, Iterable, List
 
-from repro.pipeline import build_scheme
-from repro.units import KiB, MiB
-from repro.workloads import load_preset, preset_names
+from repro.experiments import run_scheme as _run_scheme
+from repro.units import KiB
+from repro.workloads import preset_names
 
 #: Container size used by every scheme in every benchmark (fairness, §5.3).
 CONTAINER = 512 * KiB
 
-#: DDFS locality-cache capacity (containers) — well below dataset size.
-DDFS_CACHE = 16
-
 #: Benchmark workload scale (per preset defaults come from the preset).
 CHUNKS_PER_VERSION = 2048
 
+#: ``run_scheme(name, preset, versions=None)`` at the benchmark scale.
+run_scheme = partial(_run_scheme, chunks=CHUNKS_PER_VERSION, container_size=CONTAINER)
 
 #: Lines emitted by benchmarks; the conftest dumps them in the terminal
 #: summary so they survive pytest's output capture.
@@ -57,57 +56,6 @@ def write_bench_json(name: str, doc: Dict) -> str:
         handle.write("\n")
     emit(f"[bench-json] {os.path.abspath(path)}")
     return path
-
-
-def scheme_config(name: str) -> Dict:
-    """The benchmark configuration of one named scheme (§5.1 equivalents)."""
-    ddfs_kw = dict(index_kwargs=dict(cache_containers=DDFS_CACHE))
-    fbw_rewriter = dict(
-        container_bytes=CONTAINER,
-        window_bytes=8 * MiB,
-        target_rewrite_ratio=0.05,
-        density_threshold=0.25,
-    )
-    configs: Dict[str, Dict] = {
-        "ddfs": dict(**ddfs_kw),
-        "baseline": dict(**ddfs_kw),
-        "sparse": {},
-        "silo": {},
-        "capping": dict(rewriter_kwargs=dict(cap=16, segment_bytes=4 * MiB), **ddfs_kw),
-        "cbr": dict(rewriter_kwargs=dict(container_bytes=CONTAINER), **ddfs_kw),
-        "cfl": dict(rewriter_kwargs=dict(container_bytes=CONTAINER), **ddfs_kw),
-        "fbw": dict(rewriter_kwargs=dict(fbw_rewriter), **ddfs_kw),
-        "alacc": dict(
-            rewriter_kwargs=dict(fbw_rewriter),
-            restorer_kwargs=dict(
-                total_bytes=32 * MiB,
-                lookahead_bytes=16 * MiB,
-                min_faa_bytes=4 * MiB,
-                step_bytes=2 * MiB,
-            ),
-            **ddfs_kw,
-        ),
-        "hidestore": {},
-    }
-    return configs[name]
-
-
-def run_scheme(name: str, preset: str, versions: int = None, chunks: int = None):
-    """Back up a preset workload under a named scheme; returns the system."""
-    kwargs = dict(scheme_config(name))
-    if name == "hidestore":
-        from repro.workloads import history_depth_for
-
-        kwargs.setdefault("history_depth", history_depth_for(preset))
-    system = build_scheme(name, container_size=CONTAINER, **kwargs)
-    workload = load_preset(
-        preset,
-        versions=versions,
-        chunks_per_version=chunks if chunks is not None else CHUNKS_PER_VERSION,
-    )
-    for stream in workload.versions():
-        system.backup(stream)
-    return system
 
 
 def table(headers: List[str], rows: Iterable[List[str]], title: str = "") -> None:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the paper's figures as SVG images under ``figures/``.
 
-Runs the same experiments as the benchmark suite (at a slightly smaller
-scale so the script finishes in under a minute) and renders:
+Runs the same experiments as the benchmark suite — each scheme under its
+§5.1 configuration, through :func:`repro.experiments.run_scheme` — at a
+smaller scale so the script finishes in seconds, and renders:
 
 * fig3_<dataset>.svg — version-tag chunk counts (the §3 observation);
 * fig8_dedup_ratio.svg — deduplication ratios per scheme and dataset;
@@ -20,45 +21,28 @@ import sys
 
 from repro import load_preset
 from repro.analysis import run_observation
-from repro.pipeline import build_scheme
+from repro.experiments import run_scheme
 from repro.plotting import bar_chart, line_chart
-from repro.units import KiB, MiB
+from repro.units import KiB
 
 CONTAINER = 512 * KiB
 VERSIONS = 16
 CHUNKS = 1500
 DATASETS = ["kernel", "gcc", "fslhomes", "macos"]
 
-SCHEME_KWARGS = {
-    "ddfs": dict(index_kwargs=dict(cache_containers=16)),
-    "sparse": {},
-    "silo": {},
-    "capping": dict(
-        rewriter_kwargs=dict(cap=16, segment_bytes=4 * MiB),
-        index_kwargs=dict(cache_containers=16),
-    ),
-    "alacc": dict(
-        rewriter_kwargs=dict(
-            container_bytes=CONTAINER, window_bytes=8 * MiB,
-            target_rewrite_ratio=0.05, density_threshold=0.25,
-        ),
-        index_kwargs=dict(cache_containers=16),
-    ),
-    "hidestore": {},
-}
+SCHEMES = ["ddfs", "sparse", "silo", "capping", "alacc", "hidestore"]
 
 
 def run_all(datasets):
     systems = {}
     for dataset in datasets:
         versions = VERSIONS if dataset != "macos" else 12
-        for scheme, kwargs in SCHEME_KWARGS.items():
-            system = build_scheme(scheme, container_size=CONTAINER, **kwargs)
-            for stream in load_preset(dataset, versions=versions,
-                                      chunks_per_version=CHUNKS).versions():
-                system.backup(stream)
-            systems[(dataset, scheme)] = system
-        print(f"  backed up {dataset} under {len(SCHEME_KWARGS)} schemes")
+        for scheme in SCHEMES:
+            systems[(dataset, scheme)] = run_scheme(
+                scheme, dataset, versions=versions, chunks=CHUNKS,
+                container_size=CONTAINER,
+            )
+        print(f"  backed up {dataset} under {len(SCHEMES)} schemes")
     return systems
 
 
@@ -80,7 +64,7 @@ def fig3(out):
 def fig8(out, systems):
     groups = {
         scheme: [systems[(d, scheme)].dedup_ratio for d in DATASETS]
-        for scheme in SCHEME_KWARGS
+        for scheme in SCHEMES
     }
     path = os.path.join(out, "fig8_dedup_ratio.svg")
     bar_chart(DATASETS, groups, "Figure 8 — deduplication ratio",
@@ -126,7 +110,7 @@ def fig11(out, systems):
             sample = versions[:: max(1, len(versions) // 8)]
             if versions[-1] not in sample:
                 sample.append(versions[-1])
-            series[scheme if scheme != "ddfs" else "baseline"] = [
+            series[scheme] = [
                 (v, system.restore(v).speed_factor) for v in sample
             ]
         path = os.path.join(out, f"fig11_{dataset}.svg")

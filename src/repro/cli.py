@@ -578,20 +578,27 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run a scheme×preset experiment matrix, optionally to CSV."""
+    """Run a scheme×preset experiment matrix (§5.1 configurations), optionally to CSV."""
     from .experiments import run_matrix, write_csv
     from .units import parse_bytes
 
-    schemes = {name: {} for name in args.schemes.split(",")}
+    header = (
+        f"{'scheme':<10s} {'workload':<9s} {'dedup':>7s} {'lkp/GB':>8s} "
+        f"{'idx B/MB':>9s} {'sf(new)':>8s} {'sf(mid)':>8s} {'sf(old)':>8s}"
+    )
+    print(header)
+    print("-" * len(header))
     rows = run_matrix(
-        schemes,
+        {name: {} for name in args.schemes.split(",")},
         args.presets.split(","),
         versions=args.versions,
         chunks_per_version=args.chunks,
         container_size=parse_bytes(args.container_size),
         progress=lambda row: print(
-            f"  {row['scheme']:>10s} on {row['workload']:<9s} "
-            f"ratio={row['dedup_ratio']:.4f} sf(last)={row['speed_factor_last']:.3f}"
+            f"{row['scheme']:<10s} {row['workload']:<9s} {row['dedup_ratio']:>7.2%} "
+            f"{row['lookups_per_gb']:>8.0f} {row['index_bytes_per_mb']:>9.1f} "
+            f"{row['speed_factor_last']:>8.3f} {row['speed_factor_mid']:>8.3f} "
+            f"{row['speed_factor_first']:>8.3f}"
         ),
     )
     if args.output:

@@ -1,9 +1,13 @@
-"""Experiment matrix runner: sweep schemes × workloads, collect all metrics.
+"""The paper's experiments: the §5.1 scheme configurations and the loop over them.
 
-The benchmark files each regenerate one paper table/figure; this module is
-the general tool behind them for downstream users: run any set of schemes
-over any set of workloads and get every §5 metric back as flat rows —
-ready for CSV, pandas, or plotting.
+Figures 8-11 compare HiDeStore against DDFS, Sparse, SiLo, Capping and
+ALACC, each under the configuration §5.1 gives it.  That configuration
+lives here and only here (:func:`scheme_config`); every paper-figure path
+— the benchmark files, ``hidestore simulate`` and
+``examples/make_figures.py`` — backs its schemes up through
+:func:`run_scheme`, so they cannot drift apart.  :func:`run_matrix` sweeps
+schemes × presets and returns every §5 metric as flat rows, ready for CSV,
+pandas or plotting.
 
 Example::
 
@@ -22,11 +26,16 @@ from __future__ import annotations
 
 import csv
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional
 
+from .pipeline.base import BackupEngine
 from .pipeline.schemes import build_scheme
-from .units import CONTAINER_SIZE
-from .workloads import SyntheticWorkload, history_depth_for, load_preset
+from .units import CONTAINER_SIZE, MiB
+from .workloads import history_depth_for, load_preset
+
+#: DDFS locality-cache capacity (containers): well below a dataset's
+#: container count, as RAM caches a sliver of a multi-TB store.
+DDFS_CACHE = 16
 
 #: Column order of the result rows (stable for CSV consumers).
 COLUMNS = [
@@ -46,40 +55,88 @@ COLUMNS = [
 ]
 
 
-def _restore_points(version_ids: Sequence[int]) -> Dict[str, int]:
-    return {
-        "first": version_ids[0],
-        "mid": version_ids[len(version_ids) // 2],
-        "last": version_ids[-1],
+def scheme_config(name: str, container_size: int = CONTAINER_SIZE) -> Dict:
+    """The §5.1 factory kwargs of one named scheme.
+
+    Rewriters that cut by container size see ``container_size``.  Schemes
+    §5 does not configure (``exact``, ``blc``, …) get ``{}``: their
+    factory defaults.
+    """
+    ddfs_kw = dict(index_kwargs=dict(cache_containers=DDFS_CACHE))
+    fbw_rewriter = dict(
+        container_bytes=container_size,
+        window_bytes=8 * MiB,
+        target_rewrite_ratio=0.05,
+        density_threshold=0.25,
+    )
+    configs: Dict[str, Dict] = {
+        "ddfs": dict(**ddfs_kw),
+        "baseline": dict(**ddfs_kw),
+        "capping": dict(rewriter_kwargs=dict(cap=16, segment_bytes=4 * MiB), **ddfs_kw),
+        "cbr": dict(rewriter_kwargs=dict(container_bytes=container_size), **ddfs_kw),
+        "cfl": dict(rewriter_kwargs=dict(container_bytes=container_size), **ddfs_kw),
+        "fbw": dict(rewriter_kwargs=dict(fbw_rewriter), **ddfs_kw),
+        "alacc": dict(
+            rewriter_kwargs=dict(fbw_rewriter),
+            restorer_kwargs=dict(
+                total_bytes=32 * MiB,
+                lookahead_bytes=16 * MiB,
+                min_faa_bytes=4 * MiB,
+                step_bytes=2 * MiB,
+            ),
+            **ddfs_kw,
+        ),
     }
+    return configs.get(name, {})
+
+
+def run_scheme(
+    name: str,
+    preset: str,
+    versions: Optional[int] = None,
+    chunks: Optional[int] = None,
+    container_size: int = CONTAINER_SIZE,
+    scheme_kwargs: Optional[Mapping] = None,
+) -> BackupEngine:
+    """Back up a preset workload under a named scheme; returns the system.
+
+    The scheme runs its :func:`scheme_config`; ``scheme_kwargs`` override
+    those values key by key.  ``hidestore`` keeps the preset's history
+    depth (§4.1) unless ``scheme_kwargs`` name one.  ``versions`` and
+    ``chunks`` (per version) default to the preset's.
+    """
+    name = name.lower()  # as build_scheme reads it
+    kwargs = {**scheme_config(name, container_size), **(scheme_kwargs or {})}
+    if name == "hidestore":
+        kwargs.setdefault("history_depth", history_depth_for(preset))
+    system = build_scheme(name, container_size=container_size, **kwargs)
+    workload = load_preset(preset, versions=versions, chunks_per_version=chunks)
+    for stream in workload.versions():
+        system.backup(stream)
+    return system
 
 
 def run_single(
     scheme: str,
-    workload: Union[str, SyntheticWorkload],
+    preset: str,
     scheme_kwargs: Optional[Mapping] = None,
     versions: Optional[int] = None,
     chunks_per_version: Optional[int] = None,
     container_size: int = CONTAINER_SIZE,
 ) -> Dict[str, object]:
-    """Run one (scheme, workload) cell; returns a flat metric row."""
-    kwargs = dict(scheme_kwargs or {})
-    if isinstance(workload, str):
-        if scheme == "hidestore":
-            kwargs.setdefault("history_depth", history_depth_for(workload))
-        name = workload
-        workload = load_preset(workload, versions=versions, chunks_per_version=chunks_per_version)
-    else:
-        name = workload.spec.name
-    system = build_scheme(scheme, container_size=container_size, **kwargs)
-
+    """Run one (scheme, preset) cell through :func:`run_scheme`; returns a flat metric row."""
     started = time.perf_counter()
-    for stream in workload.versions():
-        system.backup(stream)
+    system = run_scheme(
+        scheme, preset, versions, chunks_per_version, container_size, scheme_kwargs
+    )
     backup_seconds = time.perf_counter() - started
 
     version_ids = system.version_ids()
-    points = _restore_points(version_ids)
+    points = {
+        "first": version_ids[0],
+        "mid": version_ids[len(version_ids) // 2],
+        "last": version_ids[-1],
+    }
     speed = {
         label: system.restore(version).speed_factor
         for label, version in points.items()
@@ -87,7 +144,7 @@ def run_single(
     report = system.report
     return {
         "scheme": scheme,
-        "workload": name,
+        "workload": preset,
         "versions": report.versions,
         "logical_bytes": report.logical_bytes,
         "stored_bytes": report.stored_bytes,
@@ -104,61 +161,33 @@ def run_single(
 
 def run_matrix(
     schemes: Mapping[str, Mapping],
-    presets: Iterable[Union[str, SyntheticWorkload]],
+    presets: Iterable[str],
     versions: Optional[int] = None,
     chunks_per_version: Optional[int] = None,
     container_size: int = CONTAINER_SIZE,
     progress=None,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
-    """Run every (scheme, workload) combination.
+    """Run every (scheme, preset) combination, preset by preset.
 
     Args:
-        schemes: scheme name -> extra kwargs for its factory.
-        presets: preset names (or prebuilt workloads).
+        schemes: scheme name -> kwargs overriding its :func:`scheme_config`.
+        presets: preset names.
         progress: optional callable receiving each finished row.
-        jobs: worker processes (1 = in-process).  Parallel runs require
-            preset *names* (picklable cells); prebuilt workload objects fall
-            back to in-process execution.
     """
-    cells = [
-        (scheme, preset, kwargs)
-        for preset in presets
-        for scheme, kwargs in schemes.items()
-    ]
     rows: List[Dict[str, object]] = []
-    parallelisable = jobs > 1 and all(isinstance(c[1], str) for c in cells)
-    if parallelisable:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    run_single, scheme, preset,
-                    scheme_kwargs=kwargs, versions=versions,
-                    chunks_per_version=chunks_per_version,
-                    container_size=container_size,
-                )
-                for scheme, preset, kwargs in cells
-            ]
-            for future in futures:
-                row = future.result()
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
-        return rows
-    for scheme, preset, kwargs in cells:
-        row = run_single(
-            scheme,
-            preset,
-            scheme_kwargs=kwargs,
-            versions=versions,
-            chunks_per_version=chunks_per_version,
-            container_size=container_size,
-        )
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+    for preset in presets:
+        for scheme, kwargs in schemes.items():
+            row = run_single(
+                scheme,
+                preset,
+                scheme_kwargs=kwargs,
+                versions=versions,
+                chunks_per_version=chunks_per_version,
+                container_size=container_size,
+            )
+            rows.append(row)
+            if progress is not None:
+                progress(row)
     return rows
 
 

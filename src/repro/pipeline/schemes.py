@@ -38,9 +38,6 @@ from ..rewriting.none import NoRewriter
 from .base import BackupEngine
 from .system import BackupSystem
 
-#: Back-compat alias — every scheme now satisfies the same protocol.
-AnySystem = BackupEngine
-
 
 def _build(index_cls, rewriter_cls, default_restorer_cls, **kwargs) -> BackupSystem:
     index = index_cls(**kwargs.pop("index_kwargs", {}))
@@ -50,13 +47,11 @@ def _build(index_cls, rewriter_cls, default_restorer_cls, **kwargs) -> BackupSys
     return BackupSystem(index, rewriter, **kwargs)
 
 
-def build_baseline(**kwargs) -> BackupSystem:
-    """Exact dedup, no rewriting, FAA restore — Fig. 11's 'no rewrite' curve."""
-    return _build(DDFSIndex, NoRewriter, FAARestore, **kwargs)
-
-
 def build_ddfs(**kwargs) -> BackupSystem:
-    """DDFS: Bloom + locality cache, exact dedup (Zhu et al.)."""
+    """DDFS: Bloom + locality cache, exact dedup (Zhu et al.).
+
+    No rewriting and FAA restore: also Fig. 11's ``baseline`` curve.
+    """
     return _build(DDFSIndex, NoRewriter, FAARestore, **kwargs)
 
 
@@ -135,7 +130,7 @@ def build_hidestore(**kwargs) -> BackupEngine:
 
 
 SCHEMES: Dict[str, Callable[..., BackupEngine]] = {
-    "baseline": build_baseline,
+    "baseline": build_ddfs,
     "ddfs": build_ddfs,
     "exact": build_exact,
     "sparse": build_sparse,

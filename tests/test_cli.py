@@ -114,6 +114,12 @@ class TestResearchTooling:
             "--versions", "4", "--chunks", "150", "--container-size", "64KiB",
             "--output", out_csv,
         ]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == [
+            "scheme", "workload", "dedup", "lkp/GB", "idx", "B/MB",
+            "sf(new)", "sf(mid)", "sf(old)",
+        ]
+        assert [line.split()[0] for line in table[2:4]] == ["exact", "hidestore"]
         with open(out_csv) as handle:
             lines = handle.read().strip().splitlines()
         assert len(lines) == 3  # header + 2 rows

@@ -151,19 +151,6 @@ class TestContainerAnalytics:
             utilization_histogram(ContainerPopulation(), buckets=0)
 
 
-class TestParallelMatrix:
-    def test_jobs_parallel_equals_serial(self):
-        from repro.experiments import run_matrix
-
-        kwargs = dict(versions=4, chunks_per_version=150, container_size=64 * KiB)
-        serial = run_matrix({"exact": {}}, ["kernel", "gcc"], **kwargs)
-        parallel = run_matrix({"exact": {}}, ["kernel", "gcc"], jobs=2, **kwargs)
-        key = lambda r: (r["scheme"], r["workload"])
-        for a, b in zip(sorted(serial, key=key), sorted(parallel, key=key)):
-            assert a["dedup_ratio"] == b["dedup_ratio"]
-            assert a["speed_factor_last"] == b["speed_factor_last"]
-
-
 class TestDocstringCoverage:
     """Every public module, class and function carries a docstring."""
 

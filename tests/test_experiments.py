@@ -3,9 +3,18 @@
 import pytest
 
 from repro.core import HiDeStore
-from repro.experiments import COLUMNS, read_csv, run_matrix, run_single, write_csv
+from repro.experiments import (
+    COLUMNS,
+    DDFS_CACHE,
+    read_csv,
+    run_matrix,
+    run_scheme,
+    run_single,
+    scheme_config,
+    write_csv,
+)
 from repro.units import KiB
-from repro.workloads import SyntheticWorkload, WorkloadSpec, load_preset
+from repro.workloads import load_preset
 
 
 class TestRunSingle:
@@ -22,18 +31,12 @@ class TestRunSingle:
         assert row["speed_factor_last"] > 0
 
     def test_hidestore_gets_preset_history_depth(self):
-        row = run_single(
-            "hidestore", "macos", versions=6, chunks_per_version=300,
-            container_size=64 * KiB,
-        )
-        assert row["scheme"] == "hidestore"
-
-    def test_accepts_prebuilt_workload(self):
-        workload = SyntheticWorkload(
-            WorkloadSpec(name="custom", versions=4, chunks_per_version=200, seed=5)
-        )
-        row = run_single("exact", workload, container_size=64 * KiB)
-        assert row["workload"] == "custom"
+        # macos chunks skip a version and return (§4.1): at depth 1 HiDeStore
+        # re-stores them, at the preset's depth 2 it matches exact dedup.
+        kwargs = dict(versions=6, chunks_per_version=300, container_size=64 * KiB)
+        hidestore = run_single("hidestore", "macos", **kwargs)
+        exact = run_single("exact", "macos", **kwargs)
+        assert hidestore["dedup_ratio"] == exact["dedup_ratio"]
 
     def test_scheme_kwargs_forwarded(self):
         row = run_single(
@@ -46,6 +49,20 @@ class TestRunSingle:
             container_size=64 * KiB,
         )
         assert row["dedup_ratio"] < baseline["dedup_ratio"]
+
+
+class TestSchemeConfig:
+    def test_section_5_1_values_reach_the_system(self):
+        system = run_scheme("alacc", "kernel", versions=3, chunks=200,
+                            container_size=64 * KiB)
+        assert system.index.cache_containers == DDFS_CACHE
+        assert system.rewriter.container_bytes == 64 * KiB
+        assert system.restorer.total_bytes == 32 << 20
+
+    def test_rewriters_cut_at_the_container_size(self):
+        for name in ("cbr", "cfl", "fbw", "alacc"):
+            config = scheme_config(name, container_size=128 * KiB)
+            assert config["rewriter_kwargs"]["container_bytes"] == 128 * KiB
 
 
 class TestRunMatrix:

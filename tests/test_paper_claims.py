@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.hidestore import HiDeStore
 from repro.metrics import exact_dedup_ratio
-from repro.pipeline import build_scheme
-from repro.units import KiB, MiB
+from repro.experiments import run_scheme
+from repro.units import KiB
 from repro.workloads import load_preset
 
 CONTAINER = 512 * KiB
@@ -18,37 +18,16 @@ VERSIONS = 16
 CHUNKS = 2000
 
 
-def run(name, preset="kernel", **kwargs):
-    system = build_scheme(name, container_size=CONTAINER, **kwargs)
-    for stream in load_preset(preset, versions=VERSIONS, chunks_per_version=CHUNKS).versions():
-        system.backup(stream)
-    return system
-
-
-#: DDFS locality cache sized well below the dataset's container count, as at
-#: paper scale (RAM caches a sliver of a multi-TB store).
-DDFS_KW = dict(index_kwargs=dict(cache_containers=16))
+def run(name, preset="kernel"):
+    """One scheme under its §5.1 configuration, as the figures run it."""
+    return run_scheme(name, preset, versions=VERSIONS, chunks=CHUNKS, container_size=CONTAINER)
 
 
 @pytest.fixture(scope="module")
 def systems():
-    capping_kwargs = dict(rewriter_kwargs=dict(cap=16, segment_bytes=4 * MiB), **DDFS_KW)
-    fbw_kwargs = dict(
-        rewriter_kwargs=dict(
-            container_bytes=CONTAINER,
-            window_bytes=8 * MiB,
-            target_rewrite_ratio=0.05,
-            density_threshold=0.25,
-        ),
-        **DDFS_KW,
-    )
     return {
-        "ddfs": run("ddfs", **DDFS_KW),
-        "sparse": run("sparse"),
-        "silo": run("silo"),
-        "capping": run("capping", **capping_kwargs),
-        "alacc": run("alacc", **fbw_kwargs),
-        "hidestore": run("hidestore"),
+        name: run(name)
+        for name in ("ddfs", "sparse", "silo", "capping", "alacc", "hidestore")
     }
 
 

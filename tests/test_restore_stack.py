@@ -36,7 +36,7 @@ from repro.core.hidestore import HiDeStore
 from repro.engine.restore import execute_plan_prefetched, restore_stream
 from repro.errors import ReproError, RestoreError
 from repro.observability import MetricsRegistry
-from repro.pipeline.schemes import build_baseline
+from repro.pipeline.schemes import build_ddfs
 from repro.repository import LocalRepository, materialize, read_tree, restore_workers
 from repro.restore import FAARestore, FAAScheduler, HotSetRestore, execute_plan
 from repro.restore.scheduler import ContainerRead, PlanSpan
@@ -66,7 +66,7 @@ def fragmented_system():
     """A traditional system with many small containers and real dedup."""
     rng = random.Random(3)
     pool = [rng.randbytes(rng.randrange(1500, 4000)) for _ in range(120)]
-    system = build_baseline(container_size=32 * KiB)
+    system = build_ddfs(container_size=32 * KiB)
     for v in range(3):
         system.backup(payload_stream(100 + v, pool, 600, tag=f"v{v}"))
     return system
